@@ -2,7 +2,8 @@
 Dominant weights and the lattice operations
 ===========================================
 
-Weights are stored exactly (Fraction coefficients).  Two weights of the same
+Weights are stored exactly: integer labels plus a Fraction delta shift, with
+the coefficients over the simple roots derived from them.  Two weights of the same
 level whose difference lies in the root lattice sit in one connected
 component of the dominance order, and every component is a lattice: the
 meet is the coefficientwise minimum and the join repairs the maximum.
@@ -15,7 +16,6 @@ from affposet.weights import (
     fundamental_weight,
     join,
     labels,
-    level,
     meet,
     weight_from_labels,
 )
@@ -23,7 +23,7 @@ from affposet.weights import (
 d = build_affine(parse_type_id("A2-1"))
 
 omega = fundamental_weight(d, 1)
-print(f"fundamental weight 1 of {d}: labels {labels(omega)}, level {level(omega)}")
+print(f"fundamental weight 1 of {d}: labels {labels(omega)}, level {omega.m}")
 print(f"coefficients over the simple roots: {omega.coeffs}")
 
 a = weight_from_labels(d, (0, 3, 0))
@@ -34,8 +34,8 @@ print(f"comparable? {dominance_leq(a, b) or dominance_leq(b, a)}")
 
 lo = meet(a, b)
 hi = join(a, b)
-print(f"meet labels {tuple(int(v) for v in labels(lo))}, shift {delta_shift(lo)}")
-print(f"join labels {tuple(int(v) for v in labels(hi))}, shift {delta_shift(hi)}")
+print(f"meet labels {labels(lo)}, shift {delta_shift(lo)}")
+print(f"join labels {labels(hi)}, shift {delta_shift(hi)}")
 
 # absorption closes the loop
 print(f"join(a, meet(a, b)) == a: {join(a, lo) == a}")

@@ -11,14 +11,14 @@ weights.
 
 from affposet import build_affine, parse_type_id
 from affposet.covering import cocovers, covers, is_delta_cocover
-from affposet.weights import labels, weight_from_labels
+from affposet.weights import delta_shift, labels, weight_from_labels
 
 
 def show(weight):
-    labs = tuple(int(v) for v in labels(weight))
+    labs = labels(weight)
     print(f"{weight.diagram} {labs}:")
     for edge in cocovers(weight):
-        lower = tuple(int(v) for v in labels(edge.lower))
+        lower = labels(edge.lower)
         print(
             f"  case {edge.case} ({edge.kind.value:11s}) "
             f"root {edge.root.coeffs} -> {lower}"
@@ -37,8 +37,8 @@ show(weight_from_labels(a22, (0, 1)))
 # covers run the same classification upward
 w = weight_from_labels(a22, (2, 0))
 for edge in covers(w):
-    upper = tuple(int(v) for v in labels(edge.upper))
-    print(f"above {w}: case {edge.case} to {upper} at shift +{edge.upper.coeffs[0]}")
+    shift = delta_shift(edge.upper) - delta_shift(w)
+    print(f"above {w}: case {edge.case} to {labels(edge.upper)} at shift +{shift}")
 
 # delta covers fundamental-like weights only
 d = build_affine(parse_type_id("A2-1"))

@@ -26,8 +26,6 @@ __all__ = [
     "build_affine",
     "classify_finite",
     "catalog_types",
-    "canonical_imaginary_root",
-    "canonical_central_element",
 ]
 
 _TYPE_RE = re.compile(r"^([A-G])([1-9][0-9]*)-([123])$")
@@ -362,16 +360,6 @@ def _build_cached(tid: AffineTypeId) -> AffineDiagram:
 def build_affine(type_id) -> AffineDiagram:
     """Return the cached diagram for a type id or type string."""
     return _build_cached(parse_type_id(type_id))
-
-
-def canonical_imaginary_root(diagram: AffineDiagram) -> tuple:
-    """Coefficients of delta, the generator of the imaginary roots."""
-    return diagram.marks
-
-
-def canonical_central_element(diagram: AffineDiagram) -> tuple:
-    """Coroot coefficients of the canonical central element."""
-    return diagram.comarks
 
 
 def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:

@@ -17,7 +17,7 @@ from .cartan import build_affine, catalog_types, parse_type_id
 from .covering import cocovers, covers, edge_to_json, special_vertices
 from .oracle import SearchWindow, verify_covering
 from .poset import basic_cell, export_graph, interval
-from .weights import format_shift, parse_shift, weight_from_labels, labels
+from .weights import format_shift, parse_shift, weight_from_labels
 
 __all__ = ["run", "main"]
 
@@ -113,7 +113,7 @@ def _cmd_cell(args) -> int:
     for edge in cocovers(lam):
         if edge.kind is CoverKind.DELTA:
             continue
-        labs = tuple(int(v) for v in labels(edge.lower))
+        labs = edge.lower.labels
         available.append(labs)
         for key, target in wanted.items():
             if labs == target:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .cartan import AffineDiagram, classify_finite
 from .roots import (
@@ -31,17 +33,9 @@ from .roots import (
     CoverKind,
     RootVector,
     cover_root_set,
-    delta_root,
     highest_short_root,
 )
-from .weights import (
-    Weight,
-    add_root,
-    is_dominant,
-    labels,
-    weight_to_json,
-    weight_from_json,
-)
+from .weights import Weight, is_dominant, weight_to_json, weight_from_json
 
 __all__ = [
     "NonPositiveLevelError",
@@ -91,22 +85,14 @@ def special_vertices(diagram: AffineDiagram) -> tuple:
     return tuple(out)
 
 
-def _int_labels(weight: Weight) -> tuple:
-    labs = labels(weight)
-    if any(v.denominator != 1 for v in labs):
-        raise ValueError(f"weight {weight} is not integral")
-    return tuple(int(v) for v in labs)
-
-
 def _require_dominant_positive(weight: Weight) -> tuple:
     if not is_dominant(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
-    labs = _int_labels(weight)
     if weight.m <= 0:
         raise NonPositiveLevelError(
             f"covering relations need positive level, got {weight.m}"
         )
-    return labs
+    return weight.labels
 
 
 def _unique_short_vertex(diagram: AffineDiagram):
@@ -219,47 +205,52 @@ def _finite_case(diagram, lower_labs: tuple, cand: CoverCandidate):
     raise AssertionError(f"unexpected candidate kind {cand.kind}")
 
 
-def cocovers(weight: Weight) -> tuple:
-    """All weights covered by the given dominant integral weight."""
-    _require_dominant_positive(weight)
+@functools.lru_cache(maxsize=None)
+def _cover_steps(diagram: AffineDiagram) -> tuple:
+    """Each cover candidate with its change of labels and of delta shift."""
+    return tuple(
+        (
+            cand,
+            tuple(sum(map(mul, row, cand.root.coeffs)) for row in diagram.cartan),
+            Fraction(cand.root.coeffs[0], diagram.marks[0]),
+        )
+        for cand in cover_root_set(diagram)
+    )
+
+
+def _edges(weight: Weight, sign: int) -> tuple:
+    """Cover edges below (sign -1) or above (sign +1) a dominant weight.
+
+    The weight across each candidate must be dominant; the case test then
+    reads the labels of the lower end, which for delta equal the upper's.
+    """
+    labs = _require_dominant_positive(weight)
     diagram = weight.diagram
     edges = []
-    for cand in cover_root_set(diagram):
+    for cand, label_step, shift_step in _cover_steps(diagram):
+        other = tuple(v + sign * c for v, c in zip(labs, label_step))
+        if any(v < 0 for v in other):
+            continue
         if cand.kind is CoverKind.DELTA:
-            labs = _int_labels(weight)
             case = _delta_case(diagram, labs)
-            if case is not None:
-                lower = add_root(weight, -delta_root(diagram))
-                edges.append(CoverEdge(weight, lower, cand.kind, cand.root, case))
+        else:
+            case = _finite_case(diagram, other if sign < 0 else labs, cand)
+        if case is None:
             continue
-        lower = add_root(weight, -cand.root)
-        if not is_dominant(lower):
-            continue
-        case = _finite_case(diagram, _int_labels(lower), cand)
-        if case is not None:
-            edges.append(CoverEdge(weight, lower, cand.kind, cand.root, case))
+        near = Weight(diagram, other, weight.shift + sign * shift_step)
+        upper, lower = (weight, near) if sign < 0 else (near, weight)
+        edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
     return tuple(edges)
+
+
+def cocovers(weight: Weight) -> tuple:
+    """All weights covered by the given dominant integral weight."""
+    return _edges(weight, -1)
 
 
 def covers(weight: Weight) -> tuple:
     """All weights covering the given dominant integral weight."""
-    _require_dominant_positive(weight)
-    diagram = weight.diagram
-    edges = []
-    for cand in cover_root_set(diagram):
-        upper = add_root(weight, cand.root)
-        if cand.kind is CoverKind.DELTA:
-            labs = _int_labels(upper)
-            case = _delta_case(diagram, labs)
-            if case is not None:
-                edges.append(CoverEdge(upper, weight, cand.kind, cand.root, case))
-            continue
-        if not is_dominant(upper):
-            continue
-        case = _finite_case(diagram, _int_labels(weight), cand)
-        if case is not None:
-            edges.append(CoverEdge(upper, weight, cand.kind, cand.root, case))
-    return tuple(edges)
+    return _edges(weight, 1)
 
 
 def edge_to_json(edge: CoverEdge) -> dict:

@@ -22,11 +22,9 @@ from .weights import (
     ComponentMismatchError,
     Weight,
     add_root,
-    delta_shift,
-    evaluate,
+    difference,
     format_shift,
     is_dominant,
-    labels,
     meet,
     join,
     weight_from_labels,
@@ -102,13 +100,6 @@ def _minimal_rows(rows):
     return np.array(keep, dtype=np.int64)
 
 
-def _int_label_array(weight: Weight):
-    labs = labels(weight)
-    if any(v.denominator != 1 for v in labs):
-        raise ValueError(f"weight {weight} is not integral")
-    return np.array([int(v) for v in labs], dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class BruteCocovers:
     cocovers: tuple
@@ -133,7 +124,7 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     if len(window.bounds) != diagram.n + 1:
         raise ValueError("window rank does not match the diagram")
     betas, label_delta = _grid(diagram, window)
-    labs = _int_label_array(weight)
+    labs = np.array(weight.labels, dtype=np.int64)
     dominant = (labs[None, :] - label_delta >= 0).all(axis=1)
     dominant &= (betas != 0).any(axis=1)
     candidates = betas[dominant]
@@ -158,9 +149,10 @@ class BruteBounds:
     lub: Weight
 
 
-def _corner_weights(a: Weight, b: Weight):
-    lo = Weight(a.diagram, a.m, tuple(min(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-    hi = Weight(a.diagram, a.m, tuple(max(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+def _corner_weights(a: Weight, gap: tuple):
+    """Componentwise minimum and maximum of a and b, given gap = a - b."""
+    lo = add_root(a, RootVector(a.diagram, tuple(-max(0, g) for g in gap)))
+    hi = add_root(a, RootVector(a.diagram, tuple(max(0, -g) for g in gap)))
     return lo, hi
 
 
@@ -174,14 +166,11 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     a minimal candidate is automatically the global minimum; the search is
     exact whenever the box is nonempty.
     """
-    if a.diagram != b.diagram:
-        raise ComponentMismatchError("weights on different diagrams")
-    if a.m != b.m:
-        raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
-    for x, y in zip(a.coeffs, b.coeffs):
-        if (x - y).denominator != 1:
+    gap = difference(a, b)
+    for g in gap:
+        if g.denominator != 1:
             raise ComponentMismatchError(
-                f"coefficients differ by the non-integer {x - y}"
+                f"coefficients differ by the non-integer {g}"
             )
     if not (is_dominant(a) and is_dominant(b)):
         raise ValueError("bounds are searched for dominant integral weights")
@@ -190,9 +179,9 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         window = default_window(diagram)
     betas, label_delta = _grid(diagram, window)
     bounds = np.array(window.bounds, dtype=np.int64)
-    corner_lo, corner_hi = _corner_weights(a, b)
+    corner_lo, corner_hi = _corner_weights(a, gap)
 
-    lo_labs = _int_label_array(corner_lo)
+    lo_labs = np.array(corner_lo.labels, dtype=np.int64)
     down_ok = (lo_labs[None, :] - label_delta >= 0).all(axis=1)
     down = betas[down_ok]
     if len(down) == 0:
@@ -210,7 +199,7 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         raise WindowExhaustedError("greatest lower bound touches the window")
     glb = add_root(corner_lo, -RootVector(diagram, tuple(int(v) for v in gamma)))
 
-    hi_labs = _int_label_array(corner_hi)
+    hi_labs = np.array(corner_hi.labels, dtype=np.int64)
     up_ok = (hi_labs[None, :] + label_delta >= 0).all(axis=1)
     up = betas[up_ok]
     if len(up) == 0:
@@ -275,27 +264,18 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
 def _dominant_repair(weight: Weight) -> Weight:
     # smallest dominant weight above the input; reimplemented here so the
     # pair generator does not lean on the lattice code it is checking
-    coeffs = list(weight.coeffs)
     diagram = weight.diagram
     while True:
-        current = Weight(diagram, weight.m, tuple(coeffs))
-        bad = None
-        for j in diagram.vertices:
-            e = evaluate(current, j)
-            if e < 0:
-                bad = (j, e)
-                break
-        if bad is None:
-            return current
-        j, e = bad
-        coeffs[j] += (-int(e) + 1) // 2
+        bad = [j for j, e in enumerate(weight.labels) if e < 0]
+        if not bad:
+            return weight
+        j = bad[0]
+        step = [(1 - weight.labels[j]) // 2 if i == j else 0 for i in diagram.vertices]
+        weight = add_root(weight, RootVector(diagram, step))
 
 
 def _weight_key(weight: Weight):
-    return (
-        tuple(int(v) for v in labels(weight)),
-        format_shift(delta_shift(weight)),
-    )
+    return (weight.labels, format_shift(weight.shift))
 
 
 def _check_one(weight, window, mismatches, flags_total):

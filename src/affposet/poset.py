@@ -23,14 +23,11 @@ from .roots import CoverKind, RootVector
 from .weights import (
     Weight,
     add_root,
-    delta_shift,
     dominance_leq,
     format_shift,
-    labels,
     meet,
-    parse_shift,
     sort_key,
-    weight_from_labels,
+    weight_from_json,
 )
 
 __all__ = [
@@ -127,7 +124,7 @@ def _delta_interval(lam):
     """
     diagram = lam.diagram
     a = diagram.cartan
-    top = [int(v) for v in labels(lam)]
+    top = lam.labels
     last = [max(k for k in diagram.vertices if a[j][k]) for j in diagram.vertices]
     settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
     masks = []
@@ -253,8 +250,8 @@ def _case_shape(lam, edge_a, edge_b):
 
 
 def _node_tag(weight: Weight) -> str:
-    labs = ",".join(str(int(v)) for v in labels(weight))
-    return f"{labs}|{format_shift(delta_shift(weight))}"
+    labs = ",".join(map(str, weight.labels))
+    return f"{labs}|{format_shift(weight.shift)}"
 
 
 def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
@@ -308,10 +305,7 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
     if fmt == "json":
         index = {node: k for k, node in enumerate(graph.nodes)}
         nodes = [
-            {
-                "labels": [int(v) for v in labels(node)],
-                "delta_shift": format_shift(delta_shift(node)),
-            }
+            {"labels": list(node.labels), "delta_shift": format_shift(node.shift)}
             for node in graph.nodes
         ]
         edges = []
@@ -358,17 +352,20 @@ def graph_from_json(data) -> PosetGraph:
         return PosetGraph((), ())
     diagram = build_affine(parse_type_id(data["type"]))
     nodes = tuple(
-        weight_from_labels(
-            diagram, entry["labels"], parse_shift(entry["delta_shift"])
-        )
-        for entry in data["nodes"]
+        weight_from_json({"type": data["type"], **entry}) for entry in data["nodes"]
     )
+
+    def node_at(index):
+        if type(index) is not int or not 0 <= index < len(nodes):
+            raise ValueError(f"edge endpoint {index!r} is not a node index")
+        return nodes[index]
+
     edges = []
     for entry in data["edges"]:
         edges.append(
             CoverEdge(
-                upper=nodes[entry["upper"]],
-                lower=nodes[entry["lower"]],
+                upper=node_at(entry["upper"]),
+                lower=node_at(entry["lower"]),
                 kind=CoverKind(entry["kind"]),
                 root=RootVector(diagram, entry["root"]),
                 case=entry["case"],

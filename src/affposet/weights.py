@@ -1,9 +1,11 @@
 """Exact weights for an affine diagram and the lattice operations on them.
 
-A weight is stored as its level m (the coefficient on the fundamental weight
-attached to vertex 0) plus rational coefficients on the simple roots.  That
-pair pins the weight down uniquely, and all arithmetic is exact through
-fractions.Fraction.
+A weight is stored as its labels, the integer values on the simple coroots,
+plus its delta shift, an exact fraction.  That pair pins the weight down
+uniquely.  The level and the coefficients on the simple roots are derived:
+the level is the comark-weighted label sum, and the root coefficients come
+from one integer solve per diagram, needed only where dominance compares
+two weights.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -13,9 +15,11 @@ componentwise maximum repaired upward until dominant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cartan import AffineDiagram
 from .roots import CoverKind, RootVector
@@ -24,9 +28,7 @@ __all__ = [
     "ComponentMismatchError",
     "Weight",
     "CoverKind",
-    "evaluate",
     "labels",
-    "level",
     "delta_shift",
     "weight_from_labels",
     "fundamental_weight",
@@ -58,103 +60,107 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Weight:
+    """Integer labels on the simple coroots plus the delta shift."""
+
     diagram: AffineDiagram
-    m: int
-    coeffs: tuple
+    labels: tuple
+    shift: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.diagram.n + 1:
+        labs = tuple(self.labels)
+        if len(labs) != self.diagram.n + 1:
             raise ValueError(
-                f"expected {self.diagram.n + 1} coefficients, got {len(coeffs)}"
+                f"expected {self.diagram.n + 1} labels, got {len(labs)}"
             )
-        m = _as_fraction(self.m)
-        object.__setattr__(self, "m", int(m) if m.denominator == 1 else m)
-        object.__setattr__(self, "coeffs", coeffs)
+        for v in labs:
+            if type(v) is not int:
+                raise TypeError(f"labels must be ints, got {v!r}")
+        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "shift", _as_fraction(self.shift))
+
+    @property
+    def m(self) -> int:
+        """The level: the pairing with the canonical central element."""
+        return sum(map(mul, self.diagram.comarks, self.labels))
+
+    @property
+    def coeffs(self) -> tuple:
+        """Simple root coefficients of the weight less m times the
+        fundamental weight of vertex 0."""
+        return _root_coeffs(self.diagram, self.labels, self.shift)
 
     def __str__(self) -> str:
-        labs = ",".join(str(v) for v in labels(self))
-        return f"[{labs} @ {format_shift(delta_shift(self))}]"
+        labs = ",".join(map(str, self.labels))
+        return f"[{labs} @ {format_shift(self.shift)}]"
 
 
-def evaluate(weight: Weight, j: int) -> Fraction:
-    """Value of the weight on the j-th simple coroot."""
-    row = weight.diagram.cartan[j]
-    total = Fraction(weight.m) if j == 0 else Fraction(0)
-    for i, c in enumerate(weight.coeffs):
-        if c:
-            total += row[i] * c
-    return total
+@functools.lru_cache(maxsize=None)
+def _interior_adjugate(diagram: AffineDiagram) -> tuple:
+    """Adjugate and determinant of the Cartan block on vertices 1..n.
+
+    The adjugate comes back bordered by a zero row and column for vertex 0,
+    so row i sends the labels of a weight with delta shift 0 to det times
+    its root coefficient i.  Fraction-free Gauss-Jordan elimination keeps
+    every entry an integer: each division is exact, and the last pivot is
+    the determinant.  The block is a finite-type Cartan matrix, so every
+    leading minor is positive and no pivot is zero.
+    """
+    n = diagram.n
+    rows = [
+        [diagram.cartan[j][i] for i in range(1, n + 1)]
+        + [int(i == j) for i in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    prev = 1
+    for col in range(n):
+        head = rows[col]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = head[col]
+    adj = tuple((0,) + tuple(row[n:]) for row in rows)
+    return ((0,) * (n + 1),) + adj, prev
+
+
+def _scaled_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
+    """Root coefficients times a common denominator, and that denominator."""
+    adj, det = _interior_adjugate(diagram)
+    p, q = shift.numerator, shift.denominator
+    nums = [
+        sum(map(mul, row, labs)) * q + p * mark * det
+        for row, mark in zip(adj, diagram.marks)
+    ]
+    return nums, det * q
+
+
+def _root_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
+    nums, den = _scaled_coeffs(diagram, labs, shift)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def labels(weight: Weight) -> tuple:
-    return tuple(evaluate(weight, j) for j in weight.diagram.vertices)
-
-
-def level(weight: Weight):
-    """The level; identical to the pairing with the central element."""
-    diag = weight.diagram
-    total = sum(
-        diag.comarks[j] * evaluate(weight, j) for j in diag.vertices
-    )
-    assert total == weight.m
-    return weight.m
+    return weight.labels
 
 
 def delta_shift(weight: Weight) -> Fraction:
-    return Fraction(weight.coeffs[0], weight.diagram.marks[0])
-
-
-def _solve_interior(diagram: AffineDiagram, labs) -> list:
-    """Solve for root coefficients 1..n given all coroot values, coeff 0 = 0."""
-    n = diagram.n
-    rows = [
-        [Fraction(diagram.cartan[j][i]) for i in range(1, n + 1)]
-        + [Fraction(labs[j])]
-        for j in range(1, n + 1)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [Fraction(0)] + [rows[r][n] for r in range(n)]
+    return weight.shift
 
 
 def weight_from_labels(diagram: AffineDiagram, labs, shift=0) -> Weight:
     """The unique weight with the given coroot values and delta shift."""
-    labs = tuple(_as_fraction(v) for v in labs)
-    if len(labs) != diagram.n + 1:
-        raise ValueError(
-            f"expected {diagram.n + 1} labels, got {len(labs)}"
-        )
-    shift = _as_fraction(shift)
-    m = sum(diagram.comarks[j] * labs[j] for j in diagram.vertices)
-    coeffs = _solve_interior(diagram, labs)
-    coeffs = [c + shift * a for c, a in zip(coeffs, diagram.marks)]
-    weight = Weight(diagram, m, tuple(coeffs))
-    assert labels(weight) == labs
-    return weight
+    return Weight(diagram, tuple(labs), shift)
 
 
 def fundamental_weight(diagram: AffineDiagram, i: int) -> Weight:
     if i not in diagram.vertices:
         raise ValueError(f"no vertex {i} in {diagram}")
-    return weight_from_labels(
-        diagram, tuple(1 if j == i else 0 for j in diagram.vertices)
-    )
+    return Weight(diagram, tuple(int(j == i) for j in diagram.vertices))
 
 
 def is_dominant(weight: Weight) -> bool:
-    """Dominant and integral: every coroot value a nonnegative integer."""
-    return all(
-        v.denominator == 1 and v >= 0 for v in labels(weight)
-    )
+    """Dominant: every coroot value nonnegative."""
+    return all(v >= 0 for v in weight.labels)
 
 
 def _require_same_diagram(a: Weight, b: Weight) -> None:
@@ -171,7 +177,8 @@ def difference(a: Weight, b: Weight) -> tuple:
         raise ComponentMismatchError(
             f"levels differ: {a.m} and {b.m}"
         )
-    return tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    gap = tuple(x - y for x, y in zip(a.labels, b.labels))
+    return _root_coeffs(a.diagram, gap, a.shift - b.shift)
 
 
 def dominance_leq(lower: Weight, upper: Weight) -> bool:
@@ -179,31 +186,34 @@ def dominance_leq(lower: Weight, upper: Weight) -> bool:
     _require_same_diagram(lower, upper)
     if lower.m != upper.m:
         return False
-    return all(
-        (x - y).denominator == 1 and x >= y
-        for x, y in zip(upper.coeffs, lower.coeffs)
-    )
+    gap = tuple(x - y for x, y in zip(upper.labels, lower.labels))
+    nums, den = _scaled_coeffs(upper.diagram, gap, upper.shift - lower.shift)
+    return all(v >= 0 and v % den == 0 for v in nums)
 
 
 def add_root(weight: Weight, root: RootVector) -> Weight:
-    if weight.diagram != root.diagram:
+    diagram = weight.diagram
+    if diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
+    beta = root.coeffs
     return Weight(
-        weight.diagram,
-        weight.m,
-        tuple(c + r for c, r in zip(weight.coeffs, root.coeffs)),
+        diagram,
+        tuple(v + sum(map(mul, row, beta)) for v, row in zip(weight.labels, diagram.cartan)),
+        weight.shift + Fraction(beta[0], diagram.marks[0]),
     )
 
 
-def _require_component(a: Weight, b: Weight) -> None:
-    _require_same_diagram(a, b)
-    if a.m != b.m:
-        raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
-    for i, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
-        if (x - y).denominator != 1:
+def _require_component(a: Weight, b: Weight) -> tuple:
+    """The integer root vector a - b; raises unless a and b share a component."""
+    gap = difference(a, b)
+    for i, g in enumerate(gap):
+        if g.denominator != 1:
             raise ComponentMismatchError(
-                f"coefficient {i} differs by the non-integer {x - y}"
+                f"coefficient {i} differs by the non-integer {g}"
             )
+    if not (is_dominant(a) and is_dominant(b)):
+        raise ValueError("meet and join are defined for dominant weights")
+    return gap
 
 
 def meet(a: Weight, b: Weight) -> Weight:
@@ -213,14 +223,8 @@ def meet(a: Weight, b: Weight) -> Weight:
     coefficients only drop, and off-diagonal Cartan entries are nonpositive,
     so every coroot value of the minimum dominates that argument's value.
     """
-    _require_component(a, b)
-    if not (is_dominant(a) and is_dominant(b)):
-        raise ValueError("meet is defined for dominant integral weights")
-    result = Weight(
-        a.diagram, a.m, tuple(min(x, y) for x, y in zip(a.coeffs, b.coeffs))
-    )
-    assert is_dominant(result)
-    return result
+    gap = _require_component(a, b)
+    return add_root(a, RootVector(a.diagram, tuple(-max(0, g) for g in gap)))
 
 
 def join(a: Weight, b: Weight) -> Weight:
@@ -231,31 +235,21 @@ def join(a: Weight, b: Weight) -> Weight:
     ceil(-e / 2), so raising by exactly that amount keeps the candidate
     below every upper bound and terminates at the least one.
     """
-    _require_component(a, b)
-    if not (is_dominant(a) and is_dominant(b)):
-        raise ValueError("join is defined for dominant integral weights")
-    coeffs = [max(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-    current = Weight(a.diagram, a.m, tuple(coeffs))
+    gap = _require_component(a, b)
+    diagram = a.diagram
+    current = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
     while True:
-        pending = None
-        for j in a.diagram.vertices:
-            e = evaluate(current, j)
-            if e < 0:
-                pending = (j, e)
-                break
-        if pending is None:
-            break
-        j, e = pending
-        assert e.denominator == 1
-        step = (-int(e) + 1) // 2
-        coeffs[j] += step
-        current = Weight(a.diagram, a.m, tuple(coeffs))
-    assert is_dominant(current)
-    return current
+        j = next((j for j, e in enumerate(current.labels) if e < 0), None)
+        if j is None:
+            return current
+        step = (1 - current.labels[j]) // 2
+        current = add_root(
+            current, RootVector(diagram, tuple(step * (i == j) for i in diagram.vertices))
+        )
 
 
 def sort_key(weight: Weight) -> tuple:
-    return (weight.m, labels(weight), delta_shift(weight))
+    return (weight.m, weight.labels, weight.shift)
 
 
 def format_shift(value: Fraction) -> str:
@@ -281,22 +275,19 @@ def parse_shift(text: str) -> Fraction:
 
 
 def weight_to_json(weight: Weight) -> dict:
-    labs = labels(weight)
-    if any(v.denominator != 1 for v in labs):
-        raise ValueError("only integral weights serialize to JSON")
     return {
         "type": str(weight.diagram.type_id),
-        "labels": [int(v) for v in labs],
-        "delta_shift": format_shift(delta_shift(weight)),
+        "labels": list(weight.labels),
+        "delta_shift": format_shift(weight.shift),
     }
 
 
 def weight_from_json(data: dict) -> Weight:
     from .cartan import build_affine
 
-    diagram = build_affine(data["type"])
-    return weight_from_labels(
-        diagram,
-        tuple(int(v) for v in data["labels"]),
-        parse_shift(data["delta_shift"]),
+    labs = data["labels"]
+    if not isinstance(labs, list) or any(type(v) is not int for v in labs):
+        raise ValueError(f"labels must be a list of integers, got {labs!r}")
+    return Weight(
+        build_affine(data["type"]), tuple(labs), parse_shift(data["delta_shift"])
     )

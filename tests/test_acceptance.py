@@ -32,7 +32,6 @@ from affposet.roots import (
 from affposet.weights import (
     add_root,
     dominance_leq,
-    evaluate,
     fundamental_weight,
     is_dominant,
     join,
@@ -109,9 +108,9 @@ def _to_dominant(w):
     # reflection walk into the dominant chamber
     while True:
         for j in w.diagram.vertices:
-            e = evaluate(w, j)
+            e = labels(w)[j]
             if e < 0:
-                step = [-int(e) if i == j else 0 for i in w.diagram.vertices]
+                step = [-e if i == j else 0 for i in w.diagram.vertices]
                 w = add_root(w, RootVector(w.diagram, step))
                 break
         else:

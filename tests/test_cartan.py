@@ -6,12 +6,12 @@ from affposet.cartan import (
     AffineTypeId,
     FiniteType,
     build_affine,
-    canonical_central_element,
-    canonical_imaginary_root,
     catalog_types,
     classify_finite,
     parse_type_id,
 )
+from affposet.roots import delta_root
+from affposet.weights import fundamental_weight
 
 ALL_TYPES = [str(t) for t in catalog_types()]
 
@@ -92,8 +92,10 @@ def test_known_tables():
 def test_delta_and_central_element():
     for name in ALL_TYPES:
         d = build_affine(parse_type_id(name))
-        assert canonical_imaginary_root(d) == d.marks
-        assert canonical_central_element(d) == d.comarks
+        assert delta_root(d).coeffs == d.marks
+        # the level is the pairing with the canonical central element, whose
+        # coroot coefficients are the comarks
+        assert tuple(fundamental_weight(d, i).m for i in d.vertices) == d.comarks
 
 
 def test_connectivity_helpers():

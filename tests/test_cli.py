@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -170,6 +171,36 @@ def test_exit_codes():
     code, out, err = cap(["interval", "A2-1", "--top", "1,3,0",
                           "--top-shift=-1/1", "--bottom", "1,0,3"])
     assert code == 2 and "error:" in err
+
+
+# sha256 of stdout for the acceptance suite's CLI commands and one covers
+# query, recorded at commit f76dc87, while weights still stored root
+# coefficients; the bytes must never change
+FROZEN_STDOUT_SHA256 = {
+    ("types",):
+        "0982d5570a53fe2f30d41b629283471928a4cada3a6bf913ebec534dbd7cf097",
+    ("info", "G2-1"):
+        "40ed872fce8a7d524a662bb6844620ead118fab6af967023619bac729d394a48",
+    ("cocovers", "A3-1", "--labels", "0,2,1,1"):
+        "ef12f0170243d1f53d67797e693a15bd2d457197730979ccb1ff29e54515f43b",
+    ("interval", "A3-1", "--top", "0,2,1,1", "--bottom", "2,1,1,0",
+     "--format", "dot"):
+        "66d2df3bb0487edc7e7d24d91bf1d053652c68488d25fb6d8f57d2b529fc45d9",
+    ("cell", "A4-1", "--labels", "1,1,1,1,0", "--mu", "0,0,2,1,1",
+     "--mu2", "1,2,0,0,1", "--format", "json"):
+        "0d5db632c045cb5c5b14a7b6a4b3ce1475af9b2b5f51d1d1236b8fe0c77fcdce",
+    ("verify", "A2-1", "--levels", "1,2", "--samples", "40", "--seed", "7"):
+        "69b0f8a5c8d1a4631bc92ddd8afae8dc1d3b655e4d640ebec6f275bec419c049",
+    ("covers", "A3-1", "--labels", "0,2,1,1"):
+        "c82bc44b575f2ff11dac4035c05c83a4c1348cd33dfda13074547eddf5b3469c",
+}
+
+
+def test_stdout_digests_frozen():
+    for argv, expected in FROZEN_STDOUT_SHA256.items():
+        code, out, err = cap(list(argv))
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
 
 
 def test_repeated_invocations_are_identical():

@@ -287,6 +287,22 @@ def test_export_graph_json_round_trip():
             assert graph_from_json(json.dumps(data)) == g
 
 
+def test_graph_from_json_rejects_malformed_nodes_and_edges():
+    g = interval(W("A3-1", (0, 2, 1, 1)), W("A3-1", (2, 1, 1, 0)))
+    data = export_graph(g, "json")
+    for bad in (1.5, True, "1"):
+        broken = json.loads(json.dumps(data))
+        broken["nodes"][0]["labels"][1] = bad
+        with pytest.raises(ValueError):
+            graph_from_json(broken)
+    for key in ("upper", "lower"):
+        for bad in (-1, len(data["nodes"]), True, "0", 1.0):
+            broken = json.loads(json.dumps(data))
+            broken["edges"][0][key] = bad
+            with pytest.raises(ValueError):
+                graph_from_json(broken)
+
+
 def test_export_graph_rejects_unknown_format():
     g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (0, 2, 2)))
     with pytest.raises(ValueError):

@@ -13,13 +13,11 @@ from affposet.weights import (
     delta_shift,
     difference,
     dominance_leq,
-    evaluate,
     format_shift,
     fundamental_weight,
     is_dominant,
     join,
     labels,
-    level,
     meet,
     parse_shift,
     sort_key,
@@ -41,14 +39,16 @@ def W(name, labs, shift=0):
 
 def test_weight_construction():
     d = D("A1-1")
-    w = Weight(d, 1, (0, Fraction(1, 2)))
+    w = Weight(d, (0, 1))
     assert labels(w) == (0, 1)
-    assert level(w) == 1
+    assert w.m == 1
+    assert w.coeffs == (0, Fraction(1, 2))
     assert delta_shift(w) == 0
+    assert w == Weight(d, (0, 1), Fraction(0)) and w != Weight(d, (0, 1), 1)
     with pytest.raises(ValueError):
-        Weight(d, 1, (0,))
+        Weight(d, (0,))
     with pytest.raises(TypeError):
-        Weight(d, 1, (0.5, 0))
+        Weight(d, (0.5, 0))
 
 
 def test_fundamental_weights_frozen():
@@ -72,10 +72,15 @@ def test_labels_round_trip():
             w = weight_from_labels(d, labs, shift)
             assert labels(w) == labs
             assert delta_shift(w) == shift
-            assert level(w) == sum(
+            assert w.m == sum(
                 c * v for c, v in zip(d.comarks, labs)
             )
-            assert all(evaluate(w, j) == labs[j] for j in d.vertices)
+            # the derived root coefficients pair back to the labels
+            assert all(
+                w.m * (j == 0) + sum(a * c for a, c in zip(d.cartan[j], w.coeffs))
+                == labs[j]
+                for j in d.vertices
+            )
 
 
 def test_level_zero_and_negative_labels():
@@ -98,7 +103,8 @@ def test_dominance_leq():
     assert not dominance_leq(fundamental_weight(d, 0), top)
     # non-integral coefficient gaps are incomparable
     third = add_root(top, -RootVector(d, (0, 1, 0)))
-    shifted = Weight(d, top.m, tuple(c + Fraction(1, 3) for c in top.coeffs))
+    shifted = weight_from_labels(d, labels(top), Fraction(1, 3))
+    assert difference(shifted, top) == (Fraction(1, 3),) * 3
     assert not dominance_leq(third, shifted)
 
 
@@ -138,14 +144,13 @@ def _random_pair(d, rng):
     offs = RootVector(d, [rng.randint(-2, 2) for _ in d.vertices])
     v = add_root(w, offs)
     # walk the partner back into the dominant cone
-    coeffs = list(v.coeffs)
     while True:
-        cur = Weight(d, v.m, tuple(coeffs))
-        neg = [j for j in d.vertices if evaluate(cur, j) < 0]
+        neg = [j for j in d.vertices if labels(v)[j] < 0]
         if not neg:
-            return w, cur
+            return w, v
         j = neg[0]
-        coeffs[j] += (-int(evaluate(cur, j)) + 1) // 2
+        step = (-labels(v)[j] + 1) // 2
+        v = add_root(v, RootVector(d, [step if i == j else 0 for i in d.vertices]))
 
 
 def test_lattice_axioms_sampled():
@@ -154,8 +159,6 @@ def test_lattice_axioms_sampled():
         d = D(name)
         for _ in range(40):
             a, b = _random_pair(d, rng)
-            c, _ = _random_pair(d, rng)
-            c = Weight(d, a.m, tuple(x - c.coeffs[0] + a.coeffs[0] for x in c.coeffs)) if c.m == a.m else a
             m, j = meet(a, b), join(a, b)
             assert is_dominant(m) and is_dominant(j)
             assert dominance_leq(m, a) and dominance_leq(m, b)
@@ -187,6 +190,13 @@ def test_weight_json_round_trip():
     assert weight_from_json(data) == w
     text = json.dumps(data, sort_keys=True)
     assert weight_from_json(json.loads(text)) == w
+
+
+def test_weight_from_json_rejects_non_integer_labels():
+    for bad in (1.7, True, "3"):
+        data = {"type": "A2-1", "labels": [0, bad, 1], "delta_shift": "0/1"}
+        with pytest.raises(ValueError):
+            weight_from_json(data)
 
 
 def test_sort_key_orders_by_level_then_labels():
