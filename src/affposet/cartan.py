@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "AffineTypeId",
@@ -284,55 +285,71 @@ def _tables(tid: AffineTypeId):
     raise AssertionError(f"unhandled type {tid}")
 
 
-def _det(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, size):
-            factor = Fraction(m[r][col], 1) / m[col][col]
-            for c in range(col, size):
-                m[r][c] -= factor * m[col][c]
-    return det
+@functools.lru_cache(maxsize=None)
+def _interior_adjugate(diagram: AffineDiagram) -> tuple:
+    """Adjugate and determinant of the Cartan block on vertices 1..n.
+
+    The adjugate comes back bordered by a zero row and column for vertex 0,
+    so row i sends the labels of a weight with delta shift 0 to det times
+    its root coefficient i.  Fraction-free Gauss-Jordan elimination keeps
+    every entry an integer: each division is exact, the pivot of column k is
+    the leading principal minor of size k + 1, and the last pivot is the
+    determinant.  The block is of finite type exactly when every leading
+    minor is positive (Kac, ch. 4), so a pivot that is not raises.
+    """
+    n = diagram.n
+    rows = [
+        [diagram.cartan[j][i] for i in range(1, n + 1)]
+        + [int(i == j) for i in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    prev = 1
+    for col in range(n):
+        head = rows[col]
+        if head[col] <= 0:
+            raise ValueError(f"{diagram}: check failed: Cartan block on vertices 1..{n} "
+                             f"is of finite type (leading minor {col + 1} is {head[col]})")
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = head[col]
+    adj = tuple((0,) + tuple(row[n:]) for row in rows)
+    return ((0,) * (n + 1),) + adj, prev
 
 
 def _validate(diag: AffineDiagram) -> None:
+    """Raise ValueError naming the first check the tables of diag fail."""
     num = diag.n + 1
-    a = diag.cartan
-    assert len(a) == num and all(len(row) == num for row in a)
-    for i in range(num):
-        assert a[i][i] == 2
-        for j in range(num):
-            if i != j:
-                assert a[i][j] <= 0
-                assert (a[i][j] == 0) == (a[j][i] == 0)
-    assert diag.is_connected(diag.vertices)
-    for i in range(num):
-        assert sum(a[i][j] * diag.marks[j] for j in range(num)) == 0
-    for j in range(num):
-        assert sum(diag.comarks[i] * a[i][j] for i in range(num)) == 0
-    assert diag.comarks[0] == 1
-    assert math.gcd(*diag.marks) == 1
-    assert math.gcd(*diag.comarks) == 1
-    b = diag.sym_form
-    for i in range(num):
-        assert diag.root_length_sq[i] == b[i][i]
-        assert sum(b[i][j] * diag.marks[j] for j in range(num)) == 0
-        for j in range(num):
-            assert b[i][j] == b[j][i]
-    # dropping any one vertex must leave a positive definite form; vertex 0
-    # suffices since the radical is spanned by the marks, all nonzero
-    sub = [[b[i][j] for j in range(1, num)] for i in range(1, num)]
-    for k in range(1, num):
-        minor = [row[:k] for row in sub[:k]]
-        assert _det(minor) > 0
+    a, b, lensq = diag.cartan, diag.sym_form, diag.root_length_sq
+    off = [(i, j) for i in range(num) for j in range(num) if i != j]
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{diag.type_id}: check failed: {what}")
+
+    def kills(rows, vector) -> bool:
+        return all(sum(map(mul, row, vector)) == 0 for row in rows)
+
+    require(all(len(row) == num for row in a), "Cartan matrix is square")
+    require(all(a[i][i] == 2 for i in range(num)), "diagonal entries are 2")
+    require(all(a[i][j] <= 0 for i, j in off), "off-diagonal entries are nonpositive")
+    require(all((a[i][j] == 0) == (a[j][i] == 0) for i, j in off), "zero pattern is symmetric")
+    require(diag.is_connected(diag.vertices), "diagram is connected")
+    require(kills(a, diag.marks), "marks annihilate the Cartan rows")
+    require(kills(zip(*a), diag.comarks), "comarks annihilate the Cartan columns")
+    require(diag.comarks[0] == 1, "comark of vertex 0 is 1")
+    require(math.gcd(*diag.marks) == 1, "marks are coprime")
+    require(math.gcd(*diag.comarks) == 1, "comarks are coprime")
+    require(all(lensq[i] == b[i][i] for i in range(num)), "form diagonal is the squared lengths")
+    require(all(b[i][j] == b[j][i] for i, j in off), "form is symmetric")
+    require(kills(b, diag.marks), "marks annihilate the form")
+    require(all(x > 0 for x in lensq[1:]), "roots on vertices 1..n have positive length")
+    # the form on vertices 1..n is diag(lensq / 2) times the Cartan block, so
+    # with positive lengths it is positive definite exactly when the block's
+    # pivots are all positive; dropping vertex 0 suffices since the radical
+    # is spanned by the marks, all nonzero
+    _interior_adjugate(diag)
 
 
 @functools.lru_cache(maxsize=None)

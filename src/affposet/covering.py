@@ -81,7 +81,8 @@ def special_vertices(diagram: AffineDiagram) -> tuple:
         if highest_short_root(diagram, rest).coeffs == target:
             out.append(i)
     shortest = min(diagram.root_length_sq)
-    assert all(diagram.root_length_sq[i] == shortest for i in out)
+    if any(diagram.root_length_sq[i] != shortest for i in out):
+        raise AssertionError(f"{diagram}: a special vertex in {out} is not shortest")
     return tuple(out)
 
 
@@ -104,14 +105,13 @@ def _unique_short_vertex(diagram: AffineDiagram):
     return shorts[0] if len(shorts) == 1 else None
 
 
-def _has_triple_bond(diagram: AffineDiagram) -> bool:
+@functools.lru_cache(maxsize=None)
+def _bond_pair(diagram: AffineDiagram, k: int):
+    """The (short, long) ends of the first bond whose Cartan entry is -k, or
+    None.  An entry a[i][j] = -k < -1 means vertex i is the short end."""
     a = diagram.cartan
-    return any(
-        a[i][j] * a[j][i] == 3
-        for i in diagram.vertices
-        for j in diagram.vertices
-        if i < j
-    )
+    bonds = ((i, j) for i in diagram.vertices for j in diagram.vertices if a[i][j] == -k)
+    return next(bonds, None)
 
 
 def _delta_case(diagram: AffineDiagram, labs: tuple):
@@ -120,7 +120,7 @@ def _delta_case(diagram: AffineDiagram, labs: tuple):
         i = ones[0]
         if i in special_vertices(diagram):
             return "f"
-        if not _has_triple_bond(diagram) and i == _unique_short_vertex(diagram):
+        if _bond_pair(diagram, 3) is None and i == _unique_short_vertex(diagram):
             return "g"
     tid = diagram.type_id
     if tid.family == "D" and tid.twist == 2:
@@ -136,28 +136,6 @@ def is_delta_cocover(weight: Weight) -> bool:
     """Whether the weight covers its translate by minus delta."""
     labs = _require_dominant_positive(weight)
     return _delta_case(weight.diagram, labs) is not None
-
-
-def _triple_pair(diagram: AffineDiagram):
-    a = diagram.cartan
-    for i in diagram.vertices:
-        for j in diagram.vertices:
-            if i < j and a[i][j] * a[j][i] == 3:
-                lens = diagram.root_length_sq
-                short, long_ = (i, j) if lens[i] < lens[j] else (j, i)
-                return short, long_
-    raise AssertionError(f"no triple bond in {diagram}")
-
-
-def _quadruple_pair(diagram: AffineDiagram):
-    a = diagram.cartan
-    for i in diagram.vertices:
-        for j in diagram.vertices:
-            if i < j and a[i][j] * a[j][i] == 4 and min(a[i][j], a[j][i]) == -4:
-                lens = diagram.root_length_sq
-                short, long_ = (i, j) if lens[i] < lens[j] else (j, i)
-                return short, long_
-    return None
 
 
 def _finite_case(diagram, lower_labs: tuple, cand: CoverCandidate):
@@ -182,7 +160,7 @@ def _finite_case(diagram, lower_labs: tuple, cand: CoverCandidate):
                 return "c"
         return None
     if cand.kind is CoverKind.EXCEPTIONAL:
-        quad = _quadruple_pair(diagram)
+        quad = _bond_pair(diagram, 4)
         if quad is not None:
             short, long_ = quad
             # the pairing against the short coroot is -4 here, one stronger
@@ -190,7 +168,7 @@ def _finite_case(diagram, lower_labs: tuple, cand: CoverCandidate):
             if lower_labs[long_] == 0 and lower_labs[short] in (2, 3):
                 return "j"
             return None
-        short, long_ = _triple_pair(diagram)
+        short, long_ = _bond_pair(diagram, 3)
         pair = tuple(
             1 if j in (short, long_) else 0 for j in diagram.vertices
         )
@@ -263,13 +241,20 @@ def edge_to_json(edge: CoverEdge) -> dict:
     }
 
 
-def edge_from_json(data: dict) -> CoverEdge:
-    upper = weight_from_json(data["upper"])
-    lower = weight_from_json(data["lower"])
+def _edge_from_record(upper: Weight, lower: Weight, data: dict) -> CoverEdge:
+    """An edge between two read weights; its root must be a list of ints and
+    its case a string."""
+    root, case = data["root"], data["case"]
+    if not isinstance(root, list) or any(type(v) is not int for v in root):
+        raise ValueError(f"root must be a list of integers, got {root!r}")
+    if not isinstance(case, str):
+        raise ValueError(f"case must be a string, got {case!r}")
     return CoverEdge(
-        upper=upper,
-        lower=lower,
-        kind=CoverKind(data["kind"]),
-        root=RootVector(upper.diagram, tuple(int(v) for v in data["root"])),
-        case=str(data["case"]),
+        upper, lower, CoverKind(data["kind"]), RootVector(upper.diagram, tuple(root)), case
+    )
+
+
+def edge_from_json(data: dict) -> CoverEdge:
+    return _edge_from_record(
+        weight_from_json(data["upper"]), weight_from_json(data["lower"]), data
     )

@@ -17,8 +17,8 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .cartan import build_affine, parse_type_id
-from .covering import CoverEdge, cocovers
+from .cartan import build_affine
+from .covering import _edge_from_record, cocovers
 from .roots import CoverKind, RootVector
 from .weights import (
     Weight,
@@ -350,7 +350,7 @@ def graph_from_json(data) -> PosetGraph:
         if data.get("nodes"):
             raise ValueError("nonempty graph without a type")
         return PosetGraph((), ())
-    diagram = build_affine(parse_type_id(data["type"]))
+    build_affine(data["type"])  # the type must be valid even with no nodes
     nodes = tuple(
         weight_from_json({"type": data["type"], **entry}) for entry in data["nodes"]
     )
@@ -360,15 +360,8 @@ def graph_from_json(data) -> PosetGraph:
             raise ValueError(f"edge endpoint {index!r} is not a node index")
         return nodes[index]
 
-    edges = []
-    for entry in data["edges"]:
-        edges.append(
-            CoverEdge(
-                upper=node_at(entry["upper"]),
-                lower=node_at(entry["lower"]),
-                kind=CoverKind(entry["kind"]),
-                root=RootVector(diagram, entry["root"]),
-                case=entry["case"],
-            )
-        )
-    return PosetGraph(nodes, tuple(edges))
+    edges = tuple(
+        _edge_from_record(node_at(entry["upper"]), node_at(entry["lower"]), entry)
+        for entry in data["edges"]
+    )
+    return PosetGraph(nodes, edges)

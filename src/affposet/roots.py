@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,18 +125,27 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
-    lens = diagram.root_length_sq
-    seed = min(subset, key=lambda i: (lens[i], i))
-    beta = simple_root(diagram, seed)
+    a, lens = diagram.cartan, diagram.root_length_sq
+    seed = min(subset, key=lens.__getitem__)
+    coeffs = [int(v == seed) for v in diagram.vertices]
+    # the climbing root's value on each simple coroot of the subset, kept up
+    # to date across reflections instead of recomputed
+    pairing = {v: a[v][seed] for v in subset}
     for _ in range(4096):
-        j = next((v for v in subset if coroot_pairing(beta, v) < 0), None)
+        j = next((v for v in subset if pairing[v] < 0), None)
         if j is None:
             break
-        beta = simple_reflection(beta, j)
+        p = pairing[j]
+        coeffs[j] -= p
+        for v in subset:
+            pairing[v] -= p * a[v][j]
     else:
-        raise AssertionError(f"reflection climb did not stabilize on {subset}")
-    assert beta.support() == frozenset(subset)
-    assert sym_length_sq(beta) == min(lens[i] for i in subset)
+        raise AssertionError(f"{diagram}: reflection climb did not stabilize on {subset}")
+    beta = RootVector(diagram, tuple(coeffs))
+    if beta.support() != frozenset(subset):
+        raise AssertionError(f"{diagram}: highest short root {beta} has support other than {subset}")
+    if sum(coeffs[v] * pairing[v] * lens[v] for v in subset if pairing[v]) != 2 * lens[seed]:
+        raise AssertionError(f"{diagram}: highest short root {beta} on {subset} is not short")
     return beta
 
 
@@ -201,12 +209,16 @@ class CoverCandidate:
     kind: CoverKind
 
 
-def _connected_proper_subsets(diagram: AffineDiagram):
-    verts = list(diagram.vertices)
-    for size in range(1, len(verts)):
-        for combo in itertools.combinations(verts, size):
-            if diagram.is_connected(combo):
-                yield combo
+def _connected_proper_subsets(diagram: AffineDiagram) -> set:
+    """Every connected vertex set short of the whole diagram, grown from each
+    single vertex one neighbour at a time, so the work follows the output."""
+    adjacent = [diagram.neighbors(v) for v in diagram.vertices]
+    found = set()
+    layer = {frozenset((v,)) for v in diagram.vertices}
+    for _ in range(diagram.n):
+        found |= layer
+        layer = {s | {w} for s in layer for v in s for w in adjacent[v] if w not in s}
+    return found
 
 
 _EXTRA_BY_TYPE = {
@@ -225,17 +237,14 @@ def cover_root_set(diagram: AffineDiagram) -> tuple:
     """All candidate cover differences, sorted by height then coefficients."""
     out = []
     for subset in _connected_proper_subsets(diagram):
-        root = highest_short_root(diagram, subset)
+        root = _highest_short_root_cached(diagram, tuple(sorted(subset)))
         kind = CoverKind.SIMPLE if len(subset) == 1 else CoverKind.SHORT
         out.append(CoverCandidate(root, kind))
     out.append(CoverCandidate(delta_root(diagram), CoverKind.DELTA))
     for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ()):
         out.append(CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL))
-    seen = set()
-    for cand in out:
-        if cand.root.coeffs in seen:
-            raise AssertionError(f"duplicate cover candidate {cand.root}")
-        seen.add(cand.root.coeffs)
+    if len({cand.root.coeffs for cand in out}) != len(out):
+        raise AssertionError(f"{diagram}: two cover candidates coincide")
     out.sort(key=lambda cand: (cand.root.height(), cand.root.coeffs))
     return tuple(out)
 

@@ -4,8 +4,8 @@ A weight is stored as its labels, the integer values on the simple coroots,
 plus its delta shift, an exact fraction.  That pair pins the weight down
 uniquely.  The level and the coefficients on the simple roots are derived:
 the level is the comark-weighted label sum, and the root coefficients come
-from one integer solve per diagram, needed only where dominance compares
-two weights.
+from the integer adjugate that validates each diagram in ``cartan``, needed
+only where dominance compares two weights.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -15,13 +15,12 @@ componentwise maximum repaired upward until dominant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cartan import AffineDiagram
+from .cartan import AffineDiagram, _interior_adjugate
 from .roots import CoverKind, RootVector
 
 __all__ = [
@@ -92,35 +91,6 @@ class Weight:
     def __str__(self) -> str:
         labs = ",".join(map(str, self.labels))
         return f"[{labs} @ {format_shift(self.shift)}]"
-
-
-@functools.lru_cache(maxsize=None)
-def _interior_adjugate(diagram: AffineDiagram) -> tuple:
-    """Adjugate and determinant of the Cartan block on vertices 1..n.
-
-    The adjugate comes back bordered by a zero row and column for vertex 0,
-    so row i sends the labels of a weight with delta shift 0 to det times
-    its root coefficient i.  Fraction-free Gauss-Jordan elimination keeps
-    every entry an integer: each division is exact, and the last pivot is
-    the determinant.  The block is a finite-type Cartan matrix, so every
-    leading minor is positive and no pivot is zero.
-    """
-    n = diagram.n
-    rows = [
-        [diagram.cartan[j][i] for i in range(1, n + 1)]
-        + [int(i == j) for i in range(1, n + 1)]
-        for j in range(1, n + 1)
-    ]
-    prev = 1
-    for col in range(n):
-        head = rows[col]
-        for r in range(n):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
-        prev = head[col]
-    adj = tuple((0,) + tuple(row[n:]) for row in rows)
-    return ((0,) * (n + 1),) + adj, prev
 
 
 def _scaled_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:

@@ -6,13 +6,16 @@ whose supports cover the cycle and whose cell is the whole interval down to
 the delta shift.  See the README for the derivation.
 """
 
+import functools
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -228,21 +231,34 @@ def test_criterion_5_basic_cells(capsys):
     assert mismatches == []
 
 
-def _sym_pairing(a: RootVector, b: RootVector) -> Fraction:
-    form = a.diagram.sym_form
-    total = Fraction(0)
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                total += x * y * form[i][j]
-    return total
+@functools.lru_cache(maxsize=None)
+def _integer_form(diagram):
+    # the symmetric form times lcm(marks) has integer entries; a common
+    # scale leaves every coroot value and every pairing ratio unchanged
+    scale = math.lcm(*diagram.marks)
+    form = [[x * scale for x in row] for row in diagram.sym_form]
+    assert all(x.denominator == 1 for row in form for x in row)
+    return tuple(tuple(int(x) for x in row) for row in form)
+
+
+@functools.lru_cache(maxsize=None)
+def _form_image(root: RootVector) -> tuple:
+    form = _integer_form(root.diagram)
+    return tuple(sum(map(mul, row, root.coeffs)) for row in form)
+
+
+def _sym_pairing(a: RootVector, b: RootVector) -> int:
+    return sum(map(mul, a.coeffs, _form_image(b)))
+
+
+@functools.lru_cache(maxsize=None)
+def _norm(root: RootVector) -> int:
+    return _sym_pairing(root, root)
 
 
 def _coroot_value(alpha: RootVector, beta: RootVector) -> Fraction:
     # alpha evaluated on the coroot of beta
-    return 2 * _sym_pairing(alpha, beta) / _sym_pairing(beta, beta)
+    return Fraction(2 * _sym_pairing(alpha, beta), _norm(beta))
 
 
 def _real_root_pool(diagram, rng, size=101):
@@ -286,7 +302,7 @@ def _check_degenerate_pairs(diagram, rng):
             if _coroot_value(alpha, a_i) * _coroot_value(a_i, alpha) != 4:
                 continue
             qualifying += 1
-            r = _sym_pairing(alpha, a_i) / _sym_pairing(a_i, a_i)
+            r = Fraction(_sym_pairing(alpha, a_i), _norm(a_i))
             scale = -r / diagram.marks[i]
             left = [Fraction(c) - r * e for c, e in zip(alpha.coeffs, a_i.coeffs)]
             right = [scale * m for m in delta.coeffs]

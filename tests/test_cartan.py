@@ -1,7 +1,14 @@
+import ast
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import affposet
+import affposet.cartan as cartan
 from affposet.cartan import (
     AffineTypeId,
     FiniteType,
@@ -9,6 +16,7 @@ from affposet.cartan import (
     catalog_types,
     classify_finite,
     parse_type_id,
+    _interior_adjugate,
 )
 from affposet.roots import delta_root
 from affposet.weights import fundamental_weight
@@ -152,3 +160,76 @@ def test_diagram_identity():
     assert d1 == d2 and hash(d1) == hash(d2)
     assert d1 != build_affine(parse_type_id("A2-2"))
     assert str(d1) == "A2-1"
+
+
+def test_interior_determinants():
+    # the last pivot of the elimination is the determinant of the finite
+    # Cartan matrix left after dropping vertex 0
+    for n in range(1, 41):
+        assert _interior_adjugate(build_affine(f"A{n}-1"))[1] == n + 1
+    for n in range(4, 13):
+        assert _interior_adjugate(build_affine(f"D{n}-1"))[1] == 4
+    for n, det in ((6, 3), (7, 2), (8, 1)):
+        assert _interior_adjugate(build_affine(f"E{n}-1"))[1] == det
+    for family, low in (("B", 3), ("C", 2)):
+        for n in range(low, 13):
+            assert _interior_adjugate(build_affine(f"{family}{n}-1"))[1] == 2
+
+
+# A2-1 with the mark vector doubled at one vertex, and a symmetric matrix
+# whose mixed-sign mark vector passes every other check while its block on
+# vertices 1..3 has leading minor 4 - 9 < 0.  Each is served for a rank that
+# no other test builds, so nothing bad stays in the diagram cache.
+_BAD_MARKS = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 2], [1, 1, 1])
+_NOT_FINITE = (
+    [[2, 0, -1, -3], [0, 2, -3, -1], [-1, -3, 2, 0], [-3, -1, 0, 2]],
+    [1, -1, -1, 1],
+    [1, -1, -1, 1],
+)
+
+
+@pytest.mark.parametrize(
+    "type_id, tables, message",
+    [
+        ("A97-1", _BAD_MARKS, "marks annihilate the Cartan rows"),
+        ("A98-1", _NOT_FINITE, "is of finite type (leading minor 2 is -5)"),
+    ],
+)
+def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
+    monkeypatch.setattr(cartan, "_tables", lambda tid: tables)
+    with pytest.raises(ValueError) as err:
+        build_affine(type_id)
+    assert f"{type_id}: check failed: " in str(err.value)
+    assert message in str(err.value)
+
+
+def test_finite_type_check_survives_optimized_mode():
+    script = (
+        "import affposet.cartan as c\n"
+        f"c._tables = lambda tid: {_NOT_FINITE!r}\n"
+        "try:\n"
+        "    c.build_affine('A99-1')\n"
+        "except ValueError as err:\n"
+        "    print(__debug__, err)\n"
+    )
+    src = str(pathlib.Path(affposet.__file__).parents[1])
+    paths = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("False A99-1: check failed: ")
+    assert "is of finite type" in done.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so runtime invariants must raise instead
+    package = pathlib.Path(affposet.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

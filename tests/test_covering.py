@@ -231,3 +231,17 @@ def test_edge_json_round_trip():
             text = json.dumps(data, sort_keys=True)
             back = edge_from_json(json.loads(text))
             assert back == edge
+
+
+def test_edge_from_json_rejects_non_integer_roots_and_non_string_cases():
+    edge = cocovers(W("A3-1", (0, 2, 1, 1)))[0]
+    for root in ([0, 1.9, 0, 0], [0, True, 0.5, 0], [0, "1", 0, 0], (0, 1, 0, 0)):
+        data = edge_to_json(edge)
+        data["root"] = root
+        with pytest.raises(ValueError):
+            edge_from_json(data)
+    for case in (7, None, ["a"]):
+        data = edge_to_json(edge)
+        data["case"] = case
+        with pytest.raises(ValueError):
+            edge_from_json(data)

@@ -301,6 +301,11 @@ def test_graph_from_json_rejects_malformed_nodes_and_edges():
             broken["edges"][0][key] = bad
             with pytest.raises(ValueError):
                 graph_from_json(broken)
+    for key, bad in (("root", [0, 1.9, 0, 0]), ("root", [0, True, 0, 0]), ("case", 7)):
+        broken = json.loads(json.dumps(data))
+        broken["edges"][0][key] = bad
+        with pytest.raises(ValueError):
+            graph_from_json(broken)
 
 
 def test_export_graph_rejects_unknown_format():

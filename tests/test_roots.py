@@ -174,3 +174,29 @@ def test_cover_root_set_sorted_and_unique():
         keys = [(c.root.height(), c.root.coeffs) for c in cands]
         assert keys == sorted(keys)
         assert len({c.root.coeffs for c in cands}) == len(cands)
+
+
+def _scanned_cover_roots(d):
+    # reference: test every vertex subset short of the whole diagram
+    out = [
+        (highest_short_root(d, sub).coeffs, CoverKind.SIMPLE if len(sub) == 1 else CoverKind.SHORT)
+        for sub in _proper_connected(d)
+    ]
+    out.append((d.marks, CoverKind.DELTA))
+    return sorted(out, key=lambda entry: (sum(entry[0]), entry[0]))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}-1" for n in range(5, 14)]
+    + ["B6-1", "C6-1", "D7-1", "E6-1", "E7-1", "E8-1", "A9-2", "D8-2"],
+)
+def test_cover_root_set_matches_subset_scan(name):
+    d = D(name)
+    grown = [(c.root.coeffs, c.kind) for c in cover_root_set(d)]
+    assert grown == _scanned_cover_roots(d)
+
+
+def test_cover_root_set_on_a40():
+    # the 40 * 41 proper arcs of the 41-cycle, plus delta
+    assert len(cover_root_set(D("A40-1"))) == 1641
