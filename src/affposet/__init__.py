@@ -60,17 +60,6 @@ from .covering import (
     is_delta_cocover,
     special_vertices,
 )
-from .oracle import (
-    BruteBounds,
-    BruteCocovers,
-    SearchWindow,
-    VerificationReport,
-    WindowExhaustedError,
-    brute_bounds,
-    brute_cocovers,
-    default_window,
-    verify_covering,
-)
 from .poset import (
     Cell,
     CellMismatchError,
@@ -84,6 +73,23 @@ from .poset import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle, and numpy with it, loads on first use of one of its names; each
+# lookup reads the oracle module, so no copy here outlives a patch of it.
+_ORACLE_NAMES = frozenset((
+    "BruteBounds", "BruteCocovers", "SearchWindow", "VerificationReport",
+    "WindowExhaustedError", "brute_bounds", "brute_cocovers", "default_window",
+    "verify_covering",
+))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineDiagram",

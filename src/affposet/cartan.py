@@ -127,20 +127,23 @@ class AffineDiagram:
     def vertices(self) -> range:
         return range(self.n + 1)
 
+    @functools.cached_property
+    def adjacency(self) -> tuple:
+        """The neighbours of each vertex, read off the Cartan rows once."""
+        rows = enumerate(self.cartan)
+        return tuple(tuple(j for j, x in enumerate(row) if x and j != i) for i, row in rows)
+
     def neighbors(self, i: int) -> tuple:
-        row = self.cartan[i]
-        return tuple(j for j in self.vertices if j != i and row[j] != 0)
+        return self.adjacency[i]
 
     def is_connected(self, subset) -> bool:
-        todo = sorted(set(subset))
-        if not todo:
+        inside = set(subset)
+        if not inside:
             return False
-        inside = set(todo)
-        seen = {todo[0]}
-        stack = [todo[0]]
+        start = min(inside)
+        seen, stack = {start}, [start]
         while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
+            for w in self.adjacency[stack.pop()]:
                 if w in inside and w not in seen:
                     seen.add(w)
                     stack.append(w)

@@ -15,8 +15,8 @@ import sys
 
 from .cartan import build_affine, catalog_types, parse_type_id
 from .covering import cocovers, covers, edge_to_json, special_vertices
-from .oracle import SearchWindow, verify_covering
 from .poset import basic_cell, export_graph, interval
+from .roots import CoverKind
 from .weights import format_shift, parse_shift, weight_from_labels
 
 __all__ = ["run", "main"]
@@ -102,8 +102,6 @@ def _cmd_interval(args) -> int:
 def _cmd_cell(args) -> int:
     lam = _weight_arg(args.type, args.labels, args.shift)
     diagram = lam.diagram
-    from .roots import CoverKind
-
     wanted = {
         "mu": _labels_arg(args.mu, diagram),
         "mu2": _labels_arg(args.mu2, diagram),
@@ -140,6 +138,8 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import SearchWindow, verify_covering  # numpy loads only for verify
+
     if args.all_types:
         names = list(catalog_types())
     elif args.type:

@@ -124,21 +124,32 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
+def _shortest_first(diagram: AffineDiagram) -> tuple:
+    return tuple(sorted(diagram.vertices, key=diagram.root_length_sq.__getitem__))
+
+
+@functools.lru_cache(maxsize=None)
 def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
-    a, lens = diagram.cartan, diagram.root_length_sq
-    seed = min(subset, key=lens.__getitem__)
-    coeffs = [int(v == seed) for v in diagram.vertices]
-    # the climbing root's value on each simple coroot of the subset, kept up
-    # to date across reflections instead of recomputed
-    pairing = {v: a[v][seed] for v in subset}
+    a, lens, adjacent = diagram.cartan, diagram.root_length_sq, diagram.adjacency
+    pairing = dict.fromkeys(subset, 0)
+    seed = next(v for v in _shortest_first(diagram) if v in pairing)
+    coeffs = [0] * (diagram.n + 1)
+    # add q times the j-th simple root, starting from zero plus the seed; the
+    # root's values on the subset's simple coroots change only at j and its
+    # neighbours, and the vertices where one turns negative wait in todo
+    todo, j, q = [], seed, 1
     for _ in range(4096):
-        j = next((v for v in subset if pairing[v] < 0), None)
-        if j is None:
+        coeffs[j] += q
+        for w in (j,) + adjacent[j]:
+            if w in pairing:
+                was = pairing[w]
+                pairing[w] += q * a[w][j]
+                if was >= 0 > pairing[w]:
+                    todo.append(w)
+        if not todo:
             break
-        p = pairing[j]
-        coeffs[j] -= p
-        for v in subset:
-            pairing[v] -= p * a[v][j]
+        j = todo.pop()
+        q = -pairing[j]
     else:
         raise AssertionError(f"{diagram}: reflection climb did not stabilize on {subset}")
     beta = RootVector(diagram, tuple(coeffs))
@@ -212,7 +223,7 @@ class CoverCandidate:
 def _connected_proper_subsets(diagram: AffineDiagram) -> set:
     """Every connected vertex set short of the whole diagram, grown from each
     single vertex one neighbour at a time, so the work follows the output."""
-    adjacent = [diagram.neighbors(v) for v in diagram.vertices]
+    adjacent = diagram.adjacency
     found = set()
     layer = {frozenset((v,)) for v in diagram.vertices}
     for _ in range(diagram.n):

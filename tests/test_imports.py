@@ -1,0 +1,107 @@
+"""The import boundary: only the oracle's entry points load it and numpy.
+
+Each check runs in a fresh interpreter, so what it sees in ``sys.modules``
+comes from the code under test alone, not from earlier tests.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import affposet
+
+SRC = str(pathlib.Path(affposet.__file__).parents[1])
+HEAVY = ("numpy", "affposet.oracle")
+
+PRELUDE = (
+    "import io, json, sys\n"
+    f"HEAVY = {HEAVY!r}\n"
+    "def loaded():\n"
+    "    return [m for m in HEAVY if m in sys.modules]\n"
+)
+
+
+def fresh(script: str):
+    """Run script in a new interpreter; return the JSON of its last line."""
+    paths = [p for p in (SRC, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", PRELUDE + script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+COLD_COMMANDS = [
+    ["types"],
+    ["info", "A3-1"],
+    ["cocovers", "A3-1", "--labels", "0,2,1,1"],
+    ["covers", "A3-1", "--labels", "0,2,1,1"],
+    ["interval", "A3-1", "--top", "0,2,1,1", "--bottom", "2,1,1,0"],
+    ["cell", "A4-1", "--labels", "1,1,1,1,0", "--mu", "0,0,2,1,1", "--mu2", "1,2,0,0,1"],
+]
+
+
+def test_classifier_commands_never_load_the_oracle():
+    facts = fresh(
+        "import affposet\n"
+        "from affposet.cli import run\n"
+        "facts = [['import affposet', 0, loaded()]]\n"
+        f"for argv in {COLD_COMMANDS!r}:\n"
+        "    code = run(argv, io.StringIO(), io.StringIO())\n"
+        "    facts.append([argv[0], code, loaded()])\n"
+        "print(json.dumps(facts))\n"
+    )
+    assert facts == [["import affposet", 0, []]] + [[argv[0], 0, []] for argv in COLD_COMMANDS]
+
+
+def test_verify_loads_the_oracle_and_numpy():
+    facts = fresh(
+        "from affposet.cli import run\n"
+        "before = loaded()\n"
+        "code = run(['verify', 'A1-1', '--samples', '2'], io.StringIO(), io.StringIO())\n"
+        "print(json.dumps([before, code, loaded()]))\n"
+    )
+    assert facts == [[], 0, list(HEAVY)]
+
+
+def test_oracle_names_resolve_through_the_package():
+    facts = fresh(
+        "import affposet\n"
+        "first = affposet.verify_covering\n"
+        "import affposet.oracle as oracle\n"
+        "same = first is oracle.verify_covering\n"
+        "cached = 'verify_covering' in vars(affposet)\n"
+        "oracle.verify_covering = patched = object()\n"
+        "follows = affposet.verify_covering is patched\n"
+        "print(json.dumps([same, cached, follows, loaded()]))\n"
+    )
+    # the package keeps no copy, so a patch of the oracle module (as the
+    # benchmark's tracer makes and undoes) is what the package serves
+    assert facts == [True, False, True, list(HEAVY)]
+
+
+def test_star_import_binds_every_public_name():
+    missing = fresh(
+        "import affposet\n"
+        "ns = {}\n"
+        "exec('from affposet import *', ns)\n"
+        "print(json.dumps([n for n in affposet.__all__ if n not in ns]))\n"
+    )
+    assert missing == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    facts = fresh(
+        "import affposet\n"
+        "try:\n"
+        "    affposet.no_such_name\n"
+        "    raised = None\n"
+        "except AttributeError as err:\n"
+        "    raised = str(err)\n"
+        "print(json.dumps([raised, hasattr(affposet, 'oracle_names'), loaded()]))\n"
+    )
+    assert facts == ["module 'affposet' has no attribute 'no_such_name'", False, []]

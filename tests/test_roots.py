@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from affposet.cartan import build_affine, catalog_types, parse_type_id
+from affposet.covering import special_vertices
 from affposet.roots import (
     CoverKind,
     RootVector,
@@ -195,6 +196,45 @@ def test_cover_root_set_matches_subset_scan(name):
     d = D(name)
     grown = [(c.root.coeffs, c.kind) for c in cover_root_set(d)]
     assert grown == _scanned_cover_roots(d)
+
+
+def _full_scan_climb(d, subset):
+    # reference: from a shortest simple root, reflect at the first vertex of
+    # the subset whose coroot value is negative, updating every value
+    a = d.cartan
+    seed = min(subset, key=d.root_length_sq.__getitem__)
+    coeffs = [int(v == seed) for v in d.vertices]
+    pairing = {v: a[v][seed] for v in subset}
+    while True:
+        j = next((v for v in subset if pairing[v] < 0), None)
+        if j is None:
+            return tuple(coeffs)
+        p = pairing[j]
+        coeffs[j] -= p
+        for v in subset:
+            pairing[v] -= p * a[v][j]
+
+
+def _arcs(n):
+    # the connected proper vertex sets of the (n+1)-cycle A_n^(1)
+    return [tuple(sorted((s + t) % (n + 1) for t in range(size)))
+            for s in range(n + 1) for size in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A20-1", "E8-1"])
+def test_highest_short_root_matches_full_scan_climb(name):
+    d = D(name)
+    subsets = _arcs(20) if name == "A20-1" else _proper_connected(d)
+    for sub in subsets:
+        assert highest_short_root(d, sub).coeffs == _full_scan_climb(d, sub), sub
+    # special vertices, by their definition, from the reference climb
+    expected = []
+    for i in d.vertices:
+        rest = tuple(v for v in d.vertices if v != i)
+        target = tuple(m - (j == i) for j, m in enumerate(d.marks))
+        if d.marks[i] == 1 and d.is_connected(rest) and _full_scan_climb(d, rest) == target:
+            expected.append(i)
+    assert special_vertices(d) == tuple(expected)
 
 
 def test_cover_root_set_on_a40():
