@@ -65,6 +65,7 @@ from .poset import (
     CellMismatchError,
     CellShape,
     IncomparableError,
+    IntervalTooLargeError,
     PosetGraph,
     basic_cell,
     export_graph,
@@ -149,6 +150,7 @@ __all__ = [
     "CellMismatchError",
     "CellShape",
     "IncomparableError",
+    "IntervalTooLargeError",
     "PosetGraph",
     "basic_cell",
     "export_graph",

@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter
+from typing import NamedTuple
 
 from .cartan import AffineDiagram, classify_finite
 from .roots import (
@@ -96,13 +97,18 @@ def _require_dominant_positive(weight: Weight) -> tuple:
     return weight.labels
 
 
-def _unique_short_vertex(diagram: AffineDiagram):
+@functools.lru_cache(maxsize=None)
+def _length_ranks(diagram: AffineDiagram) -> tuple:
+    """Each vertex's place among the distinct root lengths, shortest first."""
     lens = diagram.root_length_sq
-    shortest = min(lens)
-    if shortest == max(lens):
-        return None
-    shorts = [i for i in diagram.vertices if lens[i] == shortest]
-    return shorts[0] if len(shorts) == 1 else None
+    return tuple(sorted(set(lens)).index(x) for x in lens)
+
+
+def _unique_short_vertex(diagram: AffineDiagram, vertices):
+    """The only vertex of the sequence with the shortest root, or None."""
+    ranks = list(map(_length_ranks(diagram).__getitem__, vertices))
+    shortest = min(ranks)
+    return vertices[ranks.index(shortest)] if ranks.count(shortest) == 1 else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +126,9 @@ def _delta_case(diagram: AffineDiagram, labs: tuple):
         i = ones[0]
         if i in special_vertices(diagram):
             return "f"
-        if _bond_pair(diagram, 3) is None and i == _unique_short_vertex(diagram):
+        if _bond_pair(diagram, 3) is None and i == _unique_short_vertex(
+            diagram, diagram.vertices
+        ):
             return "g"
     tid = diagram.type_id
     if tid.family == "D" and tid.twist == 2:
@@ -138,86 +146,143 @@ def is_delta_cocover(weight: Weight) -> bool:
     return _delta_case(weight.diagram, labs) is not None
 
 
-def _finite_case(diagram, lower_labs: tuple, cand: CoverCandidate):
-    """Case tag if upper = lower + cand.root is a cover, given both dominant."""
-    if cand.kind is CoverKind.SIMPLE:
-        return "a"
-    if cand.kind is CoverKind.SHORT:
-        supp = sorted(cand.root.support())
-        zero = [j for j in supp if lower_labs[j] == 0]
-        if len(zero) == len(supp):
-            return "b"
-        if len(zero) == len(supp) - 1:
-            lens = diagram.root_length_sq
-            shortest = min(lens[j] for j in supp)
-            short_verts = [j for j in supp if lens[j] == shortest]
-            if len(short_verts) != 1:
-                return None
-            i = short_verts[0]
-            if lower_labs[i] != 1 or i in zero:
-                return None
-            if classify_finite(diagram, supp).family == "B":
-                return "c"
-        return None
-    if cand.kind is CoverKind.EXCEPTIONAL:
-        quad = _bond_pair(diagram, 4)
-        if quad is not None:
-            short, long_ = quad
-            # the pairing against the short coroot is -4 here, one stronger
-            # than at a triple bond, so the dominance window sits at {2, 3}
-            if lower_labs[long_] == 0 and lower_labs[short] in (2, 3):
-                return "j"
-            return None
-        short, long_ = _bond_pair(diagram, 3)
-        pair = tuple(
-            1 if j in (short, long_) else 0 for j in diagram.vertices
-        )
-        if cand.root.coeffs == pair:
-            if lower_labs[long_] == 0 and lower_labs[short] in (1, 2):
-                return "d"
-            return None
-        # remaining exceptional vector: all three simple roots of G2-1
-        if lower_labs[0] == 0 and lower_labs[1] == 0 and lower_labs[2] in (1, 2):
-            return "e"
-        return None
-    raise AssertionError(f"unexpected candidate kind {cand.kind}")
+def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
+    """The case tests of a finite candidate on its sorted support.
+
+    A rule (tag, zeros, pins) applies when the lower weight has label zero
+    at each vertex of zeros and an allowed label at each pinned vertex
+    (vertex, allowed); the first rule that applies gives the case.
+    """
+    if kind is CoverKind.SIMPLE:
+        return (("a", (), ()),)
+    if kind is CoverKind.SHORT:
+        rules = [("b", supp, ())]
+        # a support of type B has exactly one short vertex; testing that
+        # first spares classifying every other support
+        short = _unique_short_vertex(diagram, supp)
+        if short is not None and classify_finite(diagram, supp).family == "B":
+            rules.append(("c", tuple(j for j in supp if j != short), ((short, (1,)),)))
+        return tuple(rules)
+    quad = _bond_pair(diagram, 4)
+    short, long_ = quad or _bond_pair(diagram, 3)
+    if quad:
+        # the pairing against the short coroot is -4 here, one stronger
+        # than at a triple bond, so the dominance window sits at {2, 3}
+        tag, window = "j", (2, 3)
+    else:
+        # the triple bond pair, or all three simple roots of G2-1
+        tag, window = ("d" if set(supp) == {short, long_} else "e"), (1, 2)
+    return ((tag, tuple(j for j in supp if j != short), ((short, window),)),)
+
+
+def _finite_case(lower_labs: tuple, rules: tuple):
+    """Case tag if upper = lower + the candidate is a cover, given both dominant."""
+    for tag, zeros, pins in rules:
+        if not any(map(lower_labs.__getitem__, zeros)) and all(
+            lower_labs[v] in allowed for v, allowed in pins
+        ):
+            return tag
+    return None
+
+
+class _Step(NamedTuple):
+    """One cover candidate with what a query reads of it."""
+
+    order: int  # position in cover_root_set
+    cand: CoverCandidate
+    root: tuple  # (vertex, coefficient) over the support of the root
+    change: tuple  # (vertex, value) over the nonzero entries of A times the root
+    shift: Fraction  # change of the delta shift
+    rules: tuple  # case tests; None for delta, whose case reads the upper labels
 
 
 @functools.lru_cache(maxsize=None)
 def _cover_steps(diagram: AffineDiagram) -> tuple:
-    """Each cover candidate with its change of labels and of delta shift."""
-    return tuple(
-        (
+    """Each cover candidate with its sparse change of labels and of delta shift.
+
+    Column v of the Cartan matrix is nonzero only at v and its neighbours, so
+    the label change sums over the support of the root and its neighbours.
+    """
+    a, adjacent = diagram.cartan, diagram.adjacency
+    columns = [tuple((w, a[w][v]) for w in (v,) + adjacent[v]) for v in diagram.vertices]
+    steps = []
+    for order, cand in enumerate(cover_root_set(diagram)):
+        root = tuple((v, c) for v, c in enumerate(cand.root.coeffs) if c)
+        change = [0] * (diagram.n + 1)
+        for v, c in root:
+            for w, x in columns[v]:
+                change[w] += x * c
+        if cand.kind is CoverKind.DELTA:
+            rules = None
+        else:
+            rules = _case_rules(diagram, cand.kind, tuple(v for v, _ in root))
+        steps.append(_Step(
+            order,
             cand,
-            tuple(sum(map(mul, row, cand.root.coeffs)) for row in diagram.cartan),
+            root,
+            tuple((w, x) for w, x in enumerate(change) if x),
             Fraction(cand.root.coeffs[0], diagram.marks[0]),
-        )
-        for cand in cover_root_set(diagram)
-    )
+            rules,
+        ))
+    return tuple(steps)
 
 
-def _edges(weight: Weight, sign: int) -> tuple:
-    """Cover edges below (sign -1) or above (sign +1) a dominant weight.
+@functools.lru_cache(maxsize=None)
+def _cover_index(diagram: AffineDiagram, sign: int) -> tuple:
+    """The steps of one direction grouped by their first need, and the rest.
 
-    The weight across each candidate must be dominant; the case test then
-    reads the labels of the lower end, which for delta equal the upper's.
+    Across a step the label at v changes by sign times its change at v, so
+    the weight across is dominant only if the label at each vertex where that
+    is negative (a need) is at least its size.  A step with a need is listed
+    under its lowest need vertex; a step with none (delta) is free.
+    """
+    by_need = [[] for _ in diagram.vertices]
+    free = []
+    for step in _cover_steps(diagram):
+        needs = tuple((v, -sign * x) for v, x in step.change if sign * x < 0)
+        (by_need[needs[0][0]] if needs else free).append((step, needs))
+    return tuple(map(tuple, by_need)), tuple(free)
+
+
+def _moves(weight: Weight, sign: int) -> list:
+    """Cover steps below (sign -1) or above (sign +1) a dominant weight.
+
+    Returns (step, labels across it, case) in ``cover_root_set`` order.  Only
+    the steps listed under a vertex with a positive label, and the free
+    ones, can have their needs met.  The case test then reads the labels of
+    the lower end, which for delta equal the upper's.
     """
     labs = _require_dominant_positive(weight)
     diagram = weight.diagram
-    edges = []
-    for cand, label_step, shift_step in _cover_steps(diagram):
-        other = tuple(v + sign * c for v, c in zip(labs, label_step))
-        if any(v < 0 for v in other):
-            continue
-        if cand.kind is CoverKind.DELTA:
+    by_need, free = _cover_index(diagram, sign)
+    met = [
+        step
+        for group in [free] + [by_need[v] for v, x in enumerate(labs) if x]
+        for step, needs in group
+        if all(labs[v] >= need for v, need in needs)
+    ]
+    met.sort(key=attrgetter("order"))
+    moves = []
+    for step in met:
+        across = list(labs)
+        for v, x in step.change:
+            across[v] += sign * x
+        across = tuple(across)
+        if step.rules is None:
             case = _delta_case(diagram, labs)
         else:
-            case = _finite_case(diagram, other if sign < 0 else labs, cand)
-        if case is None:
-            continue
-        near = Weight(diagram, other, weight.shift + sign * shift_step)
+            case = _finite_case(across if sign < 0 else labs, step.rules)
+        if case is not None:
+            moves.append((step, across, case))
+    return moves
+
+
+def _edges(weight: Weight, sign: int) -> tuple:
+    edges = []
+    for step, labs, case in _moves(weight, sign):
+        near = Weight(weight.diagram, labs, weight.shift + sign * step.shift)
         upper, lower = (weight, near) if sign < 0 else (near, weight)
-        edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
+        edges.append(CoverEdge(upper, lower, step.cand.kind, step.cand.root, case))
     return tuple(edges)
 
 

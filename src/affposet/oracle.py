@@ -179,7 +179,7 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         window = default_window(diagram)
     betas, label_delta = _grid(diagram, window)
     bounds = np.array(window.bounds, dtype=np.int64)
-    corner_lo, corner_hi = _corner_weights(a, gap)
+    corner_lo, corner_hi = _corner_weights(a, tuple(g.numerator for g in gap))
 
     lo_labs = np.array(corner_lo.labels, dtype=np.int64)
     down_ok = (lo_labs[None, :] - label_delta >= 0).all(axis=1)

@@ -18,11 +18,12 @@ import json
 from dataclasses import dataclass
 
 from .cartan import build_affine
-from .covering import _edge_from_record, cocovers
+from .covering import CoverEdge, _edge_from_record, _moves, cocovers
 from .roots import CoverKind, RootVector
 from .weights import (
     Weight,
     add_root,
+    difference,
     dominance_leq,
     format_shift,
     meet,
@@ -33,6 +34,7 @@ from .weights import (
 __all__ = [
     "IncomparableError",
     "CellMismatchError",
+    "IntervalTooLargeError",
     "CellShape",
     "PosetGraph",
     "Cell",
@@ -49,6 +51,10 @@ class IncomparableError(ValueError):
 
 class CellMismatchError(ValueError):
     """The predicted cell differs from the actual interval."""
+
+
+class IntervalTooLargeError(ValueError):
+    """The interval holds more nodes than the search may visit."""
 
 
 class CellShape(enum.Enum):
@@ -78,30 +84,42 @@ class Cell:
 
 
 def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph:
-    """Hasse diagram of every dominant weight between bottom and top."""
+    """Hasse diagram of every dominant weight between bottom and top.
+
+    Each node is keyed by its integer gap to the bottom, the root vector
+    node - bottom; a cocover stays inside while its gap is nonnegative.
+    """
     if top == bottom:
         return PosetGraph((top,), ())
     if not dominance_leq(bottom, top):
         raise IncomparableError(f"{bottom} does not lie below {top}")
-    seen = {top}
-    frontier = [top]
+    start = tuple(g.numerator for g in difference(top, bottom))
+    nodes = {start: top}
+    frontier = [start]
     edges = []
     while frontier:
         nxt = []
-        for node in frontier:
-            for edge in cocovers(node):
-                if not dominance_leq(bottom, edge.lower):
+        for gap in frontier:
+            upper = nodes[gap]
+            for step, labs, case in _moves(upper, -1):
+                below = list(gap)
+                for v, c in step.root:
+                    below[v] -= c
+                if min(below) < 0:
                     continue
-                edges.append(edge)
-                if edge.lower not in seen:
-                    seen.add(edge.lower)
-                    nxt.append(edge.lower)
-                    if len(seen) > max_nodes:
-                        raise ValueError(f"interval exceeds {max_nodes} nodes")
+                below = tuple(below)
+                if below not in nodes:
+                    nodes[below] = Weight(top.diagram, labs, upper.shift - step.shift)
+                    nxt.append(below)
+                    if len(nodes) > max_nodes:
+                        raise IntervalTooLargeError(f"interval exceeds {max_nodes} nodes")
+                edge = CoverEdge(upper, nodes[below], step.cand.kind, step.cand.root, case)
+                edges.append((gap, below, edge))
         frontier = nxt
-    nodes = tuple(sorted(seen, key=sort_key))
-    edges = tuple(sorted(edges, key=lambda e: (sort_key(e.upper), sort_key(e.lower))))
-    return PosetGraph(nodes, edges)
+    keys = {gap: sort_key(node) for gap, node in nodes.items()}
+    edges.sort(key=lambda e: (keys[e[0]], keys[e[1]]))
+    order = sorted(nodes, key=keys.__getitem__)
+    return PosetGraph(tuple(nodes[gap] for gap in order), tuple(e[2] for e in edges))
 
 
 def _cycle_neighbors(diagram, i):

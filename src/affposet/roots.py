@@ -48,11 +48,14 @@ class RootVector:
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != self.diagram.n + 1:
             raise ValueError(
                 f"expected {self.diagram.n + 1} coefficients, got {len(coeffs)}"
             )
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be ints, got {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def support(self) -> frozenset:

@@ -183,7 +183,7 @@ def _require_component(a: Weight, b: Weight) -> tuple:
             )
     if not (is_dominant(a) and is_dominant(b)):
         raise ValueError("meet and join are defined for dominant weights")
-    return gap
+    return tuple(g.numerator for g in gap)
 
 
 def meet(a: Weight, b: Weight) -> Weight:

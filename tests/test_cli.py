@@ -193,6 +193,27 @@ FROZEN_STDOUT_SHA256 = {
         "69b0f8a5c8d1a4631bc92ddd8afae8dc1d3b655e4d640ebec6f275bec419c049",
     ("covers", "A3-1", "--labels", "0,2,1,1"):
         "c82bc44b575f2ff11dac4035c05c83a4c1348cd33dfda13074547eddf5b3469c",
+    # recorded at commit abbf64d, before covers were indexed by their needs:
+    # the exceptional cases d, e and j, delta edges going down and up, a
+    # large rank, and an interval down a full delta with cases a, b and c
+    ("cocovers", "G2-1", "--labels", "1,1,1"):
+        "5bb530d77768db3eb41969ff4ed91b1769c2a9bcc61caeb772bf6c9288a3c91a",
+    ("cocovers", "G2-1", "--labels", "1,0,1"):
+        "deaaffec049100e38a109ff305af854857dc39727418b0574e59be9379f3f7ad",
+    ("cocovers", "A2-2", "--labels", "1,1"):
+        "e6a5e11ecac850ccfb9968098de281a2f247264034b6db57ca8c5261451e1a0f",
+    ("cocovers", "D4-3", "--labels", "1,0,0", "--shift=1/3"):
+        "9cca1fec87f9608bb20a6cf31db8532201ed076c4df773bc33cab846c549bc95",
+    ("covers", "B3-1", "--labels", "0,0,0,1"):
+        "1f4928c8838cc689925dc2e60d448deb0443094c85d1d2ac715883879cc1ac2c",
+    ("covers", "E8-1", "--labels", "0,1,0,0,0,0,0,0,1"):
+        "132de724f3bd999a8ff164bba45af807ea9065f984c6d9ed976d61a81fdd3591",
+    ("cocovers", "A20-1", "--labels",
+     "1,0,1,0,0,2,0,0,0,1,0,0,0,0,0,0,0,1,0,0,0"):
+        "88b58296c886477e52934ba93f7bf253b6a4ca2818ba5e2028da5413fb6e859f",
+    ("interval", "C3-1", "--top", "1,1,1,1", "--bottom", "1,1,1,1",
+     "--bottom-shift=-1/1", "--format", "json"):
+        "25422ed872a2efcdb337798ec93cedfc6f6f98653079ee99b35daab4c99fb60d",
 }
 
 

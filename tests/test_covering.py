@@ -1,9 +1,15 @@
+import functools
 import json
+import random
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from affposet.cartan import build_affine, catalog_types, parse_type_id
+import affposet.covering as covering
+from affposet.cartan import build_affine, catalog_types, classify_finite, parse_type_id
 from affposet.covering import (
+    CoverEdge,
     NonPositiveLevelError,
     cocovers,
     covers,
@@ -12,8 +18,9 @@ from affposet.covering import (
     is_delta_cocover,
     special_vertices,
 )
-from affposet.roots import CoverKind, sym_length_sq, simple_root
+from affposet.roots import CoverKind, cover_root_set, sym_length_sq, simple_root
 from affposet.weights import (
+    Weight,
     add_root,
     delta_shift,
     labels,
@@ -245,3 +252,126 @@ def test_edge_from_json_rejects_non_integer_roots_and_non_string_cases():
         data["case"] = case
         with pytest.raises(ValueError):
             edge_from_json(data)
+
+
+# Reference: the dense scan that enumerated covers before candidates were
+# indexed by their needs.  Every candidate gets a full A times root row
+# product and a full label tuple, and the case tests sort the support,
+# compare Fraction lengths and classify the support on every call.
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_steps(diagram):
+    return tuple(
+        (cand, tuple(sum(map(mul, row, cand.root.coeffs)) for row in diagram.cartan))
+        for cand in cover_root_set(diagram)
+    )
+
+
+def _dense_finite_case(diagram, lower_labs, cand):
+    if cand.kind is CoverKind.SIMPLE:
+        return "a"
+    a = diagram.cartan
+    if cand.kind is CoverKind.SHORT:
+        supp = sorted(cand.root.support())
+        zero = [j for j in supp if lower_labs[j] == 0]
+        if len(zero) == len(supp):
+            return "b"
+        if len(zero) == len(supp) - 1:
+            lens = diagram.root_length_sq
+            shortest = min(lens[j] for j in supp)
+            short_verts = [j for j in supp if lens[j] == shortest]
+            if len(short_verts) != 1:
+                return None
+            i = short_verts[0]
+            if lower_labs[i] != 1 or i in zero:
+                return None
+            if classify_finite(diagram, supp).family == "B":
+                return "c"
+        return None
+    bonds = {
+        -a[i][j]: (i, j) for i in diagram.vertices for j in diagram.vertices if a[i][j] < -2
+    }
+    if 4 in bonds:
+        short, long_ = bonds[4]
+        if lower_labs[long_] == 0 and lower_labs[short] in (2, 3):
+            return "j"
+        return None
+    short, long_ = bonds[3]
+    if cand.root.coeffs == tuple(int(j in (short, long_)) for j in diagram.vertices):
+        if lower_labs[long_] == 0 and lower_labs[short] in (1, 2):
+            return "d"
+        return None
+    if lower_labs[0] == 0 and lower_labs[1] == 0 and lower_labs[2] in (1, 2):
+        return "e"
+    return None
+
+
+def _dense_delta_case(diagram, labs):
+    a, lens = diagram.cartan, diagram.root_length_sq
+    ones = [i for i, v in enumerate(labs) if v != 0]
+    if len(ones) == 1 and labs[ones[0]] == 1:
+        i = ones[0]
+        if i in special_vertices(diagram):
+            return "f"
+        shorts = [j for j in diagram.vertices if lens[j] == min(lens)]
+        triple = any(-3 in row for row in a)
+        if not triple and len(shorts) == 1 and i == shorts[0]:
+            return "g"
+    tid = diagram.type_id
+    if (tid.family, tid.twist) == ("D", 2) and labs == tuple(
+        int(j in (0, diagram.n)) for j in diagram.vertices
+    ):
+        return "h"
+    if str(tid) == "A1-1" and labs == (1, 1):
+        return "i"
+    return None
+
+
+def _dense_edges(weight, sign):
+    diagram, labs = weight.diagram, weight.labels
+    edges = []
+    for cand, step in _dense_steps(diagram):
+        other = tuple(v + sign * c for v, c in zip(labs, step))
+        if any(v < 0 for v in other):
+            continue
+        if cand.kind is CoverKind.DELTA:
+            case = _dense_delta_case(diagram, labs)
+        else:
+            case = _dense_finite_case(diagram, other if sign < 0 else labs, cand)
+        if case is None:
+            continue
+        shift = weight.shift + sign * Fraction(cand.root.coeffs[0], diagram.marks[0])
+        near = Weight(diagram, other, shift)
+        upper, lower = (weight, near) if sign < 0 else (near, weight)
+        edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
+    return tuple(edges)
+
+
+def _sample_labels(diagram, level, rng):
+    labs = [0] * (diagram.n + 1)
+    while level > 0:
+        j = rng.choice([j for j, c in enumerate(diagram.comarks) if c <= level])
+        labs[j] += 1
+        level -= diagram.comarks[j]
+    return tuple(labs)
+
+
+@pytest.mark.parametrize(
+    "name", ALL_TYPES + ["A20-1", "A60-1", "E8-1", "D12-1", "B8-1"]
+)
+def test_indexed_covers_match_dense_scan(name):
+    d = D(name)
+    assert len(covering._cover_steps(d)) == len(_dense_steps(d))
+    for step, (cand, dense) in zip(covering._cover_steps(d), _dense_steps(d)):
+        assert step.cand == cand
+        assert step.change == tuple((v, x) for v, x in enumerate(dense) if x)
+        assert step.root == tuple((v, c) for v, c in enumerate(step.cand.root.coeffs) if c)
+    rng = random.Random(name)
+    samples = 4 if d.n > 20 else 15
+    for level in (1, 2, 3, 4):
+        for _ in range(samples):
+            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            w = weight_from_labels(d, _sample_labels(d, level, rng), shift)
+            assert cocovers(w) == _dense_edges(w, -1), (name, w)
+            assert covers(w) == _dense_edges(w, 1), (name, w)

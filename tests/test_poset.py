@@ -4,13 +4,14 @@ import random
 import pytest
 
 import affposet.poset as poset
-from affposet.cartan import build_affine, parse_type_id
+from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.covering import CoverKind, cocovers
 from affposet.poset import (
     Cell,
     CellMismatchError,
     CellShape,
     IncomparableError,
+    IntervalTooLargeError,
     PosetGraph,
     basic_cell,
     export_graph,
@@ -20,8 +21,10 @@ from affposet.poset import (
 from affposet.weights import (
     add_root,
     delta_shift,
+    dominance_leq,
     fundamental_weight,
     labels,
+    sort_key,
     weight_from_labels,
 )
 from affposet.roots import delta_root
@@ -88,6 +91,50 @@ def test_interval_trivial_and_errors():
         interval(W("A2-1", (1, 3, 0), -1), W("A2-1", (1, 0, 3)))
     with pytest.raises(ValueError):
         interval(W("A2-1", (2, 1, 1)), top, max_nodes=1)
+
+
+def test_interval_too_large_is_a_named_error():
+    top, bottom = W("A3-1", (0, 2, 1, 1)), W("A3-1", (2, 1, 1, 0))
+    with pytest.raises(IntervalTooLargeError, match="exceeds 3 nodes"):
+        interval(top, bottom, max_nodes=3)
+    assert len(interval(top, bottom, max_nodes=5).nodes) == 5
+
+
+def _edge_tested_interval(top, bottom):
+    """Reference: the breadth-first walk that tests every cocover against
+    the bottom with dominance_leq."""
+    seen, frontier, edges = {top}, [top], []
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge in cocovers(node):
+                if not dominance_leq(bottom, edge.lower):
+                    continue
+                edges.append(edge)
+                if edge.lower not in seen:
+                    seen.add(edge.lower)
+                    nxt.append(edge.lower)
+        frontier = nxt
+    return PosetGraph(
+        sorted(seen, key=sort_key),
+        sorted(edges, key=lambda e: (sort_key(e.upper), sort_key(e.lower))),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [str(t) for t in catalog_types() if build_affine(t).n <= 6]
+)
+def test_interval_matches_edge_tested_walk(name):
+    d = D(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        labs = tuple(rng.choice((0, 0, 1, 2)) for _ in d.vertices)
+        if not any(labs):
+            continue
+        top = weight_from_labels(d, labs, rng.randint(-2, 2))
+        for k in (1, 2):
+            bottom = weight_from_labels(d, labs, top.shift - k)
+            assert interval(top, bottom) == _edge_tested_interval(top, bottom), (top, k)
 
 
 def test_interval_respects_order_direction():

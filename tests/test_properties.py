@@ -1,5 +1,6 @@
 """Property tests over every catalog type: cover/cocover duality, the root
-coefficients derived from the labels, and the label round trip."""
+coefficients derived from the labels, the label round trip, and the lattice
+laws of meet and join."""
 
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from affposet.weights import (
     delta_shift,
     difference,
     dominance_leq,
+    join,
     labels,
+    meet,
     weight_from_labels,
 )
 
@@ -65,3 +68,43 @@ def test_labels_and_shift_determine_the_weight(data):
     w = add_root(w0, beta)
     assert weight_from_labels(w.diagram, labels(w), delta_shift(w)) == w
     assert w.coeffs == tuple(c + b for c, b in zip(w0.coeffs, beta.coeffs))
+
+
+def _dominant_repair(w):
+    """Raise a weight by simple roots until every label is nonnegative."""
+    while True:
+        j = next((j for j, e in enumerate(labels(w)) if e < 0), None)
+        if j is None:
+            return w
+        step = [(1 - labels(w)[j]) // 2 if i == j else 0 for i in w.diagram.vertices]
+        w = add_root(w, RootVector(w.diagram, step))
+
+
+@st.composite
+def component_pairs(draw):
+    """Two dominant weights that differ by an integer root vector."""
+    a = draw(dominant_weights())
+    return a, _dominant_repair(add_root(a, draw(root_vectors(a.diagram))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_pairs())
+def test_meet_and_join_are_lattice_operations(pair):
+    a, b = pair
+    low, high = meet(a, b), join(a, b)
+    assert low == meet(b, a) and high == join(b, a)
+    assert meet(a, a) == a and join(a, a) == a
+    assert meet(a, high) == a and join(a, low) == a
+    for w in pair:
+        assert dominance_leq(low, w) and dominance_leq(w, high)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominant_weights())
+def test_meet_of_two_cocovers_lies_under_both(w):
+    assume(any(labels(w)))
+    lowers = [e.lower for e in cocovers(w)]
+    for i, mu in enumerate(lowers):
+        for mu2 in lowers[i + 1:]:
+            low = meet(mu, mu2)
+            assert dominance_leq(low, mu) and dominance_leq(low, mu2)

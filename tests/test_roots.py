@@ -41,6 +41,14 @@ def test_root_vector_basics():
         r + RootVector(D("A3-1"), (0, 0, 0, 1))
 
 
+def test_root_vector_rejects_non_int_coefficients():
+    d = D("A2-1")
+    for bad in (1.9, Fraction(1), True):
+        with pytest.raises(TypeError):
+            RootVector(d, (0, bad, 0))
+    assert RootVector(d, [0, 1, 0]).coeffs == (0, 1, 0)
+
+
 def test_delta_equals_marks():
     for name in ALL_TYPES:
         d = D(name)
