@@ -60,36 +60,33 @@ from .covering import (
     is_delta_cocover,
     special_vertices,
 )
-from .poset import (
-    Cell,
-    CellMismatchError,
-    CellShape,
-    IncomparableError,
-    IntervalTooLargeError,
-    PosetGraph,
-    basic_cell,
-    export_graph,
-    graph_from_json,
-    interval,
-)
 
 __version__ = "0.1.0"
 
-# The oracle, and numpy with it, loads on first use of one of its names; each
-# lookup reads the oracle module, so no copy here outlives a patch of it.
-_ORACLE_NAMES = frozenset((
-    "BruteBounds", "BruteCocovers", "SearchWindow", "VerificationReport",
-    "WindowExhaustedError", "brute_bounds", "brute_cocovers", "default_window",
-    "verify_covering",
-))
+# The oracle (and numpy with it) and the poset module load on first use of
+# one of their names.  Each lookup reads the module, so no copy here outlives
+# a patch of it.
+_LAZY = {
+    **dict.fromkeys((
+        "BruteBounds", "BruteCocovers", "SearchWindow", "VerificationReport",
+        "WindowExhaustedError", "brute_bounds", "brute_cocovers", "default_window",
+        "verify_covering",
+    ), "oracle"),
+    **dict.fromkeys((
+        "Cell", "CellMismatchError", "CellShape", "IncomparableError",
+        "IntervalTooLargeError", "PosetGraph", "basic_cell", "export_graph",
+        "graph_from_json", "interval",
+    ), "poset"),
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 __all__ = [

@@ -15,9 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
 __all__ = [
     "AffineTypeId",
@@ -58,20 +56,63 @@ def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class AffineTypeId:
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields`` (and in ``__slots__``, unless
+    a cached property needs an instance dict), sets each once in
+    ``__init__`` through ``_set``, and compares and hashes by ``_key`` (all
+    fields unless it says otherwise), as a frozen dataclass would.  The hash
+    is computed on first use and kept.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash(self._key())
+            _set(self, "_hash", value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class AffineTypeId(_Value):
     """Identifier of an affine diagram, printed as '<Family><rank>-<twist>'."""
 
-    family: str
-    rank: int
-    twist: int
+    __slots__ = _fields = ("family", "rank", "twist")
 
-    def __post_init__(self) -> None:
-        if not _rank_is_valid(self.family, self.rank, self.twist):
+    def __init__(self, family: str, rank: int, twist: int) -> None:
+        if not _rank_is_valid(family, rank, twist):
             raise ValueError(
-                f"no affine diagram of family {self.family!r}, "
-                f"rank {self.rank}, twist {self.twist}"
+                f"no affine diagram of family {family!r}, rank {rank}, twist {twist}"
             )
+        _set(self, "family", family)
+        _set(self, "rank", rank)
+        _set(self, "twist", twist)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}-{self.twist}"
@@ -90,38 +131,36 @@ def parse_type_id(text: str) -> AffineTypeId:
     return AffineTypeId(m.group(1), int(m.group(2)), int(m.group(3)))
 
 
-@dataclass(frozen=True)
-class FiniteType:
+class FiniteType(_Value):
     """A finite Dynkin type; C2 is normalized to the isomorphic B2."""
 
-    family: str
-    rank: int
+    __slots__ = _fields = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in "ABCDEFG" or self.rank < 1:
-            raise ValueError(f"bad finite type {self.family}{self.rank}")
-        if self.family == "C" and self.rank == 2:
-            object.__setattr__(self, "family", "B")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in "ABCDEFG" or rank < 1:
+            raise ValueError(f"bad finite type {family}{rank}")
+        _set(self, "family", "B" if family == "C" and rank == 2 else family)
+        _set(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(_Value):
     """An affine Dynkin diagram with its standard numerical data.
 
     Equality and hashing go through ``type_id`` only; instances are built
     exclusively by :func:`build_affine`, so equal ids mean equal tables.
     """
 
-    type_id: AffineTypeId
-    n: int = field(compare=False)
-    cartan: tuple = field(compare=False)
-    marks: tuple = field(compare=False)
-    comarks: tuple = field(compare=False)
-    root_length_sq: tuple = field(compare=False)
-    sym_form: tuple = field(compare=False)
+    _fields = ("type_id", "n", "cartan", "marks", "comarks", "root_length_sq")
+
+    def __init__(self, type_id, n, cartan, marks, comarks, root_length_sq) -> None:
+        for name, value in zip(self._fields, (type_id, n, cartan, marks, comarks, root_length_sq)):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.type_id,)
 
     @property
     def vertices(self) -> range:
@@ -132,6 +171,22 @@ class AffineDiagram:
         """The neighbours of each vertex, read off the Cartan rows once."""
         rows = enumerate(self.cartan)
         return tuple(tuple(j for j, x in enumerate(row) if x and j != i) for i, row in rows)
+
+    @functools.cached_property
+    def sym_form(self) -> tuple:
+        """The invariant form on the simple roots, b_ij = a_ij |alpha_i|^2 / 2,
+        built on first read."""
+        return tuple(
+            tuple(Fraction(x) * length / 2 for x in row)
+            for row, length in zip(self.cartan, self.root_length_sq)
+        )
+
+    @functools.cached_property
+    def _half_lengths(self) -> tuple:
+        """|alpha_i|^2 / 2 = comark_i / mark_i times the lcm of the marks: one
+        integer per vertex, in the ratio of the squared root lengths."""
+        scale = math.lcm(*self.marks)
+        return tuple(c * scale // m for c, m in zip(self.comarks, self.marks))
 
     def neighbors(self, i: int) -> tuple:
         return self.adjacency[i]
@@ -296,9 +351,9 @@ def _interior_adjugate(diagram: AffineDiagram) -> tuple:
     so row i sends the labels of a weight with delta shift 0 to det times
     its root coefficient i.  Fraction-free Gauss-Jordan elimination keeps
     every entry an integer: each division is exact, the pivot of column k is
-    the leading principal minor of size k + 1, and the last pivot is the
-    determinant.  The block is of finite type exactly when every leading
-    minor is positive (Kac, ch. 4), so a pivot that is not raises.
+    the leading principal minor of size k + 1, positive since the block is of
+    finite type, and the last pivot is the determinant.  It costs O(n^3), so
+    it is built on the first call, which only root coefficients make.
     """
     n = diagram.n
     rows = [
@@ -309,9 +364,6 @@ def _interior_adjugate(diagram: AffineDiagram) -> tuple:
     prev = 1
     for col in range(n):
         head = rows[col]
-        if head[col] <= 0:
-            raise ValueError(f"{diagram}: check failed: Cartan block on vertices 1..{n} "
-                             f"is of finite type (leading minor {col + 1} is {head[col]})")
         for r in range(n):
             if r != col:
                 f = rows[r][col]
@@ -321,57 +373,94 @@ def _interior_adjugate(diagram: AffineDiagram) -> tuple:
     return ((0,) * (n + 1),) + adj, prev
 
 
+def _not_finite(cartan, adjacency):
+    """Why the Cartan block on vertices 1..n is not of finite type, or None.
+
+    The block is eliminated leaf first.  On a tree, removing a leaf changes
+    only the diagonal entry of the leaf's one remaining neighbour: no
+    fill-in, one update per edge.  With a symmetric form and positive
+    lengths the block is of finite type exactly when every pivot is positive
+    (Kac, ch. 4).  A block with a cycle runs out of leaves before the last
+    vertex, and no finite type has one.
+    """
+    num = len(cartan)
+    pivot = [Fraction(x[i]) for i, x in enumerate(cartan)]
+    degree = [sum(1 for w in adjacency[v] if w) for v in range(num)]
+    order = [v for v in range(1, num) if degree[v] <= 1]
+    for v in order:  # grows as vertices become leaves
+        if pivot[v] <= 0:
+            return f"pivot at vertex {v} is {pivot[v]}"
+        degree[v] = -1
+        for u in adjacency[v]:
+            if u and degree[u] > 0:
+                pivot[u] -= cartan[u][v] * cartan[v][u] / pivot[v]
+                degree[u] -= 1
+                if degree[u] == 1:
+                    order.append(u)
+    return None if len(order) == num - 1 else "the block has a cycle"
+
+
 def _validate(diag: AffineDiagram) -> None:
-    """Raise ValueError naming the first check the tables of diag fail."""
+    """Raise ValueError naming the first check the tables of diag fail.
+
+    Past the squareness and diagonal checks every test reads only the
+    nonzero entries, one per bond, and the form b_ij = a_ij comark_i / mark_i
+    is checked in integers scaled by the lcm of the marks.
+    """
     num = diag.n + 1
-    a, b, lensq = diag.cartan, diag.sym_form, diag.root_length_sq
-    off = [(i, j) for i in range(num) for j in range(num) if i != j]
+    a, lensq, adjacent = diag.cartan, diag.root_length_sq, diag.adjacency
+    row_entries = [(i,) + adjacent[i] for i in range(num)]
+    bonds = [(i, j) for i in range(num) for j in adjacent[i]]
 
     def require(ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"{diag.type_id}: check failed: {what}")
 
-    def kills(rows, vector) -> bool:
-        return all(sum(map(mul, row, vector)) == 0 for row in rows)
+    def kills(entry, vector) -> bool:
+        return all(
+            sum(entry(i, j) * vector[j] for j in row_entries[i]) == 0 for i in range(num)
+        )
 
     require(all(len(row) == num for row in a), "Cartan matrix is square")
     require(all(a[i][i] == 2 for i in range(num)), "diagonal entries are 2")
-    require(all(a[i][j] <= 0 for i, j in off), "off-diagonal entries are nonpositive")
-    require(all((a[i][j] == 0) == (a[j][i] == 0) for i, j in off), "zero pattern is symmetric")
+    require(all(a[i][j] < 0 for i, j in bonds), "off-diagonal entries are nonpositive")
+    require(all(a[j][i] for i, j in bonds), "zero pattern is symmetric")
     require(diag.is_connected(diag.vertices), "diagram is connected")
-    require(kills(a, diag.marks), "marks annihilate the Cartan rows")
-    require(kills(zip(*a), diag.comarks), "comarks annihilate the Cartan columns")
+    require(kills(lambda i, j: a[i][j], diag.marks), "marks annihilate the Cartan rows")
+    require(kills(lambda i, j: a[j][i], diag.comarks), "comarks annihilate the Cartan columns")
     require(diag.comarks[0] == 1, "comark of vertex 0 is 1")
     require(math.gcd(*diag.marks) == 1, "marks are coprime")
     require(math.gcd(*diag.comarks) == 1, "comarks are coprime")
-    require(all(lensq[i] == b[i][i] for i in range(num)), "form diagonal is the squared lengths")
-    require(all(b[i][j] == b[j][i] for i, j in off), "form is symmetric")
-    require(kills(b, diag.marks), "marks annihilate the form")
+    half, scale = diag._half_lengths, math.lcm(*diag.marks)
+
+    def form(i, j):
+        return a[i][j] * half[i]
+
+    require(
+        all(x.numerator * scale == form(i, i) * x.denominator for i, x in enumerate(lensq)),
+        "form diagonal is the squared lengths",
+    )
+    require(all(form(i, j) == form(j, i) for i, j in bonds), "form is symmetric")
+    require(kills(form, diag.marks), "marks annihilate the form")
     require(all(x > 0 for x in lensq[1:]), "roots on vertices 1..n have positive length")
     # the form on vertices 1..n is diag(lensq / 2) times the Cartan block, so
     # with positive lengths it is positive definite exactly when the block's
     # pivots are all positive; dropping vertex 0 suffices since the radical
     # is spanned by the marks, all nonzero
-    _interior_adjugate(diag)
+    reason = _not_finite(a, adjacent)
+    require(reason is None, f"Cartan block on vertices 1..{diag.n} is of finite type ({reason})")
 
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(tid: AffineTypeId) -> AffineDiagram:
     rows, marks, comarks = _tables(tid)
-    num = len(rows)
-    lensq = tuple(Fraction(2 * comarks[i], marks[i]) for i in range(num))
-    sym = tuple(
-        tuple(Fraction(rows[i][j]) * lensq[i] / 2 for j in range(num))
-        for i in range(num)
-    )
     diag = AffineDiagram(
         type_id=tid,
-        n=num - 1,
-        cartan=tuple(tuple(row) for row in rows),
+        n=len(rows) - 1,
+        cartan=tuple(map(tuple, rows)),
         marks=tuple(marks),
         comarks=tuple(comarks),
-        root_length_sq=lensq,
-        sym_form=sym,
+        root_length_sq=tuple(Fraction(2 * c, m) for c, m in zip(comarks, marks)),
     )
     _validate(diag)
     return diag

@@ -15,7 +15,6 @@ import sys
 
 from .cartan import build_affine, catalog_types, parse_type_id
 from .covering import cocovers, covers, edge_to_json, special_vertices
-from .poset import basic_cell, export_graph, interval
 from .roots import CoverKind
 from .weights import format_shift, parse_shift, weight_from_labels
 
@@ -89,6 +88,8 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    from .poset import export_graph, interval
+
     top = _weight_arg(args.type, args.top, args.top_shift)
     bottom = _weight_arg(args.type, args.bottom, args.bottom_shift)
     graph = interval(top, bottom)
@@ -100,6 +101,8 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_cell(args) -> int:
+    from .poset import basic_cell, export_graph
+
     lam = _weight_arg(args.type, args.labels, args.shift)
     diagram = lam.diagram
     wanted = {

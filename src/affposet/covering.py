@@ -23,12 +23,11 @@ lower weight.  The tests are labelled with short case tags:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-from .cartan import AffineDiagram, classify_finite
+from .cartan import AffineDiagram, _set, _Value, classify_finite
 from .roots import (
     CoverCandidate,
     CoverKind,
@@ -54,15 +53,17 @@ class NonPositiveLevelError(ValueError):
     """The covering theory applies to positive level only."""
 
 
-@dataclass(frozen=True)
-class CoverEdge:
+class CoverEdge(_Value):
     """One covering pair: upper covers lower, dropping by root."""
 
-    upper: Weight
-    lower: Weight
-    kind: CoverKind
-    root: RootVector
-    case: str
+    __slots__ = _fields = ("upper", "lower", "kind", "root", "case")
+
+    def __init__(self, upper: Weight, lower: Weight, kind: CoverKind, root: RootVector, case: str):
+        _set(self, "upper", upper)
+        _set(self, "lower", lower)
+        _set(self, "kind", kind)
+        _set(self, "root", root)
+        _set(self, "case", case)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 
-from .cartan import build_affine
+from .cartan import _set, _Value, build_affine
 from .covering import CoverEdge, _edge_from_record, _moves, cocovers
 from .roots import CoverKind, RootVector
 from .weights import (
@@ -64,23 +63,23 @@ class CellShape(enum.Enum):
     DELTA_INTERVAL = "delta_interval"
 
 
-@dataclass(frozen=True)
-class PosetGraph:
+class PosetGraph(_Value):
     """Nodes and cover edges of a finite piece of the dominance order."""
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = _fields = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, nodes, edges) -> None:
+        _set(self, "nodes", tuple(nodes))
+        _set(self, "edges", tuple(edges))
 
 
-@dataclass(frozen=True)
-class Cell:
-    shape: CellShape
-    case: str
-    graph: PosetGraph
+class Cell(_Value):
+    __slots__ = _fields = ("shape", "case", "graph")
+
+    def __init__(self, shape: CellShape, case: str, graph: PosetGraph) -> None:
+        _set(self, "shape", shape)
+        _set(self, "case", case)
+        _set(self, "graph", graph)
 
 
 def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph:

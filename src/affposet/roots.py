@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import AffineDiagram
+from .cartan import AffineDiagram, _set, _Value
 
 __all__ = [
     "CoverKind",
@@ -40,23 +39,20 @@ class CoverKind(enum.Enum):
     EXCEPTIONAL = "exceptional"
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(_Value):
     """An integer vector in the simple root basis of one diagram."""
 
-    diagram: AffineDiagram
-    coeffs: tuple
+    __slots__ = _fields = ("diagram", "coeffs")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.diagram.n + 1:
-            raise ValueError(
-                f"expected {self.diagram.n + 1} coefficients, got {len(coeffs)}"
-            )
+    def __init__(self, diagram: AffineDiagram, coeffs) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != diagram.n + 1:
+            raise ValueError(f"expected {diagram.n + 1} coefficients, got {len(coeffs)}")
         for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"coefficients must be ints, got {c!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "diagram", diagram)
+        _set(self, "coeffs", coeffs)
 
     def support(self) -> frozenset:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
@@ -128,12 +124,12 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _shortest_first(diagram: AffineDiagram) -> tuple:
-    return tuple(sorted(diagram.vertices, key=diagram.root_length_sq.__getitem__))
+    return tuple(sorted(diagram.vertices, key=diagram._half_lengths.__getitem__))
 
 
 @functools.lru_cache(maxsize=None)
 def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
-    a, lens, adjacent = diagram.cartan, diagram.root_length_sq, diagram.adjacency
+    a, lens, adjacent = diagram.cartan, diagram._half_lengths, diagram.adjacency
     pairing = dict.fromkeys(subset, 0)
     seed = next(v for v in _shortest_first(diagram) if v in pairing)
     coeffs = [0] * (diagram.n + 1)
@@ -156,8 +152,12 @@ def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVec
     else:
         raise AssertionError(f"{diagram}: reflection climb did not stabilize on {subset}")
     beta = RootVector(diagram, tuple(coeffs))
-    if beta.support() != frozenset(subset):
+    # coefficients grow only inside the subset, so it is the support exactly
+    # when none of them is still zero
+    if not all(map(coeffs.__getitem__, subset)):
         raise AssertionError(f"{diagram}: highest short root {beta} has support other than {subset}")
+    # (beta, beta) = sum of c_v (beta, alpha_v^vee) |alpha_v|^2 / 2, in the
+    # diagram's integer length units
     if sum(coeffs[v] * pairing[v] * lens[v] for v in subset if pairing[v]) != 2 * lens[seed]:
         raise AssertionError(f"{diagram}: highest short root {beta} on {subset} is not short")
     return beta
@@ -217,10 +217,12 @@ def is_real_root(root: RootVector) -> bool:
     raise AssertionError(f"descent from {root} exceeded its budget")
 
 
-@dataclass(frozen=True)
-class CoverCandidate:
-    root: RootVector
-    kind: CoverKind
+class CoverCandidate(_Value):
+    __slots__ = _fields = ("root", "kind")
+
+    def __init__(self, root: RootVector, kind: CoverKind) -> None:
+        _set(self, "root", root)
+        _set(self, "kind", kind)
 
 
 def _connected_proper_subsets(diagram: AffineDiagram) -> set:

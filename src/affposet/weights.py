@@ -16,11 +16,10 @@ componentwise maximum repaired upward until dominant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cartan import AffineDiagram, _interior_adjugate
+from .cartan import AffineDiagram, _interior_adjugate, _set, _Value
 from .roots import CoverKind, RootVector
 
 __all__ = [
@@ -57,25 +56,35 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Weight:
+_ZERO = Fraction(0)
+
+
+class Weight(_Value):
     """Integer labels on the simple coroots plus the delta shift."""
 
-    diagram: AffineDiagram
-    labels: tuple
-    shift: Fraction = Fraction(0)
+    __slots__ = _fields = ("diagram", "labels", "shift")
 
-    def __post_init__(self) -> None:
-        labs = tuple(self.labels)
-        if len(labs) != self.diagram.n + 1:
-            raise ValueError(
-                f"expected {self.diagram.n + 1} labels, got {len(labs)}"
-            )
+    def __init__(self, diagram: AffineDiagram, labels, shift=_ZERO) -> None:
+        labs = tuple(labels)
+        if len(labs) != diagram.n + 1:
+            raise ValueError(f"expected {diagram.n + 1} labels, got {len(labs)}")
         for v in labs:
             if type(v) is not int:
                 raise TypeError(f"labels must be ints, got {v!r}")
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "shift", _as_fraction(self.shift))
+        _set(self, "diagram", diagram)
+        _set(self, "labels", labs)
+        _set(self, "shift", _as_fraction(shift))
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and self.shift == other.shift
+            and self.diagram == other.diagram
+        )
+
+    __hash__ = _Value.__hash__  # defining __eq__ alone would drop it
 
     @property
     def m(self) -> int:

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from affposet.cartan import (
     parse_type_id,
     _interior_adjugate,
 )
+from affposet.covering import special_vertices
 from affposet.roots import delta_root
 from affposet.weights import fundamental_weight
 
@@ -178,8 +180,9 @@ def test_interior_determinants():
 
 # A2-1 with the mark vector doubled at one vertex, and a symmetric matrix
 # whose mixed-sign mark vector passes every other check while its block on
-# vertices 1..3 has leading minor 4 - 9 < 0.  Each is served for a rank that
-# no other test builds, so nothing bad stays in the diagram cache.
+# vertices 1..3, eliminated leaf first (vertices 2 and 3, then 1), leaves the
+# pivot 2 - 9/2 - 1/2 = -3 at vertex 1.  Each is served for a rank that no
+# other test builds, so nothing bad stays in the diagram cache.
 _BAD_MARKS = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 2], [1, 1, 1])
 _NOT_FINITE = (
     [[2, 0, -1, -3], [0, 2, -3, -1], [-1, -3, 2, 0], [-3, -1, 0, 2]],
@@ -188,11 +191,22 @@ _NOT_FINITE = (
 )
 
 
+# A symmetric matrix with mixed-sign marks that passes every check before
+# the last, while its block on vertices 1..4 is the cycle 1-2-3-4-1.
+_CYCLE = (
+    [[2, 0, 0, -1, -1], [0, 2, -3, 0, -1], [0, -3, 2, -1, 0], [-1, 0, -1, 2, -2],
+     [-1, -1, 0, -2, 2]],
+    [1, -1, -1, 1, 1],
+    [1, -1, -1, 1, 1],
+)
+
+
 @pytest.mark.parametrize(
     "type_id, tables, message",
     [
         ("A97-1", _BAD_MARKS, "marks annihilate the Cartan rows"),
-        ("A98-1", _NOT_FINITE, "is of finite type (leading minor 2 is -5)"),
+        ("A98-1", _NOT_FINITE, "is of finite type (pivot at vertex 1 is -3)"),
+        ("A96-1", _CYCLE, "is of finite type (the block has a cycle)"),
     ],
 )
 def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
@@ -201,6 +215,88 @@ def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
         build_affine(type_id)
     assert f"{type_id}: check failed: " in str(err.value)
     assert message in str(err.value)
+
+
+def test_finite_type_failure_names_the_block(monkeypatch):
+    monkeypatch.setattr(cartan, "_tables", lambda tid: _NOT_FINITE)
+    with pytest.raises(ValueError) as err:
+        build_affine("A95-1")
+    assert str(err.value) == (
+        "A95-1: check failed: Cartan block on vertices 1..3 is of finite type"
+        " (pivot at vertex 1 is -3)"
+    )
+
+
+def _leading_minors_positive(cartan) -> bool:
+    """Reference: fraction-free Gauss-Jordan elimination of the block on
+    vertices 1..n in natural order, whose pivots are its leading principal
+    minors; finite type exactly when each is positive."""
+    n = len(cartan) - 1
+    rows = [[cartan[j][i] for i in range(1, n + 1)] for j in range(1, n + 1)]
+    prev = 1
+    for col in range(n):
+        head = rows[col]
+        if head[col] <= 0:
+            return False
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = head[col]
+    return True
+
+
+def _neighbours(cartan) -> tuple:
+    return tuple(
+        tuple(j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(cartan)
+    )
+
+
+VALIDATED = (
+    ALL_TYPES
+    + [f"A{n}-1" for n in range(1, 61)]
+    + [f"{f}{n}-1" for f, low in (("B", 3), ("C", 2), ("D", 4)) for n in range(low, 13)]
+    + ["E6-1", "E7-1", "E8-1", "A9-2", "A10-2", "D8-2"]
+)
+
+
+def test_leaf_first_elimination_matches_leading_minors():
+    for name in VALIDATED:
+        d = build_affine(name)
+        assert cartan._not_finite(d.cartan, d.adjacency) is None, name
+        assert _leading_minors_positive(d.cartan), name
+    for tables in (_NOT_FINITE, _CYCLE):
+        rows = tables[0]
+        assert cartan._not_finite(rows, _neighbours(rows)) is not None
+        assert not _leading_minors_positive(rows)
+
+
+def test_leaf_first_elimination_matches_leading_minors_on_random_trees():
+    # any tree of bonds is symmetrizable, so both tests decide finite type
+    # for it; vertex 0 is left out of every bond
+    rng = random.Random(7)
+    bonds = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4)]
+    verdicts = set()
+    for _ in range(400):
+        size = rng.randint(2, 9)
+        rows = [[2 if i == j else 0 for j in range(size + 1)] for i in range(size + 1)]
+        for v in range(2, size + 1):
+            u = rng.randint(1, v - 1)
+            x, y = rng.choice(bonds if rng.random() < 0.3 else bonds[:2])
+            rows[u][v], rows[v][u] = -x, -y
+        finite = _leading_minors_positive(rows)
+        assert (cartan._not_finite(rows, _neighbours(rows)) is None) == finite, rows
+        verdicts.add(finite)
+    assert verdicts == {True, False}
+
+
+def test_cold_queries_build_neither_adjugate_nor_form():
+    before = _interior_adjugate.cache_info().currsize
+    d = build_affine("A53-1")  # a rank no other test builds
+    special_vertices(d)
+    assert _interior_adjugate.cache_info().currsize == before
+    assert "sym_form" not in vars(d)
+    assert d.sym_form[0][1] == -1 and "sym_form" in vars(d)
 
 
 def test_finite_type_check_survives_optimized_mode():

@@ -1,4 +1,6 @@
-"""The import boundary: only the oracle's entry points load it and numpy.
+"""The import boundary: only the oracle's entry points load it and numpy,
+only interval and cell queries load the poset module, and nothing loads
+``dataclasses`` (with ``inspect`` behind it) outside the oracle.
 
 Each check runs in a fresh interpreter, so what it sees in ``sys.modules``
 comes from the code under test alone, not from earlier tests.
@@ -10,16 +12,20 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import affposet
 
 SRC = str(pathlib.Path(affposet.__file__).parents[1])
 HEAVY = ("numpy", "affposet.oracle")
+ON_DEMAND = ("dataclasses", "inspect", "affposet.poset")
 
 PRELUDE = (
     "import io, json, sys\n"
     f"HEAVY = {HEAVY!r}\n"
-    "def loaded():\n"
-    "    return [m for m in HEAVY if m in sys.modules]\n"
+    f"ON_DEMAND = {ON_DEMAND!r}\n"
+    "def loaded(names=HEAVY):\n"
+    "    return [m for m in names if m in sys.modules]\n"
 )
 
 
@@ -58,6 +64,30 @@ def test_classifier_commands_never_load_the_oracle():
     assert facts == [["import affposet", 0, []]] + [[argv[0], 0, []] for argv in COLD_COMMANDS]
 
 
+def test_cold_commands_load_neither_dataclasses_nor_poset():
+    facts = fresh(
+        "import affposet\n"
+        "from affposet.cli import run\n"
+        "facts = [['import affposet', 0, loaded(ON_DEMAND)]]\n"
+        f"for argv in {COLD_COMMANDS[:4]!r}:\n"
+        "    code = run(argv, io.StringIO(), io.StringIO())\n"
+        "    facts.append([argv[0], code, loaded(ON_DEMAND)])\n"
+        "print(json.dumps(facts))\n"
+    )
+    assert facts == [["import affposet", 0, []]] + [[argv[0], 0, []] for argv in COLD_COMMANDS[:4]]
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS[4:], ids=lambda argv: argv[0])
+def test_interval_and_cell_load_poset(argv):
+    facts = fresh(
+        "from affposet.cli import run\n"
+        "before = loaded(ON_DEMAND)\n"
+        f"code = run({argv!r}, io.StringIO(), io.StringIO())\n"
+        "print(json.dumps([before, code, loaded(ON_DEMAND)]))\n"
+    )
+    assert facts == [[], 0, ["affposet.poset"]]
+
+
 def test_verify_loads_the_oracle_and_numpy():
     facts = fresh(
         "from affposet.cli import run\n"
@@ -82,6 +112,20 @@ def test_oracle_names_resolve_through_the_package():
     # the package keeps no copy, so a patch of the oracle module (as the
     # benchmark's tracer makes and undoes) is what the package serves
     assert facts == [True, False, True, list(HEAVY)]
+
+
+def test_poset_names_resolve_through_the_package():
+    facts = fresh(
+        "import affposet\n"
+        "first = affposet.interval\n"
+        "import affposet.poset as poset\n"
+        "same = first is poset.interval\n"
+        "cached = 'interval' in vars(affposet)\n"
+        "poset.interval = patched = object()\n"
+        "follows = affposet.interval is patched\n"
+        "print(json.dumps([same, cached, follows, loaded(ON_DEMAND)]))\n"
+    )
+    assert facts == [True, False, True, ["affposet.poset"]]
 
 
 def test_star_import_binds_every_public_name():
