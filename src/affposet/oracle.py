@@ -5,24 +5,34 @@ enumerate a whole box of root-vector offsets, keep the dominant results, and
 extract extremal elements by componentwise comparison.  The covering module
 is imported only inside :func:`verify_covering`, which is the comparator;
 the brute searches themselves must stay independent of it.
+
+Each box is built once per diagram and window, with numpy, as bitsets: one
+Python int per threshold, holding the rows whose coroot change (A beta)_j,
+or whose coordinate beta_j, is at most that threshold.  A query then costs a
+few integer ANDs: the dominant results are one AND per vertex, an offset is
+minimal when the AND of its coordinate masks meets the results only at its
+own bit, and the least result, when there is one, is read off the smallest
+coordinate each vertex reaches.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq, mul
 
 import numpy as np
 
 from .cartan import AffineDiagram, build_affine, parse_type_id
-from .roots import RootVector, cover_root_lookup, delta_root
+from .roots import RootVector, cover_root_lookup
 from .weights import (
-    ComponentMismatchError,
     Weight,
+    _integer_gap,
     add_root,
-    difference,
     format_shift,
     is_dominant,
     meet,
@@ -54,7 +64,10 @@ class SearchWindow:
     bounds: tuple
 
     def __post_init__(self) -> None:
-        bounds = tuple(int(b) for b in self.bounds)
+        bounds = tuple(self.bounds)
+        for b in bounds:
+            if type(b) is not int:
+                raise TypeError(f"window bounds must be ints, got {b!r}")
         if not bounds or any(b < 1 for b in bounds):
             raise ValueError(f"window bounds must be positive, got {bounds}")
         object.__setattr__(self, "bounds", bounds)
@@ -68,36 +81,109 @@ def default_window(diagram: AffineDiagram) -> SearchWindow:
     return SearchWindow(tuple(2 * a for a in diagram.marks))
 
 
-_GRID_CACHE: dict = {}
+class _Box:
+    """Every offset of one window, as bit positions in Python ints.
+
+    Row r is the offset whose digits in mixed radix bound + 1 (vertex 0
+    most significant) are r, so rows run in lexicographic order of offsets.
+    A set of rows is an int with bit r set for each row r in it.
+    """
+
+    __slots__ = ("strides", "radices", "full", "lows", "label_masks", "coord_masks")
+
+    def __init__(self, diagram: AffineDiagram, bounds: tuple) -> None:
+        self.radices = tuple(b + 1 for b in bounds)
+        self.strides = tuple(math.prod(self.radices[j + 1:]) for j in diagram.vertices)
+        size = math.prod(self.radices)
+        self.full = (1 << size) - 1
+        rows = np.arange(size, dtype=np.int64)
+        digits = [rows // s % r for s, r in zip(self.strides, self.radices)]
+        # coord_masks[j][t]: the rows whose offset has beta_j <= t
+        self.coord_masks = tuple(
+            _at_most_masks(d, np.arange(b + 1)) for d, b in zip(digits, bounds)
+        )
+        # label_masks[j][k]: the rows where (A beta)_j <= lows[j] + k; every
+        # row qualifies from the last value on, which is left out
+        lows, label_masks = [], []
+        for j, row in enumerate(diagram.cartan):
+            change = sum(row[i] * digits[i] for i in (j,) + diagram.adjacency[j])
+            low = int(change.min())
+            lows.append(low)
+            label_masks.append(_at_most_masks(change, np.arange(low, int(change.max()))))
+        self.lows = tuple(lows)
+        self.label_masks = tuple(label_masks)
+
+    def offset(self, r: int) -> tuple:
+        return tuple(r // s % radix for s, radix in zip(self.strides, self.radices))
+
+    def change_at_most(self, labs) -> int:
+        """The rows with A beta <= labs: labs - A beta is dominant."""
+        rows = self.full
+        for low, masks, v in zip(self.lows, self.label_masks, labs):
+            k = v - low
+            if k < 0:
+                return 0
+            if k < len(masks):
+                rows &= masks[k]
+        return rows
+
+    def change_at_least(self, labs) -> int:
+        """The rows with A beta >= -labs: labs + A beta is dominant."""
+        rows = self.full
+        for low, masks, v in zip(self.lows, self.label_masks, labs):
+            k = -v - 1 - low
+            if k >= len(masks):
+                return 0
+            if k >= 0:
+                rows &= ~masks[k]
+        return rows
+
+    def minimal(self, rows: int) -> list:
+        """The componentwise-minimal offsets among the rows, in row order."""
+        out = []
+        rest = rows
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            beta = self.offset(bit.bit_length() - 1)
+            below = rows
+            for masks, t in zip(self.coord_masks, beta):
+                below &= masks[t]
+            if below == bit:
+                out.append(beta)
+        return out
+
+    def least(self, rows: int):
+        """The componentwise-least offset among the (nonempty) rows, or None.
+
+        Its coordinates would be the smallest ones any row has, so it exists
+        exactly when the row made of those is in the set.
+        """
+        beta = []
+        for masks in self.coord_masks:
+            t = 0
+            while not masks[t] & rows:
+                t += 1
+            beta.append(t)
+        r = sum(map(mul, beta, self.strides))
+        return tuple(beta) if rows >> r & 1 else None
 
 
-def _grid(diagram: AffineDiagram, window: SearchWindow):
-    """All offsets in the window and their effect on coroot values."""
-    key = (str(diagram.type_id), window.bounds)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
-    axes = [np.arange(b + 1, dtype=np.int64) for b in window.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    betas = np.stack(mesh, axis=-1).reshape(-1, len(axes))
-    a = np.array(diagram.cartan, dtype=np.int64)
-    label_delta = betas @ a.T
-    _GRID_CACHE[key] = (betas, label_delta)
-    return betas, label_delta
+def _at_most_masks(values, thresholds) -> tuple:
+    """For each threshold t, the rows whose value is at most t, as one int."""
+    below = values[None, :] <= thresholds[:, None]
+    packed = np.packbits(below, axis=1, bitorder="little")
+    return tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
 
 
-def _minimal_rows(rows):
-    """Indices of componentwise-minimal rows (rows are pairwise distinct)."""
-    count = len(rows)
-    if count <= 1500:
-        leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=-1)
-        below = leq & ~np.eye(count, dtype=bool)
-        return np.flatnonzero(~below.any(axis=0))
-    keep = []
-    for r in range(count):
-        if int((rows <= rows[r]).all(axis=1).sum()) == 1:
-            keep.append(r)
-    return np.array(keep, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _box(diagram: AffineDiagram, bounds: tuple) -> _Box:
+    return _Box(diagram, bounds)
+
+
+def _check_rank(diagram: AffineDiagram, window: SearchWindow) -> None:
+    if len(window.bounds) != diagram.n + 1:
+        raise ValueError("window rank does not match the diagram")
 
 
 @dataclass(frozen=True)
@@ -121,25 +207,15 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     diagram = weight.diagram
     if window is None:
         window = default_window(diagram)
-    if len(window.bounds) != diagram.n + 1:
-        raise ValueError("window rank does not match the diagram")
-    betas, label_delta = _grid(diagram, window)
-    labs = np.array(weight.labels, dtype=np.int64)
-    dominant = (labs[None, :] - label_delta >= 0).all(axis=1)
-    dominant &= (betas != 0).any(axis=1)
-    candidates = betas[dominant]
-    if len(candidates) == 0:
-        return BruteCocovers((), (), ())
-    minimal = candidates[_minimal_rows(candidates)]
-    order = sorted(range(len(minimal)), key=lambda r: tuple(minimal[r]))
-    bounds = np.array(window.bounds, dtype=np.int64)
+    _check_rank(diagram, window)
+    box = _box(diagram, window.bounds)
+    candidates = box.change_at_most(weight.labels) & ~1  # row 0 is the zero offset
     lowers, diffs, flags = [], [], []
-    for r in order:
-        beta = minimal[r]
-        diff = RootVector(diagram, tuple(int(b) for b in beta))
+    for beta in box.minimal(candidates):
+        diff = RootVector(diagram, beta)
         lowers.append(add_root(weight, -diff))
         diffs.append(diff)
-        flags.append(bool((beta == bounds).any()))
+        flags.append(any(map(eq, beta, window.bounds)))
     return BruteCocovers(tuple(lowers), tuple(diffs), tuple(flags))
 
 
@@ -147,13 +223,6 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
 class BruteBounds:
     glb: Weight
     lub: Weight
-
-
-def _corner_weights(a: Weight, gap: tuple):
-    """Componentwise minimum and maximum of a and b, given gap = a - b."""
-    lo = add_root(a, RootVector(a.diagram, tuple(-max(0, g) for g in gap)))
-    hi = add_root(a, RootVector(a.diagram, tuple(max(0, -g) for g in gap)))
-    return lo, hi
 
 
 def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> BruteBounds:
@@ -166,51 +235,40 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     a minimal candidate is automatically the global minimum; the search is
     exact whenever the box is nonempty.
     """
-    gap = difference(a, b)
-    for g in gap:
-        if g.denominator != 1:
-            raise ComponentMismatchError(
-                f"coefficients differ by the non-integer {g}"
-            )
+    gap = _integer_gap(a, b, "coefficients differ by the non-integer {g}")
     if not (is_dominant(a) and is_dominant(b)):
         raise ValueError("bounds are searched for dominant integral weights")
     diagram = a.diagram
     if window is None:
         window = default_window(diagram)
-    betas, label_delta = _grid(diagram, window)
-    bounds = np.array(window.bounds, dtype=np.int64)
-    corner_lo, corner_hi = _corner_weights(a, tuple(g.numerator for g in gap))
+    _check_rank(diagram, window)
+    box = _box(diagram, window.bounds)
+    corner_lo = add_root(a, RootVector(diagram, tuple(-max(0, g) for g in gap)))
+    corner_hi = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
 
-    lo_labs = np.array(corner_lo.labels, dtype=np.int64)
-    down_ok = (lo_labs[None, :] - label_delta >= 0).all(axis=1)
-    down = betas[down_ok]
-    if len(down) == 0:
+    down = box.change_at_most(corner_lo.labels)
+    if not down:
         raise WindowExhaustedError("no dominant lower bound within the window")
-    down_min = down[_minimal_rows(down)]
-    if len(down_min) != 1:
+    gamma = box.least(down)
+    if gamma is None:
         raise RuntimeError(
             "lower bounds have no greatest element: "
-            + ", ".join(str(tuple(map(int, r))) for r in down_min)
+            + ", ".join(map(str, box.minimal(down)))
         )
-    gamma = down_min[0]
-    if not (down >= gamma).all():
-        raise RuntimeError("lower bound search found incomparable maxima")
-    if gamma.any() and bool((gamma == bounds).any()):
+    if any(gamma) and any(map(eq, gamma, window.bounds)):
         raise WindowExhaustedError("greatest lower bound touches the window")
-    glb = add_root(corner_lo, -RootVector(diagram, tuple(int(v) for v in gamma)))
+    glb = add_root(corner_lo, -RootVector(diagram, gamma))
 
-    hi_labs = np.array(corner_hi.labels, dtype=np.int64)
-    up_ok = (hi_labs[None, :] + label_delta >= 0).all(axis=1)
-    up = betas[up_ok]
-    if len(up) == 0:
+    up = box.change_at_least(corner_hi.labels)
+    if not up:
         raise WindowExhaustedError("no dominant upper bound within the window")
-    up_min = up[_minimal_rows(up)]
-    if len(up_min) != 1:
+    beta = box.least(up)
+    if beta is None:
         raise RuntimeError(
             "upper bounds have two incomparable minima: "
-            + ", ".join(str(tuple(map(int, r))) for r in up_min)
+            + ", ".join(map(str, box.minimal(up)))
         )
-    lub = add_root(corner_hi, RootVector(diagram, tuple(int(v) for v in up_min[0])))
+    lub = add_root(corner_hi, RootVector(diagram, beta))
     return BruteBounds(glb, lub)
 
 
@@ -263,70 +321,66 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
 
 def _dominant_repair(weight: Weight) -> Weight:
     # smallest dominant weight above the input; reimplemented here so the
-    # pair generator does not lean on the lattice code it is checking
+    # pair generator does not lean on the lattice code it is checking.
+    # Raising vertex j by step adds step times Cartan column j to the labels.
     diagram = weight.diagram
+    cartan = diagram.cartan
+    labs, shift = list(weight.labels), weight.shift
     while True:
-        bad = [j for j, e in enumerate(weight.labels) if e < 0]
-        if not bad:
-            return weight
-        j = bad[0]
-        step = [(1 - weight.labels[j]) // 2 if i == j else 0 for i in diagram.vertices]
-        weight = add_root(weight, RootVector(diagram, step))
+        j = next((j for j, e in enumerate(labs) if e < 0), None)
+        if j is None:
+            return Weight(diagram, labs, shift)
+        step = (1 - labs[j]) // 2
+        for i in (j,) + diagram.adjacency[j]:
+            labs[i] += step * cartan[i][j]
+        if j == 0:
+            shift += Fraction(step, diagram.marks[0])
 
 
 def _weight_key(weight: Weight):
     return (weight.labels, format_shift(weight.shift))
 
 
+def _mismatch(mismatches, check, detail, weight, partner=None):
+    record = {"labels": list(weight.labels), "shift": format_shift(weight.shift)}
+    if partner is not None:
+        record["partner"] = list(partner.labels)
+        record["partner_shift"] = format_shift(partner.shift)
+    record["check"] = check
+    record["detail"] = detail
+    mismatches.append(record)
+
+
 def _check_one(weight, window, mismatches, flags_total):
     from . import covering
 
-    record = {
-        "labels": list(_weight_key(weight)[0]),
-        "shift": _weight_key(weight)[1],
-    }
     bc = brute_cocovers(weight, window)
-    flags_total += sum(1 for f in bc.boundary if f)
     for f, diff in zip(bc.boundary, bc.differences):
         if f:
-            mismatch = dict(record)
-            mismatch["check"] = "boundary"
-            mismatch["detail"] = f"offset {list(diff.coeffs)} touches the window"
-            mismatches.append(mismatch)
-    theory = covering.cocovers(weight)
-    brute_set = {_weight_key(w) for w in bc.cocovers}
-    theory_set = {_weight_key(e.lower) for e in theory}
+            flags_total += 1
+            detail = f"offset {list(diff.coeffs)} touches the window"
+            _mismatch(mismatches, "boundary", detail, weight)
+    brute_set = set(bc.cocovers)
+    theory_set = {e.lower for e in covering.cocovers(weight)}
     if brute_set != theory_set:
-        mismatch = dict(record)
-        mismatch["check"] = "cocovers"
-        mismatch["detail"] = (
-            f"brute {sorted(brute_set)} vs classified {sorted(theory_set)}"
-        )
-        mismatches.append(mismatch)
+        brute_keys = sorted(map(_weight_key, brute_set))
+        theory_keys = sorted(map(_weight_key, theory_set))
+        detail = f"brute {brute_keys} vs classified {theory_keys}"
+        _mismatch(mismatches, "cocovers", detail, weight)
     lookup = cover_root_lookup(weight.diagram)
     for diff in bc.differences:
         if diff.coeffs not in lookup:
-            mismatch = dict(record)
-            mismatch["check"] = "difference"
-            mismatch["detail"] = f"{list(diff.coeffs)} is not a candidate root"
-            mismatches.append(mismatch)
+            detail = f"{list(diff.coeffs)} is not a candidate root"
+            _mismatch(mismatches, "difference", detail, weight)
     marks = weight.diagram.marks
     delta_brute = any(diff.coeffs == marks for diff in bc.differences)
     if covering.is_delta_cocover(weight) != delta_brute:
-        mismatch = dict(record)
-        mismatch["check"] = "delta"
-        mismatch["detail"] = f"classified {not delta_brute}, brute {delta_brute}"
-        mismatches.append(mismatch)
+        detail = f"classified {not delta_brute}, brute {delta_brute}"
+        _mismatch(mismatches, "delta", detail, weight)
     return flags_total
 
 
 def _check_pair(weight, partner, window, mismatches):
-    record = {
-        "labels": list(_weight_key(weight)[0]),
-        "shift": _weight_key(weight)[1],
-        "partner": list(_weight_key(partner)[0]),
-        "partner_shift": _weight_key(partner)[1],
-    }
     search = window
     bb = None
     for _ in range(5):
@@ -336,21 +390,12 @@ def _check_pair(weight, partner, window, mismatches):
         except WindowExhaustedError:
             search = search.doubled()
     if bb is None:
-        mismatch = dict(record)
-        mismatch["check"] = "bounds"
-        mismatch["detail"] = "window exhausted"
-        mismatches.append(mismatch)
+        _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return
-    if _weight_key(bb.glb) != _weight_key(meet(weight, partner)):
-        mismatch = dict(record)
-        mismatch["check"] = "meet"
-        mismatch["detail"] = f"brute {_weight_key(bb.glb)}"
-        mismatches.append(mismatch)
-    if _weight_key(bb.lub) != _weight_key(join(weight, partner)):
-        mismatch = dict(record)
-        mismatch["check"] = "join"
-        mismatch["detail"] = f"brute {_weight_key(bb.lub)}"
-        mismatches.append(mismatch)
+    if bb.glb != meet(weight, partner):
+        _mismatch(mismatches, "meet", f"brute {_weight_key(bb.glb)}", weight, partner)
+    if bb.lub != join(weight, partner):
+        _mismatch(mismatches, "join", f"brute {_weight_key(bb.lub)}", weight, partner)
 
 
 def verify_covering(

@@ -149,15 +149,22 @@ def _require_same_diagram(a: Weight, b: Weight) -> None:
         )
 
 
-def difference(a: Weight, b: Weight) -> tuple:
-    """Coefficientwise difference a - b, defined only at equal level."""
+def _scaled_difference(a: Weight, b: Weight) -> tuple:
+    """The coefficients of a - b times a common denominator, and that
+    denominator; defined only at equal level."""
     _require_same_diagram(a, b)
     if a.m != b.m:
         raise ComponentMismatchError(
             f"levels differ: {a.m} and {b.m}"
         )
     gap = tuple(x - y for x, y in zip(a.labels, b.labels))
-    return _root_coeffs(a.diagram, gap, a.shift - b.shift)
+    return _scaled_coeffs(a.diagram, gap, a.shift - b.shift)
+
+
+def difference(a: Weight, b: Weight) -> tuple:
+    """Coefficientwise difference a - b, defined only at equal level."""
+    nums, den = _scaled_difference(a, b)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def dominance_leq(lower: Weight, upper: Weight) -> bool:
@@ -175,24 +182,36 @@ def add_root(weight: Weight, root: RootVector) -> Weight:
     if diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
     beta = root.coeffs
+    shift = weight.shift
+    if beta[0]:
+        shift += Fraction(beta[0], diagram.marks[0])
     return Weight(
         diagram,
         tuple(v + sum(map(mul, row, beta)) for v, row in zip(weight.labels, diagram.cartan)),
-        weight.shift + Fraction(beta[0], diagram.marks[0]),
+        shift,
     )
+
+
+def _integer_gap(a: Weight, b: Weight, message: str) -> tuple:
+    """The integer root vector a - b, with one divisibility test per coefficient.
+
+    Raises ComponentMismatchError unless a and b share a component; a
+    non-integer coefficient gets ``message``, formatted with its index i and
+    its value g.
+    """
+    nums, den = _scaled_difference(a, b)
+    for i, v in enumerate(nums):
+        if v % den:
+            raise ComponentMismatchError(message.format(i=i, g=Fraction(v, den)))
+    return tuple(v // den for v in nums)
 
 
 def _require_component(a: Weight, b: Weight) -> tuple:
     """The integer root vector a - b; raises unless a and b share a component."""
-    gap = difference(a, b)
-    for i, g in enumerate(gap):
-        if g.denominator != 1:
-            raise ComponentMismatchError(
-                f"coefficient {i} differs by the non-integer {g}"
-            )
+    gap = _integer_gap(a, b, "coefficient {i} differs by the non-integer {g}")
     if not (is_dominant(a) and is_dominant(b)):
         raise ValueError("meet and join are defined for dominant weights")
-    return tuple(g.numerator for g in gap)
+    return gap
 
 
 def meet(a: Weight, b: Weight) -> Weight:
@@ -216,15 +235,19 @@ def join(a: Weight, b: Weight) -> Weight:
     """
     gap = _require_component(a, b)
     diagram = a.diagram
-    current = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
+    corner = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
+    # raising vertex j by step adds step times Cartan column j to the labels
+    cartan = diagram.cartan
+    labs, shift = list(corner.labels), corner.shift
     while True:
-        j = next((j for j, e in enumerate(current.labels) if e < 0), None)
+        j = next((j for j, e in enumerate(labs) if e < 0), None)
         if j is None:
-            return current
-        step = (1 - current.labels[j]) // 2
-        current = add_root(
-            current, RootVector(diagram, tuple(step * (i == j) for i in diagram.vertices))
-        )
+            return Weight(diagram, labs, shift)
+        step = (1 - labs[j]) // 2
+        for i in (j,) + diagram.adjacency[j]:
+            labs[i] += step * cartan[i][j]
+        if j == 0:
+            shift += Fraction(step, diagram.marks[0])
 
 
 def sort_key(weight: Weight) -> tuple:

@@ -1,13 +1,18 @@
 import ast
+import operator
 import pathlib
+import random
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import affposet
 import affposet.oracle as oracle
-from affposet.cartan import build_affine, parse_type_id
+from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.oracle import (
+    BruteBounds,
     SearchWindow,
     WindowExhaustedError,
     brute_bounds,
@@ -15,9 +20,12 @@ from affposet.oracle import (
     default_window,
     verify_covering,
 )
+from affposet.roots import RootVector
 from affposet.weights import (
     ComponentMismatchError,
+    add_root,
     delta_shift,
+    difference,
     fundamental_weight,
     labels,
     meet,
@@ -147,6 +155,59 @@ def test_verify_accepts_diagram_instance():
     assert report.type == "A1-1" and not report.mismatches
 
 
+def _first_record_per_check(report):
+    first = {}
+    for record in report.mismatches:
+        first.setdefault(record["check"], list(record.items()))  # keeps key order
+    return first
+
+
+def test_mismatch_records_are_frozen(monkeypatch):
+    # force every kind of mismatch and pin the record each kind writes
+    import affposet.covering as covering
+
+    monkeypatch.setattr(covering, "cocovers", lambda w: [])
+    monkeypatch.setattr(covering, "is_delta_cocover", lambda w: True)
+    monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: set())
+    monkeypatch.setattr(oracle, "meet", lambda a, b: a)
+    monkeypatch.setattr(oracle, "join", lambda a, b: b)
+    report = verify_covering("A2-1", levels=(1,), samples_per_level=3, seed=2)
+    assert (report.tested, len(report.mismatches)) == (22, 64)
+    pair = [("labels", [0, 0, 1]), ("shift", "4/1"), ("partner", [0, 0, 1]),
+            ("partner_shift", "3/1")]
+    assert _first_record_per_check(report) == {
+        "cocovers": [("labels", [0, 0, 1]), ("shift", "0/1"), ("check", "cocovers"),
+                     ("detail", "brute [((0, 0, 1), '-1/1')] vs classified []")],
+        "difference": [("labels", [0, 0, 1]), ("shift", "0/1"), ("check", "difference"),
+                       ("detail", "[1, 1, 1] is not a candidate root")],
+        "delta": [("labels", [0, 0, 2]), ("shift", "0/1"), ("check", "delta"),
+                  ("detail", "classified True, brute False")],
+        "meet": pair + [("check", "meet"), ("detail", "brute ((0, 0, 1), '3/1')")],
+        "join": pair + [("check", "join"), ("detail", "brute ((0, 0, 1), '4/1')")],
+    }
+    monkeypatch.undo()
+
+    def exhausted(*args):
+        raise WindowExhaustedError("no room")
+
+    monkeypatch.setattr(oracle, "brute_bounds", exhausted)
+    report = verify_covering("A1-1", levels=(1,), samples_per_level=3, seed=2)
+    assert _first_record_per_check(report) == {
+        "bounds": [("labels", [0, 1]), ("shift", "-1/1"), ("partner", [0, 1]),
+                   ("partner_shift", "-1/1"), ("check", "bounds"),
+                   ("detail", "window exhausted")],
+    }
+    monkeypatch.undo()
+
+    report = verify_covering("A1-1", levels=(1,), samples_per_level=3, seed=2,
+                             window=SearchWindow((1, 1)))
+    assert report.boundary_flags == len(report.mismatches) == 12
+    assert _first_record_per_check(report) == {
+        "boundary": [("labels", [0, 1]), ("shift", "0/1"), ("check", "boundary"),
+                     ("detail", "offset [1, 1] touches the window")],
+    }
+
+
 def test_brute_search_is_independent_of_the_classifier():
     # the brute module must never import the classifier at module level
     source = pathlib.Path(oracle.__file__).read_text()
@@ -176,3 +237,181 @@ def test_brute_search_is_independent_of_the_classifier():
     finally:
         sys.modules["affposet.covering"] = saved_mod
         affposet.covering = saved_attr
+
+
+def test_search_window_rejects_non_int_bounds():
+    for bad in ((1.9, 2), (True, 2), (2, "2")):
+        with pytest.raises(TypeError, match="window bounds must be ints"):
+            SearchWindow(bad)
+
+
+def test_brute_bounds_rejects_wrong_rank_window():
+    a = W("A2-1", (0, 3, 0))
+    b = W("A2-1", (0, 0, 3))
+    for bounds in ((2, 2), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="window rank does not match the diagram"):
+            brute_bounds(a, b, SearchWindow(bounds))
+        with pytest.raises(ValueError, match="window rank does not match the diagram"):
+            brute_cocovers(a, SearchWindow(bounds))
+
+
+# A copy of the numpy grid search the bitset box replaced: every offset of the
+# window as an array row, dominance by a scan of the whole box, and minimal
+# rows by pairwise comparison.  The box must give the same answers.
+_REF_GRIDS: dict = {}
+
+
+def _ref_grid(diagram, bounds):
+    key = (str(diagram.type_id), bounds)
+    if key not in _REF_GRIDS:
+        axes = [np.arange(b + 1, dtype=np.int64) for b in bounds]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        betas = np.stack(mesh, axis=-1).reshape(-1, len(axes))
+        _REF_GRIDS[key] = (betas, betas @ np.array(diagram.cartan, dtype=np.int64).T)
+    return _REF_GRIDS[key]
+
+
+def _ref_minimal_rows(rows):
+    count = len(rows)
+    if count <= 1500:
+        leq = (rows[:, None, :] <= rows[None, :, :]).all(axis=-1)
+        below = leq & ~np.eye(count, dtype=bool)
+        return np.flatnonzero(~below.any(axis=0))
+    keep = [r for r in range(count) if int((rows <= rows[r]).all(axis=1).sum()) == 1]
+    return np.array(keep, dtype=np.int64)
+
+
+def _ref_touches(beta, window):
+    return any(b == bound for b, bound in zip(beta, window.bounds))
+
+
+def _ref_cocovers(weight, window):
+    betas, change = _ref_grid(weight.diagram, window.bounds)
+    labs = np.array(weight.labels, dtype=np.int64)
+    ok = (labs[None, :] - change >= 0).all(axis=1) & (betas != 0).any(axis=1)
+    candidates = betas[ok]
+    if len(candidates) == 0:
+        return []
+    minimal = sorted(tuple(map(int, r)) for r in candidates[_ref_minimal_rows(candidates)])
+    return [
+        (add_root(weight, -RootVector(weight.diagram, beta)), beta, _ref_touches(beta, window))
+        for beta in minimal
+    ]
+
+
+def _ref_bounds(a, b, window):
+    diagram = a.diagram
+    gap = tuple(g.numerator for g in difference(a, b))
+    betas, change = _ref_grid(diagram, window.bounds)
+    lo = add_root(a, RootVector(diagram, tuple(-max(0, g) for g in gap)))
+    hi = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
+    down = betas[(np.array(lo.labels)[None, :] - change >= 0).all(axis=1)]
+    if len(down) == 0:
+        raise WindowExhaustedError("no dominant lower bound within the window")
+    down_min = down[_ref_minimal_rows(down)]
+    assert len(down_min) == 1 and (down >= down_min[0]).all()
+    gamma = tuple(map(int, down_min[0]))
+    if any(gamma) and _ref_touches(gamma, window):
+        raise WindowExhaustedError("greatest lower bound touches the window")
+    up = betas[(np.array(hi.labels)[None, :] + change >= 0).all(axis=1)]
+    if len(up) == 0:
+        raise WindowExhaustedError("no dominant upper bound within the window")
+    up_min = up[_ref_minimal_rows(up)]
+    assert len(up_min) == 1
+    glb = add_root(lo, -RootVector(diagram, gamma))
+    return BruteBounds(glb, add_root(hi, RootVector(diagram, tuple(map(int, up_min[0])))))
+
+
+def _ref_repair(weight):
+    # the dense repair: one simple root vector added per step
+    diagram = weight.diagram
+    while True:
+        bad = [j for j, e in enumerate(weight.labels) if e < 0]
+        if not bad:
+            return weight
+        j = bad[0]
+        step = [(1 - weight.labels[j]) // 2 if i == j else 0 for i in diagram.vertices]
+        weight = add_root(weight, RootVector(diagram, step))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except WindowExhaustedError as exc:
+        return ("exhausted", str(exc))
+
+
+@pytest.mark.parametrize(
+    "name", [str(t) for t in catalog_types()] + ["E6-1"]
+)
+def test_box_search_matches_numpy_grid(name):
+    diagram = D(name)
+    rng = random.Random(f"box:{name}")
+    default = default_window(diagram)
+    windows = [default, SearchWindow((1,) * (diagram.n + 1)), default.doubled()]
+    # E6-1 doubles to 658 125 offsets, which the reference scans slowly
+    per_level = 2 if name == "E6-1" else 6
+    for level in (1, 2, 3, 4):
+        for _ in range(per_level):
+            labs = oracle._sample_labels(diagram, level, rng)
+            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            weight = weight_from_labels(diagram, labs, shift)
+            offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
+            moved = add_root(weight, offsets)
+            partner = oracle._dominant_repair(moved)
+            assert partner == _ref_repair(moved)
+            for window in windows:
+                bc = brute_cocovers(weight, window)
+                got = list(zip(bc.cocovers, (d.coeffs for d in bc.differences), bc.boundary))
+                assert got == _ref_cocovers(weight, window), (weight, window)
+                bb = _outcome(brute_bounds, weight, partner, window)
+                assert bb == _outcome(_ref_bounds, weight, partner, window), (weight, window)
+    oracle._box.cache_clear()
+    _REF_GRIDS.clear()
+
+
+def test_box_minimal_and_least_on_random_row_sets():
+    # row sets the searches never produce, such as ones with two minima
+    diagram = D("G2-1")
+    bounds = (2, 1, 3)
+    box = oracle._box(diagram, bounds)
+    offsets = [
+        (x, y, z) for x in range(3) for y in range(2) for z in range(4)
+    ]
+    assert [box.offset(r) for r in range(len(offsets))] == offsets
+    rng = random.Random(11)
+    saw_no_least = False
+    for _ in range(300):
+        chosen = rng.sample(range(len(offsets)), rng.randint(1, 6))
+        rows = sum(1 << r for r in chosen)
+        members = [offsets[r] for r in sorted(chosen)]
+        minimal = [
+            m for m in members
+            if not any(o != m and all(map(operator.le, o, m)) for o in members)
+        ]
+        assert box.minimal(rows) == minimal
+        least = minimal[0] if len(minimal) == 1 else None
+        assert box.least(rows) == least
+        saw_no_least |= least is None
+    assert saw_no_least
+
+
+def test_box_search_matches_numpy_grid_when_exhausted():
+    a = W("A2-1", (0, 12, 0))
+    b = W("A2-1", (0, 0, 12))
+    outcomes = []
+    for bound in (1, 2, 4):
+        window = SearchWindow((bound,) * 3)
+        bb = _outcome(brute_bounds, a, b, window)
+        assert bb == _outcome(_ref_bounds, a, b, window)
+        outcomes.append(bb)
+    assert outcomes[0][0] == "exhausted" and outcomes[2].glb == meet(a, b)
+
+
+def test_verify_covering_e7_within_budget():
+    # every weight searches a box of 496 125 offsets
+    report = verify_covering("E7-1", levels=(1, 2), samples_per_level=20, budget=20.0)
+    assert not report.budget_exceeded
+    assert report.tested == 164 + 40
+    assert report.mismatches == ()
+    assert report.boundary_flags == 0
