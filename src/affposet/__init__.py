@@ -68,9 +68,9 @@ __version__ = "0.1.0"
 # a patch of it.
 _LAZY = {
     **dict.fromkeys((
-        "BruteBounds", "BruteCocovers", "SearchWindow", "VerificationReport",
-        "WindowExhaustedError", "brute_bounds", "brute_cocovers", "default_window",
-        "verify_covering",
+        "BoxTooLargeError", "BruteBounds", "BruteCocovers", "SearchWindow",
+        "VerificationReport", "WindowExhaustedError", "brute_bounds",
+        "brute_cocovers", "default_window", "verify_covering",
     ), "oracle"),
     **dict.fromkeys((
         "Cell", "CellMismatchError", "CellShape", "IncomparableError",
@@ -134,6 +134,7 @@ __all__ = [
     "edge_to_json",
     "is_delta_cocover",
     "special_vertices",
+    "BoxTooLargeError",
     "BruteBounds",
     "BruteCocovers",
     "SearchWindow",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -193,7 +194,7 @@ class _Step(NamedTuple):
     cand: CoverCandidate
     root: tuple  # (vertex, coefficient) over the support of the root
     change: tuple  # (vertex, value) over the nonzero entries of A times the root
-    shift: Fraction  # change of the delta shift
+    shift: Fraction | int  # change of the delta shift; the int 0 when none
     rules: tuple  # case tests; None for delta, whose case reads the upper labels
 
 
@@ -202,27 +203,31 @@ def _cover_steps(diagram: AffineDiagram) -> tuple:
     """Each cover candidate with its sparse change of labels and of delta shift.
 
     Column v of the Cartan matrix is nonzero only at v and its neighbours, so
-    the label change sums over the support of the root and its neighbours.
+    the label change sums those columns over the support of the root.
     """
     a, adjacent = diagram.cartan, diagram.adjacency
     columns = [tuple((w, a[w][v]) for w in (v,) + adjacent[v]) for v in diagram.vertices]
+    vertices, mark0 = range(diagram.n + 1), diagram.marks[0]
     steps = []
     for order, cand in enumerate(cover_root_set(diagram)):
-        root = tuple((v, c) for v, c in enumerate(cand.root.coeffs) if c)
-        change = [0] * (diagram.n + 1)
-        for v, c in root:
+        coeffs = cand.root.coeffs
+        supp = tuple(compress(vertices, coeffs))
+        change = [0] * len(vertices)
+        for v in supp:
+            c = coeffs[v]
             for w, x in columns[v]:
                 change[w] += x * c
+        moved = tuple(compress(vertices, change))
         if cand.kind is CoverKind.DELTA:
             rules = None
         else:
-            rules = _case_rules(diagram, cand.kind, tuple(v for v, _ in root))
+            rules = _case_rules(diagram, cand.kind, supp)
         steps.append(_Step(
             order,
             cand,
-            root,
-            tuple((w, x) for w, x in enumerate(change) if x),
-            Fraction(cand.root.coeffs[0], diagram.marks[0]),
+            tuple(zip(supp, map(coeffs.__getitem__, supp))),
+            tuple(zip(moved, map(change.__getitem__, moved))),
+            Fraction(coeffs[0], mark0) if coeffs[0] else 0,
             rules,
         ))
     return tuple(steps)
@@ -245,16 +250,16 @@ def _cover_index(diagram: AffineDiagram, sign: int) -> tuple:
     return tuple(map(tuple, by_need)), tuple(free)
 
 
-def _moves(weight: Weight, sign: int) -> list:
-    """Cover steps below (sign -1) or above (sign +1) a dominant weight.
+def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
+    """Cover steps below (sign -1) or above (sign +1) dominant labels of
+    positive level.
 
     Returns (step, labels across it, case) in ``cover_root_set`` order.  Only
     the steps listed under a vertex with a positive label, and the free
     ones, can have their needs met.  The case test then reads the labels of
-    the lower end, which for delta equal the upper's.
+    the lower end, which for delta equal the upper's.  A weight and its
+    delta translates share their labels, and so their moves.
     """
-    labs = _require_dominant_positive(weight)
-    diagram = weight.diagram
     by_need, free = _cover_index(diagram, sign)
     met = [
         step
@@ -276,6 +281,12 @@ def _moves(weight: Weight, sign: int) -> list:
         if case is not None:
             moves.append((step, across, case))
     return moves
+
+
+def _moves(weight: Weight, sign: int) -> list:
+    """The cover steps below or above a weight, which must be dominant of
+    positive level; see ``_label_moves``."""
+    return _label_moves(weight.diagram, _require_dominant_positive(weight), sign)
 
 
 def _edges(weight: Weight, sign: int) -> tuple:

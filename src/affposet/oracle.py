@@ -41,6 +41,7 @@ from .weights import (
 )
 
 __all__ = [
+    "BoxTooLargeError",
     "WindowExhaustedError",
     "SearchWindow",
     "default_window",
@@ -55,6 +56,15 @@ __all__ = [
 
 class WindowExhaustedError(RuntimeError):
     """The search window was too small to certify an answer."""
+
+
+class BoxTooLargeError(ValueError):
+    """The search window spans more offsets than a box may hold."""
+
+
+# E6-1's doubled window (1 184 625 rows) fits; E7-1's doubled window
+# (52 360 425) and E8-1's default one (42 567 525) would need gigabytes
+_MAX_BOX_ROWS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -178,6 +188,11 @@ def _at_most_masks(values, thresholds) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _box(diagram: AffineDiagram, bounds: tuple) -> _Box:
+    rows = math.prod(b + 1 for b in bounds)
+    if rows > _MAX_BOX_ROWS:
+        raise BoxTooLargeError(
+            f"window {list(bounds)} spans {rows} offsets, more than {_MAX_BOX_ROWS}"
+        )
     return _Box(diagram, bounds)
 
 
@@ -389,6 +404,8 @@ def _check_pair(weight, partner, window, mismatches):
             break
         except WindowExhaustedError:
             search = search.doubled()
+        except BoxTooLargeError:
+            break
     if bb is None:
         _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return

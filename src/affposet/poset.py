@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import enum
 import json
+from fractions import Fraction
 
 from .cartan import _set, _Value, build_affine
-from .covering import CoverEdge, _edge_from_record, _moves, cocovers
+from .covering import (
+    CoverEdge,
+    _edge_from_record,
+    _label_moves,
+    _require_dominant_positive,
+    cocovers,
+)
 from .roots import CoverKind, RootVector
 from .weights import (
     Weight,
+    _dominance_gap,
     add_root,
-    difference,
-    dominance_leq,
     format_shift,
     meet,
     sort_key,
@@ -85,40 +91,59 @@ class Cell(_Value):
 def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph:
     """Hasse diagram of every dominant weight between bottom and top.
 
-    Each node is keyed by its integer gap to the bottom, the root vector
-    node - bottom; a cocover stays inside while its gap is nonnegative.
+    The walk runs on integer state: each node is its gap to the bottom, the
+    root vector node - bottom, with its labels, and a cocover stays inside
+    while its gap is nonnegative.  Nodes that differ by a multiple of delta
+    share their labels, so the moves of each label tuple are found once.
+    The weights are built at the end; the level is constant and the shift
+    rises with the gap at vertex 0, so (labels, gap[0]) sorts like
+    ``sort_key``.
     """
     if top == bottom:
         return PosetGraph((top,), ())
-    if not dominance_leq(bottom, top):
+    start = _dominance_gap(bottom, top)
+    if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")
-    start = tuple(g.numerator for g in difference(top, bottom))
-    nodes = {start: top}
+    diagram = top.diagram
+    labels = {start: _require_dominant_positive(top)}
+    moves = {}
     frontier = [start]
-    edges = []
+    arcs = []
     while frontier:
         nxt = []
         for gap in frontier:
-            upper = nodes[gap]
-            for step, labs, case in _moves(upper, -1):
+            labs = labels[gap]
+            found = moves.get(labs)
+            if found is None:
+                found = moves[labs] = _label_moves(diagram, labs, -1)
+            for step, across, case in found:
                 below = list(gap)
                 for v, c in step.root:
                     below[v] -= c
                 if min(below) < 0:
                     continue
                 below = tuple(below)
-                if below not in nodes:
-                    nodes[below] = Weight(top.diagram, labs, upper.shift - step.shift)
+                if below not in labels:
+                    labels[below] = across
                     nxt.append(below)
-                    if len(nodes) > max_nodes:
+                    if len(labels) > max_nodes:
                         raise IntervalTooLargeError(f"interval exceeds {max_nodes} nodes")
-                edge = CoverEdge(upper, nodes[below], step.cand.kind, step.cand.root, case)
-                edges.append((gap, below, edge))
+                arcs.append((gap, below, step.cand, case))
         frontier = nxt
-    keys = {gap: sort_key(node) for gap, node in nodes.items()}
-    edges.sort(key=lambda e: (keys[e[0]], keys[e[1]]))
-    order = sorted(nodes, key=keys.__getitem__)
-    return PosetGraph(tuple(nodes[gap] for gap in order), tuple(e[2] for e in edges))
+    order = sorted(labels, key=lambda gap: (labels[gap], gap[0]))
+    rank = {gap: r for r, gap in enumerate(order)}
+    shifts = {
+        g0: bottom.shift + Fraction(g0, diagram.marks[0]) for g0 in {gap[0] for gap in order}
+    }
+    nodes = {gap: Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order}
+    arcs.sort(key=lambda arc: (rank[arc[0]], rank[arc[1]]))
+    return PosetGraph(
+        nodes.values(),
+        (
+            CoverEdge(nodes[upper], nodes[lower], cand.kind, cand.root, case)
+            for upper, lower, cand, case in arcs
+        ),
+    )
 
 
 def _cycle_neighbors(diagram, i):
@@ -136,32 +161,30 @@ def _delta_interval(lam):
     Every mark of A(n,1) is 1, so delta is the all-ones root vector and the
     interval holds exactly the dominant weights ``lam - e_S`` for subsets S
     of the vertices, ordered by inclusion of S.  The subsets are grown one
-    vertex at a time; a branch is cut as soon as the label of a vertex whose
-    neighbours are all decided is negative.
+    vertex at a time, carrying their labels: taking vertex k subtracts
+    Cartan column k, which is nonzero at k and its neighbours only.  A
+    branch is cut as soon as the label of a vertex whose neighbours are all
+    decided is negative.
     """
     diagram = lam.diagram
-    a = diagram.cartan
-    top = lam.labels
+    a, adjacent = diagram.cartan, diagram.adjacency
     last = [max(k for k in diagram.vertices if a[j][k]) for j in diagram.vertices]
     settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
-    masks = []
-    stack = [(0, 0)]
+    found = {}
+    stack = [(0, 0, lam.labels)]
     while stack:
-        k, mask = stack.pop()
+        k, mask, labs = stack.pop()
         if k > diagram.n:
-            masks.append(mask)
+            found[mask] = labs
             continue
-        for chosen in (mask, mask | 1 << k):
-            if all(
-                top[j] >= sum(a[j][i] for i in diagram.vertices if chosen >> i & 1)
-                for j in settled[k]
-            ):
-                stack.append((k + 1, chosen))
-    masks.sort(key=lambda m: bin(m).count("1"))
-    weights = {
-        m: add_root(lam, -RootVector(diagram, [m >> j & 1 for j in diagram.vertices]))
-        for m in masks
-    }
+        taken = list(labs)
+        for w in (k,) + adjacent[k]:
+            taken[w] -= a[w][k]
+        for chosen, now in ((mask, labs), (mask | 1 << k, tuple(taken))):
+            if all(now[j] >= 0 for j in settled[k]):
+                stack.append((k + 1, chosen, now))
+    masks = sorted(found, key=lambda m: bin(m).count("1"))
+    weights = {m: Weight(diagram, found[m], lam.shift - (m & 1)) for m in masks}
     pairs = set()
     for m in masks:
         below = []

@@ -84,7 +84,14 @@ class Weight(_Value):
             and self.diagram == other.diagram
         )
 
-    __hash__ = _Value.__hash__  # defining __eq__ alone would drop it
+    def __hash__(self) -> int:
+        # ints only: Fraction.__hash__ is slow, and the diagram rarely differs
+        value = getattr(self, "_hash", None)
+        if value is None:
+            shift = self.shift
+            value = hash((self.labels, shift.numerator, shift.denominator))
+            _set(self, "_hash", value)
+        return value
 
     @property
     def m(self) -> int:
@@ -167,29 +174,39 @@ def difference(a: Weight, b: Weight) -> tuple:
     return tuple(Fraction(v, den) for v in nums)
 
 
-def dominance_leq(lower: Weight, upper: Weight) -> bool:
-    """Whether upper - lower is a nonnegative integer root vector."""
+def _dominance_gap(lower: Weight, upper: Weight):
+    """The root vector upper - lower if it is nonnegative and integral, else None."""
     _require_same_diagram(lower, upper)
     if lower.m != upper.m:
-        return False
+        return None
     gap = tuple(x - y for x, y in zip(upper.labels, lower.labels))
     nums, den = _scaled_coeffs(upper.diagram, gap, upper.shift - lower.shift)
-    return all(v >= 0 and v % den == 0 for v in nums)
+    if all(v >= 0 and v % den == 0 for v in nums):
+        return tuple(v // den for v in nums)
+    return None
+
+
+def dominance_leq(lower: Weight, upper: Weight) -> bool:
+    """Whether upper - lower is a nonnegative integer root vector."""
+    return _dominance_gap(lower, upper) is not None
 
 
 def add_root(weight: Weight, root: RootVector) -> Weight:
+    """The weight plus the root; column v of the Cartan matrix is nonzero only
+    at v and its neighbours, so each nonzero coefficient touches just those."""
     diagram = weight.diagram
     if diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
-    beta = root.coeffs
+    a, adjacent = diagram.cartan, diagram.adjacency
+    labs = list(weight.labels)
+    for v, b in enumerate(root.coeffs):
+        if b:
+            for w in (v,) + adjacent[v]:
+                labs[w] += b * a[w][v]
     shift = weight.shift
-    if beta[0]:
-        shift += Fraction(beta[0], diagram.marks[0])
-    return Weight(
-        diagram,
-        tuple(v + sum(map(mul, row, beta)) for v, row in zip(weight.labels, diagram.cartan)),
-        shift,
-    )
+    if root.coeffs[0]:
+        shift += Fraction(root.coeffs[0], diagram.marks[0])
+    return Weight(diagram, labs, shift)
 
 
 def _integer_gap(a: Weight, b: Weight, message: str) -> tuple:

@@ -12,6 +12,7 @@ import affposet
 import affposet.oracle as oracle
 from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.oracle import (
+    BoxTooLargeError,
     BruteBounds,
     SearchWindow,
     WindowExhaustedError,
@@ -349,7 +350,7 @@ def test_box_search_matches_numpy_grid(name):
     rng = random.Random(f"box:{name}")
     default = default_window(diagram)
     windows = [default, SearchWindow((1,) * (diagram.n + 1)), default.doubled()]
-    # E6-1 doubles to 658 125 offsets, which the reference scans slowly
+    # E6-1 doubles to 1 184 625 offsets, which the reference scans slowly
     per_level = 2 if name == "E6-1" else 6
     for level in (1, 2, 3, 4):
         for _ in range(per_level):
@@ -415,3 +416,35 @@ def test_verify_covering_e7_within_budget():
     assert report.tested == 164 + 40
     assert report.mismatches == ()
     assert report.boundary_flags == 0
+
+
+def test_box_too_large_is_refused_before_any_allocation():
+    cached = oracle._box.cache_info().currsize
+    e8 = fundamental_weight(D("E8-1"), 0)
+    with pytest.raises(BoxTooLargeError, match="42567525 offsets"):
+        brute_cocovers(e8)
+    e7 = D("E7-1")
+    a = fundamental_weight(e7, 0)
+    with pytest.raises(BoxTooLargeError, match="52360425 offsets"):
+        brute_bounds(a, a, default_window(e7).doubled())
+    assert oracle._box.cache_info().currsize == cached
+    assert affposet.BoxTooLargeError is BoxTooLargeError
+
+
+def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
+    diagram = D("E7-1")
+    window = default_window(diagram)
+    weight = fundamental_weight(diagram, 0)
+    real, windows = oracle.brute_bounds, []
+
+    def exhausted_at_default(a, b, search):
+        windows.append(search)
+        if search == window:
+            raise WindowExhaustedError("no room")
+        return real(a, b, search)
+
+    monkeypatch.setattr(oracle, "brute_bounds", exhausted_at_default)
+    mismatches = []
+    oracle._check_pair(weight, weight, window, mismatches)
+    assert windows == [window, window.doubled()]
+    assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", "window exhausted")]

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from affposet.weights import (
     sort_key,
     weight_from_labels,
 )
-from affposet.roots import delta_root
+from affposet.roots import RootVector, delta_root
 
 
 def D(name):
@@ -292,6 +293,56 @@ def test_cell_mismatch_on_wrap_around_pairs(monkeypatch):
         basic_cell(lam, lows[(3, 0, 0)], lows[(0, 3, 0)])
     with pytest.raises(CellMismatchError):
         basic_cell(lam2, lows2[(0, 2, 2)], lows2[(4, 0, 0)])
+
+
+def _mask_search_delta_interval(lam):
+    """Reference: the mask search that sums Cartan rows over each chosen
+    subset for every settled vertex, then builds each node with add_root."""
+    diagram = lam.diagram
+    a = diagram.cartan
+    top = lam.labels
+    last = [max(k for k in diagram.vertices if a[j][k]) for j in diagram.vertices]
+    settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
+    masks = []
+    stack = [(0, 0)]
+    while stack:
+        k, mask = stack.pop()
+        if k > diagram.n:
+            masks.append(mask)
+            continue
+        for chosen in (mask, mask | 1 << k):
+            if all(
+                top[j] >= sum(a[j][i] for i in diagram.vertices if chosen >> i & 1)
+                for j in settled[k]
+            ):
+                stack.append((k + 1, chosen))
+    masks.sort(key=lambda m: bin(m).count("1"))
+    weights = {
+        m: add_root(lam, -RootVector(diagram, [m >> j & 1 for j in diagram.vertices]))
+        for m in masks
+    }
+    pairs = set()
+    for m in masks:
+        below = []
+        for t in masks:
+            if t != m and t & m == m and not any(t & c == c for c in below):
+                below.append(t)
+        pairs.update((weights[m], weights[t]) for t in below)
+    return set(weights.values()), pairs
+
+
+def test_delta_interval_matches_mask_search():
+    rng = random.Random("delta_interval")
+    for n in range(1, 9):
+        d = D(f"A{n}-1")
+        for level in (1, 2, 3, 4):
+            for _ in range(4):
+                labs = [0] * (n + 1)
+                for _ in range(level):
+                    labs[rng.randrange(n + 1)] += 1
+                shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                lam = weight_from_labels(d, labs, shift)
+                assert poset._delta_interval(lam) == _mask_search_delta_interval(lam), lam
 
 
 def test_export_graph_dot_frozen():

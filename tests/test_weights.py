@@ -219,3 +219,40 @@ def test_add_root_shifts_labels():
     up = add_root(w, delta_root(d))
     assert labels(up) == labels(w)
     assert delta_shift(up) == delta_shift(w) + 1
+
+
+def _dense_add_root(weight, root):
+    # reference: the full product of the Cartan matrix with the root
+    d, beta = weight.diagram, root.coeffs
+    labs = tuple(
+        v + sum(a * b for a, b in zip(row, beta))
+        for v, row in zip(weight.labels, d.cartan)
+    )
+    return Weight(d, labs, weight.shift + Fraction(beta[0], d.marks[0]))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["A20-1"])
+def test_add_root_matches_dense_product(name):
+    d = D(name)
+    rng = random.Random(f"add_root:{name}")
+    for i in range(40):
+        shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        w = weight_from_labels(d, [rng.randint(-3, 3) for _ in d.vertices], shift)
+        beta = [rng.randint(-3, 3) for _ in d.vertices]
+        if i % 2:  # the root moves the delta shift
+            beta[0] = rng.choice((-2, -1, 1, 2))
+        root = RootVector(d, beta)
+        assert add_root(w, root) == _dense_add_root(w, root), (w, root)
+
+
+def test_weight_hash_reads_the_value_not_its_form():
+    d = D("A2-1")
+    halves = [Weight(d, (1, 0, 1), s) for s in (Fraction(1, 2), Fraction(2, 4), Fraction(-3, -6))]
+    twos = [Weight(d, (1, 0, 1), s) for s in (2, Fraction(2), Fraction(8, 4))]
+    for forms in (halves, twos):
+        assert len({hash(w) for w in forms}) == 1
+        assert len(set(forms)) == 1
+    assert halves[0] != twos[0]
+    # the same labels and shift on two diagrams of one rank
+    a, g = Weight(D("A2-1"), (1, 0, 0)), Weight(D("G2-1"), (1, 0, 0))
+    assert a != g and len({a, g}) == 2
