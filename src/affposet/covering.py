@@ -292,7 +292,8 @@ def _moves(weight: Weight, sign: int) -> list:
 def _edges(weight: Weight, sign: int) -> tuple:
     edges = []
     for step, labs, case in _moves(weight, sign):
-        near = Weight(weight.diagram, labs, weight.shift + sign * step.shift)
+        shift = weight.shift + sign * step.shift if step.shift else weight.shift
+        near = Weight(weight.diagram, labs, shift)
         upper, lower = (weight, near) if sign < 0 else (near, weight)
         edges.append(CoverEdge(upper, lower, step.cand.kind, step.cand.root, case))
     return tuple(edges)

@@ -3,8 +3,8 @@
 The searches here know nothing about the classification of covers: they
 enumerate a whole box of root-vector offsets, keep the dominant results, and
 extract extremal elements by componentwise comparison.  The covering module
-is imported only inside :func:`verify_covering`, which is the comparator;
-the brute searches themselves must stay independent of it.
+is imported only inside ``_check_one``, which compares the two; the brute
+searches themselves must stay independent of it.
 
 Each box is built once per diagram and window, with numpy, as bitsets: one
 Python int per threshold, holding the rows whose coroot change (A beta)_j,
@@ -13,6 +13,10 @@ few integer ANDs: the dominant results are one AND per vertex, an offset is
 minimal when the AND of its coordinate masks meets the results only at its
 own bit, and the least result, when there is one, is read off the smallest
 coordinate each vertex reaches.
+
+A sweep works on integer labels: the box search depends on the labels
+alone, so :func:`verify_covering` runs it once per label tuple within a
+call, and builds the brute lower ends as (labels, shift) pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .cartan import AffineDiagram, build_affine, parse_type_id
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
+    _add_columns,
     _integer_gap,
+    _plus_delta,
     add_root,
     format_shift,
     is_dominant,
@@ -201,6 +207,13 @@ def _check_rank(diagram: AffineDiagram, window: SearchWindow) -> None:
         raise ValueError("window rank does not match the diagram")
 
 
+def _brute_offsets(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
+    """The minimal nonzero offsets beta of the window with labs - A beta
+    dominant, in row order."""
+    box = _box(diagram, window.bounds)
+    return box.minimal(box.change_at_most(labs) & ~1)  # row 0 is the zero offset
+
+
 @dataclass(frozen=True)
 class BruteCocovers:
     cocovers: tuple
@@ -223,10 +236,8 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     if window is None:
         window = default_window(diagram)
     _check_rank(diagram, window)
-    box = _box(diagram, window.bounds)
-    candidates = box.change_at_most(weight.labels) & ~1  # row 0 is the zero offset
     lowers, diffs, flags = [], [], []
-    for beta in box.minimal(candidates):
+    for beta in _brute_offsets(diagram, window, weight.labels):
         diff = RootVector(diagram, beta)
         lowers.append(add_root(weight, -diff))
         diffs.append(diff)
@@ -249,6 +260,14 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     of two dominant candidates is again a dominant candidate below both, so
     a minimal candidate is automatically the global minimum; the search is
     exact whenever the box is nonempty.
+
+    The lower search returns the coefficient-minimum corner itself whenever
+    that corner is dominant, which by the meet theorem it always is; so the
+    meet check of a sweep tests that fact, and the ``_integer_gap`` it
+    shares with ``weights.meet``, rather than an independent search.
+
+    The corners and both results are computed on integer labels; only the
+    two results are built as weights.
     """
     gap = _integer_gap(a, b, "coefficients differ by the non-integer {g}")
     if not (is_dominant(a) and is_dominant(b)):
@@ -258,10 +277,13 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         window = default_window(diagram)
     _check_rank(diagram, window)
     box = _box(diagram, window.bounds)
-    corner_lo = add_root(a, RootVector(diagram, tuple(-max(0, g) for g in gap)))
-    corner_hi = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
+    lo = [-max(0, g) for g in gap]
+    hi = [max(0, -g) for g in gap]
+    corner_lo = _add_columns(diagram, a.labels, lo)
+    corner_hi = _add_columns(diagram, a.labels, hi)
+    mark0 = diagram.marks[0]
 
-    down = box.change_at_most(corner_lo.labels)
+    down = box.change_at_most(corner_lo)
     if not down:
         raise WindowExhaustedError("no dominant lower bound within the window")
     gamma = box.least(down)
@@ -272,9 +294,13 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         )
     if any(gamma) and any(map(eq, gamma, window.bounds)):
         raise WindowExhaustedError("greatest lower bound touches the window")
-    glb = add_root(corner_lo, -RootVector(diagram, gamma))
+    glb = Weight(
+        diagram,
+        _add_columns(diagram, corner_lo, [-c for c in gamma]),
+        _plus_delta(a.shift, lo[0] - gamma[0], mark0),
+    )
 
-    up = box.change_at_least(corner_hi.labels)
+    up = box.change_at_least(corner_hi)
     if not up:
         raise WindowExhaustedError("no dominant upper bound within the window")
     beta = box.least(up)
@@ -283,7 +309,11 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
             "upper bounds have two incomparable minima: "
             + ", ".join(map(str, box.minimal(up)))
         )
-    lub = add_root(corner_hi, RootVector(diagram, beta))
+    lub = Weight(
+        diagram,
+        _add_columns(diagram, corner_hi, beta),
+        _plus_delta(a.shift, hi[0] + beta[0], mark0),
+    )
     return BruteBounds(glb, lub)
 
 
@@ -366,29 +396,44 @@ def _mismatch(mismatches, check, detail, weight, partner=None):
     mismatches.append(record)
 
 
-def _check_one(weight, window, mismatches, flags_total):
+def _pair_keys(pairs) -> list:
+    return sorted((labs, format_shift(shift)) for labs, shift in pairs)
+
+
+def _check_one(weight, window, mismatches, flags_total, searches):
+    """Compare the classified cocovers of one weight with the box search.
+
+    ``searches`` maps labels to the minimal offsets and the labels below
+    them, for the length of one sweep: the search reads the labels alone.
+    """
     from . import covering
 
-    bc = brute_cocovers(weight, window)
-    for f, diff in zip(bc.boundary, bc.differences):
-        if f:
+    diagram, labs, shift = weight.diagram, weight.labels, weight.shift
+    found = searches.get(labs)
+    if found is None:
+        found = searches[labs] = [
+            (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
+            for beta in _brute_offsets(diagram, window, labs)
+        ]
+    mark0 = diagram.marks[0]
+    brute = set()
+    for beta, lower in found:
+        if any(map(eq, beta, window.bounds)):
             flags_total += 1
-            detail = f"offset {list(diff.coeffs)} touches the window"
+            detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
-    brute_set = set(bc.cocovers)
-    theory_set = {e.lower for e in covering.cocovers(weight)}
-    if brute_set != theory_set:
-        brute_keys = sorted(map(_weight_key, brute_set))
-        theory_keys = sorted(map(_weight_key, theory_set))
-        detail = f"brute {brute_keys} vs classified {theory_keys}"
+        brute.add((lower, _plus_delta(shift, -beta[0], mark0)))
+    classified = {(e.lower.labels, e.lower.shift) for e in covering.cocovers(weight)}
+    if brute != classified:
+        detail = f"brute {_pair_keys(brute)} vs classified {_pair_keys(classified)}"
         _mismatch(mismatches, "cocovers", detail, weight)
-    lookup = cover_root_lookup(weight.diagram)
-    for diff in bc.differences:
-        if diff.coeffs not in lookup:
-            detail = f"{list(diff.coeffs)} is not a candidate root"
+    lookup = cover_root_lookup(diagram)
+    for beta, _ in found:
+        if beta not in lookup:
+            detail = f"{list(beta)} is not a candidate root"
             _mismatch(mismatches, "difference", detail, weight)
-    marks = weight.diagram.marks
-    delta_brute = any(diff.coeffs == marks for diff in bc.differences)
+    marks = diagram.marks
+    delta_brute = any(beta == marks for beta, _ in found)
     if covering.is_delta_cocover(weight) != delta_brute:
         detail = f"classified {not delta_brute}, brute {delta_brute}"
         _mismatch(mismatches, "delta", detail, weight)
@@ -428,14 +473,28 @@ def verify_covering(
     Runs a census of every label vector with entry sum at most three plus
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
-    test, and meet/join against the box searches.
+    test, and meet/join against the box searches.  Each distinct label
+    tuple is searched once per call; nothing is kept between calls.
     """
+    levels = tuple(levels)
+    for lvl in levels:
+        if type(lvl) is not int:
+            raise TypeError(f"levels must be ints, got {lvl!r}")
+        if lvl < 1:
+            raise ValueError(f"levels must be at least 1, got {lvl}")
+    if type(samples_per_level) is not int:
+        raise TypeError(f"samples_per_level must be an int, got {samples_per_level!r}")
+    if samples_per_level < 0:
+        raise ValueError(f"samples_per_level must be nonnegative, got {samples_per_level}")
     diagram = build_affine(parse_type_id(type_id)) if not isinstance(
         type_id, AffineDiagram
     ) else type_id
     if window is None:
         window = default_window(diagram)
+    _check_rank(diagram, window)
+    mark0 = diagram.marks[0]
     start = time.monotonic()
+    searches: dict = {}
     mismatches: list = []
     flags = 0
     tested = 0
@@ -451,7 +510,7 @@ def verify_covering(
         weight = weight_from_labels(diagram, labs)
         if weight.m <= 0:
             continue
-        flags = _check_one(weight, window, mismatches, flags)
+        flags = _check_one(weight, window, mismatches, flags, searches)
         tested += 1
     for lvl in levels:
         if exceeded:
@@ -464,16 +523,18 @@ def verify_covering(
             labs = _sample_labels(diagram, lvl, rng)
             shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
             weight = weight_from_labels(diagram, labs, shift)
-            flags = _check_one(weight, window, mismatches, flags)
+            flags = _check_one(weight, window, mismatches, flags, searches)
             offsets = [rng.randint(-2, 2) for _ in diagram.vertices]
-            partner = _dominant_repair(
-                add_root(weight, RootVector(diagram, offsets))
-            )
+            partner = _dominant_repair(Weight(
+                diagram,
+                _add_columns(diagram, labs, offsets),
+                _plus_delta(shift, offsets[0], mark0),
+            ))
             _check_pair(weight, partner, window, mismatches)
             tested += 1
     return VerificationReport(
         type=str(diagram.type_id),
-        levels=tuple(levels),
+        levels=levels,
         tested=tested,
         mismatches=tuple(mismatches),
         boundary_flags=flags,

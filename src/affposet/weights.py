@@ -78,9 +78,12 @@ class Weight(_Value):
     def __eq__(self, other):
         if other.__class__ is not Weight:
             return NotImplemented
+        # ints first, as in the hash: a Fraction is kept in lowest terms
+        s, t = self.shift, other.shift
         return (
             self.labels == other.labels
-            and self.shift == other.shift
+            and s.numerator == t.numerator
+            and s.denominator == t.denominator
             and self.diagram == other.diagram
         )
 
@@ -109,10 +112,10 @@ class Weight(_Value):
         return f"[{labs} @ {format_shift(self.shift)}]"
 
 
-def _scaled_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
-    """Root coefficients times a common denominator, and that denominator."""
+def _scaled_coeffs(diagram: AffineDiagram, labs, p: int, q: int) -> tuple:
+    """Root coefficients times a common denominator, and that denominator,
+    for the delta shift p/q (q > 0, not necessarily in lowest terms)."""
     adj, det = _interior_adjugate(diagram)
-    p, q = shift.numerator, shift.denominator
     nums = [
         sum(map(mul, row, labs)) * q + p * mark * det
         for row, mark in zip(adj, diagram.marks)
@@ -121,7 +124,7 @@ def _scaled_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
 
 
 def _root_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
-    nums, den = _scaled_coeffs(diagram, labs, shift)
+    nums, den = _scaled_coeffs(diagram, labs, shift.numerator, shift.denominator)
     return tuple(Fraction(v, den) for v in nums)
 
 
@@ -156,6 +159,15 @@ def _require_same_diagram(a: Weight, b: Weight) -> None:
         )
 
 
+def _shift_gap(a: Weight, b: Weight) -> tuple:
+    """The shift of a less that of b as an int numerator and denominator."""
+    s, t = a.shift, b.shift
+    return (
+        s.numerator * t.denominator - t.numerator * s.denominator,
+        s.denominator * t.denominator,
+    )
+
+
 def _scaled_difference(a: Weight, b: Weight) -> tuple:
     """The coefficients of a - b times a common denominator, and that
     denominator; defined only at equal level."""
@@ -165,7 +177,7 @@ def _scaled_difference(a: Weight, b: Weight) -> tuple:
             f"levels differ: {a.m} and {b.m}"
         )
     gap = tuple(x - y for x, y in zip(a.labels, b.labels))
-    return _scaled_coeffs(a.diagram, gap, a.shift - b.shift)
+    return _scaled_coeffs(a.diagram, gap, *_shift_gap(a, b))
 
 
 def difference(a: Weight, b: Weight) -> tuple:
@@ -180,7 +192,7 @@ def _dominance_gap(lower: Weight, upper: Weight):
     if lower.m != upper.m:
         return None
     gap = tuple(x - y for x, y in zip(upper.labels, lower.labels))
-    nums, den = _scaled_coeffs(upper.diagram, gap, upper.shift - lower.shift)
+    nums, den = _scaled_coeffs(upper.diagram, gap, *_shift_gap(upper, lower))
     if all(v >= 0 and v % den == 0 for v in nums):
         return tuple(v // den for v in nums)
     return None
@@ -192,21 +204,33 @@ def dominance_leq(lower: Weight, upper: Weight) -> bool:
 
 
 def add_root(weight: Weight, root: RootVector) -> Weight:
-    """The weight plus the root; column v of the Cartan matrix is nonzero only
-    at v and its neighbours, so each nonzero coefficient touches just those."""
+    """The weight plus the root."""
     diagram = weight.diagram
     if diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
+    labs = _add_columns(diagram, weight.labels, root.coeffs)
+    return Weight(diagram, labs, _plus_delta(weight.shift, root.coeffs[0], diagram.marks[0]))
+
+
+def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
+    """The delta shift after adding k times the simple root of vertex 0;
+    no Fraction arithmetic when k is 0."""
+    return shift + Fraction(k, mark0) if k else shift
+
+
+def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
+    """The labels plus the Cartan matrix times the integer coefficients.
+
+    Column v of the Cartan matrix is nonzero only at v and its neighbours,
+    so each nonzero coefficient touches just those.
+    """
     a, adjacent = diagram.cartan, diagram.adjacency
-    labs = list(weight.labels)
-    for v, b in enumerate(root.coeffs):
+    out = list(labs)
+    for v, b in enumerate(coeffs):
         if b:
             for w in (v,) + adjacent[v]:
-                labs[w] += b * a[w][v]
-    shift = weight.shift
-    if root.coeffs[0]:
-        shift += Fraction(root.coeffs[0], diagram.marks[0])
-    return Weight(diagram, labs, shift)
+                out[w] += b * a[w][v]
+    return out
 
 
 def _integer_gap(a: Weight, b: Weight, message: str) -> tuple:

@@ -150,6 +150,17 @@ def test_verify_clean_run():
     }
 
 
+def test_verify_rejects_bad_levels_and_samples():
+    for argv, name in (
+        (["verify", "A2-1", "--samples", "-3"], "samples_per_level"),
+        (["verify", "A2-1", "--levels", "-1"], "levels"),
+        (["verify", "--all-types", "--levels", "1,0", "--samples", "5"], "levels"),
+    ):
+        code, out, err = cap(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and name in err, argv
+
+
 def test_verify_budget_warning():
     code, out, err = cap(["verify", "F4-1", "--budget", "0.05"])
     assert code == 0

@@ -1,4 +1,5 @@
 import ast
+import collections
 import operator
 import pathlib
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import affposet
+import affposet.covering as covering
 import affposet.oracle as oracle
 from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.oracle import (
@@ -27,6 +29,7 @@ from affposet.weights import (
     add_root,
     delta_shift,
     difference,
+    format_shift,
     fundamental_weight,
     labels,
     meet,
@@ -154,6 +157,32 @@ def test_verify_covering_budget():
 def test_verify_accepts_diagram_instance():
     report = verify_covering(D("A1-1"), levels=(1,), samples_per_level=5)
     assert report.type == "A1-1" and not report.mismatches
+
+
+@pytest.mark.parametrize("kwargs, error, name", [
+    ({"levels": (-1,)}, ValueError, "levels"),
+    ({"levels": (1, 0)}, ValueError, "levels"),
+    ({"levels": (True,)}, TypeError, "levels"),
+    ({"levels": (1.0,)}, TypeError, "levels"),
+    ({"levels": ("1",)}, TypeError, "levels"),
+    ({"samples_per_level": -3}, ValueError, "samples_per_level"),
+    ({"samples_per_level": 2.0}, TypeError, "samples_per_level"),
+    ({"samples_per_level": True}, TypeError, "samples_per_level"),
+])
+def test_verify_covering_rejects_bad_levels_and_samples(monkeypatch, kwargs, error, name):
+    # the arguments are checked before the census searches a single weight
+    def searched(*args):
+        raise AssertionError("the census ran before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "_check_one", searched)
+    with pytest.raises(error, match=name):
+        verify_covering("A2-1", **kwargs)
+
+
+def test_verify_covering_with_no_samples_runs_the_census():
+    report = verify_covering("A2-1", levels=(1, 4), samples_per_level=0)
+    assert report.tested == len(oracle._census_labels(D("A2-1")))
+    assert report.levels == (1, 4) and report.mismatches == ()
 
 
 def _first_record_per_check(report):
@@ -448,3 +477,148 @@ def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
     oracle._check_pair(weight, weight, window, mismatches)
     assert windows == [window, window.doubled()]
     assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", "window exhausted")]
+
+
+# A copy of the sweep as it checked each weight before it ran on integer
+# labels: every brute answer comes from the public brute_cocovers and
+# brute_bounds, as weights.  The sweep must write the same report.  The
+# classifier side is read through module attributes, as the sweep reads it,
+# so a test can replace it with a wrong one.
+def _ref_key(weight):
+    return (weight.labels, format_shift(weight.shift))
+
+
+def _ref_record(records, check, detail, weight, partner=None):
+    record = {"labels": list(weight.labels), "shift": format_shift(weight.shift)}
+    if partner is not None:
+        record["partner"] = list(partner.labels)
+        record["partner_shift"] = format_shift(partner.shift)
+    record["check"] = check
+    record["detail"] = detail
+    records.append(record)
+
+
+def _ref_check_one(weight, window, records):
+    flags = 0
+    bc = brute_cocovers(weight, window)
+    for touches, diff in zip(bc.boundary, bc.differences):
+        if touches:
+            flags += 1
+            detail = f"offset {list(diff.coeffs)} touches the window"
+            _ref_record(records, "boundary", detail, weight)
+    brute = set(bc.cocovers)
+    classified = {e.lower for e in covering.cocovers(weight)}
+    if brute != classified:
+        brute_keys = sorted(map(_ref_key, brute))
+        classified_keys = sorted(map(_ref_key, classified))
+        detail = f"brute {brute_keys} vs classified {classified_keys}"
+        _ref_record(records, "cocovers", detail, weight)
+    lookup = oracle.cover_root_lookup(weight.diagram)
+    for diff in bc.differences:
+        if diff.coeffs not in lookup:
+            detail = f"{list(diff.coeffs)} is not a candidate root"
+            _ref_record(records, "difference", detail, weight)
+    delta_brute = any(diff.coeffs == weight.diagram.marks for diff in bc.differences)
+    if covering.is_delta_cocover(weight) != delta_brute:
+        detail = f"classified {not delta_brute}, brute {delta_brute}"
+        _ref_record(records, "delta", detail, weight)
+    return flags
+
+
+def _ref_check_pair(weight, partner, window, records):
+    search, bb = window, None
+    for _ in range(5):
+        try:
+            bb = brute_bounds(weight, partner, search)
+            break
+        except WindowExhaustedError:
+            search = search.doubled()
+        except BoxTooLargeError:
+            break
+    if bb is None:
+        _ref_record(records, "bounds", "window exhausted", weight, partner)
+        return
+    if bb.glb != oracle.meet(weight, partner):
+        _ref_record(records, "meet", f"brute {_ref_key(bb.glb)}", weight, partner)
+    if bb.lub != oracle.join(weight, partner):
+        _ref_record(records, "join", f"brute {_ref_key(bb.lub)}", weight, partner)
+
+
+def _ref_verify(diagram, levels, samples, seed, window):
+    records, flags, tested = [], 0, 0
+    for labs in oracle._census_labels(diagram):
+        flags += _ref_check_one(weight_from_labels(diagram, labs), window, records)
+        tested += 1
+    for level in levels:
+        rng = random.Random(f"{seed}:{diagram.type_id}:{level}")
+        for _ in range(samples):
+            labs = oracle._sample_labels(diagram, level, rng)
+            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+            weight = weight_from_labels(diagram, labs, shift)
+            flags += _ref_check_one(weight, window, records)
+            offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
+            _ref_check_pair(weight, _ref_repair(add_root(weight, offsets)), window, records)
+            tested += 1
+    return {
+        "type": str(diagram.type_id),
+        "levels": list(levels),
+        "tested": tested,
+        "mismatches": records,
+        "boundary_flags": flags,
+    }
+
+
+@pytest.mark.parametrize("name", [str(t) for t in catalog_types()])
+def test_sweep_matches_the_reference_sweep(name):
+    # level-4 samples miss the census; the unit window writes boundary,
+    # cocovers and delta records
+    diagram = D(name)
+    unit = SearchWindow((1,) * (diagram.n + 1))
+    kinds = set()
+    for window, seed in ((default_window(diagram), 5), (unit, 11)):
+        report = verify_covering(
+            diagram, levels=(1, 2, 3, 4), samples_per_level=8, seed=seed, window=window
+        )
+        expected = _ref_verify(diagram, (1, 2, 3, 4), 8, seed, window)
+        assert report.to_json() == expected
+        kinds |= {m["check"] for m in expected["mismatches"]}
+    assert "boundary" in kinds
+
+
+def test_sweep_searches_each_label_tuple_once(monkeypatch):
+    real, searched = oracle._brute_offsets, []
+
+    def counted(diagram, window, labs):
+        searched.append(labs)
+        return real(diagram, window, labs)
+
+    monkeypatch.setattr(oracle, "_brute_offsets", counted)
+    for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
+        census = oracle._census_labels(D(name))
+        # at levels up to three every sample's labels are in the census
+        del searched[:]
+        report = verify_covering(name, levels=(1, 2, 3), samples_per_level=30, seed=4)
+        assert report.tested == len(census) + 90
+        assert searched == census
+        # a level-4 sample may leave it, and is then searched once
+        del searched[:]
+        verify_covering(name, levels=(4,), samples_per_level=30, seed=4)
+        counts = collections.Counter(searched)
+        assert max(counts.values()) == 1 and set(census) <= set(counts)
+
+
+@pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A2-2", "A3-1"])
+def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, name):
+    real = covering.cocovers, covering.is_delta_cocover
+    monkeypatch.setattr(covering, "cocovers", lambda w: real[0](w)[1:])
+    monkeypatch.setattr(covering, "is_delta_cocover", lambda w: not real[1](w))
+    monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: frozenset())
+    monkeypatch.setattr(oracle, "meet", lambda a, b: a)
+    monkeypatch.setattr(oracle, "join", lambda a, b: b)
+    diagram = D(name)
+    window = default_window(diagram)
+    report = verify_covering(diagram, levels=(2, 4), samples_per_level=6, seed=3)
+    expected = _ref_verify(diagram, (2, 4), 6, 3, window)
+    assert report.to_json() == expected
+    kinds = {m["check"] for m in expected["mismatches"]}
+    assert kinds == {"cocovers", "difference", "delta", "meet", "join"}

@@ -252,7 +252,13 @@ def test_weight_hash_reads_the_value_not_its_form():
     for forms in (halves, twos):
         assert len({hash(w) for w in forms}) == 1
         assert len(set(forms)) == 1
-    assert halves[0] != twos[0]
+        # equal values built from different Fraction forms compare equal
+        assert all(w == forms[0] and not w != forms[0] for w in forms)
+    # equal labels, different shifts
+    assert halves[0] != twos[0] and not halves[0] == twos[0]
+    assert Weight(d, (1, 0, 1), Fraction(1, 2)) != Weight(d, (1, 0, 1), Fraction(1, 3))
+    assert Weight(d, (1, 0, 1), Fraction(-1, 2)) != Weight(d, (1, 0, 1), Fraction(1, 2))
     # the same labels and shift on two diagrams of one rank
-    a, g = Weight(D("A2-1"), (1, 0, 0)), Weight(D("G2-1"), (1, 0, 0))
-    assert a != g and len({a, g}) == 2
+    for shift in (0, Fraction(3, 2)):
+        a, g = Weight(D("A2-1"), (1, 0, 0), shift), Weight(D("G2-1"), (1, 0, 0), shift)
+        assert a != g and not a == g and len({a, g}) == 2
