@@ -8,58 +8,11 @@ of intervals and the basic cells of untwisted type A, and ships a brute
 force oracle that re-derives all of it from scratch for cross checking.
 """
 
-from .cartan import (
-    AffineDiagram,
-    AffineTypeId,
-    FiniteType,
-    build_affine,
-    catalog_types,
-    classify_finite,
-    parse_type_id,
-)
-from .roots import (
-    CoverCandidate,
-    CoverKind,
-    RootVector,
-    cover_root_lookup,
-    cover_root_set,
-    coroot_pairing,
-    delta_root,
-    highest_short_root,
-    is_real_root,
-    simple_reflection,
-    simple_root,
-    sym_length_sq,
-)
-from .weights import (
-    ComponentMismatchError,
-    Weight,
-    add_root,
-    delta_shift,
-    difference,
-    dominance_leq,
-    format_shift,
-    fundamental_weight,
-    is_dominant,
-    join,
-    labels,
-    meet,
-    parse_shift,
-    sort_key,
-    weight_from_json,
-    weight_from_labels,
-    weight_to_json,
-)
-from .covering import (
-    CoverEdge,
-    NonPositiveLevelError,
-    cocovers,
-    covers,
-    edge_from_json,
-    edge_to_json,
-    is_delta_cocover,
-    special_vertices,
-)
+from . import cartan, covering, roots, weights
+from .cartan import *
+from .roots import *
+from .weights import *
+from .covering import *
 
 __version__ = "0.1.0"
 
@@ -90,69 +43,10 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AffineDiagram",
-    "AffineTypeId",
-    "FiniteType",
-    "build_affine",
-    "catalog_types",
-    "classify_finite",
-    "parse_type_id",
-    "CoverCandidate",
-    "CoverKind",
-    "RootVector",
-    "cover_root_lookup",
-    "cover_root_set",
-    "coroot_pairing",
-    "delta_root",
-    "highest_short_root",
-    "is_real_root",
-    "simple_reflection",
-    "simple_root",
-    "sym_length_sq",
-    "ComponentMismatchError",
-    "Weight",
-    "add_root",
-    "delta_shift",
-    "difference",
-    "dominance_leq",
-    "format_shift",
-    "fundamental_weight",
-    "is_dominant",
-    "join",
-    "labels",
-    "meet",
-    "parse_shift",
-    "sort_key",
-    "weight_from_json",
-    "weight_from_labels",
-    "weight_to_json",
-    "CoverEdge",
-    "NonPositiveLevelError",
-    "cocovers",
-    "covers",
-    "edge_from_json",
-    "edge_to_json",
-    "is_delta_cocover",
-    "special_vertices",
-    "BoxTooLargeError",
-    "BruteBounds",
-    "BruteCocovers",
-    "SearchWindow",
-    "VerificationReport",
-    "WindowExhaustedError",
-    "brute_bounds",
-    "brute_cocovers",
-    "default_window",
-    "verify_covering",
-    "Cell",
-    "CellMismatchError",
-    "CellShape",
-    "IncomparableError",
-    "IntervalTooLargeError",
-    "PosetGraph",
-    "basic_cell",
-    "export_graph",
-    "graph_from_json",
-    "interval",
+    *cartan.__all__,
+    *roots.__all__,
+    *weights.__all__,
+    *covering.__all__,
+    *_LAZY,
     "__version__",
 ]

@@ -6,6 +6,10 @@ extract extremal elements by componentwise comparison.  The covering module
 is imported only inside ``_check_one``, which compares the two; the brute
 searches themselves must stay independent of it.
 
+``brute_bounds`` searches a box only above two weights: their greatest
+lower bound is the coefficient-minimum corner, tested for dominance, and the
+root vector between them is first checked against the Cartan matrix.
+
 Each box is built once per diagram and window, with numpy, as bitsets: one
 Python int per threshold, holding the rows whose coroot change (A beta)_j,
 or whose coordinate beta_j, is at most that threshold.  A query then costs a
@@ -27,7 +31,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import eq, mul
+from operator import eq, mul, sub
 
 import numpy as np
 
@@ -36,8 +40,8 @@ from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
     _add_columns,
-    _integer_gap,
     _plus_delta,
+    _require_component,
     add_root,
     format_shift,
     is_dominant,
@@ -254,52 +258,42 @@ class BruteBounds:
 def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> BruteBounds:
     """Greatest lower and least upper bound of two dominant weights.
 
-    Lower bounds sit under the componentwise minimum of the coefficients and
-    upper bounds over the maximum, so both searches scan a box of offsets
-    from those corners.  For the least upper bound the componentwise minimum
-    of two dominant candidates is again a dominant candidate below both, so
-    a minimal candidate is automatically the global minimum; the search is
-    exact whenever the box is nonempty.
+    The root vector a - b comes from the helper ``meet`` and ``join`` use, so
+    it is first checked against the Cartan matrix: its columns must add up
+    to the label difference, and its vertex 0 coefficient over the mark to
+    the shift difference, which only the true gap does.
 
-    The lower search returns the coefficient-minimum corner itself whenever
-    that corner is dominant, which by the meet theorem it always is; so the
-    meet check of a sweep tests that fact, and the ``_integer_gap`` it
-    shares with ``weights.meet``, rather than an independent search.
+    The greatest lower bound is the coefficient-minimum corner, which lies
+    below both weights and above every lower bound; the meet theorem makes
+    it dominant, and that is tested.  The least upper bound is searched for
+    in a box of offsets over the coefficient-maximum corner.  The
+    componentwise minimum of two dominant candidates is again one, so a
+    minimal candidate is the global minimum, and the search is exact
+    whenever the box is nonempty.
 
-    The corners and both results are computed on integer labels; only the
-    two results are built as weights.
+    A failed gap check, a corner that is not dominant, or upper bounds with
+    two minima raise ``RuntimeError``.
     """
-    gap = _integer_gap(a, b, "coefficients differ by the non-integer {g}")
-    if not (is_dominant(a) and is_dominant(b)):
-        raise ValueError("bounds are searched for dominant integral weights")
+    gap = _require_component(a, b)
     diagram = a.diagram
     if window is None:
         window = default_window(diagram)
     _check_rank(diagram, window)
-    box = _box(diagram, window.bounds)
+    mark0 = diagram.marks[0]
+    change = [sum(map(mul, row, gap)) for row in diagram.cartan]
+    if change != list(map(sub, a.labels, b.labels)) or Fraction(gap[0], mark0) != (
+        a.shift - b.shift
+    ):
+        raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     lo = [-max(0, g) for g in gap]
     hi = [max(0, -g) for g in gap]
     corner_lo = _add_columns(diagram, a.labels, lo)
+    if min(corner_lo) < 0:
+        raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
+    glb = Weight(diagram, corner_lo, _plus_delta(a.shift, lo[0], mark0))
+
+    box = _box(diagram, window.bounds)
     corner_hi = _add_columns(diagram, a.labels, hi)
-    mark0 = diagram.marks[0]
-
-    down = box.change_at_most(corner_lo)
-    if not down:
-        raise WindowExhaustedError("no dominant lower bound within the window")
-    gamma = box.least(down)
-    if gamma is None:
-        raise RuntimeError(
-            "lower bounds have no greatest element: "
-            + ", ".join(map(str, box.minimal(down)))
-        )
-    if any(gamma) and any(map(eq, gamma, window.bounds)):
-        raise WindowExhaustedError("greatest lower bound touches the window")
-    glb = Weight(
-        diagram,
-        _add_columns(diagram, corner_lo, [-c for c in gamma]),
-        _plus_delta(a.shift, lo[0] - gamma[0], mark0),
-    )
-
     up = box.change_at_least(corner_hi)
     if not up:
         raise WindowExhaustedError("no dominant upper bound within the window")
@@ -451,6 +445,9 @@ def _check_pair(weight, partner, window, mismatches):
             search = search.doubled()
         except BoxTooLargeError:
             break
+        except RuntimeError as exc:
+            _mismatch(mismatches, "bounds", str(exc), weight, partner)
+            return
     if bb is None:
         _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return

@@ -25,7 +25,7 @@ from .covering import (
     _require_dominant_positive,
     cocovers,
 )
-from .roots import CoverKind, RootVector
+from .roots import CoverKind, RootVector, simple_root
 from .weights import (
     Weight,
     _dominance_gap,
@@ -146,13 +146,9 @@ def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph
     )
 
 
-def _cycle_neighbors(diagram, i):
-    return set(diagram.neighbors(i))
-
-
 def _path_ends(diagram, subset):
     # ends of a connected path inside the type A cycle
-    return sorted(v for v in subset if len(_cycle_neighbors(diagram, v) & subset) <= 1)
+    return sorted(v for v in subset if len(subset.intersection(diagram.adjacency[v])) <= 1)
 
 
 def _delta_interval(lam):
@@ -248,11 +244,9 @@ def _case_shape(lam, edge_a, edge_b):
         else:
             i = next(iter(kb))
             mu_s, mu_p, path, gamma_p = mu_b, mu_a, ka, edge_a.root
-        ends = [v for v in _path_ends(diagram, path) if i in _cycle_neighbors(diagram, v)]
+        ends = [v for v in _path_ends(diagram, path) if i in diagram.adjacency[v]]
         i1 = min(ends)
-        e_i = RootVector(diagram, [1 if j == i else 0 for j in diagram.vertices])
-        e_i1 = RootVector(diagram, [1 if j == i1 else 0 for j in diagram.vertices])
-        x = add_root(lam, -(e_i + e_i1))
+        x = add_root(lam, -(simple_root(diagram, i) + simple_root(diagram, i1)))
         nodes = {lam, mu_s, mu_p, x, bottom}
         pairs = {(lam, mu_s), (lam, mu_p), (mu_s, x), (x, bottom), (mu_p, bottom)}
         return nodes, pairs, CellShape.PENTAGON, case
@@ -261,11 +255,10 @@ def _case_shape(lam, edge_a, edge_b):
         (u, v)
         for u in _path_ends(diagram, ka)
         for v in _path_ends(diagram, kb)
-        if v in _cycle_neighbors(diagram, u)
+        if v in diagram.adjacency[u]
     ]
     i, i2 = min(contacts)
-    e_i = RootVector(diagram, [1 if j == i else 0 for j in diagram.vertices])
-    e_i2 = RootVector(diagram, [1 if j == i2 else 0 for j in diagram.vertices])
+    e_i, e_i2 = simple_root(diagram, i), simple_root(diagram, i2)
     y = add_root(lam, -(e_i + e_i2))
     p = add_root(lam, -(edge_a.root + e_i2)) if i in ka else add_root(
         lam, -(edge_b.root + e_i2)

@@ -20,6 +20,7 @@ __all__ = [
     "RootVector",
     "CoverCandidate",
     "simple_root",
+    "sym_length_sq",
     "delta_root",
     "coroot_pairing",
     "simple_reflection",

@@ -20,12 +20,11 @@ from fractions import Fraction
 from operator import mul
 
 from .cartan import AffineDiagram, _interior_adjugate, _set, _Value
-from .roots import CoverKind, RootVector
+from .roots import RootVector
 
 __all__ = [
     "ComponentMismatchError",
     "Weight",
-    "CoverKind",
     "labels",
     "delta_shift",
     "weight_from_labels",
@@ -233,26 +232,18 @@ def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
     return out
 
 
-def _integer_gap(a: Weight, b: Weight, message: str) -> tuple:
-    """The integer root vector a - b, with one divisibility test per coefficient.
-
-    Raises ComponentMismatchError unless a and b share a component; a
-    non-integer coefficient gets ``message``, formatted with its index i and
-    its value g.
-    """
+def _require_component(a: Weight, b: Weight) -> tuple:
+    """The integer root vector a - b; raises unless a and b share a component
+    and are both dominant."""
     nums, den = _scaled_difference(a, b)
     for i, v in enumerate(nums):
         if v % den:
-            raise ComponentMismatchError(message.format(i=i, g=Fraction(v, den)))
-    return tuple(v // den for v in nums)
-
-
-def _require_component(a: Weight, b: Weight) -> tuple:
-    """The integer root vector a - b; raises unless a and b share a component."""
-    gap = _integer_gap(a, b, "coefficient {i} differs by the non-integer {g}")
+            raise ComponentMismatchError(
+                f"coefficient {i} differs by the non-integer {Fraction(v, den)}"
+            )
     if not (is_dominant(a) and is_dominant(b)):
         raise ValueError("meet and join are defined for dominant weights")
-    return gap
+    return tuple(v // den for v in nums)
 
 
 def meet(a: Weight, b: Weight) -> Weight:

@@ -149,3 +149,16 @@ def test_unknown_attribute_raises_attribute_error():
         "print(json.dumps([raised, hasattr(affposet, 'oracle_names'), loaded()]))\n"
     )
     assert facts == ["module 'affposet' has no attribute 'no_such_name'", False, []]
+
+
+def test_every_public_name_is_listed_once():
+    from affposet import cartan, covering, oracle, poset, roots, weights
+
+    names = affposet.__all__
+    assert len(names) == len(set(names))
+    modules = (cartan, roots, weights, covering, oracle, poset)
+    assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
+    assert affposet._LAZY == {
+        **dict.fromkeys(oracle.__all__, "oracle"),
+        **dict.fromkeys(poset.__all__, "poset"),
+    }

@@ -12,6 +12,7 @@ import pytest
 import affposet
 import affposet.covering as covering
 import affposet.oracle as oracle
+import affposet.weights as weights
 from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.oracle import (
     BoxTooLargeError,
@@ -239,13 +240,16 @@ def test_mismatch_records_are_frozen(monkeypatch):
 
 
 def test_brute_search_is_independent_of_the_classifier():
-    # the brute module must never import the classifier at module level
+    # the brute module must never import the classifier at module level, nor
+    # the coefficient code its gap check is there to check
     source = pathlib.Path(oracle.__file__).read_text()
     tree = ast.parse(source)
+    checked = {"_scaled_coeffs", "_scaled_difference", "_interior_adjugate", "_integer_gap"}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             assert node.module != "covering"
             assert all(alias.name != "covering" for alias in node.names)
+            assert not checked & {alias.name for alias in node.names}
         if isinstance(node, ast.Import):
             assert all("covering" not in alias.name for alias in node.names)
     assert not hasattr(oracle, "covering")
@@ -283,6 +287,80 @@ def test_brute_bounds_rejects_wrong_rank_window():
             brute_bounds(a, b, SearchWindow(bounds))
         with pytest.raises(ValueError, match="window rank does not match the diagram"):
             brute_cocovers(a, SearchWindow(bounds))
+
+
+def test_brute_bounds_checks_the_gap_against_the_cartan_matrix(monkeypatch):
+    a, b = W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3))
+    gap = oracle._require_component(a, b)
+    # one more simple root breaks the labels; one more delta, only the shift
+    off_at_1 = tuple(g + (i == 1) for i, g in enumerate(gap))
+    off_by_delta = tuple(g + m for g, m in zip(gap, a.diagram.marks))
+    for wrong in (off_at_1, off_by_delta):
+        monkeypatch.setattr(oracle, "_require_component", lambda a, b: wrong)
+        with pytest.raises(RuntimeError, match="does not give the label and shift"):
+            brute_bounds(a, b)
+
+
+def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
+    real = oracle._add_columns
+    monkeypatch.setattr(
+        oracle, "_add_columns", lambda d, labs, coeffs: [v - 5 for v in real(d, labs, coeffs)]
+    )
+    with pytest.raises(RuntimeError, match=r"minimum \[-4, -4, -4\] is not dominant"):
+        brute_bounds(W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3)))
+
+
+def test_check_pair_records_a_failed_bounds_check(monkeypatch):
+    detail = "upper bounds have two incomparable minima: (0, 1, 0), (1, 0, 0)"
+
+    def broken(a, b, search):
+        raise RuntimeError(detail)
+
+    monkeypatch.setattr(oracle, "brute_bounds", broken)
+    a, b = W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3), Fraction(1, 2))
+    mismatches = []
+    oracle._check_pair(a, b, default_window(a.diagram), mismatches)
+    assert mismatches == [{
+        "labels": [0, 3, 0], "shift": "0/1", "partner": [0, 0, 3], "partner_shift": "1/2",
+        "check": "bounds", "detail": detail,
+    }]
+
+
+def _off_by_one_at_vertex_1(real):
+    # the coefficients of every nonzero difference, one too high at vertex 1
+    def wrong(diagram, labs, p, q):
+        nums, den = real(diagram, labs, p, q)
+        if any(nums):
+            nums = list(nums)
+            nums[1] += den
+        return nums, den
+
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A4-2"])
+def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
+    # meet and join read the same wrong gap, so only the Cartan check can see it
+    pairs, real = [], oracle._check_pair
+
+    def spied(weight, partner, window, mismatches):
+        pairs.append((weight, partner))
+        real(weight, partner, window, mismatches)
+
+    monkeypatch.setattr(oracle, "_check_pair", spied)
+    wrong = _off_by_one_at_vertex_1(weights._scaled_coeffs)
+    monkeypatch.setattr(weights, "_scaled_coeffs", wrong)
+    report = verify_covering(name, levels=(1, 2), samples_per_level=20, seed=3)
+    records = [m for m in report.mismatches if m["check"] == "bounds"]
+    expected = [
+        (list(a.labels), format_shift(a.shift), list(b.labels), format_shift(b.shift))
+        for a, b in pairs if a != b
+    ]
+    assert len(pairs) == 40 and expected
+    got = [(m["labels"], m["shift"], m["partner"], m["partner_shift"]) for m in records]
+    assert got == expected
+    assert all(m["detail"].endswith("does not give the label and shift differences")
+               for m in records)
 
 
 # A copy of the numpy grid search the bitset box replaced: every offset of the
