@@ -188,9 +188,6 @@ class AffineDiagram(_Value):
         scale = math.lcm(*self.marks)
         return tuple(c * scale // m for c, m in zip(self.comarks, self.marks))
 
-    def neighbors(self, i: int) -> tuple:
-        return self.adjacency[i]
-
     def is_connected(self, subset) -> bool:
         inside = set(subset)
         if not inside:
@@ -471,8 +468,8 @@ def build_affine(type_id) -> AffineDiagram:
     return _build_cached(parse_type_id(type_id))
 
 
-def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
-    """Finite Dynkin type of a nonempty proper connected subdiagram."""
+def _proper_connected(diagram: AffineDiagram, vertices) -> list:
+    """The vertices, sorted, once they form a nonempty proper connected set."""
     k = sorted(set(vertices))
     if not k:
         raise ValueError("empty vertex set")
@@ -482,9 +479,15 @@ def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
         raise ValueError("subdiagram must be proper")
     if not diagram.is_connected(k):
         raise ValueError(f"vertex set {k} is not connected in {diagram}")
-    a = diagram.cartan
+    return k
+
+
+def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
+    """Finite Dynkin type of a nonempty proper connected subdiagram."""
+    k = _proper_connected(diagram, vertices)
+    a, adjacent = diagram.cartan, diagram.adjacency
     inside = set(k)
-    degree = {v: sum(1 for w in diagram.neighbors(v) if w in inside) for v in k}
+    degree = {v: sum(1 for w in adjacent[v] if w in inside) for v in k}
     bonds = [
         (i, j, a[i][j] * a[j][i])
         for i in k
@@ -526,13 +529,13 @@ def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
         raise ValueError(f"vertex set {k} does not span a finite type")
     center = branch[0]
     arms = []
-    for start in diagram.neighbors(center):
+    for start in adjacent[center]:
         if start not in inside:
             continue
         length = 1
         prev, cur = center, start
         while True:
-            nxt = [w for w in diagram.neighbors(cur) if w in inside and w != prev]
+            nxt = [w for w in adjacent[cur] if w in inside and w != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]

@@ -75,15 +75,10 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_cocovers(args) -> int:
+def _cmd_edges(args) -> int:
     weight = _weight_arg(args.type, args.labels, args.shift)
-    _emit([edge_to_json(edge) for edge in cocovers(weight)])
-    return 0
-
-
-def _cmd_covers(args) -> int:
-    weight = _weight_arg(args.type, args.labels, args.shift)
-    _emit([edge_to_json(edge) for edge in covers(weight)])
+    edges = cocovers(weight) if args.command == "cocovers" else covers(weight)
+    _emit([edge_to_json(edge) for edge in edges])
     return 0
 
 
@@ -191,12 +186,12 @@ def _build_parser() -> _Parser:
     p.add_argument("type")
     p.set_defaults(func=_cmd_info)
 
-    for name, func in (("cocovers", _cmd_cocovers), ("covers", _cmd_covers)):
+    for name in ("cocovers", "covers"):
         p = sub.add_parser(name, help=f"{name} of a dominant weight")
         p.add_argument("type")
         p.add_argument("--labels", required=True)
         p.add_argument("--shift", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_edges)
 
     p = sub.add_parser("interval", help="Hasse diagram between two weights")
     p.add_argument("type")
@@ -234,24 +229,17 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 1
-        except SystemExit as exc:
-            code = exc.code
-            return 0 if code in (0, None) else int(code)
-        try:
+            args = _build_parser().parse_args(argv)
             return args.func(args)
         except _UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else int(exc.code)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    return 0
 
 
 def main() -> None:

@@ -23,7 +23,6 @@ lower weight.  The tests are labelled with short case tags:
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
@@ -36,7 +35,14 @@ from .roots import (
     cover_root_set,
     highest_short_root,
 )
-from .weights import Weight, is_dominant, weight_to_json, weight_from_json
+from .weights import (
+    Weight,
+    _add_columns,
+    _plus_delta,
+    is_dominant,
+    weight_from_json,
+    weight_to_json,
+)
 
 __all__ = [
     "NonPositiveLevelError",
@@ -99,18 +105,11 @@ def _require_dominant_positive(weight: Weight) -> tuple:
     return weight.labels
 
 
-@functools.lru_cache(maxsize=None)
-def _length_ranks(diagram: AffineDiagram) -> tuple:
-    """Each vertex's place among the distinct root lengths, shortest first."""
-    lens = diagram.root_length_sq
-    return tuple(sorted(set(lens)).index(x) for x in lens)
-
-
 def _unique_short_vertex(diagram: AffineDiagram, vertices):
     """The only vertex of the sequence with the shortest root, or None."""
-    ranks = list(map(_length_ranks(diagram).__getitem__, vertices))
-    shortest = min(ranks)
-    return vertices[ranks.index(shortest)] if ranks.count(shortest) == 1 else None
+    lens = list(map(diagram._half_lengths.__getitem__, vertices))
+    shortest = min(lens)
+    return vertices[lens.index(shortest)] if lens.count(shortest) == 1 else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,29 +193,18 @@ class _Step(NamedTuple):
     cand: CoverCandidate
     root: tuple  # (vertex, coefficient) over the support of the root
     change: tuple  # (vertex, value) over the nonzero entries of A times the root
-    shift: Fraction | int  # change of the delta shift; the int 0 when none
     rules: tuple  # case tests; None for delta, whose case reads the upper labels
 
 
 @functools.lru_cache(maxsize=None)
 def _cover_steps(diagram: AffineDiagram) -> tuple:
-    """Each cover candidate with its sparse change of labels and of delta shift.
-
-    Column v of the Cartan matrix is nonzero only at v and its neighbours, so
-    the label change sums those columns over the support of the root.
-    """
-    a, adjacent = diagram.cartan, diagram.adjacency
-    columns = [tuple((w, a[w][v]) for w in (v,) + adjacent[v]) for v in diagram.vertices]
-    vertices, mark0 = range(diagram.n + 1), diagram.marks[0]
+    """Each cover candidate with its sparse change of labels."""
+    vertices = diagram.vertices
     steps = []
     for order, cand in enumerate(cover_root_set(diagram)):
         coeffs = cand.root.coeffs
         supp = tuple(compress(vertices, coeffs))
-        change = [0] * len(vertices)
-        for v in supp:
-            c = coeffs[v]
-            for w, x in columns[v]:
-                change[w] += x * c
+        change = _add_columns(diagram, [0] * len(vertices), coeffs)
         moved = tuple(compress(vertices, change))
         if cand.kind is CoverKind.DELTA:
             rules = None
@@ -227,7 +215,6 @@ def _cover_steps(diagram: AffineDiagram) -> tuple:
             cand,
             tuple(zip(supp, map(coeffs.__getitem__, supp))),
             tuple(zip(moved, map(change.__getitem__, moved))),
-            Fraction(coeffs[0], mark0) if coeffs[0] else 0,
             rules,
         ))
     return tuple(steps)
@@ -290,12 +277,13 @@ def _moves(weight: Weight, sign: int) -> list:
 
 
 def _edges(weight: Weight, sign: int) -> tuple:
+    diagram, mark0 = weight.diagram, weight.diagram.marks[0]
     edges = []
     for step, labs, case in _moves(weight, sign):
-        shift = weight.shift + sign * step.shift if step.shift else weight.shift
-        near = Weight(weight.diagram, labs, shift)
+        cand = step.cand
+        near = Weight(diagram, labs, _plus_delta(weight.shift, sign * cand.root.coeffs[0], mark0))
         upper, lower = (weight, near) if sign < 0 else (near, weight)
-        edges.append(CoverEdge(upper, lower, step.cand.kind, step.cand.root, case))
+        edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
     return tuple(edges)
 
 
@@ -309,13 +297,16 @@ def covers(weight: Weight) -> tuple:
     return _edges(weight, 1)
 
 
+def _edge_fields(edge: CoverEdge) -> dict:
+    """The JSON fields of an edge besides its two ends."""
+    return {"kind": edge.kind.value, "root": list(edge.root.coeffs), "case": edge.case}
+
+
 def edge_to_json(edge: CoverEdge) -> dict:
     return {
         "upper": weight_to_json(edge.upper),
         "lower": weight_to_json(edge.lower),
-        "kind": edge.kind.value,
-        "root": list(edge.root.coeffs),
-        "case": edge.case,
+        **_edge_fields(edge),
     }
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 import json
-from fractions import Fraction
 
 from .cartan import _set, _Value, build_affine
 from .covering import (
     CoverEdge,
+    _edge_fields,
     _edge_from_record,
     _label_moves,
     _require_dominant_positive,
@@ -29,6 +29,7 @@ from .roots import CoverKind, RootVector, simple_root
 from .weights import (
     Weight,
     _dominance_gap,
+    _plus_delta,
     add_root,
     format_shift,
     meet,
@@ -132,9 +133,8 @@ def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph
         frontier = nxt
     order = sorted(labels, key=lambda gap: (labels[gap], gap[0]))
     rank = {gap: r for r, gap in enumerate(order)}
-    shifts = {
-        g0: bottom.shift + Fraction(g0, diagram.marks[0]) for g0 in {gap[0] for gap in order}
-    }
+    mark0 = diagram.marks[0]
+    shifts = {g0: _plus_delta(bottom.shift, g0, mark0) for g0 in {gap[0] for gap in order}}
     nodes = {gap: Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order}
     arcs.sort(key=lambda arc: (rank[arc[0]], rank[arc[1]]))
     return PosetGraph(
@@ -346,13 +346,7 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
             if edge.upper not in index or edge.lower not in index:
                 raise ValueError("edge endpoint missing from the node list")
             edges.append(
-                {
-                    "upper": index[edge.upper],
-                    "lower": index[edge.lower],
-                    "kind": edge.kind.value,
-                    "root": list(edge.root.coeffs),
-                    "case": edge.case,
-                }
+                {"upper": index[edge.upper], "lower": index[edge.lower], **_edge_fields(edge)}
             )
         return {
             "type": str(diagram.type_id) if diagram is not None else None,

@@ -13,7 +13,7 @@ import enum
 import functools
 from fractions import Fraction
 
-from .cartan import AffineDiagram, _set, _Value
+from .cartan import AffineDiagram, _proper_connected, _set, _Value
 
 __all__ = [
     "CoverKind",
@@ -171,16 +171,7 @@ def highest_short_root(diagram: AffineDiagram, subset) -> RootVector:
     with negative pairing climbs inside the short roots (reflections preserve
     length) and stops exactly at the unique locally dominant one.
     """
-    k = tuple(sorted(set(subset)))
-    if not k:
-        raise ValueError("empty vertex set")
-    if any(v not in diagram.vertices for v in k):
-        raise ValueError(f"vertices {list(k)} out of range for {diagram}")
-    if len(k) == diagram.n + 1:
-        raise ValueError("subdiagram must be proper")
-    if not diagram.is_connected(k):
-        raise ValueError(f"vertex set {list(k)} is not connected in {diagram}")
-    return _highest_short_root_cached(diagram, k)
+    return _highest_short_root_cached(diagram, tuple(_proper_connected(diagram, subset)))
 
 
 def is_real_root(root: RootVector) -> bool:

@@ -5,7 +5,9 @@ plus its delta shift, an exact fraction.  That pair pins the weight down
 uniquely.  The level and the coefficients on the simple roots are derived:
 the level is the comark-weighted label sum, and the root coefficients come
 from the integer adjugate that validates each diagram in ``cartan``, needed
-only where dominance compares two weights.
+only where dominance compares two weights.  This module alone maps between
+the two: ``_gap`` takes two weights to the root vector between them, and
+``_moved`` a weight and a root vector to the weight across.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -74,26 +76,10 @@ class Weight(_Value):
         _set(self, "labels", labs)
         _set(self, "shift", _as_fraction(shift))
 
-    def __eq__(self, other):
-        if other.__class__ is not Weight:
-            return NotImplemented
-        # ints first, as in the hash: a Fraction is kept in lowest terms
-        s, t = self.shift, other.shift
-        return (
-            self.labels == other.labels
-            and s.numerator == t.numerator
-            and s.denominator == t.denominator
-            and self.diagram == other.diagram
-        )
-
-    def __hash__(self) -> int:
-        # ints only: Fraction.__hash__ is slow, and the diagram rarely differs
-        value = getattr(self, "_hash", None)
-        if value is None:
-            shift = self.shift
-            value = hash((self.labels, shift.numerator, shift.denominator))
-            _set(self, "_hash", value)
-        return value
+    def _key(self) -> tuple:
+        # ints, not the Fraction: Fraction.__hash__ is slow
+        shift = self.shift
+        return (self.labels, shift.numerator, shift.denominator, self.diagram)
 
     @property
     def m(self) -> int:
@@ -104,7 +90,9 @@ class Weight(_Value):
     def coeffs(self) -> tuple:
         """Simple root coefficients of the weight less m times the
         fundamental weight of vertex 0."""
-        return _root_coeffs(self.diagram, self.labels, self.shift)
+        shift = self.shift
+        nums, den = _scaled_coeffs(self.diagram, self.labels, shift.numerator, shift.denominator)
+        return tuple(Fraction(v, den) for v in nums)
 
     def __str__(self) -> str:
         labs = ",".join(map(str, self.labels))
@@ -120,11 +108,6 @@ def _scaled_coeffs(diagram: AffineDiagram, labs, p: int, q: int) -> tuple:
         for row, mark in zip(adj, diagram.marks)
     ]
     return nums, det * q
-
-
-def _root_coeffs(diagram: AffineDiagram, labs, shift: Fraction) -> tuple:
-    nums, den = _scaled_coeffs(diagram, labs, shift.numerator, shift.denominator)
-    return tuple(Fraction(v, den) for v in nums)
 
 
 def labels(weight: Weight) -> tuple:
@@ -151,49 +134,40 @@ def is_dominant(weight: Weight) -> bool:
     return all(v >= 0 for v in weight.labels)
 
 
-def _require_same_diagram(a: Weight, b: Weight) -> None:
+def _gap(a: Weight, b: Weight):
+    """The coefficients of a - b times a common denominator, and that
+    denominator; None when the levels differ."""
     if a.diagram != b.diagram:
         raise ComponentMismatchError(
             f"weights on different diagrams: {a.diagram} and {b.diagram}"
         )
-
-
-def _shift_gap(a: Weight, b: Weight) -> tuple:
-    """The shift of a less that of b as an int numerator and denominator."""
+    if a.m != b.m:
+        return None
     s, t = a.shift, b.shift
-    return (
+    return _scaled_coeffs(
+        a.diagram,
+        [x - y for x, y in zip(a.labels, b.labels)],
         s.numerator * t.denominator - t.numerator * s.denominator,
         s.denominator * t.denominator,
     )
 
 
-def _scaled_difference(a: Weight, b: Weight) -> tuple:
-    """The coefficients of a - b times a common denominator, and that
-    denominator; defined only at equal level."""
-    _require_same_diagram(a, b)
-    if a.m != b.m:
-        raise ComponentMismatchError(
-            f"levels differ: {a.m} and {b.m}"
-        )
-    gap = tuple(x - y for x, y in zip(a.labels, b.labels))
-    return _scaled_coeffs(a.diagram, gap, *_shift_gap(a, b))
-
-
 def difference(a: Weight, b: Weight) -> tuple:
     """Coefficientwise difference a - b, defined only at equal level."""
-    nums, den = _scaled_difference(a, b)
+    gap = _gap(a, b)
+    if gap is None:
+        raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
+    nums, den = gap
     return tuple(Fraction(v, den) for v in nums)
 
 
 def _dominance_gap(lower: Weight, upper: Weight):
     """The root vector upper - lower if it is nonnegative and integral, else None."""
-    _require_same_diagram(lower, upper)
-    if lower.m != upper.m:
-        return None
-    gap = tuple(x - y for x, y in zip(upper.labels, lower.labels))
-    nums, den = _scaled_coeffs(upper.diagram, gap, *_shift_gap(upper, lower))
-    if all(v >= 0 and v % den == 0 for v in nums):
-        return tuple(v // den for v in nums)
+    gap = _gap(lower, upper)
+    if gap is not None:
+        nums, den = gap
+        if all(v <= 0 and v % den == 0 for v in nums):
+            return tuple(-v // den for v in nums)
     return None
 
 
@@ -204,11 +178,16 @@ def dominance_leq(lower: Weight, upper: Weight) -> bool:
 
 def add_root(weight: Weight, root: RootVector) -> Weight:
     """The weight plus the root."""
-    diagram = weight.diagram
-    if diagram != root.diagram:
+    if weight.diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
-    labs = _add_columns(diagram, weight.labels, root.coeffs)
-    return Weight(diagram, labs, _plus_delta(weight.shift, root.coeffs[0], diagram.marks[0]))
+    return _moved(weight, root.coeffs)
+
+
+def _moved(weight: Weight, coeffs) -> Weight:
+    """The weight plus the root vector with these integer coefficients."""
+    diagram = weight.diagram
+    labs = _add_columns(diagram, weight.labels, coeffs)
+    return Weight(diagram, labs, _plus_delta(weight.shift, coeffs[0], diagram.marks[0]))
 
 
 def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
@@ -235,7 +214,10 @@ def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
 def _require_component(a: Weight, b: Weight) -> tuple:
     """The integer root vector a - b; raises unless a and b share a component
     and are both dominant."""
-    nums, den = _scaled_difference(a, b)
+    gap = _gap(a, b)
+    if gap is None:
+        raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
+    nums, den = gap
     for i, v in enumerate(nums):
         if v % den:
             raise ComponentMismatchError(
@@ -253,8 +235,7 @@ def meet(a: Weight, b: Weight) -> Weight:
     coefficients only drop, and off-diagonal Cartan entries are nonpositive,
     so every coroot value of the minimum dominates that argument's value.
     """
-    gap = _require_component(a, b)
-    return add_root(a, RootVector(a.diagram, tuple(-max(0, g) for g in gap)))
+    return _moved(a, [-max(0, g) for g in _require_component(a, b)])
 
 
 def join(a: Weight, b: Weight) -> Weight:
@@ -265,21 +246,14 @@ def join(a: Weight, b: Weight) -> Weight:
     ceil(-e / 2), so raising by exactly that amount keeps the candidate
     below every upper bound and terminates at the least one.
     """
-    gap = _require_component(a, b)
-    diagram = a.diagram
-    corner = add_root(a, RootVector(diagram, tuple(max(0, -g) for g in gap)))
-    # raising vertex j by step adds step times Cartan column j to the labels
-    cartan = diagram.cartan
-    labs, shift = list(corner.labels), corner.shift
+    bound = _moved(a, [max(0, -g) for g in _require_component(a, b)])
     while True:
-        j = next((j for j, e in enumerate(labs) if e < 0), None)
+        j = next((j for j, e in enumerate(bound.labels) if e < 0), None)
         if j is None:
-            return Weight(diagram, labs, shift)
-        step = (1 - labs[j]) // 2
-        for i in (j,) + diagram.adjacency[j]:
-            labs[i] += step * cartan[i][j]
-        if j == 0:
-            shift += Fraction(step, diagram.marks[0])
+            return bound
+        step = [0] * len(bound.labels)
+        step[j] = (1 - bound.labels[j]) // 2
+        bound = _moved(bound, step)
 
 
 def sort_key(weight: Weight) -> tuple:

@@ -113,7 +113,7 @@ def test_connectivity_helpers():
     assert d.is_connected([0, 1])
     assert not d.is_connected([0, 2])
     assert d.is_connected([1, 2, 3])
-    assert sorted(d.neighbors(0)) == [1, 3]
+    assert sorted(d.adjacency[0]) == [1, 3]
 
 
 def test_classify_finite_families():

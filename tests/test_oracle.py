@@ -244,7 +244,14 @@ def test_brute_search_is_independent_of_the_classifier():
     # the coefficient code its gap check is there to check
     source = pathlib.Path(oracle.__file__).read_text()
     tree = ast.parse(source)
-    checked = {"_scaled_coeffs", "_scaled_difference", "_interior_adjugate", "_integer_gap"}
+    checked = {
+        "_scaled_coeffs",
+        "_scaled_difference",
+        "_interior_adjugate",
+        "_integer_gap",
+        "_gap",
+        "_dominance_gap",
+    }
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             assert node.module != "covering"

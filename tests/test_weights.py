@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from affposet.cartan import build_affine, catalog_types, parse_type_id
-from affposet.roots import RootVector, delta_root, simple_root
+from affposet.cartan import build_affine, catalog_types, classify_finite, parse_type_id
+from affposet.roots import RootVector, delta_root, highest_short_root, simple_root
 from affposet.weights import (
     ComponentMismatchError,
     Weight,
@@ -262,3 +262,55 @@ def test_weight_hash_reads_the_value_not_its_form():
     for shift in (0, Fraction(3, 2)):
         a, g = Weight(D("A2-1"), (1, 0, 0), shift), Weight(D("G2-1"), (1, 0, 0), shift)
         assert a != g and not a == g and len({a, g}) == 2
+
+
+def test_error_types_and_texts_are_pinned():
+    x = W("A2-1", (1, 0, 0))
+    other_diagram = W("A3-1", (1, 0, 0, 0))
+    other_level = W("A2-1", (1, 1, 0))
+    non_integral = W("A2-1", (0, 1, 0))
+    half_shift = W("A2-1", (1, 0, 0), Fraction(1, 2))
+    not_dominant = add_root(x, simple_root(D("A2-1"), 1))  # labels (0, 2, -1)
+    for fn in (difference, dominance_leq, meet, join):
+        with pytest.raises(ComponentMismatchError) as info:
+            fn(x, other_diagram)
+        assert str(info.value) == "weights on different diagrams: A2-1 and A3-1"
+        with pytest.raises(ComponentMismatchError) as info:
+            fn(other_diagram, x)
+        assert str(info.value) == "weights on different diagrams: A3-1 and A2-1"
+    for fn in (difference, meet, join):
+        with pytest.raises(ComponentMismatchError) as info:
+            fn(x, other_level)
+        assert str(info.value) == "levels differ: 1 and 2"
+    for fn, pair, text in [
+        (meet, (x, non_integral), "coefficient 1 differs by the non-integer -2/3"),
+        (join, (x, non_integral), "coefficient 1 differs by the non-integer -2/3"),
+        (meet, (x, half_shift), "coefficient 0 differs by the non-integer -1/2"),
+        (join, (half_shift, x), "coefficient 0 differs by the non-integer 1/2"),
+    ]:
+        with pytest.raises(ComponentMismatchError) as info:
+            fn(*pair)
+        assert str(info.value) == text
+    for fn in (meet, join):
+        for pair in ((x, not_dominant), (not_dominant, x)):
+            with pytest.raises(ValueError) as info:
+                fn(*pair)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "meet and join are defined for dominant weights"
+    assert difference(x, non_integral) == (0, Fraction(-2, 3), Fraction(-1, 3))
+    assert difference(not_dominant, x) == (0, 1, 0)
+    for pair in ((x, other_level), (x, non_integral), (x, half_shift)):
+        assert not dominance_leq(*pair) and not dominance_leq(*reversed(pair))
+    assert dominance_leq(x, not_dominant) and not dominance_leq(not_dominant, x)
+
+    for name, vertices, text in [
+        ("A2-1", [], "empty vertex set"),
+        ("A2-1", [0, 5], "vertices [0, 5] out of range for A2-1"),
+        ("A2-1", [2, 1, 0], "subdiagram must be proper"),
+        ("A5-1", [4, 0, 2], "vertex set [0, 2, 4] is not connected in A5-1"),
+    ]:
+        for fn in (highest_short_root, classify_finite):
+            with pytest.raises(ValueError) as info:
+                fn(D(name), vertices)
+            assert type(info.value) is ValueError
+            assert str(info.value) == text
