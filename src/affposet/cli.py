@@ -16,7 +16,7 @@ import sys
 from .cartan import build_affine, catalog_types, parse_type_id
 from .covering import cocovers, covers, edge_to_json, special_vertices
 from .roots import CoverKind
-from .weights import format_shift, parse_shift, weight_from_labels
+from .weights import _parse_int, format_shift, parse_shift, weight_from_labels
 
 __all__ = ["run", "main"]
 
@@ -31,9 +31,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _labels_arg(text: str, diagram):
-    parts = [p.strip() for p in text.split(",")]
     try:
-        vals = [int(p) for p in parts]
+        vals = [_parse_int(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"labels must be comma separated integers, got {text!r}")
     if len(vals) != diagram.n + 1:
@@ -144,13 +143,11 @@ def _cmd_verify(args) -> int:
         names = [args.type]
     else:
         raise _UsageError("give a type or --all-types")
-    levels = tuple(int(p) for p in args.levels.split(","))
-    window = None
+    levels = tuple(map(_parse_int, args.levels.split(",")))
+    window = SearchWindow(tuple(map(_parse_int, args.window.split(",")))) if args.window else None
     reports = []
     for name in names:
         diagram = build_affine(parse_type_id(name))
-        if args.window:
-            window = SearchWindow(tuple(int(p) for p in args.window.split(",")))
         report = verify_covering(
             diagram,
             levels=levels,
@@ -235,8 +232,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         except _UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else int(exc.code)
+        except SystemExit:  # only --help exits, and with code 0
+            return 0
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -26,6 +26,7 @@ call, and builds the brute lower ends as (labels, shift) pairs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -42,7 +43,6 @@ from .weights import (
     _add_columns,
     _plus_delta,
     _require_component,
-    add_root,
     format_shift,
     is_dominant,
     meet,
@@ -198,6 +198,8 @@ def _at_most_masks(values, thresholds) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _box(diagram: AffineDiagram, bounds: tuple) -> _Box:
+    if len(bounds) != diagram.n + 1:
+        raise ValueError("window rank does not match the diagram")
     rows = math.prod(b + 1 for b in bounds)
     if rows > _MAX_BOX_ROWS:
         raise BoxTooLargeError(
@@ -206,16 +208,14 @@ def _box(diagram: AffineDiagram, bounds: tuple) -> _Box:
     return _Box(diagram, bounds)
 
 
-def _check_rank(diagram: AffineDiagram, window: SearchWindow) -> None:
-    if len(window.bounds) != diagram.n + 1:
-        raise ValueError("window rank does not match the diagram")
-
-
-def _brute_offsets(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
+def _brute_lowers(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
     """The minimal nonzero offsets beta of the window with labs - A beta
-    dominant, in row order."""
+    dominant, in row order, each paired with those labels."""
     box = _box(diagram, window.bounds)
-    return box.minimal(box.change_at_most(labs) & ~1)  # row 0 is the zero offset
+    return [
+        (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
+        for beta in box.minimal(box.change_at_most(labs) & ~1)  # row 0 is the zero offset
+    ]
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,16 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     diagram = weight.diagram
     if window is None:
         window = default_window(diagram)
-    _check_rank(diagram, window)
-    lowers, diffs, flags = [], [], []
-    for beta in _brute_offsets(diagram, window, weight.labels):
-        diff = RootVector(diagram, beta)
-        lowers.append(add_root(weight, -diff))
-        diffs.append(diff)
-        flags.append(any(map(eq, beta, window.bounds)))
-    return BruteCocovers(tuple(lowers), tuple(diffs), tuple(flags))
+    found = _brute_lowers(diagram, window, weight.labels)
+    mark0 = diagram.marks[0]
+    return BruteCocovers(
+        tuple(
+            Weight(diagram, lower, _plus_delta(weight.shift, -beta[0], mark0))
+            for beta, lower in found
+        ),
+        tuple(RootVector(diagram, beta) for beta, _ in found),
+        tuple(any(map(eq, beta, window.bounds)) for beta, _ in found),
+    )
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,6 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     diagram = a.diagram
     if window is None:
         window = default_window(diagram)
-    _check_rank(diagram, window)
     mark0 = diagram.marks[0]
     change = [sum(map(mul, row, gap)) for row in diagram.cartan]
     if change != list(map(sub, a.labels, b.labels)) or Fraction(gap[0], mark0) != (
@@ -331,20 +332,15 @@ class VerificationReport:
         }
 
 
-def _census_labels(diagram: AffineDiagram, max_sum: int = 3):
-    """All nonzero label vectors with entry sum at most max_sum."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == diagram.n + 1:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], max_sum)
-    return out
+def _census_labels(diagram: AffineDiagram) -> list:
+    """All nonzero label vectors with entry sum at most three, in
+    lexicographic order: one per multiset of one to three vertices."""
+    vertices = diagram.vertices
+    return sorted(
+        tuple(multiset.count(v) for v in vertices)
+        for size in (1, 2, 3)
+        for multiset in itertools.combinations_with_replacement(vertices, size)
+    )
 
 
 def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random):
@@ -376,6 +372,27 @@ def _dominant_repair(weight: Weight) -> Weight:
             shift += Fraction(step, diagram.marks[0])
 
 
+def _sweep(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
+    """The weights a sweep checks, each with the partner of its meet/join
+    check: the census weights with none, then each level's seeded samples,
+    each with a dominant partner near it."""
+    for labs in _census_labels(diagram):
+        yield weight_from_labels(diagram, labs), None
+    mark0 = diagram.marks[0]
+    for lvl in levels:
+        rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
+        for _ in range(samples_per_level):
+            labs = _sample_labels(diagram, lvl, rng)
+            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+            offsets = [rng.randint(-2, 2) for _ in diagram.vertices]
+            partner = _dominant_repair(Weight(
+                diagram,
+                _add_columns(diagram, labs, offsets),
+                _plus_delta(shift, offsets[0], mark0),
+            ))
+            yield weight_from_labels(diagram, labs, shift), partner
+
+
 def _weight_key(weight: Weight):
     return (weight.labels, format_shift(weight.shift))
 
@@ -405,10 +422,7 @@ def _check_one(weight, window, mismatches, searches):
     diagram, labs, shift = weight.diagram, weight.labels, weight.shift
     found = searches.get(labs)
     if found is None:
-        found = searches[labs] = [
-            (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
-            for beta in _brute_offsets(diagram, window, labs)
-        ]
+        found = searches[labs] = _brute_lowers(diagram, window, labs)
     mark0 = diagram.marks[0]
     brute = set()
     for beta, lower in found:
@@ -486,46 +500,20 @@ def verify_covering(
     ) else type_id
     if window is None:
         window = default_window(diagram)
-    _check_rank(diagram, window)
-    mark0 = diagram.marks[0]
     start = time.monotonic()
+    _box(diagram, window.bounds)  # a window that cannot be searched fails at once
     searches: dict = {}
     mismatches: list = []
     tested = 0
     exceeded = False
-
-    def out_of_time() -> bool:
-        return budget is not None and time.monotonic() - start > budget
-
-    for labs in _census_labels(diagram):
-        if out_of_time():
+    for weight, partner in _sweep(diagram, levels, samples_per_level, seed):
+        if budget is not None and time.monotonic() - start > budget:
             exceeded = True
             break
-        weight = weight_from_labels(diagram, labs)
-        if weight.m <= 0:
-            continue
         _check_one(weight, window, mismatches, searches)
-        tested += 1
-    for lvl in levels:
-        if exceeded:
-            break
-        rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
-        for _ in range(samples_per_level):
-            if out_of_time():
-                exceeded = True
-                break
-            labs = _sample_labels(diagram, lvl, rng)
-            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-            weight = weight_from_labels(diagram, labs, shift)
-            _check_one(weight, window, mismatches, searches)
-            offsets = [rng.randint(-2, 2) for _ in diagram.vertices]
-            partner = _dominant_repair(Weight(
-                diagram,
-                _add_columns(diagram, labs, offsets),
-                _plus_delta(shift, offsets[0], mark0),
-            ))
+        if partner is not None:
             _check_pair(weight, partner, window, mismatches)
-            tested += 1
+        tested += 1
     return VerificationReport(
         type=str(diagram.type_id),
         levels=levels,

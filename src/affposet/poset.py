@@ -100,8 +100,6 @@ def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph
     rises with the gap at vertex 0, so (labels, gap[0]) sorts like
     ``sort_key``.
     """
-    if top == bottom:
-        return PosetGraph((top,), ())
     start = _dominance_gap(bottom, top)
     if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")

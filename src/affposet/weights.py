@@ -18,6 +18,7 @@ componentwise maximum repaired upward until dominant.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -265,6 +266,18 @@ def format_shift(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_INT_RE = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """An integer written in ASCII digits, with an optional minus sign and
+    surrounding whitespace; int() also takes '1_0', '+1' and other scripts'
+    digits."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_shift(text: str) -> Fraction:
     parts = text.split("/")
     if len(parts) != 2:
@@ -272,7 +285,7 @@ def parse_shift(text: str) -> Fraction:
             f"malformed shift {text!r}, expected 'p/q' with q > 0"
         )
     try:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = _parse_int(parts[0]), _parse_int(parts[1])
     except ValueError:
         raise ValueError(f"malformed shift {text!r}") from None
     if den <= 0:

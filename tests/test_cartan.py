@@ -156,6 +156,89 @@ def test_classify_finite_rejects():
         classify_finite(a1, [0, 1])
 
 
+def _ref_classify_finite(diagram, vertices):
+    # the case analysis classify_finite made before it read the type off the
+    # bond data, with a raise for each pattern no finite type has
+    k = sorted(vertices)
+    a, adjacent = diagram.cartan, diagram.adjacency
+    inside = set(k)
+    degree = {v: sum(1 for w in adjacent[v] if w in inside) for v in k}
+    bonds = [(i, j, a[i][j] * a[j][i]) for i in k for j in k if i < j and a[i][j] != 0]
+    if any(m > 3 for _, _, m in bonds):
+        raise ValueError("not finite")
+    triples = [b for b in bonds if b[2] == 3]
+    doubles = [b for b in bonds if b[2] == 2]
+    if triples:
+        if len(k) == 2 and len(bonds) == 1:
+            return FiniteType("G", 2)
+        raise ValueError("not finite")
+    if len(doubles) > 1:
+        raise ValueError("not finite")
+    if doubles:
+        if any(degree[v] > 2 for v in k):
+            raise ValueError("not finite")
+        i, j, _ = doubles[0]
+        if len(k) == 2:
+            return FiniteType("B", 2)
+        if degree[i] == 1 or degree[j] == 1:
+            end, other = (i, j) if degree[i] == 1 else (j, i)
+            return FiniteType("B" if a[end][other] == -2 else "C", len(k))
+        if len(k) == 4:
+            return FiniteType("F", 4)
+        raise ValueError("not finite")
+    branch = [v for v in k if degree[v] >= 3]
+    if not branch:
+        return FiniteType("A", len(k))
+    if len(branch) > 1 or degree[branch[0]] != 3:
+        raise ValueError("not finite")
+    arms = []
+    for start in adjacent[branch[0]]:
+        if start in inside:
+            length, prev, cur = 1, branch[0], start
+            while True:
+                nxt = [w for w in adjacent[cur] if w in inside and w != prev]
+                if not nxt:
+                    break
+                prev, cur, length = cur, nxt[0], length + 1
+            arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return FiniteType("D", len(k))
+    if arms in ([1, 2, 2], [1, 2, 3], [1, 2, 4]):
+        return FiniteType("E", len(k))
+    raise ValueError("not finite")
+
+
+def _connected_proper_subsets(diagram):
+    # grown one neighbour at a time from each vertex
+    found, layer = set(), {frozenset([v]) for v in diagram.vertices}
+    while layer:
+        found |= layer
+        layer = {
+            part | {w}
+            for part in layer
+            for v in part
+            for w in diagram.adjacency[v]
+            if w not in part and len(part) < diagram.n
+        } - found
+    return found
+
+
+def test_classify_finite_matches_the_case_analysis():
+    # every connected proper subset of the catalog and of larger types
+    names = ALL_TYPES + [
+        "E6-1", "E7-1", "E8-1", "B8-1", "C8-1", "D8-1", "B12-1", "C12-1",
+        "D12-1", "A9-2", "A10-2", "D8-2", "A20-1",
+    ]
+    checked = 0
+    for name in names:
+        d = build_affine(name)
+        for part in _connected_proper_subsets(d):
+            assert classify_finite(d, part) == _ref_classify_finite(d, part), (name, part)
+            checked += 1
+    assert checked == 1235
+
+
 def test_diagram_identity():
     d1 = build_affine(parse_type_id("A2-1"))
     d2 = build_affine(parse_type_id("A2-1"))

@@ -184,6 +184,55 @@ def test_exit_codes():
     assert code == 2 and "error:" in err
 
 
+def test_interval_of_one_weight_checks_it():
+    for labs in ("-1,0,0", "0,0,0"):
+        code, out, err = cap(["interval", "A2-1", f"--top={labs}", f"--bottom={labs}"])
+        assert (code, out) == (2, ""), labs
+        assert err.startswith("error:"), labs
+
+
+def test_integers_are_parsed_strictly():
+    # int() reads each of these as an integer: underscores, a plus sign,
+    # and digits of other scripts (here the Arabic-Indic one)
+    for bad in ("1_0", "+1", "\u0661"):
+        for argv, message in (
+            (["cocovers", "A2-1", "--labels", f"{bad},0,0"], "comma separated integers"),
+            (["covers", "A2-1", "--labels", "1,0,0", f"--shift={bad}/3"], "malformed shift"),
+            (["interval", "A2-1", "--top", f"1,0,{bad}", "--bottom", "1,0,0"],
+             "comma separated integers"),
+            (["interval", "A2-1", "--top", "1,0,0", "--bottom", f"0,{bad},0"],
+             "comma separated integers"),
+            (["interval", "A2-1", "--top", "1,0,0", f"--top-shift=1/{bad}",
+              "--bottom", "1,0,0"], "malformed shift"),
+            (["interval", "A2-1", "--top", "1,0,0", "--bottom", "1,0,0",
+              f"--bottom-shift={bad}/1"], "malformed shift"),
+            (["cell", "A4-1", "--labels", "1,1,1,1,0", "--mu", f"0,0,2,1,{bad}",
+              "--mu2", "1,2,0,0,1"], "comma separated integers"),
+            (["cell", "A4-1", "--labels", "1,1,1,1,0", "--mu", "0,0,2,1,1",
+              "--mu2", f"{bad},2,0,0,1"], "comma separated integers"),
+            (["verify", "A2-1", "--levels", bad, "--samples", "0"], "invalid literal"),
+            (["verify", "A2-1", "--window", f"2,2,{bad}", "--samples", "0"],
+             "invalid literal"),
+        ):
+            code, out, err = cap(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:") and message in err, argv
+
+
+def test_verify_window_flag():
+    code, out, err = cap(["verify", "A2-1", "--window", "1,1,1", "--levels", "1",
+                          "--samples", "0"])
+    report = json.loads(out)
+    assert code == 3 and report["boundary_flags"] > 0
+    assert "boundary" in {m["check"] for m in report["mismatches"]}
+    for window, message in (
+        ("2,2", "window rank does not match the diagram"),
+        ("0,2,2", "window bounds must be positive"),
+    ):
+        code, out, err = cap(["verify", "A2-1", "--window", window])
+        assert (code, out) == (2, "") and message in err, window
+
+
 # sha256 of stdout for the acceptance suite's CLI commands and one covers
 # query, recorded at commit f76dc87, while weights still stored root
 # coefficients; the bytes must never change

@@ -296,6 +296,15 @@ def test_brute_bounds_rejects_wrong_rank_window():
             brute_cocovers(a, SearchWindow(bounds))
 
 
+def test_verify_covering_rejects_a_wrong_rank_window_before_any_weight(monkeypatch):
+    def searched(*args):
+        raise AssertionError("a weight was checked")
+
+    monkeypatch.setattr(oracle, "_check_one", searched)
+    with pytest.raises(ValueError, match="window rank does not match the diagram"):
+        verify_covering("A2-1", window=SearchWindow((2, 2)), budget=0)
+
+
 def test_brute_bounds_checks_the_gap_against_the_cartan_matrix(monkeypatch):
     a, b = W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3))
     gap = oracle._require_component(a, b)
@@ -671,13 +680,13 @@ def test_sweep_matches_the_reference_sweep(name):
 
 
 def test_sweep_searches_each_label_tuple_once(monkeypatch):
-    real, searched = oracle._brute_offsets, []
+    real, searched = oracle._brute_lowers, []
 
     def counted(diagram, window, labs):
         searched.append(labs)
         return real(diagram, window, labs)
 
-    monkeypatch.setattr(oracle, "_brute_offsets", counted)
+    monkeypatch.setattr(oracle, "_brute_lowers", counted)
     for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
         census = oracle._census_labels(D(name))
         # at levels up to three every sample's labels are in the census

@@ -94,6 +94,19 @@ def test_interval_trivial_and_errors():
         interval(W("A2-1", (2, 1, 1)), top, max_nodes=1)
 
 
+@pytest.mark.parametrize("labs", [(-1, 0, 0), (0, 0, 0)])
+def test_interval_of_one_weight_checks_it(labs):
+    # a weight that is not dominant, or of level zero, is refused as a top
+    # whether the bottom is the weight itself or lies below it
+    w = W("A2-1", labs)
+    errors = []
+    for bottom in (W("A2-1", labs, -1), w):
+        with pytest.raises(ValueError) as caught:
+            interval(w, bottom)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+
+
 def test_interval_too_large_is_a_named_error():
     top, bottom = W("A3-1", (0, 2, 1, 1)), W("A3-1", (2, 1, 1, 0))
     with pytest.raises(IntervalTooLargeError, match="exceeds 3 nodes"):

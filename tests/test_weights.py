@@ -199,6 +199,17 @@ def test_weight_from_json_rejects_non_integer_labels():
             weight_from_json(data)
 
 
+def test_weight_from_json_parses_shift_integers_strictly():
+    # int() would read these as 10, 1 and 1
+    for bad in ("1_0", "+1", "\u0661"):
+        for shift in (f"{bad}/3", f"1/{bad}"):
+            data = {"type": "A2-1", "labels": [0, 1, 1], "delta_shift": shift}
+            with pytest.raises(ValueError, match="malformed shift"):
+                weight_from_json(data)
+    data = {"type": "A2-1", "labels": [0, 1, 1], "delta_shift": " -1/3"}
+    assert weight_from_json(data).shift == Fraction(-1, 3)
+
+
 def test_sort_key_orders_by_level_then_labels():
     d = D("A2-1")
     ws = [
