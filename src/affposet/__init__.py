@@ -16,9 +16,8 @@ from .covering import *
 
 __version__ = "0.1.0"
 
-# The oracle (and numpy with it) and the poset module load on first use of
-# one of their names.  Each lookup reads the module, so no copy here outlives
-# a patch of it.
+# The oracle and the poset module load on first use of one of their names.
+# Each lookup reads the module, so no copy here outlives a patch of it.
 _LAZY = {
     **dict.fromkeys((
         "BoxTooLargeError", "BruteBounds", "BruteCocovers", "SearchWindow",

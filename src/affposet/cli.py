@@ -135,7 +135,7 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracle import SearchWindow, verify_covering  # numpy loads only for verify
+    from .oracle import SearchWindow, verify_covering  # loaded only for verify
 
     if args.all_types:
         names = list(catalog_types())
@@ -144,6 +144,7 @@ def _cmd_verify(args) -> int:
     else:
         raise _UsageError("give a type or --all-types")
     levels = tuple(map(_parse_int, args.levels.split(",")))
+    samples, seed = _parse_int(args.samples), _parse_int(args.seed)
     window = SearchWindow(tuple(map(_parse_int, args.window.split(",")))) if args.window else None
     reports = []
     for name in names:
@@ -151,8 +152,8 @@ def _cmd_verify(args) -> int:
         report = verify_covering(
             diagram,
             levels=levels,
-            samples_per_level=args.samples,
-            seed=args.seed,
+            samples_per_level=samples,
+            seed=seed,
             window=window,
             budget=args.budget,
         )
@@ -163,13 +164,8 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
         reports.append(report)
-    if args.all_types:
-        _emit([r.to_json() for r in reports])
-    else:
-        _emit(reports[0].to_json())
-    if any(r.mismatches for r in reports):
-        return 3
-    return 0
+    _emit([r.to_json() for r in reports] if args.all_types else reports[0].to_json())
+    return 3 if any(r.mismatches for r in reports) else 0
 
 
 def _build_parser() -> _Parser:
@@ -212,8 +208,8 @@ def _build_parser() -> _Parser:
     p.add_argument("type", nargs="?")
     p.add_argument("--all-types", action="store_true")
     p.add_argument("--levels", default="1,2,3")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", default="200")
+    p.add_argument("--seed", default="0")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--window", default=None)
     p.set_defaults(func=_cmd_verify)

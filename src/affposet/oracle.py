@@ -10,13 +10,13 @@ searches themselves must stay independent of it.
 lower bound is the coefficient-minimum corner, tested for dominance, and the
 root vector between them is first checked against the Cartan matrix.
 
-Each box is built once per diagram and window, with numpy, as bitsets: one
-Python int per threshold, holding the rows whose coroot change (A beta)_j,
-or whose coordinate beta_j, is at most that threshold.  A query then costs a
-few integer ANDs: the dominant results are one AND per vertex, an offset is
-minimal when the AND of its coordinate masks meets the results only at its
-own bit, and the least result, when there is one, is read off the smallest
-coordinate each vertex reaches.
+Each box is built once per diagram and window, with integer shifts, as
+bitsets: one Python int per threshold, holding the rows whose coroot change
+(A beta)_j, or whose coordinate beta_j, is at most that threshold.  A query
+then costs a few integer ANDs: the dominant results are one AND per vertex,
+an offset is minimal when the AND of its coordinate masks meets the results
+only at its own bit, and the least result, when there is one, is read off
+the smallest coordinate each vertex reaches.
 
 A sweep works on integer labels: the box search depends on the labels
 alone, so :func:`verify_covering` runs it once per label tuple within a
@@ -32,9 +32,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import eq, mul, sub
-
-import numpy as np
+from operator import eq, mul, or_, sub
 
 from .cartan import AffineDiagram, build_affine, parse_type_id
 from .roots import RootVector, cover_root_lookup
@@ -73,7 +71,8 @@ class BoxTooLargeError(ValueError):
 
 
 # E6-1's doubled window (1 184 625 rows) fits; E7-1's doubled window
-# (52 360 425) and E8-1's default one (42 567 525) would need gigabytes
+# (52 360 425) and E8-1's default one (42 567 525) would need 2.2 and 1.5 GiB
+# of masks, at one bit per row and threshold
 _MAX_BOX_ROWS = 1 << 21
 
 
@@ -116,20 +115,32 @@ class _Box:
         self.strides = tuple(math.prod(self.radices[j + 1:]) for j in diagram.vertices)
         size = math.prod(self.radices)
         self.full = (1 << size) - 1
-        rows = np.arange(size, dtype=np.int64)
-        digits = [rows // s % r for s, r in zip(self.strides, self.radices)]
+        # digits[j][d]: the rows whose offset has beta_j = d, a run of stride
+        # ones repeated every stride * radix bits, shifted by d * stride
+        digits = []
+        for stride, radix in zip(self.strides, self.radices):
+            run, width = (1 << stride) - 1, stride * radix
+            while width < size:
+                run, width = run | run << width, 2 * width
+            digits.append([(run & self.full) << d * stride for d in range(radix)])
         # coord_masks[j][t]: the rows whose offset has beta_j <= t
-        self.coord_masks = tuple(
-            _at_most_masks(d, np.arange(b + 1)) for d, b in zip(digits, bounds)
-        )
-        # label_masks[j][k]: the rows where (A beta)_j <= lows[j] + k; every
-        # row qualifies from the last value on, which is left out
+        self.coord_masks = tuple(tuple(itertools.accumulate(d, or_)) for d in digits)
+        # label_masks[j][k]: the rows where (A beta)_j <= lows[j] + k, up to the
+        # last value, where every row qualifies; parts maps each partial sum of
+        # (A beta)_j over j and its neighbours to its rows
         lows, label_masks = [], []
         for j, row in enumerate(diagram.cartan):
-            change = sum(row[i] * digits[i] for i in (j,) + diagram.adjacency[j])
-            low = int(change.min())
-            lows.append(low)
-            label_masks.append(_at_most_masks(change, np.arange(low, int(change.max()))))
+            parts = {row[j] * d: digit for d, digit in enumerate(digits[j])}
+            for i in diagram.adjacency[j]:
+                folded = {}
+                for value, rows in parts.items():
+                    for d, digit in enumerate(digits[i]):
+                        key = value + row[i] * d
+                        folded[key] = folded.get(key, 0) | rows & digit
+                parts = folded
+            lows.append(min(parts))
+            at = (parts.get(v, 0) for v in range(lows[-1], max(parts)))
+            label_masks.append(tuple(itertools.accumulate(at, or_)))
         self.lows = tuple(lows)
         self.label_masks = tuple(label_masks)
 
@@ -187,13 +198,6 @@ class _Box:
             beta.append(t)
         r = sum(map(mul, beta, self.strides))
         return tuple(beta) if rows >> r & 1 else None
-
-
-def _at_most_masks(values, thresholds) -> tuple:
-    """For each threshold t, the rows whose value is at most t, as one int."""
-    below = values[None, :] <= thresholds[:, None]
-    packed = np.packbits(below, axis=1, bitorder="little")
-    return tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,9 +286,8 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         window = default_window(diagram)
     mark0 = diagram.marks[0]
     change = [sum(map(mul, row, gap)) for row in diagram.cartan]
-    if change != list(map(sub, a.labels, b.labels)) or Fraction(gap[0], mark0) != (
-        a.shift - b.shift
-    ):
+    shift_gap = Fraction(gap[0], mark0)
+    if change != list(map(sub, a.labels, b.labels)) or shift_gap != a.shift - b.shift:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     lo = [-max(0, g) for g in gap]
     hi = [max(0, -g) for g in gap]
@@ -300,10 +303,8 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         raise WindowExhaustedError("no dominant upper bound within the window")
     beta = box.least(up)
     if beta is None:
-        raise RuntimeError(
-            "upper bounds have two incomparable minima: "
-            + ", ".join(map(str, box.minimal(up)))
-        )
+        minima = ", ".join(map(str, box.minimal(up)))
+        raise RuntimeError(f"upper bounds have two incomparable minima: {minima}")
     lub = Weight(
         diagram,
         _add_columns(diagram, corner_hi, beta),
@@ -447,14 +448,13 @@ def _check_one(weight, window, mismatches, searches):
 
 
 def _check_pair(weight, partner, window, mismatches):
-    search = window
     bb = None
     for _ in range(5):
         try:
-            bb = brute_bounds(weight, partner, search)
+            bb = brute_bounds(weight, partner, window)
             break
         except WindowExhaustedError:
-            search = search.doubled()
+            window = window.doubled()
         except BoxTooLargeError:
             break
         except RuntimeError as exc:
@@ -495,6 +495,8 @@ def verify_covering(
         raise TypeError(f"samples_per_level must be an int, got {samples_per_level!r}")
     if samples_per_level < 0:
         raise ValueError(f"samples_per_level must be nonnegative, got {samples_per_level}")
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     diagram = build_affine(parse_type_id(type_id)) if not isinstance(
         type_id, AffineDiagram
     ) else type_id

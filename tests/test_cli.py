@@ -161,6 +161,13 @@ def test_verify_rejects_bad_levels_and_samples():
         assert err.startswith("error:") and name in err, argv
 
 
+def test_verify_rejects_a_bad_budget():
+    for budget in ("-1", "-0.5", "nan"):
+        code, out, err = cap(["verify", "A1-1", "--budget", budget])
+        assert (code, out) == (2, ""), budget
+        assert err.startswith("error:") and "budget" in err, budget
+
+
 def test_verify_budget_warning():
     code, out, err = cap(["verify", "F4-1", "--budget", "0.05"])
     assert code == 0
@@ -213,6 +220,8 @@ def test_integers_are_parsed_strictly():
             (["verify", "A2-1", "--levels", bad, "--samples", "0"], "invalid literal"),
             (["verify", "A2-1", "--window", f"2,2,{bad}", "--samples", "0"],
              "invalid literal"),
+            (["verify", "A2-1", "--samples", bad], "invalid literal"),
+            (["verify", "A2-1", "--seed", bad, "--samples", "0"], "invalid literal"),
         ):
             code, out, err = cap(argv)
             assert (code, out) == (2, ""), argv

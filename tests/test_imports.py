@@ -1,6 +1,6 @@
-"""The import boundary: only the oracle's entry points load it and numpy,
-only interval and cell queries load the poset module, and nothing loads
-``dataclasses`` (with ``inspect`` behind it) outside the oracle.
+"""The import boundary: only the oracle's entry points load it, nothing
+loads numpy, only interval and cell queries load the poset module, and
+nothing loads ``dataclasses`` (with ``inspect`` behind it) outside the oracle.
 
 Each check runs in a fresh interpreter, so what it sees in ``sys.modules``
 comes from the code under test alone, not from earlier tests.
@@ -17,7 +17,7 @@ import pytest
 import affposet
 
 SRC = str(pathlib.Path(affposet.__file__).parents[1])
-HEAVY = ("numpy", "affposet.oracle")
+HEAVY = ("affposet.oracle",)
 ON_DEMAND = ("dataclasses", "inspect", "affposet.poset")
 
 PRELUDE = (
@@ -25,6 +25,7 @@ PRELUDE = (
     f"HEAVY = {HEAVY!r}\n"
     f"ON_DEMAND = {ON_DEMAND!r}\n"
     "def loaded(names=HEAVY):\n"
+    "    assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
     "    return [m for m in names if m in sys.modules]\n"
 )
 
@@ -88,7 +89,7 @@ def test_interval_and_cell_load_poset(argv):
     assert facts == [[], 0, ["affposet.poset"]]
 
 
-def test_verify_loads_the_oracle_and_numpy():
+def test_verify_loads_the_oracle_but_not_numpy():
     facts = fresh(
         "from affposet.cli import run\n"
         "before = loaded()\n"
@@ -96,6 +97,15 @@ def test_verify_loads_the_oracle_and_numpy():
         "print(json.dumps([before, code, loaded()]))\n"
     )
     assert facts == [[], 0, list(HEAVY)]
+
+
+def test_library_verify_loads_the_oracle_but_not_numpy():
+    facts = fresh(
+        "import affposet\n"
+        "report = affposet.verify_covering('A2-1', samples_per_level=2)\n"
+        "print(json.dumps([report.tested, len(report.mismatches), loaded()]))\n"
+    )
+    assert facts[1:] == [0, list(HEAVY)] and facts[0] > 0
 
 
 def test_oracle_names_resolve_through_the_package():

@@ -1,5 +1,6 @@
 import ast
 import collections
+import math
 import operator
 import pathlib
 import random
@@ -178,6 +179,21 @@ def test_verify_covering_rejects_bad_levels_and_samples(monkeypatch, kwargs, err
     monkeypatch.setattr(oracle, "_check_one", searched)
     with pytest.raises(error, match=name):
         verify_covering("A2-1", **kwargs)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+def test_verify_covering_rejects_a_bad_budget(monkeypatch, budget):
+    def searched(*args):
+        raise AssertionError("the census ran before the budget was checked")
+
+    monkeypatch.setattr(oracle, "_check_one", searched)
+    with pytest.raises(ValueError, match="budget"):
+        verify_covering("A2-1", budget=budget)
+
+
+def test_verify_covering_with_a_zero_budget_stops_at_once():
+    report = verify_covering("A2-1", budget=0)
+    assert report.budget_exceeded and report.tested == 0
 
 
 def test_verify_covering_with_no_samples_runs_the_census():
@@ -492,6 +508,54 @@ def test_box_search_matches_numpy_grid(name):
                 assert bb == _outcome(_ref_bounds, weight, partner, window), (weight, window)
     oracle._box.cache_clear()
     _REF_GRIDS.clear()
+
+
+# A copy of the numpy build of the box the integer shifts replaced: every row's
+# digits as an array, and each threshold's rows packed into one int.
+def _ref_at_most_masks(values, thresholds):
+    below = values[None, :] <= thresholds[:, None]
+    packed = np.packbits(below, axis=1, bitorder="little")
+    return tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
+
+
+def _ref_box(diagram, bounds):
+    radices = tuple(b + 1 for b in bounds)
+    strides = tuple(math.prod(radices[j + 1:]) for j in diagram.vertices)
+    size = math.prod(radices)
+    rows = np.arange(size, dtype=np.int64)
+    digits = [rows // s % r for s, r in zip(strides, radices)]
+    lows, label_masks = [], []
+    for j, row in enumerate(diagram.cartan):
+        change = sum(row[i] * digits[i] for i in (j,) + diagram.adjacency[j])
+        low = int(change.min())
+        lows.append(low)
+        label_masks.append(_ref_at_most_masks(change, np.arange(low, int(change.max()))))
+    return {
+        "strides": strides,
+        "radices": radices,
+        "full": (1 << size) - 1,
+        "lows": tuple(lows),
+        "label_masks": tuple(label_masks),
+        "coord_masks": tuple(
+            _ref_at_most_masks(d, np.arange(b + 1)) for d, b in zip(digits, bounds)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", [str(t) for t in catalog_types()] + ["E6-1", "E7-1"]
+)
+def test_box_masks_match_numpy_build(name):
+    diagram = D(name)
+    default = default_window(diagram).bounds
+    uneven = tuple(1 + (3 * j + 2) % 4 for j in diagram.vertices)
+    windows = [default, (1,) * (diagram.n + 1), uneven]
+    if name not in ("E6-1", "E7-1"):
+        windows.append(tuple(2 * b for b in default))
+    for bounds in windows:
+        box = oracle._Box(diagram, bounds)
+        got = {field: getattr(box, field) for field in oracle._Box.__slots__}
+        assert got == _ref_box(diagram, bounds), bounds
 
 
 def test_box_minimal_and_least_on_random_row_sets():
