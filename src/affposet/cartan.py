@@ -205,139 +205,68 @@ class AffineDiagram(_Value):
         return str(self.type_id)
 
 
-def _base_matrix(num: int):
-    return [[2 if i == j else 0 for j in range(num)] for i in range(num)]
+def _untwisted(fam: str, r: int):
+    """Bonds, marks and comarks (None when equal to the marks) of the
+    untwisted diagram of family fam and rank r >= 2 (Kac, Table Aff 1).
+
+    A bond (i, j) is simple; a bond (i, j, k) has a[i][j] = -k and
+    a[j][i] = -1, so i is its short end.
+    """
+    chain = [(i, i + 1) for i in range(1, r - 1)]
+    if fam == "A":
+        return [(0, 1), (0, r), (r - 1, r)] + chain, [1] * (r + 1), None
+    if fam == "B":
+        marks = [1, 1] + [2] * (r - 1)
+        return [(0, 2), (r, r - 1, 2)] + chain, marks, marks[:-1] + [1]
+    if fam == "C":
+        return [(1, 0, 2), (r - 1, r, 2)] + chain, [1] + [2] * (r - 1) + [1], [1] * (r + 1)
+    if fam == "D":
+        return [(0, 2), (r - 2, r)] + chain, [1, 1] + [2] * (r - 3) + [1, 1], None
+    return _EXCEPTIONAL[fam, r]
 
 
-def _join_simple(a, i: int, j: int) -> None:
-    a[i][j] = -1
-    a[j][i] = -1
+_EXCEPTIONAL = {
+    ("E", 6): ([(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)], [1, 1, 2, 3, 2, 1, 2], None),
+    ("E", 7): (
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)], [1, 2, 3, 4, 3, 2, 1, 2], None
+    ),
+    ("E", 8): (
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)],
+        [1, 2, 3, 4, 5, 6, 4, 2, 3],
+        None,
+    ),
+    ("F", 4): ([(0, 1), (1, 2), (3, 2, 2), (3, 4)], [1, 2, 3, 4, 2], [1, 2, 3, 2, 1]),
+    ("G", 2): ([(0, 1), (2, 1, 3)], [1, 2, 3], [1, 2, 1]),
+}
 
 
 def _tables(tid: AffineTypeId):
-    """Cartan rows, marks and comarks for one type id."""
+    """Cartan rows, marks and comarks for one type id.
+
+    A_{2l-1}^(2), D_{l+1}^(2), E6^(2) and D4^(3) are the transposes of
+    B_l^(1), C_l^(1), F4^(1) and G2^(1), with marks and comarks swapped
+    (Kac, Tables Aff 1-3).  A_{2l}^(2) and A1^(1) have entries of their own.
+    """
     fam, r, tw = tid.family, tid.rank, tid.twist
+    if tw == 1 and r == 1:
+        return [[2, -2], [-2, 2]], [1, 1], [1, 1]
     if tw == 1:
-        if fam == "A":
-            if r == 1:
-                return [[2, -2], [-2, 2]], [1, 1], [1, 1]
-            a = _base_matrix(r + 1)
-            for i in range(r):
-                _join_simple(a, i, i + 1)
-            _join_simple(a, 0, r)
-            return a, [1] * (r + 1), [1] * (r + 1)
-        if fam == "B":
-            a = _base_matrix(r + 1)
-            _join_simple(a, 0, 2)
-            _join_simple(a, 1, 2)
-            for i in range(2, r):
-                _join_simple(a, i, i + 1)
-            a[r][r - 1] = -2
-            a[r - 1][r] = -1
-            marks = [1, 1] + [2] * (r - 1)
-            comarks = [1, 1] + [2] * (r - 2) + [1]
-            return a, marks, comarks
-        if fam == "C":
-            a = _base_matrix(r + 1)
-            for i in range(r):
-                _join_simple(a, i, i + 1)
-            a[1][0] = -2
-            a[0][1] = -1
-            a[r - 1][r] = -2
-            a[r][r - 1] = -1
-            return a, [1] + [2] * (r - 1) + [1], [1] * (r + 1)
-        if fam == "D":
-            a = _base_matrix(r + 1)
-            _join_simple(a, 0, 2)
-            _join_simple(a, 1, 2)
-            for i in range(2, r - 2):
-                _join_simple(a, i, i + 1)
-            _join_simple(a, r - 2, r - 1)
-            _join_simple(a, r - 2, r)
-            marks = [1, 1] + [2] * (r - 3) + [1, 1]
-            return a, marks, list(marks)
-        if fam == "E" and r == 6:
-            a = _base_matrix(7)
-            for i, j in ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)):
-                _join_simple(a, i, j)
-            marks = [1, 1, 2, 3, 2, 1, 2]
-            return a, marks, list(marks)
-        if fam == "E" and r == 7:
-            a = _base_matrix(8)
-            for i in range(6):
-                _join_simple(a, i, i + 1)
-            _join_simple(a, 3, 7)
-            marks = [1, 2, 3, 4, 3, 2, 1, 2]
-            return a, marks, list(marks)
-        if fam == "E" and r == 8:
-            a = _base_matrix(9)
-            for i in range(7):
-                _join_simple(a, i, i + 1)
-            _join_simple(a, 5, 8)
-            marks = [1, 2, 3, 4, 5, 6, 4, 2, 3]
-            return a, marks, list(marks)
-        if fam == "F":
-            a = _base_matrix(5)
-            for i in range(4):
-                _join_simple(a, i, i + 1)
-            a[3][2] = -2
-            a[2][3] = -1
-            return a, [1, 2, 3, 4, 2], [1, 2, 3, 2, 1]
-        if fam == "G":
-            a = _base_matrix(3)
-            _join_simple(a, 0, 1)
-            _join_simple(a, 1, 2)
-            a[2][1] = -3
-            return a, [1, 2, 3], [1, 2, 1]
-    if tw == 2:
-        if fam == "A" and r == 2:
-            return [[2, -4], [-1, 2]], [2, 1], [1, 2]
-        if fam == "A" and r % 2 == 0:
-            l = r // 2
-            a = _base_matrix(l + 1)
-            for i in range(l):
-                _join_simple(a, i, i + 1)
-            a[0][1] = -2
-            a[1][0] = -1
-            a[l - 1][l] = -2
-            a[l][l - 1] = -1
-            return a, [2] * l + [1], [1] + [2] * l
-        if fam == "A":
-            l = (r + 1) // 2
-            a = _base_matrix(l + 1)
-            _join_simple(a, 0, 2)
-            _join_simple(a, 1, 2)
-            for i in range(2, l):
-                _join_simple(a, i, i + 1)
-            a[l - 1][l] = -2
-            a[l][l - 1] = -1
-            marks = [1, 1] + [2] * (l - 2) + [1]
-            comarks = [1, 1] + [2] * (l - 2) + [2]
-            return a, marks, comarks
-        if fam == "D":
-            l = r - 1
-            a = _base_matrix(l + 1)
-            for i in range(l):
-                _join_simple(a, i, i + 1)
-            a[0][1] = -2
-            a[1][0] = -1
-            a[l][l - 1] = -2
-            a[l - 1][l] = -1
-            return a, [1] * (l + 1), [1] + [2] * (l - 1) + [1]
-        if fam == "E":
-            a = _base_matrix(5)
-            for i in range(4):
-                _join_simple(a, i, i + 1)
-            a[2][3] = -2
-            a[3][2] = -1
-            return a, [1, 2, 3, 2, 1], [1, 2, 3, 4, 2]
-    if tw == 3:
-        a = _base_matrix(3)
-        _join_simple(a, 0, 1)
-        _join_simple(a, 1, 2)
-        a[1][2] = -3
-        return a, [1, 2, 1], [1, 2, 3]
-    raise AssertionError(f"unhandled type {tid}")
+        bonds, marks, comarks = _untwisted(fam, r)
+    elif fam == "A" and r % 2 == 0:
+        l = r // 2
+        ends = [(0, 1, 4)] if l == 1 else [(0, 1, 2), (l - 1, l, 2)]
+        bonds = ends + [(i, i + 1) for i in range(1, l - 1)]
+        marks, comarks = [2] * l + [1], [1] + [2] * l
+    else:
+        partners = {"A": ("B", (r + 1) // 2), "D": ("C", r - 1), "E": ("F", 4)}
+        bonds, comarks, marks = _untwisted(*(partners[fam] if tw == 2 else ("G", 2)))
+        # reversing every bond transposes the Cartan matrix
+        bonds = [(j, i, *k) for i, j, *k in bonds]
+    num = len(marks)
+    a = [[2 if i == j else 0 for j in range(num)] for i in range(num)]
+    for i, j, *k in bonds:
+        a[i][j], a[j][i] = -(k[0] if k else 1), -1
+    return a, list(marks), list(comarks or marks)
 
 
 @functools.lru_cache(maxsize=None)

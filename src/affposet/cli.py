@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 from .cartan import build_affine, catalog_types, parse_type_id
@@ -40,6 +41,19 @@ def _labels_arg(text: str, diagram):
             f"{diagram} has {diagram.n + 1} vertices, got {len(vals)} labels"
         )
     return tuple(vals)
+
+
+_BUDGET_RE = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+def _budget_arg(text):
+    """Seconds written as ASCII digits with an optional decimal part, or None;
+    float() also takes '1_0', '+5', 'nan' and other scripts' digits."""
+    if text is None:
+        return None
+    if _BUDGET_RE.fullmatch(text) is None:
+        raise ValueError(f"budget must be a nonnegative decimal number of seconds, got {text!r}")
+    return float(text)
 
 
 def _weight_arg(type_text: str, labels_text: str, shift_text):
@@ -146,6 +160,7 @@ def _cmd_verify(args) -> int:
     levels = tuple(map(_parse_int, args.levels.split(",")))
     samples, seed = _parse_int(args.samples), _parse_int(args.seed)
     window = SearchWindow(tuple(map(_parse_int, args.window.split(",")))) if args.window else None
+    budget = _budget_arg(args.budget)
     reports = []
     for name in names:
         diagram = build_affine(parse_type_id(name))
@@ -155,7 +170,7 @@ def _cmd_verify(args) -> int:
             samples_per_level=samples,
             seed=seed,
             window=window,
-            budget=args.budget,
+            budget=budget,
         )
         if report.budget_exceeded:
             print(
@@ -210,7 +225,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--levels", default="1,2,3")
     p.add_argument("--samples", default="200")
     p.add_argument("--seed", default="0")
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", default=None)
     p.add_argument("--window", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -38,6 +38,9 @@ from .roots import (
 from .weights import (
     Weight,
     _add_columns,
+    _dominance_gap,
+    _json_object,
+    _json_string,
     _plus_delta,
     is_dominant,
     weight_from_json,
@@ -270,16 +273,10 @@ def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
     return moves
 
 
-def _moves(weight: Weight, sign: int) -> list:
-    """The cover steps below or above a weight, which must be dominant of
-    positive level; see ``_label_moves``."""
-    return _label_moves(weight.diagram, _require_dominant_positive(weight), sign)
-
-
 def _edges(weight: Weight, sign: int) -> tuple:
     diagram, mark0 = weight.diagram, weight.diagram.marks[0]
     edges = []
-    for step, labs, case in _moves(weight, sign):
+    for step, labs, case in _label_moves(diagram, _require_dominant_positive(weight), sign):
         cand = step.cand
         near = Weight(diagram, labs, _plus_delta(weight.shift, sign * cand.root.coeffs[0], mark0))
         upper, lower = (weight, near) if sign < 0 else (near, weight)
@@ -310,20 +307,23 @@ def edge_to_json(edge: CoverEdge) -> dict:
     }
 
 
-def _edge_from_record(upper: Weight, lower: Weight, data: dict) -> CoverEdge:
-    """An edge between two read weights; its root must be a list of ints and
-    its case a string."""
-    root, case = data["root"], data["case"]
+def _edge_from_record(upper: Weight, lower: Weight, data) -> CoverEdge:
+    """An edge between two read weights; its root must be a list of ints equal
+    to upper - lower, and its case a string."""
+    kind, root, case = _json_object(data, "kind", "root", "case")
     if not isinstance(root, list) or any(type(v) is not int for v in root):
         raise ValueError(f"root must be a list of integers, got {root!r}")
-    if not isinstance(case, str):
-        raise ValueError(f"case must be a string, got {case!r}")
+    if _dominance_gap(lower, upper) != tuple(root):
+        raise ValueError(f"root {root} is not upper - lower")
     return CoverEdge(
-        upper, lower, CoverKind(data["kind"]), RootVector(upper.diagram, tuple(root)), case
+        upper,
+        lower,
+        CoverKind(kind),
+        RootVector(upper.diagram, tuple(root)),
+        _json_string(case, "case"),
     )
 
 
-def edge_from_json(data: dict) -> CoverEdge:
-    return _edge_from_record(
-        weight_from_json(data["upper"]), weight_from_json(data["lower"]), data
-    )
+def edge_from_json(data) -> CoverEdge:
+    upper, lower = _json_object(data, "upper", "lower")
+    return _edge_from_record(weight_from_json(upper), weight_from_json(lower), data)

@@ -29,6 +29,8 @@ from .roots import CoverKind, RootVector, simple_root
 from .weights import (
     Weight,
     _dominance_gap,
+    _json_object,
+    _json_string,
     _plus_delta,
     add_root,
     format_shift,
@@ -368,25 +370,34 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
 
 
 def graph_from_json(data) -> PosetGraph:
-    """Inverse of the JSON export."""
+    """Inverse of the JSON export; every node takes the graph's type, and a
+    malformed document raises ValueError."""
     if isinstance(data, str):
         data = json.loads(data)
-    if data.get("type") is None:
-        if data.get("nodes"):
+    type_text, entries, records = _json_object(data, "type", "nodes", "edges")
+    if not isinstance(entries, list) or not isinstance(records, list):
+        raise ValueError("nodes and edges must be lists")
+    if type_text is None:
+        if entries or records:
             raise ValueError("nonempty graph without a type")
         return PosetGraph((), ())
-    build_affine(data["type"])  # the type must be valid even with no nodes
-    nodes = tuple(
-        weight_from_json({"type": data["type"], **entry}) for entry in data["nodes"]
-    )
+    build_affine(_json_string(type_text, "type"))  # the type must be valid even with no nodes
+
+    def node(entry):
+        _json_object(entry)  # a node must be an object
+        if entry.get("type", type_text) != type_text:
+            raise ValueError(f"node of type {entry['type']!r} in a graph of type {type_text}")
+        return weight_from_json({**entry, "type": type_text})
+
+    nodes = tuple(map(node, entries))
 
     def node_at(index):
         if type(index) is not int or not 0 <= index < len(nodes):
             raise ValueError(f"edge endpoint {index!r} is not a node index")
         return nodes[index]
 
-    edges = tuple(
-        _edge_from_record(node_at(entry["upper"]), node_at(entry["lower"]), entry)
-        for entry in data["edges"]
-    )
-    return PosetGraph(nodes, edges)
+    edges = []
+    for entry in records:
+        upper, lower = _json_object(entry, "upper", "lower")
+        edges.append(_edge_from_record(node_at(upper), node_at(lower), entry))
+    return PosetGraph(nodes, tuple(edges))

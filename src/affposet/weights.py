@@ -303,12 +303,31 @@ def weight_to_json(weight: Weight) -> dict:
     }
 
 
+def _json_object(data, *keys) -> tuple:
+    """The values at keys of a JSON object; ValueError when data is not an
+    object or lacks one of them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"JSON object lacks {', '.join(missing)}")
+    return tuple(map(data.__getitem__, keys))
+
+
+def _json_string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def weight_from_json(data: dict) -> Weight:
     from .cartan import build_affine
 
-    labs = data["labels"]
+    type_text, labs, shift = _json_object(data, "type", "labels", "delta_shift")
     if not isinstance(labs, list) or any(type(v) is not int for v in labs):
         raise ValueError(f"labels must be a list of integers, got {labs!r}")
     return Weight(
-        build_affine(data["type"]), tuple(labs), parse_shift(data["delta_shift"])
+        build_affine(_json_string(type_text, "type")),
+        tuple(labs),
+        parse_shift(_json_string(shift, "delta_shift")),
     )

@@ -412,3 +412,154 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Reference: the tables as they were written out by hand, family by family,
+# before each untwisted family became a bond list and the four dual twisted
+# families became transposes of their untwisted partners.
+def _ref_base_matrix(num: int):
+    return [[2 if i == j else 0 for j in range(num)] for i in range(num)]
+
+
+def _ref_join_simple(a, i: int, j: int) -> None:
+    a[i][j] = -1
+    a[j][i] = -1
+
+
+def _ref_tables(tid: AffineTypeId):
+    """Cartan rows, marks and comarks for one type id."""
+    fam, r, tw = tid.family, tid.rank, tid.twist
+    if tw == 1:
+        if fam == "A":
+            if r == 1:
+                return [[2, -2], [-2, 2]], [1, 1], [1, 1]
+            a = _ref_base_matrix(r + 1)
+            for i in range(r):
+                _ref_join_simple(a, i, i + 1)
+            _ref_join_simple(a, 0, r)
+            return a, [1] * (r + 1), [1] * (r + 1)
+        if fam == "B":
+            a = _ref_base_matrix(r + 1)
+            _ref_join_simple(a, 0, 2)
+            _ref_join_simple(a, 1, 2)
+            for i in range(2, r):
+                _ref_join_simple(a, i, i + 1)
+            a[r][r - 1] = -2
+            a[r - 1][r] = -1
+            marks = [1, 1] + [2] * (r - 1)
+            comarks = [1, 1] + [2] * (r - 2) + [1]
+            return a, marks, comarks
+        if fam == "C":
+            a = _ref_base_matrix(r + 1)
+            for i in range(r):
+                _ref_join_simple(a, i, i + 1)
+            a[1][0] = -2
+            a[0][1] = -1
+            a[r - 1][r] = -2
+            a[r][r - 1] = -1
+            return a, [1] + [2] * (r - 1) + [1], [1] * (r + 1)
+        if fam == "D":
+            a = _ref_base_matrix(r + 1)
+            _ref_join_simple(a, 0, 2)
+            _ref_join_simple(a, 1, 2)
+            for i in range(2, r - 2):
+                _ref_join_simple(a, i, i + 1)
+            _ref_join_simple(a, r - 2, r - 1)
+            _ref_join_simple(a, r - 2, r)
+            marks = [1, 1] + [2] * (r - 3) + [1, 1]
+            return a, marks, list(marks)
+        if fam == "E" and r == 6:
+            a = _ref_base_matrix(7)
+            for i, j in ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)):
+                _ref_join_simple(a, i, j)
+            marks = [1, 1, 2, 3, 2, 1, 2]
+            return a, marks, list(marks)
+        if fam == "E" and r == 7:
+            a = _ref_base_matrix(8)
+            for i in range(6):
+                _ref_join_simple(a, i, i + 1)
+            _ref_join_simple(a, 3, 7)
+            marks = [1, 2, 3, 4, 3, 2, 1, 2]
+            return a, marks, list(marks)
+        if fam == "E" and r == 8:
+            a = _ref_base_matrix(9)
+            for i in range(7):
+                _ref_join_simple(a, i, i + 1)
+            _ref_join_simple(a, 5, 8)
+            marks = [1, 2, 3, 4, 5, 6, 4, 2, 3]
+            return a, marks, list(marks)
+        if fam == "F":
+            a = _ref_base_matrix(5)
+            for i in range(4):
+                _ref_join_simple(a, i, i + 1)
+            a[3][2] = -2
+            a[2][3] = -1
+            return a, [1, 2, 3, 4, 2], [1, 2, 3, 2, 1]
+        if fam == "G":
+            a = _ref_base_matrix(3)
+            _ref_join_simple(a, 0, 1)
+            _ref_join_simple(a, 1, 2)
+            a[2][1] = -3
+            return a, [1, 2, 3], [1, 2, 1]
+    if tw == 2:
+        if fam == "A" and r == 2:
+            return [[2, -4], [-1, 2]], [2, 1], [1, 2]
+        if fam == "A" and r % 2 == 0:
+            l = r // 2
+            a = _ref_base_matrix(l + 1)
+            for i in range(l):
+                _ref_join_simple(a, i, i + 1)
+            a[0][1] = -2
+            a[1][0] = -1
+            a[l - 1][l] = -2
+            a[l][l - 1] = -1
+            return a, [2] * l + [1], [1] + [2] * l
+        if fam == "A":
+            l = (r + 1) // 2
+            a = _ref_base_matrix(l + 1)
+            _ref_join_simple(a, 0, 2)
+            _ref_join_simple(a, 1, 2)
+            for i in range(2, l):
+                _ref_join_simple(a, i, i + 1)
+            a[l - 1][l] = -2
+            a[l][l - 1] = -1
+            marks = [1, 1] + [2] * (l - 2) + [1]
+            comarks = [1, 1] + [2] * (l - 2) + [2]
+            return a, marks, comarks
+        if fam == "D":
+            l = r - 1
+            a = _ref_base_matrix(l + 1)
+            for i in range(l):
+                _ref_join_simple(a, i, i + 1)
+            a[0][1] = -2
+            a[1][0] = -1
+            a[l][l - 1] = -2
+            a[l - 1][l] = -1
+            return a, [1] * (l + 1), [1] + [2] * (l - 1) + [1]
+        if fam == "E":
+            a = _ref_base_matrix(5)
+            for i in range(4):
+                _ref_join_simple(a, i, i + 1)
+            a[2][3] = -2
+            a[3][2] = -1
+            return a, [1, 2, 3, 2, 1], [1, 2, 3, 4, 2]
+    if tw == 3:
+        a = _ref_base_matrix(3)
+        _ref_join_simple(a, 0, 1)
+        _ref_join_simple(a, 1, 2)
+        a[1][2] = -3
+        return a, [1, 2, 1], [1, 2, 3]
+    raise AssertionError(f"unhandled type {tid}")
+
+
+def test_tables_match_the_hand_written_reference():
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 61)
+        for twist in (1, 2, 3)
+        if cartan._rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 357
+    for tid in ids:
+        assert cartan._tables(tid) == _ref_tables(tid), str(tid)

@@ -162,7 +162,7 @@ def test_verify_rejects_bad_levels_and_samples():
 
 
 def test_verify_rejects_a_bad_budget():
-    for budget in ("-1", "-0.5", "nan"):
+    for budget in ("-1", "-0.5", "nan", "1_0", "+5", "\u0661"):
         code, out, err = cap(["verify", "A1-1", "--budget", budget])
         assert (code, out) == (2, ""), budget
         assert err.startswith("error:") and "budget" in err, budget

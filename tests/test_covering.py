@@ -254,6 +254,27 @@ def test_edge_from_json_rejects_non_integer_roots_and_non_string_cases():
             edge_from_json(data)
 
 
+def test_edge_from_json_rejects_a_root_other_than_upper_minus_lower():
+    # A2-1: Lambda_0 - Lambda_1 is not even in the root lattice
+    data = {
+        "upper": {"type": "A2-1", "labels": [1, 0, 0], "delta_shift": "0/1"},
+        "lower": {"type": "A2-1", "labels": [0, 1, 0], "delta_shift": "0/1"},
+        "kind": "delta",
+        "root": [5, 5, 5],
+        "case": "zz",
+    }
+    with pytest.raises(ValueError, match="is not upper - lower"):
+        edge_from_json(data)
+    # a real edge whose root names another simple root, or the root twice
+    edge = cocovers(W("A3-1", (0, 2, 1, 1)))[0]
+    assert edge.root.coeffs == (0, 1, 0, 0)
+    for root in ([1, 0, 0, 0], [0, 2, 0, 0], [0, 1, 0]):
+        data = edge_to_json(edge)
+        data["root"] = root
+        with pytest.raises(ValueError, match="is not upper - lower"):
+            edge_from_json(data)
+
+
 # Reference: the dense scan that enumerated covers before candidates were
 # indexed by their needs.  Every candidate gets a full A times root row
 # product and a full label tuple, and the case tests sort the support,

@@ -22,3 +22,27 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(demo)], capture_output=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_readme_quick_start_prints_its_comments():
+    """The README's python block runs in a fresh interpreter and prints, line
+    by line, what its comments say: a comment line on its own, or the
+    comment at the end of a print call."""
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = []
+    for line in code.splitlines():
+        if line.startswith("# "):
+            expected.append(line[2:])
+        elif line.startswith("print(") and "# " in line:
+            expected.append(line.split("# ", 1)[1])
+    assert len(expected) == 4
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

@@ -6,7 +6,7 @@ import pytest
 
 import affposet.poset as poset
 from affposet.cartan import build_affine, catalog_types, parse_type_id
-from affposet.covering import CoverKind, cocovers
+from affposet.covering import CoverKind, cocovers, edge_from_json
 from affposet.poset import (
     Cell,
     CellMismatchError,
@@ -26,6 +26,7 @@ from affposet.weights import (
     fundamental_weight,
     labels,
     sort_key,
+    weight_from_json,
     weight_from_labels,
 )
 from affposet.roots import RootVector, delta_root
@@ -412,11 +413,99 @@ def test_graph_from_json_rejects_malformed_nodes_and_edges():
             broken["edges"][0][key] = bad
             with pytest.raises(ValueError):
                 graph_from_json(broken)
-    for key, bad in (("root", [0, 1.9, 0, 0]), ("root", [0, True, 0, 0]), ("case", 7)):
+    # [3, 0, 0, 0] is well formed but not upper - lower
+    for key, bad in (
+        ("root", [0, 1.9, 0, 0]), ("root", [0, True, 0, 0]), ("root", [3, 0, 0, 0]), ("case", 7)
+    ):
         broken = json.loads(json.dumps(data))
         broken["edges"][0][key] = bad
         with pytest.raises(ValueError):
             graph_from_json(broken)
+
+
+def test_graph_from_json_builds_every_node_with_the_graph_type():
+    g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (2, 1, 1)))
+    data = export_graph(g, "json")
+    named = json.loads(json.dumps(data))
+    for entry in named["nodes"]:
+        entry["type"] = "A2-1"
+    assert graph_from_json(named) == g
+    # a node of another type is refused, not read as a weight of that type
+    for other in ("B3-1", "A2-2", 5):
+        broken = json.loads(json.dumps(data))
+        broken["nodes"][0] = {"type": other, "labels": [1, 0, 0, 0], "delta_shift": "0/1"}
+        with pytest.raises(ValueError, match="in a graph of type A2-1"):
+            graph_from_json(broken)
+
+
+_WEIGHT = {"type": "A2-1", "labels": [1, 0, 0], "delta_shift": "0/1"}
+_EDGE = {
+    "upper": {"type": "A2-1", "labels": [0, 2, 0], "delta_shift": "0/1"},
+    "lower": {"type": "A2-1", "labels": [1, 0, 1], "delta_shift": "0/1"},
+    "kind": "simple",
+    "root": [0, 1, 0],
+    "case": "a",
+}
+_GRAPH = {
+    "type": "A2-1",
+    "nodes": [_EDGE["upper"], _EDGE["lower"]],
+    "edges": [{"upper": 0, "lower": 1, "kind": "simple", "root": [0, 1, 0], "case": "a"}],
+}
+
+
+def _without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _with(data, key, value):
+    return {**data, key: value}
+
+
+@pytest.mark.parametrize(
+    "reader, data",
+    [
+        (weight_from_json, []),
+        (weight_from_json, "A2-1"),
+        (weight_from_json, _without(_WEIGHT, "type")),
+        (weight_from_json, _without(_WEIGHT, "labels")),
+        (weight_from_json, _without(_WEIGHT, "delta_shift")),
+        (weight_from_json, _with(_WEIGHT, "type", 5)),
+        (weight_from_json, _with(_WEIGHT, "type", None)),
+        (weight_from_json, _with(_WEIGHT, "delta_shift", 0)),
+        (weight_from_json, _with(_WEIGHT, "delta_shift", ["0/1"])),
+        (edge_from_json, []),
+        (edge_from_json, _without(_EDGE, "case")),
+        (edge_from_json, _without(_EDGE, "kind")),
+        (edge_from_json, _without(_EDGE, "root")),
+        (edge_from_json, _without(_EDGE, "upper")),
+        (edge_from_json, _with(_EDGE, "lower", [1, 0, 1])),
+        (edge_from_json, _with(_EDGE, "kind", "sideways")),
+        (graph_from_json, []),
+        (graph_from_json, "[]"),
+        (graph_from_json, "{"),
+        (graph_from_json, _without(_GRAPH, "edges")),
+        (graph_from_json, _without(_GRAPH, "nodes")),
+        (graph_from_json, _without(_GRAPH, "type")),
+        (graph_from_json, _with(_GRAPH, "type", 5)),
+        (graph_from_json, _with(_GRAPH, "nodes", 3)),
+        (graph_from_json, _with(_GRAPH, "nodes", [[0, 2, 0], [1, 0, 1]])),
+        (graph_from_json, _with(_GRAPH, "nodes", [_without(_EDGE["upper"], "delta_shift")])),
+        (graph_from_json, _with(_GRAPH, "edges", [3])),
+        (graph_from_json, _with(_GRAPH, "edges", [_without(_GRAPH["edges"][0], "case")])),
+        (graph_from_json, _with(_GRAPH, "edges", [_without(_GRAPH["edges"][0], "upper")])),
+        (graph_from_json, {"type": None, "nodes": [], "edges": [_GRAPH["edges"][0]]}),
+    ],
+)
+def test_json_readers_raise_value_error_on_malformed_documents(reader, data):
+    with pytest.raises(ValueError):
+        reader(data)
+
+
+def test_json_reader_fixtures_are_well_formed():
+    assert weight_from_json(_WEIGHT) == W("A2-1", (1, 0, 0))
+    edge = cocovers(W("A2-1", (0, 2, 0)))[0]
+    assert edge_from_json(_EDGE) == edge
+    assert graph_from_json(_GRAPH) == PosetGraph((edge.upper, edge.lower), (edge,))
 
 
 def test_export_graph_rejects_unknown_format():
