@@ -2,7 +2,7 @@
 Brute force against theory
 ==========================
 
-The oracle enumerates a whole window of root offsets and keeps the extremal
+The oracle searches a whole window of root offsets for the extremal
 dominant results; it never consults the classification.  ``verify_covering``
 replays the classified cocovers, the candidate-set membership, the delta
 test, and meet/join against that search and reports every disagreement.

@@ -1,38 +1,35 @@
 """Brute force verification of the covering and lattice structure.
 
-The searches here know nothing about the classification of covers: they
-enumerate a whole box of root-vector offsets, keep the dominant results, and
-extract extremal elements by componentwise comparison.  The covering module
-is imported only inside ``_check_one``, which compares the two; the brute
-searches themselves must stay independent of it.
+The searches here know nothing about the classification of covers: one
+depth-first search, ``_minimal_offsets``, walks the root-vector offsets of a
+window and returns the componentwise-minimal ones whose result is dominant.
+The covering module is imported only inside ``_check_one``, which compares
+the two; the brute searches themselves must stay independent of it.
 
-``brute_bounds`` searches a box only above two weights: their greatest
-lower bound is the coefficient-minimum corner, tested for dominance, and the
-root vector between them is first checked against the Cartan matrix.
+``brute_bounds`` searches only above two weights: their greatest lower bound
+is the coefficient-minimum corner, tested for dominance, and the root vector
+between them is first checked against the Cartan matrix.
 
-Each box is built once per diagram and window, with integer shifts, as
-bitsets: one Python int per threshold, holding the rows whose coroot change
-(A beta)_j, or whose coordinate beta_j, is at most that threshold.  A query
-then costs a few integer ANDs: the dominant results are one AND per vertex,
-an offset is minimal when the AND of its coordinate masks meets the results
-only at its own bit, and the least result, when there is one, is read off
-the smallest coordinate each vertex reaches.
+The search reads only the Cartan matrix.  It assigns one vertex at a time
+and keeps, for each label, how far the vertices still unassigned could
+raise it, so each vertex's feasible values form one interval; an offset
+above a minimum already found is cut.  Every search is bounded by the nodes
+it visits, and past that bound raises ``BoxTooLargeError``.
 
-A sweep works on integer labels: the box search depends on the labels
-alone, so :func:`verify_covering` runs it once per label tuple within a
-call, and builds the brute lower ends as (labels, shift) pairs.
+A sweep works on integer labels: the search depends on the labels alone, so
+:func:`verify_covering` runs it once per label tuple within a call, and
+builds the brute lower ends as (labels, shift) pairs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import eq, mul, or_, sub
+from operator import eq, le, mul, sub
 
 from .cartan import AffineDiagram, build_affine, parse_type_id
 from .roots import RootVector, cover_root_lookup
@@ -67,13 +64,13 @@ class WindowExhaustedError(RuntimeError):
 
 
 class BoxTooLargeError(ValueError):
-    """The search window spans more offsets than a box may hold."""
+    """A search would visit more nodes than one search may."""
 
 
-# E6-1's doubled window (1 184 625 rows) fits; E7-1's doubled window
-# (52 360 425) and E8-1's default one (42 567 525) would need 2.2 and 1.5 GiB
-# of masks, at one bit per row and threshold
-_MAX_BOX_ROWS = 1 << 21
+# Sweeps at levels 1-3 (1-2 from rank 7 on) of the catalog, E6-1, E7-1,
+# E8-1, B12-1, C12-1, D12-1 and A20-1, in their default and doubled windows,
+# visit at most 9682 nodes per search (E8-1, doubled window)
+_MAX_SEARCH_NODES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -100,125 +97,112 @@ def default_window(diagram: AffineDiagram) -> SearchWindow:
     return SearchWindow(tuple(2 * a for a in diagram.marks))
 
 
-class _Box:
-    """Every offset of one window, as bit positions in Python ints.
-
-    Row r is the offset whose digits in mixed radix bound + 1 (vertex 0
-    most significant) are r, so rows run in lexicographic order of offsets.
-    A set of rows is an int with bit r set for each row r in it.
-    """
-
-    __slots__ = ("strides", "radices", "full", "lows", "label_masks", "coord_masks")
-
-    def __init__(self, diagram: AffineDiagram, bounds: tuple) -> None:
-        self.radices = tuple(b + 1 for b in bounds)
-        self.strides = tuple(math.prod(self.radices[j + 1:]) for j in diagram.vertices)
-        size = math.prod(self.radices)
-        self.full = (1 << size) - 1
-        # digits[j][d]: the rows whose offset has beta_j = d, a run of stride
-        # ones repeated every stride * radix bits, shifted by d * stride
-        digits = []
-        for stride, radix in zip(self.strides, self.radices):
-            run, width = (1 << stride) - 1, stride * radix
-            while width < size:
-                run, width = run | run << width, 2 * width
-            digits.append([(run & self.full) << d * stride for d in range(radix)])
-        # coord_masks[j][t]: the rows whose offset has beta_j <= t
-        self.coord_masks = tuple(tuple(itertools.accumulate(d, or_)) for d in digits)
-        # label_masks[j][k]: the rows where (A beta)_j <= lows[j] + k, up to the
-        # last value, where every row qualifies; parts maps each partial sum of
-        # (A beta)_j over j and its neighbours to its rows
-        lows, label_masks = [], []
-        for j, row in enumerate(diagram.cartan):
-            parts = {row[j] * d: digit for d, digit in enumerate(digits[j])}
-            for i in diagram.adjacency[j]:
-                folded = {}
-                for value, rows in parts.items():
-                    for d, digit in enumerate(digits[i]):
-                        key = value + row[i] * d
-                        folded[key] = folded.get(key, 0) | rows & digit
-                parts = folded
-            lows.append(min(parts))
-            at = (parts.get(v, 0) for v in range(lows[-1], max(parts)))
-            label_masks.append(tuple(itertools.accumulate(at, or_)))
-        self.lows = tuple(lows)
-        self.label_masks = tuple(label_masks)
-
-    def offset(self, r: int) -> tuple:
-        return tuple(r // s % radix for s, radix in zip(self.strides, self.radices))
-
-    def change_at_most(self, labs) -> int:
-        """The rows with A beta <= labs: labs - A beta is dominant."""
-        rows = self.full
-        for low, masks, v in zip(self.lows, self.label_masks, labs):
-            k = v - low
-            if k < 0:
-                return 0
-            if k < len(masks):
-                rows &= masks[k]
-        return rows
-
-    def change_at_least(self, labs) -> int:
-        """The rows with A beta >= -labs: labs + A beta is dominant."""
-        rows = self.full
-        for low, masks, v in zip(self.lows, self.label_masks, labs):
-            k = -v - 1 - low
-            if k >= len(masks):
-                return 0
-            if k >= 0:
-                rows &= ~masks[k]
-        return rows
-
-    def minimal(self, rows: int) -> list:
-        """The componentwise-minimal offsets among the rows, in row order."""
-        out = []
-        rest = rows
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            beta = self.offset(bit.bit_length() - 1)
-            below = rows
-            for masks, t in zip(self.coord_masks, beta):
-                below &= masks[t]
-            if below == bit:
-                out.append(beta)
-        return out
-
-    def least(self, rows: int):
-        """The componentwise-least offset among the (nonempty) rows, or None.
-
-        Its coordinates would be the smallest ones any row has, so it exists
-        exactly when the row made of those is in the set.
-        """
-        beta = []
-        for masks in self.coord_masks:
-            t = 0
-            while not masks[t] & rows:
-                t += 1
-            beta.append(t)
-        r = sum(map(mul, beta, self.strides))
-        return tuple(beta) if rows >> r & 1 else None
+def _window_bounds(diagram: AffineDiagram, window: SearchWindow) -> tuple:
+    if len(window.bounds) != diagram.n + 1:
+        raise ValueError("window rank does not match the diagram")
+    return window.bounds
 
 
 @functools.lru_cache(maxsize=None)
-def _box(diagram: AffineDiagram, bounds: tuple) -> _Box:
-    if len(bounds) != diagram.n + 1:
-        raise ValueError("window rank does not match the diagram")
-    rows = math.prod(b + 1 for b in bounds)
-    if rows > _MAX_BOX_ROWS:
-        raise BoxTooLargeError(
-            f"window {list(bounds)} spans {rows} offsets, more than {_MAX_BOX_ROWS}"
-        )
-    return _Box(diagram, bounds)
+def _plan(diagram: AffineDiagram, bounds: tuple, sign: int) -> tuple:
+    """One step per vertex v, in breadth-first order from vertex 0.
+
+    A step is (v, bound of v, rising, falling, column).  ``column`` pairs
+    each u in v's closed neighbourhood with sign * a[u][v], the change of
+    u's label per unit of gamma_v.  ``rising`` and ``falling`` split it by
+    sign, each entry with the change's size and u's slack: the most u's
+    label can still rise through the vertices after v.
+    """
+    a, order = diagram.cartan, [0]
+    for v in order:
+        order.extend(w for w in diagram.adjacency[v] if w not in order)
+    plan = []
+    for k, v in enumerate(order):
+        column = tuple((u, sign * a[u][v]) for u in (v,) + diagram.adjacency[v])
+        slack = {
+            u: sum(max(0, sign * a[u][w]) * bounds[w] for w in order[k + 1:])
+            for u, _ in column
+        }
+        rising = tuple((u, c, slack[u]) for u, c in column if c > 0)
+        falling = tuple((u, -c, slack[u]) for u, c in column if c < 0)
+        plan.append((v, bounds[v], rising, falling, column))
+    return tuple(plan)
+
+
+def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> list:
+    """The minimal nonzero offsets 0 <= gamma <= bounds with labs + sign *
+    A gamma >= 0, in lexicographic order (vertex 0 most significant).
+
+    A depth-first search assigns gamma vertex by vertex along ``_plan``.
+    The values at v that leave every label it touches able to end up
+    nonnegative form an interval, and they are tried in increasing order,
+    so an offset below another is always reached first.  Unassigned entries
+    are zero, so once a minimum already found lies below the partial offset
+    it lies below every completion, and the larger values at v are cut too.
+    At the last vertex every label is settled: the first nonzero value
+    there that is not cut is a new minimum.
+    """
+    plan = _plan(diagram, bounds, sign)
+    last = len(plan) - 1
+    cur, gamma, minima = list(labs), [0] * len(plan), []
+    nodes = 0
+
+    def visit(k):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _MAX_SEARCH_NODES:
+            raise BoxTooLargeError(
+                f"the search of window {list(bounds)} visits more than "
+                f"{_MAX_SEARCH_NODES} nodes"
+            )
+        v, hi, rising, falling, column = plan[k]
+        lo = 0
+        for u, c, slack in rising:
+            least = -((cur[u] + slack) // c)
+            if least > lo:
+                lo = least
+        for u, c, slack in falling:
+            most = (cur[u] + slack) // c
+            if most < hi:
+                hi = most
+        if k == last:
+            if lo == 0 and not any(gamma):
+                lo = 1
+            if lo <= hi:
+                gamma[v] = lo
+                if not (minima and any(all(map(le, m, gamma)) for m in minima)):
+                    minima.append(tuple(gamma))
+                gamma[v] = 0
+            return
+        if lo > hi:
+            return
+        for u, c in column:
+            cur[u] += c * lo
+        d = lo
+        while True:
+            gamma[v] = d
+            if d and minima and any(all(map(le, m, gamma)) for m in minima):
+                break
+            visit(k + 1)
+            if d == hi:
+                break
+            d += 1
+            for u, c in column:
+                cur[u] += c
+        for u, c in column:
+            cur[u] -= c * d
+        gamma[v] = 0
+
+    visit(0)
+    return sorted(minima)
 
 
 def _brute_lowers(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
     """The minimal nonzero offsets beta of the window with labs - A beta
-    dominant, in row order, each paired with those labels."""
-    box = _box(diagram, window.bounds)
+    dominant, in lexicographic order, each paired with those labels."""
     return [
         (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
-        for beta in box.minimal(box.change_at_most(labs) & ~1)  # row 0 is the zero offset
+        for beta in _minimal_offsets(diagram, _window_bounds(diagram, window), labs, -1)
     ]
 
 
@@ -230,7 +214,7 @@ class BruteCocovers:
 
 
 def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteCocovers:
-    """Maximal dominant weights strictly below the input, by box search.
+    """Maximal dominant weights strictly below the input, by brute search.
 
     Any weight between a candidate and the input differs from the input by a
     smaller nonnegative offset, which also lies in the window, so a result
@@ -271,11 +255,11 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
-    it dominant, and that is tested.  The least upper bound is searched for
-    in a box of offsets over the coefficient-maximum corner.  The
-    componentwise minimum of two dominant candidates is again one, so a
-    minimal candidate is the global minimum, and the search is exact
-    whenever the box is nonempty.
+    it dominant, and that is tested.  The least upper bound is the
+    coefficient-maximum corner when that is dominant, and otherwise is
+    searched for among the window's offsets above it.  The componentwise
+    minimum of two dominant candidates is again one, so a minimal candidate
+    is the global minimum, and the search is exact whenever it finds one.
 
     A failed gap check, a corner that is not dominant, or upper bounds with
     two minima raise ``RuntimeError``.
@@ -296,15 +280,18 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
         raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
     glb = Weight(diagram, corner_lo, _plus_delta(a.shift, lo[0], mark0))
 
-    box = _box(diagram, window.bounds)
+    bounds = _window_bounds(diagram, window)
     corner_hi = _add_columns(diagram, a.labels, hi)
-    up = box.change_at_least(corner_hi)
-    if not up:
-        raise WindowExhaustedError("no dominant upper bound within the window")
-    beta = box.least(up)
-    if beta is None:
-        minima = ", ".join(map(str, box.minimal(up)))
-        raise RuntimeError(f"upper bounds have two incomparable minima: {minima}")
+    if min(corner_hi) >= 0:
+        beta = (0,) * len(hi)
+    else:
+        minima = _minimal_offsets(diagram, bounds, corner_hi, 1)
+        if not minima:
+            raise WindowExhaustedError("no dominant upper bound within the window")
+        if len(minima) > 1:
+            listed = ", ".join(map(str, minima))
+            raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
+        beta = minima[0]
     lub = Weight(
         diagram,
         _add_columns(diagram, corner_hi, beta),
@@ -413,7 +400,7 @@ def _pair_keys(pairs) -> list:
 
 
 def _check_one(weight, window, mismatches, searches):
-    """Compare the classified cocovers of one weight with the box search.
+    """Compare the classified cocovers of one weight with the brute search.
 
     ``searches`` maps labels to the minimal offsets and the labels below
     them, for the length of one sweep: the search reads the labels alone.
@@ -482,8 +469,9 @@ def verify_covering(
     Runs a census of every label vector with entry sum at most three plus
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
-    test, and meet/join against the box searches.  Each distinct label
-    tuple is searched once per call; nothing is kept between calls.
+    test, and meet/join against the brute searches.  Each distinct label
+    tuple is searched once per call; only the search plans, a few integers
+    per vertex and window, are kept between calls.
     """
     levels = tuple(levels)
     for lvl in levels:
@@ -503,7 +491,7 @@ def verify_covering(
     if window is None:
         window = default_window(diagram)
     start = time.monotonic()
-    _box(diagram, window.bounds)  # a window that cannot be searched fails at once
+    _window_bounds(diagram, window)  # a window of the wrong rank fails at once
     searches: dict = {}
     mismatches: list = []
     tested = 0

@@ -242,6 +242,13 @@ def test_verify_window_flag():
         assert (code, out) == (2, "") and message in err, window
 
 
+def test_verify_e8():
+    code, out, err = cap(["verify", "E8-1", "--levels", "1,2", "--samples", "20"])
+    report = json.loads(out)
+    assert (code, err) == (0, "")
+    assert report["mismatches"] == [] and report["boundary_flags"] == 0
+
+
 # sha256 of stdout for the acceptance suite's CLI commands and one covers
 # query, recorded at commit f76dc87, while weights still stored root
 # coefficients; the bytes must never change

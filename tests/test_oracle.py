@@ -1,6 +1,6 @@
 import ast
 import collections
-import math
+import itertools
 import operator
 import pathlib
 import random
@@ -14,7 +14,13 @@ import affposet
 import affposet.covering as covering
 import affposet.oracle as oracle
 import affposet.weights as weights
-from affposet.cartan import build_affine, catalog_types, parse_type_id
+from affposet.cartan import (
+    AffineTypeId,
+    _rank_is_valid,
+    build_affine,
+    catalog_types,
+    parse_type_id,
+)
 from affposet.oracle import (
     BoxTooLargeError,
     BruteBounds,
@@ -25,7 +31,7 @@ from affposet.oracle import (
     default_window,
     verify_covering,
 )
-from affposet.roots import RootVector
+from affposet.roots import RootVector, cover_root_set
 from affposet.weights import (
     ComponentMismatchError,
     add_root,
@@ -57,6 +63,24 @@ def test_search_window_validation():
     with pytest.raises(ValueError):
         SearchWindow((1, 0))
     assert default_window(D("G2-1")).bounds == (2, 4, 6)
+
+
+def test_default_window_strictly_contains_every_cover_root():
+    # every candidate cover difference is at most delta in each coefficient,
+    # so twice the marks leaves room above each of them
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 21)
+        for twist in (1, 2, 3)
+        if _rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 117
+    for tid in ids:
+        diagram = build_affine(tid)
+        for candidate in cover_root_set(diagram):
+            coeffs = candidate.root.coeffs
+            assert all(map(operator.le, coeffs, diagram.marks)), (str(tid), coeffs)
 
 
 def test_brute_cocovers_frozen_a4():
@@ -395,9 +419,9 @@ def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
                for m in records)
 
 
-# A copy of the numpy grid search the bitset box replaced: every offset of the
-# window as an array row, dominance by a scan of the whole box, and minimal
-# rows by pairwise comparison.  The box must give the same answers.
+# A numpy grid search as the reference: every offset of the window as an
+# array row, dominance by a scan of the whole grid, and minimal rows by
+# pairwise comparison.  The depth-first search must give the same answers.
 _REF_GRIDS: dict = {}
 
 
@@ -484,7 +508,7 @@ def _outcome(search, *args):
 @pytest.mark.parametrize(
     "name", [str(t) for t in catalog_types()] + ["E6-1"]
 )
-def test_box_search_matches_numpy_grid(name):
+def test_search_matches_numpy_grid(name):
     diagram = D(name)
     rng = random.Random(f"box:{name}")
     default = default_window(diagram)
@@ -506,85 +530,10 @@ def test_box_search_matches_numpy_grid(name):
                 assert got == _ref_cocovers(weight, window), (weight, window)
                 bb = _outcome(brute_bounds, weight, partner, window)
                 assert bb == _outcome(_ref_bounds, weight, partner, window), (weight, window)
-    oracle._box.cache_clear()
     _REF_GRIDS.clear()
 
 
-# A copy of the numpy build of the box the integer shifts replaced: every row's
-# digits as an array, and each threshold's rows packed into one int.
-def _ref_at_most_masks(values, thresholds):
-    below = values[None, :] <= thresholds[:, None]
-    packed = np.packbits(below, axis=1, bitorder="little")
-    return tuple(int.from_bytes(p.tobytes(), "little") for p in packed)
-
-
-def _ref_box(diagram, bounds):
-    radices = tuple(b + 1 for b in bounds)
-    strides = tuple(math.prod(radices[j + 1:]) for j in diagram.vertices)
-    size = math.prod(radices)
-    rows = np.arange(size, dtype=np.int64)
-    digits = [rows // s % r for s, r in zip(strides, radices)]
-    lows, label_masks = [], []
-    for j, row in enumerate(diagram.cartan):
-        change = sum(row[i] * digits[i] for i in (j,) + diagram.adjacency[j])
-        low = int(change.min())
-        lows.append(low)
-        label_masks.append(_ref_at_most_masks(change, np.arange(low, int(change.max()))))
-    return {
-        "strides": strides,
-        "radices": radices,
-        "full": (1 << size) - 1,
-        "lows": tuple(lows),
-        "label_masks": tuple(label_masks),
-        "coord_masks": tuple(
-            _ref_at_most_masks(d, np.arange(b + 1)) for d, b in zip(digits, bounds)
-        ),
-    }
-
-
-@pytest.mark.parametrize(
-    "name", [str(t) for t in catalog_types()] + ["E6-1", "E7-1"]
-)
-def test_box_masks_match_numpy_build(name):
-    diagram = D(name)
-    default = default_window(diagram).bounds
-    uneven = tuple(1 + (3 * j + 2) % 4 for j in diagram.vertices)
-    windows = [default, (1,) * (diagram.n + 1), uneven]
-    if name not in ("E6-1", "E7-1"):
-        windows.append(tuple(2 * b for b in default))
-    for bounds in windows:
-        box = oracle._Box(diagram, bounds)
-        got = {field: getattr(box, field) for field in oracle._Box.__slots__}
-        assert got == _ref_box(diagram, bounds), bounds
-
-
-def test_box_minimal_and_least_on_random_row_sets():
-    # row sets the searches never produce, such as ones with two minima
-    diagram = D("G2-1")
-    bounds = (2, 1, 3)
-    box = oracle._box(diagram, bounds)
-    offsets = [
-        (x, y, z) for x in range(3) for y in range(2) for z in range(4)
-    ]
-    assert [box.offset(r) for r in range(len(offsets))] == offsets
-    rng = random.Random(11)
-    saw_no_least = False
-    for _ in range(300):
-        chosen = rng.sample(range(len(offsets)), rng.randint(1, 6))
-        rows = sum(1 << r for r in chosen)
-        members = [offsets[r] for r in sorted(chosen)]
-        minimal = [
-            m for m in members
-            if not any(o != m and all(map(operator.le, o, m)) for o in members)
-        ]
-        assert box.minimal(rows) == minimal
-        least = minimal[0] if len(minimal) == 1 else None
-        assert box.least(rows) == least
-        saw_no_least |= least is None
-    assert saw_no_least
-
-
-def test_box_search_matches_numpy_grid_when_exhausted():
+def test_search_matches_numpy_grid_when_exhausted():
     a = W("A2-1", (0, 12, 0))
     b = W("A2-1", (0, 0, 12))
     outcomes = []
@@ -597,7 +546,6 @@ def test_box_search_matches_numpy_grid_when_exhausted():
 
 
 def test_verify_covering_e7_within_budget():
-    # every weight searches a box of 496 125 offsets
     report = verify_covering("E7-1", levels=(1, 2), samples_per_level=20, budget=20.0)
     assert not report.budget_exceeded
     assert report.tested == 164 + 40
@@ -605,23 +553,28 @@ def test_verify_covering_e7_within_budget():
     assert report.boundary_flags == 0
 
 
-def test_box_too_large_is_refused_before_any_allocation():
-    cached = oracle._box.cache_info().currsize
+@pytest.mark.parametrize("name", ["E8-1", "D12-1", "B12-1"])
+def test_verify_covering_beyond_the_catalog(name):
+    report = verify_covering(name, levels=(1, 2), samples_per_level=20, budget=60.0)
+    assert not report.budget_exceeded
+    assert report.mismatches == ()
+    assert report.boundary_flags == 0
+
+
+def test_box_too_large_is_refused_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", 2)
     e8 = fundamental_weight(D("E8-1"), 0)
-    with pytest.raises(BoxTooLargeError, match="42567525 offsets"):
+    with pytest.raises(BoxTooLargeError, match="visits more than 2 nodes"):
         brute_cocovers(e8)
-    e7 = D("E7-1")
-    a = fundamental_weight(e7, 0)
-    with pytest.raises(BoxTooLargeError, match="52360425 offsets"):
-        brute_bounds(a, a, default_window(e7).doubled())
-    assert oracle._box.cache_info().currsize == cached
+    a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
+    with pytest.raises(BoxTooLargeError, match="visits more than 2 nodes"):
+        brute_bounds(a, b)
     assert affposet.BoxTooLargeError is BoxTooLargeError
 
 
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
-    diagram = D("E7-1")
-    window = default_window(diagram)
-    weight = fundamental_weight(diagram, 0)
+    a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
+    window = default_window(a.diagram)
     real, windows = oracle.brute_bounds, []
 
     def exhausted_at_default(a, b, search):
@@ -631,10 +584,55 @@ def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
         return real(a, b, search)
 
     monkeypatch.setattr(oracle, "brute_bounds", exhausted_at_default)
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", 2)
     mismatches = []
-    oracle._check_pair(weight, weight, window, mismatches)
+    oracle._check_pair(a, b, window, mismatches)
     assert windows == [window, window.doubled()]
     assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", "window exhausted")]
+
+
+def _ref_minimal_offsets(diagram, bounds, labs, sign):
+    # the definition: every nonzero offset of the window whose labels are
+    # nonnegative, then those with no other such offset below them
+    found = [
+        gamma for gamma in itertools.product(*(range(b + 1) for b in bounds))
+        if any(gamma) and all(
+            lab + sign * sum(map(operator.mul, row, gamma)) >= 0
+            for lab, row in zip(labs, diagram.cartan)
+        )
+    ]
+    return [
+        gamma for gamma in found
+        if not any(o != gamma and all(map(operator.le, o, gamma)) for o in found)
+    ]
+
+
+@pytest.mark.parametrize("name", [str(t) for t in catalog_types()])
+def test_minimal_offsets_match_the_definition(name):
+    diagram = D(name)
+    rng = random.Random(f"offsets:{name}")
+    widest = 3 if diagram.n < 4 else 2
+    saw_several = False
+    for _ in range(12):
+        bounds = tuple(rng.randint(1, widest) for _ in diagram.vertices)
+        labs = [rng.randint(-3, 4) for _ in diagram.vertices]
+        for sign in (-1, 1):
+            got = oracle._minimal_offsets(diagram, bounds, labs, sign)
+            assert got == _ref_minimal_offsets(diagram, bounds, labs, sign), (bounds, labs, sign)
+            saw_several |= len(got) > 1
+    assert saw_several
+
+
+def test_brute_bounds_refuses_two_minimal_upper_bounds(monkeypatch):
+    a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
+    monkeypatch.setattr(oracle, "_minimal_offsets", lambda *args: [(0, 1, 0), (1, 0, 0)])
+    message = "upper bounds have two incomparable minima: (0, 1, 0), (1, 0, 0)"
+    with pytest.raises(RuntimeError) as caught:
+        brute_bounds(a, b)
+    assert str(caught.value) == message
+    mismatches = []
+    oracle._check_pair(a, b, default_window(a.diagram), mismatches)
+    assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", message)]
 
 
 # A copy of the sweep as it checked each weight before it ran on integer
