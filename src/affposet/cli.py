@@ -112,28 +112,19 @@ def _cmd_cell(args) -> int:
     from .poset import basic_cell, export_graph
 
     lam = _weight_arg(args.type, args.labels, args.shift)
-    diagram = lam.diagram
-    wanted = {
-        "mu": _labels_arg(args.mu, diagram),
-        "mu2": _labels_arg(args.mu2, diagram),
+    wanted = [_labels_arg(args.mu, lam.diagram), _labels_arg(args.mu2, lam.diagram)]
+    lowers = {
+        edge.lower.labels: edge.lower
+        for edge in cocovers(lam)
+        if edge.kind is not CoverKind.DELTA
     }
-    found = {}
-    available = []
-    for edge in cocovers(lam):
-        if edge.kind is CoverKind.DELTA:
-            continue
-        labs = edge.lower.labels
-        available.append(labs)
-        for key, target in wanted.items():
-            if labs == target:
-                found[key] = edge.lower
-    for key, target in wanted.items():
-        if key not in found:
+    for target in wanted:
+        if target not in lowers:
             raise ValueError(
                 f"{list(target)} is not a finite-root cocover of the top; "
-                f"available: {[list(a) for a in available]}"
+                f"available: {[list(a) for a in lowers]}"
             )
-    cell = basic_cell(lam, found["mu"], found["mu2"])
+    cell = basic_cell(lam, *(lowers[target] for target in wanted))
     if args.format == "dot":
         print(f"// shape={cell.shape.value} case={cell.case}")
         print(export_graph(cell.graph, "dot"), end="")

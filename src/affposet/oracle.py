@@ -435,19 +435,16 @@ def _check_one(weight, window, mismatches, searches):
 
 
 def _check_pair(weight, partner, window, mismatches):
-    bb = None
     for _ in range(5):
         try:
             bb = brute_bounds(weight, partner, window)
             break
         except WindowExhaustedError:
             window = window.doubled()
-        except BoxTooLargeError:
-            break
-        except RuntimeError as exc:
+        except (BoxTooLargeError, RuntimeError) as exc:
             _mismatch(mismatches, "bounds", str(exc), weight, partner)
             return
-    if bb is None:
+    else:
         _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return
     if bb.glb != meet(weight, partner):

@@ -2,13 +2,15 @@
 
 An interval is computed by walking cocovers downward from the top; since the
 interval is order convex, covers taken inside it are covers of the full
-poset.  ``basic_cell`` builds the predicted shape of the interval under a
-weight and the meet of two of its cocovers (diamond, pentagon, or double
-pentagon depending on the supports of the two cover roots, or the whole
-interval down to the delta shift when the two supports cover the cycle),
-then checks the prediction against the actual interval and raises
-``CellMismatchError`` when they disagree instead of papering over the
-difference.
+poset.  ``basic_cell`` predicts the interval under a weight ``lam`` and the
+meet of two of its cocovers as a family of vertex sets S: the nodes are the
+weights ``lam - e_S``, with ``e_S`` the sum of the simple roots of S, and the
+edges are the covers of inclusion among the sets.  The family is the
+diamond, pentagon, or double pentagon that the supports of the two cover
+roots select, or every dominant ``lam - e_S`` down to the delta shift when
+the two supports cover the cycle.  The prediction is then checked against
+the actual interval, and ``CellMismatchError`` is raised when they disagree
+instead of papering over the difference.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .covering import (
     _require_dominant_positive,
     cocovers,
 )
-from .roots import CoverKind, RootVector, simple_root
+from .roots import CoverKind
 from .weights import (
     Weight,
     _dominance_gap,
     _json_object,
     _json_string,
+    _moved,
     _plus_delta,
-    add_root,
     format_shift,
     meet,
     sort_key,
@@ -151,6 +153,27 @@ def _path_ends(diagram, subset):
     return sorted(v for v in subset if len(subset.intersection(diagram.adjacency[v])) <= 1)
 
 
+def _subset_graph(lam, family):
+    """Node set and edge pair set of the weights ``lam - e_S`` for S in the family.
+
+    ``e_S`` is the sum of the simple roots of S, so the order among these
+    weights is inclusion of S, and the edges are the covers of inclusion
+    within the family.
+    """
+    order = sorted(family, key=len)
+    nodes = {s: _moved(lam, [-1 if j in s else 0 for j in lam.diagram.vertices]) for s in order}
+    pairs = set()
+    for s in order:
+        below = []
+        # sets run by size, so a superset of s is a cover unless it contains
+        # one already kept
+        for t in order:
+            if s < t and not any(c <= t for c in below):
+                below.append(t)
+        pairs.update((nodes[s], nodes[t]) for t in below)
+    return set(nodes.values()), pairs
+
+
 def _delta_interval(lam):
     """Node set and edge pair set of the interval from ``lam`` - delta to ``lam``.
 
@@ -166,31 +189,20 @@ def _delta_interval(lam):
     a, adjacent = diagram.cartan, diagram.adjacency
     last = [max(k for k in diagram.vertices if a[j][k]) for j in diagram.vertices]
     settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
-    found = {}
-    stack = [(0, 0, lam.labels)]
+    found = []
+    stack = [(0, frozenset(), lam.labels)]
     while stack:
-        k, mask, labs = stack.pop()
+        k, subset, labs = stack.pop()
         if k > diagram.n:
-            found[mask] = labs
+            found.append(subset)
             continue
         taken = list(labs)
         for w in (k,) + adjacent[k]:
             taken[w] -= a[w][k]
-        for chosen, now in ((mask, labs), (mask | 1 << k, tuple(taken))):
+        for chosen, now in ((subset, labs), (subset | {k}, taken)):
             if all(now[j] >= 0 for j in settled[k]):
                 stack.append((k + 1, chosen, now))
-    masks = sorted(found, key=lambda m: bin(m).count("1"))
-    weights = {m: Weight(diagram, found[m], lam.shift - (m & 1)) for m in masks}
-    pairs = set()
-    for m in masks:
-        below = []
-        # masks run by size, so a superset of m is a cover unless it contains
-        # one already kept
-        for t in masks:
-            if t != m and t & m == m and not any(t & c == c for c in below):
-                below.append(t)
-        pairs.update((weights[m], weights[t]) for t in below)
-    return set(weights.values()), pairs
+    return _subset_graph(lam, found)
 
 
 def _predict(lam, edge_a, edge_b):
@@ -199,7 +211,8 @@ def _predict(lam, edge_a, edge_b):
     When the two supports cover the cycle the meet is ``lam`` - delta, and
     the case's diagram holds only if it is the whole delta interval.
     """
-    nodes, pairs, shape, case = _case_shape(lam, edge_a, edge_b)
+    family, shape, case = _case_shape(lam.diagram, edge_a, edge_b)
+    nodes, pairs = _subset_graph(lam, family)
     if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
         delta_nodes, delta_pairs = _delta_interval(lam)
         if (delta_nodes, delta_pairs) != (nodes, pairs):
@@ -207,79 +220,42 @@ def _predict(lam, edge_a, edge_b):
     return nodes, pairs, shape, case
 
 
-def _case_shape(lam, edge_a, edge_b):
-    """Node set, edge pair set, shape, and case tag that the supports predict."""
-    diagram = lam.diagram
-    ka = set(edge_a.root.support())
-    kb = set(edge_b.root.support())
-    mu_a, mu_b = edge_a.lower, edge_b.lower
+def _case_shape(diagram, edge_a, edge_b):
+    """Vertex sets S of the nodes ``lam - e_S``, shape, and case tag that
+    the supports K_a and K_b of the two cover roots predict."""
+    ka = edge_a.root.support()
+    kb = edge_b.root.support()
     union = ka | kb
-    bottom = add_root(
-        lam,
-        -RootVector(
-            diagram, [1 if j in union else 0 for j in diagram.vertices]
-        ),
-    )
-
     if len(ka) == 1 and len(kb) == 1:
         case = "1a"
     elif ka & kb:
         case = "1c"
-    elif not diagram.is_connected(sorted(union)):
+    elif not diagram.is_connected(union):
         case = "1b"
     elif len(ka) == 1 or len(kb) == 1:
         case = "2"
     else:
         case = "3"
+    empty = frozenset()
 
     if case in ("1a", "1b", "1c"):
-        nodes = {lam, mu_a, mu_b, bottom}
-        pairs = {(lam, mu_a), (lam, mu_b), (mu_a, bottom), (mu_b, bottom)}
-        return nodes, pairs, CellShape.DIAMOND, case
+        return {empty, ka, kb, union}, CellShape.DIAMOND, case
 
     if case == "2":
-        if len(ka) == 1:
-            i = next(iter(ka))
-            mu_s, mu_p, path, gamma_p = mu_a, mu_b, kb, edge_b.root
-        else:
-            i = next(iter(kb))
-            mu_s, mu_p, path, gamma_p = mu_b, mu_a, ka, edge_a.root
-        ends = [v for v in _path_ends(diagram, path) if i in diagram.adjacency[v]]
-        i1 = min(ends)
-        x = add_root(lam, -(simple_root(diagram, i) + simple_root(diagram, i1)))
-        nodes = {lam, mu_s, mu_p, x, bottom}
-        pairs = {(lam, mu_s), (lam, mu_p), (mu_s, x), (x, bottom), (mu_p, bottom)}
-        return nodes, pairs, CellShape.PENTAGON, case
+        # a single vertex i next to one end i1 of the path
+        (i,), path = (ka, kb) if len(ka) == 1 else (kb, ka)
+        i1 = min(v for v in _path_ends(diagram, path) if i in diagram.adjacency[v])
+        return {empty, frozenset({i}), path, frozenset({i, i1}), union}, CellShape.PENTAGON, case
 
-    contacts = [
+    # two paths touching at i in K_a and i2 in K_b
+    i, i2 = min(
         (u, v)
         for u in _path_ends(diagram, ka)
         for v in _path_ends(diagram, kb)
         if v in diagram.adjacency[u]
-    ]
-    i, i2 = min(contacts)
-    e_i, e_i2 = simple_root(diagram, i), simple_root(diagram, i2)
-    y = add_root(lam, -(e_i + e_i2))
-    p = add_root(lam, -(edge_a.root + e_i2)) if i in ka else add_root(
-        lam, -(edge_b.root + e_i2)
     )
-    q = add_root(lam, -(edge_b.root + e_i)) if i in ka else add_root(
-        lam, -(edge_a.root + e_i)
-    )
-    mu, mu2 = (mu_a, mu_b) if i in ka else (mu_b, mu_a)
-    nodes = {lam, mu, y, mu2, p, q, bottom}
-    pairs = {
-        (lam, mu),
-        (lam, y),
-        (lam, mu2),
-        (mu, p),
-        (y, p),
-        (y, q),
-        (mu2, q),
-        (p, bottom),
-        (q, bottom),
-    }
-    return nodes, pairs, CellShape.DOUBLE_PENTAGON, case
+    family = {empty, ka, kb, frozenset({i, i2}), ka | {i2}, kb | {i}, union}
+    return family, CellShape.DOUBLE_PENTAGON, case
 
 
 def _node_tag(weight: Weight) -> str:

@@ -7,7 +7,14 @@ from operator import mul
 import pytest
 
 import affposet.covering as covering
-from affposet.cartan import build_affine, catalog_types, classify_finite, parse_type_id
+from affposet.cartan import (
+    AffineTypeId,
+    _rank_is_valid,
+    build_affine,
+    catalog_types,
+    classify_finite,
+    parse_type_id,
+)
 from affposet.covering import (
     CoverEdge,
     NonPositiveLevelError,
@@ -23,6 +30,7 @@ from affposet.weights import (
     Weight,
     add_root,
     delta_shift,
+    fundamental_weight,
     labels,
     weight_from_labels,
 )
@@ -396,3 +404,29 @@ def test_indexed_covers_match_dense_scan(name):
             w = weight_from_labels(d, _sample_labels(d, level, rng), shift)
             assert cocovers(w) == _dense_edges(w, -1), (name, w)
             assert covers(w) == _dense_edges(w, 1), (name, w)
+
+
+def test_delta_is_a_cocover_exactly_when_no_finite_root_is():
+    # every cover root is at most delta in each coefficient, so a finite
+    # cocover lam - beta lies strictly between lam - delta and lam; and a
+    # dominant weight strictly between them lies under a finite cocover
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 21)
+        for twist in (1, 2, 3)
+        if _rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 117
+    for tid in ids:
+        d = build_affine(tid)
+        rng = random.Random(f"delta_iff:{tid}")
+        pool = [fundamental_weight(d, j) for j in d.vertices]
+        pool += [
+            weight_from_labels(d, _sample_labels(d, level, rng))
+            for level in (1, 2, 3, 4)
+            for _ in range(5)
+        ]
+        for w in pool:
+            finite = any(e.kind is not CoverKind.DELTA for e in cocovers(w))
+            assert is_delta_cocover(w) is not finite, (str(tid), w.labels)

@@ -588,7 +588,8 @@ def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
     mismatches = []
     oracle._check_pair(a, b, window, mismatches)
     assert windows == [window, window.doubled()]
-    assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", "window exhausted")]
+    detail = f"the search of window {list(window.doubled().bounds)} visits more than 2 nodes"
+    assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", detail)]
 
 
 def _ref_minimal_offsets(diagram, bounds, labs, sign):
@@ -689,8 +690,9 @@ def _ref_check_pair(weight, partner, window, records):
             break
         except WindowExhaustedError:
             search = search.doubled()
-        except BoxTooLargeError:
-            break
+        except BoxTooLargeError as exc:
+            _ref_record(records, "bounds", str(exc), weight, partner)
+            return
     if bb is None:
         _ref_record(records, "bounds", "window exhausted", weight, partner)
         return

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from affposet.weights import (
     weight_from_json,
     weight_from_labels,
 )
-from affposet.roots import RootVector, delta_root
+from affposet.roots import RootVector, delta_root, simple_root
 
 
 def D(name):
@@ -357,6 +358,115 @@ def test_delta_interval_matches_mask_search():
                 shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
                 lam = weight_from_labels(d, labs, shift)
                 assert poset._delta_interval(lam) == _mask_search_delta_interval(lam), lam
+
+
+def _ref_path_ends(diagram, subset):
+    return sorted(v for v in subset if len(subset.intersection(diagram.adjacency[v])) <= 1)
+
+
+def _ref_predict(lam, edge_a, edge_b):
+    """Reference: the hand-built cells, each node made with add_root and each
+    edge listed, with the library's delta interval for supports that cover
+    the cycle."""
+    nodes, pairs, shape, case = _ref_case_shape(lam, edge_a, edge_b)
+    if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
+        delta_nodes, delta_pairs = poset._delta_interval(lam)
+        if (delta_nodes, delta_pairs) != (nodes, pairs):
+            return delta_nodes, delta_pairs, CellShape.DELTA_INTERVAL, case
+    return nodes, pairs, shape, case
+
+
+def _ref_case_shape(lam, edge_a, edge_b):
+    diagram = lam.diagram
+    ka = set(edge_a.root.support())
+    kb = set(edge_b.root.support())
+    mu_a, mu_b = edge_a.lower, edge_b.lower
+    union = ka | kb
+    bottom = add_root(
+        lam,
+        -RootVector(
+            diagram, [1 if j in union else 0 for j in diagram.vertices]
+        ),
+    )
+
+    if len(ka) == 1 and len(kb) == 1:
+        case = "1a"
+    elif ka & kb:
+        case = "1c"
+    elif not diagram.is_connected(sorted(union)):
+        case = "1b"
+    elif len(ka) == 1 or len(kb) == 1:
+        case = "2"
+    else:
+        case = "3"
+
+    if case in ("1a", "1b", "1c"):
+        nodes = {lam, mu_a, mu_b, bottom}
+        pairs = {(lam, mu_a), (lam, mu_b), (mu_a, bottom), (mu_b, bottom)}
+        return nodes, pairs, CellShape.DIAMOND, case
+
+    if case == "2":
+        if len(ka) == 1:
+            i = next(iter(ka))
+            mu_s, mu_p, path, gamma_p = mu_a, mu_b, kb, edge_b.root
+        else:
+            i = next(iter(kb))
+            mu_s, mu_p, path, gamma_p = mu_b, mu_a, ka, edge_a.root
+        ends = [v for v in _ref_path_ends(diagram, path) if i in diagram.adjacency[v]]
+        i1 = min(ends)
+        x = add_root(lam, -(simple_root(diagram, i) + simple_root(diagram, i1)))
+        nodes = {lam, mu_s, mu_p, x, bottom}
+        pairs = {(lam, mu_s), (lam, mu_p), (mu_s, x), (x, bottom), (mu_p, bottom)}
+        return nodes, pairs, CellShape.PENTAGON, case
+
+    contacts = [
+        (u, v)
+        for u in _ref_path_ends(diagram, ka)
+        for v in _ref_path_ends(diagram, kb)
+        if v in diagram.adjacency[u]
+    ]
+    i, i2 = min(contacts)
+    e_i, e_i2 = simple_root(diagram, i), simple_root(diagram, i2)
+    y = add_root(lam, -(e_i + e_i2))
+    p = add_root(lam, -(edge_a.root + e_i2)) if i in ka else add_root(
+        lam, -(edge_b.root + e_i2)
+    )
+    q = add_root(lam, -(edge_b.root + e_i)) if i in ka else add_root(
+        lam, -(edge_a.root + e_i)
+    )
+    mu, mu2 = (mu_a, mu_b) if i in ka else (mu_b, mu_a)
+    nodes = {lam, mu, y, mu2, p, q, bottom}
+    pairs = {
+        (lam, mu),
+        (lam, y),
+        (lam, mu2),
+        (mu, p),
+        (y, p),
+        (y, q),
+        (mu2, q),
+        (p, bottom),
+        (q, bottom),
+    }
+    return nodes, pairs, CellShape.DOUBLE_PENTAGON, case
+
+
+def test_predict_matches_hand_built_cells():
+    # every pair of finite-root cocovers of every label tuple on A1-1 to
+    # A8-1, at levels up to 5 through A5-1 and up to 3 above it
+    count = 0
+    for n in range(1, 9):
+        d = D(f"A{n}-1")
+        top = 5 if n <= 5 else 3
+        for labs in itertools.product(range(top + 1), repeat=n + 1):
+            if not 0 < sum(labs) <= top:
+                continue
+            lam = weight_from_labels(d, labs)
+            edges = [e for e in cocovers(lam) if e.kind is not CoverKind.DELTA]
+            for edge_a, edge_b in itertools.combinations(edges, 2):
+                want = _ref_predict(lam, edge_a, edge_b)
+                assert poset._predict(lam, edge_a, edge_b) == want, (lam, edge_a, edge_b)
+                count += 1
+    assert count == 1575
 
 
 def test_export_graph_dot_frozen():
