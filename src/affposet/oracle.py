@@ -8,7 +8,9 @@ the two; the brute searches themselves must stay independent of it.
 
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
-between them is first checked against the Cartan matrix.
+between them is first checked against the Cartan matrix.  A sweep's pair
+check computes that root vector, the gap, once and hands the same one to the
+bounds search and to the meet and join it checks.
 
 The search reads only the Cartan matrix.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
@@ -36,12 +38,12 @@ from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
     _add_columns,
+    _gap_join,
+    _gap_meet,
     _plus_delta,
     _require_component,
     format_shift,
     is_dominant,
-    meet,
-    join,
     weight_from_labels,
 )
 
@@ -248,10 +250,12 @@ class BruteBounds:
 def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> BruteBounds:
     """Greatest lower and least upper bound of two dominant weights.
 
-    The root vector a - b comes from the helper ``meet`` and ``join`` use, so
-    it is first checked against the Cartan matrix: its columns must add up
-    to the label difference, and its vertex 0 coefficient over the mark to
-    the shift difference, which only the true gap does.
+    The root vector a - b, the gap, comes from the helper ``meet`` and
+    ``join`` use, so it is first checked against the Cartan matrix: its
+    columns must add up to the label difference, and its vertex 0
+    coefficient over the mark to the shift difference, which only the true
+    gap does.  A sweep's pair check computes the gap once and passes it to
+    this search and to the meet and join it compares.
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
@@ -264,14 +268,22 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     A failed gap check, a corner that is not dominant, or upper bounds with
     two minima raise ``RuntimeError``.
     """
-    gap = _require_component(a, b)
+    return _gap_bounds(a, b, _require_component(a, b), window)
+
+
+def _gap_bounds(a: Weight, b: Weight, gap, window: SearchWindow | None) -> BruteBounds:
+    """``brute_bounds`` of a and b, given the gap a - b to check."""
     diagram = a.diagram
     if window is None:
         window = default_window(diagram)
     mark0 = diagram.marks[0]
     change = [sum(map(mul, row, gap)) for row in diagram.cartan]
-    shift_gap = Fraction(gap[0], mark0)
-    if change != list(map(sub, a.labels, b.labels)) or shift_gap != a.shift - b.shift:
+    s, t = a.shift, b.shift
+    # gap[0] / mark0 == s - t, cross-multiplied
+    shift_ok = gap[0] * s.denominator * t.denominator == (
+        s.numerator * t.denominator - t.numerator * s.denominator
+    ) * mark0
+    if change != list(map(sub, a.labels, b.labels)) or not shift_ok:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     lo = [-max(0, g) for g in gap]
     hi = [max(0, -g) for g in gap]
@@ -395,8 +407,8 @@ def _mismatch(mismatches, check, detail, weight, partner=None):
     mismatches.append(record)
 
 
-def _pair_keys(pairs) -> list:
-    return sorted((labs, format_shift(shift)) for labs, shift in pairs)
+def _pair_keys(keys) -> list:
+    return sorted((labs, f"{p}/{q}") for labs, p, q in keys)
 
 
 def _check_one(weight, window, mismatches, searches):
@@ -417,8 +429,12 @@ def _check_one(weight, window, mismatches, searches):
         if any(map(eq, beta, window.bounds)):
             detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
-        brute.add((lower, _plus_delta(shift, -beta[0], mark0)))
-    classified = {(e.lower.labels, e.lower.shift) for e in covering.cocovers(weight)}
+        below = _plus_delta(shift, -beta[0], mark0)
+        brute.add((lower, below.numerator, below.denominator))
+    classified = {
+        (e.lower.labels, e.lower.shift.numerator, e.lower.shift.denominator)
+        for e in covering.cocovers(weight)
+    }
     if brute != classified:
         detail = f"brute {_pair_keys(brute)} vs classified {_pair_keys(classified)}"
         _mismatch(mismatches, "cocovers", detail, weight)
@@ -435,9 +451,12 @@ def _check_one(weight, window, mismatches, searches):
 
 
 def _check_pair(weight, partner, window, mismatches):
+    """Compare the meet and join of two weights with the brute bounds, all
+    three computed from one gap."""
+    gap = _require_component(weight, partner)
     for _ in range(5):
         try:
-            bb = brute_bounds(weight, partner, window)
+            bb = _gap_bounds(weight, partner, gap, window)
             break
         except WindowExhaustedError:
             window = window.doubled()
@@ -447,9 +466,9 @@ def _check_pair(weight, partner, window, mismatches):
     else:
         _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return
-    if bb.glb != meet(weight, partner):
+    if bb.glb != _gap_meet(weight, gap):
         _mismatch(mismatches, "meet", f"brute {_weight_key(bb.glb)}", weight, partner)
-    if bb.lub != join(weight, partner):
+    if bb.lub != _gap_join(weight, gap):
         _mismatch(mismatches, "join", f"brute {_weight_key(bb.lub)}", weight, partner)
 
 
@@ -480,6 +499,8 @@ def verify_covering(
         raise TypeError(f"samples_per_level must be an int, got {samples_per_level!r}")
     if samples_per_level < 0:
         raise ValueError(f"samples_per_level must be nonnegative, got {samples_per_level}")
+    if isinstance(budget, bool):
+        raise TypeError(f"budget must be a number of seconds, got {budget!r}")
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     diagram = build_affine(parse_type_id(type_id)) if not isinstance(

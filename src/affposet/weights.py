@@ -53,7 +53,7 @@ class ComponentMismatchError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {value!r}")
 
@@ -192,9 +192,13 @@ def _moved(weight: Weight, coeffs) -> Weight:
 
 
 def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
-    """The delta shift after adding k times the simple root of vertex 0;
-    no Fraction arithmetic when k is 0."""
-    return shift + Fraction(k, mark0) if k else shift
+    """The delta shift after adding k times the simple root of vertex 0:
+    one Fraction built from an integer numerator and denominator, and none
+    when k is 0."""
+    if not k:
+        return shift
+    den = shift.denominator
+    return Fraction(shift.numerator * mark0 + k * den, den * mark0)
 
 
 def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
@@ -236,7 +240,12 @@ def meet(a: Weight, b: Weight) -> Weight:
     coefficients only drop, and off-diagonal Cartan entries are nonpositive,
     so every coroot value of the minimum dominates that argument's value.
     """
-    return _moved(a, [-max(0, g) for g in _require_component(a, b)])
+    return _gap_meet(a, _require_component(a, b))
+
+
+def _gap_meet(a: Weight, gap) -> Weight:
+    """The meet of a and a - gap, for the integer root vector gap."""
+    return _moved(a, [-max(0, g) for g in gap])
 
 
 def join(a: Weight, b: Weight) -> Weight:
@@ -247,14 +256,34 @@ def join(a: Weight, b: Weight) -> Weight:
     ceil(-e / 2), so raising by exactly that amount keeps the candidate
     below every upper bound and terminates at the least one.
     """
-    bound = _moved(a, [max(0, -g) for g in _require_component(a, b)])
-    while True:
-        j = next((j for j, e in enumerate(bound.labels) if e < 0), None)
-        if j is None:
-            return bound
-        step = [0] * len(bound.labels)
-        step[j] = (1 - bound.labels[j]) // 2
-        bound = _moved(bound, step)
+    return _gap_join(a, _require_component(a, b))
+
+
+def _gap_join(a: Weight, gap) -> Weight:
+    """The join of a and a - gap, for the integer root vector gap.
+
+    The labels are repaired in place.  Raising vertex j leaves its label at
+    0 or 1 and lowers only its neighbours', so a worklist of the vertices
+    that went negative holds every negative label.
+    """
+    diagram = a.diagram
+    cartan, adjacent = diagram.cartan, diagram.adjacency
+    top = [max(0, -g) for g in gap]
+    labs = _add_columns(diagram, a.labels, top)
+    k0 = top[0]
+    todo = [j for j, e in enumerate(labs) if e < 0]
+    while todo:
+        j = todo.pop()
+        if labs[j] >= 0:
+            continue
+        step = (1 - labs[j]) // 2
+        for i in (j,) + adjacent[j]:
+            labs[i] += step * cartan[i][j]
+            if labs[i] < 0:
+                todo.append(i)
+        if j == 0:
+            k0 += step
+    return Weight(diagram, labs, _plus_delta(a.shift, k0, diagram.marks[0]))
 
 
 def sort_key(weight: Weight) -> tuple:

@@ -194,6 +194,8 @@ def test_verify_accepts_diagram_instance():
     ({"samples_per_level": -3}, ValueError, "samples_per_level"),
     ({"samples_per_level": 2.0}, TypeError, "samples_per_level"),
     ({"samples_per_level": True}, TypeError, "samples_per_level"),
+    ({"budget": True}, TypeError, "budget must be a number of seconds"),
+    ({"budget": False}, TypeError, "budget must be a number of seconds"),
 ])
 def test_verify_covering_rejects_bad_levels_and_samples(monkeypatch, kwargs, error, name):
     # the arguments are checked before the census searches a single weight
@@ -233,6 +235,11 @@ def _first_record_per_check(report):
     return first
 
 
+def _partner_of(a, gap):
+    # the weight a - gap: the partner whose gap with a the pair check computed
+    return weights._moved(a, [-g for g in gap])
+
+
 def test_mismatch_records_are_frozen(monkeypatch):
     # force every kind of mismatch and pin the record each kind writes
     import affposet.covering as covering
@@ -240,8 +247,8 @@ def test_mismatch_records_are_frozen(monkeypatch):
     monkeypatch.setattr(covering, "cocovers", lambda w: [])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: True)
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: set())
-    monkeypatch.setattr(oracle, "meet", lambda a, b: a)
-    monkeypatch.setattr(oracle, "join", lambda a, b: b)
+    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)
+    monkeypatch.setattr(oracle, "_gap_join", _partner_of)
     report = verify_covering("A2-1", levels=(1,), samples_per_level=3, seed=2)
     assert (report.tested, len(report.mismatches)) == (22, 64)
     pair = [("labels", [0, 0, 1]), ("shift", "4/1"), ("partner", [0, 0, 1]),
@@ -261,7 +268,7 @@ def test_mismatch_records_are_frozen(monkeypatch):
     def exhausted(*args):
         raise WindowExhaustedError("no room")
 
-    monkeypatch.setattr(oracle, "brute_bounds", exhausted)
+    monkeypatch.setattr(oracle, "_gap_bounds", exhausted)
     report = verify_covering("A1-1", levels=(1,), samples_per_level=3, seed=2)
     assert _first_record_per_check(report) == {
         "bounds": [("labels", [0, 1]), ("shift", "-1/1"), ("partner", [0, 1]),
@@ -369,17 +376,41 @@ def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
 def test_check_pair_records_a_failed_bounds_check(monkeypatch):
     detail = "upper bounds have two incomparable minima: (0, 1, 0), (1, 0, 0)"
 
-    def broken(a, b, search):
+    def broken(a, b, gap, search):
         raise RuntimeError(detail)
 
-    monkeypatch.setattr(oracle, "brute_bounds", broken)
-    a, b = W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3), Fraction(1, 2))
+    monkeypatch.setattr(oracle, "_gap_bounds", broken)
+    # the pair check computes the gap first, so the pair shares a component
+    a, b = W("A2-1", (0, 3, 0), Fraction(1, 2)), W("A2-1", (0, 0, 3), Fraction(-3, 2))
     mismatches = []
     oracle._check_pair(a, b, default_window(a.diagram), mismatches)
     assert mismatches == [{
-        "labels": [0, 3, 0], "shift": "0/1", "partner": [0, 0, 3], "partner_shift": "1/2",
+        "labels": [0, 3, 0], "shift": "1/2", "partner": [0, 0, 3], "partner_shift": "-3/2",
         "check": "bounds", "detail": detail,
     }]
+
+
+@pytest.mark.parametrize("name", ["A2-1", "G2-1", "A4-2", "D4-3", "E6-1"])
+def test_sweep_computes_one_gap_per_pair(monkeypatch, name):
+    # every gap, in the pair check and anywhere else, scales its coefficients
+    # through _scaled_coeffs; the bounds, meet and join share one per pair
+    real, scaled, pairs = weights._scaled_coeffs, [], []
+
+    def counted(*args):
+        scaled.append(args)
+        return real(*args)
+
+    check = oracle._check_pair
+
+    def spied(weight, partner, window, mismatches):
+        pairs.append((weight, partner))
+        check(weight, partner, window, mismatches)
+
+    monkeypatch.setattr(weights, "_scaled_coeffs", counted)
+    monkeypatch.setattr(oracle, "_check_pair", spied)
+    report = verify_covering(name, levels=(1, 2, 3), samples_per_level=10, seed=6)
+    assert report.mismatches == ()
+    assert len(pairs) == 30 and len(scaled) == len(pairs)
 
 
 def _off_by_one_at_vertex_1(real):
@@ -575,15 +606,15 @@ def test_box_too_large_is_refused_before_any_allocation(monkeypatch):
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
     a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
     window = default_window(a.diagram)
-    real, windows = oracle.brute_bounds, []
+    real, windows = oracle._gap_bounds, []
 
-    def exhausted_at_default(a, b, search):
+    def exhausted_at_default(a, b, gap, search):
         windows.append(search)
         if search == window:
             raise WindowExhaustedError("no room")
-        return real(a, b, search)
+        return real(a, b, gap, search)
 
-    monkeypatch.setattr(oracle, "brute_bounds", exhausted_at_default)
+    monkeypatch.setattr(oracle, "_gap_bounds", exhausted_at_default)
     monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", 2)
     mismatches = []
     oracle._check_pair(a, b, window, mismatches)
@@ -696,9 +727,10 @@ def _ref_check_pair(weight, partner, window, records):
     if bb is None:
         _ref_record(records, "bounds", "window exhausted", weight, partner)
         return
-    if bb.glb != oracle.meet(weight, partner):
+    gap = weights._require_component(weight, partner)
+    if bb.glb != oracle._gap_meet(weight, gap):
         _ref_record(records, "meet", f"brute {_ref_key(bb.glb)}", weight, partner)
-    if bb.lub != oracle.join(weight, partner):
+    if bb.lub != oracle._gap_join(weight, gap):
         _ref_record(records, "join", f"brute {_ref_key(bb.lub)}", weight, partner)
 
 
@@ -771,8 +803,8 @@ def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, na
     monkeypatch.setattr(covering, "cocovers", lambda w: real[0](w)[1:])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: not real[1](w))
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: frozenset())
-    monkeypatch.setattr(oracle, "meet", lambda a, b: a)
-    monkeypatch.setattr(oracle, "join", lambda a, b: b)
+    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)
+    monkeypatch.setattr(oracle, "_gap_join", _partner_of)
     diagram = D(name)
     window = default_window(diagram)
     report = verify_covering(diagram, levels=(2, 4), samples_per_level=6, seed=3)

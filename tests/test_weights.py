@@ -1,10 +1,14 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import affposet.weights as weights
 from affposet.cartan import build_affine, catalog_types, classify_finite, parse_type_id
+from affposet.covering import cocovers
+from affposet.oracle import _sweep
 from affposet.roots import RootVector, delta_root, highest_short_root, simple_root
 from affposet.weights import (
     ComponentMismatchError,
@@ -49,6 +53,14 @@ def test_weight_construction():
         Weight(d, (0,))
     with pytest.raises(TypeError):
         Weight(d, (0.5, 0))
+    # bool is an int subclass, but the labels refuse it and so does the shift
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="labels must be ints"):
+            Weight(d, (bad, 0))
+        with pytest.raises(TypeError, match="expected an int or Fraction, got"):
+            Weight(d, (0, 1), bad)
+        with pytest.raises(TypeError, match="expected an int or Fraction, got"):
+            format_shift(bad)
 
 
 def test_fundamental_weights_frozen():
@@ -325,3 +337,64 @@ def test_error_types_and_texts_are_pinned():
                 fn(D(name), vertices)
             assert type(info.value) is ValueError
             assert str(info.value) == text
+
+
+# The shift step and the join as they were before both ran on integers: a
+# shift step adds two Fractions, and the join rebuilds a Weight at each
+# repair of its first negative vertex.
+def _ref_plus_delta(shift, k, mark0):
+    return shift + Fraction(k, mark0) if k else shift
+
+
+def _ref_moved(weight, coeffs):
+    d = weight.diagram
+    labs = weights._add_columns(d, weight.labels, coeffs)
+    return Weight(d, labs, _ref_plus_delta(weight.shift, coeffs[0], d.marks[0]))
+
+
+def _ref_join(a, b):
+    bound = _ref_moved(a, [max(0, -g) for g in weights._require_component(a, b)])
+    while True:
+        j = next((j for j, e in enumerate(bound.labels) if e < 0), None)
+        if j is None:
+            return bound
+        step = [0] * len(bound.labels)
+        step[j] = (1 - bound.labels[j]) // 2
+        bound = _ref_moved(bound, step)
+
+
+def test_plus_delta_matches_the_sum_of_fractions():
+    rng = random.Random("plus_delta")
+    for _ in range(3000):
+        shift = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        k, mark0 = rng.randint(-8, 8), rng.randint(1, 6)
+        got = weights._plus_delta(shift, k, mark0)
+        want = _ref_plus_delta(shift, k, mark0)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [(name, (1, 2, 3, 4, 5)) for name in ALL_TYPES + [
+        "E6-1", "E7-1", "A20-1", "B12-1", "C12-1", "D12-1"
+    ]] + [("A30-1", (1, 2, 3))],
+)
+def test_join_matches_the_reference_on_sweep_pairs(name, levels):
+    # the sweep's pairs, and the pairs of cocovers of each sampled weight,
+    # whose coefficient maximum often has negative labels to repair
+    d = D(name)
+    pairs = [(a, b) for a, b in _sweep(d, levels, 20, 17) if b is not None]
+    assert len(pairs) == 20 * len(levels)
+    for a, _ in pairs[:]:
+        lowers = [e.lower for e in cocovers(a)]
+        pairs += itertools.combinations(lowers, 2)
+    repaired = 0
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            gap = weights._require_component(x, y)
+            got = join(x, y)
+            assert got == _ref_join(x, y), (x, y)
+            assert got == weights._gap_join(x, gap)
+            repaired += min(weights._add_columns(d, x.labels, [max(0, -g) for g in gap])) < 0
+    assert repaired or d.n == 1
