@@ -106,6 +106,8 @@ class AffineTypeId(_Value):
     __slots__ = _fields = ("family", "rank", "twist")
 
     def __init__(self, family: str, rank: int, twist: int) -> None:
+        if type(rank) is not int or type(twist) is not int:
+            raise TypeError(f"rank and twist must be ints, got {rank!r} and {twist!r}")
         if not _rank_is_valid(family, rank, twist):
             raise ValueError(
                 f"no affine diagram of family {family!r}, rank {rank}, twist {twist}"
@@ -397,8 +399,19 @@ def build_affine(type_id) -> AffineDiagram:
     return _build_cached(parse_type_id(type_id))
 
 
+def _check_vertex(diagram: AffineDiagram, i) -> None:
+    if type(i) is not int:
+        raise TypeError(f"vertices must be ints, got {i!r}")
+    if i not in diagram.vertices:
+        raise ValueError(f"no vertex {i} in {diagram}")
+
+
 def _proper_connected(diagram: AffineDiagram, vertices) -> list:
     """The vertices, sorted, once they form a nonempty proper connected set."""
+    vertices = tuple(vertices)
+    for v in vertices:
+        if type(v) is not int:
+            raise TypeError(f"vertices must be ints, got {v!r}")
     k = sorted(set(vertices))
     if not k:
         raise ValueError("empty vertex set")

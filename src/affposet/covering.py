@@ -115,7 +115,6 @@ def _unique_short_vertex(diagram: AffineDiagram, vertices):
     return vertices[lens.index(shortest)] if lens.count(shortest) == 1 else None
 
 
-@functools.lru_cache(maxsize=None)
 def _bond_pair(diagram: AffineDiagram, k: int):
     """The (short, long) ends of the first bond whose Cartan entry is -k, or
     None.  An entry a[i][j] = -k < -1 means vertex i is the short end."""
@@ -124,30 +123,30 @@ def _bond_pair(diagram: AffineDiagram, k: int):
     return next(bonds, None)
 
 
-def _delta_case(diagram: AffineDiagram, labs: tuple):
-    ones = [i for i, v in enumerate(labs) if v != 0]
-    if len(ones) == 1 and labs[ones[0]] == 1:
-        i = ones[0]
-        if i in special_vertices(diagram):
-            return "f"
-        if _bond_pair(diagram, 3) is None and i == _unique_short_vertex(
-            diagram, diagram.vertices
-        ):
-            return "g"
+@functools.lru_cache(maxsize=None)
+def _delta_cases(diagram: AffineDiagram) -> dict:
+    """The labels of each weight that covers its translate by minus delta,
+    mapped to its case tag; a special vertex that is also the only short one
+    keeps tag f."""
+
+    def unit(*ones):
+        return tuple(int(j in ones) for j in diagram.vertices)
+
+    cases = {unit(i): "f" for i in special_vertices(diagram)}
+    short = _unique_short_vertex(diagram, diagram.vertices)
+    if short is not None and _bond_pair(diagram, 3) is None:
+        cases.setdefault(unit(short), "g")
     tid = diagram.type_id
     if tid.family == "D" and tid.twist == 2:
-        n = diagram.n
-        if labs == tuple(1 if j in (0, n) else 0 for j in range(n + 1)):
-            return "h"
-    if str(tid) == "A1-1" and labs == (1, 1):
-        return "i"
-    return None
+        cases[unit(0, diagram.n)] = "h"
+    if str(tid) == "A1-1":
+        cases[(1, 1)] = "i"
+    return cases
 
 
 def is_delta_cocover(weight: Weight) -> bool:
     """Whether the weight covers its translate by minus delta."""
-    labs = _require_dominant_positive(weight)
-    return _delta_case(weight.diagram, labs) is not None
+    return _require_dominant_positive(weight) in _delta_cases(weight.diagram)
 
 
 def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
@@ -190,53 +189,38 @@ def _finite_case(lower_labs: tuple, rules: tuple):
 
 
 class _Step(NamedTuple):
-    """One cover candidate with what a query reads of it."""
+    """One cover candidate with what a query in one direction reads of it."""
 
     order: int  # position in cover_root_set
     cand: CoverCandidate
     root: tuple  # (vertex, coefficient) over the support of the root
-    change: tuple  # (vertex, value) over the nonzero entries of A times the root
+    change: tuple  # (vertex, value) over the nonzero entries of sign times A times the root
+    needs: tuple  # (vertex, least label) wherever the change is negative
     rules: tuple  # case tests; None for delta, whose case reads the upper labels
-
-
-@functools.lru_cache(maxsize=None)
-def _cover_steps(diagram: AffineDiagram) -> tuple:
-    """Each cover candidate with its sparse change of labels."""
-    vertices = diagram.vertices
-    steps = []
-    for order, cand in enumerate(cover_root_set(diagram)):
-        coeffs = cand.root.coeffs
-        supp = tuple(compress(vertices, coeffs))
-        change = _add_columns(diagram, [0] * len(vertices), coeffs)
-        moved = tuple(compress(vertices, change))
-        if cand.kind is CoverKind.DELTA:
-            rules = None
-        else:
-            rules = _case_rules(diagram, cand.kind, supp)
-        steps.append(_Step(
-            order,
-            cand,
-            tuple(zip(supp, map(coeffs.__getitem__, supp))),
-            tuple(zip(moved, map(change.__getitem__, moved))),
-            rules,
-        ))
-    return tuple(steps)
 
 
 @functools.lru_cache(maxsize=None)
 def _cover_index(diagram: AffineDiagram, sign: int) -> tuple:
     """The steps of one direction grouped by their first need, and the rest.
 
-    Across a step the label at v changes by sign times its change at v, so
-    the weight across is dominant only if the label at each vertex where that
-    is negative (a need) is at least its size.  A step with a need is listed
+    Across a step the labels change by sign times A times the root, so the
+    weight across is dominant only if the label at each vertex where that is
+    negative (a need) is at least its size.  A step with a need is listed
     under its lowest need vertex; a step with none (delta) is free.
     """
-    by_need = [[] for _ in diagram.vertices]
+    vertices = diagram.vertices
+    by_need = [[] for _ in vertices]
     free = []
-    for step in _cover_steps(diagram):
-        needs = tuple((v, -sign * x) for v, x in step.change if sign * x < 0)
-        (by_need[needs[0][0]] if needs else free).append((step, needs))
+    for order, cand in enumerate(cover_root_set(diagram)):
+        coeffs = cand.root.coeffs
+        supp = tuple(compress(vertices, coeffs))
+        column = _add_columns(diagram, [0] * len(vertices), coeffs)
+        change = tuple((v, sign * column[v]) for v in compress(vertices, column))
+        needs = tuple((v, -x) for v, x in change if x < 0)
+        root = tuple(zip(supp, map(coeffs.__getitem__, supp)))
+        rules = None if cand.kind is CoverKind.DELTA else _case_rules(diagram, cand.kind, supp)
+        step = _Step(order, cand, root, change, needs, rules)
+        (by_need[needs[0][0]] if needs else free).append(step)
     return tuple(map(tuple, by_need)), tuple(free)
 
 
@@ -254,18 +238,18 @@ def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
     met = [
         step
         for group in [free] + [by_need[v] for v, x in enumerate(labs) if x]
-        for step, needs in group
-        if all(labs[v] >= need for v, need in needs)
+        for step in group
+        if all(labs[v] >= need for v, need in step.needs)
     ]
     met.sort(key=attrgetter("order"))
     moves = []
     for step in met:
         across = list(labs)
         for v, x in step.change:
-            across[v] += sign * x
+            across[v] += x
         across = tuple(across)
         if step.rules is None:
-            case = _delta_case(diagram, labs)
+            case = _delta_cases(diagram).get(labs)
         else:
             case = _finite_case(across if sign < 0 else labs, step.rules)
         if case is not None:
@@ -307,21 +291,27 @@ def edge_to_json(edge: CoverEdge) -> dict:
     }
 
 
-def _edge_from_record(upper: Weight, lower: Weight, data) -> CoverEdge:
+def _edge_from_record(upper: Weight, lower: Weight, data, listed=cocovers) -> CoverEdge:
     """An edge between two read weights; its root must be a list of ints equal
-    to upper - lower, and its case a string."""
+    to upper - lower, its case a string, and the edge one of those that
+    ``listed`` (``cocovers`` by default) gives for the upper weight."""
     kind, root, case = _json_object(data, "kind", "root", "case")
     if not isinstance(root, list) or any(type(v) is not int for v in root):
         raise ValueError(f"root must be a list of integers, got {root!r}")
     if _dominance_gap(lower, upper) != tuple(root):
         raise ValueError(f"root {root} is not upper - lower")
-    return CoverEdge(
+    edge = CoverEdge(
         upper,
         lower,
         CoverKind(kind),
         RootVector(upper.diagram, tuple(root)),
         _json_string(case, "case"),
     )
+    if edge not in listed(upper):
+        raise ValueError(
+            f"{upper} -> {lower} with kind {kind!r}, root {root} and case {case!r} is not a cover"
+        )
+    return edge
 
 
 def edge_from_json(data) -> CoverEdge:

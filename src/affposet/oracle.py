@@ -499,6 +499,8 @@ def verify_covering(
         raise TypeError(f"samples_per_level must be an int, got {samples_per_level!r}")
     if samples_per_level < 0:
         raise ValueError(f"samples_per_level must be nonnegative, got {samples_per_level}")
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if isinstance(budget, bool):
         raise TypeError(f"budget must be a number of seconds, got {budget!r}")
     if budget is not None and not budget >= 0:

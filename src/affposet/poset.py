@@ -16,6 +16,7 @@ instead of papering over the difference.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 
 from .cartan import _set, _Value, build_affine
@@ -372,8 +373,9 @@ def graph_from_json(data) -> PosetGraph:
             raise ValueError(f"edge endpoint {index!r} is not a node index")
         return nodes[index]
 
+    listed = functools.lru_cache(maxsize=None)(cocovers)  # once per upper node
     edges = []
     for entry in records:
         upper, lower = _json_object(entry, "upper", "lower")
-        edges.append(_edge_from_record(node_at(upper), node_at(lower), entry))
+        edges.append(_edge_from_record(node_at(upper), node_at(lower), entry, listed))
     return PosetGraph(nodes, tuple(edges))

@@ -13,7 +13,7 @@ import enum
 import functools
 from fractions import Fraction
 
-from .cartan import AffineDiagram, _proper_connected, _set, _Value
+from .cartan import AffineDiagram, _check_vertex, _proper_connected, _set, _Value
 
 __all__ = [
     "CoverKind",
@@ -87,8 +87,7 @@ class RootVector(_Value):
 
 
 def simple_root(diagram: AffineDiagram, i: int) -> RootVector:
-    if i not in diagram.vertices:
-        raise ValueError(f"no vertex {i} in {diagram}")
+    _check_vertex(diagram, i)
     return RootVector(diagram, tuple(1 if j == i else 0 for j in diagram.vertices))
 
 
@@ -98,6 +97,7 @@ def delta_root(diagram: AffineDiagram) -> RootVector:
 
 def coroot_pairing(root: RootVector, j: int) -> int:
     """Value of the vector on the j-th simple coroot."""
+    _check_vertex(root.diagram, j)
     row = root.diagram.cartan[j]
     return sum(row[i] * c for i, c in enumerate(root.coeffs))
 
@@ -124,15 +124,10 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _shortest_first(diagram: AffineDiagram) -> tuple:
-    return tuple(sorted(diagram.vertices, key=diagram._half_lengths.__getitem__))
-
-
-@functools.lru_cache(maxsize=None)
 def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
     a, lens, adjacent = diagram.cartan, diagram._half_lengths, diagram.adjacency
     pairing = dict.fromkeys(subset, 0)
-    seed = next(v for v in _shortest_first(diagram) if v in pairing)
+    seed = min(subset, key=lens.__getitem__)
     coeffs = [0] * (diagram.n + 1)
     # add q times the j-th simple root, starting from zero plus the seed; the
     # root's values on the subset's simple coroots change only at j and its

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from .cartan import AffineDiagram, _interior_adjugate, _set, _Value
+from .cartan import AffineDiagram, _check_vertex, _interior_adjugate, _set, _Value
 from .roots import RootVector
 
 __all__ = [
@@ -125,8 +125,7 @@ def weight_from_labels(diagram: AffineDiagram, labs, shift=0) -> Weight:
 
 
 def fundamental_weight(diagram: AffineDiagram, i: int) -> Weight:
-    if i not in diagram.vertices:
-        raise ValueError(f"no vertex {i} in {diagram}")
+    _check_vertex(diagram, i)
     return Weight(diagram, tuple(int(j == i) for j in diagram.vertices))
 
 

@@ -402,6 +402,22 @@ def test_finite_type_check_survives_optimized_mode():
     assert "is of finite type" in done.stdout
 
 
+def test_type_id_rejects_a_rank_or_twist_that_is_not_an_int():
+    for rank, twist in ((True, 1), (2, True), (2.0, 1), (2, 1.0), ("2", 1)):
+        with pytest.raises(TypeError, match="rank and twist must be ints"):
+            AffineTypeId("A", rank, twist)
+    # a bool rank used to share A1-1's key, and so its cached tables
+    assert str(build_affine("A1-1").type_id) == "A1-1"
+
+
+def test_classify_finite_rejects_vertices_that_are_not_ints():
+    d = build_affine("A3-1")
+    for bad in ([True, 2], [1, True], [1.0, 2], ["1", 2]):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            classify_finite(d, bad)
+    assert str(classify_finite(d, [1, 2])) == "A2"
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert, so runtime invariants must raise instead
     package = pathlib.Path(affposet.__file__).parent
@@ -412,6 +428,15 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_parses_with_the_oldest_supported_grammar():
+    # pyproject.toml's requires-python is >=3.10
+    package = pathlib.Path(affposet.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 # Reference: the tables as they were written out by hand, family by family,

@@ -1,8 +1,9 @@
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 
@@ -283,6 +284,46 @@ def test_edge_from_json_rejects_a_root_other_than_upper_minus_lower():
             edge_from_json(data)
 
 
+def _a2_record(upper, lower, kind, root, case):
+    return {
+        "upper": {"type": "A2-1", "labels": list(upper), "delta_shift": "0/1"},
+        "lower": {"type": "A2-1", "labels": list(lower), "delta_shift": "0/1"},
+        "kind": kind,
+        "root": list(root),
+        "case": case,
+    }
+
+
+def test_edge_from_json_refuses_an_edge_that_is_not_a_cover():
+    # the dominant (1,2,1) = (0,4,0) - alpha_1 lies strictly between these ends
+    with pytest.raises(ValueError, match="is not a cover"):
+        edge_from_json(_a2_record((0, 4, 0), (2, 0, 2), "short", (0, 2, 0), "b"))
+    # a simple-root cover, read back only with its own kind and case
+    real = _a2_record((0, 2, 0), (1, 0, 1), "simple", (0, 1, 0), "a")
+    assert edge_from_json(real) == cocovers(W("A2-1", (0, 2, 0)))[0]
+    for kind, case in (("delta", "zz"), ("delta", "a"), ("short", "a"), ("simple", "b")):
+        with pytest.raises(ValueError, match="is not a cover"):
+            edge_from_json({**real, "kind": kind, "case": case})
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_edge_from_json_refuses_a_real_edge_with_another_kind_or_case(name):
+    d = D(name)
+    rng = random.Random(f"edge_json:{name}")
+    for level in (1, 2, 3):
+        for edge in cocovers(weight_from_labels(d, _sample_labels(d, level, rng))):
+            data = edge_to_json(edge)
+            assert edge_from_json(data) == edge
+            for kind in CoverKind:
+                if kind is not edge.kind:
+                    with pytest.raises(ValueError, match="is not a cover"):
+                        edge_from_json({**data, "kind": kind.value})
+            for case in "abcdefghij":
+                if case != edge.case:
+                    with pytest.raises(ValueError, match="is not a cover"):
+                        edge_from_json({**data, "case": case})
+
+
 # Reference: the dense scan that enumerated covers before candidates were
 # indexed by their needs.  Every candidate gets a full A times root row
 # product and a full label tuple, and the case tests sort the support,
@@ -361,8 +402,8 @@ def _dense_edges(weight, sign):
     diagram, labs = weight.diagram, weight.labels
     edges = []
     for cand, step in _dense_steps(diagram):
-        other = tuple(v + sign * c for v, c in zip(labs, step))
-        if any(v < 0 for v in other):
+        other = tuple(map(add if sign > 0 else sub, labs, step))
+        if min(other) < 0:
             continue
         if cand.kind is CoverKind.DELTA:
             case = _dense_delta_case(diagram, labs)
@@ -386,24 +427,59 @@ def _sample_labels(diagram, level, rng):
     return tuple(labs)
 
 
-@pytest.mark.parametrize(
-    "name", ALL_TYPES + ["A20-1", "A60-1", "E8-1", "D12-1", "B8-1"]
-)
+DENSE_SCAN_TYPES = ALL_TYPES + ["A20-1", "A60-1", "E8-1", "D12-1", "B8-1"]
+
+
+def _dense_delta_table(diagram):
+    # every delta pattern has one or two labels one and the rest zero
+    table = {}
+    for ones in itertools.chain(
+        itertools.combinations(diagram.vertices, 1), itertools.combinations(diagram.vertices, 2)
+    ):
+        labs = tuple(int(j in ones) for j in diagram.vertices)
+        case = _dense_delta_case(diagram, labs)
+        if case is not None:
+            table[labs] = case
+    return table
+
+
+@pytest.mark.parametrize("name", DENSE_SCAN_TYPES)
 def test_indexed_covers_match_dense_scan(name):
     d = D(name)
-    assert len(covering._cover_steps(d)) == len(_dense_steps(d))
-    for step, (cand, dense) in zip(covering._cover_steps(d), _dense_steps(d)):
-        assert step.cand == cand
-        assert step.change == tuple((v, x) for v, x in enumerate(dense) if x)
-        assert step.root == tuple((v, c) for v, c in enumerate(step.cand.root.coeffs) if c)
+    assert covering._delta_cases(d) == _dense_delta_table(d)
+    for sign in (-1, 1):
+        by_need, free = covering._cover_index(d, sign)
+        steps = sorted(
+            (step for group in by_need + (free,) for step in group), key=lambda step: step.order
+        )
+        assert [step.order for step in steps] == list(range(len(_dense_steps(d))))
+        for step, (cand, dense) in zip(steps, _dense_steps(d)):
+            assert step.cand == cand
+            assert step.change == tuple((v, sign * x) for v, x in enumerate(dense) if x)
+            assert step.needs == tuple((v, -x) for v, x in step.change if x < 0)
+            assert step.root == tuple((v, c) for v, c in enumerate(cand.root.coeffs) if c)
     rng = random.Random(name)
     samples = 4 if d.n > 20 else 15
+    pool = [fundamental_weight(d, j) for j in d.vertices]
+    pool += [weight_from_labels(d, labs) for labs in covering._delta_cases(d)]
     for level in (1, 2, 3, 4):
         for _ in range(samples):
             shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
-            w = weight_from_labels(d, _sample_labels(d, level, rng), shift)
-            assert cocovers(w) == _dense_edges(w, -1), (name, w)
-            assert covers(w) == _dense_edges(w, 1), (name, w)
+            pool.append(weight_from_labels(d, _sample_labels(d, level, rng), shift))
+    for w in dict.fromkeys(pool):
+        assert is_delta_cocover(w) is (_dense_delta_case(d, w.labels) is not None), (name, w)
+        assert cocovers(w) == _dense_edges(w, -1), (name, w)
+        assert covers(w) == _dense_edges(w, 1), (name, w)
+
+
+def test_dense_scan_types_hold_every_delta_pattern():
+    tags = {name: set(covering._delta_cases(D(name)).values()) for name in DENSE_SCAN_TYPES}
+    assert all("f" in tags[name] for name in ("A1-1", "A3-1", "D3-2", "E8-1", "D12-1"))
+    assert [name for name in DENSE_SCAN_TYPES if "g" in tags[name]] == [
+        "B3-1", "C2-1", "A2-2", "A4-2", "B8-1"
+    ]
+    assert [name for name in DENSE_SCAN_TYPES if "h" in tags[name]] == ["D3-2", "D4-2"]
+    assert [name for name in DENSE_SCAN_TYPES if "i" in tags[name]] == ["A1-1"]
 
 
 def test_delta_is_a_cocover_exactly_when_no_finite_root_is():

@@ -196,6 +196,10 @@ def test_verify_accepts_diagram_instance():
     ({"samples_per_level": True}, TypeError, "samples_per_level"),
     ({"budget": True}, TypeError, "budget must be a number of seconds"),
     ({"budget": False}, TypeError, "budget must be a number of seconds"),
+    ({"seed": None}, TypeError, "seed must be an int"),
+    ({"seed": "x"}, TypeError, "seed must be an int"),
+    ({"seed": 1.5}, TypeError, "seed must be an int"),
+    ({"seed": True}, TypeError, "seed must be an int"),
 ])
 def test_verify_covering_rejects_bad_levels_and_samples(monkeypatch, kwargs, error, name):
     # the arguments are checked before the census searches a single weight

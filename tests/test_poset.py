@@ -533,6 +533,27 @@ def test_graph_from_json_rejects_malformed_nodes_and_edges():
             graph_from_json(broken)
 
 
+def test_graph_from_json_refuses_an_edge_that_is_not_a_cover(monkeypatch):
+    # nodes (0,4,0), (1,2,1), (2,0,2); the top does not cover the bottom
+    g = interval(W("A2-1", (0, 4, 0)), W("A2-1", (2, 0, 2)))
+    data = export_graph(g, "json")
+    calls = []
+
+    def counted(weight):
+        calls.append(weight)
+        return cocovers(weight)
+
+    monkeypatch.setattr(poset, "cocovers", counted)
+    assert graph_from_json(data) == g
+    assert calls == [g.nodes[0], g.nodes[1]]  # once per distinct upper node
+    skip = {"upper": 0, "lower": 2, "kind": "short", "root": [0, 2, 0], "case": "b"}
+    for bad in (skip, {**data["edges"][0], "kind": "delta"}, {**data["edges"][0], "case": "b"}):
+        broken = json.loads(json.dumps(data))
+        broken["edges"].append(bad)
+        with pytest.raises(ValueError, match="is not a cover"):
+            graph_from_json(broken)
+
+
 def test_graph_from_json_builds_every_node_with_the_graph_type():
     g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (2, 1, 1)))
     data = export_graph(g, "json")

@@ -49,6 +49,37 @@ def test_root_vector_rejects_non_int_coefficients():
     assert RootVector(d, [0, 1, 0]).coeffs == (0, 1, 0)
 
 
+def test_simple_root_rejects_a_vertex_that_is_not_an_int():
+    d = D("A2-1")
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            simple_root(d, bad)
+
+
+def test_coroot_pairing_rejects_a_vertex_that_is_not_an_int():
+    d = D("A2-1")
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            coroot_pairing(simple_root(d, 1), bad)
+    with pytest.raises(ValueError, match="no vertex -1"):
+        coroot_pairing(simple_root(d, 1), -1)
+
+
+def test_simple_reflection_rejects_a_vertex_that_is_not_an_int():
+    d = D("A2-1")
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            simple_reflection(simple_root(d, 1), bad)
+
+
+def test_highest_short_root_rejects_vertices_that_are_not_ints():
+    d = D("A3-1")
+    for bad in ([True, 2], [1, True], [1.0, 2]):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            highest_short_root(d, bad)
+    assert highest_short_root(d, [1, 2]).coeffs == (0, 1, 1, 0)
+
+
 def test_delta_equals_marks():
     for name in ALL_TYPES:
         d = D(name)

@@ -41,6 +41,15 @@ def W(name, labs, shift=0):
     return weight_from_labels(D(name), labs, shift)
 
 
+def test_fundamental_weight_rejects_a_vertex_that_is_not_an_int():
+    d = D("A2-1")
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="vertices must be ints"):
+            fundamental_weight(d, bad)
+    with pytest.raises(ValueError, match="no vertex 3"):
+        fundamental_weight(d, 3)
+
+
 def test_weight_construction():
     d = D("A1-1")
     w = Weight(d, (0, 1))
