@@ -23,16 +23,18 @@ lower weight.  The tests are labelled with short case tags:
 from __future__ import annotations
 
 import functools
-from itertools import compress
-from operator import attrgetter
+from itertools import compress, product
 from typing import NamedTuple
 
 from .cartan import AffineDiagram, _set, _Value, classify_finite
 from .roots import (
+    _EXTRA_BY_TYPE,
     CoverCandidate,
     CoverKind,
     RootVector,
+    _highest_short_root_cached,
     cover_root_set,
+    delta_root,
     highest_short_root,
 )
 from .weights import (
@@ -188,72 +190,166 @@ def _finite_case(lower_labs: tuple, rules: tuple):
     return None
 
 
-class _Step(NamedTuple):
-    """One cover candidate with what a query in one direction reads of it."""
+class CoverPatternError(RuntimeError):
+    """A case rule leaves labels on its root's support free, or fixes other
+    than one or two nonzero upper labels there, so no cocover lookup reads it."""
 
-    order: int  # position in cover_root_set
+
+class _Step(NamedTuple):
+    """One cover root with what a query reads of it."""
+
+    order: tuple  # (height, coefficients): the cover_root_set order
     cand: CoverCandidate
-    root: tuple  # (vertex, coefficient) over the support of the root
-    change: tuple  # (vertex, value) over the nonzero entries of sign times A times the root
-    needs: tuple  # (vertex, least label) wherever the change is negative
+    supp: tuple  # the support of the root, sorted
+    change: tuple  # (vertex, value) over the nonzero entries of A times the root
     rules: tuple  # case tests; None for delta, whose case reads the upper labels
 
 
 @functools.lru_cache(maxsize=None)
-def _cover_index(diagram: AffineDiagram, sign: int) -> tuple:
-    """The steps of one direction grouped by their first need, and the rest.
+def _support_step(diagram: AffineDiagram, supp: tuple) -> _Step:
+    """The step of the highest short root on a sorted proper connected set.
 
-    Across a step the labels change by sign times A times the root, so the
-    weight across is dominant only if the label at each vertex where that is
-    negative (a need) is at least its size.  A step with a need is listed
-    under its lowest need vertex; a step with none (delta) is free.
+    Inside the support the change is the root's values on the simple
+    coroots, which the climb that finds the root leaves behind; outside, it
+    is nonzero only at the support's neighbours.
+    """
+    beta, inside = _highest_short_root_cached(diagram, supp)
+    coeffs, a = beta.coeffs, diagram.cartan
+    outside = {}
+    for v in supp:
+        for w in diagram.adjacency[v]:
+            if not coeffs[w]:
+                outside[w] = outside.get(w, 0) + a[w][v] * coeffs[v]
+    change = tuple(sorted(inside + tuple(outside.items())))
+    kind = CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT
+    rules = _case_rules(diagram, kind, supp)
+    return _Step((sum(coeffs), coeffs), CoverCandidate(beta, kind), supp, change, rules)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_steps(diagram: AffineDiagram) -> tuple:
+    """The delta step, then the steps of the diagram's exceptional roots."""
+    cands = [CoverCandidate(delta_root(diagram), CoverKind.DELTA)]
+    for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ()):
+        cands.append(CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL))
+    steps = []
+    for cand in cands:
+        coeffs = cand.root.coeffs
+        supp = tuple(compress(diagram.vertices, coeffs))
+        column = _add_columns(diagram, [0] * len(coeffs), coeffs)
+        change = tuple((v, x) for v, x in enumerate(column) if x)
+        rules = None if cand.kind is CoverKind.DELTA else _case_rules(diagram, cand.kind, supp)
+        steps.append(_Step((sum(coeffs), coeffs), cand, supp, change, rules))
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _cocover_table(diagram: AffineDiagram) -> dict:
+    """The cocover steps of the diagram keyed by the upper labels they fix.
+
+    A case rule fixes the lower labels on the root's support, so it fixes
+    the upper ones there too: lower plus A times the root.  The key holds
+    the nonzero ones as (vertex, label) pairs by vertex, and each entry
+    (step, rest, case) is a cocover of every dominant weight with those
+    labels and label zero on rest, the rest of the support: outside it the
+    lower labels are the upper ones less a nonpositive change.  Simple
+    roots, whose rule fixes no label, and delta are left out.
     """
     vertices = diagram.vertices
-    by_need = [[] for _ in vertices]
-    free = []
-    for order, cand in enumerate(cover_root_set(diagram)):
-        coeffs = cand.root.coeffs
-        supp = tuple(compress(vertices, coeffs))
-        column = _add_columns(diagram, [0] * len(vertices), coeffs)
-        change = tuple((v, sign * column[v]) for v in compress(vertices, column))
-        needs = tuple((v, -x) for v, x in change if x < 0)
-        root = tuple(zip(supp, map(coeffs.__getitem__, supp)))
-        rules = None if cand.kind is CoverKind.DELTA else _case_rules(diagram, cand.kind, supp)
-        step = _Step(order, cand, root, change, needs, rules)
-        (by_need[needs[0][0]] if needs else free).append(step)
-    return tuple(map(tuple, by_need)), tuple(free)
+    short = [
+        _support_step(diagram, tuple(compress(vertices, cand.root.coeffs)))
+        for cand in cover_root_set(diagram)
+        if cand.kind is CoverKind.SHORT
+    ]
+    table = {}
+    for step in short + list(_fixed_steps(diagram)[1:]):
+        cand, supp = step.cand, step.supp
+        inside = [(v, x) for v, x in step.change if cand.root.coeffs[v]]
+        for tag, zeros, pins in step.rules:
+            for values in product(*(allowed for _, allowed in pins)):
+                upper = dict(inside)
+                for (v, _), x in zip(pins, values):
+                    upper[v] = upper.get(v, 0) + x
+                key = tuple(sorted((v, x) for v, x in upper.items() if x))
+                if len(zeros) + len(pins) != len(supp) or not 0 < len(key) <= 2:
+                    raise CoverPatternError(f"{diagram}: case {tag} of {cand.root} keys {key}")
+                rest = list(supp)
+                for v, _ in key:
+                    rest.remove(v)
+                table.setdefault(key, []).append((step, tuple(rest), tag))
+    return table
+
+
+def _cocover_cases(diagram: AffineDiagram, labs: tuple) -> list:
+    """(step, case) for each cocover of dominant labels, in no fixed order.
+
+    A simple root drops where the label is at least two, delta where the
+    labels are one of its patterns, and every other root where the table
+    has an entry under the labels at one or two positive vertices.
+    """
+    table = _cocover_table(diagram)
+    positive = [(v, x) for v, x in enumerate(labs) if x]
+    found = [(_support_step(diagram, (v,)), "a") for v, x in positive if x >= 2]
+    for k, first in enumerate(positive):
+        for key in [(first,)] + [(first, second) for second in positive[k + 1:]]:
+            for step, rest, case in table.get(key, ()):
+                if not any(map(labs.__getitem__, rest)):
+                    found.append((step, case))
+    case = _delta_cases(diagram).get(labs)
+    if case is not None:
+        found.append((_fixed_steps(diagram)[0], case))
+    return found
+
+
+def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
+    """(step, case) for each cover of dominant labels, in no fixed order.
+
+    A cover's root is a simple root, delta, an exceptional root, or the
+    highest short root of one of two kinds of support: a component of the
+    zero set of the labels (case b), or the component of the zero set plus
+    one vertex of label one that holds that vertex (case c).
+    """
+    adjacent = diagram.adjacency
+    supports, done = [(v,) for v in diagram.vertices], set()
+    for s, x in enumerate(labs):
+        if x > 1 or s in done:
+            continue
+        part, grow = {s}, [s]
+        while grow:
+            for w in adjacent[grow.pop()]:
+                if not labs[w] and w not in part:
+                    part.add(w)
+                    grow.append(w)
+        if not x:
+            done |= part
+        # one vertex is a simple root, and all of them no proper support
+        if 1 < len(part) <= diagram.n:
+            supports.append(tuple(sorted(part)))
+    found = []
+    for step in [_support_step(diagram, supp) for supp in supports] + list(_fixed_steps(diagram)):
+        if all(labs[v] + x >= 0 for v, x in step.change):
+            if step.rules is None:
+                case = _delta_cases(diagram).get(labs)
+            else:
+                case = _finite_case(labs, step.rules)
+            if case is not None:
+                found.append((step, case))
+    return found
 
 
 def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
     """Cover steps below (sign -1) or above (sign +1) dominant labels of
-    positive level.
-
-    Returns (step, labels across it, case) in ``cover_root_set`` order.  Only
-    the steps listed under a vertex with a positive label, and the free
-    ones, can have their needs met.  The case test then reads the labels of
-    the lower end, which for delta equal the upper's.  A weight and its
-    delta translates share their labels, and so their moves.
-    """
-    by_need, free = _cover_index(diagram, sign)
-    met = [
-        step
-        for group in [free] + [by_need[v] for v, x in enumerate(labs) if x]
-        for step in group
-        if all(labs[v] >= need for v, need in step.needs)
-    ]
-    met.sort(key=attrgetter("order"))
+    positive level, as (step, labels across it, case) in ``cover_root_set``
+    order.  A weight and its delta translates share their labels, and so
+    their moves."""
+    found = (_cocover_cases if sign < 0 else _cover_cases)(diagram, labs)
+    found.sort(key=lambda pair: pair[0].order)
     moves = []
-    for step in met:
+    for step, case in found:
         across = list(labs)
         for v, x in step.change:
-            across[v] += x
-        across = tuple(across)
-        if step.rules is None:
-            case = _delta_cases(diagram).get(labs)
-        else:
-            case = _finite_case(across if sign < 0 else labs, step.rules)
-        if case is not None:
-            moves.append((step, across, case))
+            across[v] += sign * x
+        moves.append((step, tuple(across), case))
     return moves
 
 

@@ -37,7 +37,6 @@ from .weights import (
     _moved,
     _plus_delta,
     format_shift,
-    meet,
     sort_key,
     weight_from_json,
 )
@@ -94,24 +93,31 @@ class Cell(_Value):
         _set(self, "graph", graph)
 
 
-def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph:
-    """Hasse diagram of every dominant weight between bottom and top.
+_MAX_NODES = 100000
 
-    The walk runs on integer state: each node is its gap to the bottom, the
-    root vector node - bottom, with its labels, and a cocover stays inside
-    while its gap is nonnegative.  Nodes that differ by a multiple of delta
-    share their labels, so the moves of each label tuple are found once.
-    The weights are built at the end; the level is constant and the shift
-    rises with the gap at vertex 0, so (labels, gap[0]) sorts like
-    ``sort_key``.
-    """
+
+def interval(top: Weight, bottom: Weight, max_nodes: int = _MAX_NODES) -> PosetGraph:
+    """Hasse diagram of every dominant weight between bottom and top."""
     start = _dominance_gap(bottom, top)
     if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")
+    return _graph(top, *_walk(top, start, max_nodes))
+
+
+def _walk(top: Weight, start: tuple, max_nodes: int) -> tuple:
+    """The labels of each node of the interval from top - start to top, and
+    its arcs (upper, lower, candidate, case), on integer state.
+
+    Each node is its gap to the top, the root vector top - node, and a
+    cocover stays inside while its gap is at most start.  Nodes that differ
+    by a multiple of delta share their labels, so the moves of each label
+    tuple are found once.
+    """
     diagram = top.diagram
-    labels = {start: _require_dominant_positive(top)}
+    zero = (0,) * len(start)
+    labels = {zero: _require_dominant_positive(top)}
     moves = {}
-    frontier = [start]
+    frontier = [zero]
     arcs = []
     while frontier:
         nxt = []
@@ -122,22 +128,32 @@ def interval(top: Weight, bottom: Weight, max_nodes: int = 100000) -> PosetGraph
                 found = moves[labs] = _label_moves(diagram, labs, -1)
             for step, across, case in found:
                 below = list(gap)
-                for v, c in step.root:
-                    below[v] -= c
-                if min(below) < 0:
-                    continue
-                below = tuple(below)
-                if below not in labels:
-                    labels[below] = across
-                    nxt.append(below)
-                    if len(labels) > max_nodes:
-                        raise IntervalTooLargeError(f"interval exceeds {max_nodes} nodes")
-                arcs.append((gap, below, step.cand, case))
+                coeffs = step.cand.root.coeffs
+                for v in step.supp:
+                    below[v] += coeffs[v]
+                    if below[v] > start[v]:
+                        break
+                else:
+                    below = tuple(below)
+                    if below not in labels:
+                        labels[below] = across
+                        nxt.append(below)
+                        if len(labels) > max_nodes:
+                            raise IntervalTooLargeError(f"interval exceeds {max_nodes} nodes")
+                    arcs.append((gap, below, step.cand, case))
         frontier = nxt
-    order = sorted(labels, key=lambda gap: (labels[gap], gap[0]))
+    return labels, arcs
+
+
+def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
+    """The weights and edges of a walk from the top.  The level is constant
+    and the shift falls as the gap at vertex 0 rises, so (labels, -gap[0])
+    sorts like ``sort_key``."""
+    order = sorted(labels, key=lambda gap: (labels[gap], -gap[0]))
     rank = {gap: r for r, gap in enumerate(order)}
+    diagram = top.diagram
     mark0 = diagram.marks[0]
-    shifts = {g0: _plus_delta(bottom.shift, g0, mark0) for g0 in {gap[0] for gap in order}}
+    shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
     nodes = {gap: Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order}
     arcs.sort(key=lambda arc: (rank[arc[0]], rank[arc[1]]))
     return PosetGraph(
@@ -154,15 +170,16 @@ def _path_ends(diagram, subset):
     return sorted(v for v in subset if len(subset.intersection(diagram.adjacency[v])) <= 1)
 
 
-def _subset_graph(lam, family):
-    """Node set and edge pair set of the weights ``lam - e_S`` for S in the family.
+def _subset_graph(diagram, family):
+    """Node set and edge pair set of the weights ``lam - e_S`` for S in the
+    family, each node given by its gap to ``lam``, the 0/1 vector of S.
 
     ``e_S`` is the sum of the simple roots of S, so the order among these
     weights is inclusion of S, and the edges are the covers of inclusion
     within the family.
     """
     order = sorted(family, key=len)
-    nodes = {s: _moved(lam, [-1 if j in s else 0 for j in lam.diagram.vertices]) for s in order}
+    nodes = {s: tuple(int(j in s) for j in diagram.vertices) for s in order}
     pairs = set()
     for s in order:
         below = []
@@ -203,17 +220,18 @@ def _delta_interval(lam):
         for chosen, now in ((subset, labs), (subset | {k}, taken)):
             if all(now[j] >= 0 for j in settled[k]):
                 stack.append((k + 1, chosen, now))
-    return _subset_graph(lam, found)
+    return _subset_graph(diagram, found)
 
 
 def _predict(lam, edge_a, edge_b):
-    """Node set, edge pair set, shape, and case tag for the predicted cell.
+    """Node set and edge pair set, as gaps to ``lam``, shape, and case tag
+    for the predicted cell.
 
     When the two supports cover the cycle the meet is ``lam`` - delta, and
     the case's diagram holds only if it is the whole delta interval.
     """
     family, shape, case = _case_shape(lam.diagram, edge_a, edge_b)
-    nodes, pairs = _subset_graph(lam, family)
+    nodes, pairs = _subset_graph(lam.diagram, family)
     if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
         delta_nodes, delta_pairs = _delta_interval(lam)
         if (delta_nodes, delta_pairs) != (nodes, pairs):
@@ -288,19 +306,20 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
         )
     edge_a, edge_b = by_lower[mu], by_lower[mu2]
     nodes, pairs, shape, case = _predict(lam, edge_a, edge_b)
-    bottom = meet(mu, mu2)
-    actual = interval(lam, bottom)
-    actual_nodes = set(actual.nodes)
-    actual_pairs = {(e.upper, e.lower) for e in actual.edges}
-    if nodes != actual_nodes or pairs != actual_pairs:
-        predicted_tags = sorted(_node_tag(w) for w in nodes)
-        actual_tags = sorted(_node_tag(w) for w in actual_nodes)
+    # lam minus the meet is the larger of the two roots at each vertex
+    labels, arcs = _walk(lam, tuple(map(max, edge_a.root.coeffs, edge_b.root.coeffs)), _MAX_NODES)
+    actual_pairs = {(upper, lower) for upper, lower, _, _ in arcs}
+    if nodes != labels.keys() or pairs != actual_pairs:
+
+        def tags(gaps):
+            return sorted(_node_tag(_moved(lam, [-g for g in gap])) for gap in gaps)
+
         raise CellMismatchError(
-            f"case {case} predicts nodes {predicted_tags} "
-            f"({len(pairs)} edges) but the interval has {actual_tags} "
+            f"case {case} predicts nodes {tags(nodes)} "
+            f"({len(pairs)} edges) but the interval has {tags(labels)} "
             f"({len(actual_pairs)} edges)"
         )
-    return Cell(shape, case, actual)
+    return Cell(shape, case, _graph(lam, labels, arcs))
 
 
 def export_graph(graph: PosetGraph, fmt: str = "json"):
@@ -320,11 +339,10 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
         ]
         edges = []
         for edge in graph.edges:
-            if edge.upper not in index or edge.lower not in index:
+            upper, lower = index.get(edge.upper), index.get(edge.lower)
+            if upper is None or lower is None:
                 raise ValueError("edge endpoint missing from the node list")
-            edges.append(
-                {"upper": index[edge.upper], "lower": index[edge.lower], **_edge_fields(edge)}
-            )
+            edges.append({"upper": upper, "lower": lower, **_edge_fields(edge)})
         return {
             "type": str(diagram.type_id) if diagram is not None else None,
             "nodes": nodes,

@@ -124,7 +124,9 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
+def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> tuple:
+    """The highest short root on a sorted subset, and its nonzero values on
+    the subset's simple coroots as (vertex, value) pairs by vertex."""
     a, lens, adjacent = diagram.cartan, diagram._half_lengths, diagram.adjacency
     pairing = dict.fromkeys(subset, 0)
     seed = min(subset, key=lens.__getitem__)
@@ -154,9 +156,10 @@ def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVec
         raise AssertionError(f"{diagram}: highest short root {beta} has support other than {subset}")
     # (beta, beta) = sum of c_v (beta, alpha_v^vee) |alpha_v|^2 / 2, in the
     # diagram's integer length units
-    if sum(coeffs[v] * pairing[v] * lens[v] for v in subset if pairing[v]) != 2 * lens[seed]:
+    inside = tuple((v, x) for v, x in pairing.items() if x)
+    if sum(coeffs[v] * x * lens[v] for v, x in inside) != 2 * lens[seed]:
         raise AssertionError(f"{diagram}: highest short root {beta} on {subset} is not short")
-    return beta
+    return beta, inside
 
 
 def highest_short_root(diagram: AffineDiagram, subset) -> RootVector:
@@ -166,7 +169,7 @@ def highest_short_root(diagram: AffineDiagram, subset) -> RootVector:
     with negative pairing climbs inside the short roots (reflections preserve
     length) and stops exactly at the unique locally dominant one.
     """
-    return _highest_short_root_cached(diagram, tuple(_proper_connected(diagram, subset)))
+    return _highest_short_root_cached(diagram, tuple(_proper_connected(diagram, subset)))[0]
 
 
 def is_real_root(root: RootVector) -> bool:
@@ -240,7 +243,7 @@ def cover_root_set(diagram: AffineDiagram) -> tuple:
     """All candidate cover differences, sorted by height then coefficients."""
     out = []
     for subset in _connected_proper_subsets(diagram):
-        root = _highest_short_root_cached(diagram, tuple(sorted(subset)))
+        root = _highest_short_root_cached(diagram, tuple(sorted(subset)))[0]
         kind = CoverKind.SIMPLE if len(subset) == 1 else CoverKind.SHORT
         out.append(CoverCandidate(root, kind))
     out.append(CoverCandidate(delta_root(diagram), CoverKind.DELTA))

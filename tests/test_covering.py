@@ -447,22 +447,36 @@ def _dense_delta_table(diagram):
 def test_indexed_covers_match_dense_scan(name):
     d = D(name)
     assert covering._delta_cases(d) == _dense_delta_table(d)
-    for sign in (-1, 1):
-        by_need, free = covering._cover_index(d, sign)
-        steps = sorted(
-            (step for group in by_need + (free,) for step in group), key=lambda step: step.order
-        )
-        assert [step.order for step in steps] == list(range(len(_dense_steps(d))))
-        for step, (cand, dense) in zip(steps, _dense_steps(d)):
-            assert step.cand == cand
-            assert step.change == tuple((v, sign * x) for v, x in enumerate(dense) if x)
-            assert step.needs == tuple((v, -x) for v, x in step.change if x < 0)
-            assert step.root == tuple((v, c) for v, c in enumerate(cand.root.coeffs) if c)
+    # every table entry is a dense step, and the weight with the entry's
+    # labels on the support and zero elsewhere drops along it with its case
+    dense = dict(_dense_steps(d))
+    keyed = set()
+    for key, entries in covering._cocover_table(d).items():
+        for step, rest, case in entries:
+            cand = step.cand
+            column = dense[cand]
+            assert step.order == (sum(cand.root.coeffs), cand.root.coeffs)
+            assert step.change == tuple((v, x) for v, x in enumerate(column) if x)
+            assert step.supp == tuple(sorted(cand.root.support()))
+            assert sorted(dict(key).keys() | set(rest)) == sorted(cand.root.support())
+            upper = [dict(key).get(v, 0) for v in d.vertices]
+            lower = tuple(map(sub, upper, column))
+            assert min(lower) >= 0 and _dense_finite_case(d, lower, cand) == case, (key, cand)
+            keyed.add(cand)
+    assert keyed == {
+        cand for cand in dense if cand.kind not in (CoverKind.SIMPLE, CoverKind.DELTA)
+    }
     rng = random.Random(name)
     samples = 4 if d.n > 20 else 15
     pool = [fundamental_weight(d, j) for j in d.vertices]
     pool += [weight_from_labels(d, labs) for labs in covering._delta_cases(d)]
-    for level in (1, 2, 3, 4):
+    # long runs of zeros on both sides of two labels
+    pool.append(weight_from_labels(d, [int(j in (0, d.n // 2)) for j in d.vertices]))
+    if name == "A4-2":
+        # a case-c cover by (0,1,1) pinned at vertex 1, which is shortest on
+        # the support {1, 2} but not in the diagram
+        pool.append(weight_from_labels(d, (2, 1, 0)))
+    for level in (1, 2, 3, 4, 5, 6):
         for _ in range(samples):
             shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
             pool.append(weight_from_labels(d, _sample_labels(d, level, rng), shift))
@@ -470,6 +484,51 @@ def test_indexed_covers_match_dense_scan(name):
         assert is_delta_cocover(w) is (_dense_delta_case(d, w.labels) is not None), (name, w)
         assert cocovers(w) == _dense_edges(w, -1), (name, w)
         assert covers(w) == _dense_edges(w, 1), (name, w)
+
+
+def _type_ids(top_rank):
+    return [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, top_rank + 1)
+        for twist in (1, 2, 3)
+        if _rank_is_valid(family, rank, twist)
+    ]
+
+
+def test_cocover_keys_hold_one_or_two_labels():
+    ids = _type_ids(20)
+    assert len(ids) == 117
+    for tid in ids:
+        table = covering._cocover_table(build_affine(tid))
+        assert all(len(key) in (1, 2) for key in table), str(tid)
+
+
+def test_a_rule_that_fixes_no_labels_is_refused(monkeypatch):
+    # a short root whose rule leaves its support free, as a simple root's does
+    monkeypatch.setattr(covering, "_case_rules", lambda diagram, kind, supp: (("b", (), ()),))
+    covering._support_step.cache_clear()
+    covering._cocover_table.cache_clear()
+    try:
+        with pytest.raises(covering.CoverPatternError, match="A3-1: case b of"):
+            covering._cocover_table(D("A3-1"))
+    finally:
+        covering._support_step.cache_clear()
+        covering._cocover_table.cache_clear()
+
+
+def test_covers_build_no_candidate_set():
+    d = D("A200-1")
+    misses = cover_root_set.cache_info().misses
+    ones = weight_from_labels(d, [1] * 201)
+    sparse = weight_from_labels(d, [int(j in (0, 100)) for j in d.vertices])
+    assert [e.root.coeffs for e in covers(ones)] == [
+        tuple(int(j == i) for j in d.vertices) for i in reversed(d.vertices)
+    ]
+    # one case-b cover on each run of zeros; a run with a label one end
+    # would cover the whole cycle
+    assert [(e.case, e.root.height()) for e in covers(sparse)] == [("b", 99), ("b", 100)]
+    assert cover_root_set.cache_info().misses == misses
 
 
 def test_dense_scan_types_hold_every_delta_pattern():
@@ -486,13 +545,7 @@ def test_delta_is_a_cocover_exactly_when_no_finite_root_is():
     # every cover root is at most delta in each coefficient, so a finite
     # cocover lam - beta lies strictly between lam - delta and lam; and a
     # dominant weight strictly between them lies under a finite cocover
-    ids = [
-        AffineTypeId(family, rank, twist)
-        for family in "ABCDEFG"
-        for rank in range(1, 21)
-        for twist in (1, 2, 3)
-        if _rank_is_valid(family, rank, twist)
-    ]
+    ids = _type_ids(20)
     assert len(ids) == 117
     for tid in ids:
         d = build_affine(tid)

@@ -21,6 +21,7 @@ from affposet.poset import (
     interval,
 )
 from affposet.weights import (
+    _dominance_gap,
     add_root,
     delta_shift,
     dominance_leq,
@@ -296,16 +297,22 @@ def test_cell_mismatch_on_wrap_around_pairs(monkeypatch):
         ((2, 1, 1), 0),
         ((4, 0, 0), 0),
     ]
-    # a prediction that disagrees with the interval is still reported
+    # a prediction that disagrees with the interval is still reported; the
+    # prediction holds each node as its gap to the top, zero at the top
     predict = poset._predict
 
     def drop_top(top, edge_a, edge_b):
         nodes, pairs, shape, case = predict(top, edge_a, edge_b)
-        return nodes - {top}, pairs, shape, case
+        return nodes - {(0,) * len(top.labels)}, pairs, shape, case
 
     monkeypatch.setattr(poset, "_predict", drop_top)
-    with pytest.raises(CellMismatchError):
+    with pytest.raises(CellMismatchError) as error:
         basic_cell(lam, lows[(3, 0, 0)], lows[(0, 3, 0)])
+    assert str(error.value) == (
+        "case 1c predicts nodes ['0,0,3|-1/1', '0,3,0|-1/1', '1,1,1|-1/1', '3,0,0|0/1'] "
+        "(6 edges) but the interval has ['0,0,3|-1/1', '0,3,0|-1/1', '1,1,1|-1/1', "
+        "'1,1,1|0/1', '3,0,0|0/1'] (6 edges)"
+    )
     with pytest.raises(CellMismatchError):
         basic_cell(lam2, lows2[(0, 2, 2)], lows2[(4, 0, 0)])
 
@@ -357,7 +364,17 @@ def test_delta_interval_matches_mask_search():
                     labs[rng.randrange(n + 1)] += 1
                 shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
                 lam = weight_from_labels(d, labs, shift)
-                assert poset._delta_interval(lam) == _mask_search_delta_interval(lam), lam
+                want = _as_gaps(lam, *_mask_search_delta_interval(lam))
+                assert poset._delta_interval(lam) == want, lam
+
+
+def _as_gaps(lam, nodes, pairs):
+    """Nodes and edge pairs of weights below lam as their gaps lam - node."""
+
+    def gap(w):
+        return _dominance_gap(w, lam)
+
+    return set(map(gap, nodes)), {(gap(upper), gap(lower)) for upper, lower in pairs}
 
 
 def _ref_path_ends(diagram, subset):
@@ -367,8 +384,9 @@ def _ref_path_ends(diagram, subset):
 def _ref_predict(lam, edge_a, edge_b):
     """Reference: the hand-built cells, each node made with add_root and each
     edge listed, with the library's delta interval for supports that cover
-    the cycle."""
+    the cycle; nodes are given by their gaps to lam."""
     nodes, pairs, shape, case = _ref_case_shape(lam, edge_a, edge_b)
+    nodes, pairs = _as_gaps(lam, nodes, pairs)
     if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
         delta_nodes, delta_pairs = poset._delta_interval(lam)
         if (delta_nodes, delta_pairs) != (nodes, pairs):
