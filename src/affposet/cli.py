@@ -142,12 +142,9 @@ def _cmd_cell(args) -> int:
 def _cmd_verify(args) -> int:
     from .oracle import SearchWindow, verify_covering  # loaded only for verify
 
-    if args.all_types:
-        names = list(catalog_types())
-    elif args.type:
-        names = [args.type]
-    else:
-        raise _UsageError("give a type or --all-types")
+    if bool(args.all_types) == bool(args.type):
+        raise _UsageError("give a type or --all-types, not both")
+    names = list(catalog_types()) if args.all_types else [args.type]
     levels = tuple(map(_parse_int, args.levels.split(",")))
     samples, seed = _parse_int(args.samples), _parse_int(args.seed)
     window = SearchWindow(tuple(map(_parse_int, args.window.split(",")))) if args.window else None

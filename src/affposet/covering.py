@@ -28,13 +28,12 @@ from typing import NamedTuple
 
 from .cartan import AffineDiagram, _set, _Value, classify_finite
 from .roots import (
-    _EXTRA_BY_TYPE,
     CoverCandidate,
     CoverKind,
     RootVector,
-    _highest_short_root_cached,
-    cover_root_set,
-    delta_root,
+    _connected_proper_subsets,
+    _fixed_candidates,
+    _support_candidate,
     highest_short_root,
 )
 from .weights import (
@@ -152,7 +151,7 @@ def is_delta_cocover(weight: Weight) -> bool:
 
 
 def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
-    """The case tests of a finite candidate on its sorted support.
+    """The case tests of a cover candidate on its sorted support.
 
     A rule (tag, zeros, pins) applies when the lower weight has label zero
     at each vertex of zeros and an allowed label at each pinned vertex
@@ -160,6 +159,13 @@ def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
     """
     if kind is CoverKind.SIMPLE:
         return (("a", (), ()),)
+    if kind is CoverKind.DELTA:
+        # delta changes no label, so each pattern pins label one where it
+        # is one and zero elsewhere on the lower weight as on the upper
+        return tuple(
+            (tag, tuple(v for v in supp if not labs[v]), tuple((v, (1,)) for v in supp if labs[v]))
+            for labs, tag in _delta_cases(diagram).items()
+        )
     if kind is CoverKind.SHORT:
         rules = [("b", supp, ())]
         # a support of type B has exactly one short vertex; testing that
@@ -180,16 +186,6 @@ def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
     return ((tag, tuple(j for j in supp if j != short), ((short, window),)),)
 
 
-def _finite_case(lower_labs: tuple, rules: tuple):
-    """Case tag if upper = lower + the candidate is a cover, given both dominant."""
-    for tag, zeros, pins in rules:
-        if not any(map(lower_labs.__getitem__, zeros)) and all(
-            lower_labs[v] in allowed for v, allowed in pins
-        ):
-            return tag
-    return None
-
-
 class CoverPatternError(RuntimeError):
     """A case rule leaves labels on its root's support free, or fixes other
     than one or two nonzero upper labels there, so no cocover lookup reads it."""
@@ -202,45 +198,29 @@ class _Step(NamedTuple):
     cand: CoverCandidate
     supp: tuple  # the support of the root, sorted
     change: tuple  # (vertex, value) over the nonzero entries of A times the root
-    rules: tuple  # case tests; None for delta, whose case reads the upper labels
+    rules: tuple  # the case tests of _case_rules
+
+
+def _step(diagram: AffineDiagram, cand: CoverCandidate) -> _Step:
+    """The step of a cover candidate: its label change is A times the root,
+    and its rules are those of its kind on its support."""
+    coeffs = cand.root.coeffs
+    supp = tuple(compress(diagram.vertices, coeffs))
+    column = _add_columns(diagram, [0] * len(coeffs), coeffs)
+    change = tuple((v, x) for v, x in enumerate(column) if x)
+    return _Step((sum(coeffs), coeffs), cand, supp, change, _case_rules(diagram, cand.kind, supp))
 
 
 @functools.lru_cache(maxsize=None)
 def _support_step(diagram: AffineDiagram, supp: tuple) -> _Step:
-    """The step of the highest short root on a sorted proper connected set.
-
-    Inside the support the change is the root's values on the simple
-    coroots, which the climb that finds the root leaves behind; outside, it
-    is nonzero only at the support's neighbours.
-    """
-    beta, inside = _highest_short_root_cached(diagram, supp)
-    coeffs, a = beta.coeffs, diagram.cartan
-    outside = {}
-    for v in supp:
-        for w in diagram.adjacency[v]:
-            if not coeffs[w]:
-                outside[w] = outside.get(w, 0) + a[w][v] * coeffs[v]
-    change = tuple(sorted(inside + tuple(outside.items())))
-    kind = CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT
-    rules = _case_rules(diagram, kind, supp)
-    return _Step((sum(coeffs), coeffs), CoverCandidate(beta, kind), supp, change, rules)
+    """The step of the highest short root on a sorted proper connected set."""
+    return _step(diagram, _support_candidate(diagram, supp))
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_steps(diagram: AffineDiagram) -> tuple:
-    """The delta step, then the steps of the diagram's exceptional roots."""
-    cands = [CoverCandidate(delta_root(diagram), CoverKind.DELTA)]
-    for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ()):
-        cands.append(CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL))
-    steps = []
-    for cand in cands:
-        coeffs = cand.root.coeffs
-        supp = tuple(compress(diagram.vertices, coeffs))
-        column = _add_columns(diagram, [0] * len(coeffs), coeffs)
-        change = tuple((v, x) for v, x in enumerate(column) if x)
-        rules = None if cand.kind is CoverKind.DELTA else _case_rules(diagram, cand.kind, supp)
-        steps.append(_Step((sum(coeffs), coeffs), cand, supp, change, rules))
-    return tuple(steps)
+    """The steps of delta and of the diagram's exceptional roots."""
+    return tuple(_step(diagram, cand) for cand in _fixed_candidates(diagram))
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,16 +233,15 @@ def _cocover_table(diagram: AffineDiagram) -> dict:
     (step, rest, case) is a cocover of every dominant weight with those
     labels and label zero on rest, the rest of the support: outside it the
     lower labels are the upper ones less a nonpositive change.  Simple
-    roots, whose rule fixes no label, and delta are left out.
+    roots, whose rule fixes no label, are left out.
     """
-    vertices = diagram.vertices
     short = [
-        _support_step(diagram, tuple(compress(vertices, cand.root.coeffs)))
-        for cand in cover_root_set(diagram)
-        if cand.kind is CoverKind.SHORT
+        _support_step(diagram, tuple(sorted(subset)))
+        for subset in _connected_proper_subsets(diagram)
+        if len(subset) > 1
     ]
     table = {}
-    for step in short + list(_fixed_steps(diagram)[1:]):
+    for step in short + list(_fixed_steps(diagram)):
         cand, supp = step.cand, step.supp
         inside = [(v, x) for v, x in step.change if cand.root.coeffs[v]]
         for tag, zeros, pins in step.rules:
@@ -283,9 +262,9 @@ def _cocover_table(diagram: AffineDiagram) -> dict:
 def _cocover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     """(step, case) for each cocover of dominant labels, in no fixed order.
 
-    A simple root drops where the label is at least two, delta where the
-    labels are one of its patterns, and every other root where the table
-    has an entry under the labels at one or two positive vertices.
+    A simple root drops where the label is at least two, and every other
+    root, delta too, where the table has an entry under the labels at one
+    or two positive vertices.
     """
     table = _cocover_table(diagram)
     positive = [(v, x) for v, x in enumerate(labs) if x]
@@ -295,9 +274,6 @@ def _cocover_cases(diagram: AffineDiagram, labs: tuple) -> list:
             for step, rest, case in table.get(key, ()):
                 if not any(map(labs.__getitem__, rest)):
                     found.append((step, case))
-    case = _delta_cases(diagram).get(labs)
-    if case is not None:
-        found.append((_fixed_steps(diagram)[0], case))
     return found
 
 
@@ -328,12 +304,12 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     found = []
     for step in [_support_step(diagram, supp) for supp in supports] + list(_fixed_steps(diagram)):
         if all(labs[v] + x >= 0 for v, x in step.change):
-            if step.rules is None:
-                case = _delta_cases(diagram).get(labs)
-            else:
-                case = _finite_case(labs, step.rules)
-            if case is not None:
-                found.append((step, case))
+            for tag, zeros, pins in step.rules:
+                if not any(map(labs.__getitem__, zeros)) and all(
+                    labs[v] in allowed for v, allowed in pins
+                ):
+                    found.append((step, tag))
+                    break
     return found
 
 

@@ -241,40 +241,34 @@ def _predict(lam, edge_a, edge_b):
 
 def _case_shape(diagram, edge_a, edge_b):
     """Vertex sets S of the nodes ``lam - e_S``, shape, and case tag that
-    the supports K_a and K_b of the two cover roots predict."""
+    the supports K_a and K_b of the two cover roots predict.
+
+    The family holds the empty set, K_a, K_b and their union; when the two
+    are disjoint and an end i of one path is next to an end i2 of the
+    other, the least such pair also adds {i, i2}, K_a + i2 and K_b + i.
+    """
     ka = edge_a.root.support()
     kb = edge_b.root.support()
-    union = ka | kb
-    if len(ka) == 1 and len(kb) == 1:
-        case = "1a"
-    elif ka & kb:
-        case = "1c"
-    elif not diagram.is_connected(union):
-        case = "1b"
-    elif len(ka) == 1 or len(kb) == 1:
-        case = "2"
-    else:
-        case = "3"
-    empty = frozenset()
-
-    if case in ("1a", "1b", "1c"):
-        return {empty, ka, kb, union}, CellShape.DIAMOND, case
-
-    if case == "2":
-        # a single vertex i next to one end i1 of the path
-        (i,), path = (ka, kb) if len(ka) == 1 else (kb, ka)
-        i1 = min(v for v in _path_ends(diagram, path) if i in diagram.adjacency[v])
-        return {empty, frozenset({i}), path, frozenset({i, i1}), union}, CellShape.PENTAGON, case
-
-    # two paths touching at i in K_a and i2 in K_b
-    i, i2 = min(
+    family = {frozenset(), ka, kb, ka | kb}
+    ends = [] if ka & kb else [
         (u, v)
         for u in _path_ends(diagram, ka)
         for v in _path_ends(diagram, kb)
         if v in diagram.adjacency[u]
-    )
-    family = {empty, ka, kb, frozenset({i, i2}), ka | {i2}, kb | {i}, union}
-    return family, CellShape.DOUBLE_PENTAGON, case
+    ]
+    if ends:
+        i, i2 = min(ends)
+        family |= {frozenset({i, i2}), ka | {i2}, kb | {i}}
+    if len(ka) == 1 and len(kb) == 1:
+        case = "1a"
+    elif ka & kb:
+        case = "1c"
+    elif not ends:
+        case = "1b"  # disjoint with no adjacent ends
+    else:
+        case = "2" if len(ka) == 1 or len(kb) == 1 else "3"
+    shape = {4: CellShape.DIAMOND, 5: CellShape.PENTAGON, 7: CellShape.DOUBLE_PENTAGON}
+    return family, shape[len(family)], case
 
 
 def _node_tag(weight: Weight) -> str:
@@ -331,8 +325,10 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
                 raise ValueError("graph mixes diagrams")
     else:
         diagram = None
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    if len(index) != len(graph.nodes):
+        raise ValueError("graph repeats a node")
     if fmt == "json":
-        index = {node: k for k, node in enumerate(graph.nodes)}
         nodes = [
             {"labels": list(node.labels), "delta_shift": format_shift(node.shift)}
             for node in graph.nodes
@@ -382,9 +378,13 @@ def graph_from_json(data) -> PosetGraph:
         _json_object(entry)  # a node must be an object
         if entry.get("type", type_text) != type_text:
             raise ValueError(f"node of type {entry['type']!r} in a graph of type {type_text}")
-        return weight_from_json({**entry, "type": type_text})
+        weight = weight_from_json({**entry, "type": type_text})
+        _require_dominant_positive(weight)
+        return weight
 
     nodes = tuple(map(node, entries))
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("graph repeats a node")
 
     def node_at(index):
         if type(index) is not int or not 0 <= index < len(nodes):
@@ -396,4 +396,6 @@ def graph_from_json(data) -> PosetGraph:
     for entry in records:
         upper, lower = _json_object(entry, "upper", "lower")
         edges.append(_edge_from_record(node_at(upper), node_at(lower), entry, listed))
+    if len(set(edges)) != len(edges):
+        raise ValueError("graph repeats an edge")
     return PosetGraph(nodes, tuple(edges))

@@ -124,9 +124,8 @@ def sym_length_sq(root: RootVector) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> tuple:
-    """The highest short root on a sorted subset, and its nonzero values on
-    the subset's simple coroots as (vertex, value) pairs by vertex."""
+def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
+    """The highest short root on a sorted subset."""
     a, lens, adjacent = diagram.cartan, diagram._half_lengths, diagram.adjacency
     pairing = dict.fromkeys(subset, 0)
     seed = min(subset, key=lens.__getitem__)
@@ -156,10 +155,9 @@ def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> tuple:
         raise AssertionError(f"{diagram}: highest short root {beta} has support other than {subset}")
     # (beta, beta) = sum of c_v (beta, alpha_v^vee) |alpha_v|^2 / 2, in the
     # diagram's integer length units
-    inside = tuple((v, x) for v, x in pairing.items() if x)
-    if sum(coeffs[v] * x * lens[v] for v, x in inside) != 2 * lens[seed]:
+    if sum(coeffs[v] * x * lens[v] for v, x in pairing.items()) != 2 * lens[seed]:
         raise AssertionError(f"{diagram}: highest short root {beta} on {subset} is not short")
-    return beta, inside
+    return beta
 
 
 def highest_short_root(diagram: AffineDiagram, subset) -> RootVector:
@@ -169,7 +167,7 @@ def highest_short_root(diagram: AffineDiagram, subset) -> RootVector:
     with negative pairing climbs inside the short roots (reflections preserve
     length) and stops exactly at the unique locally dominant one.
     """
-    return _highest_short_root_cached(diagram, tuple(_proper_connected(diagram, subset)))[0]
+    return _highest_short_root_cached(diagram, tuple(_proper_connected(diagram, subset)))
 
 
 def is_real_root(root: RootVector) -> bool:
@@ -238,17 +236,28 @@ _EXTRA_BY_TYPE = {
 }
 
 
+def _support_candidate(diagram: AffineDiagram, subset: tuple) -> CoverCandidate:
+    """The candidate of a sorted proper connected set: its highest short root."""
+    kind = CoverKind.SIMPLE if len(subset) == 1 else CoverKind.SHORT
+    return CoverCandidate(_highest_short_root_cached(diagram, subset), kind)
+
+
+def _fixed_candidates(diagram: AffineDiagram) -> list:
+    """The candidates that are not the highest short root of a proper
+    connected set: delta, then the diagram's exceptional vectors."""
+    return [CoverCandidate(delta_root(diagram), CoverKind.DELTA)] + [
+        CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL)
+        for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ())
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def cover_root_set(diagram: AffineDiagram) -> tuple:
     """All candidate cover differences, sorted by height then coefficients."""
-    out = []
-    for subset in _connected_proper_subsets(diagram):
-        root = _highest_short_root_cached(diagram, tuple(sorted(subset)))[0]
-        kind = CoverKind.SIMPLE if len(subset) == 1 else CoverKind.SHORT
-        out.append(CoverCandidate(root, kind))
-    out.append(CoverCandidate(delta_root(diagram), CoverKind.DELTA))
-    for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ()):
-        out.append(CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL))
+    out = _fixed_candidates(diagram) + [
+        _support_candidate(diagram, tuple(sorted(subset)))
+        for subset in _connected_proper_subsets(diagram)
+    ]
     if len({cand.root.coeffs for cand in out}) != len(out):
         raise AssertionError(f"{diagram}: two cover candidates coincide")
     out.sort(key=lambda cand: (cand.root.height(), cand.root.coeffs))

@@ -184,6 +184,8 @@ def test_exit_codes():
     assert code == 1 and err.startswith("usage error:")
     code, out, err = cap(["verify"])
     assert code == 1 and "all-types" in err
+    code, out, err = cap(["verify", "A2-1", "--all-types"])
+    assert (code, out) == (1, "") and "all-types" in err
     code, out, err = cap(["--help"])
     assert code == 0
     code, out, err = cap(["interval", "A2-1", "--top", "1,3,0",

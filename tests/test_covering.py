@@ -26,13 +26,16 @@ from affposet.covering import (
     is_delta_cocover,
     special_vertices,
 )
-from affposet.roots import CoverKind, cover_root_set, sym_length_sq, simple_root
+from affposet.oracle import _dominant_repair, brute_bounds, brute_cocovers
+from affposet.roots import CoverKind, RootVector, cover_root_set, sym_length_sq, simple_root
 from affposet.weights import (
     Weight,
     add_root,
     delta_shift,
     fundamental_weight,
+    join,
     labels,
+    meet,
     weight_from_labels,
 )
 
@@ -461,10 +464,18 @@ def test_indexed_covers_match_dense_scan(name):
             assert sorted(dict(key).keys() | set(rest)) == sorted(cand.root.support())
             upper = [dict(key).get(v, 0) for v in d.vertices]
             lower = tuple(map(sub, upper, column))
-            assert min(lower) >= 0 and _dense_finite_case(d, lower, cand) == case, (key, cand)
+            if cand.kind is CoverKind.DELTA:
+                assert _dense_delta_case(d, tuple(upper)) == case, (key, cand)
+            else:
+                assert _dense_finite_case(d, lower, cand) == case, (key, cand)
+            assert min(lower) >= 0, (key, cand)
             keyed.add(cand)
+    # delta is keyed wherever it has a pattern; C3-1, F4-1 and G2-1 have none
     assert keyed == {
-        cand for cand in dense if cand.kind not in (CoverKind.SIMPLE, CoverKind.DELTA)
+        cand
+        for cand in dense
+        if cand.kind is not CoverKind.SIMPLE
+        and (cand.kind is not CoverKind.DELTA or _dense_delta_table(d))
     }
     rng = random.Random(name)
     samples = 4 if d.n > 20 else 15
@@ -507,14 +518,15 @@ def test_cocover_keys_hold_one_or_two_labels():
 def test_a_rule_that_fixes_no_labels_is_refused(monkeypatch):
     # a short root whose rule leaves its support free, as a simple root's does
     monkeypatch.setattr(covering, "_case_rules", lambda diagram, kind, supp: (("b", (), ()),))
-    covering._support_step.cache_clear()
-    covering._cocover_table.cache_clear()
+    caches = (covering._support_step, covering._fixed_steps, covering._cocover_table)
+    for cache in caches:
+        cache.cache_clear()
     try:
         with pytest.raises(covering.CoverPatternError, match="A3-1: case b of"):
             covering._cocover_table(D("A3-1"))
     finally:
-        covering._support_step.cache_clear()
-        covering._cocover_table.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_covers_build_no_candidate_set():
@@ -529,6 +541,15 @@ def test_covers_build_no_candidate_set():
     # would cover the whole cycle
     assert [(e.case, e.root.height()) for e in covers(sparse)] == [("b", 99), ("b", 100)]
     assert cover_root_set.cache_info().misses == misses
+    # the cocover table reads its supports without the candidate set; both
+    # caches start empty so the check holds whatever ran before
+    covering._cocover_table.cache_clear()
+    cover_root_set.cache_clear()
+    d = D("A40-1")
+    edges = cocovers(weight_from_labels(d, [int(j in (0, 20)) for j in d.vertices]))
+    assert [(e.case, e.root.height()) for e in edges] == [("b", 21), ("b", 22)]
+    assert covering._cocover_table.cache_info().misses == 1
+    assert cover_root_set.cache_info().misses == 0
 
 
 def test_dense_scan_types_hold_every_delta_pattern():
@@ -559,3 +580,26 @@ def test_delta_is_a_cocover_exactly_when_no_finite_root_is():
         for w in pool:
             finite = any(e.kind is not CoverKind.DELTA for e in cocovers(w))
             assert is_delta_cocover(w) is not finite, (str(tid), w.labels)
+
+
+def test_classifier_matches_the_oracle_beyond_the_catalog():
+    # one seeded weight per level on every valid id of rank at most 20, each
+    # with a dominant partner near it for the meet and join
+    ids = _type_ids(20)
+    assert len(ids) == 117
+    for tid in ids:
+        d = build_affine(tid)
+        rng = random.Random(f"oracle_ids:{tid}")
+        for level in (1, 2, 3):
+            shift = Fraction(rng.randint(-4, 4), 3)
+            w = weight_from_labels(d, _sample_labels(d, level, rng), shift)
+            brute = brute_cocovers(w)
+            where = (str(tid), w.labels)
+            assert not any(brute.boundary), where
+            pairs = {(e.lower, e.root) for e in cocovers(w)}
+            assert pairs == set(zip(brute.cocovers, brute.differences)), where
+            assert is_delta_cocover(w) is (d.marks in {r.coeffs for r in brute.differences}), where
+            offsets = RootVector(d, [rng.randint(-2, 2) for _ in d.vertices])
+            partner = _dominant_repair(add_root(w, offsets))
+            bounds = brute_bounds(w, partner)
+            assert (meet(w, partner), join(w, partner)) == (bounds.glb, bounds.lub), where

@@ -643,6 +643,10 @@ def _with(data, key, value):
         (graph_from_json, _with(_GRAPH, "edges", [_without(_GRAPH["edges"][0], "case")])),
         (graph_from_json, _with(_GRAPH, "edges", [_without(_GRAPH["edges"][0], "upper")])),
         (graph_from_json, {"type": None, "nodes": [], "edges": [_GRAPH["edges"][0]]}),
+        (graph_from_json, _with(_GRAPH, "nodes", _GRAPH["nodes"] + [_EDGE["upper"]])),
+        (graph_from_json, _with(_GRAPH, "edges", _GRAPH["edges"] * 2)),
+        (graph_from_json, _with(_GRAPH, "nodes", [_with(_EDGE["upper"], "labels", [-1, 3, 1])])),
+        (graph_from_json, _with(_GRAPH, "nodes", [_with(_EDGE["upper"], "labels", [0, 0, 0])])),
     ],
 )
 def test_json_readers_raise_value_error_on_malformed_documents(reader, data):
@@ -661,6 +665,14 @@ def test_export_graph_rejects_unknown_format():
     g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (0, 2, 2)))
     with pytest.raises(ValueError):
         export_graph(g, "svg")
+
+
+def test_export_graph_rejects_a_repeated_node():
+    edge = cocovers(W("A2-1", (0, 2, 0)))[0]
+    g = PosetGraph((edge.upper, edge.lower, edge.upper), (edge,))
+    for fmt in ("json", "dot"):
+        with pytest.raises(ValueError, match="repeats a node"):
+            export_graph(g, fmt)
 
 
 def test_empty_graph_round_trip():

@@ -2,7 +2,10 @@
 coefficients derived from the labels, the label round trip, and the lattice
 laws of meet and join."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -108,3 +111,31 @@ def test_meet_of_two_cocovers_lies_under_both(w):
         for mu2 in lowers[i + 1:]:
             low = meet(mu, mu2)
             assert dominance_leq(low, mu) and dominance_leq(low, mu2)
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_does_not_abort_the_session(tmp_path):
+    # under the project's warnings-as-errors setting, reporting a falsified
+    # example must not end the run before the other tests are counted
+    (tmp_path / "test_given.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), "test_given.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout
