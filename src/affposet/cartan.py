@@ -271,65 +271,64 @@ def _tables(tid: AffineTypeId):
     return a, list(marks), list(comarks or marks)
 
 
-@functools.lru_cache(maxsize=None)
-def _interior_adjugate(diagram: AffineDiagram) -> tuple:
-    """Adjugate and determinant of the Cartan block on vertices 1..n.
+def _eliminate(cartan, adjacency):
+    """Leaf-first integer elimination of the Cartan block on vertices 1..n.
 
-    The adjugate comes back bordered by a zero row and column for vertex 0,
-    so row i sends the labels of a weight with delta shift 0 to det times
-    its root coefficient i.  Fraction-free Gauss-Jordan elimination keeps
-    every entry an integer: each division is exact, the pivot of column k is
-    the leading principal minor of size k + 1, positive since the block is of
-    finite type, and the last pivot is the determinant.  It costs O(n^3), so
-    it is built on the first call, which only root coefficients make.
-    """
-    n = diagram.n
-    rows = [
-        [diagram.cartan[j][i] for i in range(1, n + 1)]
-        + [int(i == j) for i in range(1, n + 1)]
-        for j in range(1, n + 1)
-    ]
-    prev = 1
-    for col in range(n):
-        head = rows[col]
-        for r in range(n):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
-        prev = head[col]
-    adj = tuple((0,) + tuple(row[n:]) for row in rows)
-    return ((0,) * (n + 1),) + adj, prev
+    On a tree, removing a leaf changes only the diagonal entry of its one
+    remaining neighbour, its parent: no fill-in, one update per edge.  The
+    pivot of v is kept as D_v / P_v, where P_v is the product of D_g over
+    the children g of v and D_v = a_vv P_v - sum_g a_vg a_gv P_g (P_v / D_g)
+    is the determinant of the block on v and its descendants, so every
+    number is an integer.  With a symmetric form and positive lengths the
+    block is of finite type exactly when every D_v is positive (Kac, ch. 4).
+    A block with a cycle runs out of leaves before the last vertex, and no
+    finite type has one.
 
-
-def _not_finite(cartan, adjacency):
-    """Why the Cartan block on vertices 1..n is not of finite type, or None.
-
-    The block is eliminated leaf first.  On a tree, removing a leaf changes
-    only the diagonal entry of the leaf's one remaining neighbour: no
-    fill-in, one update per edge.  With a symmetric form and positive
-    lengths the block is of finite type exactly when every pivot is positive
-    (Kac, ch. 4).  A block with a cycle runs out of leaves before the last
-    vertex, and no finite type has one.
+    Returns a string saying why the block is not of finite type, or the
+    plan that ``weights._scaled_coeffs`` runs to solve the block for labels:
+    the forward steps (v, parent, P_v, a_parent,v P_parent / D_v) in
+    elimination order, the backward steps (v, parent, a_v,parent P_v, D_v)
+    in reverse, and the determinant.  A root of the forest has parent 0 and
+    zero coefficients.
     """
     num = len(cartan)
-    pivot = [Fraction(x[i]) for i, x in enumerate(cartan)]
+    top = [x[i] for i, x in enumerate(cartan)]  # D_v over the children so far
+    prod = [1] * num  # P_v over the children so far
+    parent = [0] * num
     degree = [sum(1 for w in adjacency[v] if w) for v in range(num)]
     order = [v for v in range(1, num) if degree[v] <= 1]
     for v in order:  # grows as vertices become leaves
-        if pivot[v] <= 0:
-            return f"pivot at vertex {v} is {pivot[v]}"
+        if top[v] <= 0:
+            return f"pivot at vertex {v} is {Fraction(top[v], prod[v])}"
         degree[v] = -1
         for u in adjacency[v]:
             if u and degree[u] > 0:
-                pivot[u] -= cartan[u][v] * cartan[v][u] / pivot[v]
+                parent[v] = u
+                top[u] = top[u] * top[v] - cartan[u][v] * cartan[v][u] * prod[v] * prod[u]
+                prod[u] *= top[v]
                 degree[u] -= 1
                 if degree[u] == 1:
                     order.append(u)
-    return None if len(order) == num - 1 else "the block has a cycle"
+    if len(order) != num - 1:
+        return "the block has a cycle"
+    det = math.prod(top[v] for v in order if not parent[v])
+    forward, backward = [], []
+    for v in order:
+        p = parent[v]
+        forward.append((v, p, prod[v], p and cartan[p][v] * prod[p] // top[v]))
+        backward.append((v, p, p and cartan[v][p] * prod[v], top[v]))
+    return tuple(forward), tuple(reversed(backward)), det
+
+
+def _not_finite(cartan, adjacency):
+    """Why the Cartan block on vertices 1..n is not of finite type, or None."""
+    found = _eliminate(cartan, adjacency)
+    return found if isinstance(found, str) else None
 
 
 def _validate(diag: AffineDiagram) -> None:
-    """Raise ValueError naming the first check the tables of diag fail.
+    """Raise ValueError naming the first check the tables of diag fail, and
+    keep the elimination of its Cartan block as ``diag._elimination``.
 
     Past the squareness and diagonal checks every test reads only the
     nonzero entries, one per bond, and the form b_ij = a_ij comark_i / mark_i
@@ -374,9 +373,14 @@ def _validate(diag: AffineDiagram) -> None:
     # the form on vertices 1..n is diag(lensq / 2) times the Cartan block, so
     # with positive lengths it is positive definite exactly when the block's
     # pivots are all positive; dropping vertex 0 suffices since the radical
-    # is spanned by the marks, all nonzero
-    reason = _not_finite(a, adjacent)
-    require(reason is None, f"Cartan block on vertices 1..{diag.n} is of finite type ({reason})")
+    # is spanned by the marks, all nonzero.  The elimination is kept: every
+    # root coefficient of a weight is solved along it.
+    found = _eliminate(a, adjacent)
+    require(
+        not isinstance(found, str),
+        f"Cartan block on vertices 1..{diag.n} is of finite type ({found})",
+    )
+    _set(diag, "_elimination", found)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,8 +398,13 @@ def _build_cached(tid: AffineTypeId) -> AffineDiagram:
     return diag
 
 
+@functools.lru_cache(maxsize=None)
 def build_affine(type_id) -> AffineDiagram:
-    """Return the cached diagram for a type id or type string."""
+    """Return the cached diagram for a type id or type string.
+
+    Each argument is parsed once; a string and its parsed id share one
+    diagram, and a malformed string, never cached, raises on every call.
+    """
     return _build_cached(parse_type_id(type_id))
 
 

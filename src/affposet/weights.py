@@ -3,11 +3,12 @@
 A weight is stored as its labels, the integer values on the simple coroots,
 plus its delta shift, an exact fraction.  That pair pins the weight down
 uniquely.  The level and the coefficients on the simple roots are derived:
-the level is the comark-weighted label sum, and the root coefficients come
-from the integer adjugate that validates each diagram in ``cartan``, needed
-only where dominance compares two weights.  This module alone maps between
-the two: ``_gap`` takes two weights to the root vector between them, and
-``_moved`` a weight and a root vector to the weight across.
+the level is the comark-weighted label sum, and the root coefficients are
+solved in O(n) integer steps along the leaf-first elimination that
+``cartan`` keeps for each diagram, needed only where dominance compares two
+weights.  This module alone maps between the two: ``_gap`` takes two weights
+to the root vector between them, and ``_moved`` a weight and a root vector
+to the weight across.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 from operator import mul
 
-from .cartan import AffineDiagram, _check_vertex, _interior_adjugate, _set, _Value
+from .cartan import AffineDiagram, _check_vertex, _set, _Value
 from .roots import RootVector
 
 __all__ = [
@@ -50,15 +51,15 @@ class ComponentMismatchError(ValueError):
     """Raised when weights do not live in one lattice component."""
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return Fraction(value) if value else _ZERO
     raise TypeError(f"expected an int or Fraction, got {value!r}")
-
-
-_ZERO = Fraction(0)
 
 
 class Weight(_Value):
@@ -102,13 +103,27 @@ class Weight(_Value):
 
 def _scaled_coeffs(diagram: AffineDiagram, labs, p: int, q: int) -> tuple:
     """Root coefficients times a common denominator, and that denominator,
-    for the delta shift p/q (q > 0, not necessarily in lowest terms)."""
-    adj, det = _interior_adjugate(diagram)
-    nums = [
-        sum(map(mul, row, labs)) * q + p * mark * det
-        for row, mark in zip(adj, diagram.marks)
-    ]
-    return nums, det * q
+    for the delta shift p/q (q > 0, not necessarily in lowest terms).
+
+    The labels on vertices 1..n are swept up the elimination of the Cartan
+    block (``cartan._eliminate``) and the coefficients substituted back
+    down it, det * q times each; every division is exact.  Vertex 0 takes
+    only the shift's multiple of delta.
+    """
+    forward, backward, det = diagram._elimination
+    acc = [0] * len(labs)
+    for v, parent, prod, push in forward:
+        r = acc[v] + labs[v] * prod
+        acc[v] = r
+        acc[parent] -= push * r
+    scale = det * q
+    nums = [0] * len(labs)
+    for v, parent, pull, pivot in backward:
+        nums[v] = (acc[v] * scale - pull * nums[parent]) // pivot
+    if p:
+        shift = p * det
+        nums = [x + shift * mark for x, mark in zip(nums, diagram.marks)]
+    return nums, scale
 
 
 def labels(weight: Weight) -> tuple:
@@ -134,22 +149,31 @@ def is_dominant(weight: Weight) -> bool:
     return all(v >= 0 for v in weight.labels)
 
 
-def _gap(a: Weight, b: Weight):
-    """The coefficients of a - b times a common denominator, and that
-    denominator; None when the levels differ."""
-    if a.diagram != b.diagram:
+def _shift_gap(a: Weight, b: Weight) -> tuple:
+    """The delta shift of a - b as integers p, q with q > 0; raises unless
+    a and b lie on one diagram."""
+    if a.diagram is not b.diagram and a.diagram != b.diagram:
         raise ComponentMismatchError(
             f"weights on different diagrams: {a.diagram} and {b.diagram}"
         )
-    if a.m != b.m:
-        return None
     s, t = a.shift, b.shift
-    return _scaled_coeffs(
-        a.diagram,
-        [x - y for x, y in zip(a.labels, b.labels)],
-        s.numerator * t.denominator - t.numerator * s.denominator,
-        s.denominator * t.denominator,
-    )
+    return s.numerator * t.denominator - t.numerator * s.denominator, s.denominator * t.denominator
+
+
+def _solved_gap(a: Weight, b: Weight, p: int, q: int):
+    """The scaled coefficients of a - b, whose shift is p/q; None when the
+    levels differ, read off the comarks on the label difference."""
+    diagram = a.diagram
+    diff = [x - y for x, y in zip(a.labels, b.labels)]
+    if sum(map(mul, diagram.comarks, diff)):
+        return None
+    return _scaled_coeffs(diagram, diff, p, q)
+
+
+def _gap(a: Weight, b: Weight):
+    """The coefficients of a - b times a common denominator, and that
+    denominator; None when the levels differ."""
+    return _solved_gap(a, b, *_shift_gap(a, b))
 
 
 def difference(a: Weight, b: Weight) -> tuple:
@@ -162,8 +186,16 @@ def difference(a: Weight, b: Weight) -> tuple:
 
 
 def _dominance_gap(lower: Weight, upper: Weight):
-    """The root vector upper - lower if it is nonnegative and integral, else None."""
-    gap = _gap(lower, upper)
+    """The root vector upper - lower if it is nonnegative and integral, else None.
+
+    Its vertex-0 coefficient is mark_0 times the shift difference, so a
+    negative or fractional one answers before any solve.
+    """
+    p, q = _shift_gap(lower, upper)
+    k0 = p * lower.diagram.marks[0]  # -q times that coefficient
+    if k0 > 0 or k0 % q:
+        return None
+    gap = _solved_gap(lower, upper, p, q)
     if gap is not None:
         nums, den = gap
         if all(v <= 0 and v % den == 0 for v in nums):

@@ -1,15 +1,18 @@
 import ast
 import math
+import operator
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import affposet
 import affposet.cartan as cartan
+import affposet.weights as weights
 from affposet.cartan import (
     AffineTypeId,
     FiniteType,
@@ -17,11 +20,18 @@ from affposet.cartan import (
     catalog_types,
     classify_finite,
     parse_type_id,
-    _interior_adjugate,
 )
 from affposet.covering import special_vertices
 from affposet.roots import delta_root
-from affposet.weights import fundamental_weight
+from affposet.weights import (
+    _scaled_coeffs,
+    difference,
+    dominance_leq,
+    fundamental_weight,
+    join,
+    meet,
+    weight_from_labels,
+)
 
 ALL_TYPES = [str(t) for t in catalog_types()]
 
@@ -247,18 +257,102 @@ def test_diagram_identity():
     assert str(d1) == "A2-1"
 
 
+def test_build_affine_parses_each_argument_once(monkeypatch):
+    d = build_affine("A30-1")
+    assert build_affine(AffineTypeId("A", 30, 1)) is d
+    for _ in range(2):
+        with pytest.raises(ValueError, match="malformed type id"):
+            build_affine("A30-9")
+        with pytest.raises(ValueError, match="no affine diagram"):
+            build_affine("E9-1")
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r} again")
+
+    monkeypatch.setattr(cartan, "parse_type_id", refuse)
+    assert build_affine("A30-1") is d
+
+
+def _interior_determinant(name) -> int:
+    # from the tables, so the build cache keeps no rank the tests of bad
+    # tables below serve
+    rows = cartan._tables(parse_type_id(name))[0]
+    return cartan._eliminate(rows, _neighbours(rows))[2]
+
+
 def test_interior_determinants():
-    # the last pivot of the elimination is the determinant of the finite
-    # Cartan matrix left after dropping vertex 0
-    for n in range(1, 41):
-        assert _interior_adjugate(build_affine(f"A{n}-1"))[1] == n + 1
+    # the determinant of the finite Cartan matrix left after dropping vertex
+    # 0, the product of the roots' pivots in the leaf-first elimination
+    assert _interior_determinant("E8-1") == build_affine("E8-1")._elimination[2]
+    for n in range(1, 201):
+        assert _interior_determinant(f"A{n}-1") == n + 1
     for n in range(4, 13):
-        assert _interior_adjugate(build_affine(f"D{n}-1"))[1] == 4
+        assert _interior_determinant(f"D{n}-1") == 4
     for n, det in ((6, 3), (7, 2), (8, 1)):
-        assert _interior_adjugate(build_affine(f"E{n}-1"))[1] == det
+        assert _interior_determinant(f"E{n}-1") == det
     for family, low in (("B", 3), ("C", 2)):
         for n in range(low, 13):
-            assert _interior_adjugate(build_affine(f"{family}{n}-1"))[1] == 2
+            assert _interior_determinant(f"{family}{n}-1") == 2
+
+
+def _reference_adjugate(diagram) -> tuple:
+    """Adjugate and determinant of the Cartan block on vertices 1..n by
+    fraction-free Gauss-Jordan elimination in natural order, O(n^3); the
+    adjugate is bordered by a zero row and column for vertex 0."""
+    n = diagram.n
+    rows = [
+        [diagram.cartan[j][i] for i in range(1, n + 1)]
+        + [int(i == j) for i in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    prev = 1
+    for col in range(n):
+        head = rows[col]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(head[col] * a - f * b) // prev for a, b in zip(rows[r], head)]
+        prev = head[col]
+    adj = tuple((0,) + tuple(row[n:]) for row in rows)
+    return ((0,) * (n + 1),) + adj, prev
+
+
+def test_scaled_coeffs_match_the_dense_adjugate():
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 41)
+        for twist in (1, 2, 3)
+        if cartan._rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 237 and {"A1-1", "A2-2"} <= set(map(str, ids))
+    rng = random.Random(23)
+    for tid in ids:
+        d = build_affine(tid)
+        adj, det = _reference_adjugate(d)
+        for _ in range(20):
+            labs = [rng.randint(-9, 9) for _ in d.vertices]
+            p, q = rng.randint(-20, 20), rng.randint(1, 12)
+            nums, den = _scaled_coeffs(d, labs, p, q)
+            expected = [
+                Fraction(sum(map(operator.mul, row, labs)) * q + p * mark * det, det * q)
+                for row, mark in zip(adj, d.marks)
+            ]
+            assert [Fraction(v, den) for v in nums] == expected, (str(tid), labs, p, q)
+
+
+def test_rho_against_rho_less_delta_on_a200():
+    d = build_affine("A200-1")
+    rho = weight_from_labels(d, [1] * 201)
+    lower = weight_from_labels(d, [1] * 201, -1)
+    assert dominance_leq(lower, rho) and not dominance_leq(rho, lower)
+    assert meet(rho, lower) == lower and join(rho, lower) == rho
+    # rho - 201 Lambda_0 solves the A200 block against all labels 1: the
+    # coefficient of vertex i is i (201 - i) / 2, an integer
+    base = weight_from_labels(d, [201] + [0] * 200)
+    assert difference(rho, base) == tuple(i * (201 - i) // 2 for i in d.vertices)
+    assert dominance_leq(base, rho) and not dominance_leq(rho, base)
+    assert meet(rho, base) == base and join(base, rho) == rho
 
 
 # A2-1 with the mark vector doubled at one vertex, and a symmetric matrix
@@ -373,11 +467,24 @@ def test_leaf_first_elimination_matches_leading_minors_on_random_trees():
     assert verdicts == {True, False}
 
 
-def test_cold_queries_build_neither_adjugate_nor_form():
-    before = _interior_adjugate.cache_info().currsize
+def test_cold_queries_build_neither_adjugate_nor_form(monkeypatch):
+    # validation keeps the elimination that every gap solves along: no
+    # adjugate exists, a cold query solves nothing, and a later gap
+    # eliminates nothing again
+    assert not hasattr(cartan, "_interior_adjugate")
     d = build_affine("A53-1")  # a rank no other test builds
+    forward, backward, det = d._elimination
+    assert det == 54 and len(forward) == len(backward) == 53
+
+    def refuse(*args):
+        raise AssertionError("solved or eliminated again")
+
+    monkeypatch.setattr(weights, "_scaled_coeffs", refuse)
     special_vertices(d)
-    assert _interior_adjugate.cache_info().currsize == before
+    monkeypatch.undo()
+    monkeypatch.setattr(cartan, "_eliminate", refuse)
+    rho = weight_from_labels(d, [1] * 54)
+    assert dominance_leq(weight_from_labels(d, [1] * 54, -1), rho)
     assert "sym_form" not in vars(d)
     assert d.sym_form[0][1] == -1 and "sym_form" in vars(d)
 

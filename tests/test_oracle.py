@@ -298,9 +298,13 @@ def test_brute_search_is_independent_of_the_classifier():
     checked = {
         "_scaled_coeffs",
         "_scaled_difference",
-        "_interior_adjugate",
+        "_eliminate",
+        "_elimination",
+        "_not_finite",
         "_integer_gap",
         "_gap",
+        "_shift_gap",
+        "_solved_gap",
         "_dominance_gap",
     }
     for node in tree.body:
@@ -311,6 +315,10 @@ def test_brute_search_is_independent_of_the_classifier():
         if isinstance(node, ast.Import):
             assert all("covering" not in alias.name for alias in node.names)
     assert not hasattr(oracle, "covering")
+    # nor reach the coefficient code by a name or an attribute
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not checked & read
 
     # and the brute searches must not touch it at run time either
     class Poison:

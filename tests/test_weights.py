@@ -129,6 +129,42 @@ def test_dominance_leq():
     assert not dominance_leq(third, shifted)
 
 
+def test_dominance_leq_reads_the_shifts_before_solving(monkeypatch):
+    # the vertex-0 coefficient of upper - lower is mark_0 times the shift
+    # difference; when it is negative or fractional no solve is run
+    real, solved = weights._scaled_coeffs, []
+
+    def counted(*args):
+        solved.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights, "_scaled_coeffs", counted)
+    d = D("G2-1")
+    top = weight_from_labels(d, (0, 1, 0))
+    for shift, expected in ((Fraction(-1, 2), False), (1, False), (-1, True)):
+        assert dominance_leq(weight_from_labels(d, (0, 1, 0), shift), top) == expected
+    assert len(solved) == 1
+    # the level differs, but the shifts answer first
+    assert not dominance_leq(weight_from_labels(d, (2, 1, 0), 1), top)
+    assert len(solved) == 1
+    assert dominance_leq(top, top) and len(solved) == 2
+
+
+def test_dominance_leq_checks_the_diagrams_before_the_shifts():
+    # shifts alone would answer False here: lower sits one delta above upper
+    upper = W("A2-1", (0, 2, 2))
+    for lower in (W("A3-1", (0, 2, 2, 0), 1), W("A2-2", (0, 4), 1)):
+        with pytest.raises(ComponentMismatchError, match="weights on different diagrams"):
+            dominance_leq(lower, upper)
+
+
+def test_zero_shift_is_shared():
+    d = D("A3-1")
+    assert weight_from_labels(d, (1, 0, 1, 0)).shift is weights._ZERO
+    assert weight_from_labels(d, (1, 0, 1, 0), Fraction(0)).shift == 0
+    assert weight_from_labels(d, (1, 0, 1, 0), -2).shift == -2
+
+
 def test_difference_and_errors():
     d = D("A2-1")
     a = weight_from_labels(d, (0, 2, 2))
