@@ -7,8 +7,7 @@ lengths, and the list of special vertices.  The catalog holds the seventeen
 types used by the test suite, but any valid affine type id builds.
 """
 
-from affposet import build_affine, catalog_types, parse_type_id, special_vertices
-from affposet.weights import format_shift
+from affposet import build_affine, catalog_types, format_shift, parse_type_id, special_vertices
 
 for tid in catalog_types():
     diagram = build_affine(tid)

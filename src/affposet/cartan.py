@@ -8,6 +8,10 @@ coroot, so each row records one coroot's view of all simple roots.
 
 For the twisted families the vertex count n + 1 is smaller than the series
 rank that appears in the type name (for instance A5-2 has four vertices).
+
+The module also reads the special vertices off the marks and root lengths,
+and holds the text helpers that every command line command can reach
+without loading the weight arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ __all__ = [
     "parse_type_id",
     "build_affine",
     "classify_finite",
+    "special_vertices",
     "catalog_types",
+    "format_shift",
 ]
 
 _TYPE_RE = re.compile(r"^([A-G])([1-9][0-9]*)-([123])$")
@@ -131,6 +137,34 @@ def parse_type_id(text: str) -> AffineTypeId:
             "with Family in A..G and twist in 1..3"
         )
     return AffineTypeId(m.group(1), int(m.group(2)), int(m.group(3)))
+
+
+_ZERO = Fraction(0)
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value) if value else _ZERO
+    raise TypeError(f"expected an int or Fraction, got {value!r}")
+
+
+def format_shift(value: Fraction) -> str:
+    value = _as_fraction(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+_INT_RE = re.compile("-?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """An integer written in ASCII digits, with an optional minus sign and
+    surrounding whitespace; int() also takes '1_0', '+1' and other scripts'
+    digits."""
+    if _INT_RE.fullmatch(text.strip()) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 class FiniteType(_Value):
@@ -458,6 +492,23 @@ def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
     # D has two arms of length one at the branch vertex, E only one
     leaves = sum(1 for w in adjacent[branch[0]] if w in inside and degree[w] == 1)
     return FiniteType("D" if leaves >= 2 else "E", len(k))
+
+
+def special_vertices(diagram: AffineDiagram) -> tuple:
+    """Vertices i with mark one whose removal leaves a connected diagram on
+    which delta minus the i-th simple root is the highest short root.
+
+    With mark one, delta - alpha_i is a dominant vector of the rest's root
+    lattice as long as alpha_i, and the rest's only dominant roots are the
+    highest root and the highest short root; so i is special exactly when
+    alpha_i is a shortest simple root and not the only one (README,
+    criterion 7).
+    """
+    half = diagram._half_lengths
+    shortest = min(half)
+    if half.count(shortest) < 2:
+        return ()
+    return tuple(i for i, m in enumerate(diagram.marks) if m == 1 and half[i] == shortest)
 
 
 _CATALOG = (

@@ -14,10 +14,14 @@ import json
 import re
 import sys
 
-from .cartan import build_affine, catalog_types, parse_type_id
-from .covering import cocovers, covers, edge_to_json, special_vertices
-from .roots import CoverKind
-from .weights import _parse_int, format_shift, parse_shift, weight_from_labels
+from .cartan import (
+    _parse_int,
+    build_affine,
+    catalog_types,
+    format_shift,
+    parse_type_id,
+    special_vertices,
+)
 
 __all__ = ["run", "main"]
 
@@ -57,6 +61,8 @@ def _budget_arg(text):
 
 
 def _weight_arg(type_text: str, labels_text: str, shift_text):
+    from .weights import parse_shift, weight_from_labels
+
     diagram = build_affine(parse_type_id(type_text))
     shift = parse_shift(shift_text) if shift_text else 0
     return weight_from_labels(diagram, _labels_arg(labels_text, diagram), shift)
@@ -89,6 +95,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_edges(args) -> int:
+    from .covering import cocovers, covers, edge_to_json
+
     weight = _weight_arg(args.type, args.labels, args.shift)
     edges = cocovers(weight) if args.command == "cocovers" else covers(weight)
     _emit([edge_to_json(edge) for edge in edges])
@@ -109,7 +117,9 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_cell(args) -> int:
+    from .covering import cocovers
     from .poset import basic_cell, export_graph
+    from .roots import CoverKind
 
     lam = _weight_arg(args.type, args.labels, args.shift)
     wanted = [_labels_arg(args.mu, lam.diagram), _labels_arg(args.mu2, lam.diagram)]

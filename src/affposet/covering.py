@@ -26,7 +26,7 @@ import functools
 from itertools import compress, product
 from typing import NamedTuple
 
-from .cartan import AffineDiagram, _set, _Value, classify_finite
+from .cartan import AffineDiagram, _set, _Value, classify_finite, special_vertices
 from .roots import (
     CoverCandidate,
     CoverKind,
@@ -34,7 +34,6 @@ from .roots import (
     _connected_proper_subsets,
     _fixed_candidates,
     _support_candidate,
-    highest_short_root,
 )
 from .weights import (
     Weight,
@@ -51,7 +50,6 @@ from .weights import (
 __all__ = [
     "NonPositiveLevelError",
     "CoverEdge",
-    "special_vertices",
     "is_delta_cocover",
     "cocovers",
     "covers",
@@ -75,28 +73,6 @@ class CoverEdge(_Value):
         _set(self, "kind", kind)
         _set(self, "root", root)
         _set(self, "case", case)
-
-
-@functools.lru_cache(maxsize=None)
-def special_vertices(diagram: AffineDiagram) -> tuple:
-    """Vertices i with mark one whose removal leaves a connected diagram on
-    which delta minus the i-th simple root is the highest short root."""
-    out = []
-    for i in diagram.vertices:
-        if diagram.marks[i] != 1:
-            continue
-        rest = tuple(v for v in diagram.vertices if v != i)
-        if not diagram.is_connected(rest):
-            continue
-        target = tuple(
-            a - (1 if j == i else 0) for j, a in enumerate(diagram.marks)
-        )
-        if highest_short_root(diagram, rest).coeffs == target:
-            out.append(i)
-    shortest = min(diagram.root_length_sq)
-    if any(diagram.root_length_sq[i] != shortest for i in out):
-        raise AssertionError(f"{diagram}: a special vertex in {out} is not shortest")
-    return tuple(out)
 
 
 def _require_dominant_positive(weight: Weight) -> tuple:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, le, mul, sub
 
-from .cartan import AffineDiagram, build_affine, parse_type_id
+from .cartan import AffineDiagram, build_affine, format_shift, parse_type_id
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
@@ -42,7 +42,6 @@ from .weights import (
     _gap_meet,
     _plus_delta,
     _require_component,
-    format_shift,
     is_dominant,
     weight_from_labels,
 )

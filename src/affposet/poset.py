@@ -19,7 +19,7 @@ import enum
 import functools
 import json
 
-from .cartan import _set, _Value, build_affine
+from .cartan import _set, _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
     _edge_fields,
@@ -36,7 +36,6 @@ from .weights import (
     _json_string,
     _moved,
     _plus_delta,
-    format_shift,
     sort_key,
     weight_from_json,
 )

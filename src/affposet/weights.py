@@ -19,11 +19,19 @@ componentwise maximum repaired upward until dominant.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from operator import mul
 
-from .cartan import AffineDiagram, _check_vertex, _set, _Value
+from .cartan import (
+    _ZERO,
+    AffineDiagram,
+    _as_fraction,
+    _check_vertex,
+    _parse_int,
+    _set,
+    _Value,
+    format_shift,
+)
 from .roots import RootVector
 
 __all__ = [
@@ -40,7 +48,6 @@ __all__ = [
     "meet",
     "join",
     "sort_key",
-    "format_shift",
     "parse_shift",
     "weight_to_json",
     "weight_from_json",
@@ -49,17 +56,6 @@ __all__ = [
 
 class ComponentMismatchError(ValueError):
     """Raised when weights do not live in one lattice component."""
-
-
-_ZERO = Fraction(0)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value) if value else _ZERO
-    raise TypeError(f"expected an int or Fraction, got {value!r}")
 
 
 class Weight(_Value):
@@ -319,23 +315,6 @@ def _gap_join(a: Weight, gap) -> Weight:
 
 def sort_key(weight: Weight) -> tuple:
     return (weight.m, weight.labels, weight.shift)
-
-
-def format_shift(value: Fraction) -> str:
-    value = _as_fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-_INT_RE = re.compile("-?[0-9]+")
-
-
-def _parse_int(text: str) -> int:
-    """An integer written in ASCII digits, with an optional minus sign and
-    surrounding whitespace; int() also takes '1_0', '+1' and other scripts'
-    digits."""
-    if _INT_RE.fullmatch(text.strip()) is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
 
 
 def parse_shift(text: str) -> Fraction:

@@ -20,8 +20,8 @@ from operator import mul
 import numpy as np
 import pytest
 
-from affposet.cartan import build_affine, catalog_types, parse_type_id
-from affposet.covering import CoverKind, cocovers, is_delta_cocover, special_vertices
+from affposet.cartan import build_affine, catalog_types, parse_type_id, special_vertices
+from affposet.covering import CoverKind, cocovers, is_delta_cocover
 from affposet.oracle import WindowExhaustedError, brute_bounds, verify_covering
 from affposet.poset import CellMismatchError, CellShape, basic_cell, export_graph, graph_from_json, interval
 from affposet.roots import (

@@ -20,8 +20,8 @@ from affposet.cartan import (
     catalog_types,
     classify_finite,
     parse_type_id,
+    special_vertices,
 )
-from affposet.covering import special_vertices
 from affposet.roots import delta_root
 from affposet.weights import (
     _scaled_coeffs,
@@ -358,8 +358,9 @@ def test_rho_against_rho_less_delta_on_a200():
 # A2-1 with the mark vector doubled at one vertex, and a symmetric matrix
 # whose mixed-sign mark vector passes every other check while its block on
 # vertices 1..3, eliminated leaf first (vertices 2 and 3, then 1), leaves the
-# pivot 2 - 9/2 - 1/2 = -3 at vertex 1.  Each is served for a rank that no
-# other test builds, so nothing bad stays in the diagram cache.
+# pivot 2 - 9/2 - 1/2 = -3 at vertex 1.  Each is built past the diagram
+# cache, so no diagram an earlier test cached hides it, and nothing bad
+# stays there.
 _BAD_MARKS = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 2], [1, 1, 1])
 _NOT_FINITE = (
     [[2, 0, -1, -3], [0, 2, -3, -1], [-1, -3, 2, 0], [-3, -1, 0, 2]],
@@ -389,7 +390,7 @@ _CYCLE = (
 def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
     monkeypatch.setattr(cartan, "_tables", lambda tid: tables)
     with pytest.raises(ValueError) as err:
-        build_affine(type_id)
+        cartan._build_cached.__wrapped__(parse_type_id(type_id))
     assert f"{type_id}: check failed: " in str(err.value)
     assert message in str(err.value)
 
@@ -397,7 +398,7 @@ def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
 def test_finite_type_failure_names_the_block(monkeypatch):
     monkeypatch.setattr(cartan, "_tables", lambda tid: _NOT_FINITE)
     with pytest.raises(ValueError) as err:
-        build_affine("A95-1")
+        cartan._build_cached.__wrapped__(parse_type_id("A95-1"))
     assert str(err.value) == (
         "A95-1: check failed: Cartan block on vertices 1..3 is of finite type"
         " (pivot at vertex 1 is -3)"

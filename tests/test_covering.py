@@ -15,6 +15,7 @@ from affposet.cartan import (
     catalog_types,
     classify_finite,
     parse_type_id,
+    special_vertices,
 )
 from affposet.covering import (
     CoverEdge,
@@ -24,10 +25,16 @@ from affposet.covering import (
     edge_from_json,
     edge_to_json,
     is_delta_cocover,
-    special_vertices,
 )
 from affposet.oracle import _dominant_repair, brute_bounds, brute_cocovers
-from affposet.roots import CoverKind, RootVector, cover_root_set, sym_length_sq, simple_root
+from affposet.roots import (
+    CoverKind,
+    RootVector,
+    cover_root_set,
+    highest_short_root,
+    simple_root,
+    sym_length_sq,
+)
 from affposet.weights import (
     Weight,
     add_root,
@@ -505,6 +512,28 @@ def _type_ids(top_rank):
         for twist in (1, 2, 3)
         if _rank_is_valid(family, rank, twist)
     ]
+
+
+def _special_by_definition(diagram):
+    """Reference: the vertices i of mark one whose removal leaves a connected
+    rest on which the highest short root is the marks less e_i."""
+    found = []
+    for i in diagram.vertices:
+        rest = [v for v in diagram.vertices if v != i]
+        if diagram.marks[i] != 1 or not diagram.is_connected(rest):
+            continue
+        target = tuple(m - (j == i) for j, m in enumerate(diagram.marks))
+        if highest_short_root(diagram, rest).coeffs == target:
+            found.append(i)
+    return tuple(found)
+
+
+def test_special_vertices_match_the_definition():
+    ids = _type_ids(40) + [AffineTypeId("A", 200, 1)]
+    assert len(ids) == 238
+    for tid in ids:
+        d = build_affine(tid)
+        assert special_vertices(d) == _special_by_definition(d), str(tid)
 
 
 def test_cocover_keys_hold_one_or_two_labels():

@@ -1,6 +1,8 @@
-"""The import boundary: only the oracle's entry points load it, nothing
-loads numpy, only interval and cell queries load the poset module, and
-nothing loads ``dataclasses`` (with ``inspect`` behind it) outside the oracle.
+"""The import boundary: a bare ``import affposet`` loads no submodule,
+``types`` and ``info`` load only ``cartan``, only the oracle's entry points
+load it, nothing loads numpy, only interval and cell queries load the poset
+module, and nothing loads ``dataclasses`` (with ``inspect`` behind it)
+outside the oracle.
 
 Each check runs in a fresh interpreter, so what it sees in ``sys.modules``
 comes from the code under test alone, not from earlier tests.
@@ -169,6 +171,41 @@ def test_every_public_name_is_listed_once():
     modules = (cartan, roots, weights, covering, oracle, poset)
     assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
     assert affposet._LAZY == {
-        **dict.fromkeys(oracle.__all__, "oracle"),
-        **dict.fromkeys(poset.__all__, "poset"),
+        n: m.__name__.rpartition(".")[2] for m in modules for n in m.__all__
     }
+
+
+def test_dir_lists_the_lazy_names():
+    assert set(affposet.__all__) <= set(dir(affposet))
+
+
+def test_bare_import_loads_no_submodule():
+    facts = fresh(
+        "import affposet\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('affposet'))))\n"
+    )
+    assert facts == ["affposet"]
+
+
+BASE = ["affposet", "affposet.cartan", "affposet.cli"]
+CLASSIFIER = BASE + ["affposet.covering", "affposet.roots", "affposet.weights"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [(argv, BASE if argv[0] in ("types", "info") else CLASSIFIER) for argv in COLD_COMMANDS[:4]],
+    ids=[argv[0] for argv in COLD_COMMANDS[:4]],
+)
+def test_entry_point_loads_only_what_the_command_runs(argv, modules):
+    # runpy runs the package's __main__ as ``python -m affposet`` does
+    facts = fresh(
+        "import contextlib, runpy\n"
+        f"sys.argv = ['affposet', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('affposet', run_name='__main__')\n"
+        "    except SystemExit as exit:\n"
+        "        code = exit.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('affposet'))]))\n"
+    )
+    assert facts == [0, modules]

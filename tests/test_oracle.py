@@ -19,6 +19,7 @@ from affposet.cartan import (
     _rank_is_valid,
     build_affine,
     catalog_types,
+    format_shift,
     parse_type_id,
 )
 from affposet.oracle import (
@@ -37,7 +38,6 @@ from affposet.weights import (
     add_root,
     delta_shift,
     difference,
-    format_shift,
     fundamental_weight,
     labels,
     meet,

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affposet.cartan import build_affine, catalog_types, parse_type_id
-from affposet.covering import special_vertices
+from affposet.cartan import build_affine, catalog_types, parse_type_id, special_vertices
 from affposet.roots import (
     CoverKind,
     RootVector,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import affposet.weights as weights
-from affposet.cartan import build_affine, catalog_types, classify_finite, parse_type_id
+from affposet.cartan import build_affine, catalog_types, classify_finite, format_shift, parse_type_id
 from affposet.covering import cocovers
 from affposet.oracle import _sweep
 from affposet.roots import RootVector, delta_root, highest_short_root, simple_root
@@ -17,7 +17,6 @@ from affposet.weights import (
     delta_shift,
     difference,
     dominance_leq,
-    format_shift,
     fundamental_weight,
     is_dominant,
     join,
