@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 # Every public name is served by the module that defines it, loaded on the
 # first use of one of its names.  Each lookup reads the module, so no copy
-# here outlives a patch of it.
+# here outlives a patch of it.  This is the one list of public names: each
+# module reads its ``__all__`` off it.
 _LAZY = {
     **dict.fromkeys((
         "AffineDiagram", "AffineTypeId", "FiniteType", "build_affine",

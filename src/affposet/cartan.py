@@ -21,19 +21,11 @@ import math
 import re
 from fractions import Fraction
 
-__all__ = [
-    "AffineTypeId",
-    "AffineDiagram",
-    "FiniteType",
-    "parse_type_id",
-    "build_affine",
-    "classify_finite",
-    "special_vertices",
-    "catalog_types",
-    "format_shift",
-]
+from . import _LAZY
 
-_TYPE_RE = re.compile(r"^([A-G])([1-9][0-9]*)-([123])$")
+__all__ = [name for name, home in _LAZY.items() if home == "cartan"]
+
+_TYPE_RE = re.compile(r"([A-G])([1-9][0-9]*)-([123])")
 
 
 def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
@@ -130,7 +122,7 @@ def parse_type_id(text: str) -> AffineTypeId:
     """Parse a case-sensitive type string such as 'A5-2' or 'G2-1'."""
     if isinstance(text, AffineTypeId):
         return text
-    m = _TYPE_RE.match(text)
+    m = _TYPE_RE.fullmatch(text)
     if m is None:
         raise ValueError(
             f"malformed type id {text!r}, expected '<Family><rank>-<twist>' "
@@ -352,12 +344,6 @@ def _eliminate(cartan, adjacency):
         forward.append((v, p, prod[v], p and cartan[p][v] * prod[p] // top[v]))
         backward.append((v, p, p and cartan[v][p] * prod[v], top[v]))
     return tuple(forward), tuple(reversed(backward)), det
-
-
-def _not_finite(cartan, adjacency):
-    """Why the Cartan block on vertices 1..n is not of finite type, or None."""
-    found = _eliminate(cartan, adjacency)
-    return found if isinstance(found, str) else None
 
 
 def _validate(diag: AffineDiagram) -> None:

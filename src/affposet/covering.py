@@ -26,6 +26,7 @@ import functools
 from itertools import compress, product
 from typing import NamedTuple
 
+from . import _LAZY
 from .cartan import AffineDiagram, _set, _Value, classify_finite, special_vertices
 from .roots import (
     CoverCandidate,
@@ -47,15 +48,7 @@ from .weights import (
     weight_to_json,
 )
 
-__all__ = [
-    "NonPositiveLevelError",
-    "CoverEdge",
-    "is_delta_cocover",
-    "cocovers",
-    "covers",
-    "edge_to_json",
-    "edge_from_json",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "covering"]
 
 
 class NonPositiveLevelError(ValueError):

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, le, mul, sub
 
+from . import _LAZY
 from .cartan import AffineDiagram, build_affine, format_shift, parse_type_id
 from .roots import RootVector, cover_root_lookup
 from .weights import (
@@ -46,18 +47,7 @@ from .weights import (
     weight_from_labels,
 )
 
-__all__ = [
-    "BoxTooLargeError",
-    "WindowExhaustedError",
-    "SearchWindow",
-    "default_window",
-    "BruteCocovers",
-    "BruteBounds",
-    "brute_cocovers",
-    "brute_bounds",
-    "VerificationReport",
-    "verify_covering",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "oracle"]
 
 
 class WindowExhaustedError(RuntimeError):

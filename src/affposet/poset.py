@@ -19,6 +19,7 @@ import enum
 import functools
 import json
 
+from . import _LAZY
 from .cartan import _set, _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
@@ -40,18 +41,7 @@ from .weights import (
     weight_from_json,
 )
 
-__all__ = [
-    "IncomparableError",
-    "CellMismatchError",
-    "IntervalTooLargeError",
-    "CellShape",
-    "PosetGraph",
-    "Cell",
-    "interval",
-    "basic_cell",
-    "export_graph",
-    "graph_from_json",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "poset"]
 
 
 class IncomparableError(ValueError):

@@ -13,22 +13,10 @@ import enum
 import functools
 from fractions import Fraction
 
+from . import _LAZY
 from .cartan import AffineDiagram, _check_vertex, _proper_connected, _set, _Value
 
-__all__ = [
-    "CoverKind",
-    "RootVector",
-    "CoverCandidate",
-    "simple_root",
-    "sym_length_sq",
-    "delta_root",
-    "coroot_pairing",
-    "simple_reflection",
-    "highest_short_root",
-    "is_real_root",
-    "cover_root_set",
-    "cover_root_lookup",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "roots"]
 
 
 class CoverKind(enum.Enum):

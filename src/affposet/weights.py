@@ -6,9 +6,10 @@ uniquely.  The level and the coefficients on the simple roots are derived:
 the level is the comark-weighted label sum, and the root coefficients are
 solved in O(n) integer steps along the leaf-first elimination that
 ``cartan`` keeps for each diagram, needed only where dominance compares two
-weights.  This module alone maps between the two: ``_gap`` takes two weights
-to the root vector between them, and ``_moved`` a weight and a root vector
-to the weight across.
+weights.  Only this module solves for root coefficients: ``_gap`` takes two
+weights to the root vector between them.  The weight across a root vector is
+built from ``_add_columns`` (labels) and ``_plus_delta`` (shift); ``_moved``
+applies both, and ``covering``, ``poset`` and ``oracle`` call them directly.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -22,6 +23,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from . import _LAZY
 from .cartan import (
     _ZERO,
     AffineDiagram,
@@ -34,24 +36,7 @@ from .cartan import (
 )
 from .roots import RootVector
 
-__all__ = [
-    "ComponentMismatchError",
-    "Weight",
-    "labels",
-    "delta_shift",
-    "weight_from_labels",
-    "fundamental_weight",
-    "is_dominant",
-    "difference",
-    "dominance_leq",
-    "add_root",
-    "meet",
-    "join",
-    "sort_key",
-    "parse_shift",
-    "weight_to_json",
-    "weight_from_json",
-]
+__all__ = [name for name, home in _LAZY.items() if home == "weights"]
 
 
 class ComponentMismatchError(ValueError):

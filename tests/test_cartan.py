@@ -49,9 +49,11 @@ def test_parse_type_id():
     assert str(parse_type_id("D4-3")) == "D4-3"
     tid = parse_type_id("G2-1")
     assert parse_type_id(tid) is tid
-    for bad in ("", "H3-1", "A0-1", "A2-4", "A2", "a2-1", "A2-2x"):
+    for bad in ("", "H3-1", "A0-1", "A2-4", "A2", "a2-1", "A2-2x", "A3-1\n"):
         with pytest.raises(ValueError):
             parse_type_id(bad)
+        with pytest.raises(ValueError):
+            build_affine(bad)
     # valid ids outside the catalog still parse and build
     assert build_affine(parse_type_id("E8-1")).n == 8
     with pytest.raises(ValueError):
@@ -60,6 +62,9 @@ def test_parse_type_id():
         parse_type_id("A3-2")  # twisted A needs rank 2 or >= 4
     with pytest.raises(ValueError):
         parse_type_id("D5-3")
+    with pytest.raises(ValueError):
+        AffineTypeId("A", 2, 4)  # no twist beyond 3
+    assert repr(tid) == "AffineTypeId(family='G', rank=2, twist=1)"
 
 
 def test_finite_type_normalizes_c2():
@@ -123,6 +128,7 @@ def test_connectivity_helpers():
     assert d.is_connected([0, 1])
     assert not d.is_connected([0, 2])
     assert d.is_connected([1, 2, 3])
+    assert not d.is_connected(())
     assert sorted(d.adjacency[0]) == [1, 3]
 
 
@@ -441,11 +447,11 @@ VALIDATED = (
 def test_leaf_first_elimination_matches_leading_minors():
     for name in VALIDATED:
         d = build_affine(name)
-        assert cartan._not_finite(d.cartan, d.adjacency) is None, name
+        assert not isinstance(cartan._eliminate(d.cartan, d.adjacency), str), name
         assert _leading_minors_positive(d.cartan), name
     for tables in (_NOT_FINITE, _CYCLE):
         rows = tables[0]
-        assert cartan._not_finite(rows, _neighbours(rows)) is not None
+        assert isinstance(cartan._eliminate(rows, _neighbours(rows)), str)
         assert not _leading_minors_positive(rows)
 
 
@@ -463,7 +469,8 @@ def test_leaf_first_elimination_matches_leading_minors_on_random_trees():
             x, y = rng.choice(bonds if rng.random() < 0.3 else bonds[:2])
             rows[u][v], rows[v][u] = -x, -y
         finite = _leading_minors_positive(rows)
-        assert (cartan._not_finite(rows, _neighbours(rows)) is None) == finite, rows
+        found = cartan._eliminate(rows, _neighbours(rows))
+        assert isinstance(found, str) != finite, rows
         verdicts.add(finite)
     assert verdicts == {True, False}
 

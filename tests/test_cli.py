@@ -178,6 +178,8 @@ def test_verify_budget_warning():
 def test_exit_codes():
     code, out, err = cap(["cocovers", "Z9-1", "--labels", "1"])
     assert code == 2 and err.startswith("error:")
+    code, out, err = cap(["info", "A3-1\n"])
+    assert (code, out) == (2, "") and "malformed type id" in err
     code, out, err = cap(["cocovers", "A2-1", "--labels", "1,1"])
     assert code == 2 and "3 vertices" in err
     code, out, err = cap([])

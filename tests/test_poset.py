@@ -647,6 +647,8 @@ def _with(data, key, value):
         (graph_from_json, _with(_GRAPH, "edges", _GRAPH["edges"] * 2)),
         (graph_from_json, _with(_GRAPH, "nodes", [_with(_EDGE["upper"], "labels", [-1, 3, 1])])),
         (graph_from_json, _with(_GRAPH, "nodes", [_with(_EDGE["upper"], "labels", [0, 0, 0])])),
+        (weight_from_json, _with(_WEIGHT, "type", "A2-1\n")),
+        (graph_from_json, {"type": "A2-1\n", "nodes": [], "edges": []}),
     ],
 )
 def test_json_readers_raise_value_error_on_malformed_documents(reader, data):
@@ -673,6 +675,16 @@ def test_export_graph_rejects_a_repeated_node():
     for fmt in ("json", "dot"):
         with pytest.raises(ValueError, match="repeats a node"):
             export_graph(g, fmt)
+
+
+def test_export_graph_rejects_mixed_diagrams_and_missing_endpoints():
+    edge = cocovers(W("A2-1", (0, 2, 0)))[0]
+    mixed = PosetGraph((edge.upper, edge.lower, W("A1-1", (1, 0))), (edge,))
+    for fmt in ("json", "dot"):
+        with pytest.raises(ValueError, match="mixes diagrams"):
+            export_graph(mixed, fmt)
+    with pytest.raises(ValueError, match="endpoint missing"):
+        export_graph(PosetGraph((edge.upper,), (edge,)), "json")
 
 
 def test_empty_graph_round_trip():

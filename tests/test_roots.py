@@ -153,6 +153,7 @@ def test_is_real_root():
     assert not is_real_root(delta_root(a1))
     assert not is_real_root(RootVector(a1, (0, 0)))
     assert not is_real_root(RootVector(a1, (2, 0)))
+    assert not is_real_root(RootVector(a1, (1, -1)))
     a42 = D("A4-2")
     assert is_real_root(RootVector(a42, (1, 2, 1)))
     assert not is_real_root(RootVector(a42, (2, 2, 0)))

@@ -286,6 +286,8 @@ def test_add_root_shifts_labels():
     up = add_root(w, delta_root(d))
     assert labels(up) == labels(w)
     assert delta_shift(up) == delta_shift(w) + 1
+    with pytest.raises(ComponentMismatchError):
+        add_root(w, delta_root(D("A2-1")))
 
 
 def _dense_add_root(weight, root):
