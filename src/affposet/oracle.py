@@ -41,6 +41,7 @@ from .weights import (
     _add_columns,
     _gap_join,
     _gap_meet,
+    _moved,
     _plus_delta,
     _require_component,
     is_dominant,
@@ -367,19 +368,14 @@ def _sweep(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
     each with a dominant partner near it."""
     for labs in _census_labels(diagram):
         yield weight_from_labels(diagram, labs), None
-    mark0 = diagram.marks[0]
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
             labs = _sample_labels(diagram, lvl, rng)
             shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
             offsets = [rng.randint(-2, 2) for _ in diagram.vertices]
-            partner = _dominant_repair(Weight(
-                diagram,
-                _add_columns(diagram, labs, offsets),
-                _plus_delta(shift, offsets[0], mark0),
-            ))
-            yield weight_from_labels(diagram, labs, shift), partner
+            weight = weight_from_labels(diagram, labs, shift)
+            yield weight, _dominant_repair(_moved(weight, offsets))
 
 
 def _weight_key(weight: Weight):

@@ -317,17 +317,18 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
     index = {node: k for k, node in enumerate(graph.nodes)}
     if len(index) != len(graph.nodes):
         raise ValueError("graph repeats a node")
+    ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
+    if any(None in pair for pair in ends):
+        raise ValueError("edge endpoint missing from the node list")
     if fmt == "json":
         nodes = [
             {"labels": list(node.labels), "delta_shift": format_shift(node.shift)}
             for node in graph.nodes
         ]
-        edges = []
-        for edge in graph.edges:
-            upper, lower = index.get(edge.upper), index.get(edge.lower)
-            if upper is None or lower is None:
-                raise ValueError("edge endpoint missing from the node list")
-            edges.append({"upper": upper, "lower": lower, **_edge_fields(edge)})
+        edges = [
+            {"upper": upper, "lower": lower, **_edge_fields(edge)}
+            for (upper, lower), edge in zip(ends, graph.edges)
+        ]
         return {
             "type": str(diagram.type_id) if diagram is not None else None,
             "nodes": nodes,

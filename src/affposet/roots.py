@@ -49,27 +49,6 @@ class RootVector(_Value):
     def height(self) -> int:
         return sum(self.coeffs)
 
-    def _check_same(self, other: "RootVector") -> None:
-        if self.diagram != other.diagram:
-            raise ValueError("root vectors live on different diagrams")
-
-    def __add__(self, other: "RootVector") -> "RootVector":
-        self._check_same(other)
-        return RootVector(
-            self.diagram,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "RootVector") -> "RootVector":
-        self._check_same(other)
-        return RootVector(
-            self.diagram,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "RootVector":
-        return RootVector(self.diagram, tuple(-a for a in self.coeffs))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
@@ -120,9 +99,11 @@ def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVec
     coeffs = [0] * (diagram.n + 1)
     # add q times the j-th simple root, starting from zero plus the seed; the
     # root's values on the subset's simple coroots change only at j and its
-    # neighbours, and the vertices where one turns negative wait in todo
+    # neighbours, and the vertices where one turns negative wait in todo.
+    # Each step adds q >= 1 to the height, and the climb ends at most at
+    # delta on the subset, so the subset's mark sum bounds the steps
     todo, j, q = [], seed, 1
-    for _ in range(4096):
+    for _ in range(sum(map(diagram.marks.__getitem__, subset))):
         coeffs[j] += q
         for w in (j,) + adjacent[j]:
             if w in pairing:
@@ -165,30 +146,19 @@ def is_real_root(root: RootVector) -> bool:
     a real root reaches a simple root this way, anything else either develops
     mixed signs or stalls with no positive pairing (imaginary vectors).
     """
-    coeffs = list(root.coeffs)
-    if all(c == 0 for c in coeffs):
-        return False
+    coeffs = root.coeffs
     if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
         return False
-    if all(c <= 0 for c in coeffs):
-        coeffs = [-c for c in coeffs]
-    diagram = root.diagram
-    rows = diagram.cartan
-    budget = 10 * sum(coeffs) + 10
-    for _ in range(budget):
-        supp = [i for i, c in enumerate(coeffs) if c != 0]
-        if len(supp) == 1:
-            return coeffs[supp[0]] == 1
-        j = None
-        for v in diagram.vertices:
-            if sum(rows[v][i] * c for i, c in enumerate(coeffs)) > 0:
-                j = v
-                break
+    # a vector of one sign is a root exactly when its negative is one
+    beta = RootVector(root.diagram, map(abs, coeffs))
+    for _ in range(10 * beta.height() + 10):
+        if len(beta.support()) <= 1:
+            return beta.height() == 1
+        j = next((v for v in beta.diagram.vertices if coroot_pairing(beta, v) > 0), None)
         if j is None:
             return False
-        p = sum(rows[j][i] * c for i, c in enumerate(coeffs))
-        coeffs[j] -= p
-        if coeffs[j] < 0:
+        beta = simple_reflection(beta, j)
+        if beta.coeffs[j] < 0:
             return False
     raise AssertionError(f"descent from {root} exceeded its budget")
 

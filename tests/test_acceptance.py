@@ -263,7 +263,7 @@ def _coroot_value(alpha: RootVector, beta: RootVector) -> Fraction:
 
 def _real_root_pool(diagram, rng, size=101):
     pool = [simple_root(diagram, j) for j in diagram.vertices]
-    theta = delta_root(diagram) - simple_root(diagram, 0)
+    theta = RootVector(diagram, (diagram.marks[0] - 1,) + diagram.marks[1:])
     if diagram.type_id.twist == 1:
         pool.append(theta)
     roots = set(pool)

@@ -245,7 +245,7 @@ def test_nonpositive_level_raises():
 
 def test_non_dominant_raises():
     d = D("A2-1")
-    w = add_root(weight_from_labels(d, (1, 0, 0)), -simple_root(d, 1))
+    w = add_root(weight_from_labels(d, (1, 0, 0)), RootVector(d, (0, -1, 0)))
     with pytest.raises(ValueError):
         cocovers(w)
 
@@ -537,11 +537,36 @@ def test_special_vertices_match_the_definition():
 
 
 def test_cocover_keys_hold_one_or_two_labels():
+    # a short root's entries key label one at the two ends of a path
+    # support, or at one vertex of a support with exactly one branch vertex
+    # or one multiple bond: what a walk from each label-one vertex through
+    # zero labels would rely on
     ids = _type_ids(20)
     assert len(ids) == 117
+    counts = {1: 0, 2: 0}
     for tid in ids:
-        table = covering._cocover_table(build_affine(tid))
+        d = build_affine(tid)
+        table = covering._cocover_table(d)
         assert all(len(key) in (1, 2) for key in table), str(tid)
+        for key, entries in table.items():
+            for step, _, _ in entries:
+                if step.cand.kind is not CoverKind.SHORT:
+                    continue
+                where = (str(tid), step.supp, key)
+                inside = {v: [w for w in d.adjacency[v] if w in step.supp] for v in step.supp}
+                assert all(x == 1 for _, x in key), where
+                if len(key) == 2:
+                    assert max(map(len, inside.values())) <= 2, where
+                    ends = [v for v in step.supp if len(inside[v]) <= 1]
+                    assert ends == [v for v, _ in key], where
+                else:
+                    branches = sum(len(ws) >= 3 for ws in inside.values())
+                    bonds = sum(
+                        d.cartan[v][w] * d.cartan[w][v] > 1 for v in inside for w in inside[v] if v < w
+                    )
+                    assert branches + bonds == 1, where
+                counts[len(key)] += 1
+    assert counts == {1: 1628, 2: 8851}
 
 
 def test_a_rule_that_fixes_no_labels_is_refused(monkeypatch):

@@ -113,10 +113,7 @@ def test_brute_cocovers_tiny_window_flags_boundary():
 
 
 def test_brute_cocovers_rejects_non_dominant():
-    from affposet.roots import simple_root
-    from affposet.weights import add_root
-
-    w = add_root(W("A2-1", (1, 0, 0)), -simple_root(D("A2-1"), 1))
+    w = add_root(W("A2-1", (1, 0, 0)), RootVector(D("A2-1"), (0, -1, 0)))
     with pytest.raises(ValueError):
         brute_cocovers(w)
 
@@ -501,9 +498,14 @@ def _ref_cocovers(weight, window):
         return []
     minimal = sorted(tuple(map(int, r)) for r in candidates[_ref_minimal_rows(candidates)])
     return [
-        (add_root(weight, -RootVector(weight.diagram, beta)), beta, _ref_touches(beta, window))
+        (_ref_less(weight, beta), beta, _ref_touches(beta, window))
         for beta in minimal
     ]
+
+
+def _ref_less(weight, beta):
+    # the weight minus the root vector with these coefficients
+    return add_root(weight, RootVector(weight.diagram, tuple(-c for c in beta)))
 
 
 def _ref_bounds(a, b, window):
@@ -525,7 +527,7 @@ def _ref_bounds(a, b, window):
         raise WindowExhaustedError("no dominant upper bound within the window")
     up_min = up[_ref_minimal_rows(up)]
     assert len(up_min) == 1
-    glb = add_root(lo, -RootVector(diagram, gamma))
+    glb = _ref_less(lo, gamma)
     return BruteBounds(glb, add_root(hi, RootVector(diagram, tuple(map(int, up_min[0])))))
 
 

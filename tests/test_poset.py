@@ -57,10 +57,17 @@ def edge_digest(graph):
     return sorted(out)
 
 
+def _less(weight, *roots):
+    """The weight minus the sum of the root vectors."""
+    for root in roots:
+        weight = add_root(weight, RootVector(root.diagram, tuple(-c for c in root.coeffs)))
+    return weight
+
+
 def test_interval_is_a_delta_chain():
     top = fundamental_weight(D("A1-1"), 0)
     d = delta_root(D("A1-1"))
-    bottom = add_root(add_root(top, -d), -d)
+    bottom = _less(top, d, d)
     g = interval(top, bottom)
     assert len(g.nodes) == 3
     assert sorted(delta_shift(w) for w in g.nodes) == [-2, -1, 0]
@@ -262,7 +269,7 @@ def test_cell_refusals():
         basic_cell(lam, lows[0], lows[0])
     # a delta drop is not a finite cocover
     with pytest.raises(ValueError):
-        basic_cell(lam, lows[0], add_root(lam, -delta_root(D("A2-1"))))
+        basic_cell(lam, lows[0], _less(lam, delta_root(D("A2-1"))))
 
 
 def test_cell_mismatch_on_wrap_around_pairs(monkeypatch):
@@ -340,7 +347,7 @@ def _mask_search_delta_interval(lam):
                 stack.append((k + 1, chosen))
     masks.sort(key=lambda m: bin(m).count("1"))
     weights = {
-        m: add_root(lam, -RootVector(diagram, [m >> j & 1 for j in diagram.vertices]))
+        m: _less(lam, RootVector(diagram, [m >> j & 1 for j in diagram.vertices]))
         for m in masks
     }
     pairs = set()
@@ -400,12 +407,7 @@ def _ref_case_shape(lam, edge_a, edge_b):
     kb = set(edge_b.root.support())
     mu_a, mu_b = edge_a.lower, edge_b.lower
     union = ka | kb
-    bottom = add_root(
-        lam,
-        -RootVector(
-            diagram, [1 if j in union else 0 for j in diagram.vertices]
-        ),
-    )
+    bottom = _less(lam, RootVector(diagram, [1 if j in union else 0 for j in diagram.vertices]))
 
     if len(ka) == 1 and len(kb) == 1:
         case = "1a"
@@ -432,7 +434,7 @@ def _ref_case_shape(lam, edge_a, edge_b):
             mu_s, mu_p, path, gamma_p = mu_b, mu_a, ka, edge_a.root
         ends = [v for v in _ref_path_ends(diagram, path) if i in diagram.adjacency[v]]
         i1 = min(ends)
-        x = add_root(lam, -(simple_root(diagram, i) + simple_root(diagram, i1)))
+        x = _less(lam, simple_root(diagram, i), simple_root(diagram, i1))
         nodes = {lam, mu_s, mu_p, x, bottom}
         pairs = {(lam, mu_s), (lam, mu_p), (mu_s, x), (x, bottom), (mu_p, bottom)}
         return nodes, pairs, CellShape.PENTAGON, case
@@ -445,13 +447,9 @@ def _ref_case_shape(lam, edge_a, edge_b):
     ]
     i, i2 = min(contacts)
     e_i, e_i2 = simple_root(diagram, i), simple_root(diagram, i2)
-    y = add_root(lam, -(e_i + e_i2))
-    p = add_root(lam, -(edge_a.root + e_i2)) if i in ka else add_root(
-        lam, -(edge_b.root + e_i2)
-    )
-    q = add_root(lam, -(edge_b.root + e_i)) if i in ka else add_root(
-        lam, -(edge_a.root + e_i)
-    )
+    y = _less(lam, e_i, e_i2)
+    p = _less(lam, edge_a.root if i in ka else edge_b.root, e_i2)
+    q = _less(lam, edge_b.root if i in ka else edge_a.root, e_i)
     mu, mu2 = (mu_a, mu_b) if i in ka else (mu_b, mu_a)
     nodes = {lam, mu, y, mu2, p, q, bottom}
     pairs = {
@@ -683,8 +681,9 @@ def test_export_graph_rejects_mixed_diagrams_and_missing_endpoints():
     for fmt in ("json", "dot"):
         with pytest.raises(ValueError, match="mixes diagrams"):
             export_graph(mixed, fmt)
-    with pytest.raises(ValueError, match="endpoint missing"):
-        export_graph(PosetGraph((edge.upper,), (edge,)), "json")
+    for fmt in ("json", "dot"):
+        with pytest.raises(ValueError, match="endpoint missing"):
+            export_graph(PosetGraph((edge.upper,), (edge,)), fmt)
 
 
 def test_empty_graph_round_trip():

@@ -108,7 +108,7 @@ def test_level_zero_and_negative_labels():
     w = weight_from_labels(d, (0, 0, 0), Fraction(3, 2))
     assert w.m == 0 and delta_shift(w) == Fraction(3, 2)
     assert is_dominant(w)
-    v = add_root(w, -simple_root(d, 1))
+    v = add_root(w, RootVector(d, (0, -1, 0)))
     assert not is_dominant(v)
 
 
@@ -122,7 +122,7 @@ def test_dominance_leq():
     # different levels are incomparable
     assert not dominance_leq(fundamental_weight(d, 0), top)
     # non-integral coefficient gaps are incomparable
-    third = add_root(top, -RootVector(d, (0, 1, 0)))
+    third = add_root(top, RootVector(d, (0, -1, 0)))
     shifted = weight_from_labels(d, labels(top), Fraction(1, 3))
     assert difference(shifted, top) == (Fraction(1, 3),) * 3
     assert not dominance_leq(third, shifted)
