@@ -165,7 +165,9 @@ class FiniteType(_Value):
     __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int) -> None:
-        if family not in "ABCDEFG" or rank < 1:
+        if type(rank) is not int:
+            raise TypeError(f"rank must be an int, got {rank!r}")
+        if family not in tuple("ABCDEFG") or rank < 1:
             raise ValueError(f"bad finite type {family}{rank}")
         _set(self, "family", "B" if family == "C" and rank == 2 else family)
         _set(self, "rank", rank)
@@ -199,15 +201,6 @@ class AffineDiagram(_Value):
         """The neighbours of each vertex, read off the Cartan rows once."""
         rows = enumerate(self.cartan)
         return tuple(tuple(j for j, x in enumerate(row) if x and j != i) for i, row in rows)
-
-    @functools.cached_property
-    def sym_form(self) -> tuple:
-        """The invariant form on the simple roots, b_ij = a_ij |alpha_i|^2 / 2,
-        built on first read."""
-        return tuple(
-            tuple(Fraction(x) * length / 2 for x in row)
-            for row, length in zip(self.cartan, self.root_length_sq)
-        )
 
     @functools.cached_property
     def _half_lengths(self) -> tuple:
@@ -351,11 +344,12 @@ def _validate(diag: AffineDiagram) -> None:
     keep the elimination of its Cartan block as ``diag._elimination``.
 
     Past the squareness and diagonal checks every test reads only the
-    nonzero entries, one per bond, and the form b_ij = a_ij comark_i / mark_i
-    is checked in integers scaled by the lcm of the marks.
+    nonzero entries, one per bond.  Row i of the form b_ij = a_ij comark_i /
+    mark_i is row i of the Cartan matrix times ``_half_lengths[i]`` over the
+    lcm of the marks, so only its symmetry needs a check of its own.
     """
     num = diag.n + 1
-    a, lensq, adjacent = diag.cartan, diag.root_length_sq, diag.adjacency
+    a, adjacent = diag.cartan, diag.adjacency
     row_entries = [(i,) + adjacent[i] for i in range(num)]
     bonds = [(i, j) for i in range(num) for j in adjacent[i]]
 
@@ -378,19 +372,10 @@ def _validate(diag: AffineDiagram) -> None:
     require(diag.comarks[0] == 1, "comark of vertex 0 is 1")
     require(math.gcd(*diag.marks) == 1, "marks are coprime")
     require(math.gcd(*diag.comarks) == 1, "comarks are coprime")
-    half, scale = diag._half_lengths, math.lcm(*diag.marks)
-
-    def form(i, j):
-        return a[i][j] * half[i]
-
-    require(
-        all(x.numerator * scale == form(i, i) * x.denominator for i, x in enumerate(lensq)),
-        "form diagonal is the squared lengths",
-    )
-    require(all(form(i, j) == form(j, i) for i, j in bonds), "form is symmetric")
-    require(kills(form, diag.marks), "marks annihilate the form")
-    require(all(x > 0 for x in lensq[1:]), "roots on vertices 1..n have positive length")
-    # the form on vertices 1..n is diag(lensq / 2) times the Cartan block, so
+    half = diag._half_lengths
+    require(all(a[i][j] * half[i] == a[j][i] * half[j] for i, j in bonds), "form is symmetric")
+    require(all(x > 0 for x in half[1:]), "roots on vertices 1..n have positive length")
+    # the form on vertices 1..n is diag(half) times the Cartan block, so
     # with positive lengths it is positive definite exactly when the block's
     # pivots are all positive; dropping vertex 0 suffices since the radical
     # is spanned by the marks, all nonzero.  The elimination is kept: every

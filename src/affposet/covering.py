@@ -88,16 +88,15 @@ def _unique_short_vertex(diagram: AffineDiagram, vertices):
 def _bond_pair(diagram: AffineDiagram, k: int):
     """The (short, long) ends of the first bond whose Cartan entry is -k, or
     None.  An entry a[i][j] = -k < -1 means vertex i is the short end."""
-    a = diagram.cartan
-    bonds = ((i, j) for i in diagram.vertices for j in diagram.vertices if a[i][j] == -k)
+    a, adjacent = diagram.cartan, diagram.adjacency
+    bonds = ((i, j) for i in diagram.vertices for j in adjacent[i] if a[i][j] == -k)
     return next(bonds, None)
 
 
 @functools.lru_cache(maxsize=None)
 def _delta_cases(diagram: AffineDiagram) -> dict:
     """The labels of each weight that covers its translate by minus delta,
-    mapped to its case tag; a special vertex that is also the only short one
-    keeps tag f."""
+    mapped to its case tag."""
 
     def unit(*ones):
         return tuple(int(j in ones) for j in diagram.vertices)
@@ -105,7 +104,7 @@ def _delta_cases(diagram: AffineDiagram) -> dict:
     cases = {unit(i): "f" for i in special_vertices(diagram)}
     short = _unique_short_vertex(diagram, diagram.vertices)
     if short is not None and _bond_pair(diagram, 3) is None:
-        cases.setdefault(unit(short), "g")
+        cases[unit(short)] = "g"
     tid = diagram.type_id
     if tid.family == "D" and tid.twist == 2:
         cases[unit(0, diagram.n)] = "h"

@@ -194,7 +194,7 @@ def _delta_interval(lam):
     """
     diagram = lam.diagram
     a, adjacent = diagram.cartan, diagram.adjacency
-    last = [max(k for k in diagram.vertices if a[j][k]) for j in diagram.vertices]
+    last = [max((j,) + adjacent[j]) for j in diagram.vertices]
     settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
     found = []
     stack = [(0, frozenset(), lam.labels)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 
 from . import _LAZY
@@ -63,10 +64,11 @@ def delta_root(diagram: AffineDiagram) -> RootVector:
 
 
 def coroot_pairing(root: RootVector, j: int) -> int:
-    """Value of the vector on the j-th simple coroot."""
+    """Value of the vector on the j-th simple coroot: row j of the Cartan
+    matrix is nonzero only at j and its neighbours."""
     _check_vertex(root.diagram, j)
-    row = root.diagram.cartan[j]
-    return sum(row[i] * c for i, c in enumerate(root.coeffs))
+    row, c = root.diagram.cartan[j], root.coeffs
+    return sum(row[i] * c[i] for i in (j,) + root.diagram.adjacency[j])
 
 
 def simple_reflection(root: RootVector, j: int) -> RootVector:
@@ -77,17 +79,13 @@ def simple_reflection(root: RootVector, j: int) -> RootVector:
 
 
 def sym_length_sq(root: RootVector) -> Fraction:
-    """Squared length under the normalized invariant form."""
-    b = root.diagram.sym_form
-    c = root.coeffs
-    total = Fraction(0)
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(c):
-            if cj:
-                total += ci * cj * b[i][j]
-    return total
+    """Squared length under the normalized invariant form: the sum of
+    c_v (beta, alpha_v^vee) |alpha_v|^2 / 2, in the diagram's integer length
+    units over the lcm of the marks."""
+    diagram, c = root.diagram, root.coeffs
+    half = diagram._half_lengths
+    total = sum(c[v] * half[v] * coroot_pairing(root, v) for v in diagram.vertices if c[v])
+    return Fraction(total, math.lcm(*diagram.marks))
 
 
 @functools.lru_cache(maxsize=None)

@@ -236,7 +236,10 @@ def _integer_form(diagram):
     # the symmetric form times lcm(marks) has integer entries; a common
     # scale leaves every coroot value and every pairing ratio unchanged
     scale = math.lcm(*diagram.marks)
-    form = [[x * scale for x in row] for row in diagram.sym_form]
+    form = [
+        [x * length * scale / 2 for x in row]
+        for row, length in zip(diagram.cartan, diagram.root_length_sq)
+    ]
     assert all(x.denominator == 1 for row in form for x in row)
     return tuple(tuple(int(x) for x in row) for row in form)
 

@@ -22,7 +22,7 @@ from affposet.cartan import (
     parse_type_id,
     special_vertices,
 )
-from affposet.roots import delta_root
+from affposet.roots import delta_root, sym_length_sq
 from affposet.weights import (
     _scaled_coeffs,
     difference,
@@ -72,6 +72,16 @@ def test_finite_type_normalizes_c2():
     assert str(FiniteType("C", 2)) == "B2"
 
 
+def test_finite_type_rejects_a_family_or_rank_it_cannot_name():
+    for family in ("", "AB", "BC", "H", "a", "ABCDEFG"):
+        with pytest.raises(ValueError):
+            FiniteType(family, 2)
+    for rank in (True, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError):
+            FiniteType("A", rank)
+    assert str(FiniteType("A", 2)) == "A2"
+
+
 def test_marks_and_comarks_annihilate_cartan():
     for name in ALL_TYPES:
         d = build_affine(parse_type_id(name))
@@ -86,16 +96,18 @@ def test_marks_and_comarks_annihilate_cartan():
 
 
 def test_symmetrized_form_consistency():
+    # the invariant form b_ij = a_ij |alpha_i|^2 / 2, built here from the
+    # tables; the diagram keeps its lengths only as integers
     for name in ALL_TYPES:
         d = build_affine(parse_type_id(name))
-        n = d.n
-        for i in range(n + 1):
-            assert d.sym_form[i][i] == d.root_length_sq[i]
-            for j in range(n + 1):
-                assert d.sym_form[i][j] == d.sym_form[j][i]
-                assert d.sym_form[i][j] == d.cartan[i][j] * d.root_length_sq[i] / 2
-        for i in range(n + 1):
-            assert sum(d.sym_form[i][j] * d.marks[j] for j in range(n + 1)) == 0
+        assert not hasattr(d, "sym_form")
+        scale = math.lcm(*d.marks)
+        b = [[x * length / 2 for x in row] for row, length in zip(d.cartan, d.root_length_sq)]
+        for i in d.vertices:
+            assert b[i][i] == d.root_length_sq[i] == Fraction(2 * d._half_lengths[i], scale)
+            for j in d.vertices:
+                assert b[i][j] == b[j][i]
+            assert sum(b[i][j] * d.marks[j] for j in d.vertices) == 0
 
 
 def test_known_tables():
@@ -493,8 +505,10 @@ def test_cold_queries_build_neither_adjugate_nor_form(monkeypatch):
     monkeypatch.setattr(cartan, "_eliminate", refuse)
     rho = weight_from_labels(d, [1] * 54)
     assert dominance_leq(weight_from_labels(d, [1] * 54, -1), rho)
-    assert "sym_form" not in vars(d)
-    assert d.sym_form[0][1] == -1 and "sym_form" in vars(d)
+    built = set(vars(d))
+    assert sym_length_sq(delta_root(d)) == 0 and set(vars(d)) == built
+    with pytest.raises(AttributeError):
+        d.sym_form
 
 
 def test_finite_type_check_survives_optimized_mode():

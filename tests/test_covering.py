@@ -7,7 +7,9 @@ from operator import add, mul, sub
 
 import pytest
 
+import affposet.cartan as cartan
 import affposet.covering as covering
+import affposet.roots as roots
 from affposet.cartan import (
     AffineTypeId,
     _rank_is_valid,
@@ -27,11 +29,13 @@ from affposet.covering import (
     is_delta_cocover,
 )
 from affposet.oracle import _dominant_repair, brute_bounds, brute_cocovers
+from affposet.poset import basic_cell, interval
 from affposet.roots import (
     CoverKind,
     RootVector,
     cover_root_set,
     highest_short_root,
+    is_real_root,
     simple_root,
     sym_length_sq,
 )
@@ -39,6 +43,7 @@ from affposet.weights import (
     Weight,
     add_root,
     delta_shift,
+    dominance_leq,
     fundamental_weight,
     join,
     labels,
@@ -534,6 +539,73 @@ def test_special_vertices_match_the_definition():
     for tid in ids:
         d = build_affine(tid)
         assert special_vertices(d) == _special_by_definition(d), str(tid)
+
+
+def test_no_special_vertex_is_the_only_short_one():
+    # case g needs a unique shortest vertex and case f at least two shortest
+    # ones, so no delta pattern could carry both tags
+    ids = _type_ids(40)
+    assert len(ids) == 237
+    tagged_g = 0
+    for tid in ids:
+        d = build_affine(tid)
+        if covering._unique_short_vertex(d, d.vertices) is not None:
+            assert special_vertices(d) == (), str(tid)
+        tagged_g += "g" in covering._delta_cases(d).values()
+    assert tagged_g == 59
+
+
+class _NoScan(tuple):
+    """A Cartan row that may be indexed but not iterated or searched."""
+
+    def __iter__(self):
+        raise AssertionError("a dense Cartan row was scanned")
+
+    def __contains__(self, value):
+        raise AssertionError("a dense Cartan row was searched")
+
+
+_QUERY_CACHES = (
+    roots._highest_short_root_cached, roots.cover_root_set, roots.cover_root_lookup,
+    covering._delta_cases, covering._support_step, covering._fixed_steps,
+    covering._cocover_table,
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["G2-1", "A2-2", "D4-3", "B5-1", "C4-1", "E6-2", "A5-2", "A3-1"]
+)
+def test_queries_read_cartan_rows_only_at_bonds(name):
+    # a fresh diagram, equal to the cached one, whose rows refuse a scan once
+    # the build has read them; the caches keyed by diagram are emptied so
+    # that every query runs on it
+    d = cartan._build_cached.__wrapped__(parse_type_id(name))
+    object.__setattr__(d, "cartan", tuple(map(_NoScan, d.cartan)))
+    for cache in _QUERY_CACHES:
+        cache.cache_clear()
+    try:
+        special_vertices(d)
+        for cand in cover_root_set(d):
+            sym_length_sq(cand.root)
+            assert is_real_root(cand.root) is (cand.kind is not CoverKind.DELTA)
+            if len(cand.root.support()) <= d.n:
+                classify_finite(d, cand.root.support())
+        lam = weight_from_labels(d, [1] * (d.n + 1))
+        is_delta_cocover(lam)
+        assert covers(lam)
+        lowers = [e.lower for e in cocovers(lam) if e.kind is not CoverKind.DELTA]
+        assert lowers
+        for mu, mu2 in itertools.combinations(lowers, 2):
+            low, high = meet(mu, mu2), join(mu, mu2)
+            assert dominance_leq(low, mu) and dominance_leq(mu2, high)
+            is_delta_cocover(low)
+            if d.type_id.family == "A" and d.type_id.twist == 1:
+                basic_cell(lam, mu, mu2)
+        graph = interval(lam, weight_from_labels(d, lam.labels, -1))
+        assert len(graph.nodes) > len(lowers)
+    finally:
+        for cache in _QUERY_CACHES:
+            cache.cache_clear()
 
 
 def test_cocover_keys_hold_one_or_two_labels():

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -105,6 +106,47 @@ def test_sym_length_sq():
     assert sym_length_sq(delta_root(g2)) == 0
     a22 = D("A2-2")
     assert sym_length_sq(RootVector(a22, (1, 1))) == 1
+    # the highest root of the path on vertices 1..1000: linear in the rank
+    assert sym_length_sq(RootVector(D("A1000-1"), (0,) + (1,) * 1000)) == 2
+
+
+REFERENCE_TYPES = list(dict.fromkeys(
+    ALL_TYPES
+    + ["E6-1", "E7-1", "E8-1", "A9-2", "A10-2", "D8-2", "E6-2"]
+    + [f"{f}{n}-1" for f, low in (("A", 1), ("B", 3), ("C", 2), ("D", 4)) for n in range(low, 13)]
+))
+
+
+def _row_sums(rows, c):
+    return [sum(map(operator.mul, row, c)) for row in rows]
+
+
+def _integer_form(d):
+    """The form b_ij = a_ij |alpha_i|^2 / 2, built in Fractions from the
+    tables, as integers over its entries' common denominator."""
+    form = [[x * length / 2 for x in row] for row, length in zip(d.cartan, d.root_length_sq)]
+    den = math.lcm(*(x.denominator for row in form for x in row))
+    return [[int(x * den) for x in row] for row in form], den
+
+
+def test_pairing_and_length_match_dense_references():
+    # every cover root plus 150 random vectors per type, each checked
+    # against whole Cartan rows and a dense form built from the tables
+    checked = 0
+    for name in REFERENCE_TYPES:
+        d = D(name)
+        rng = random.Random(name)
+        form, den = _integer_form(d)
+        vectors = [cand.root.coeffs for cand in cover_root_set(d)] + [
+            tuple(rng.randint(-3, 3) for _ in d.vertices) for _ in range(150)
+        ]
+        for c in vectors:
+            root = RootVector(d, c)
+            assert [coroot_pairing(root, j) for j in d.vertices] == _row_sums(d.cartan, c), c
+            image = _row_sums(form, c)
+            assert sym_length_sq(root) == Fraction(sum(map(operator.mul, c, image)), den), c
+        checked += len(vectors)
+    assert checked >= 10000
 
 
 def test_highest_short_root_frozen():
