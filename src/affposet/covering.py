@@ -23,7 +23,8 @@ lower weight.  The tests are labelled with short case tags:
 from __future__ import annotations
 
 import functools
-from itertools import compress, product
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import _LAZY
@@ -93,55 +94,53 @@ def _bond_pair(diagram: AffineDiagram, k: int):
     return next(bonds, None)
 
 
+def _pattern(labs: tuple, vertices) -> tuple:
+    """The nonzero labels at the sorted vertices, as (vertex, label) pairs."""
+    return tuple(filter(itemgetter(1), zip(vertices, map(labs.__getitem__, vertices))))
+
+
 @functools.lru_cache(maxsize=None)
 def _delta_cases(diagram: AffineDiagram) -> dict:
-    """The labels of each weight that covers its translate by minus delta,
-    mapped to its case tag."""
-
-    def unit(*ones):
-        return tuple(int(j in ones) for j in diagram.vertices)
-
-    cases = {unit(i): "f" for i in special_vertices(diagram)}
+    """The nonzero labels, as (vertex, label) pairs by vertex, of each weight
+    that covers its translate by minus delta, mapped to its case tag."""
+    cases = {((i, 1),): "f" for i in special_vertices(diagram)}
     short = _unique_short_vertex(diagram, diagram.vertices)
     if short is not None and _bond_pair(diagram, 3) is None:
-        cases[unit(short)] = "g"
+        cases[((short, 1),)] = "g"
     tid = diagram.type_id
     if tid.family == "D" and tid.twist == 2:
-        cases[unit(0, diagram.n)] = "h"
+        cases[((0, 1), (diagram.n, 1))] = "h"
     if str(tid) == "A1-1":
-        cases[(1, 1)] = "i"
+        cases[((0, 1), (1, 1))] = "i"
     return cases
 
 
 def is_delta_cocover(weight: Weight) -> bool:
     """Whether the weight covers its translate by minus delta."""
-    return _require_dominant_positive(weight) in _delta_cases(weight.diagram)
+    labs = _require_dominant_positive(weight)
+    return tuple(filter(itemgetter(1), enumerate(labs))) in _delta_cases(weight.diagram)
 
 
-def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
-    """The case tests of a cover candidate on its sorted support.
+def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> dict | None:
+    """The case test of a cover candidate on its sorted support, or None for
+    a simple root, whose drop is a cover whenever the result is dominant.
 
-    A rule (tag, zeros, pins) applies when the lower weight has label zero
-    at each vertex of zeros and an allowed label at each pinned vertex
-    (vertex, allowed); the first rule that applies gives the case.
+    The test maps each accepted pattern of the lower weight, its nonzero
+    labels on the support as (vertex, label) pairs by vertex, to the case.
     """
     if kind is CoverKind.SIMPLE:
-        return (("a", (), ()),)
+        return None
     if kind is CoverKind.DELTA:
-        # delta changes no label, so each pattern pins label one where it
-        # is one and zero elsewhere on the lower weight as on the upper
-        return tuple(
-            (tag, tuple(v for v in supp if not labs[v]), tuple((v, (1,)) for v in supp if labs[v]))
-            for labs, tag in _delta_cases(diagram).items()
-        )
+        # delta changes no label, so the lower patterns are the upper ones
+        return _delta_cases(diagram)
     if kind is CoverKind.SHORT:
-        rules = [("b", supp, ())]
+        rules = {(): "b"}
         # a support of type B has exactly one short vertex; testing that
         # first spares classifying every other support
         short = _unique_short_vertex(diagram, supp)
         if short is not None and classify_finite(diagram, supp).family == "B":
-            rules.append(("c", tuple(j for j in supp if j != short), ((short, (1,)),)))
-        return tuple(rules)
+            rules[((short, 1),)] = "c"
+        return rules
     quad = _bond_pair(diagram, 4)
     short, long_ = quad or _bond_pair(diagram, 3)
     if quad:
@@ -151,12 +150,13 @@ def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> tuple:
     else:
         # the triple bond pair, or all three simple roots of G2-1
         tag, window = ("d" if set(supp) == {short, long_} else "e"), (1, 2)
-    return ((tag, tuple(j for j in supp if j != short), ((short, window),)),)
+    return {((short, x),): tag for x in window}
 
 
 class CoverPatternError(RuntimeError):
-    """A case rule leaves labels on its root's support free, or fixes other
-    than one or two nonzero upper labels there, so no cocover lookup reads it."""
+    """A cover step besides a simple root has no case test, or a pattern it
+    accepts gives other than one or two nonzero upper labels on its root's
+    support, so no cocover lookup reads it."""
 
 
 class _Step(NamedTuple):
@@ -166,12 +166,12 @@ class _Step(NamedTuple):
     cand: CoverCandidate
     supp: tuple  # the support of the root, sorted
     change: tuple  # (vertex, value) over the nonzero entries of A times the root
-    rules: tuple  # the case tests of _case_rules
+    rules: dict  # the case test of _case_rules, None for a simple root
 
 
 def _step(diagram: AffineDiagram, cand: CoverCandidate) -> _Step:
     """The step of a cover candidate: its label change is A times the root,
-    and its rules are those of its kind on its support."""
+    and its case test is that of its kind on its support."""
     coeffs = cand.root.coeffs
     supp = tuple(compress(diagram.vertices, coeffs))
     column = _add_columns(diagram, [0] * len(coeffs), coeffs)
@@ -195,13 +195,13 @@ def _fixed_steps(diagram: AffineDiagram) -> tuple:
 def _cocover_table(diagram: AffineDiagram) -> dict:
     """The cocover steps of the diagram keyed by the upper labels they fix.
 
-    A case rule fixes the lower labels on the root's support, so it fixes
-    the upper ones there too: lower plus A times the root.  The key holds
-    the nonzero ones as (vertex, label) pairs by vertex, and each entry
-    (step, rest, case) is a cocover of every dominant weight with those
-    labels and label zero on rest, the rest of the support: outside it the
-    lower labels are the upper ones less a nonpositive change.  Simple
-    roots, whose rule fixes no label, are left out.
+    A case test fixes the lower labels on the root's support, so each
+    accepted pattern fixes the upper ones there too: the pattern plus A
+    times the root.  The key holds the nonzero ones as (vertex, label) pairs
+    by vertex, and each entry (step, rest, case) is a cocover of every
+    dominant weight with those labels and label zero on rest, the rest of
+    the support: outside it the lower labels are the upper ones less a
+    nonpositive change.  Simple roots, which have no test, are left out.
     """
     short = [
         _support_step(diagram, tuple(sorted(subset)))
@@ -211,19 +211,20 @@ def _cocover_table(diagram: AffineDiagram) -> dict:
     table = {}
     for step in short + list(_fixed_steps(diagram)):
         cand, supp = step.cand, step.supp
+        if step.rules is None:
+            raise CoverPatternError(f"{diagram}: {cand.root} has no case test")
         inside = [(v, x) for v, x in step.change if cand.root.coeffs[v]]
-        for tag, zeros, pins in step.rules:
-            for values in product(*(allowed for _, allowed in pins)):
-                upper = dict(inside)
-                for (v, _), x in zip(pins, values):
-                    upper[v] = upper.get(v, 0) + x
-                key = tuple(sorted((v, x) for v, x in upper.items() if x))
-                if len(zeros) + len(pins) != len(supp) or not 0 < len(key) <= 2:
-                    raise CoverPatternError(f"{diagram}: case {tag} of {cand.root} keys {key}")
-                rest = list(supp)
-                for v, _ in key:
-                    rest.remove(v)
-                table.setdefault(key, []).append((step, tuple(rest), tag))
+        for pattern, tag in step.rules.items():
+            upper = dict(inside)
+            for v, x in pattern:
+                upper[v] = upper.get(v, 0) + x
+            key = tuple(sorted((v, x) for v, x in upper.items() if x))
+            if not 0 < len(key) <= 2:
+                raise CoverPatternError(f"{diagram}: case {tag} of {cand.root} keys {key}")
+            rest = list(supp)
+            for v, _ in key:
+                rest.remove(v)
+            table.setdefault(key, []).append((step, tuple(rest), tag))
     return table
 
 
@@ -272,12 +273,9 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     found = []
     for step in [_support_step(diagram, supp) for supp in supports] + list(_fixed_steps(diagram)):
         if all(labs[v] + x >= 0 for v, x in step.change):
-            for tag, zeros, pins in step.rules:
-                if not any(map(labs.__getitem__, zeros)) and all(
-                    labs[v] in allowed for v, allowed in pins
-                ):
-                    found.append((step, tag))
-                    break
+            tag = "a" if step.rules is None else step.rules.get(_pattern(labs, step.supp))
+            if tag is not None:
+                found.append((step, tag))
     return found
 
 

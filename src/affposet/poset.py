@@ -85,15 +85,15 @@ class Cell(_Value):
 _MAX_NODES = 100000
 
 
-def interval(top: Weight, bottom: Weight, max_nodes: int = _MAX_NODES) -> PosetGraph:
+def interval(top: Weight, bottom: Weight) -> PosetGraph:
     """Hasse diagram of every dominant weight between bottom and top."""
     start = _dominance_gap(bottom, top)
     if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")
-    return _graph(top, *_walk(top, start, max_nodes))
+    return _graph(top, *_walk(top, start))
 
 
-def _walk(top: Weight, start: tuple, max_nodes: int) -> tuple:
+def _walk(top: Weight, start: tuple) -> tuple:
     """The labels of each node of the interval from top - start to top, and
     its arcs (upper, lower, candidate, case), on integer state.
 
@@ -127,8 +127,8 @@ def _walk(top: Weight, start: tuple, max_nodes: int) -> tuple:
                     if below not in labels:
                         labels[below] = across
                         nxt.append(below)
-                        if len(labels) > max_nodes:
-                            raise IntervalTooLargeError(f"interval exceeds {max_nodes} nodes")
+                        if len(labels) > _MAX_NODES:
+                            raise IntervalTooLargeError(f"interval exceeds {_MAX_NODES} nodes")
                     arcs.append((gap, below, step.cand, case))
         frontier = nxt
     return labels, arcs
@@ -290,7 +290,7 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     edge_a, edge_b = by_lower[mu], by_lower[mu2]
     nodes, pairs, shape, case = _predict(lam, edge_a, edge_b)
     # lam minus the meet is the larger of the two roots at each vertex
-    labels, arcs = _walk(lam, tuple(map(max, edge_a.root.coeffs, edge_b.root.coeffs)), _MAX_NODES)
+    labels, arcs = _walk(lam, tuple(map(max, edge_a.root.coeffs, edge_b.root.coeffs)))
     actual_pairs = {(upper, lower) for upper, lower, _, _ in arcs}
     if nodes != labels.keys() or pairs != actual_pairs:
 

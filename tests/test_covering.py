@@ -461,7 +461,10 @@ def _dense_delta_table(diagram):
 @pytest.mark.parametrize("name", DENSE_SCAN_TYPES)
 def test_indexed_covers_match_dense_scan(name):
     d = D(name)
-    assert covering._delta_cases(d) == _dense_delta_table(d)
+    dense_delta = _dense_delta_table(d)
+    assert covering._delta_cases(d) == {
+        tuple((v, x) for v, x in enumerate(labs) if x): case for labs, case in dense_delta.items()
+    }
     # every table entry is a dense step, and the weight with the entry's
     # labels on the support and zero elsewhere drops along it with its case
     dense = dict(_dense_steps(d))
@@ -487,12 +490,12 @@ def test_indexed_covers_match_dense_scan(name):
         cand
         for cand in dense
         if cand.kind is not CoverKind.SIMPLE
-        and (cand.kind is not CoverKind.DELTA or _dense_delta_table(d))
+        and (cand.kind is not CoverKind.DELTA or dense_delta)
     }
     rng = random.Random(name)
     samples = 4 if d.n > 20 else 15
     pool = [fundamental_weight(d, j) for j in d.vertices]
-    pool += [weight_from_labels(d, labs) for labs in covering._delta_cases(d)]
+    pool += [weight_from_labels(d, labs) for labs in dense_delta]
     # long runs of zeros on both sides of two labels
     pool.append(weight_from_labels(d, [int(j in (0, d.n // 2)) for j in d.vertices]))
     if name == "A4-2":
@@ -642,17 +645,44 @@ def test_cocover_keys_hold_one_or_two_labels():
 
 
 def test_a_rule_that_fixes_no_labels_is_refused(monkeypatch):
-    # a short root whose rule leaves its support free, as a simple root's does
-    monkeypatch.setattr(covering, "_case_rules", lambda diagram, kind, supp: (("b", (), ()),))
+    refusals = [
+        # a short root with no case test, as a simple root has
+        (None, r"A3-1: \(0,0,1,1\) has no case test"),
+        # delta's upper labels are its lower ones, so an empty pattern keys
+        # no label; the short roots of A3-1 key their two ends and pass
+        ({(): "b"}, r"A3-1: case b of \(1,1,1,1\) keys \(\)$"),
+        # three lower labels besides a short root's two ends
+        (
+            {((0, 1), (1, 1), (2, 1)): "b"},
+            r"A3-1: case b of \(0,0,1,1\) keys \(\(0, 1\), \(1, 1\), \(2, 2\), \(3, 1\)\)$",
+        ),
+    ]
     caches = (covering._support_step, covering._fixed_steps, covering._cocover_table)
-    for cache in caches:
-        cache.cache_clear()
     try:
-        with pytest.raises(covering.CoverPatternError, match="A3-1: case b of"):
-            covering._cocover_table(D("A3-1"))
+        for rules, message in refusals:
+            monkeypatch.setattr(covering, "_case_rules", lambda diagram, kind, supp: rules)
+            for cache in caches:
+                cache.cache_clear()
+            with pytest.raises(covering.CoverPatternError, match=message):
+                covering._cocover_table(D("A3-1"))
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_delta_patterns_stay_sparse_at_rank_1000():
+    # every vertex of A1000-1 is special, and each delta pattern is the one
+    # label one of a fundamental weight
+    d = D("A1000-1")
+    cases = covering._delta_cases(d)
+    assert cases == {((v, 1),): "f" for v in d.vertices}
+    (delta,) = [s for s in covering._fixed_steps(d) if s.cand.kind is CoverKind.DELTA]
+    assert delta.rules is cases
+    lam0 = fundamental_weight(d, 0)
+    assert [(e.kind, e.case, e.upper) for e in covers(lam0)] == [
+        (CoverKind.DELTA, "f", weight_from_labels(d, lam0.labels, 1))
+    ]
+    assert is_delta_cocover(lam0)
 
 
 def test_covers_build_no_candidate_set():

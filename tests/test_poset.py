@@ -100,8 +100,8 @@ def test_interval_trivial_and_errors():
     assert len(g.nodes) == 1 and len(g.edges) == 0
     with pytest.raises(IncomparableError):
         interval(W("A2-1", (1, 3, 0), -1), W("A2-1", (1, 0, 3)))
-    with pytest.raises(ValueError):
-        interval(W("A2-1", (2, 1, 1)), top, max_nodes=1)
+    with pytest.raises(IncomparableError):
+        interval(W("A2-1", (2, 1, 1)), top)
 
 
 @pytest.mark.parametrize("labs", [(-1, 0, 0), (0, 0, 0)])
@@ -117,11 +117,16 @@ def test_interval_of_one_weight_checks_it(labs):
     assert errors[0] == errors[1]
 
 
-def test_interval_too_large_is_a_named_error():
+def test_interval_too_large_is_a_named_error(monkeypatch):
     top, bottom = W("A3-1", (0, 2, 1, 1)), W("A3-1", (2, 1, 1, 0))
+    monkeypatch.setattr(poset, "_MAX_NODES", 3)
     with pytest.raises(IntervalTooLargeError, match="exceeds 3 nodes"):
-        interval(top, bottom, max_nodes=3)
-    assert len(interval(top, bottom, max_nodes=5).nodes) == 5
+        interval(top, bottom)
+    monkeypatch.setattr(poset, "_MAX_NODES", 5)
+    assert len(interval(top, bottom).nodes) == 5
+    # the bound is the module's, not the caller's
+    with pytest.raises(TypeError):
+        interval(top, bottom, max_nodes=5)
 
 
 def _edge_tested_interval(top, bottom):
