@@ -1,10 +1,11 @@
 """Catalog of affine Dynkin diagrams.
 
 A diagram with vertex set {0, .., n} is stored as its generalized Cartan
-matrix together with the marks (coefficients of the basic imaginary root
-delta) and comarks (coefficients of the central element).  Entry
-``cartan[i][j]`` is the value of the j-th simple root on the i-th simple
-coroot, so each row records one coroot's view of all simple roots.
+matrix, marks (coefficients of the basic imaginary root delta) and comarks
+(coefficients of the central element).  Entry a[i][j] is the value of the
+j-th simple root on the i-th simple coroot; column j is nonzero only at j
+and its neighbours, and ``columns[j]`` holds just those pairs (i, a[i][j]),
+ascending.  The dense rows ``cartan`` are built only when read.
 
 For the twisted families the vertex count n + 1 is smaller than the series
 rank that appears in the type name (for instance A5-2 has four vertices).
@@ -183,10 +184,10 @@ class AffineDiagram(_Value):
     exclusively by :func:`build_affine`, so equal ids mean equal tables.
     """
 
-    _fields = ("type_id", "n", "cartan", "marks", "comarks", "root_length_sq")
+    _fields = ("type_id", "n", "columns", "marks", "comarks", "root_length_sq")
 
-    def __init__(self, type_id, n, cartan, marks, comarks, root_length_sq) -> None:
-        for name, value in zip(self._fields, (type_id, n, cartan, marks, comarks, root_length_sq)):
+    def __init__(self, type_id, n, columns, marks, comarks, root_length_sq) -> None:
+        for name, value in zip(self._fields, (type_id, n, columns, marks, comarks, root_length_sq)):
             _set(self, name, value)
 
     def _key(self) -> tuple:
@@ -198,9 +199,14 @@ class AffineDiagram(_Value):
 
     @functools.cached_property
     def adjacency(self) -> tuple:
-        """The neighbours of each vertex, read off the Cartan rows once."""
-        rows = enumerate(self.cartan)
-        return tuple(tuple(j for j, x in enumerate(row) if x and j != i) for i, row in rows)
+        """The neighbours of each vertex, ascending, read off its column once."""
+        return tuple(tuple(w for w, _ in col if w != v) for v, col in enumerate(self.columns))
+
+    @functools.cached_property
+    def cartan(self) -> tuple:
+        """The dense Cartan rows, built from the columns on first read."""
+        columns = [dict(column) for column in self.columns]
+        return tuple(tuple(column.get(i, 0) for column in columns) for i in self.vertices)
 
     @functools.cached_property
     def _half_lengths(self) -> tuple:
@@ -262,7 +268,7 @@ _EXCEPTIONAL = {
 
 
 def _tables(tid: AffineTypeId):
-    """Cartan rows, marks and comarks for one type id.
+    """Cartan columns, marks and comarks for one type id.
 
     A_{2l-1}^(2), D_{l+1}^(2), E6^(2) and D4^(3) are the transposes of
     B_l^(1), C_l^(1), F4^(1) and G2^(1), with marks and comarks swapped
@@ -270,7 +276,7 @@ def _tables(tid: AffineTypeId):
     """
     fam, r, tw = tid.family, tid.rank, tid.twist
     if tw == 1 and r == 1:
-        return [[2, -2], [-2, 2]], [1, 1], [1, 1]
+        return (((0, 2), (1, -2)), ((0, -2), (1, 2))), [1, 1], [1, 1]
     if tw == 1:
         bonds, marks, comarks = _untwisted(fam, r)
     elif fam == "A" and r % 2 == 0:
@@ -283,14 +289,14 @@ def _tables(tid: AffineTypeId):
         bonds, comarks, marks = _untwisted(*(partners[fam] if tw == 2 else ("G", 2)))
         # reversing every bond transposes the Cartan matrix
         bonds = [(j, i, *k) for i, j, *k in bonds]
-    num = len(marks)
-    a = [[2 if i == j else 0 for j in range(num)] for i in range(num)]
+    columns = [[(v, 2)] for v in range(len(marks))]
     for i, j, *k in bonds:
-        a[i][j], a[j][i] = -(k[0] if k else 1), -1
-    return a, list(marks), list(comarks or marks)
+        columns[j].append((i, -(k[0] if k else 1)))
+        columns[i].append((j, -1))
+    return tuple(tuple(sorted(c)) for c in columns), list(marks), list(comarks or marks)
 
 
-def _eliminate(cartan, adjacency):
+def _eliminate(columns):
     """Leaf-first integer elimination of the Cartan block on vertices 1..n.
 
     On a tree, removing a leaf changes only the diagonal entry of its one
@@ -310,20 +316,21 @@ def _eliminate(cartan, adjacency):
     in reverse, and the determinant.  A root of the forest has parent 0 and
     zero coefficients.
     """
-    num = len(cartan)
-    top = [x[i] for i, x in enumerate(cartan)]  # D_v over the children so far
+    num = len(columns)
+    a = {(i, j): x for j, column in enumerate(columns) for i, x in column}
+    top = [a.get((v, v), 0) for v in range(num)]  # D_v over the children so far
     prod = [1] * num  # P_v over the children so far
     parent = [0] * num
-    degree = [sum(1 for w in adjacency[v] if w) for v in range(num)]
+    degree = [sum(1 for w, _ in col if w and w != v) for v, col in enumerate(columns)]
     order = [v for v in range(1, num) if degree[v] <= 1]
     for v in order:  # grows as vertices become leaves
         if top[v] <= 0:
             return f"pivot at vertex {v} is {Fraction(top[v], prod[v])}"
         degree[v] = -1
-        for u in adjacency[v]:
+        for u, _ in columns[v]:
             if u and degree[u] > 0:
                 parent[v] = u
-                top[u] = top[u] * top[v] - cartan[u][v] * cartan[v][u] * prod[v] * prod[u]
+                top[u] = top[u] * top[v] - a[u, v] * a[v, u] * prod[v] * prod[u]
                 prod[u] *= top[v]
                 degree[u] -= 1
                 if degree[u] == 1:
@@ -334,8 +341,8 @@ def _eliminate(cartan, adjacency):
     forward, backward = [], []
     for v in order:
         p = parent[v]
-        forward.append((v, p, prod[v], p and cartan[p][v] * prod[p] // top[v]))
-        backward.append((v, p, p and cartan[v][p] * prod[v], top[v]))
+        forward.append((v, p, prod[v], p and a[p, v] * prod[p] // top[v]))
+        backward.append((v, p, p and a[v, p] * prod[v], top[v]))
     return tuple(forward), tuple(reversed(backward)), det
 
 
@@ -343,58 +350,55 @@ def _validate(diag: AffineDiagram) -> None:
     """Raise ValueError naming the first check the tables of diag fail, and
     keep the elimination of its Cartan block as ``diag._elimination``.
 
-    Past the squareness and diagonal checks every test reads only the
-    nonzero entries, one per bond.  Row i of the form b_ij = a_ij comark_i /
-    mark_i is row i of the Cartan matrix times ``_half_lengths[i]`` over the
-    lcm of the marks, so only its symmetry needs a check of its own.
+    Every test reads only the nonzero entries, one per bond and one per
+    vertex.  Row i of the form b_ij = a_ij comark_i / mark_i is row i of the
+    Cartan matrix times ``_half_lengths[i]`` over the lcm of the marks, so
+    only its symmetry needs a check of its own.
     """
     num = diag.n + 1
-    a, adjacent = diag.cartan, diag.adjacency
-    row_entries = [(i,) + adjacent[i] for i in range(num)]
-    bonds = [(i, j) for i in range(num) for j in adjacent[i]]
+    a = {(i, j): x for j, column in enumerate(diag.columns) for i, x in column}
+    bonds = [(i, j) for i, j in a if i != j]
 
     def require(ok: bool, what: str) -> None:
         if not ok:
             raise ValueError(f"{diag.type_id}: check failed: {what}")
 
-    def kills(entry, vector) -> bool:
-        return all(
-            sum(entry(i, j) * vector[j] for j in row_entries[i]) == 0 for i in range(num)
-        )
+    def kills(entry, vec) -> bool:
+        return all(sum(entry(i, j) * vec[j] for j, _ in diag.columns[i]) == 0 for i in range(num))
 
-    require(all(len(row) == num for row in a), "Cartan matrix is square")
-    require(all(a[i][i] == 2 for i in range(num)), "diagonal entries are 2")
-    require(all(a[i][j] < 0 for i, j in bonds), "off-diagonal entries are nonpositive")
-    require(all(a[j][i] for i, j in bonds), "zero pattern is symmetric")
+    # as many columns as marks, and no entry in a row past the last column
+    require(len(diag.marks) == num and all(0 <= i < num for i, _ in a), "Cartan matrix is square")
+    require(all(a.get((i, i)) == 2 for i in range(num)), "diagonal entries are 2")
+    require(all(a[i, j] < 0 for i, j in bonds), "off-diagonal entries are nonpositive")
+    require(all((j, i) in a for i, j in bonds), "zero pattern is symmetric")
     require(diag.is_connected(diag.vertices), "diagram is connected")
-    require(kills(lambda i, j: a[i][j], diag.marks), "marks annihilate the Cartan rows")
-    require(kills(lambda i, j: a[j][i], diag.comarks), "comarks annihilate the Cartan columns")
-    require(diag.comarks[0] == 1, "comark of vertex 0 is 1")
+    require(kills(lambda i, j: a[i, j], diag.marks), "marks annihilate the Cartan rows")
+    require(kills(lambda i, j: a[j, i], diag.comarks), "comarks annihilate the Cartan columns")
     require(math.gcd(*diag.marks) == 1, "marks are coprime")
+    # before the comark of vertex 0, which once 1 would make them coprime
     require(math.gcd(*diag.comarks) == 1, "comarks are coprime")
+    require(diag.comarks[0] == 1, "comark of vertex 0 is 1")
     half = diag._half_lengths
-    require(all(a[i][j] * half[i] == a[j][i] * half[j] for i, j in bonds), "form is symmetric")
+    require(all(a[i, j] * half[i] == a[j, i] * half[j] for i, j in bonds), "form is symmetric")
     require(all(x > 0 for x in half[1:]), "roots on vertices 1..n have positive length")
     # the form on vertices 1..n is diag(half) times the Cartan block, so
     # with positive lengths it is positive definite exactly when the block's
     # pivots are all positive; dropping vertex 0 suffices since the radical
     # is spanned by the marks, all nonzero.  The elimination is kept: every
     # root coefficient of a weight is solved along it.
-    found = _eliminate(a, adjacent)
-    require(
-        not isinstance(found, str),
-        f"Cartan block on vertices 1..{diag.n} is of finite type ({found})",
-    )
+    found = _eliminate(diag.columns)
+    if isinstance(found, str):  # the message is built only on failure
+        require(False, f"Cartan block on vertices 1..{diag.n} is of finite type ({found})")
     _set(diag, "_elimination", found)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(tid: AffineTypeId) -> AffineDiagram:
-    rows, marks, comarks = _tables(tid)
+    columns, marks, comarks = _tables(tid)
     diag = AffineDiagram(
         type_id=tid,
-        n=len(rows) - 1,
-        cartan=tuple(map(tuple, rows)),
+        n=len(columns) - 1,
+        columns=columns,
         marks=tuple(marks),
         comarks=tuple(comarks),
         root_length_sq=tuple(Fraction(2 * c, m) for c, m in zip(comarks, marks)),
@@ -446,13 +450,13 @@ def classify_finite(diagram: AffineDiagram, vertices) -> FiniteType:
     its branch vertex.  A bond i - j with a[i][j] < -1 has its short end at i.
     """
     k = _proper_connected(diagram, vertices)
-    a, adjacent = diagram.cartan, diagram.adjacency
+    columns, adjacent = diagram.columns, diagram.adjacency
     inside = set(k)
     degree = {v: sum(1 for w in adjacent[v] if w in inside) for v in k}
-    multiple = [(i, j) for i in k for j in adjacent[i] if j in inside and a[i][j] < -1]
+    multiple = [(x, i, j) for j in k for i, x in columns[j] if i in inside and x < -1]
     if multiple:
-        short, long = multiple[0]
-        if a[short][long] == -3:
+        x, short, long = multiple[0]
+        if x == -3:
             return FiniteType("G", 2)
         if degree[short] == degree[long] == 2:
             return FiniteType("F", 4)

@@ -39,7 +39,6 @@ from .roots import (
 )
 from .weights import (
     Weight,
-    _add_columns,
     _dominance_gap,
     _json_object,
     _json_string,
@@ -89,8 +88,7 @@ def _unique_short_vertex(diagram: AffineDiagram, vertices):
 def _bond_pair(diagram: AffineDiagram, k: int):
     """The (short, long) ends of the first bond whose Cartan entry is -k, or
     None.  An entry a[i][j] = -k < -1 means vertex i is the short end."""
-    a, adjacent = diagram.cartan, diagram.adjacency
-    bonds = ((i, j) for i in diagram.vertices for j in adjacent[i] if a[i][j] == -k)
+    bonds = ((i, j) for j, column in enumerate(diagram.columns) for i, x in column if x == -k)
     return next(bonds, None)
 
 
@@ -118,7 +116,7 @@ def _delta_cases(diagram: AffineDiagram) -> dict:
 def is_delta_cocover(weight: Weight) -> bool:
     """Whether the weight covers its translate by minus delta."""
     labs = _require_dominant_positive(weight)
-    return tuple(filter(itemgetter(1), enumerate(labs))) in _delta_cases(weight.diagram)
+    return _pattern(labs, weight.diagram.vertices) in _delta_cases(weight.diagram)
 
 
 def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> dict | None:
@@ -171,11 +169,14 @@ class _Step(NamedTuple):
 
 def _step(diagram: AffineDiagram, cand: CoverCandidate) -> _Step:
     """The step of a cover candidate: its label change is A times the root,
-    and its case test is that of its kind on its support."""
-    coeffs = cand.root.coeffs
+    summed over the Cartan columns of its support, and its case test is that
+    of its kind on the support."""
+    coeffs, change = cand.root.coeffs, {}
     supp = tuple(compress(diagram.vertices, coeffs))
-    column = _add_columns(diagram, [0] * len(coeffs), coeffs)
-    change = tuple((v, x) for v, x in enumerate(column) if x)
+    for v in supp:
+        for w, x in diagram.columns[v]:
+            change[w] = change.get(w, 0) + coeffs[v] * x
+    change = tuple(sorted((w, x) for w, x in change.items() if x))
     return _Step((sum(coeffs), coeffs), cand, supp, change, _case_rules(diagram, cand.kind, supp))
 
 

@@ -103,22 +103,21 @@ def _plan(diagram: AffineDiagram, bounds: tuple, sign: int) -> tuple:
     each u in v's closed neighbourhood with sign * a[u][v], the change of
     u's label per unit of gamma_v.  ``rising`` and ``falling`` split it by
     sign, each entry with the change's size and u's slack: the most u's
-    label can still rise through the vertices after v.
+    label can still rise through the vertices after v.  The steps are built
+    last to first, so the slacks add up one column at a time.
     """
-    a, order = diagram.cartan, [0]
+    order = [0]
     for v in order:
         order.extend(w for w in diagram.adjacency[v] if w not in order)
-    plan = []
-    for k, v in enumerate(order):
-        column = tuple((u, sign * a[u][v]) for u in (v,) + diagram.adjacency[v])
-        slack = {
-            u: sum(max(0, sign * a[u][w]) * bounds[w] for w in order[k + 1:])
-            for u, _ in column
-        }
+    plan, slack = [], [0] * len(order)
+    for v in reversed(order):
+        column = tuple((u, sign * x) for u, x in diagram.columns[v])
         rising = tuple((u, c, slack[u]) for u, c in column if c > 0)
         falling = tuple((u, -c, slack[u]) for u, c in column if c < 0)
         plan.append((v, bounds[v], rising, falling, column))
-    return tuple(plan)
+        for u, c, _ in rising:
+            slack[u] += c * bounds[v]
+    return tuple(reversed(plan))
 
 
 def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> list:
@@ -349,15 +348,14 @@ def _dominant_repair(weight: Weight) -> Weight:
     # pair generator does not lean on the lattice code it is checking.
     # Raising vertex j by step adds step times Cartan column j to the labels.
     diagram = weight.diagram
-    cartan = diagram.cartan
     labs, shift = list(weight.labels), weight.shift
     while True:
         j = next((j for j, e in enumerate(labs) if e < 0), None)
         if j is None:
             return Weight(diagram, labs, shift)
         step = (1 - labs[j]) // 2
-        for i in (j,) + diagram.adjacency[j]:
-            labs[i] += step * cartan[i][j]
+        for i, x in diagram.columns[j]:
+            labs[i] += step * x
         if j == 0:
             shift += Fraction(step, diagram.marks[0])
 

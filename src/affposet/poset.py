@@ -193,9 +193,9 @@ def _delta_interval(lam):
     decided is negative.
     """
     diagram = lam.diagram
-    a, adjacent = diagram.cartan, diagram.adjacency
-    last = [max((j,) + adjacent[j]) for j in diagram.vertices]
-    settled = [[j for j in diagram.vertices if last[j] == k] for k in diagram.vertices]
+    columns = diagram.columns
+    # label j is settled by the last vertex k of column j, whose rows ascend
+    settled = [[j for j, col in enumerate(columns) if col[-1][0] == k] for k in diagram.vertices]
     found = []
     stack = [(0, frozenset(), lam.labels)]
     while stack:
@@ -204,8 +204,8 @@ def _delta_interval(lam):
             found.append(subset)
             continue
         taken = list(labs)
-        for w in (k,) + adjacent[k]:
-            taken[w] -= a[w][k]
+        for w, x in columns[k]:
+            taken[w] -= x
         for chosen, now in ((subset, labs), (subset | {k}, taken)):
             if all(now[j] >= 0 for j in settled[k]):
                 stack.append((k + 1, chosen, now))

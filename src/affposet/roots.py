@@ -65,10 +65,10 @@ def delta_root(diagram: AffineDiagram) -> RootVector:
 
 def coroot_pairing(root: RootVector, j: int) -> int:
     """Value of the vector on the j-th simple coroot: row j of the Cartan
-    matrix is nonzero only at j and its neighbours."""
+    matrix is nonzero only in the columns of j and its neighbours."""
+    columns, c = root.diagram.columns, root.coeffs
     _check_vertex(root.diagram, j)
-    row, c = root.diagram.cartan[j], root.coeffs
-    return sum(row[i] * c[i] for i in (j,) + root.diagram.adjacency[j])
+    return sum(c[i] * x for i, _ in columns[j] for w, x in columns[i] if w == j)
 
 
 def simple_reflection(root: RootVector, j: int) -> RootVector:
@@ -91,7 +91,7 @@ def sym_length_sq(root: RootVector) -> Fraction:
 @functools.lru_cache(maxsize=None)
 def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVector:
     """The highest short root on a sorted subset."""
-    a, lens, adjacent = diagram.cartan, diagram._half_lengths, diagram.adjacency
+    columns, lens = diagram.columns, diagram._half_lengths
     pairing = dict.fromkeys(subset, 0)
     seed = min(subset, key=lens.__getitem__)
     coeffs = [0] * (diagram.n + 1)
@@ -103,10 +103,10 @@ def _highest_short_root_cached(diagram: AffineDiagram, subset: tuple) -> RootVec
     todo, j, q = [], seed, 1
     for _ in range(sum(map(diagram.marks.__getitem__, subset))):
         coeffs[j] += q
-        for w in (j,) + adjacent[j]:
+        for w, x in columns[j]:
             if w in pairing:
                 was = pairing[w]
-                pairing[w] += q * a[w][j]
+                pairing[w] += q * x
                 if was >= 0 > pairing[w]:
                     todo.append(w)
         if not todo:

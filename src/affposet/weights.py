@@ -214,17 +214,15 @@ def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
 
 
 def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
-    """The labels plus the Cartan matrix times the integer coefficients.
-
-    Column v of the Cartan matrix is nonzero only at v and its neighbours,
-    so each nonzero coefficient touches just those.
-    """
-    a, adjacent = diagram.cartan, diagram.adjacency
+    """The labels plus the Cartan matrix times the integer coefficients:
+    each nonzero coefficient adds its multiple of one of the diagram's
+    columns, which touch only a vertex and its neighbours."""
+    columns = diagram.columns
     out = list(labs)
     for v, b in enumerate(coeffs):
         if b:
-            for w in (v,) + adjacent[v]:
-                out[w] += b * a[w][v]
+            for w, x in columns[v]:
+                out[w] += b * x
     return out
 
 
@@ -278,8 +276,7 @@ def _gap_join(a: Weight, gap) -> Weight:
     0 or 1 and lowers only its neighbours', so a worklist of the vertices
     that went negative holds every negative label.
     """
-    diagram = a.diagram
-    cartan, adjacent = diagram.cartan, diagram.adjacency
+    diagram, columns = a.diagram, a.diagram.columns
     top = [max(0, -g) for g in gap]
     labs = _add_columns(diagram, a.labels, top)
     k0 = top[0]
@@ -289,8 +286,8 @@ def _gap_join(a: Weight, gap) -> Weight:
         if labs[j] >= 0:
             continue
         step = (1 - labs[j]) // 2
-        for i in (j,) + adjacent[j]:
-            labs[i] += step * cartan[i][j]
+        for i, x in columns[j]:
+            labs[i] += step * x
             if labs[i] < 0:
                 todo.append(i)
         if j == 0:

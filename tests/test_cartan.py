@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -294,8 +295,7 @@ def test_build_affine_parses_each_argument_once(monkeypatch):
 def _interior_determinant(name) -> int:
     # from the tables, so the build cache keeps no rank the tests of bad
     # tables below serve
-    rows = cartan._tables(parse_type_id(name))[0]
-    return cartan._eliminate(rows, _neighbours(rows))[2]
+    return cartan._eliminate(cartan._tables(parse_type_id(name))[0])[2]
 
 
 def test_interior_determinants():
@@ -373,13 +373,32 @@ def test_rho_against_rho_less_delta_on_a200():
     assert meet(rho, base) == base and join(base, rho) == rho
 
 
-# A2-1 with the mark vector doubled at one vertex, and a symmetric matrix
-# whose mixed-sign mark vector passes every other check while its block on
-# vertices 1..3, eliminated leaf first (vertices 2 and 3, then 1), leaves the
-# pivot 2 - 9/2 - 1/2 = -3 at vertex 1.  Each is built past the diagram
-# cache, so no diagram an earlier test cached hides it, and nothing bad
-# stays there.
-_BAD_MARKS = ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 2], [1, 1, 1])
+def _as_columns(rows) -> tuple:
+    """The Cartan columns of dense rows, one column per row or per entry of
+    the longest row, whichever is more, so a table that is not square keeps
+    a row or a column too many."""
+    size = max([len(rows)] + [len(row) for row in rows])
+    return tuple(
+        tuple((i, row[j]) for i, row in enumerate(rows) if j < len(row) and row[j])
+        for j in range(size)
+    )
+
+
+def _columns(tables) -> tuple:
+    """Dense (rows, marks, comarks) tables as ``cartan._tables`` returns them."""
+    rows, marks, comarks = tables
+    return _as_columns(rows), marks, comarks
+
+
+# Each bad table below is written as dense rows and fails one check, every
+# check before it passing.  Most are A2-1 with one entry, row, mark or comark
+# changed.  _NOT_FINITE is a symmetric matrix whose mixed-sign mark vector
+# passes every other check while its block on vertices 1..3, eliminated leaf
+# first (vertices 2 and 3, then 1), leaves the pivot 2 - 9/2 - 1/2 = -3 at
+# vertex 1.  Each is built past the diagram cache, so no diagram an earlier
+# test cached hides it, and nothing bad stays there.
+_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+_BAD_MARKS = (_A2, [1, 1, 2], [1, 1, 1])
 _NOT_FINITE = (
     [[2, 0, -1, -3], [0, 2, -3, -1], [-1, -3, 2, 0], [-3, -1, 0, 2]],
     [1, -1, -1, 1],
@@ -397,16 +416,44 @@ _CYCLE = (
 )
 
 
+# A 4-cycle with kernel vectors on both sides, comark 1 at vertex 0 and
+# coprime marks and comarks, but comark over mark does not symmetrize it:
+# a[0][1] half[0] = 360 while a[1][0] half[1] = 420.
+_NOT_SYMMETRIZABLE = (
+    [[2, -3, -2, 0], [-4, 2, 0, -2], [-2, 0, 2, -4], [0, -1, -4, 2]],
+    [-7, -8, 5, 6],
+    [1, 1, -1, -1],
+)
+
+
 @pytest.mark.parametrize(
     "type_id, tables, message",
     [
         ("A97-1", _BAD_MARKS, "marks annihilate the Cartan rows"),
         ("A98-1", _NOT_FINITE, "is of finite type (pivot at vertex 1 is -3)"),
         ("A96-1", _CYCLE, "is of finite type (the block has a cycle)"),
+        # a fourth row, and a third row with a fourth entry
+        ("A80-1", (_A2 + [[0, -1, 0]], [1, 1, 1], [1, 1, 1]), "Cartan matrix is square"),
+        ("A81-1", (_A2[:2] + [[-1, -1, 2, -1]], [1, 1, 1], [1, 1, 1]), "Cartan matrix is square"),
+        ("A82-1", ([[2, -1, -1], [-1, 3, -1], [-1, -1, 2]], [1, 1, 1], [1, 1, 1]),
+         "diagonal entries are 2"),
+        ("A83-1", ([[2, 1, -1], [-1, 2, -1], [-1, -1, 2]], [1, 1, 1], [1, 1, 1]),
+         "off-diagonal entries are nonpositive"),
+        ("A84-1", ([[2, -1, -1], [0, 2, -1], [-1, -1, 2]], [1, 1, 1], [1, 1, 1]),
+         "zero pattern is symmetric"),
+        # two copies of A1-1
+        ("A85-1", ([[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]], [1] * 4, [1] * 4),
+         "diagram is connected"),
+        ("A86-1", (_A2, [1, 1, 1], [1, 1, 2]), "comarks annihilate the Cartan columns"),
+        ("A87-1", (_A2, [2, 2, 2], [1, 1, 1]), "marks are coprime"),
+        ("A88-1", (_A2, [1, 1, 1], [2, 2, 2]), "comarks are coprime"),
+        ("A89-1", (_A2, [1, 1, 1], [-1, -1, -1]), "comark of vertex 0 is 1"),
+        ("A90-1", _NOT_SYMMETRIZABLE, "form is symmetric"),
+        ("A91-1", (_A2, [-1, -1, -1], [1, 1, 1]), "roots on vertices 1..n have positive length"),
     ],
 )
 def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
-    monkeypatch.setattr(cartan, "_tables", lambda tid: tables)
+    monkeypatch.setattr(cartan, "_tables", lambda tid: _columns(tables))
     with pytest.raises(ValueError) as err:
         cartan._build_cached.__wrapped__(parse_type_id(type_id))
     assert f"{type_id}: check failed: " in str(err.value)
@@ -414,7 +461,7 @@ def test_build_affine_rejects_bad_tables(monkeypatch, type_id, tables, message):
 
 
 def test_finite_type_failure_names_the_block(monkeypatch):
-    monkeypatch.setattr(cartan, "_tables", lambda tid: _NOT_FINITE)
+    monkeypatch.setattr(cartan, "_tables", lambda tid: _columns(_NOT_FINITE))
     with pytest.raises(ValueError) as err:
         cartan._build_cached.__wrapped__(parse_type_id("A95-1"))
     assert str(err.value) == (
@@ -442,12 +489,6 @@ def _leading_minors_positive(cartan) -> bool:
     return True
 
 
-def _neighbours(cartan) -> tuple:
-    return tuple(
-        tuple(j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(cartan)
-    )
-
-
 VALIDATED = (
     ALL_TYPES
     + [f"A{n}-1" for n in range(1, 61)]
@@ -459,11 +500,11 @@ VALIDATED = (
 def test_leaf_first_elimination_matches_leading_minors():
     for name in VALIDATED:
         d = build_affine(name)
-        assert not isinstance(cartan._eliminate(d.cartan, d.adjacency), str), name
+        assert not isinstance(cartan._eliminate(d.columns), str), name
         assert _leading_minors_positive(d.cartan), name
     for tables in (_NOT_FINITE, _CYCLE):
         rows = tables[0]
-        assert isinstance(cartan._eliminate(rows, _neighbours(rows)), str)
+        assert isinstance(cartan._eliminate(_as_columns(rows)), str)
         assert not _leading_minors_positive(rows)
 
 
@@ -481,7 +522,7 @@ def test_leaf_first_elimination_matches_leading_minors_on_random_trees():
             x, y = rng.choice(bonds if rng.random() < 0.3 else bonds[:2])
             rows[u][v], rows[v][u] = -x, -y
         finite = _leading_minors_positive(rows)
-        found = cartan._eliminate(rows, _neighbours(rows))
+        found = cartan._eliminate(_as_columns(rows))
         assert isinstance(found, str) != finite, rows
         verdicts.add(finite)
     assert verdicts == {True, False}
@@ -511,10 +552,25 @@ def test_cold_queries_build_neither_adjugate_nor_form(monkeypatch):
         d.sym_form
 
 
+def test_a4097_diagram_holds_no_dense_matrix():
+    # dense rows of this rank hold 4098^2, about 16.8 million, entries: over
+    # 130 MB of pointers alone.  The build keeps three nonzero entries per
+    # column and allocates a few MB at its peak
+    tracemalloc.start()
+    try:
+        d = cartan._build_cached.__wrapped__(parse_type_id("A4097-1"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "cartan" not in vars(d)
+    assert list(map(len, d.columns)) == [3] * 4098
+    assert peak < 16 * 2**20
+
+
 def test_finite_type_check_survives_optimized_mode():
     script = (
         "import affposet.cartan as c\n"
-        f"c._tables = lambda tid: {_NOT_FINITE!r}\n"
+        f"c._tables = lambda tid: {_columns(_NOT_FINITE)!r}\n"
         "try:\n"
         "    c.build_affine('A99-1')\n"
         "except ValueError as err:\n"
@@ -716,4 +772,4 @@ def test_tables_match_the_hand_written_reference():
     ]
     assert len(ids) == 357
     for tid in ids:
-        assert cartan._tables(tid) == _ref_tables(tid), str(tid)
+        assert cartan._tables(tid) == _columns(_ref_tables(tid)), str(tid)

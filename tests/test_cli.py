@@ -294,6 +294,44 @@ FROZEN_STDOUT_SHA256 = {
     ("interval", "C3-1", "--top", "1,1,1,1", "--bottom", "1,1,1,1",
      "--bottom-shift=-1/1", "--format", "json"):
         "25422ed872a2efcdb337798ec93cedfc6f6f98653079ee99b35daab4c99fb60d",
+    # recorded at commit e34b90e, while each diagram stored its dense Cartan
+    # rows: info on the rest of the catalog, A40-1 and E8-1
+    ("info", "A1-1"):
+        "83f5e3d8054e177feb59535f07239c4282f3d8adfdf6f2495b82f193c47cc965",
+    ("info", "A2-1"):
+        "5b65ed172f61893131175033ae6d5f7252ac022da859fc470944036018a14f26",
+    ("info", "A3-1"):
+        "740d27f732452e2ea9a5f1f0a7d2c7f8baff5ac9910fa3310458b4c4687fde26",
+    ("info", "A4-1"):
+        "36746b32aa8e6daf00324d2e2a875726fcd32c315daecfebe7cc908d89218ff6",
+    ("info", "B3-1"):
+        "5919ae1ca4bb0167bb1058a429d4966efc082530964d85c1bb76b6bad448be82",
+    ("info", "C2-1"):
+        "5d161b71da8bfeec386d72937ab5bbeecb742c6052a6ebf15ea082d2de1174e9",
+    ("info", "C3-1"):
+        "d630b555894c49565a8df149cf595fea95996f8019b116025e9b7960abdc43d5",
+    ("info", "D4-1"):
+        "18eeb54c03fcac169bb3694dad9c786588bd0b332141964593856afb030cab74",
+    ("info", "F4-1"):
+        "7779e6d069fa66d321a8fe3debf8dfcf3855532169a611d2b59c73445da298a4",
+    ("info", "A2-2"):
+        "f949f7f91b2c01591db7e47f466c1dc6403585bb29ac731d4c8fe665c85996c1",
+    ("info", "A4-2"):
+        "f044d4ca2188f2f2c64e71f5af4bc525f6cfb0e010b180dbdd6fe2faed8d6d76",
+    ("info", "A5-2"):
+        "d572d98983a7e6a4422d389eed8426d34785f399e234eab6e767ff62803b634f",
+    ("info", "D3-2"):
+        "ddbffc62774be7284d0d64d5b85ca31f7eb20c073273e64e55ce86f87eab92b4",
+    ("info", "D4-2"):
+        "dc559dd90f8c5c4609512a7032a517e12b22790d23185f6d8220c17766bb7bf5",
+    ("info", "E6-2"):
+        "0a3e31dfab6eb753403bd3c0255737a77eaa4a2a8ca8b4769f97bc4b4dd08ab7",
+    ("info", "D4-3"):
+        "5bb5d8c8cd8e4b175122728524d3338df9424ca00371dcf22f24d71781dd7fb6",
+    ("info", "A40-1"):
+        "2bae4fc4c2c56efa14bc82d8776aaaaa63403b84918685d0acc2dd881a28e0b8",
+    ("info", "E8-1"):
+        "27143055b6bf098e6d33e2a7c763d28d35c0a9030aafaf728d8eab0553e68c6c",
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import affposet.cartan as cartan
 import affposet.covering as covering
+import affposet.oracle as oracle
 import affposet.roots as roots
 from affposet.cartan import (
     AffineTypeId,
@@ -558,20 +559,10 @@ def test_no_special_vertex_is_the_only_short_one():
     assert tagged_g == 59
 
 
-class _NoScan(tuple):
-    """A Cartan row that may be indexed but not iterated or searched."""
-
-    def __iter__(self):
-        raise AssertionError("a dense Cartan row was scanned")
-
-    def __contains__(self, value):
-        raise AssertionError("a dense Cartan row was searched")
-
-
 _QUERY_CACHES = (
     roots._highest_short_root_cached, roots.cover_root_set, roots.cover_root_lookup,
     covering._delta_cases, covering._support_step, covering._fixed_steps,
-    covering._cocover_table,
+    covering._cocover_table, oracle._plan,
 )
 
 
@@ -579,11 +570,11 @@ _QUERY_CACHES = (
     "name", ["G2-1", "A2-2", "D4-3", "B5-1", "C4-1", "E6-2", "A5-2", "A3-1"]
 )
 def test_queries_read_cartan_rows_only_at_bonds(name):
-    # a fresh diagram, equal to the cached one, whose rows refuse a scan once
-    # the build has read them; the caches keyed by diagram are emptied so
-    # that every query runs on it
+    # a fresh diagram, equal to the cached one; the caches keyed by diagram
+    # are emptied so that every query runs on it, and none of them, nor the
+    # build, reads the dense rows, which are kept once built
     d = cartan._build_cached.__wrapped__(parse_type_id(name))
-    object.__setattr__(d, "cartan", tuple(map(_NoScan, d.cartan)))
+    assert "cartan" not in vars(d)
     for cache in _QUERY_CACHES:
         cache.cache_clear()
     try:
@@ -606,6 +597,12 @@ def test_queries_read_cartan_rows_only_at_bonds(name):
                 basic_cell(lam, mu, mu2)
         graph = interval(lam, weight_from_labels(d, lam.labels, -1))
         assert len(graph.nodes) > len(lowers)
+        assert "cartan" not in vars(d)
+        # the oracle's search and repair read the columns too; only its
+        # independent gap check builds the rows
+        brute_cocovers(lam)
+        _dominant_repair(Weight(d, (-1,) + (2,) * d.n))
+        assert "cartan" not in vars(d)
     finally:
         for cache in _QUERY_CACHES:
             cache.cache_clear()

@@ -132,7 +132,7 @@ def test_assignment_raises_attribute_error(name):
 
 def test_affine_diagram_compares_by_type_id_only():
     other_tables = AffineDiagram(
-        type_id=A3.type_id, n=3, cartan=A3.cartan, marks=(1, 1, 1, 2),
+        type_id=A3.type_id, n=3, columns=A3.columns, marks=(1, 1, 1, 2),
         comarks=A3.comarks, root_length_sq=A3.root_length_sq,
     )
     assert other_tables == A3 and hash(other_tables) == hash(A3)
