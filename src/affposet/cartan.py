@@ -62,14 +62,30 @@ class _Value:
     """Base of the package's immutable value classes.
 
     A subclass names its fields in ``_fields`` (and in ``__slots__``, unless
-    a cached property needs an instance dict), sets each once in
-    ``__init__`` through ``_set``, and compares and hashes by ``_key`` (all
-    fields unless it says otherwise), as a frozen dataclass would.  The hash
-    is computed on first use and kept.
+    a cached property needs an instance dict) and compares and hashes by
+    ``_key``, all fields unless it says otherwise; the hash is kept once
+    computed.  The constructor takes the fields by position or by name.  A
+    class that checks or converts its input hands the result on to it, but
+    ``Weight`` and ``CoverEdge``, built in hot loops, set their fields
+    through ``_set`` themselves.
     """
 
     __slots__ = ("_hash",)
     _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # a repeated, unknown, missing or extra field breaks the count or the names
+            values = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {fields}, "
+                    f"got {len(args)} by position and {sorted(kwargs)} by name"
+                )
+            args = map(values.__getitem__, fields)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -111,9 +127,7 @@ class AffineTypeId(_Value):
             raise ValueError(
                 f"no affine diagram of family {family!r}, rank {rank}, twist {twist}"
             )
-        _set(self, "family", family)
-        _set(self, "rank", rank)
-        _set(self, "twist", twist)
+        super().__init__(family, rank, twist)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}-{self.twist}"
@@ -170,8 +184,7 @@ class FiniteType(_Value):
             raise TypeError(f"rank must be an int, got {rank!r}")
         if family not in tuple("ABCDEFG") or rank < 1:
             raise ValueError(f"bad finite type {family}{rank}")
-        _set(self, "family", "B" if family == "C" and rank == 2 else family)
-        _set(self, "rank", rank)
+        super().__init__("B" if family == "C" and rank == 2 else family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -185,10 +198,6 @@ class AffineDiagram(_Value):
     """
 
     _fields = ("type_id", "n", "columns", "marks", "comarks", "root_length_sq")
-
-    def __init__(self, type_id, n, columns, marks, comarks, root_length_sq) -> None:
-        for name, value in zip(self._fields, (type_id, n, columns, marks, comarks, root_length_sq)):
-            _set(self, name, value)
 
     def _key(self) -> tuple:
         return (self.type_id,)
@@ -216,8 +225,9 @@ class AffineDiagram(_Value):
         return tuple(c * scale // m for c, m in zip(self.comarks, self.marks))
 
     def is_connected(self, subset) -> bool:
+        """Whether subset is a nonempty connected set of vertices."""
         inside = set(subset)
-        if not inside:
+        if not inside or any(v not in self.vertices for v in inside):
             return False
         start = min(inside)
         seen, stack = {start}, [start]

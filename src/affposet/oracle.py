@@ -15,8 +15,8 @@ bounds search and to the meet and join it checks.
 The search reads only the Cartan matrix.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
 raise it, so each vertex's feasible values form one interval; an offset
-above a minimum already found is cut.  Every search is bounded by the nodes
-it visits, and past that bound raises ``BoxTooLargeError``.
+above a minimum already found is cut.  A search past its bound on nodes
+visited or on vertices raises ``BoxTooLargeError``.
 
 A sweep works on integer labels: the search depends on the labels alone, so
 :func:`verify_covering` runs it once per label tuple within a call, and
@@ -29,12 +29,11 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import eq, le, mul, sub
 
 from . import _LAZY
-from .cartan import AffineDiagram, build_affine, format_shift, parse_type_id
+from .cartan import AffineDiagram, _Value, build_affine, format_shift, parse_type_id
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
@@ -56,29 +55,30 @@ class WindowExhaustedError(RuntimeError):
 
 
 class BoxTooLargeError(ValueError):
-    """A search would visit more nodes than one search may."""
+    """A search would visit more nodes or vertices than one search may."""
 
 
 # Sweeps at levels 1-3 (1-2 from rank 7 on) of the catalog, E6-1, E7-1,
 # E8-1, B12-1, C12-1, D12-1 and A20-1, in their default and doubled windows,
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
+# one recursion frame per vertex, well under the interpreter's default limit of 1000
+_MAX_SEARCH_VERTICES = 512
 
 
-@dataclass(frozen=True)
-class SearchWindow:
+class SearchWindow(_Value):
     """Inclusive upper bounds for nonnegative root-vector offsets."""
 
-    bounds: tuple
+    __slots__ = _fields = ("bounds",)
 
-    def __post_init__(self) -> None:
-        bounds = tuple(self.bounds)
+    def __init__(self, bounds) -> None:
+        bounds = tuple(bounds)
         for b in bounds:
             if type(b) is not int:
                 raise TypeError(f"window bounds must be ints, got {b!r}")
         if not bounds or any(b < 1 for b in bounds):
             raise ValueError(f"window bounds must be positive, got {bounds}")
-        object.__setattr__(self, "bounds", bounds)
+        super().__init__(bounds)
 
     def doubled(self) -> "SearchWindow":
         return SearchWindow(tuple(2 * b for b in self.bounds))
@@ -133,6 +133,10 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     At the last vertex every label is settled: the first nonzero value
     there that is not cut is a new minimum.
     """
+    if len(bounds) > _MAX_SEARCH_VERTICES:
+        raise BoxTooLargeError(
+            f"{diagram} search recurses through {len(bounds)} > {_MAX_SEARCH_VERTICES} vertices"
+        )
     plan = _plan(diagram, bounds, sign)
     last = len(plan) - 1
     cur, gamma, minima = list(labs), [0] * len(plan), []
@@ -197,11 +201,8 @@ def _brute_lowers(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class BruteCocovers:
-    cocovers: tuple
-    differences: tuple
-    boundary: tuple
+class BruteCocovers(_Value):
+    __slots__ = _fields = ("cocovers", "differences", "boundary")
 
 
 def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteCocovers:
@@ -230,10 +231,8 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     )
 
 
-@dataclass(frozen=True)
-class BruteBounds:
-    glb: Weight
-    lub: Weight
+class BruteBounds(_Value):
+    __slots__ = _fields = ("glb", "lub")
 
 
 def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> BruteBounds:
@@ -301,15 +300,14 @@ def _gap_bounds(a: Weight, b: Weight, gap, window: SearchWindow | None) -> Brute
     return BruteBounds(glb, lub)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    type: str
-    levels: tuple
-    tested: int
-    mismatches: tuple
-    boundary_flags: int
-    elapsed: float = field(compare=False, default=0.0)
-    budget_exceeded: bool = field(compare=False, default=False)
+class VerificationReport(_Value):
+    __slots__ = _fields = (
+        "type", "levels", "tested", "mismatches", "boundary_flags", "elapsed", "budget_exceeded"
+    )
+
+    def _key(self) -> tuple:
+        # elapsed and budget_exceeded vary from run to run
+        return (self.type, self.levels, self.tested, self.mismatches, self.boundary_flags)
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,7 @@ import functools
 import json
 
 from . import _LAZY
-from .cartan import _set, _Value, build_affine, format_shift
+from .cartan import _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
     _edge_fields,
@@ -69,17 +69,11 @@ class PosetGraph(_Value):
     __slots__ = _fields = ("nodes", "edges")
 
     def __init__(self, nodes, edges) -> None:
-        _set(self, "nodes", tuple(nodes))
-        _set(self, "edges", tuple(edges))
+        super().__init__(tuple(nodes), tuple(edges))
 
 
 class Cell(_Value):
     __slots__ = _fields = ("shape", "case", "graph")
-
-    def __init__(self, shape: CellShape, case: str, graph: PosetGraph) -> None:
-        _set(self, "shape", shape)
-        _set(self, "case", case)
-        _set(self, "graph", graph)
 
 
 _MAX_NODES = 100000

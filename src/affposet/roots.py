@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from . import _LAZY
-from .cartan import AffineDiagram, _check_vertex, _proper_connected, _set, _Value
+from .cartan import AffineDiagram, _check_vertex, _proper_connected, _Value
 
 __all__ = [name for name, home in _LAZY.items() if home == "roots"]
 
@@ -41,8 +41,7 @@ class RootVector(_Value):
         for c in coeffs:
             if type(c) is not int:
                 raise TypeError(f"coefficients must be ints, got {c!r}")
-        _set(self, "diagram", diagram)
-        _set(self, "coeffs", coeffs)
+        super().__init__(diagram, coeffs)
 
     def support(self) -> frozenset:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
@@ -163,10 +162,6 @@ def is_real_root(root: RootVector) -> bool:
 
 class CoverCandidate(_Value):
     __slots__ = _fields = ("root", "kind")
-
-    def __init__(self, root: RootVector, kind: CoverKind) -> None:
-        _set(self, "root", root)
-        _set(self, "kind", kind)
 
 
 def _connected_proper_subsets(diagram: AffineDiagram) -> set:

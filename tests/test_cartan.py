@@ -142,6 +142,9 @@ def test_connectivity_helpers():
     assert not d.is_connected([0, 2])
     assert d.is_connected([1, 2, 3])
     assert not d.is_connected(())
+    # -1 is no vertex, though adjacency[-1] is vertex 3's
+    assert not d.is_connected([-1, 0])
+    assert not d.is_connected([4, 5])
     assert sorted(d.adjacency[0]) == [1, 3]
 
 

@@ -1,14 +1,16 @@
 """The import boundary: a bare ``import affposet`` loads no submodule,
 ``types`` and ``info`` load only ``cartan``, only the oracle's entry points
 load it, nothing loads numpy, only interval and cell queries load the poset
-module, and nothing loads ``dataclasses`` (with ``inspect`` behind it)
-outside the oracle.
+module, and no command, ``verify`` included, loads ``dataclasses`` (with
+``inspect`` behind it): no module imports it or ``NamedTuple``, as the
+package's values all derive from ``cartan._Value``.
 
 Each check runs in a fresh interpreter, so what it sees in ``sys.modules``
 comes from the code under test alone, not from earlier tests.
 """
 
 import ast
+import enum
 import importlib
 import json
 import os
@@ -98,18 +100,50 @@ def test_verify_loads_the_oracle_but_not_numpy():
         "from affposet.cli import run\n"
         "before = loaded()\n"
         "code = run(['verify', 'A1-1', '--samples', '2'], io.StringIO(), io.StringIO())\n"
-        "print(json.dumps([before, code, loaded()]))\n"
+        "print(json.dumps([before, code, loaded(), loaded(('dataclasses', 'inspect'))]))\n"
     )
-    assert facts == [[], 0, list(HEAVY)]
+    assert facts == [[], 0, list(HEAVY), []]
 
 
 def test_library_verify_loads_the_oracle_but_not_numpy():
     facts = fresh(
         "import affposet\n"
         "report = affposet.verify_covering('A2-1', samples_per_level=2)\n"
-        "print(json.dumps([report.tested, len(report.mismatches), loaded()]))\n"
+        "print(json.dumps([report.tested, len(report.mismatches), loaded(),\n"
+        "                  loaded(('dataclasses', 'inspect'))]))\n"
     )
-    assert facts[1:] == [0, list(HEAVY)] and facts[0] > 0
+    assert facts[1:] == [0, list(HEAVY), []] and facts[0] > 0
+
+
+def test_no_module_imports_a_second_value_mechanism():
+    # typing itself is not checked: site may load it before any test runs
+    found = []
+    for path in sorted(pathlib.Path(affposet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in ("dataclasses", "NamedTuple")]
+    assert found == []
+    # every class but errors, enums and the command line parser is a value
+    from affposet.cartan import _Value
+    from affposet.cli import _Parser
+
+    classes = {
+        cls.__qualname__: cls
+        for path in pathlib.Path(affposet.__file__).parent.glob("*.py")
+        if not path.stem.startswith("__")
+        for cls in vars(importlib.import_module(f"affposet.{path.stem}")).values()
+        if isinstance(cls, type) and cls.__module__ == f"affposet.{path.stem}"
+        and not issubclass(cls, (BaseException, enum.Enum, _Parser))
+    }
+    assert [name for name, cls in classes.items() if not issubclass(cls, _Value)] == []
+    assert {"_Step", "SearchWindow", "BruteBounds", "VerificationReport"} < set(classes)
 
 
 def test_oracle_names_resolve_through_the_package():

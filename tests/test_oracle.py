@@ -617,6 +617,20 @@ def test_box_too_large_is_refused_before_any_allocation(monkeypatch):
     assert affposet.BoxTooLargeError is BoxTooLargeError
 
 
+def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
+    # one recursion frame per vertex: A1100-1 used to hit RecursionError
+    with pytest.raises(BoxTooLargeError, match="through 1101 > 512 vertices"):
+        brute_cocovers(fundamental_weight(D("A1100-1"), 0))
+    bc = brute_cocovers(fundamental_weight(D("A400-1"), 0))
+    assert [beta.coeffs for beta in bc.differences] == [D("A400-1").marks]
+    # the bounds search and the sweep reach the same check
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_VERTICES", 2)
+    with pytest.raises(BoxTooLargeError, match="through 3 > 2 vertices"):
+        brute_bounds(W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12)))
+    with pytest.raises(BoxTooLargeError, match="through 3 > 2 vertices"):
+        verify_covering("A2-1", samples_per_level=0)
+
+
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
     a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
     window = default_window(a.diagram)

@@ -1,6 +1,6 @@
 """Value semantics of the immutable classes: equality and hashing by their
-compared fields, no assignment, keyword construction, and the constructors'
-checks."""
+compared fields, no assignment, keyword construction, the shared
+constructor's checks, and the constructors' own checks."""
 
 from fractions import Fraction
 
@@ -21,6 +21,8 @@ from affposet import (
     build_affine,
 )
 from affposet.cartan import _build_cached
+from affposet.covering import _Step, _support_step
+from affposet.oracle import BruteBounds, BruteCocovers, SearchWindow, VerificationReport
 
 A3 = build_affine("A3-1")
 TOP = Weight(A3, (0, 2, 1, 1))
@@ -29,6 +31,7 @@ BETA = RootVector(A3, (0, 1, 0, 0))
 GAMMA = RootVector(A3, (0, 0, 1, 1))
 EDGE = CoverEdge(TOP, LOW, CoverKind.SIMPLE, BETA, "a")
 GRAPH = PosetGraph((TOP, LOW), (EDGE,))
+REPORT = ("A3-1", (1, 2), 14, (), 0, 0.25, False)
 
 
 def _fresh(name):
@@ -95,6 +98,36 @@ CASES = {
             Cell(CellShape.DIAMOND, "1a", PosetGraph((), ())),
         ],
     ),
+    "SearchWindow": (
+        SearchWindow((2, 2, 2, 4)),
+        SearchWindow(bounds=[2, 2, 2, 4]),
+        [SearchWindow((2, 2, 2, 2)), SearchWindow((2, 2, 2))],
+    ),
+    "BruteCocovers": (
+        BruteCocovers((LOW,), (BETA,), (False,)),
+        BruteCocovers(cocovers=(LOW,), differences=(BETA,), boundary=(False,)),
+        [
+            BruteCocovers((TOP,), (BETA,), (False,)),
+            BruteCocovers((LOW,), (GAMMA,), (False,)),
+            BruteCocovers((LOW,), (BETA,), (True,)),
+        ],
+    ),
+    "BruteBounds": (
+        BruteBounds(LOW, TOP),
+        BruteBounds(glb=LOW, lub=Weight(A3, (0, 2, 1, 1))),
+        [BruteBounds(TOP, TOP), BruteBounds(LOW, LOW)],
+    ),
+    "VerificationReport": (
+        VerificationReport(*REPORT),
+        VerificationReport(**dict(zip(VerificationReport._fields, REPORT))),
+        [
+            VerificationReport("A4-1", *REPORT[1:]),
+            VerificationReport("A3-1", (1,), *REPORT[2:]),
+            VerificationReport(*REPORT[:2], 15, *REPORT[3:]),
+            VerificationReport(*REPORT[:3], ({"check": "delta"},), *REPORT[4:]),
+            VerificationReport(*REPORT[:4], 1, *REPORT[5:]),
+        ],
+    ),
 }
 
 
@@ -128,6 +161,71 @@ def test_assignment_raises_attribute_error(name):
         assert getattr(value, field) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+# per class that takes the shared constructor: one value of each field
+SHARED = {
+    "AffineDiagram": (AffineDiagram, (A3.type_id, 3, A3.columns, A3.marks, A3.comarks,
+                                      A3.root_length_sq)),
+    "CoverCandidate": (CoverCandidate, (BETA, CoverKind.SIMPLE)),
+    "Cell": (Cell, (CellShape.DIAMOND, "1a", GRAPH)),
+    "_Step": (_Step, tuple(getattr(_support_step(A3, (1, 2)), f) for f in _Step._fields)),
+    "BruteCocovers": (BruteCocovers, ((LOW,), (BETA,), (False,))),
+    "BruteBounds": (BruteBounds, (LOW, TOP)),
+    "VerificationReport": (VerificationReport, REPORT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_constructor_takes_fields_by_position_or_name(name):
+    cls, values = SHARED[name]
+    fields = cls._fields
+    assert "__init__" not in vars(cls) and len(fields) == len(values) > 1
+    named = dict(zip(fields, values))
+    built = [
+        cls(*values),
+        cls(**named),
+        cls(**dict(reversed(named.items()))),
+        cls(*values[:1], **dict(zip(fields[1:], values[1:]))),
+    ]
+    for value in built:
+        assert value == built[0]
+        assert all(getattr(value, f) is v for f, v in zip(fields, values))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_shared_constructor_refuses_a_wrong_field(name):
+    cls, values = SHARED[name]
+    fields = cls._fields
+    named = dict(zip(fields, values))
+    wrong = {
+        "missing": lambda: cls(*values[:-1]),
+        "missing by name": lambda: cls(**dict(zip(fields[:-1], values))),
+        "extra": lambda: cls(*values, values[0]),
+        "unknown": lambda: cls(*values, extra=1),
+        "unknown in place of one": lambda: cls(*values[:-1], extra=values[-1]),
+        "repeated": lambda: cls(*values, **{fields[0]: values[0]}),
+        "repeated in place of one": lambda: cls(*values[:-1], **{fields[0]: values[0]}),
+        "empty": lambda: cls(),
+        "sole keyword": lambda: cls(**{fields[0]: named[fields[0]]}),
+    }
+    for build in wrong.values():
+        with pytest.raises(TypeError, match=f"^{name} takes the fields"):
+            build()
+
+
+def test_report_compares_without_its_timing():
+    report = VerificationReport(*REPORT)
+    other = VerificationReport(*REPORT[:5], 9.5, True)
+    assert report == other and hash(report) == hash(other)
+    # as the frozen dataclass did: the hash of the compared fields
+    assert hash(report) == hash(REPORT[:5])
+    assert repr(other) == (
+        "VerificationReport(type='A3-1', levels=(1, 2), tested=14, mismatches=(), "
+        "boundary_flags=0, elapsed=9.5, budget_exceeded=True)"
+    )
+    assert repr(SearchWindow([1, 2])) == "SearchWindow(bounds=(1, 2))"
+    assert repr(BruteBounds(LOW, TOP)) == f"BruteBounds(glb={LOW!r}, lub={TOP!r})"
 
 
 def test_affine_diagram_compares_by_type_id_only():
