@@ -19,7 +19,6 @@ from .cartan import (
     build_affine,
     catalog_types,
     format_shift,
-    parse_type_id,
     special_vertices,
 )
 
@@ -63,7 +62,7 @@ def _budget_arg(text):
 def _weight_arg(type_text: str, labels_text: str, shift_text):
     from .weights import parse_shift, weight_from_labels
 
-    diagram = build_affine(parse_type_id(type_text))
+    diagram = build_affine(type_text)
     shift = parse_shift(shift_text) if shift_text else 0
     return weight_from_labels(diagram, _labels_arg(labels_text, diagram), shift)
 
@@ -79,7 +78,7 @@ def _cmd_types(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    diagram = build_affine(parse_type_id(args.type))
+    diagram = build_affine(args.type)
     _emit(
         {
             "type": str(diagram.type_id),
@@ -161,7 +160,7 @@ def _cmd_verify(args) -> int:
     budget = _budget_arg(args.budget)
     reports = []
     for name in names:
-        diagram = build_affine(parse_type_id(name))
+        diagram = build_affine(name)
         report = verify_covering(
             diagram,
             levels=levels,

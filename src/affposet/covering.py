@@ -253,10 +253,11 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     A cover's root is a simple root, delta, an exceptional root, or the
     highest short root of one of two kinds of support: a component of the
     zero set of the labels (case b), or the component of the zero set plus
-    one vertex of label one that holds that vertex (case c).
+    one vertex of label one that holds that vertex (case c).  A simple root
+    whose Cartan column takes a label negative is dropped before its step.
     """
-    adjacent = diagram.adjacency
-    supports, done = [(v,) for v in diagram.vertices], set()
+    adjacent, columns, done = diagram.adjacency, diagram.columns, set()
+    supports = [(v,) for v in diagram.vertices if all(labs[w] + x >= 0 for w, x in columns[v])]
     for s, x in enumerate(labs):
         if x > 1 or s in done:
             continue

@@ -18,22 +18,23 @@ raise it, so each vertex's feasible values form one interval; an offset
 above a minimum already found is cut.  A search past its bound on nodes
 visited or on vertices raises ``BoxTooLargeError``.
 
-A sweep works on integer labels: the search depends on the labels alone, so
-:func:`verify_covering` runs it once per label tuple within a call, and
-builds the brute lower ends as (labels, shift) pairs.
+A ``SearchWindow`` is read once, where it enters a public function; every
+search below takes its bound tuple.  A sweep works on integer labels: the
+search depends on the labels alone, so :func:`verify_covering` runs it once
+per label tuple within a call, builds the brute lower ends as (labels,
+shift) pairs, and streams its census rather than building it first.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import time
 from fractions import Fraction
 from operator import eq, le, mul, sub
 
 from . import _LAZY
-from .cartan import AffineDiagram, _Value, build_affine, format_shift, parse_type_id
+from .cartan import AffineDiagram, _Value, build_affine, format_shift
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
@@ -84,15 +85,19 @@ class SearchWindow(_Value):
         return SearchWindow(tuple(2 * b for b in self.bounds))
 
 
-def default_window(diagram: AffineDiagram) -> SearchWindow:
-    """Twice the marks: strictly contains every candidate cover difference."""
-    return SearchWindow(tuple(2 * a for a in diagram.marks))
-
-
-def _window_bounds(diagram: AffineDiagram, window: SearchWindow) -> tuple:
+def _bounds(diagram: AffineDiagram, window: SearchWindow | None) -> tuple:
+    """The bounds of a window, checked against the diagram's rank; None is
+    the default window."""
+    if window is None:
+        return tuple(2 * a for a in diagram.marks)
     if len(window.bounds) != diagram.n + 1:
         raise ValueError("window rank does not match the diagram")
     return window.bounds
+
+
+def default_window(diagram: AffineDiagram) -> SearchWindow:
+    """Twice the marks: strictly contains every candidate cover difference."""
+    return SearchWindow(_bounds(diagram, None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,12 +197,12 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     return sorted(minima)
 
 
-def _brute_lowers(diagram: AffineDiagram, window: SearchWindow, labs) -> list:
-    """The minimal nonzero offsets beta of the window with labs - A beta
+def _brute_lowers(diagram: AffineDiagram, bounds: tuple, labs) -> list:
+    """The minimal nonzero offsets beta <= bounds with labs - A beta
     dominant, in lexicographic order, each paired with those labels."""
     return [
         (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
-        for beta in _minimal_offsets(diagram, _window_bounds(diagram, window), labs, -1)
+        for beta in _minimal_offsets(diagram, bounds, labs, -1)
     ]
 
 
@@ -217,9 +222,8 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     if not is_dominant(weight):
         raise ValueError(f"weight {weight} is not dominant integral")
     diagram = weight.diagram
-    if window is None:
-        window = default_window(diagram)
-    found = _brute_lowers(diagram, window, weight.labels)
+    bounds = _bounds(diagram, window)
+    found = _brute_lowers(diagram, bounds, weight.labels)
     mark0 = diagram.marks[0]
     return BruteCocovers(
         tuple(
@@ -227,7 +231,7 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
             for beta, lower in found
         ),
         tuple(RootVector(diagram, beta) for beta, _ in found),
-        tuple(any(map(eq, beta, window.bounds)) for beta, _ in found),
+        tuple(any(map(eq, beta, bounds)) for beta, _ in found),
     )
 
 
@@ -256,14 +260,12 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     A failed gap check, a corner that is not dominant, or upper bounds with
     two minima raise ``RuntimeError``.
     """
-    return _gap_bounds(a, b, _require_component(a, b), window)
+    return _gap_bounds(a, b, _require_component(a, b), _bounds(a.diagram, window))
 
 
-def _gap_bounds(a: Weight, b: Weight, gap, window: SearchWindow | None) -> BruteBounds:
-    """``brute_bounds`` of a and b, given the gap a - b to check."""
+def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
+    """``brute_bounds`` of a and b within bounds, given the gap a - b to check."""
     diagram = a.diagram
-    if window is None:
-        window = default_window(diagram)
     mark0 = diagram.marks[0]
     change = [sum(map(mul, row, gap)) for row in diagram.cartan]
     s, t = a.shift, b.shift
@@ -280,7 +282,6 @@ def _gap_bounds(a: Weight, b: Weight, gap, window: SearchWindow | None) -> Brute
         raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
     glb = Weight(diagram, corner_lo, _plus_delta(a.shift, lo[0], mark0))
 
-    bounds = _window_bounds(diagram, window)
     corner_hi = _add_columns(diagram, a.labels, hi)
     if min(corner_hi) >= 0:
         beta = (0,) * len(hi)
@@ -319,15 +320,16 @@ class VerificationReport(_Value):
         }
 
 
-def _census_labels(diagram: AffineDiagram) -> list:
-    """All nonzero label vectors with entry sum at most three, in
-    lexicographic order: one per multiset of one to three vertices."""
-    vertices = diagram.vertices
-    return sorted(
-        tuple(multiset.count(v) for v in vertices)
-        for size in (1, 2, 3)
-        for multiset in itertools.combinations_with_replacement(vertices, size)
-    )
+def _census_labels(diagram: AffineDiagram):
+    """All nonzero label vectors with entry sum at most three, one at a time
+    in lexicographic order: one per multiset a <= b <= c of one to three
+    vertices.  An absent b or c is n + 1, past every vertex; the larger a
+    comes first, then the larger b, then the larger c."""
+    end = diagram.n + 1
+    for a in range(end - 1, -1, -1):
+        for b in range(end, a - 1, -1):
+            for c in range(end, b - 1, -1):
+                yield tuple(map((a, b, c).count, range(end)))
 
 
 def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random):
@@ -392,7 +394,7 @@ def _pair_keys(keys) -> list:
     return sorted((labs, f"{p}/{q}") for labs, p, q in keys)
 
 
-def _check_one(weight, window, mismatches, searches):
+def _check_one(weight, bounds, mismatches, searches):
     """Compare the classified cocovers of one weight with the brute search.
 
     ``searches`` maps labels to the minimal offsets and the labels below
@@ -403,11 +405,11 @@ def _check_one(weight, window, mismatches, searches):
     diagram, labs, shift = weight.diagram, weight.labels, weight.shift
     found = searches.get(labs)
     if found is None:
-        found = searches[labs] = _brute_lowers(diagram, window, labs)
+        found = searches[labs] = _brute_lowers(diagram, bounds, labs)
     mark0 = diagram.marks[0]
     brute = set()
     for beta, lower in found:
-        if any(map(eq, beta, window.bounds)):
+        if any(map(eq, beta, bounds)):
             detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
         below = _plus_delta(shift, -beta[0], mark0)
@@ -431,16 +433,16 @@ def _check_one(weight, window, mismatches, searches):
         _mismatch(mismatches, "delta", detail, weight)
 
 
-def _check_pair(weight, partner, window, mismatches):
+def _check_pair(weight, partner, bounds, mismatches):
     """Compare the meet and join of two weights with the brute bounds, all
     three computed from one gap."""
     gap = _require_component(weight, partner)
     for _ in range(5):
         try:
-            bb = _gap_bounds(weight, partner, gap, window)
+            bb = _gap_bounds(weight, partner, gap, bounds)
             break
         except WindowExhaustedError:
-            window = window.doubled()
+            bounds = tuple(2 * b for b in bounds)
         except (BoxTooLargeError, RuntimeError) as exc:
             _mismatch(mismatches, "bounds", str(exc), weight, partner)
             return
@@ -486,13 +488,9 @@ def verify_covering(
         raise TypeError(f"budget must be a number of seconds, got {budget!r}")
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
-    diagram = build_affine(parse_type_id(type_id)) if not isinstance(
-        type_id, AffineDiagram
-    ) else type_id
-    if window is None:
-        window = default_window(diagram)
+    diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
+    bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
-    _window_bounds(diagram, window)  # a window of the wrong rank fails at once
     searches: dict = {}
     mismatches: list = []
     tested = 0
@@ -501,9 +499,9 @@ def verify_covering(
         if budget is not None and time.monotonic() - start > budget:
             exceeded = True
             break
-        _check_one(weight, window, mismatches, searches)
+        _check_one(weight, bounds, mismatches, searches)
         if partner is not None:
-            _check_pair(weight, partner, window, mismatches)
+            _check_pair(weight, partner, bounds, mismatches)
         tested += 1
     return VerificationReport(
         type=str(diagram.type_id),

@@ -32,6 +32,7 @@ from .cartan import (
     _parse_int,
     _set,
     _Value,
+    build_affine,
     format_shift,
 )
 from .roots import RootVector
@@ -342,8 +343,6 @@ def _json_string(value, key: str) -> str:
 
 
 def weight_from_json(data: dict) -> Weight:
-    from .cartan import build_affine
-
     type_text, labs, shift = _json_object(data, "type", "labels", "delta_shift")
     if not isinstance(labs, list) or any(type(v) is not int for v in labs):
         raise ValueError(f"labels must be a list of integers, got {labs!r}")

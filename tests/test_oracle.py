@@ -5,6 +5,7 @@ import operator
 import pathlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -221,11 +222,37 @@ def test_verify_covering_rejects_a_bad_budget(monkeypatch, budget):
 def test_verify_covering_with_a_zero_budget_stops_at_once():
     report = verify_covering("A2-1", budget=0)
     assert report.budget_exceeded and report.tested == 0
+    # the census streams: none of A80-1's 98 769 label tuples is built
+    # before the budget stops the sweep
+    diagram = D("A80-1")
+    tracemalloc.start()
+    try:
+        report = verify_covering(diagram, budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.budget_exceeded and report.tested == 0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "name", [str(t) for t in catalog_types()] + ["A8-1", "E8-1", "D12-1", "A40-1"]
+)
+def test_census_labels_stream_in_sorted_order(name):
+    diagram = D(name)
+    expected = sorted(
+        tuple(multiset.count(v) for v in diagram.vertices)
+        for size in (1, 2, 3)
+        for multiset in itertools.combinations_with_replacement(diagram.vertices, size)
+    )
+    census = oracle._census_labels(diagram)
+    assert iter(census) is census
+    assert list(census) == expected
 
 
 def test_verify_covering_with_no_samples_runs_the_census():
     report = verify_covering("A2-1", levels=(1, 4), samples_per_level=0)
-    assert report.tested == len(oracle._census_labels(D("A2-1")))
+    assert report.tested == len(list(oracle._census_labels(D("A2-1"))))
     assert report.levels == (1, 4) and report.mismatches == ()
 
 
@@ -392,7 +419,7 @@ def test_check_pair_records_a_failed_bounds_check(monkeypatch):
     # the pair check computes the gap first, so the pair shares a component
     a, b = W("A2-1", (0, 3, 0), Fraction(1, 2)), W("A2-1", (0, 0, 3), Fraction(-3, 2))
     mismatches = []
-    oracle._check_pair(a, b, default_window(a.diagram), mismatches)
+    oracle._check_pair(a, b, default_window(a.diagram).bounds, mismatches)
     assert mismatches == [{
         "labels": [0, 3, 0], "shift": "1/2", "partner": [0, 0, 3], "partner_shift": "-3/2",
         "check": "bounds", "detail": detail,
@@ -633,21 +660,21 @@ def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
 
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
     a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
-    window = default_window(a.diagram)
-    real, windows = oracle._gap_bounds, []
+    bounds, doubled = (2, 2, 2), (4, 4, 4)
+    real, searched = oracle._gap_bounds, []
 
     def exhausted_at_default(a, b, gap, search):
-        windows.append(search)
-        if search == window:
+        searched.append(search)
+        if search == bounds:
             raise WindowExhaustedError("no room")
         return real(a, b, gap, search)
 
     monkeypatch.setattr(oracle, "_gap_bounds", exhausted_at_default)
     monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", 2)
     mismatches = []
-    oracle._check_pair(a, b, window, mismatches)
-    assert windows == [window, window.doubled()]
-    detail = f"the search of window {list(window.doubled().bounds)} visits more than 2 nodes"
+    oracle._check_pair(a, b, bounds, mismatches)
+    assert searched == [bounds, doubled]
+    detail = f"the search of window {list(doubled)} visits more than 2 nodes"
     assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", detail)]
 
 
@@ -691,7 +718,7 @@ def test_brute_bounds_refuses_two_minimal_upper_bounds(monkeypatch):
         brute_bounds(a, b)
     assert str(caught.value) == message
     mismatches = []
-    oracle._check_pair(a, b, default_window(a.diagram), mismatches)
+    oracle._check_pair(a, b, default_window(a.diagram).bounds, mismatches)
     assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", message)]
 
 
@@ -806,13 +833,13 @@ def test_sweep_matches_the_reference_sweep(name):
 def test_sweep_searches_each_label_tuple_once(monkeypatch):
     real, searched = oracle._brute_lowers, []
 
-    def counted(diagram, window, labs):
+    def counted(diagram, bounds, labs):
         searched.append(labs)
-        return real(diagram, window, labs)
+        return real(diagram, bounds, labs)
 
     monkeypatch.setattr(oracle, "_brute_lowers", counted)
     for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
-        census = oracle._census_labels(D(name))
+        census = list(oracle._census_labels(D(name)))
         # at levels up to three every sample's labels are in the census
         del searched[:]
         report = verify_covering(name, levels=(1, 2, 3), samples_per_level=30, seed=4)
