@@ -151,7 +151,9 @@ def _cmd_cell(args) -> int:
 def _cmd_verify(args) -> int:
     from .oracle import SearchWindow, verify_covering  # loaded only for verify
 
-    if bool(args.all_types) == bool(args.type):
+    if not args.type and not args.all_types:
+        raise _UsageError("give a type or --all-types")
+    if args.type and args.all_types:
         raise _UsageError("give a type or --all-types, not both")
     names = list(catalog_types()) if args.all_types else [args.type]
     levels = tuple(map(_parse_int, args.levels.split(",")))

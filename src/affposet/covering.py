@@ -318,16 +318,13 @@ def covers(weight: Weight) -> tuple:
     return _edges(weight, 1)
 
 
-def _edge_fields(edge: CoverEdge) -> dict:
-    """The JSON fields of an edge besides its two ends."""
-    return {"kind": edge.kind.value, "root": list(edge.root.coeffs), "case": edge.case}
-
-
 def edge_to_json(edge: CoverEdge) -> dict:
     return {
         "upper": weight_to_json(edge.upper),
         "lower": weight_to_json(edge.lower),
-        **_edge_fields(edge),
+        "kind": edge.kind.value,
+        "root": list(edge.root.coeffs),
+        "case": edge.case,
     }
 
 

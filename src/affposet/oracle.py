@@ -394,18 +394,21 @@ def _pair_keys(keys) -> list:
     return sorted((labs, f"{p}/{q}") for labs, p, q in keys)
 
 
-def _check_one(weight, bounds, mismatches, searches):
+def _check_one(weight, bounds, mismatches, searches, keep):
     """Compare the classified cocovers of one weight with the brute search.
 
     ``searches`` maps labels to the minimal offsets and the labels below
     them, for the length of one sweep: the search reads the labels alone.
+    A new search is stored there only when ``keep`` is true.
     """
     from . import covering
 
     diagram, labs, shift = weight.diagram, weight.labels, weight.shift
     found = searches.get(labs)
     if found is None:
-        found = searches[labs] = _brute_lowers(diagram, bounds, labs)
+        found = _brute_lowers(diagram, bounds, labs)
+        if keep:
+            searches[labs] = found
     mark0 = diagram.marks[0]
     brute = set()
     for beta, lower in found:
@@ -469,8 +472,10 @@ def verify_covering(
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
     test, and meet/join against the brute searches.  Each distinct label
-    tuple is searched once per call; only the search plans, a few integers
-    per vertex and window, are kept between calls.
+    tuple is searched once per call: a search is kept for the rest of the
+    call only when a sample may read it back, at one of the sampled levels.
+    Only the search plans, a few integers per vertex and window, are kept
+    between calls.
     """
     levels = tuple(levels)
     for lvl in levels:
@@ -492,6 +497,7 @@ def verify_covering(
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
     searches: dict = {}
+    sampled = set(levels) if samples_per_level else set()
     mismatches: list = []
     tested = 0
     exceeded = False
@@ -499,7 +505,7 @@ def verify_covering(
         if budget is not None and time.monotonic() - start > budget:
             exceeded = True
             break
-        _check_one(weight, bounds, mismatches, searches)
+        _check_one(weight, bounds, mismatches, searches, weight.m in sampled)
         if partner is not None:
             _check_pair(weight, partner, bounds, mismatches)
         tested += 1

@@ -8,9 +8,11 @@ weights ``lam - e_S``, with ``e_S`` the sum of the simple roots of S, and the
 edges are the covers of inclusion among the sets.  The family is the
 diamond, pentagon, or double pentagon that the supports of the two cover
 roots select, or every dominant ``lam - e_S`` down to the delta shift when
-the two supports cover the cycle.  The prediction is then checked against
-the actual interval, and ``CellMismatchError`` is raised when they disagree
-instead of papering over the difference.
+the two supports cover the cycle; each S is a bit mask of vertices.  The
+prediction is then checked against the actual interval, and
+``CellMismatchError`` is raised when they disagree instead of papering over
+the difference.  A cell finds its two cocovers among the top's label moves,
+which its walk starts from, and builds no weight or edge outside its graph.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import _LAZY
 from .cartan import _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
-    _edge_fields,
     _edge_from_record,
     _label_moves,
     _require_dominant_positive,
@@ -84,12 +85,14 @@ def interval(top: Weight, bottom: Weight) -> PosetGraph:
     start = _dominance_gap(bottom, top)
     if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")
-    return _graph(top, *_walk(top, start))
+    labs = _require_dominant_positive(top)
+    return _graph(top, *_walk(top, start, _label_moves(top.diagram, labs, -1)))
 
 
-def _walk(top: Weight, start: tuple) -> tuple:
+def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
     """The labels of each node of the interval from top - start to top, and
-    its arcs (upper, lower, candidate, case), on integer state.
+    its arcs (upper, lower, candidate, case), on integer state, given the
+    ``_label_moves`` below the top.
 
     Each node is its gap to the top, the root vector top - node, and a
     cocover stays inside while its gap is at most start.  Nodes that differ
@@ -98,8 +101,8 @@ def _walk(top: Weight, start: tuple) -> tuple:
     """
     diagram = top.diagram
     zero = (0,) * len(start)
-    labels = {zero: _require_dominant_positive(top)}
-    moves = {}
+    labels = {zero: top.labels}
+    moves = {top.labels: top_moves}
     frontier = [zero]
     arcs = []
     while frontier:
@@ -137,13 +140,14 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     diagram = top.diagram
     mark0 = diagram.marks[0]
     shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
-    nodes = {gap: Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order}
-    arcs.sort(key=lambda arc: (rank[arc[0]], rank[arc[1]]))
+    nodes = [Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
+    # no two arcs join the same pair of nodes, so the ranks alone sort them
+    ranked = sorted((rank[upper], rank[lower], cand, case) for upper, lower, cand, case in arcs)
     return PosetGraph(
-        nodes.values(),
+        nodes,
         (
             CoverEdge(nodes[upper], nodes[lower], cand.kind, cand.root, case)
-            for upper, lower, cand, case in arcs
+            for upper, lower, cand, case in ranked
         ),
     )
 
@@ -155,24 +159,32 @@ def _path_ends(diagram, subset):
 
 def _subset_graph(diagram, family):
     """Node set and edge pair set of the weights ``lam - e_S`` for S in the
-    family, each node given by its gap to ``lam``, the 0/1 vector of S.
+    family, each S a bit mask of vertices and each node given by its gap to
+    ``lam``, the 0/1 vector of S.
 
     ``e_S`` is the sum of the simple roots of S, so the order among these
     weights is inclusion of S, and the edges are the covers of inclusion
     within the family.
     """
-    order = sorted(family, key=len)
-    nodes = {s: tuple(int(j in s) for j in diagram.vertices) for s in order}
+    order = sorted(family, key=int.bit_count)
+    nodes = {s: tuple(s >> j & 1 for j in diagram.vertices) for s in order}
     pairs = set()
-    for s in order:
+    for k, s in enumerate(order):
         below = []
-        # sets run by size, so a superset of s is a cover unless it contains
-        # one already kept
-        for t in order:
-            if s < t and not any(c <= t for c in below):
+        # sets run by size, so a superset of s comes after it, and is a
+        # cover unless it contains one already kept
+        for t in order[k + 1:]:
+            if t & s == s and not any(t & c == c for c in below):
                 below.append(t)
         pairs.update((nodes[s], nodes[t]) for t in below)
     return set(nodes.values()), pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _settled(diagram) -> tuple:
+    # label j is settled by the last vertex k of column j, whose rows ascend
+    last = [col[-1][0] for col in diagram.columns]
+    return tuple(tuple(j for j in diagram.vertices if last[j] == k) for k in diagram.vertices)
 
 
 def _delta_interval(lam):
@@ -180,59 +192,60 @@ def _delta_interval(lam):
 
     Every mark of A(n,1) is 1, so delta is the all-ones root vector and the
     interval holds exactly the dominant weights ``lam - e_S`` for subsets S
-    of the vertices, ordered by inclusion of S.  The subsets are grown one
-    vertex at a time, carrying their labels: taking vertex k subtracts
-    Cartan column k, which is nonzero at k and its neighbours only.  A
-    branch is cut as soon as the label of a vertex whose neighbours are all
-    decided is negative.
+    of the vertices, ordered by inclusion of S.  The subsets, bit masks of
+    vertices, are grown one vertex at a time, carrying their labels: taking
+    vertex k subtracts Cartan column k, which is nonzero at k and its
+    neighbours only.  A branch is cut as soon as a label that vertex k
+    settles, one no later vertex changes, is negative.
     """
     diagram = lam.diagram
-    columns = diagram.columns
-    # label j is settled by the last vertex k of column j, whose rows ascend
-    settled = [[j for j, col in enumerate(columns) if col[-1][0] == k] for k in diagram.vertices]
+    columns, settled = diagram.columns, _settled(diagram)
     found = []
-    stack = [(0, frozenset(), lam.labels)]
+    stack = [(0, 0, lam.labels)]
     while stack:
-        k, subset, labs = stack.pop()
+        k, mask, labs = stack.pop()
         if k > diagram.n:
-            found.append(subset)
+            found.append(mask)
             continue
         taken = list(labs)
         for w, x in columns[k]:
             taken[w] -= x
-        for chosen, now in ((subset, labs), (subset | {k}, taken)):
-            if all(now[j] >= 0 for j in settled[k]):
+        for chosen, now in ((mask, labs), (mask | 1 << k, taken)):
+            for j in settled[k]:
+                if now[j] < 0:
+                    break
+            else:
                 stack.append((k + 1, chosen, now))
     return _subset_graph(diagram, found)
 
 
-def _predict(lam, edge_a, edge_b):
+def _predict(lam, ka, kb):
     """Node set and edge pair set, as gaps to ``lam``, shape, and case tag
-    for the predicted cell.
+    for the cell whose two cover roots have the vertex sets ka and kb as
+    supports.
 
     When the two supports cover the cycle the meet is ``lam`` - delta, and
     the case's diagram holds only if it is the whole delta interval.
     """
-    family, shape, case = _case_shape(lam.diagram, edge_a, edge_b)
+    family, shape, case = _case_shape(lam.diagram, ka, kb)
     nodes, pairs = _subset_graph(lam.diagram, family)
-    if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
+    if len(ka | kb) > lam.diagram.n:
         delta_nodes, delta_pairs = _delta_interval(lam)
         if (delta_nodes, delta_pairs) != (nodes, pairs):
             return delta_nodes, delta_pairs, CellShape.DELTA_INTERVAL, case
     return nodes, pairs, shape, case
 
 
-def _case_shape(diagram, edge_a, edge_b):
-    """Vertex sets S of the nodes ``lam - e_S``, shape, and case tag that
-    the supports K_a and K_b of the two cover roots predict.
+def _case_shape(diagram, ka, kb):
+    """Vertex sets S of the nodes ``lam - e_S``, as bit masks, shape, and
+    case tag that the supports ka and kb of the two cover roots predict.
 
-    The family holds the empty set, K_a, K_b and their union; when the two
+    The family holds the empty set, ka, kb and their union; when the two
     are disjoint and an end i of one path is next to an end i2 of the
-    other, the least such pair also adds {i, i2}, K_a + i2 and K_b + i.
+    other, the least such pair also adds {i, i2}, ka + i2 and kb + i.
     """
-    ka = edge_a.root.support()
-    kb = edge_b.root.support()
-    family = {frozenset(), ka, kb, ka | kb}
+    a, b = sum(1 << v for v in ka), sum(1 << v for v in kb)
+    family = {0, a, b, a | b}
     ends = [] if ka & kb else [
         (u, v)
         for u in _path_ends(diagram, ka)
@@ -241,7 +254,7 @@ def _case_shape(diagram, edge_a, edge_b):
     ]
     if ends:
         i, i2 = min(ends)
-        family |= {frozenset({i, i2}), ka | {i2}, kb | {i}}
+        family |= {1 << i | 1 << i2, a | 1 << i2, b | 1 << i}
     if len(ka) == 1 and len(kb) == 1:
         case = "1a"
     elif ka & kb:
@@ -254,9 +267,9 @@ def _case_shape(diagram, edge_a, edge_b):
     return family, shape[len(family)], case
 
 
-def _node_tag(weight: Weight) -> str:
-    labs = ",".join(map(str, weight.labels))
-    return f"{labs}|{format_shift(weight.shift)}"
+def _node_tag(labels: tuple, shift: str) -> str:
+    """A node's DOT name: its labels and its formatted shift."""
+    return f"{','.join(map(str, labels))}|{shift}"
 
 
 def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
@@ -267,29 +280,45 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     edge never bounds a cell.  When the two root supports cover the cycle
     the cell is the whole interval down to the top minus delta, with shape
     ``DELTA_INTERVAL`` unless it is the diagram the support case predicts.
+
+    Each lower argument is matched to a finite move below the top by its
+    labels, diagram and shift; the two steps give the prediction its
+    supports and the walk its bound.
     """
-    tid = lam.diagram.type_id
+    diagram = lam.diagram
+    tid = diagram.type_id
     if tid.family != "A" or tid.twist != 1:
         raise ValueError(f"basic cells are classified for A(n,1) only, not {tid}")
     if mu == mu2:
         raise ValueError("the two cocovers must be distinct")
-    by_lower = {}
-    for edge in cocovers(lam):
-        if edge.kind is not CoverKind.DELTA:
-            by_lower[edge.lower] = edge
-    if mu not in by_lower or mu2 not in by_lower:
+    moves = _label_moves(diagram, _require_dominant_positive(lam), -1)
+    mark0 = diagram.marks[0]
+
+    def step_to(lower):
+        # the finite cover step from lam down to lower, or None
+        for step, labs, _ in moves:
+            cand = step.cand
+            if labs != lower.labels or cand.kind is CoverKind.DELTA or lower.diagram != diagram:
+                continue
+            if lower.shift == _plus_delta(lam.shift, -cand.root.coeffs[0], mark0):
+                return step
+        return None
+
+    step_a, step_b = step_to(mu), step_to(mu2)
+    if step_a is None or step_b is None:
         raise ValueError(
             "both weights must be cocovers of the top along finite roots"
         )
-    edge_a, edge_b = by_lower[mu], by_lower[mu2]
-    nodes, pairs, shape, case = _predict(lam, edge_a, edge_b)
+    nodes, pairs, shape, case = _predict(lam, frozenset(step_a.supp), frozenset(step_b.supp))
     # lam minus the meet is the larger of the two roots at each vertex
-    labels, arcs = _walk(lam, tuple(map(max, edge_a.root.coeffs, edge_b.root.coeffs)))
+    start = tuple(map(max, step_a.cand.root.coeffs, step_b.cand.root.coeffs))
+    labels, arcs = _walk(lam, start, moves)
     actual_pairs = {(upper, lower) for upper, lower, _, _ in arcs}
     if nodes != labels.keys() or pairs != actual_pairs:
 
         def tags(gaps):
-            return sorted(_node_tag(_moved(lam, [-g for g in gap])) for gap in gaps)
+            below = [_moved(lam, [-g for g in gap]) for gap in gaps]
+            return sorted(_node_tag(w.labels, format_shift(w.shift)) for w in below)
 
         raise CellMismatchError(
             f"case {case} predicts nodes {tags(nodes)} "
@@ -301,6 +330,8 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
 
 def export_graph(graph: PosetGraph, fmt: str = "json"):
     """Render a graph as a JSON-ready dict or as DOT text."""
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
     if graph.nodes:
         diagram = graph.nodes[0].diagram
         for node in graph.nodes:
@@ -308,40 +339,57 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
                 raise ValueError("graph mixes diagrams")
     else:
         diagram = None
-    index = {node: k for k, node in enumerate(graph.nodes)}
-    if len(index) != len(graph.nodes):
+    texts = {}  # each distinct shift is formatted once
+    shifts = []
+    for node in graph.nodes:
+        shift = node.shift
+        key = shift.numerator, shift.denominator
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = format_shift(shift)
+        shifts.append(text)
+    # the nodes share a diagram, so their labels and shifts tell them apart
+    if len(set(zip([node.labels for node in graph.nodes], shifts))) != len(shifts):
         raise ValueError("graph repeats a node")
-    ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
+    at = {id(node): k for k, node in enumerate(graph.nodes)}
+    ends = [(at.get(id(edge.upper)), at.get(id(edge.lower))) for edge in graph.edges]
     if any(None in pair for pair in ends):
-        raise ValueError("edge endpoint missing from the node list")
-    if fmt == "json":
-        nodes = [
-            {"labels": list(node.labels), "delta_shift": format_shift(node.shift)}
-            for node in graph.nodes
-        ]
-        edges = [
-            {"upper": upper, "lower": lower, **_edge_fields(edge)}
-            for (upper, lower), edge in zip(ends, graph.edges)
-        ]
-        return {
-            "type": str(diagram.type_id) if diagram is not None else None,
-            "nodes": nodes,
-            "edges": edges,
-        }
+        # an edge may hold an equal copy of a node, not the node itself
+        index = {node: k for k, node in enumerate(graph.nodes)}
+        ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
+        if any(None in pair for pair in ends):
+            raise ValueError("edge endpoint missing from the node list")
     if fmt == "dot":
+        tag = {node: _node_tag(node.labels, text) for node, text in zip(graph.nodes, shifts)}
         lines = ["digraph poset {", "  rankdir=TB;"]
         for node in sorted(graph.nodes, key=sort_key):
-            lines.append(f'  "{_node_tag(node)}";')
+            lines.append(f'  "{tag[node]}";')
         for edge in sorted(
             graph.edges, key=lambda e: (sort_key(e.upper), sort_key(e.lower))
         ):
             lines.append(
-                f'  "{_node_tag(edge.upper)}" -> "{_node_tag(edge.lower)}"'
+                f'  "{tag[edge.upper]}" -> "{tag[edge.lower]}"'
                 f' [label="{edge.case}", kind="{edge.kind.value}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
+    return {
+        "type": str(diagram.type_id) if diagram is not None else None,
+        "nodes": [
+            {"labels": list(node.labels), "delta_shift": text}
+            for node, text in zip(graph.nodes, shifts)
+        ],
+        "edges": [
+            {
+                "upper": upper,
+                "lower": lower,
+                "kind": edge.kind.value,
+                "root": list(edge.root.coeffs),
+                "case": edge.case,
+            }
+            for (upper, lower), edge in zip(ends, graph.edges)
+        ],
+    }
 
 
 def graph_from_json(data) -> PosetGraph:

@@ -852,6 +852,26 @@ def test_sweep_searches_each_label_tuple_once(monkeypatch):
         assert max(counts.values()) == 1 and set(census) <= set(counts)
 
 
+def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
+    real, memos = oracle._check_one, []
+
+    def captured(weight, bounds, mismatches, searches, keep):
+        memos.append(searches)
+        return real(weight, bounds, mismatches, searches, keep)
+
+    monkeypatch.setattr(oracle, "_check_one", captured)
+    # with no samples no census search is read back, so none is kept
+    report = verify_covering("A8-1", levels=(1,), samples_per_level=0)
+    assert report.tested == len(memos) == 219
+    assert all(memo is memos[0] for memo in memos) and memos[0] == {}
+    # samples are drawn at level 1 only, so only level-1 searches are kept
+    del memos[:]
+    report = verify_covering("A8-1", levels=(1,), samples_per_level=5)
+    assert report.tested == len(memos) == 224
+    assert all(memo is memos[0] for memo in memos)
+    assert set(memos[0]) == {tuple(int(j == i) for j in range(9)) for i in range(9)}
+
+
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A2-2", "A3-1"])
 def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, name):
     real = covering.cocovers, covering.is_delta_cocover

@@ -7,7 +7,7 @@ import pytest
 
 import affposet.poset as poset
 from affposet.cartan import build_affine, catalog_types, parse_type_id
-from affposet.covering import CoverKind, cocovers, edge_from_json
+from affposet.covering import CoverEdge, CoverKind, cocovers, edge_from_json
 from affposet.poset import (
     Cell,
     CellMismatchError,
@@ -21,6 +21,7 @@ from affposet.poset import (
     interval,
 )
 from affposet.weights import (
+    Weight,
     _dominance_gap,
     add_root,
     delta_shift,
@@ -275,6 +276,41 @@ def test_cell_refusals():
     # a delta drop is not a finite cocover
     with pytest.raises(ValueError):
         basic_cell(lam, lows[0], _less(lam, delta_root(D("A2-1"))))
+    # near misses of a finite cocover: its labels at a shift one off, and
+    # its labels on another diagram of four vertices
+    lam = W("A3-1", (0, 2, 1, 1))
+    mu, mu2 = W("A3-1", (1, 0, 2, 1)), W("A3-1", (1, 3, 0, 0))
+    assert basic_cell(lam, mu, mu2).shape is CellShape.PENTAGON
+    for miss in (W("A3-1", mu.labels, -1), W("A3-1", mu.labels, 1), W("C3-1", mu.labels)):
+        for pair in ((miss, mu2), (mu2, miss)):
+            with pytest.raises(ValueError, match="cocovers of the top along finite roots"):
+                basic_cell(lam, *pair)
+
+
+@pytest.mark.parametrize("name, labs, lower_a, lower_b", [
+    ("A4-1", (1, 1, 1, 1, 0), (2, 0, 0, 2, 0), (0, 0, 2, 1, 1)),
+    ("A3-1", (0, 2, 1, 1), (1, 0, 2, 1), (1, 3, 0, 0)),
+    ("A4-1", (1, 1, 1, 1, 0), (0, 0, 2, 1, 1), (1, 2, 0, 0, 1)),
+    ("A2-1", (1, 1, 1), (3, 0, 0), (0, 3, 0)),
+])
+def test_cell_builds_only_the_weights_and_edges_it_returns(
+    monkeypatch, name, labs, lower_a, lower_b
+):
+    lam = W(name, labs)
+    lows = {int_labels(e.lower): e.lower for e in cocovers(lam)
+            if e.kind is not CoverKind.DELTA}
+    mu, mu2 = lows[lower_a], lows[lower_b]
+    built = {Weight: 0, CoverEdge: 0}
+    for cls in built:
+        real = cls.__init__
+
+        def counted(self, *args, _cls=cls, _real=real):
+            built[_cls] += 1
+            _real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cell = basic_cell(lam, mu, mu2)
+    assert built == {Weight: len(cell.graph.nodes), CoverEdge: len(cell.graph.edges)}
 
 
 def test_cell_mismatch_on_wrap_around_pairs(monkeypatch):
@@ -313,8 +349,8 @@ def test_cell_mismatch_on_wrap_around_pairs(monkeypatch):
     # prediction holds each node as its gap to the top, zero at the top
     predict = poset._predict
 
-    def drop_top(top, edge_a, edge_b):
-        nodes, pairs, shape, case = predict(top, edge_a, edge_b)
+    def drop_top(top, ka, kb):
+        nodes, pairs, shape, case = predict(top, ka, kb)
         return nodes - {(0,) * len(top.labels)}, pairs, shape, case
 
     monkeypatch.setattr(poset, "_predict", drop_top)
@@ -485,7 +521,8 @@ def test_predict_matches_hand_built_cells():
             edges = [e for e in cocovers(lam) if e.kind is not CoverKind.DELTA]
             for edge_a, edge_b in itertools.combinations(edges, 2):
                 want = _ref_predict(lam, edge_a, edge_b)
-                assert poset._predict(lam, edge_a, edge_b) == want, (lam, edge_a, edge_b)
+                ka, kb = edge_a.root.support(), edge_b.root.support()
+                assert poset._predict(lam, ka, kb) == want, (lam, edge_a, edge_b)
                 count += 1
     assert count == 1575
 
@@ -528,6 +565,14 @@ def test_export_graph_json_round_trip():
             data = export_graph(g, "json")
             assert graph_from_json(data) == g
             assert graph_from_json(json.dumps(data)) == g
+            # edges that hold equal copies of the nodes export the same
+            copied = PosetGraph(g.nodes, [
+                CoverEdge(Weight(d, e.upper.labels, e.upper.shift),
+                          Weight(d, e.lower.labels, e.lower.shift), e.kind, e.root, e.case)
+                for e in g.edges
+            ])
+            for fmt in ("json", "dot"):
+                assert export_graph(copied, fmt) == export_graph(g, fmt)
 
 
 def test_graph_from_json_rejects_malformed_nodes_and_edges():
@@ -670,6 +715,10 @@ def test_export_graph_rejects_unknown_format():
     g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (0, 2, 2)))
     with pytest.raises(ValueError):
         export_graph(g, "svg")
+    # the format is checked before the graph
+    mixed = PosetGraph((g.nodes[0], W("A1-1", (1, 0))), ())
+    with pytest.raises(ValueError, match="unknown format 'svg'"):
+        export_graph(mixed, "svg")
 
 
 def test_export_graph_rejects_a_repeated_node():
