@@ -394,21 +394,18 @@ def _pair_keys(keys) -> list:
     return sorted((labs, f"{p}/{q}") for labs, p, q in keys)
 
 
-def _check_one(weight, bounds, mismatches, searches, keep):
+def _check_one(weight, bounds, mismatches, searches):
     """Compare the classified cocovers of one weight with the brute search.
 
     ``searches`` maps labels to the minimal offsets and the labels below
     them, for the length of one sweep: the search reads the labels alone.
-    A new search is stored there only when ``keep`` is true.
     """
     from . import covering
 
     diagram, labs, shift = weight.diagram, weight.labels, weight.shift
     found = searches.get(labs)
     if found is None:
-        found = _brute_lowers(diagram, bounds, labs)
-        if keep:
-            searches[labs] = found
+        found = searches[labs] = _brute_lowers(diagram, bounds, labs)
     mark0 = diagram.marks[0]
     brute = set()
     for beta, lower in found:
@@ -505,7 +502,8 @@ def verify_covering(
         if budget is not None and time.monotonic() - start > budget:
             exceeded = True
             break
-        _check_one(weight, bounds, mismatches, searches, weight.m in sampled)
+        # a weight whose search no sample can read back gets a throwaway memo
+        _check_one(weight, bounds, mismatches, searches if weight.m in sampled else {})
         if partner is not None:
             _check_pair(weight, partner, bounds, mismatches)
         tested += 1

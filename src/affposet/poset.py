@@ -348,27 +348,23 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
         if text is None:
             text = texts[key] = format_shift(shift)
         shifts.append(text)
-    # the nodes share a diagram, so their labels and shifts tell them apart
-    if len(set(zip([node.labels for node in graph.nodes], shifts))) != len(shifts):
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    if len(index) != len(graph.nodes):
         raise ValueError("graph repeats a node")
-    at = {id(node): k for k, node in enumerate(graph.nodes)}
-    ends = [(at.get(id(edge.upper)), at.get(id(edge.lower))) for edge in graph.edges]
+    ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
     if any(None in pair for pair in ends):
-        # an edge may hold an equal copy of a node, not the node itself
-        index = {node: k for k, node in enumerate(graph.nodes)}
-        ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
-        if any(None in pair for pair in ends):
-            raise ValueError("edge endpoint missing from the node list")
+        raise ValueError("edge endpoint missing from the node list")
     if fmt == "dot":
-        tag = {node: _node_tag(node.labels, text) for node, text in zip(graph.nodes, shifts)}
+        tag = [_node_tag(node.labels, text) for node, text in zip(graph.nodes, shifts)]
+        keys = [sort_key(node) for node in graph.nodes]
         lines = ["digraph poset {", "  rankdir=TB;"]
-        for node in sorted(graph.nodes, key=sort_key):
-            lines.append(f'  "{tag[node]}";')
-        for edge in sorted(
-            graph.edges, key=lambda e: (sort_key(e.upper), sort_key(e.lower))
+        for k in sorted(range(len(keys)), key=keys.__getitem__):
+            lines.append(f'  "{tag[k]}";')
+        for (upper, lower), edge in sorted(
+            zip(ends, graph.edges), key=lambda item: (keys[item[0][0]], keys[item[0][1]])
         ):
             lines.append(
-                f'  "{tag[edge.upper]}" -> "{tag[edge.lower]}"'
+                f'  "{tag[upper]}" -> "{tag[lower]}"'
                 f' [label="{edge.case}", kind="{edge.kind.value}"];'
             )
         lines.append("}")

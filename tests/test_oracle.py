@@ -855,21 +855,24 @@ def test_sweep_searches_each_label_tuple_once(monkeypatch):
 def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
     real, memos = oracle._check_one, []
 
-    def captured(weight, bounds, mismatches, searches, keep):
+    def captured(weight, bounds, mismatches, searches):
         memos.append(searches)
-        return real(weight, bounds, mismatches, searches, keep)
+        return real(weight, bounds, mismatches, searches)
 
     monkeypatch.setattr(oracle, "_check_one", captured)
     # with no samples no census search is read back, so none is kept
     report = verify_covering("A8-1", levels=(1,), samples_per_level=0)
     assert report.tested == len(memos) == 219
-    assert all(memo is memos[0] for memo in memos) and memos[0] == {}
+    assert all(len(memo) <= 1 for memo in memos)
+    assert len({id(memo) for memo in memos}) == 219  # no memo outlives its weight
     # samples are drawn at level 1 only, so only level-1 searches are kept
     del memos[:]
     report = verify_covering("A8-1", levels=(1,), samples_per_level=5)
     assert report.tested == len(memos) == 224
-    assert all(memo is memos[0] for memo in memos)
-    assert set(memos[0]) == {tuple(int(j == i) for j in range(9)) for i in range(9)}
+    shared = [memo for memo in memos if len(memo) > 1]
+    assert shared and all(memo is shared[0] for memo in shared)
+    assert set(shared[0]) == {tuple(int(j == i) for j in range(9)) for i in range(9)}
+    assert all(len(memo) <= 1 for memo in memos if memo is not shared[0])
 
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A2-2", "A3-1"])
