@@ -67,7 +67,8 @@ class _Value:
     computed.  The constructor takes the fields by position or by name.  A
     class that checks or converts its input hands the result on to it, but
     ``Weight`` and ``CoverEdge``, built in hot loops, set their fields
-    through ``_set`` themselves.
+    through ``_set`` themselves.  A weight the library computed skips even
+    ``Weight``'s checks: ``weights._weight`` sets its fields unchecked.
     """
 
     __slots__ = ("_hash",)

@@ -42,6 +42,7 @@ from .weights import (
     _json_object,
     _json_string,
     _plus_delta,
+    _weight,
     is_dominant,
     weight_from_json,
     weight_to_json,
@@ -302,7 +303,7 @@ def _edges(weight: Weight, sign: int) -> tuple:
     edges = []
     for step, labs, case in _label_moves(diagram, _require_dominant_positive(weight), sign):
         cand = step.cand
-        near = Weight(diagram, labs, _plus_delta(weight.shift, sign * cand.root.coeffs[0], mark0))
+        near = _weight(diagram, labs, _plus_delta(weight.shift, sign * cand.root.coeffs[0], mark0))
         upper, lower = (weight, near) if sign < 0 else (near, weight)
         edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
     return tuple(edges)

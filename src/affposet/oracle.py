@@ -8,11 +8,12 @@ the two; the brute searches themselves must stay independent of it.
 
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
-between them is first checked against the Cartan matrix.  A sweep's pair
-check computes that root vector, the gap, once and hands the same one to the
-bounds search and to the meet and join it checks.
+between them is first checked against the Cartan matrix, its sparse columns
+summed here in O(n).  A sweep's pair check computes that root vector, the
+gap, once and hands the same one to the bounds search and to the meet and
+join it checks.
 
-The search reads only the Cartan matrix.  It assigns one vertex at a time
+The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
 raise it, so each vertex's feasible values form one interval; an offset
 above a minimum already found is cut.  A search past its bound on nodes
@@ -21,31 +22,35 @@ visited or on vertices raises ``BoxTooLargeError``.
 A ``SearchWindow`` is read once, where it enters a public function; every
 search below takes its bound tuple.  A sweep works on integer labels: the
 search depends on the labels alone, so :func:`verify_covering` runs it once
-per label tuple within a call, builds the brute lower ends as (labels,
-shift) pairs, and streams its census rather than building it first.
+per label tuple within a call and keys the brute lower ends by labels and a
+reduced integer shift.  It draws its samples before its census, which it
+streams, and keeps a search only for a label tuple a sample drew.  Each
+sample's partner is its labels plus the offsets' Cartan columns, repaired
+in place by this module's own raise of negative labels.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
+from array import array
 from fractions import Fraction
-from operator import eq, le, mul, sub
+from operator import eq, le
 
 from . import _LAZY
-from .cartan import AffineDiagram, _Value, build_affine, format_shift
+from .cartan import _ZERO, AffineDiagram, _Value, build_affine, format_shift
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
     _add_columns,
     _gap_join,
     _gap_meet,
-    _moved,
     _plus_delta,
     _require_component,
+    _weight,
     is_dominant,
-    weight_from_labels,
 )
 
 __all__ = [name for name, home in _LAZY.items() if home == "oracle"]
@@ -227,7 +232,7 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     mark0 = diagram.marks[0]
     return BruteCocovers(
         tuple(
-            Weight(diagram, lower, _plus_delta(weight.shift, -beta[0], mark0))
+            _weight(diagram, lower, _plus_delta(weight.shift, -beta[0], mark0))
             for beta, lower in found
         ),
         tuple(RootVector(diagram, beta) for beta, _ in found),
@@ -266,21 +271,26 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
 def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
     """``brute_bounds`` of a and b within bounds, given the gap a - b to check."""
     diagram = a.diagram
-    mark0 = diagram.marks[0]
-    change = [sum(map(mul, row, gap)) for row in diagram.cartan]
+    columns, mark0 = diagram.columns, diagram.marks[0]
+    # b plus the gap's Cartan columns must give a's labels
+    labs = list(b.labels)
+    for v, g in enumerate(gap):
+        if g:
+            for w, x in columns[v]:
+                labs[w] += g * x
     s, t = a.shift, b.shift
     # gap[0] / mark0 == s - t, cross-multiplied
     shift_ok = gap[0] * s.denominator * t.denominator == (
         s.numerator * t.denominator - t.numerator * s.denominator
     ) * mark0
-    if change != list(map(sub, a.labels, b.labels)) or not shift_ok:
+    if tuple(labs) != a.labels or not shift_ok:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     lo = [-max(0, g) for g in gap]
     hi = [max(0, -g) for g in gap]
     corner_lo = _add_columns(diagram, a.labels, lo)
     if min(corner_lo) < 0:
         raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
-    glb = Weight(diagram, corner_lo, _plus_delta(a.shift, lo[0], mark0))
+    glb = _weight(diagram, tuple(corner_lo), _plus_delta(a.shift, lo[0], mark0))
 
     corner_hi = _add_columns(diagram, a.labels, hi)
     if min(corner_hi) >= 0:
@@ -293,9 +303,9 @@ def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
             listed = ", ".join(map(str, minima))
             raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
         beta = minima[0]
-    lub = Weight(
+    lub = _weight(
         diagram,
-        _add_columns(diagram, corner_hi, beta),
+        tuple(_add_columns(diagram, corner_hi, beta)),
         _plus_delta(a.shift, hi[0] + beta[0], mark0),
     )
     return BruteBounds(glb, lub)
@@ -343,37 +353,63 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
     return tuple(labs)
 
 
-def _dominant_repair(weight: Weight) -> Weight:
-    # smallest dominant weight above the input; reimplemented here so the
-    # pair generator does not lean on the lattice code it is checking.
-    # Raising vertex j by step adds step times Cartan column j to the labels.
+def _dominant_repair(weight: Weight, offsets) -> Weight:
+    """The smallest dominant weight above the weight plus the root vector
+    with these integer coefficients; reimplemented here so the pair
+    generator does not lean on the lattice code it is checking.
+
+    The offsets' Cartan columns are added to the labels, and the list is
+    repaired in place: raising vertex j by step adds step times column j,
+    leaves label j at 0 or 1 and lowers only its neighbours', so a worklist
+    of the vertices that went negative holds every negative label.  The
+    raises of vertex 0 are counted, and the shift moves once.
+    """
     diagram = weight.diagram
-    labs, shift = list(weight.labels), weight.shift
-    while True:
-        j = next((j for j, e in enumerate(labs) if e < 0), None)
-        if j is None:
-            return Weight(diagram, labs, shift)
-        step = (1 - labs[j]) // 2
-        for i, x in diagram.columns[j]:
+    columns = diagram.columns
+    labs = _add_columns(diagram, weight.labels, offsets)
+    k0 = offsets[0]
+    todo = [j for j, e in enumerate(labs) if e < 0]
+    while todo:
+        j = todo.pop()
+        e = labs[j]
+        if e >= 0:
+            continue
+        step = (1 - e) // 2
+        for i, x in columns[j]:
             labs[i] += step * x
+            if labs[i] < 0:
+                todo.append(i)
         if j == 0:
-            shift += Fraction(step, diagram.marks[0])
+            k0 += step
+    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, k0, diagram.marks[0]))
 
 
-def _sweep(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
-    """The weights a sweep checks, each with the partner of its meet/join
-    check: the census weights with none, then each level's seeded samples,
-    each with a dominant partner near it."""
-    for labs in _census_labels(diagram):
-        yield weight_from_labels(diagram, labs), None
+def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int) -> list:
+    """Each sample's labels, delta shift and root-vector offsets, level by
+    level from one seeded generator per level, drawn before the sweep so
+    that it knows which label tuples a sample reads back."""
+    draws = []
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
             labs = _sample_labels(diagram, lvl, rng)
-            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-            offsets = [rng.randint(-2, 2) for _ in diagram.vertices]
-            weight = weight_from_labels(diagram, labs, shift)
-            yield weight, _dominant_repair(_moved(weight, offsets))
+            # randrange(2k + 1) - k draws as randint(-k, k) does
+            shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
+            # one signed byte per vertex: a sweep of A80-1 draws 600 before its first check
+            offsets = array("b", [rng.randrange(5) - 2 for _ in diagram.vertices])
+            draws.append((labs, shift, offsets))
+    return draws
+
+
+def _sweep(diagram: AffineDiagram, draws):
+    """The weights a sweep checks, each with the partner of its meet/join
+    check: the census weights with none, then each drawn sample, with the
+    dominant partner near it."""
+    for labs in _census_labels(diagram):
+        yield _weight(diagram, labs, _ZERO), None
+    for labs, shift, offsets in draws:
+        weight = _weight(diagram, labs, shift)
+        yield weight, _dominant_repair(weight, offsets)
 
 
 def _weight_key(weight: Weight):
@@ -407,13 +443,17 @@ def _check_one(weight, bounds, mismatches, searches):
     if found is None:
         found = searches[labs] = _brute_lowers(diagram, bounds, labs)
     mark0 = diagram.marks[0]
+    # the shift below, shift - beta[0] / mark0, is (num - beta[0] * the
+    # shift's denominator) / den, kept as the reduced ints a Fraction holds
+    num, den = shift.numerator * mark0, shift.denominator * mark0
     brute = set()
     for beta, lower in found:
         if any(map(eq, beta, bounds)):
             detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
-        below = _plus_delta(shift, -beta[0], mark0)
-        brute.add((lower, below.numerator, below.denominator))
+        p = num - beta[0] * shift.denominator
+        g = math.gcd(p, den)
+        brute.add((lower, p // g, den // g))
     classified = {
         (e.lower.labels, e.lower.shift.numerator, e.lower.shift.denominator)
         for e in covering.cocovers(weight)
@@ -469,10 +509,10 @@ def verify_covering(
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
     test, and meet/join against the brute searches.  Each distinct label
-    tuple is searched once per call: a search is kept for the rest of the
-    call only when a sample may read it back, at one of the sampled levels.
-    Only the search plans, a few integers per vertex and window, are kept
-    between calls.
+    tuple is searched once per call: the samples are drawn first, and a
+    search is kept for the rest of the call only for a label tuple a sample
+    drew.  Only the search plans, a few integers per vertex and window, are
+    kept between calls.
     """
     levels = tuple(levels)
     for lvl in levels:
@@ -493,17 +533,18 @@ def verify_covering(
     diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
+    draws = _draws(diagram, levels, samples_per_level, seed)
+    wanted = {labs for labs, _, _ in draws}
     searches: dict = {}
-    sampled = set(levels) if samples_per_level else set()
     mismatches: list = []
     tested = 0
     exceeded = False
-    for weight, partner in _sweep(diagram, levels, samples_per_level, seed):
+    for weight, partner in _sweep(diagram, draws):
         if budget is not None and time.monotonic() - start > budget:
             exceeded = True
             break
-        # a weight whose search no sample can read back gets a throwaway memo
-        _check_one(weight, bounds, mismatches, searches if weight.m in sampled else {})
+        # a weight whose search no sample reads back gets a throwaway memo
+        _check_one(weight, bounds, mismatches, searches if weight.labels in wanted else {})
         if partner is not None:
             _check_pair(weight, partner, bounds, mismatches)
         tested += 1

@@ -38,6 +38,7 @@ from .weights import (
     _json_string,
     _moved,
     _plus_delta,
+    _weight,
     sort_key,
     weight_from_json,
 )
@@ -140,7 +141,7 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     diagram = top.diagram
     mark0 = diagram.marks[0]
     shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
-    nodes = [Weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
+    nodes = [_weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
     # no two arcs join the same pair of nodes, so the ranks alone sort them
     ranked = sorted((rank[upper], rank[lower], cand, case) for upper, lower, cand, case in arcs)
     return PosetGraph(

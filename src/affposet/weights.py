@@ -10,6 +10,8 @@ weights.  Only this module solves for root coefficients: ``_gap`` takes two
 weights to the root vector between them.  The weight across a root vector is
 built from ``_add_columns`` (labels) and ``_plus_delta`` (shift); ``_moved``
 applies both, and ``covering``, ``poset`` and ``oracle`` call them directly.
+A weight so computed is built by ``_weight``, which skips the checks that
+``Weight`` makes of labels and shifts from outside the library.
 
 Two dominant weights are comparable only when they share a level and differ
 by an integer root vector; within such a component the componentwise minimum
@@ -61,9 +63,11 @@ class Weight(_Value):
         _set(self, "shift", _as_fraction(shift))
 
     def _key(self) -> tuple:
-        # ints, not the Fraction: Fraction.__hash__ is slow
+        # ints, not the Fraction: Fraction.__hash__ is slow.  Twice the
+        # numerator: hash(-1) == hash(-2), but no two even ints of this size
+        # share a hash, so shifts -1 and -2 hash apart
         shift = self.shift
-        return (self.labels, shift.numerator, shift.denominator, self.diagram)
+        return (self.labels, 2 * shift.numerator, shift.denominator, self.diagram)
 
     @property
     def m(self) -> int:
@@ -81,6 +85,16 @@ class Weight(_Value):
     def __str__(self) -> str:
         labs = ",".join(map(str, self.labels))
         return f"[{labs} @ {format_shift(self.shift)}]"
+
+
+def _weight(diagram: AffineDiagram, labs: tuple, shift: Fraction) -> Weight:
+    """A weight the library computed, from a tuple of n + 1 ints and a
+    Fraction, built without ``Weight``'s checks of its input."""
+    weight = object.__new__(Weight)
+    _set(weight, "diagram", diagram)
+    _set(weight, "labels", labs)
+    _set(weight, "shift", shift)
+    return weight
 
 
 def _scaled_coeffs(diagram: AffineDiagram, labs, p: int, q: int) -> tuple:
@@ -128,7 +142,7 @@ def fundamental_weight(diagram: AffineDiagram, i: int) -> Weight:
 
 def is_dominant(weight: Weight) -> bool:
     """Dominant: every coroot value nonnegative."""
-    return all(v >= 0 for v in weight.labels)
+    return min(weight.labels) >= 0
 
 
 def _shift_gap(a: Weight, b: Weight) -> tuple:
@@ -201,17 +215,20 @@ def _moved(weight: Weight, coeffs) -> Weight:
     """The weight plus the root vector with these integer coefficients."""
     diagram = weight.diagram
     labs = _add_columns(diagram, weight.labels, coeffs)
-    return Weight(diagram, labs, _plus_delta(weight.shift, coeffs[0], diagram.marks[0]))
+    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, coeffs[0], diagram.marks[0]))
 
 
 def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
     """The delta shift after adding k times the simple root of vertex 0:
-    one Fraction built from an integer numerator and denominator, and none
-    when k is 0."""
+    one Fraction built from an integer numerator and denominator, none when
+    k is 0, and an integral one from its integer, which needs no gcd."""
     if not k:
         return shift
     den = shift.denominator
-    return Fraction(shift.numerator * mark0 + k * den, den * mark0)
+    num, den = shift.numerator * mark0 + k * den, den * mark0
+    if num % den:
+        return Fraction(num, den)
+    return Fraction(num // den)
 
 
 def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
@@ -293,7 +310,7 @@ def _gap_join(a: Weight, gap) -> Weight:
                 todo.append(i)
         if j == 0:
             k0 += step
-    return Weight(diagram, labs, _plus_delta(a.shift, k0, diagram.marks[0]))
+    return _weight(diagram, tuple(labs), _plus_delta(a.shift, k0, diagram.marks[0]))
 
 
 def sort_key(weight: Weight) -> tuple:

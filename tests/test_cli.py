@@ -332,6 +332,14 @@ FROZEN_STDOUT_SHA256 = {
         "2bae4fc4c2c56efa14bc82d8776aaaaa63403b84918685d0acc2dd881a28e0b8",
     ("info", "E8-1"):
         "27143055b6bf098e6d33e2a7c763d28d35c0a9030aafaf728d8eab0553e68c6c",
+    # recorded at commit b707b9e: the whole catalog sweep, a sampled E7-1
+    # sweep and the default E8-1 sweep
+    ("verify", "--all-types"):
+        "43dab436a1ae1ea89acd7d145cc8658bf5130eab956726045e1485e1853c50bb",
+    ("verify", "E7-1", "--levels", "1,2", "--samples", "20"):
+        "2246fe6f75c1bb304b4314206a5ab7fc2968888e51aecec0a29fefb94988c2e1",
+    ("verify", "E8-1", "--levels", "1,2"):
+        "5306095a5a646810951a0d13a159e2d4c7203e1261f791bba312fc5cd3530970",
 }
 
 

@@ -594,7 +594,7 @@ def test_search_matches_numpy_grid(name):
             weight = weight_from_labels(diagram, labs, shift)
             offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
             moved = add_root(weight, offsets)
-            partner = oracle._dominant_repair(moved)
+            partner = oracle._dominant_repair(weight, offsets.coeffs)
             assert partner == _ref_repair(moved)
             for window in windows:
                 bc = brute_cocovers(weight, window)
@@ -853,9 +853,10 @@ def test_sweep_searches_each_label_tuple_once(monkeypatch):
 
 
 def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
-    real, memos = oracle._check_one, []
+    real, checked, memos = oracle._check_one, [], []
 
     def captured(weight, bounds, mismatches, searches):
+        checked.append(weight)
         memos.append(searches)
         return real(weight, bounds, mismatches, searches)
 
@@ -865,14 +866,73 @@ def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
     assert report.tested == len(memos) == 219
     assert all(len(memo) <= 1 for memo in memos)
     assert len({id(memo) for memo in memos}) == 219  # no memo outlives its weight
-    # samples are drawn at level 1 only, so only level-1 searches are kept
-    del memos[:]
+    # the samples' labels are drawn first, so only the level-1 tuples the
+    # five samples drew are kept, from the census on
+    del checked[:], memos[:]
     report = verify_covering("A8-1", levels=(1,), samples_per_level=5)
     assert report.tested == len(memos) == 224
-    shared = [memo for memo in memos if len(memo) > 1]
-    assert shared and all(memo is shared[0] for memo in shared)
-    assert set(shared[0]) == {tuple(int(j == i) for j in range(9)) for i in range(9)}
-    assert all(len(memo) <= 1 for memo in memos if memo is not shared[0])
+    shared = memos[-1]
+    drawn = {weight.labels for weight in checked[-5:]}
+    assert all(memo is shared for memo in memos[-5:])
+    assert set(shared) == drawn and 1 < len(drawn) < 9
+    for weight, memo in zip(checked[:-5], memos[:-5]):
+        assert (memo is shared) is (weight.labels in drawn)
+        assert memo is shared or len(memo) <= 1
+
+
+def test_sweep_memory_holds_only_the_searches_samples_read():
+    # A20-1 has 2023 census tuples at levels 1-3; 600 samples read back at
+    # most 600 of them.  Keeping every census search peaked at 2.9 MiB.
+    diagram = D("A20-1")
+    verify_covering(diagram, levels=(1, 2, 3), samples_per_level=200)  # warm the caches
+    tracemalloc.start()
+    try:
+        report = verify_covering(diagram, levels=(1, 2, 3), samples_per_level=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tested == 2023 + 600 and report.mismatches == ()
+    assert peak < 1 << 20
+
+
+def _ref_fraction_repair(weight):
+    # the repair as the sweep ran it on Fractions: one sum per raise of vertex 0
+    diagram = weight.diagram
+    labs, shift = list(weight.labels), weight.shift
+    while True:
+        j = next((j for j, e in enumerate(labs) if e < 0), None)
+        if j is None:
+            return weight_from_labels(diagram, labs, shift)
+        step = (1 - labs[j]) // 2
+        for i, x in diagram.columns[j]:
+            labs[i] += step * x
+        if j == 0:
+            shift += Fraction(step, diagram.marks[0])
+
+
+def _ref_stream(diagram, levels, samples, seed):
+    stream = [(weight_from_labels(diagram, labs), None) for labs in oracle._census_labels(diagram)]
+    for level in levels:
+        rng = random.Random(f"{seed}:{diagram.type_id}:{level}")
+        for _ in range(samples):
+            labs = oracle._sample_labels(diagram, level, rng)
+            shift = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+            offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
+            weight = weight_from_labels(diagram, labs, shift)
+            stream.append((weight, _ref_fraction_repair(add_root(weight, offsets))))
+    return stream
+
+
+@pytest.mark.parametrize("name", [str(t) for t in catalog_types()])
+def test_sweep_stream_matches_the_reference_draws(name):
+    # the same (weight, partner) pairs, in order, from the same draws; equal
+    # weights hold equal label tuples and shifts in lowest terms
+    diagram = D(name)
+    for seed in (0, 9):
+        draws = oracle._draws(diagram, (1, 2, 4), 25, seed)
+        stream = list(oracle._sweep(diagram, draws))
+        assert stream == _ref_stream(diagram, (1, 2, 4), 25, seed)
+        assert sum(partner is not None for _, partner in stream) == 75
 
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A2-2", "A3-1"])

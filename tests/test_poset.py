@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import affposet.covering as covering
 import affposet.poset as poset
+import affposet.weights as weights
 from affposet.cartan import build_affine, catalog_types, parse_type_id
 from affposet.covering import CoverEdge, CoverKind, cocovers, edge_from_json
 from affposet.poset import (
@@ -309,6 +311,15 @@ def test_cell_builds_only_the_weights_and_edges_it_returns(
             _real(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    # the weights the library computes skip __init__ through one constructor
+    computed = weights._weight
+
+    def counted_computed(*args):
+        built[Weight] += 1
+        return computed(*args)
+
+    for module in (weights, covering, poset):
+        monkeypatch.setattr(module, "_weight", counted_computed)
     cell = basic_cell(lam, mu, mu2)
     assert built == {Weight: len(cell.graph.nodes), CoverEdge: len(cell.graph.edges)}
 

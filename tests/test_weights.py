@@ -8,7 +8,7 @@ import pytest
 import affposet.weights as weights
 from affposet.cartan import build_affine, catalog_types, classify_finite, format_shift, parse_type_id
 from affposet.covering import cocovers
-from affposet.oracle import _sweep
+from affposet.oracle import _draws, _sweep
 from affposet.roots import RootVector, delta_root, highest_short_root, simple_root
 from affposet.weights import (
     ComponentMismatchError,
@@ -331,6 +331,9 @@ def test_weight_hash_reads_the_value_not_its_form():
     for shift in (0, Fraction(3, 2)):
         a, g = Weight(D("A2-1"), (1, 0, 0), shift), Weight(D("G2-1"), (1, 0, 0), shift)
         assert a != g and not a == g and len({a, g}) == 2
+    # hash(-1) == hash(-2), yet one label tuple at nearby shifts hashes apart
+    shifts = [Fraction(k) for k in range(-6, 7)] + [Fraction(k, 2) for k in (-3, -1, 1, 3)]
+    assert len({hash(Weight(d, (1, 0, 1), s)) for s in shifts}) == len(shifts) == 17
 
 
 def test_error_types_and_texts_are_pinned():
@@ -430,7 +433,7 @@ def test_join_matches_the_reference_on_sweep_pairs(name, levels):
     # the sweep's pairs, and the pairs of cocovers of each sampled weight,
     # whose coefficient maximum often has negative labels to repair
     d = D(name)
-    pairs = [(a, b) for a, b in _sweep(d, levels, 20, 17) if b is not None]
+    pairs = [(a, b) for a, b in _sweep(d, _draws(d, levels, 20, 17)) if b is not None]
     assert len(pairs) == 20 * len(levels)
     for a, _ in pairs[:]:
         lowers = [e.lower for e in cocovers(a)]
