@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import _LAZY
 from .cartan import AffineDiagram, _set, _Value, classify_finite, special_vertices
@@ -43,7 +43,6 @@ from .weights import (
     _json_string,
     _plus_delta,
     _weight,
-    is_dominant,
     weight_from_json,
     weight_to_json,
 )
@@ -70,13 +69,16 @@ class CoverEdge(_Value):
 
 
 def _require_dominant_positive(weight: Weight) -> tuple:
-    if not is_dominant(weight):
+    """The labels of a dominant weight of positive level, read once; raises
+    ``ValueError`` for a weight that is not dominant and
+    ``NonPositiveLevelError`` for one of level at most zero."""
+    labs = weight.labels
+    if min(labs) < 0:
         raise ValueError(f"weight {weight} is not dominant integral")
-    if weight.m <= 0:
-        raise NonPositiveLevelError(
-            f"covering relations need positive level, got {weight.m}"
-        )
-    return weight.labels
+    level = sum(map(mul, weight.diagram.comarks, labs))
+    if level <= 0:
+        raise NonPositiveLevelError(f"covering relations need positive level, got {level}")
+    return labs
 
 
 def _unique_short_vertex(diagram: AffineDiagram, vertices):
@@ -115,9 +117,11 @@ def _delta_cases(diagram: AffineDiagram) -> dict:
 
 
 def is_delta_cocover(weight: Weight) -> bool:
-    """Whether the weight covers its translate by minus delta."""
+    """Whether the weight covers its translate by minus delta: its nonzero
+    labels, as (vertex, label) pairs by vertex, are one of delta's
+    patterns."""
     labs = _require_dominant_positive(weight)
-    return _pattern(labs, weight.diagram.vertices) in _delta_cases(weight.diagram)
+    return tuple(filter(itemgetter(1), enumerate(labs))) in _delta_cases(weight.diagram)
 
 
 def _case_rules(diagram: AffineDiagram, kind: CoverKind, supp: tuple) -> dict | None:
@@ -195,14 +199,16 @@ def _fixed_steps(diagram: AffineDiagram) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _cocover_table(diagram: AffineDiagram) -> dict:
-    """The cocover steps of the diagram keyed by the upper labels they fix.
+    """The cocover steps of the diagram filed by the upper labels they fix.
 
     A case test fixes the lower labels on the root's support, so each
     accepted pattern fixes the upper ones there too: the pattern plus A
-    times the root.  The key holds the nonzero ones as (vertex, label) pairs
-    by vertex, and each entry (step, rest, case) is a cocover of every
-    dominant weight with those labels and label zero on rest, the rest of
-    the support: outside it the lower labels are the upper ones less a
+    times the root.  Its key holds the nonzero ones as one or two (vertex,
+    label) pairs by vertex.  The table files each entry (last, step, rest,
+    case) under the key's first pair, with ``last`` the key's last pair,
+    the first itself for a one-pair key.  The entry is a cocover of every
+    dominant weight with the key's labels and label zero on rest, the rest
+    of the support: outside it the lower labels are the upper ones less a
     nonpositive change.  Simple roots, which have no test, are left out.
     """
     short = [
@@ -226,7 +232,7 @@ def _cocover_table(diagram: AffineDiagram) -> dict:
             rest = list(supp)
             for v, _ in key:
                 rest.remove(v)
-            table.setdefault(key, []).append((step, tuple(rest), tag))
+            table.setdefault(key[0], []).append((key[-1], step, tuple(rest), tag))
     return table
 
 
@@ -234,17 +240,20 @@ def _cocover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     """(step, case) for each cocover of dominant labels, in no fixed order.
 
     A simple root drops where the label is at least two, and every other
-    root, delta too, where the table has an entry under the labels at one
-    or two positive vertices.
+    root, delta too, where the table holds an entry under a positive
+    vertex's (vertex, label) pair whose last pair and zero rest the labels
+    match.  The pairs come from ``enumerate``, so a query builds no key.
     """
-    table = _cocover_table(diagram)
-    positive = [(v, x) for v, x in enumerate(labs) if x]
-    found = [(_support_step(diagram, (v,)), "a") for v, x in positive if x >= 2]
-    for k, first in enumerate(positive):
-        for key in [(first,)] + [(first, second) for second in positive[k + 1:]]:
-            for step, rest, case in table.get(key, ()):
-                if not any(map(labs.__getitem__, rest)):
-                    found.append((step, case))
+    table, found = _cocover_table(diagram), []
+    for pair in enumerate(labs):
+        v, x = pair
+        if not x:
+            continue
+        if x >= 2:
+            found.append((_support_step(diagram, (v,)), "a"))
+        for (w, y), step, rest, case in table.get(pair, ()):
+            if labs[w] == y and not any(map(labs.__getitem__, rest)):
+                found.append((step, case))
     return found
 
 
@@ -285,10 +294,11 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
 def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
     """Cover steps below (sign -1) or above (sign +1) dominant labels of
     positive level, as (step, labels across it, case) in ``cover_root_set``
-    order.  A weight and its delta translates share their labels, and so
-    their moves."""
+    order; only two or more steps need a sort.  A weight and its delta
+    translates share their labels, and so their moves."""
     found = (_cocover_cases if sign < 0 else _cover_cases)(diagram, labs)
-    found.sort(key=lambda pair: pair[0].order)
+    if len(found) > 1:
+        found.sort(key=lambda pair: pair[0].order)
     moves = []
     for step, case in found:
         across = list(labs)

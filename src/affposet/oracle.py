@@ -24,9 +24,10 @@ search below takes its bound tuple.  A sweep works on integer labels: the
 search depends on the labels alone, so :func:`verify_covering` runs it once
 per label tuple within a call and keys the brute lower ends by labels and a
 reduced integer shift.  It draws its samples before its census, which it
-streams, and keeps a search only for a label tuple a sample drew.  Each
-sample's partner is its labels plus the offsets' Cartan columns, repaired
-in place by this module's own raise of negative labels.
+streams, and keeps a search only for a label tuple a sample drew; a budget
+stops the draws as it stops the sweep.  Each sample's partner is its labels
+plus the offsets' Cartan columns, repaired in place by this module's own
+raise of negative labels.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     are zero, so once a minimum already found lies below the partial offset
     it lies below every completion, and the larger values at v are cut too.
     At the last vertex every label is settled: the first nonzero value
-    there that is not cut is a new minimum.
+    there that is not cut is a new minimum.  The minima are tested in plain
+    ``for`` loops, and a value of zero adds and removes no column.
     """
     if len(bounds) > _MAX_SEARCH_VERTICES:
         raise BoxTooLargeError(
@@ -175,27 +177,38 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
                 lo = 1
             if lo <= hi:
                 gamma[v] = lo
-                if not (minima and any(all(map(le, m, gamma)) for m in minima)):
+                for m in minima:
+                    if all(map(le, m, gamma)):
+                        break
+                else:
                     minima.append(tuple(gamma))
                 gamma[v] = 0
             return
         if lo > hi:
             return
-        for u, c in column:
-            cur[u] += c * lo
+        if lo:
+            for u, c in column:
+                cur[u] += c * lo
         d = lo
         while True:
             gamma[v] = d
-            if d and minima and any(all(map(le, m, gamma)) for m in minima):
-                break
+            if d:
+                for m in minima:
+                    if all(map(le, m, gamma)):
+                        break
+                else:
+                    m = None
+                if m is not None:  # below a minimum, as every larger value is
+                    break
             visit(k + 1)
             if d == hi:
                 break
             d += 1
             for u, c in column:
                 cur[u] += c
-        for u, c in column:
-            cur[u] -= c * d
+        if d:
+            for u, c in column:
+                cur[u] -= c * d
         gamma[v] = 0
 
     visit(0)
@@ -269,7 +282,11 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
 
 
 def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
-    """``brute_bounds`` of a and b within bounds, given the gap a - b to check."""
+    """``brute_bounds`` of a and b within bounds, given the gap a - b to check.
+
+    Each shift's numerator and denominator are read once, and a
+    coefficient-maximum corner that is already dominant gives the least
+    upper bound its labels as they are."""
     diagram = a.diagram
     columns, mark0 = diagram.columns, diagram.marks[0]
     # b plus the gap's Cartan columns must give a's labels
@@ -279,22 +296,20 @@ def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
             for w, x in columns[v]:
                 labs[w] += g * x
     s, t = a.shift, b.shift
+    sp, sq, tp, tq = s.numerator, s.denominator, t.numerator, t.denominator
     # gap[0] / mark0 == s - t, cross-multiplied
-    shift_ok = gap[0] * s.denominator * t.denominator == (
-        s.numerator * t.denominator - t.numerator * s.denominator
-    ) * mark0
-    if tuple(labs) != a.labels or not shift_ok:
+    if tuple(labs) != a.labels or gap[0] * sq * tq != (sp * tq - tp * sq) * mark0:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
-    lo = [-max(0, g) for g in gap]
-    hi = [max(0, -g) for g in gap]
+    lo = [-g if g > 0 else 0 for g in gap]
+    hi = [-g if g < 0 else 0 for g in gap]
     corner_lo = _add_columns(diagram, a.labels, lo)
     if min(corner_lo) < 0:
         raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
-    glb = _weight(diagram, tuple(corner_lo), _plus_delta(a.shift, lo[0], mark0))
+    glb = _weight(diagram, tuple(corner_lo), _plus_delta(s, lo[0], mark0))
 
     corner_hi = _add_columns(diagram, a.labels, hi)
     if min(corner_hi) >= 0:
-        beta = (0,) * len(hi)
+        lub = _weight(diagram, tuple(corner_hi), _plus_delta(s, hi[0], mark0))
     else:
         minima = _minimal_offsets(diagram, bounds, corner_hi, 1)
         if not minima:
@@ -303,11 +318,11 @@ def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
             listed = ", ".join(map(str, minima))
             raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
         beta = minima[0]
-    lub = _weight(
-        diagram,
-        tuple(_add_columns(diagram, corner_hi, beta)),
-        _plus_delta(a.shift, hi[0] + beta[0], mark0),
-    )
+        lub = _weight(
+            diagram,
+            tuple(_add_columns(diagram, corner_hi, beta)),
+            _plus_delta(s, hi[0] + beta[0], mark0),
+        )
     return BruteBounds(glb, lub)
 
 
@@ -342,14 +357,33 @@ def _census_labels(diagram: AffineDiagram):
                 yield tuple(map((a, b, c).count, range(end)))
 
 
-def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random):
+def _level_choices(diagram: AffineDiagram, top: int) -> list:
+    """For each remaining level r from 0 to top, the vertices whose comark
+    is at most r, in order.  From the largest comark on every vertex fits,
+    and those levels share one list."""
+    comarks = diagram.comarks
+    lists = [
+        [j for j in diagram.vertices if comarks[j] <= r]
+        for r in range(min(top, max(comarks)) + 1)
+    ]
+    return lists + [lists[-1]] * (top + 1 - len(lists))
+
+
+def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random, choices=None):
+    """Labels of the given level, one vertex at a time: each is drawn from
+    the vertices whose comark fits in the level still to fill.  ``choices``
+    holds those vertices by remaining level, as ``_level_choices`` lists
+    them for at least the target level; they are listed here when it is
+    not given."""
+    if choices is None:
+        choices = _level_choices(diagram, target_level)
+    comarks = diagram.comarks
     labs = [0] * (diagram.n + 1)
     remaining = target_level
     while remaining > 0:
-        choices = [j for j in diagram.vertices if diagram.comarks[j] <= remaining]
-        j = rng.choice(choices)
+        j = rng.choice(choices[remaining])
         labs[j] += 1
-        remaining -= diagram.comarks[j]
+        remaining -= comarks[j]
     return tuple(labs)
 
 
@@ -384,15 +418,26 @@ def _dominant_repair(weight: Weight, offsets) -> Weight:
     return _weight(diagram, tuple(labs), _plus_delta(weight.shift, k0, diagram.marks[0]))
 
 
-def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int) -> list:
+def _draws(
+    diagram: AffineDiagram, levels, samples_per_level: int, seed: int, deadline=None
+) -> list:
     """Each sample's labels, delta shift and root-vector offsets, level by
     level from one seeded generator per level, drawn before the sweep so
-    that it knows which label tuples a sample reads back."""
+    that it knows which label tuples a sample reads back.  The vertex
+    choices of each remaining level are listed once for every sample.
+
+    Once ``time.monotonic()`` passes the deadline, if one is given, no more
+    samples are drawn; the sweep reads the same clock against the same
+    deadline, so it stops before its first check.
+    """
+    choices = _level_choices(diagram, max(levels, default=0))
     draws = []
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
-            labs = _sample_labels(diagram, lvl, rng)
+            if deadline is not None and time.monotonic() > deadline:
+                return draws
+            labs = _sample_labels(diagram, lvl, rng, choices)
             # randrange(2k + 1) - k draws as randint(-k, k) does
             shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
             # one signed byte per vertex: a sweep of A80-1 draws 600 before its first check
@@ -512,7 +557,8 @@ def verify_covering(
     tuple is searched once per call: the samples are drawn first, and a
     search is kept for the rest of the call only for a label tuple a sample
     drew.  Only the search plans, a few integers per vertex and window, are
-    kept between calls.
+    kept between calls.  A budget, in seconds from the start of the call,
+    stops the draws and the sweep at one deadline.
     """
     levels = tuple(levels)
     for lvl in levels:
@@ -533,14 +579,15 @@ def verify_covering(
     diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
-    draws = _draws(diagram, levels, samples_per_level, seed)
+    deadline = None if budget is None else start + budget
+    draws = _draws(diagram, levels, samples_per_level, seed, deadline)
     wanted = {labs for labs, _, _ in draws}
     searches: dict = {}
     mismatches: list = []
     tested = 0
     exceeded = False
     for weight, partner in _sweep(diagram, draws):
-        if budget is not None and time.monotonic() - start > budget:
+        if deadline is not None and time.monotonic() > deadline:
             exceeded = True
             break
         # a weight whose search no sample reads back gets a throwaway memo

@@ -246,19 +246,22 @@ def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
 
 def _require_component(a: Weight, b: Weight) -> tuple:
     """The integer root vector a - b; raises unless a and b share a component
-    and are both dominant."""
+    and are both dominant.  One pass over the scaled coefficients tests each
+    for integrality and divides it."""
     gap = _gap(a, b)
     if gap is None:
         raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
     nums, den = gap
-    for i, v in enumerate(nums):
+    coeffs = []
+    for v in nums:
         if v % den:
             raise ComponentMismatchError(
-                f"coefficient {i} differs by the non-integer {Fraction(v, den)}"
+                f"coefficient {len(coeffs)} differs by the non-integer {Fraction(v, den)}"
             )
-    if not (is_dominant(a) and is_dominant(b)):
+        coeffs.append(v // den)
+    if min(a.labels) < 0 or min(b.labels) < 0:
         raise ValueError("meet and join are defined for dominant weights")
-    return tuple(v // den for v in nums)
+    return tuple(coeffs)
 
 
 def meet(a: Weight, b: Weight) -> Weight:

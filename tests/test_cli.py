@@ -1,7 +1,12 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import affposet
 import affposet.poset as poset
 from affposet.cli import run
 
@@ -169,7 +174,8 @@ def test_verify_rejects_a_bad_budget():
 
 
 def test_verify_budget_warning():
-    code, out, err = cap(["verify", "F4-1", "--budget", "0.05"])
+    # the default F4-1 sweep takes about 45 ms, so 50 ms does not always stop it
+    code, out, err = cap(["verify", "F4-1", "--budget", "0.01"])
     assert code == 0
     assert "budget exhausted" in err
     assert json.loads(out)["mismatches"] == []
@@ -348,6 +354,20 @@ def test_stdout_digests_frozen():
         code, out, err = cap(list(argv))
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+
+
+def test_verify_digest_survives_optimized_mode():
+    # the search and the sweep's checks lean on no assert and no __debug__
+    argv = ("verify", "E7-1", "--levels", "1,2", "--samples", "20")
+    src = str(pathlib.Path(affposet.__file__).parents[1])
+    paths = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "affposet", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == FROZEN_STDOUT_SHA256[argv]
 
 
 def test_repeated_invocations_are_identical():

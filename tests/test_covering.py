@@ -257,6 +257,24 @@ def test_non_dominant_raises():
         cocovers(w)
 
 
+def test_cover_queries_raise_exact_errors():
+    # dominance is checked first, so a weight that fails both names the weight
+    d = D("A2-1")
+    non_dominant = add_root(weight_from_labels(d, (1, 0, 0)), RootVector(d, (0, -1, 0)))
+    cases = [
+        (non_dominant, ValueError, "weight [2,-2,1 @ 0/1] is not dominant integral"),
+        (Weight(d, (-1, 0, 1)), ValueError, "weight [-1,0,1 @ 0/1] is not dominant integral"),
+        (W("A2-1", (0, 0, 0)), NonPositiveLevelError,
+         "covering relations need positive level, got 0"),
+    ]
+    for query in (cocovers, covers, is_delta_cocover):
+        for weight, error, message in cases:
+            with pytest.raises(ValueError) as caught:
+                query(weight)
+            assert type(caught.value) is error, (query, weight)
+            assert str(caught.value) == message, (query, weight)
+
+
 def test_edge_json_round_trip():
     for name, labs in [("A3-1", (0, 2, 1, 1)), ("A2-2", (0, 1))]:
         for edge in cocovers(W(name, labs)):
@@ -460,6 +478,18 @@ def _dense_delta_table(diagram):
     return table
 
 
+def _cocover_table_items(diagram):
+    # the cocover table's (key, entries) pairs: the table files each entry
+    # under its key's first pair, with the key's last pair in front
+    keyed = {}
+    for first, filed in covering._cocover_table(diagram).items():
+        for last, step, rest, case in filed:
+            assert last == first or last[0] > first[0], (first, last)
+            key = (first,) if last == first else (first, last)
+            keyed.setdefault(key, []).append((step, rest, case))
+    return keyed.items()
+
+
 @pytest.mark.parametrize("name", DENSE_SCAN_TYPES)
 def test_indexed_covers_match_dense_scan(name):
     d = D(name)
@@ -471,7 +501,7 @@ def test_indexed_covers_match_dense_scan(name):
     # labels on the support and zero elsewhere drops along it with its case
     dense = dict(_dense_steps(d))
     keyed = set()
-    for key, entries in covering._cocover_table(d).items():
+    for key, entries in _cocover_table_items(d):
         for step, rest, case in entries:
             cand = step.cand
             column = dense[cand]
@@ -624,9 +654,9 @@ def test_cocover_keys_hold_one_or_two_labels():
     counts = {1: 0, 2: 0}
     for tid in ids:
         d = build_affine(tid)
-        table = covering._cocover_table(d)
-        assert all(len(key) in (1, 2) for key in table), str(tid)
-        for key, entries in table.items():
+        table = _cocover_table_items(d)
+        assert all(len(key) in (1, 2) for key, _ in table), str(tid)
+        for key, entries in table:
             for step, _, _ in entries:
                 if step.cand.kind is not CoverKind.SHORT:
                     continue

@@ -173,8 +173,10 @@ def test_verify_covering_smoke():
 
 
 def test_verify_covering_budget():
-    report = verify_covering("F4-1", samples_per_level=200, budget=0.05)
-    assert report.budget_exceeded
+    # the whole sweep takes about 45 ms: a budget of 50 ms no longer always
+    # stops it
+    report = verify_covering("F4-1", samples_per_level=200, budget=0.01)
+    assert report.budget_exceeded and report.tested < 55 + 600
     assert "budget_exceeded" not in report.to_json()
 
 
@@ -217,6 +219,20 @@ def test_verify_covering_rejects_a_bad_budget(monkeypatch, budget):
     monkeypatch.setattr(oracle, "_check_one", searched)
     with pytest.raises(ValueError, match="budget"):
         verify_covering("A2-1", budget=budget)
+
+
+def test_zero_budget_sweep_draws_at_most_one_sample(monkeypatch):
+    # the draws stop at the budget too: all 600 of A80-1 took 45 ms
+    real, drawn = oracle._sample_labels, []
+
+    def counted(*args):
+        drawn.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sample_labels", counted)
+    report = verify_covering(D("A80-1"), budget=0)
+    assert report.budget_exceeded and report.tested == 0
+    assert len(drawn) <= 1
 
 
 def test_verify_covering_with_a_zero_budget_stops_at_once():
@@ -642,6 +658,32 @@ def test_box_too_large_is_refused_before_any_allocation(monkeypatch):
     with pytest.raises(BoxTooLargeError, match="visits more than 2 nodes"):
         brute_bounds(a, b)
     assert affposet.BoxTooLargeError is BoxTooLargeError
+
+
+E8_RHO = (1,) * 9
+
+
+@pytest.mark.parametrize("search, nodes", [
+    pytest.param(lambda: brute_cocovers(W("E8-1", E8_RHO)), 71, id="e8-rho"),
+    pytest.param(
+        lambda: brute_cocovers(W("E8-1", E8_RHO), default_window(D("E8-1")).doubled()), 105,
+        id="e8-rho-doubled",
+    ),
+    # the coefficient maximum of this pair is not dominant, so the least
+    # upper bound is searched for
+    pytest.param(
+        lambda: brute_bounds(W("E6-1", (0, 3, 0, 0, 0, 0, 0)), W("E6-1", (0, 0, 0, 0, 0, 3, 0))),
+        38, id="e6-upward-lub",
+    ),
+])
+def test_search_visits_a_pinned_number_of_nodes(monkeypatch, search, nodes):
+    # the pruning cuts exactly as many nodes as it did; a bound of one node
+    # fewer than the search visits stops it
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", nodes)
+    search()
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(BoxTooLargeError, match=f"visits more than {nodes - 1} nodes"):
+        search()
 
 
 def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
