@@ -8,10 +8,11 @@ the two; the brute searches themselves must stay independent of it.
 
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
-between them is first checked against the Cartan matrix, its sparse columns
-summed here in O(n).  A sweep's pair check computes that root vector, the
-gap, once and hands the same one to the bounds search and to the meet and
-join it checks.
+between them is first checked against the Cartan matrix.  A sweep's pair
+check computes that root vector, the gap, once and hands the same one to the
+bounds search and to the meet and join it checks.  The corners and the
+weights across a root vector come from ``weights``' label arithmetic, which
+never solves for coefficients.
 
 The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
@@ -25,9 +26,11 @@ search depends on the labels alone, so :func:`verify_covering` runs it once
 per label tuple within a call and keys the brute lower ends by labels and a
 reduced integer shift.  It draws its samples before its census, which it
 streams, and keeps a search only for a label tuple a sample drew; a budget
-stops the draws as it stops the sweep.  Each sample's partner is its labels
-plus the offsets' Cartan columns, repaired in place by this module's own
-raise of negative labels.
+stops the draws as it stops the sweep.  Each sample's partner is raised
+from its labels plus the offsets by ``weights._raised``, the repair ``join``
+uses.  That keeps the check sound: a repair bug shared with ``join`` still
+shows as a ``join`` mismatch against the search, and a partner that is not
+dominant is refused by ``_require_component``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ from .weights import (
     _add_columns,
     _gap_join,
     _gap_meet,
+    _moved,
     _plus_delta,
+    _raised,
     _require_component,
     _weight,
     is_dominant,
@@ -96,6 +101,8 @@ def _bounds(diagram: AffineDiagram, window: SearchWindow | None) -> tuple:
     the default window."""
     if window is None:
         return tuple(2 * a for a in diagram.marks)
+    if not isinstance(window, SearchWindow):
+        raise TypeError(f"window must be a SearchWindow or None, got {window!r}")
     if len(window.bounds) != diagram.n + 1:
         raise ValueError("window rank does not match the diagram")
     return window.bounds
@@ -264,8 +271,7 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     ``join`` use, so it is first checked against the Cartan matrix: its
     columns must add up to the label difference, and its vertex 0
     coefficient over the mark to the shift difference, which only the true
-    gap does.  A sweep's pair check computes the gap once and passes it to
-    this search and to the meet and join it compares.
+    gap does.
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
@@ -282,48 +288,32 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
 
 
 def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
-    """``brute_bounds`` of a and b within bounds, given the gap a - b to check.
-
-    Each shift's numerator and denominator are read once, and a
-    coefficient-maximum corner that is already dominant gives the least
-    upper bound its labels as they are."""
+    """``brute_bounds`` of a and b within bounds, given the gap a - b to
+    check.  The corners and the searched least upper bound are built by
+    ``_moved``; only the search itself is this module's."""
     diagram = a.diagram
-    columns, mark0 = diagram.columns, diagram.marks[0]
-    # b plus the gap's Cartan columns must give a's labels
-    labs = list(b.labels)
-    for v, g in enumerate(gap):
-        if g:
-            for w, x in columns[v]:
-                labs[w] += g * x
     s, t = a.shift, b.shift
-    sp, sq, tp, tq = s.numerator, s.denominator, t.numerator, t.denominator
-    # gap[0] / mark0 == s - t, cross-multiplied
-    if tuple(labs) != a.labels or gap[0] * sq * tq != (sp * tq - tp * sq) * mark0:
+    # b plus the gap's Cartan columns must give a's labels, and gap[0] /
+    # mark0 must be s - t, cross-multiplied
+    if (
+        tuple(_add_columns(diagram, b.labels, gap)) != a.labels
+        or gap[0] * s.denominator * t.denominator
+        != (s.numerator * t.denominator - t.numerator * s.denominator) * diagram.marks[0]
+    ):
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
-    lo = [-g if g > 0 else 0 for g in gap]
-    hi = [-g if g < 0 else 0 for g in gap]
-    corner_lo = _add_columns(diagram, a.labels, lo)
-    if min(corner_lo) < 0:
-        raise RuntimeError(f"the coefficient minimum {corner_lo} is not dominant")
-    glb = _weight(diagram, tuple(corner_lo), _plus_delta(s, lo[0], mark0))
-
-    corner_hi = _add_columns(diagram, a.labels, hi)
-    if min(corner_hi) >= 0:
-        lub = _weight(diagram, tuple(corner_hi), _plus_delta(s, hi[0], mark0))
-    else:
-        minima = _minimal_offsets(diagram, bounds, corner_hi, 1)
-        if not minima:
-            raise WindowExhaustedError("no dominant upper bound within the window")
-        if len(minima) > 1:
-            listed = ", ".join(map(str, minima))
-            raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
-        beta = minima[0]
-        lub = _weight(
-            diagram,
-            tuple(_add_columns(diagram, corner_hi, beta)),
-            _plus_delta(s, hi[0] + beta[0], mark0),
-        )
-    return BruteBounds(glb, lub)
+    glb = _moved(a, [-g if g > 0 else 0 for g in gap])
+    if min(glb.labels) < 0:
+        raise RuntimeError(f"the coefficient minimum {list(glb.labels)} is not dominant")
+    top = _moved(a, [-g if g < 0 else 0 for g in gap])
+    if min(top.labels) >= 0:
+        return BruteBounds(glb, top)
+    minima = _minimal_offsets(diagram, bounds, top.labels, 1)
+    if not minima:
+        raise WindowExhaustedError("no dominant upper bound within the window")
+    if len(minima) > 1:
+        listed = ", ".join(map(str, minima))
+        raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
+    return BruteBounds(glb, _moved(top, minima[0]))
 
 
 class VerificationReport(_Value):
@@ -357,65 +347,30 @@ def _census_labels(diagram: AffineDiagram):
                 yield tuple(map((a, b, c).count, range(end)))
 
 
-def _level_choices(diagram: AffineDiagram, top: int) -> list:
-    """For each remaining level r from 0 to top, the vertices whose comark
-    is at most r, in order.  From the largest comark on every vertex fits,
-    and those levels share one list."""
+@functools.lru_cache(maxsize=None)
+def _level_choices(diagram: AffineDiagram) -> tuple:
+    """For each remaining level r up to the largest comark, the vertices
+    whose comark is at most r, in order.  At higher levels every vertex
+    fits, as at the largest comark."""
     comarks = diagram.comarks
-    lists = [
-        [j for j in diagram.vertices if comarks[j] <= r]
-        for r in range(min(top, max(comarks)) + 1)
-    ]
-    return lists + [lists[-1]] * (top + 1 - len(lists))
+    return tuple(
+        tuple(j for j in diagram.vertices if comarks[j] <= r) for r in range(max(comarks) + 1)
+    )
 
 
-def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random, choices=None):
+def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random):
     """Labels of the given level, one vertex at a time: each is drawn from
-    the vertices whose comark fits in the level still to fill.  ``choices``
-    holds those vertices by remaining level, as ``_level_choices`` lists
-    them for at least the target level; they are listed here when it is
-    not given."""
-    if choices is None:
-        choices = _level_choices(diagram, target_level)
+    the vertices whose comark fits in the level still to fill."""
+    choices = _level_choices(diagram)
+    top = len(choices) - 1
     comarks = diagram.comarks
     labs = [0] * (diagram.n + 1)
     remaining = target_level
     while remaining > 0:
-        j = rng.choice(choices[remaining])
+        j = rng.choice(choices[min(remaining, top)])
         labs[j] += 1
         remaining -= comarks[j]
     return tuple(labs)
-
-
-def _dominant_repair(weight: Weight, offsets) -> Weight:
-    """The smallest dominant weight above the weight plus the root vector
-    with these integer coefficients; reimplemented here so the pair
-    generator does not lean on the lattice code it is checking.
-
-    The offsets' Cartan columns are added to the labels, and the list is
-    repaired in place: raising vertex j by step adds step times column j,
-    leaves label j at 0 or 1 and lowers only its neighbours', so a worklist
-    of the vertices that went negative holds every negative label.  The
-    raises of vertex 0 are counted, and the shift moves once.
-    """
-    diagram = weight.diagram
-    columns = diagram.columns
-    labs = _add_columns(diagram, weight.labels, offsets)
-    k0 = offsets[0]
-    todo = [j for j, e in enumerate(labs) if e < 0]
-    while todo:
-        j = todo.pop()
-        e = labs[j]
-        if e >= 0:
-            continue
-        step = (1 - e) // 2
-        for i, x in columns[j]:
-            labs[i] += step * x
-            if labs[i] < 0:
-                todo.append(i)
-        if j == 0:
-            k0 += step
-    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, k0, diagram.marks[0]))
 
 
 def _draws(
@@ -423,21 +378,19 @@ def _draws(
 ) -> list:
     """Each sample's labels, delta shift and root-vector offsets, level by
     level from one seeded generator per level, drawn before the sweep so
-    that it knows which label tuples a sample reads back.  The vertex
-    choices of each remaining level are listed once for every sample.
+    that it knows which label tuples a sample reads back.
 
     Once ``time.monotonic()`` passes the deadline, if one is given, no more
     samples are drawn; the sweep reads the same clock against the same
     deadline, so it stops before its first check.
     """
-    choices = _level_choices(diagram, max(levels, default=0))
     draws = []
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
             if deadline is not None and time.monotonic() > deadline:
                 return draws
-            labs = _sample_labels(diagram, lvl, rng, choices)
+            labs = _sample_labels(diagram, lvl, rng)
             # randrange(2k + 1) - k draws as randint(-k, k) does
             shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
             # one signed byte per vertex: a sweep of A80-1 draws 600 before its first check
@@ -454,7 +407,7 @@ def _sweep(diagram: AffineDiagram, draws):
         yield _weight(diagram, labs, _ZERO), None
     for labs, shift, offsets in draws:
         weight = _weight(diagram, labs, shift)
-        yield weight, _dominant_repair(weight, offsets)
+        yield weight, _raised(weight, offsets)
 
 
 def _weight_key(weight: Weight):

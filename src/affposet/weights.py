@@ -9,7 +9,8 @@ solved in O(n) integer steps along the leaf-first elimination that
 weights.  Only this module solves for root coefficients: ``_gap`` takes two
 weights to the root vector between them.  The weight across a root vector is
 built from ``_add_columns`` (labels) and ``_plus_delta`` (shift); ``_moved``
-applies both, and ``covering``, ``poset`` and ``oracle`` call them directly.
+applies both, ``_raised`` then repairs the result up to a dominant weight,
+and ``covering``, ``poset`` and ``oracle`` call them directly.
 A weight so computed is built by ``_weight``, which skips the checks that
 ``Weight`` makes of labels and shifts from outside the library.
 
@@ -291,16 +292,24 @@ def join(a: Weight, b: Weight) -> Weight:
 
 
 def _gap_join(a: Weight, gap) -> Weight:
-    """The join of a and a - gap, for the integer root vector gap.
+    """The join of a and a - gap, for the integer root vector gap: the
+    coefficient maximum, raised."""
+    return _raised(a, [max(0, -g) for g in gap])
+
+
+def _raised(weight: Weight, coeffs) -> Weight:
+    """The least dominant weight at or above the weight plus the root vector
+    with these integer coefficients.
 
     The labels are repaired in place.  Raising vertex j leaves its label at
     0 or 1 and lowers only its neighbours', so a worklist of the vertices
-    that went negative holds every negative label.
+    that went negative holds every negative label.  The raises of vertex 0
+    are counted, and the shift moves once.
     """
-    diagram, columns = a.diagram, a.diagram.columns
-    top = [max(0, -g) for g in gap]
-    labs = _add_columns(diagram, a.labels, top)
-    k0 = top[0]
+    diagram = weight.diagram
+    columns = diagram.columns
+    labs = _add_columns(diagram, weight.labels, coeffs)
+    k0 = coeffs[0]
     todo = [j for j, e in enumerate(labs) if e < 0]
     while todo:
         j = todo.pop()
@@ -313,7 +322,7 @@ def _gap_join(a: Weight, gap) -> Weight:
                 todo.append(i)
         if j == 0:
             k0 += step
-    return _weight(diagram, tuple(labs), _plus_delta(a.shift, k0, diagram.marks[0]))
+    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, k0, diagram.marks[0]))
 
 
 def sort_key(weight: Weight) -> tuple:

@@ -1,10 +1,12 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import affposet
 import affposet.poset as poset
@@ -173,8 +175,11 @@ def test_verify_rejects_a_bad_budget():
         assert err.startswith("error:") and "budget" in err, budget
 
 
-def test_verify_budget_warning():
-    # the default F4-1 sweep takes about 45 ms, so 50 ms does not always stop it
+def test_verify_budget_warning(monkeypatch):
+    # a clock that advances 10 us per reading stops the sweep at the same
+    # weight on any host
+    clock = types.SimpleNamespace(monotonic=itertools.count(0, 1e-5).__next__)
+    monkeypatch.setattr("affposet.oracle.time", clock)
     code, out, err = cap(["verify", "F4-1", "--budget", "0.01"])
     assert code == 0
     assert "budget exhausted" in err

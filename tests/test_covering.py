@@ -30,7 +30,7 @@ from affposet.covering import (
     edge_to_json,
     is_delta_cocover,
 )
-from affposet.oracle import _dominant_repair, brute_bounds, brute_cocovers, verify_covering
+from affposet.oracle import brute_bounds, brute_cocovers, verify_covering
 from affposet.poset import basic_cell, interval
 from affposet.roots import (
     CoverKind,
@@ -43,6 +43,7 @@ from affposet.roots import (
 )
 from affposet.weights import (
     Weight,
+    _raised,
     add_root,
     delta_shift,
     dominance_leq,
@@ -629,10 +630,10 @@ def test_queries_read_cartan_rows_only_at_bonds(name):
         graph = interval(lam, weight_from_labels(d, lam.labels, -1))
         assert len(graph.nodes) > len(lowers)
         assert "cartan" not in vars(d)
-        # the oracle reads the columns too: its searches, its repair, the
-        # gap check of its bounds, and a whole sweep
+        # the oracle reads the columns too: its searches, the repair of its
+        # partners, the gap check of its bounds, and a whole sweep
         brute_cocovers(lam)
-        _dominant_repair(Weight(d, (-1,) + (2,) * d.n), (0,) * (d.n + 1))
+        _raised(Weight(d, (-1,) + (2,) * d.n), (0,) * (d.n + 1))
         mu, mu2 = lowers[0], lowers[-1]
         bounds = brute_bounds(mu, mu2)
         assert (bounds.glb, bounds.lub) == (meet(mu, mu2), join(mu, mu2))
@@ -798,6 +799,6 @@ def test_classifier_matches_the_oracle_beyond_the_catalog():
             assert pairs == set(zip(brute.cocovers, brute.differences)), where
             assert is_delta_cocover(w) is (d.marks in {r.coeffs for r in brute.differences}), where
             offsets = RootVector(d, [rng.randint(-2, 2) for _ in d.vertices])
-            partner = _dominant_repair(w, offsets.coeffs)
+            partner = _raised(w, offsets.coeffs)
             bounds = brute_bounds(w, partner)
             assert (meet(w, partner), join(w, partner)) == (bounds.glb, bounds.lub), where

@@ -6,12 +6,14 @@ import pathlib
 import random
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import affposet
+import affposet.cartan as cartan
 import affposet.covering as covering
 import affposet.oracle as oracle
 import affposet.weights as weights
@@ -172,11 +174,14 @@ def test_verify_covering_smoke():
         }
 
 
-def test_verify_covering_budget():
-    # the whole sweep takes about 45 ms: a budget of 50 ms no longer always
-    # stops it
+def test_verify_covering_budget(monkeypatch):
+    # a clock that advances 10 us per reading: the 600 draws spend 6 ms of
+    # the 10 ms budget, and the sweep stops at the same weight on any host
+    clock = types.SimpleNamespace(monotonic=itertools.count(0, 1e-5).__next__)
+    monkeypatch.setattr(oracle, "time", clock)
     report = verify_covering("F4-1", samples_per_level=200, budget=0.01)
     assert report.budget_exceeded and report.tested < 55 + 600
+    assert report.tested > 55 and report.mismatches == ()
     assert "budget_exceeded" not in report.to_json()
 
 
@@ -337,16 +342,17 @@ def test_brute_search_is_independent_of_the_classifier():
     tree = ast.parse(source)
     checked = {
         "_scaled_coeffs",
-        "_scaled_difference",
         "_eliminate",
         "_elimination",
-        "_not_finite",
-        "_integer_gap",
         "_gap",
         "_shift_gap",
         "_solved_gap",
         "_dominance_gap",
     }
+    # a renamed solver must not leave the guard checking nothing: each name
+    # is a function of weights or cartan, or the diagram's elimination
+    for name in checked:
+        assert any(hasattr(home, name) for home in (weights, cartan, D("A2-1"))), name
     for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             assert node.module != "covering"
@@ -395,6 +401,38 @@ def test_brute_bounds_rejects_wrong_rank_window():
             brute_cocovers(a, SearchWindow(bounds))
 
 
+@pytest.mark.parametrize("window", [(2, 2, 2), [2, 2, 2]])
+def test_a_window_that_is_not_a_search_window_raises_type_error(monkeypatch, window):
+    def searched(*args):
+        raise AssertionError("a search ran before the window was checked")
+
+    monkeypatch.setattr(oracle, "_minimal_offsets", searched)
+    monkeypatch.setattr(oracle, "_check_one", searched)
+    a, b = W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3))
+    with pytest.raises(TypeError, match="window must be a SearchWindow"):
+        brute_cocovers(a, window)
+    with pytest.raises(TypeError, match="window must be a SearchWindow"):
+        brute_bounds(a, b, window)
+    with pytest.raises(TypeError, match="window must be a SearchWindow"):
+        verify_covering("A2-1", window=window)
+
+
+def test_a_huge_level_lists_no_choice_per_level():
+    # the vertex choices stop at the largest comark: a level of 10**7 used
+    # to build a list of 10**7 entries before drawing nothing
+    diagram = D("A1-1")
+    # the classifier's import and tables are built once, before the count
+    verify_covering(diagram, levels=(1,), samples_per_level=0)
+    tracemalloc.start()
+    try:
+        report = verify_covering(diagram, levels=(10**7,), samples_per_level=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mismatches == () and report.tested == 9  # the census alone
+    assert peak < 1 << 20
+
+
 def test_verify_covering_rejects_a_wrong_rank_window_before_any_weight(monkeypatch):
     def searched(*args):
         raise AssertionError("a weight was checked")
@@ -417,10 +455,13 @@ def test_brute_bounds_checks_the_gap_against_the_cartan_matrix(monkeypatch):
 
 
 def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
-    real = oracle._add_columns
-    monkeypatch.setattr(
-        oracle, "_add_columns", lambda d, labs, coeffs: [v - 5 for v in real(d, labs, coeffs)]
-    )
+    real = oracle._moved
+
+    def lowered(weight, coeffs):
+        moved = real(weight, coeffs)
+        return weights._weight(moved.diagram, tuple(v - 5 for v in moved.labels), moved.shift)
+
+    monkeypatch.setattr(oracle, "_moved", lowered)
     with pytest.raises(RuntimeError, match=r"minimum \[-4, -4, -4\] is not dominant"):
         brute_bounds(W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3)))
 
@@ -610,7 +651,7 @@ def test_search_matches_numpy_grid(name):
             weight = weight_from_labels(diagram, labs, shift)
             offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
             moved = add_root(weight, offsets)
-            partner = oracle._dominant_repair(weight, offsets.coeffs)
+            partner = weights._raised(weight, offsets.coeffs)
             assert partner == _ref_repair(moved)
             for window in windows:
                 bc = brute_cocovers(weight, window)
