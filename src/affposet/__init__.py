@@ -41,8 +41,8 @@ _LAZY = {
     ), "covering"),
     **dict.fromkeys((
         "BoxTooLargeError", "BruteBounds", "BruteCocovers", "SearchWindow",
-        "VerificationReport", "WindowExhaustedError", "brute_bounds",
-        "brute_cocovers", "default_window", "verify_covering",
+        "TooManySamplesError", "VerificationReport", "WindowExhaustedError",
+        "brute_bounds", "brute_cocovers", "default_window", "verify_covering",
     ), "oracle"),
     **dict.fromkeys((
         "Cell", "CellMismatchError", "CellShape", "IncomparableError",

@@ -428,20 +428,24 @@ def build_affine(type_id) -> AffineDiagram:
     return _build_cached(parse_type_id(type_id))
 
 
+def _ints(what: str, values) -> tuple:
+    """The values as a tuple, once each is exactly an int: not a bool."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {v!r}")
+    return values
+
+
 def _check_vertex(diagram: AffineDiagram, i) -> None:
-    if type(i) is not int:
-        raise TypeError(f"vertices must be ints, got {i!r}")
+    _ints("vertices", (i,))
     if i not in diagram.vertices:
         raise ValueError(f"no vertex {i} in {diagram}")
 
 
 def _proper_connected(diagram: AffineDiagram, vertices) -> list:
     """The vertices, sorted, once they form a nonempty proper connected set."""
-    vertices = tuple(vertices)
-    for v in vertices:
-        if type(v) is not int:
-            raise TypeError(f"vertices must be ints, got {v!r}")
-    k = sorted(set(vertices))
+    k = sorted(set(_ints("vertices", vertices)))
     if not k:
         raise ValueError("empty vertex set")
     if any(v not in diagram.vertices for v in k):

@@ -23,18 +23,17 @@ lower weight.  The tests are labelled with short case tags:
 from __future__ import annotations
 
 import functools
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter, mul
 
 from . import _LAZY
 from .cartan import AffineDiagram, _set, _Value, classify_finite, special_vertices
 from .roots import (
-    CoverCandidate,
     CoverKind,
     RootVector,
     _connected_proper_subsets,
     _fixed_candidates,
-    _support_candidate,
+    _highest_short_root_cached,
 )
 from .weights import (
     Weight,
@@ -164,37 +163,38 @@ class CoverPatternError(RuntimeError):
 
 class _Step(_Value):
     """One cover root with what a query reads of it: ``order``, (height,
-    coefficients), the ``cover_root_set`` order; the candidate ``cand``; the
-    sorted support ``supp``; ``change``, (vertex, value) over the nonzero
-    entries of A times the root; and ``rules``, the case test of
+    coefficients), the ``cover_root_set`` order; the ``root`` and its
+    ``kind``; the sorted support ``supp``; ``change``, (vertex, value) over
+    the nonzero entries of A times the root; and ``rules``, the case test of
     ``_case_rules``, None for a simple root."""
 
-    __slots__ = _fields = ("order", "cand", "supp", "change", "rules")
+    __slots__ = _fields = ("order", "root", "kind", "supp", "change", "rules")
 
 
-def _step(diagram: AffineDiagram, cand: CoverCandidate) -> _Step:
-    """The step of a cover candidate: its label change is A times the root,
-    summed over the Cartan columns of its support, and its case test is that
-    of its kind on the support."""
-    coeffs, change = cand.root.coeffs, {}
+def _step(diagram: AffineDiagram, root: RootVector, kind: CoverKind) -> _Step:
+    """The step of a cover root of the given kind: its label change is A
+    times the root, summed over the Cartan columns of its support, and its
+    case test is that of its kind on the support."""
+    coeffs, change = root.coeffs, {}
     supp = tuple(compress(diagram.vertices, coeffs))
     for v in supp:
         for w, x in diagram.columns[v]:
             change[w] = change.get(w, 0) + coeffs[v] * x
     change = tuple(sorted((w, x) for w, x in change.items() if x))
-    return _Step((sum(coeffs), coeffs), cand, supp, change, _case_rules(diagram, cand.kind, supp))
+    return _Step((sum(coeffs), coeffs), root, kind, supp, change, _case_rules(diagram, kind, supp))
 
 
 @functools.lru_cache(maxsize=None)
 def _support_step(diagram: AffineDiagram, supp: tuple) -> _Step:
     """The step of the highest short root on a sorted proper connected set."""
-    return _step(diagram, _support_candidate(diagram, supp))
+    kind = CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT
+    return _step(diagram, _highest_short_root_cached(diagram, supp), kind)
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_steps(diagram: AffineDiagram) -> tuple:
     """The steps of delta and of the diagram's exceptional roots."""
-    return tuple(_step(diagram, cand) for cand in _fixed_candidates(diagram))
+    return tuple(_step(diagram, cand.root, cand.kind) for cand in _fixed_candidates(diagram))
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,24 +211,20 @@ def _cocover_table(diagram: AffineDiagram) -> dict:
     of the support: outside it the lower labels are the upper ones less a
     nonpositive change.  Simple roots, which have no test, are left out.
     """
-    short = [
-        _support_step(diagram, tuple(sorted(subset)))
-        for subset in _connected_proper_subsets(diagram)
-        if len(subset) > 1
-    ]
+    short = (_support_step(diagram, s) for s in _connected_proper_subsets(diagram) if len(s) > 1)
     table = {}
-    for step in short + list(_fixed_steps(diagram)):
-        cand, supp = step.cand, step.supp
+    for step in chain(short, _fixed_steps(diagram)):
+        root, supp = step.root, step.supp
         if step.rules is None:
-            raise CoverPatternError(f"{diagram}: {cand.root} has no case test")
-        inside = [(v, x) for v, x in step.change if cand.root.coeffs[v]]
+            raise CoverPatternError(f"{diagram}: {root} has no case test")
+        inside = [(v, x) for v, x in step.change if root.coeffs[v]]
         for pattern, tag in step.rules.items():
             upper = dict(inside)
             for v, x in pattern:
                 upper[v] = upper.get(v, 0) + x
             key = tuple(sorted((v, x) for v, x in upper.items() if x))
             if not 0 < len(key) <= 2:
-                raise CoverPatternError(f"{diagram}: case {tag} of {cand.root} keys {key}")
+                raise CoverPatternError(f"{diagram}: case {tag} of {root} keys {key}")
             rest = list(supp)
             for v, _ in key:
                 rest.remove(v)
@@ -312,10 +308,9 @@ def _edges(weight: Weight, sign: int) -> tuple:
     diagram, mark0 = weight.diagram, weight.diagram.marks[0]
     edges = []
     for step, labs, case in _label_moves(diagram, _require_dominant_positive(weight), sign):
-        cand = step.cand
-        near = _weight(diagram, labs, _plus_delta(weight.shift, sign * cand.root.coeffs[0], mark0))
+        near = _weight(diagram, labs, _plus_delta(weight.shift, sign * step.root.coeffs[0], mark0))
         upper, lower = (weight, near) if sign < 0 else (near, weight)
-        edges.append(CoverEdge(upper, lower, cand.kind, cand.root, case))
+        edges.append(CoverEdge(upper, lower, step.kind, step.root, case))
     return tuple(edges)
 
 

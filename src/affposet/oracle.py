@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
 import time
 from array import array
@@ -44,7 +45,7 @@ from fractions import Fraction
 from operator import eq, le
 
 from . import _LAZY
-from .cartan import _ZERO, AffineDiagram, _Value, build_affine, format_shift
+from .cartan import _ZERO, AffineDiagram, _ints, _Value, build_affine, format_shift
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
@@ -70,12 +71,18 @@ class BoxTooLargeError(ValueError):
     """A search would visit more nodes or vertices than one search may."""
 
 
+class TooManySamplesError(ValueError):
+    """A sweep would draw more samples, each counted once per unit of its level, than it may."""
+
+
 # Sweeps at levels 1-3 (1-2 from rank 7 on) of the catalog, E6-1, E7-1,
 # E8-1, B12-1, C12-1, D12-1 and A20-1, in their default and doubled windows,
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
 # one recursion frame per vertex, well under the interpreter's default limit of 1000
 _MAX_SEARCH_VERTICES = 512
+# a draw makes one generator call per unit of level and keeps some 320 bytes: 32 MB at most
+_MAX_SAMPLE_LEVELS = 100000
 
 
 class SearchWindow(_Value):
@@ -84,10 +91,7 @@ class SearchWindow(_Value):
     __slots__ = _fields = ("bounds",)
 
     def __init__(self, bounds) -> None:
-        bounds = tuple(bounds)
-        for b in bounds:
-            if type(b) is not int:
-                raise TypeError(f"window bounds must be ints, got {b!r}")
+        bounds = _ints("window bounds", bounds)
         if not bounds or any(b < 1 for b in bounds):
             raise ValueError(f"window bounds must be positive, got {bounds}")
         super().__init__(bounds)
@@ -513,10 +517,8 @@ def verify_covering(
     kept between calls.  A budget, in seconds from the start of the call,
     stops the draws and the sweep at one deadline.
     """
-    levels = tuple(levels)
+    levels = _ints("levels", levels)
     for lvl in levels:
-        if type(lvl) is not int:
-            raise TypeError(f"levels must be ints, got {lvl!r}")
         if lvl < 1:
             raise ValueError(f"levels must be at least 1, got {lvl}")
     if type(samples_per_level) is not int:
@@ -525,7 +527,12 @@ def verify_covering(
         raise ValueError(f"samples_per_level must be nonnegative, got {samples_per_level}")
     if type(seed) is not int:
         raise TypeError(f"seed must be an int, got {seed!r}")
-    if isinstance(budget, bool):
+    if samples_per_level * sum(levels) > _MAX_SAMPLE_LEVELS:
+        raise TooManySamplesError(
+            f"samples_per_level times the sum of the levels must be at most "
+            f"{_MAX_SAMPLE_LEVELS}, got {samples_per_level} x {sum(levels)}"
+        )
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, numbers.Real)):
         raise TypeError(f"budget must be a number of seconds, got {budget!r}")
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")

@@ -92,7 +92,7 @@ def interval(top: Weight, bottom: Weight) -> PosetGraph:
 
 def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
     """The labels of each node of the interval from top - start to top, and
-    its arcs (upper, lower, candidate, case), on integer state, given the
+    its arcs (upper, lower, step, case), on integer state, given the
     ``_label_moves`` below the top.
 
     Each node is its gap to the top, the root vector top - node, and a
@@ -115,7 +115,7 @@ def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
                 found = moves[labs] = _label_moves(diagram, labs, -1)
             for step, across, case in found:
                 below = list(gap)
-                coeffs = step.cand.root.coeffs
+                coeffs = step.root.coeffs
                 for v in step.supp:
                     below[v] += coeffs[v]
                     if below[v] > start[v]:
@@ -127,7 +127,7 @@ def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
                         nxt.append(below)
                         if len(labels) > _MAX_NODES:
                             raise IntervalTooLargeError(f"interval exceeds {_MAX_NODES} nodes")
-                    arcs.append((gap, below, step.cand, case))
+                    arcs.append((gap, below, step, case))
         frontier = nxt
     return labels, arcs
 
@@ -143,12 +143,12 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
     nodes = [_weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
     # no two arcs join the same pair of nodes, so the ranks alone sort them
-    ranked = sorted((rank[upper], rank[lower], cand, case) for upper, lower, cand, case in arcs)
+    ranked = sorted((rank[upper], rank[lower], step, case) for upper, lower, step, case in arcs)
     return PosetGraph(
         nodes,
         (
-            CoverEdge(nodes[upper], nodes[lower], cand.kind, cand.root, case)
-            for upper, lower, cand, case in ranked
+            CoverEdge(nodes[upper], nodes[lower], step.kind, step.root, case)
+            for upper, lower, step, case in ranked
         ),
     )
 
@@ -298,10 +298,9 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     def step_to(lower):
         # the finite cover step from lam down to lower, or None
         for step, labs, _ in moves:
-            cand = step.cand
-            if labs != lower.labels or cand.kind is CoverKind.DELTA or lower.diagram != diagram:
+            if labs != lower.labels or step.kind is CoverKind.DELTA or lower.diagram != diagram:
                 continue
-            if lower.shift == _plus_delta(lam.shift, -cand.root.coeffs[0], mark0):
+            if lower.shift == _plus_delta(lam.shift, -step.root.coeffs[0], mark0):
                 return step
         return None
 
@@ -312,7 +311,7 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
         )
     nodes, pairs, shape, case = _predict(lam, frozenset(step_a.supp), frozenset(step_b.supp))
     # lam minus the meet is the larger of the two roots at each vertex
-    start = tuple(map(max, step_a.cand.root.coeffs, step_b.cand.root.coeffs))
+    start = tuple(map(max, step_a.root.coeffs, step_b.root.coeffs))
     labels, arcs = _walk(lam, start, moves)
     actual_pairs = {(upper, lower) for upper, lower, _, _ in arcs}
     if nodes != labels.keys() or pairs != actual_pairs:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from . import _LAZY
-from .cartan import AffineDiagram, _check_vertex, _proper_connected, _Value
+from .cartan import AffineDiagram, _check_vertex, _ints, _proper_connected, _Value
 
 __all__ = [name for name, home in _LAZY.items() if home == "roots"]
 
@@ -38,10 +38,7 @@ class RootVector(_Value):
         coeffs = tuple(coeffs)
         if len(coeffs) != diagram.n + 1:
             raise ValueError(f"expected {diagram.n + 1} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if type(c) is not int:
-                raise TypeError(f"coefficients must be ints, got {c!r}")
-        super().__init__(diagram, coeffs)
+        super().__init__(diagram, _ints("coefficients", coeffs))
 
     def support(self) -> frozenset:
         return frozenset(i for i, c in enumerate(self.coeffs) if c != 0)
@@ -164,16 +161,20 @@ class CoverCandidate(_Value):
     __slots__ = _fields = ("root", "kind")
 
 
-def _connected_proper_subsets(diagram: AffineDiagram) -> set:
-    """Every connected vertex set short of the whole diagram, grown from each
-    single vertex one neighbour at a time, so the work follows the output."""
+def _connected_proper_subsets(diagram: AffineDiagram):
+    """Every connected vertex set short of the whole diagram, as a sorted
+    tuple, smallest size first and in sorted order within a size.  Each
+    size is grown from the last one neighbour at a time, so the work follows
+    the output, and only the current size's sets are held."""
     adjacent = diagram.adjacency
-    found = set()
-    layer = {frozenset((v,)) for v in diagram.vertices}
-    for _ in range(diagram.n):
-        found |= layer
-        layer = {s | {w} for s in layer for v in s for w in adjacent[v] if w not in s}
-    return found
+    layer = [(v,) for v in diagram.vertices]
+    for _ in range(diagram.n - 1):
+        yield from layer
+        layer = sorted({
+            tuple(sorted(s | {w}))
+            for s in map(set, layer) for v in s for w in adjacent[v] if w not in s
+        })
+    yield from layer
 
 
 _EXTRA_BY_TYPE = {
@@ -185,12 +186,6 @@ _EXTRA_BY_TYPE = {
     "D4-3": ((0, 1, 1),),
     "A2-2": ((1, 1),),
 }
-
-
-def _support_candidate(diagram: AffineDiagram, subset: tuple) -> CoverCandidate:
-    """The candidate of a sorted proper connected set: its highest short root."""
-    kind = CoverKind.SIMPLE if len(subset) == 1 else CoverKind.SHORT
-    return CoverCandidate(_highest_short_root_cached(diagram, subset), kind)
 
 
 def _fixed_candidates(diagram: AffineDiagram) -> list:
@@ -206,8 +201,11 @@ def _fixed_candidates(diagram: AffineDiagram) -> list:
 def cover_root_set(diagram: AffineDiagram) -> tuple:
     """All candidate cover differences, sorted by height then coefficients."""
     out = _fixed_candidates(diagram) + [
-        _support_candidate(diagram, tuple(sorted(subset)))
-        for subset in _connected_proper_subsets(diagram)
+        CoverCandidate(
+            _highest_short_root_cached(diagram, supp),
+            CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT,
+        )
+        for supp in _connected_proper_subsets(diagram)
     ]
     if len({cand.root.coeffs for cand in out}) != len(out):
         raise AssertionError(f"{diagram}: two cover candidates coincide")

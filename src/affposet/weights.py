@@ -32,6 +32,7 @@ from .cartan import (
     AffineDiagram,
     _as_fraction,
     _check_vertex,
+    _ints,
     _parse_int,
     _set,
     _Value,
@@ -56,11 +57,8 @@ class Weight(_Value):
         labs = tuple(labels)
         if len(labs) != diagram.n + 1:
             raise ValueError(f"expected {diagram.n + 1} labels, got {len(labs)}")
-        for v in labs:
-            if type(v) is not int:
-                raise TypeError(f"labels must be ints, got {v!r}")
+        _set(self, "labels", _ints("labels", labs))
         _set(self, "diagram", diagram)
-        _set(self, "labels", labs)
         _set(self, "shift", _as_fraction(shift))
 
     def _key(self) -> tuple:

@@ -168,6 +168,23 @@ def test_verify_rejects_bad_levels_and_samples():
         assert err.startswith("error:") and name in err, argv
 
 
+def test_verify_refuses_more_draws_than_it_may_make(monkeypatch):
+    import affposet.oracle as oracle
+
+    def drawn(*args):
+        raise AssertionError("a sample was drawn before the count was checked")
+
+    monkeypatch.setattr(oracle, "_sample_labels", drawn)
+    for argv in (
+        ["verify", "A1-1", "--levels", "1000000000", "--samples", "1"],
+        ["verify", "A1-1", "--samples", "100000000"],
+        ["verify", "--all-types", "--levels", "1,2,3", "--samples", "20000"],
+    ):
+        code, out, err = cap(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "at most 100000" in err, argv
+
+
 def test_verify_rejects_a_bad_budget():
     for budget in ("-1", "-0.5", "nan", "1_0", "+5", "\u0661"):
         code, out, err = cap(["verify", "A1-1", "--budget", budget])

@@ -29,6 +29,7 @@ from affposet.oracle import (
     BoxTooLargeError,
     BruteBounds,
     SearchWindow,
+    TooManySamplesError,
     WindowExhaustedError,
     brute_bounds,
     brute_cocovers,
@@ -205,6 +206,7 @@ def test_verify_accepts_diagram_instance():
     ({"seed": "x"}, TypeError, "seed must be an int"),
     ({"seed": 1.5}, TypeError, "seed must be an int"),
     ({"seed": True}, TypeError, "seed must be an int"),
+    ({"budget": "5"}, TypeError, "budget must be a number of seconds"),
 ])
 def test_verify_covering_rejects_bad_levels_and_samples(monkeypatch, kwargs, error, name):
     # the arguments are checked before the census searches a single weight
@@ -415,6 +417,24 @@ def test_a_window_that_is_not_a_search_window_raises_type_error(monkeypatch, win
         brute_bounds(a, b, window)
     with pytest.raises(TypeError, match="window must be a SearchWindow"):
         verify_covering("A2-1", window=window)
+
+
+@pytest.mark.parametrize("levels, samples", [((10**9,), 1), ((1, 2, 3), 10**8), ((50001,), 2)])
+def test_a_sweep_refuses_more_draws_than_it_may_make(monkeypatch, levels, samples):
+    # one draw costs a generator call per unit of level: a level of 10**9
+    # took some 13 minutes to draw once, and 10**8 samples a draw list of
+    # some 30 GB; the refusal comes before any draw
+    def drawn(*args):
+        raise AssertionError("a sample was drawn before the count was checked")
+
+    monkeypatch.setattr(oracle, "_sample_labels", drawn)
+    with pytest.raises(TooManySamplesError, match="at most 100000"):
+        verify_covering("A1-1", levels=levels, samples_per_level=samples)
+    assert issubclass(TooManySamplesError, ValueError)
+    assert affposet.TooManySamplesError is TooManySamplesError
+    # the bound itself is drawn
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        verify_covering("A1-1", levels=(50000,), samples_per_level=2)
 
 
 def test_a_huge_level_lists_no_choice_per_level():
