@@ -29,32 +29,6 @@ __all__ = [name for name, home in _LAZY.items() if home == "cartan"]
 _TYPE_RE = re.compile(r"([A-G])([1-9][0-9]*)-([123])")
 
 
-def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
-    if twist == 1:
-        return {
-            "A": rank >= 1,
-            "B": rank >= 3,
-            "C": rank >= 2,
-            "D": rank >= 4,
-            "E": rank in (6, 7, 8),
-            "F": rank == 4,
-            "G": rank == 2,
-        }.get(family, False)
-    if twist == 2:
-        if family == "A":
-            # A2-2 stands alone; the even series starts at rank 4, the odd
-            # series at rank 5, so rank 3 has no twisted diagram.
-            return rank == 2 or rank >= 4
-        if family == "D":
-            return rank >= 3
-        if family == "E":
-            return rank == 6
-        return False
-    if twist == 3:
-        return family == "D" and rank == 4
-    return False
-
-
 _set = object.__setattr__
 
 
@@ -230,17 +204,22 @@ class AffineDiagram(_Value):
         inside = set(subset)
         if not inside or any(v not in self.vertices for v in inside):
             return False
-        start = min(inside)
-        seen, stack = {start}, [start]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == inside
+        return _component(self.adjacency, min(inside), inside) == inside
 
     def __str__(self) -> str:
         return str(self.type_id)
+
+
+def _component(adjacency, start, inside) -> set:
+    """The vertices reached from start along edges into inside, start
+    included whether or not it is inside."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _untwisted(fam: str, r: int):
@@ -278,12 +257,36 @@ _EXCEPTIONAL = {
 }
 
 
+# the untwisted partner, (family, rank), of each twisted series but A_{2l}^(2)
+_PARTNERS = {
+    ("A", 2): lambda r: ("B", (r + 1) // 2),  # odd r; even r is A_{2l}^(2)
+    ("D", 2): lambda r: ("C", r - 1),
+    ("E", 2): lambda r: ("F", r - 2),
+    ("D", 3): lambda r: ("G", r - 2),
+}
+_LEAST_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}  # E, F and G: the ranks of _EXCEPTIONAL
+
+
+def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
+    """Whether ``_tables`` has a diagram for the id: read off the least
+    ranks, ``_EXCEPTIONAL`` and the partners of the twisted series."""
+    if twist == 1:
+        least = _LEAST_RANK.get(family)
+        return (family, rank) in _EXCEPTIONAL if least is None else rank >= least
+    if (family, twist) == ("A", 2) and rank % 2 == 0:
+        return rank >= 2
+    # a family other than a string names no diagram, and may not hash
+    partner = _PARTNERS.get((family, twist)) if isinstance(family, str) else None
+    return partner is not None and _rank_is_valid(*partner(rank), 1)
+
+
 def _tables(tid: AffineTypeId):
     """Cartan columns, marks and comarks for one type id.
 
-    A_{2l-1}^(2), D_{l+1}^(2), E6^(2) and D4^(3) are the transposes of
-    B_l^(1), C_l^(1), F4^(1) and G2^(1), with marks and comarks swapped
-    (Kac, Tables Aff 1-3).  A_{2l}^(2) and A1^(1) have entries of their own.
+    A_{2l-1}^(2), D_{l+1}^(2), E6^(2) and D4^(3) are the transposes of their
+    ``_PARTNERS`` B_l^(1), C_l^(1), F4^(1) and G2^(1), with marks and comarks
+    swapped (Kac, Tables Aff 1-3).  A_{2l}^(2) and A1^(1) have entries of
+    their own.
     """
     fam, r, tw = tid.family, tid.rank, tid.twist
     if tw == 1 and r == 1:
@@ -296,8 +299,7 @@ def _tables(tid: AffineTypeId):
         bonds = ends + [(i, i + 1) for i in range(1, l - 1)]
         marks, comarks = [2] * l + [1], [1] + [2] * l
     else:
-        partners = {"A": ("B", (r + 1) // 2), "D": ("C", r - 1), "E": ("F", 4)}
-        bonds, comarks, marks = _untwisted(*(partners[fam] if tw == 2 else ("G", 2)))
+        bonds, comarks, marks = _untwisted(*_PARTNERS[fam, tw](r))
         # reversing every bond transposes the Cartan matrix
         bonds = [(j, i, *k) for i, j, *k in bonds]
     columns = [[(v, 2)] for v in range(len(marks))]

@@ -27,14 +27,8 @@ from itertools import chain, compress
 from operator import itemgetter, mul
 
 from . import _LAZY
-from .cartan import AffineDiagram, _set, _Value, classify_finite, special_vertices
-from .roots import (
-    CoverKind,
-    RootVector,
-    _connected_proper_subsets,
-    _fixed_candidates,
-    _highest_short_root_cached,
-)
+from .cartan import AffineDiagram, _component, _set, _Value, classify_finite, special_vertices
+from .roots import CoverKind, RootVector, _connected_proper_subsets, _fixed_roots, _support_root
 from .weights import (
     Weight,
     _dominance_gap,
@@ -186,15 +180,16 @@ def _step(diagram: AffineDiagram, root: RootVector, kind: CoverKind) -> _Step:
 
 @functools.lru_cache(maxsize=None)
 def _support_step(diagram: AffineDiagram, supp: tuple) -> _Step:
-    """The step of the highest short root on a sorted proper connected set."""
-    kind = CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT
-    return _step(diagram, _highest_short_root_cached(diagram, supp), kind)
+    """The step of the cover root ``roots._support_root`` gives on a sorted
+    proper connected set."""
+    return _step(diagram, *_support_root(diagram, supp))
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_steps(diagram: AffineDiagram) -> tuple:
-    """The steps of delta and of the diagram's exceptional roots."""
-    return tuple(_step(diagram, cand.root, cand.kind) for cand in _fixed_candidates(diagram))
+    """The steps of ``roots._fixed_roots``: delta and the diagram's
+    exceptional roots."""
+    return tuple(_step(diagram, root, kind) for root, kind in _fixed_roots(diagram))
 
 
 @functools.lru_cache(maxsize=None)
@@ -259,20 +254,17 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
     A cover's root is a simple root, delta, an exceptional root, or the
     highest short root of one of two kinds of support: a component of the
     zero set of the labels (case b), or the component of the zero set plus
-    one vertex of label one that holds that vertex (case c).  A simple root
-    whose Cartan column takes a label negative is dropped before its step.
+    one vertex of label one that holds that vertex (case c), each grown by
+    ``cartan._component``.  A simple root whose Cartan column takes a label
+    negative is dropped before its step.
     """
-    adjacent, columns, done = diagram.adjacency, diagram.columns, set()
+    columns, done = diagram.columns, set()
+    zeros = {v for v, x in enumerate(labs) if not x}
     supports = [(v,) for v in diagram.vertices if all(labs[w] + x >= 0 for w, x in columns[v])]
     for s, x in enumerate(labs):
         if x > 1 or s in done:
             continue
-        part, grow = {s}, [s]
-        while grow:
-            for w in adjacent[grow.pop()]:
-                if not labs[w] and w not in part:
-                    part.add(w)
-                    grow.append(w)
+        part = _component(diagram.adjacency, s, zeros)
         if not x:
             done |= part
         # one vertex is a simple root, and all of them no proper support

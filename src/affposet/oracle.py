@@ -228,9 +228,10 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
 
 def _brute_lowers(diagram: AffineDiagram, bounds: tuple, labs) -> list:
     """The minimal nonzero offsets beta <= bounds with labs - A beta
-    dominant, in lexicographic order, each paired with those labels."""
+    dominant, in lexicographic order, each as (beta, those labels, whether
+    beta touches the window's edge)."""
     return [
-        (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])))
+        (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])), any(map(eq, beta, bounds)))
         for beta in _minimal_offsets(diagram, bounds, labs, -1)
     ]
 
@@ -257,10 +258,10 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     return BruteCocovers(
         tuple(
             _weight(diagram, lower, _plus_delta(weight.shift, -beta[0], mark0))
-            for beta, lower in found
+            for beta, lower, _ in found
         ),
-        tuple(RootVector(diagram, beta) for beta, _ in found),
-        tuple(any(map(eq, beta, bounds)) for beta, _ in found),
+        tuple(RootVector(diagram, beta) for beta, _, _ in found),
+        tuple(edge for _, _, edge in found),
     )
 
 
@@ -435,8 +436,9 @@ def _pair_keys(keys) -> list:
 def _check_one(weight, bounds, mismatches, searches):
     """Compare the classified cocovers of one weight with the brute search.
 
-    ``searches`` maps labels to the minimal offsets and the labels below
-    them, for the length of one sweep: the search reads the labels alone.
+    ``searches`` maps labels to ``_brute_lowers``' minimal offsets, each
+    with the labels below it and its window-edge flag, for the length of one
+    sweep: the search reads the labels alone.
     """
     from . import covering
 
@@ -449,8 +451,8 @@ def _check_one(weight, bounds, mismatches, searches):
     # shift's denominator) / den, kept as the reduced ints a Fraction holds
     num, den = shift.numerator * mark0, shift.denominator * mark0
     brute = set()
-    for beta, lower in found:
-        if any(map(eq, beta, bounds)):
+    for beta, lower, edge in found:
+        if edge:
             detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
         p = num - beta[0] * shift.denominator
@@ -464,12 +466,12 @@ def _check_one(weight, bounds, mismatches, searches):
         detail = f"brute {_pair_keys(brute)} vs classified {_pair_keys(classified)}"
         _mismatch(mismatches, "cocovers", detail, weight)
     lookup = cover_root_lookup(diagram)
-    for beta, _ in found:
+    for beta, _, _ in found:
         if beta not in lookup:
             detail = f"{list(beta)} is not a candidate root"
             _mismatch(mismatches, "difference", detail, weight)
     marks = diagram.marks
-    delta_brute = any(beta == marks for beta, _ in found)
+    delta_brute = any(beta == marks for beta, _, _ in found)
     if covering.is_delta_cocover(weight) != delta_brute:
         detail = f"classified {not delta_brute}, brute {delta_brute}"
         _mismatch(mismatches, "delta", detail, weight)
@@ -515,12 +517,17 @@ def verify_covering(
     search is kept for the rest of the call only for a label tuple a sample
     drew.  Only the search plans, a few integers per vertex and window, are
     kept between calls.  A budget, in seconds from the start of the call,
-    stops the draws and the sweep at one deadline.
+    stops the draws and the sweep at one deadline.  A level seeds its own
+    generator, so a repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
+    seen = set()
     for lvl in levels:
         if lvl < 1:
             raise ValueError(f"levels must be at least 1, got {lvl}")
+        if lvl in seen:  # its generator would draw the same samples again
+            raise ValueError(f"level {lvl} is given twice")
+        seen.add(lvl)
     if type(samples_per_level) is not int:
         raise TypeError(f"samples_per_level must be an int, got {samples_per_level!r}")
     if samples_per_level < 0:

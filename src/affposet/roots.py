@@ -13,6 +13,7 @@ import enum
 import functools
 import math
 from fractions import Fraction
+from itertools import chain
 
 from . import _LAZY
 from .cartan import AffineDiagram, _check_vertex, _ints, _proper_connected, _Value
@@ -188,25 +189,28 @@ _EXTRA_BY_TYPE = {
 }
 
 
-def _fixed_candidates(diagram: AffineDiagram) -> list:
-    """The candidates that are not the highest short root of a proper
-    connected set: delta, then the diagram's exceptional vectors."""
-    return [CoverCandidate(delta_root(diagram), CoverKind.DELTA)] + [
-        CoverCandidate(RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL)
+def _fixed_roots(diagram: AffineDiagram) -> list:
+    """(root, kind) of each cover root that is not the highest short root of
+    a proper connected set: delta, then the diagram's exceptional roots."""
+    return [(delta_root(diagram), CoverKind.DELTA)] + [
+        (RootVector(diagram, coeffs), CoverKind.EXCEPTIONAL)
         for coeffs in _EXTRA_BY_TYPE.get(str(diagram.type_id), ())
     ]
 
 
+def _support_root(diagram: AffineDiagram, supp: tuple) -> tuple:
+    """(root, kind) of the cover root on a sorted proper connected set: its
+    highest short root, a simple root on one vertex."""
+    kind = CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT
+    return _highest_short_root_cached(diagram, supp), kind
+
+
 @functools.lru_cache(maxsize=None)
 def cover_root_set(diagram: AffineDiagram) -> tuple:
-    """All candidate cover differences, sorted by height then coefficients."""
-    out = _fixed_candidates(diagram) + [
-        CoverCandidate(
-            _highest_short_root_cached(diagram, supp),
-            CoverKind.SIMPLE if len(supp) == 1 else CoverKind.SHORT,
-        )
-        for supp in _connected_proper_subsets(diagram)
-    ]
+    """All candidate cover differences, sorted by height then coefficients;
+    the one builder of ``CoverCandidate``."""
+    supports = (_support_root(diagram, supp) for supp in _connected_proper_subsets(diagram))
+    out = [CoverCandidate(root, kind) for root, kind in chain(_fixed_roots(diagram), supports)]
     if len({cand.root.coeffs for cand in out}) != len(out):
         raise AssertionError(f"{diagram}: two cover candidates coincide")
     out.sort(key=lambda cand: (cand.root.height(), cand.root.coeffs))

@@ -776,3 +776,42 @@ def test_tables_match_the_hand_written_reference():
     assert len(ids) == 357
     for tid in ids:
         assert cartan._tables(tid) == _columns(_ref_tables(tid)), str(tid)
+
+
+def _ref_rank_is_valid(family, rank, twist):
+    """The valid type ids written out family by family, independently of
+    the partner map ``_tables`` reads."""
+    if twist == 1:
+        return {
+            "A": rank >= 1,
+            "B": rank >= 3,
+            "C": rank >= 2,
+            "D": rank >= 4,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }.get(family, False)
+    if twist == 2:
+        if family == "A":
+            # A2-2 stands alone; the even series starts at rank 4, the odd
+            # series at rank 5, so rank 3 has no twisted diagram
+            return rank == 2 or rank >= 4
+        return {"D": rank >= 3, "E": rank == 6}.get(family, False)
+    return twist == 3 and family == "D" and rank == 4
+
+
+def test_rank_is_valid_matches_the_written_out_rules():
+    grid = [(f, r, t) for f in "ABCDEFGZ" for r in range(-1, 61) for t in range(5)]
+    assert [cartan._rank_is_valid(*k) for k in grid] == [_ref_rank_is_valid(*k) for k in grid]
+    # every valid id builds, and an invalid one names its family, rank and twist
+    for f, r, t in grid:
+        if _ref_rank_is_valid(f, r, t):
+            assert build_affine(AffineTypeId(f, r, t)).type_id == AffineTypeId(f, r, t)
+        else:
+            message = f"^no affine diagram of family '{f}', rank {r}, twist {t}$"
+            with pytest.raises(ValueError, match=message):
+                AffineTypeId(f, r, t)
+    # a twisted id of an unhashable family is refused by name too
+    for twist in (2, 3, 4):
+        with pytest.raises(ValueError, match=r"no affine diagram of family \['D'\]"):
+            AffineTypeId(["D"], 4, twist)

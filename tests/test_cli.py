@@ -162,6 +162,8 @@ def test_verify_rejects_bad_levels_and_samples():
         (["verify", "A2-1", "--samples", "-3"], "samples_per_level"),
         (["verify", "A2-1", "--levels", "-1"], "levels"),
         (["verify", "--all-types", "--levels", "1,0", "--samples", "5"], "levels"),
+        # a level seeds its own generator: a repeat would count its samples twice
+        (["verify", "A2-1", "--levels", "2,2"], "level 2 is given twice"),
     ):
         code, out, err = cap(argv)
         assert (code, out) == (2, ""), argv
@@ -404,3 +406,13 @@ def test_repeated_invocations_are_identical():
         second = cap(argv)
         assert first == second
         assert first[0] == 0
+
+
+def test_readme_cli_sample_is_the_commands_output():
+    # the README shows the output condensed, so it is compared as JSON
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```\n$ affposet ", 1)[1].split("```", 1)[0]
+    command, shown = block.split("\n", 1)
+    code, out, err = cap(command.split())
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(shown)

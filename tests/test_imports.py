@@ -15,6 +15,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -253,3 +254,18 @@ def test_entry_point_loads_only_what_the_command_runs(argv, modules):
         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('affposet'))]))\n"
     )
     assert facts == [0, modules]
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # feature_version makes the parser refuse syntax newer than the floor,
+    # such as 3.11's except*, whatever interpreter runs the test
+    root = pathlib.Path(affposet.__file__).parents[2]
+    declared = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    floor = (3, int(declared.group(1)))
+    assert floor == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+    paths = sorted(pathlib.Path(affposet.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

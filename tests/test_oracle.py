@@ -437,6 +437,18 @@ def test_a_sweep_refuses_more_draws_than_it_may_make(monkeypatch, levels, sample
         verify_covering("A1-1", levels=(50000,), samples_per_level=2)
 
 
+@pytest.mark.parametrize("levels, repeated", [((1, 1), 1), ((2, 1, 3, 1), 1), ((3, 2, 3), 3)])
+def test_a_repeated_level_is_refused_before_any_draw(monkeypatch, levels, repeated):
+    # a level seeds its own generator, so a repeated level would draw the
+    # same samples again and count them twice
+    def drawn(*args):
+        raise AssertionError("a sample was drawn before the levels were checked")
+
+    monkeypatch.setattr(oracle, "_sample_labels", drawn)
+    with pytest.raises(ValueError, match=f"^level {repeated} is given twice$"):
+        verify_covering("A2-1", levels=levels, samples_per_level=5, seed=3)
+
+
 def test_a_huge_level_lists_no_choice_per_level():
     # the vertex choices stop at the largest comark: a level of 10**7 used
     # to build a list of 10**7 entries before drawing nothing
@@ -1053,3 +1065,46 @@ def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, na
     assert report.to_json() == expected
     kinds = {m["check"] for m in expected["mismatches"]}
     assert kinds == {"cocovers", "difference", "delta", "meet", "join"}
+
+
+def test_brute_cocover_roots_read_only_labels_at_most_one_on_their_support():
+    """Two facts about a cocover root beta with support J, read off the brute
+    search alone, with no classifier.
+
+    (ii) If some v in J has label at least two and beta is not the simple
+    root at v, the weight less that simple root is dominant and lies
+    strictly between, so a cocover root other than a simple one has labels
+    at most one on J.  (i) For 0 <= gamma <= beta, A gamma is at most zero
+    off J, so whether beta is a cocover root reads the labels on J alone:
+    drawing the labels off J again keeps it one.
+    """
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 9)
+        for twist in (1, 2, 3)
+        if _rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 45
+    rng = random.Random(14)
+    roots = longer = relabelled = 0
+    for tid in ids:
+        diagram = build_affine(tid)
+        for _ in range(6):
+            labs = [rng.randint(0, 2) for _ in diagram.vertices]
+            labs[rng.randrange(len(labs))] += 1  # a positive level
+            for beta in brute_cocovers(weight_from_labels(diagram, labs)).differences:
+                support = beta.support()
+                roots += 1
+                if beta.height() > 1:
+                    assert all(labs[v] <= 1 for v in support), (str(tid), labs, beta)
+                    longer += 1
+                if len(support) == len(labs):
+                    continue
+                # a positive label on J keeps the level positive
+                redrawn = [x if v in support else rng.randint(0, 3) for v, x in enumerate(labs)]
+                found = brute_cocovers(weight_from_labels(diagram, redrawn)).differences
+                assert beta in found, (str(tid), labs, redrawn, beta)
+                relabelled += 1
+    # 813 roots drawn, 204 of them not simple, and 809 relabelled
+    assert roots > 700 and longer > 150 and relabelled > 700
