@@ -270,13 +270,14 @@ _LEAST_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}  # E, F and G: the ranks of _EXCE
 def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
     """Whether ``_tables`` has a diagram for the id: read off the least
     ranks, ``_EXCEPTIONAL`` and the partners of the twisted series."""
+    if not isinstance(family, str):
+        return False  # names no diagram, and may not hash
     if twist == 1:
         least = _LEAST_RANK.get(family)
         return (family, rank) in _EXCEPTIONAL if least is None else rank >= least
     if (family, twist) == ("A", 2) and rank % 2 == 0:
         return rank >= 2
-    # a family other than a string names no diagram, and may not hash
-    partner = _PARTNERS.get((family, twist)) if isinstance(family, str) else None
+    partner = _PARTNERS.get((family, twist))
     return partner is not None and _rank_is_valid(*partner(rank), 1)
 
 

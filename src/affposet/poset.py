@@ -13,6 +13,11 @@ prediction is then checked against the actual interval, and
 ``CellMismatchError`` is raised when they disagree instead of papering over
 the difference.  A cell finds its two cocovers among the top's label moves,
 which its walk starts from, and builds no weight or edge outside its graph.
+
+A graph keeps a record of the walk that built it, or of the document
+``graph_from_json`` read, and ``export_graph`` writes from it without
+hashing a weight.  Only a graph the library did not build is checked on
+export for mixed diagrams, a repeated node and a missing endpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import functools
 import json
 
 from . import _LAZY
-from .cartan import _Value, build_affine, format_shift
+from .cartan import _set, _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
     _edge_from_record,
@@ -66,9 +71,16 @@ class CellShape(enum.Enum):
 
 
 class PosetGraph(_Value):
-    """Nodes and cover edges of a finite piece of the dominance order."""
+    """Nodes and cover edges of a finite piece of the dominance order.
 
-    __slots__ = _fields = ("nodes", "edges")
+    A graph the library built or read also keeps the record that
+    ``export_graph`` writes from: the node indices in ``sort_key`` order,
+    each edge's ends as node indices, and each node's shift text.  Like
+    ``_hash``, the record is no field: equality and hashing ignore it.
+    """
+
+    _fields = ("nodes", "edges")
+    __slots__ = (*_fields, "_record")
 
     def __init__(self, nodes, edges) -> None:
         super().__init__(tuple(nodes), tuple(edges))
@@ -141,16 +153,21 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     diagram = top.diagram
     mark0 = diagram.marks[0]
     shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
+    texts = {g0: format_shift(shift) for g0, shift in shifts.items()}
     nodes = [_weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
     # no two arcs join the same pair of nodes, so the ranks alone sort them
     ranked = sorted((rank[upper], rank[lower], step, case) for upper, lower, step, case in arcs)
-    return PosetGraph(
+    graph = PosetGraph(
         nodes,
         (
             CoverEdge(nodes[upper], nodes[lower], step.kind, step.root, case)
             for upper, lower, step, case in ranked
         ),
     )
+    # the nodes are in rank order, which is sort_key order
+    ends = [(upper, lower) for upper, lower, _, _ in ranked]
+    _set(graph, "_record", (range(len(nodes)), ends, [texts[gap[0]] for gap in order]))
+    return graph
 
 
 def _path_ends(diagram, subset):
@@ -328,62 +345,64 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     return Cell(shape, case, _graph(lam, labels, arcs))
 
 
-def export_graph(graph: PosetGraph, fmt: str = "json"):
-    """Render a graph as a JSON-ready dict or as DOT text."""
-    if fmt not in ("json", "dot"):
-        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
-    if graph.nodes:
-        diagram = graph.nodes[0].diagram
-        for node in graph.nodes:
-            if node.diagram != diagram:
-                raise ValueError("graph mixes diagrams")
-    else:
-        diagram = None
-    texts = {}  # each distinct shift is formatted once
-    shifts = []
-    for node in graph.nodes:
-        shift = node.shift
-        key = shift.numerator, shift.denominator
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = format_shift(shift)
-        shifts.append(text)
-    index = {node: k for k, node in enumerate(graph.nodes)}
-    if len(index) != len(graph.nodes):
+def _make_record(nodes: tuple, ends: list) -> tuple:
+    """The export record of nodes and of edge ends given as node indices."""
+    keys = [sort_key(node) for node in nodes]
+    shifts = [format_shift(node.shift) for node in nodes]
+    return sorted(range(len(nodes)), key=keys.__getitem__), ends, shifts
+
+
+def _checked_record(graph: PosetGraph) -> tuple:
+    """The export record of a graph built by hand, whose nodes must share
+    one diagram and be distinct, and hold both ends of every edge."""
+    nodes = graph.nodes
+    if any(node.diagram != nodes[0].diagram for node in nodes):
+        raise ValueError("graph mixes diagrams")
+    index = {node: k for k, node in enumerate(nodes)}
+    if len(index) != len(nodes):
         raise ValueError("graph repeats a node")
     ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
     if any(None in pair for pair in ends):
         raise ValueError("edge endpoint missing from the node list")
+    return _make_record(nodes, ends)
+
+
+def export_graph(graph: PosetGraph, fmt: str = "json"):
+    """Render a graph as a JSON-ready dict or as DOT text."""
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
+    order, ends, shifts = getattr(graph, "_record", None) or _checked_record(graph)
+    nodes, edges = graph.nodes, graph.edges
+    # an enum's .value is a property; _value_ is the member's own attribute
     if fmt == "dot":
-        tag = [_node_tag(node.labels, text) for node, text in zip(graph.nodes, shifts)]
-        keys = [sort_key(node) for node in graph.nodes]
+        tag = [_node_tag(node.labels, text) for node, text in zip(nodes, shifts)]
+        rank = dict(zip(order, range(len(order))))
         lines = ["digraph poset {", "  rankdir=TB;"]
-        for k in sorted(range(len(keys)), key=keys.__getitem__):
-            lines.append(f'  "{tag[k]}";')
+        lines += (f'  "{tag[k]}";' for k in order)
         for (upper, lower), edge in sorted(
-            zip(ends, graph.edges), key=lambda item: (keys[item[0][0]], keys[item[0][1]])
+            zip(ends, edges), key=lambda item: (rank[item[0][0]], rank[item[0][1]])
         ):
             lines.append(
                 f'  "{tag[upper]}" -> "{tag[lower]}"'
-                f' [label="{edge.case}", kind="{edge.kind.value}"];'
+                f' [label="{edge.case}", kind="{edge.kind._value_}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
     return {
-        "type": str(diagram.type_id) if diagram is not None else None,
+        "type": str(nodes[0].diagram.type_id) if nodes else None,
         "nodes": [
             {"labels": list(node.labels), "delta_shift": text}
-            for node, text in zip(graph.nodes, shifts)
+            for node, text in zip(nodes, shifts)
         ],
         "edges": [
             {
                 "upper": upper,
                 "lower": lower,
-                "kind": edge.kind.value,
+                "kind": edge.kind._value_,
                 "root": list(edge.root.coeffs),
                 "case": edge.case,
             }
-            for (upper, lower), edge in zip(ends, graph.edges)
+            for (upper, lower), edge in zip(ends, edges)
         ],
     }
 
@@ -420,10 +439,13 @@ def graph_from_json(data) -> PosetGraph:
         return nodes[index]
 
     listed = functools.lru_cache(maxsize=None)(cocovers)  # once per upper node
-    edges = []
+    edges, ends = [], []
     for entry in records:
         upper, lower = _json_object(entry, "upper", "lower")
         edges.append(_edge_from_record(node_at(upper), node_at(lower), entry, listed))
+        ends.append((upper, lower))
     if len(set(edges)) != len(edges):
         raise ValueError("graph repeats an edge")
-    return PosetGraph(nodes, tuple(edges))
+    graph = PosetGraph(nodes, edges)
+    _set(graph, "_record", _make_record(nodes, ends))
+    return graph

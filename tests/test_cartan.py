@@ -811,7 +811,7 @@ def test_rank_is_valid_matches_the_written_out_rules():
             message = f"^no affine diagram of family '{f}', rank {r}, twist {t}$"
             with pytest.raises(ValueError, match=message):
                 AffineTypeId(f, r, t)
-    # a twisted id of an unhashable family is refused by name too
-    for twist in (2, 3, 4):
+    # an id of an unhashable family is refused by name too, untwisted or not
+    for twist in (1, 2, 3, 4):
         with pytest.raises(ValueError, match=r"no affine diagram of family \['D'\]"):
             AffineTypeId(["D"], 4, twist)

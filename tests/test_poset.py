@@ -586,6 +586,66 @@ def test_export_graph_json_round_trip():
                 assert export_graph(copied, fmt) == export_graph(g, fmt)
 
 
+def _rebuilt(g):
+    # equal weights built afresh, in a graph that carries no export record
+    def fresh(w):
+        return Weight(w.diagram, w.labels, w.shift)
+
+    edges = [CoverEdge(fresh(e.upper), fresh(e.lower), e.kind, e.root, e.case) for e in g.edges]
+    return PosetGraph(map(fresh, g.nodes), edges)
+
+
+def _shuffled(data, rng):
+    # the same graph as a document whose nodes and edges come in another order
+    order = rng.sample(range(len(data["nodes"])), len(data["nodes"]))
+    moved = {old: new for new, old in enumerate(order)}
+    edges = [{**e, "upper": moved[e["upper"]], "lower": moved[e["lower"]]} for e in data["edges"]]
+    nodes = [data["nodes"][old] for old in order]
+    return {**data, "nodes": nodes, "edges": rng.sample(edges, len(edges))}
+
+
+def test_cells_and_read_graphs_export_as_their_rebuilt_copies():
+    rng = random.Random(38)
+    built = []
+    for name in ("A3-1", "A4-1", "A5-1"):
+        d = D(name)
+        for _ in range(5):
+            labs = tuple(rng.randint(0, 2) for _ in d.vertices)
+            if not any(labs):
+                continue
+            lam = weight_from_labels(d, labs)
+            finite = [e.lower for e in cocovers(lam) if e.kind is not CoverKind.DELTA]
+            for mu, mu2 in itertools.combinations(finite, 2):
+                try:
+                    built.append(basic_cell(lam, mu, mu2).graph)
+                except CellMismatchError:
+                    pass
+    read = [graph_from_json(_shuffled(export_graph(g, "json"), rng)) for g in built]
+    assert len(built) >= 30
+    assert sum(r.nodes != g.nodes for r, g in zip(read, built)) >= 20
+    # DOT sorts nodes and edges, so a document's order does not show
+    for g, back in zip(built, read):
+        assert export_graph(back, "dot") == export_graph(g, "dot")
+    for g in built + read:
+        copy = _rebuilt(g)
+        assert copy == g
+        assert getattr(g, "_record", None) is not None
+        assert getattr(copy, "_record", None) is None
+        for fmt in ("json", "dot"):
+            assert export_graph(g, fmt) == export_graph(copy, fmt)
+
+
+def test_the_export_record_is_not_a_field():
+    g = interval(W("A3-1", (2, 0, 2, 0)), W("A3-1", (0, 2, 0, 2), -1))
+    bare = PosetGraph(g.nodes, g.edges)
+    assert PosetGraph._fields == ("nodes", "edges")
+    assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+    for graph in (g, bare):
+        with pytest.raises(AttributeError):
+            graph._record = None
+    assert export_graph(g, "json") == export_graph(bare, "json")
+
+
 def test_graph_from_json_rejects_malformed_nodes_and_edges():
     g = interval(W("A3-1", (0, 2, 1, 1)), W("A3-1", (2, 1, 1, 0)))
     data = export_graph(g, "json")
