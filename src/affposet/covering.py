@@ -326,10 +326,10 @@ def edge_to_json(edge: CoverEdge) -> dict:
     }
 
 
-def _edge_from_record(upper: Weight, lower: Weight, data, listed=cocovers) -> CoverEdge:
+def _edge_from_record(upper: Weight, lower: Weight, data, listed) -> CoverEdge:
     """An edge between two read weights; its root must be a list of ints equal
     to upper - lower, its case a string, and the edge one of those that
-    ``listed`` (``cocovers`` by default) gives for the upper weight."""
+    ``listed`` gives for the upper weight."""
     kind, root, case = _json_object(data, "kind", "root", "case")
     if not isinstance(root, list) or any(type(v) is not int for v in root):
         raise ValueError(f"root must be a list of integers, got {root!r}")
@@ -351,4 +351,5 @@ def _edge_from_record(upper: Weight, lower: Weight, data, listed=cocovers) -> Co
 
 def edge_from_json(data) -> CoverEdge:
     upper, lower = _json_object(data, "upper", "lower")
-    return _edge_from_record(weight_from_json(upper), weight_from_json(lower), data)
+    # cocovers is looked up per call, so a replaced or wrapped classifier is the one read
+    return _edge_from_record(weight_from_json(upper), weight_from_json(lower), data, cocovers)

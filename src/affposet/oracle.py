@@ -4,7 +4,8 @@ The searches here know nothing about the classification of covers: one
 depth-first search, ``_minimal_offsets``, walks the root-vector offsets of a
 window and returns the componentwise-minimal ones whose result is dominant.
 The covering module is imported only inside ``_check_one``, which compares
-the two; the brute searches themselves must stay independent of it.
+the two as label moves, (root, labels across it) pairs; the brute searches
+themselves must stay independent of it.
 
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
@@ -23,24 +24,22 @@ visited or on vertices raises ``BoxTooLargeError``.
 A ``SearchWindow`` is read once, where it enters a public function; every
 search below takes its bound tuple.  A sweep works on integer labels: the
 search depends on the labels alone, so :func:`verify_covering` runs it once
-per label tuple within a call and keys the brute lower ends by labels and a
-reduced integer shift.  It draws its samples before its census, which it
-streams, and keeps a search only for a label tuple a sample drew; a budget
-stops the draws as it stops the sweep.  Each sample's partner is raised
-from its labels plus the offsets by ``weights._raised``, the repair ``join``
-uses.  That keeps the check sound: a repair bug shared with ``join`` still
-shows as a ``join`` mismatch against the search, and a partner that is not
-dominant is refused by ``_require_component``.
+per label tuple within a call.  Its census streams, and its seeded draws
+run twice: the first pass keeps only the label tuples drawn, whose searches
+the sweep keeps, and the second streams each sample to its check.  Each
+sample's partner is raised from its labels plus the offsets by
+``weights._raised``, the repair ``join`` uses.  That keeps the check sound:
+a repair bug shared with ``join`` still shows as a ``join`` mismatch against
+the search, and a partner that is not dominant is refused by
+``_require_component``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import random
 import time
-from array import array
 from fractions import Fraction
 from operator import eq, le
 
@@ -81,7 +80,7 @@ class TooManySamplesError(ValueError):
 _MAX_SEARCH_NODES = 1 << 21
 # one recursion frame per vertex, well under the interpreter's default limit of 1000
 _MAX_SEARCH_VERTICES = 512
-# a draw makes one generator call per unit of level and keeps some 320 bytes: 32 MB at most
+# a draw makes one generator call per unit of level, in each of a sweep's two passes
 _MAX_SAMPLE_LEVELS = 100000
 
 
@@ -297,13 +296,11 @@ def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
     check.  The corners and the searched least upper bound are built by
     ``_moved``; only the search itself is this module's."""
     diagram = a.diagram
-    s, t = a.shift, b.shift
-    # b plus the gap's Cartan columns must give a's labels, and gap[0] /
-    # mark0 must be s - t, cross-multiplied
+    # b plus the gap's Cartan columns must give a's labels, and b's shift
+    # plus gap[0] / mark0 a's shift
     if (
         tuple(_add_columns(diagram, b.labels, gap)) != a.labels
-        or gap[0] * s.denominator * t.denominator
-        != (s.numerator * t.denominator - t.numerator * s.denominator) * diagram.marks[0]
+        or _plus_delta(b.shift, gap[0], diagram.marks[0]) != a.shift
     ):
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     glb = _moved(a, [-g if g > 0 else 0 for g in gap])
@@ -378,30 +375,20 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
     return tuple(labs)
 
 
-def _draws(
-    diagram: AffineDiagram, levels, samples_per_level: int, seed: int, deadline=None
-) -> list:
-    """Each sample's labels, delta shift and root-vector offsets, level by
-    level from one seeded generator per level, drawn before the sweep so
-    that it knows which label tuples a sample reads back.
-
-    Once ``time.monotonic()`` passes the deadline, if one is given, no more
-    samples are drawn; the sweep reads the same clock against the same
-    deadline, so it stops before its first check.
-    """
-    draws = []
+def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int, deadline=None):
+    """Each sample's labels, delta shift and root-vector offsets, one at a
+    time, level by level from one seeded generator per level.  No sample is
+    drawn once ``deadline()``, if a deadline is given, is true; the sweep
+    stops on the same test."""
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
-            if deadline is not None and time.monotonic() > deadline:
-                return draws
+            if deadline is not None and deadline():
+                return
             labs = _sample_labels(diagram, lvl, rng)
             # randrange(2k + 1) - k draws as randint(-k, k) does
             shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
-            # one signed byte per vertex: a sweep of A80-1 draws 600 before its first check
-            offsets = array("b", [rng.randrange(5) - 2 for _ in diagram.vertices])
-            draws.append((labs, shift, offsets))
-    return draws
+            yield labs, shift, [rng.randrange(5) - 2 for _ in diagram.vertices]
 
 
 def _sweep(diagram: AffineDiagram, draws):
@@ -429,8 +416,10 @@ def _mismatch(mismatches, check, detail, weight, partner=None):
     mismatches.append(record)
 
 
-def _pair_keys(keys) -> list:
-    return sorted((labs, f"{p}/{q}") for labs, p, q in keys)
+def _drop_keys(weight, moves) -> list:
+    """The sorted (labels, shift text) keys of the weights across (root, labels) moves down."""
+    shift, mark0 = weight.shift, weight.diagram.marks[0]
+    return sorted((labs, format_shift(_plus_delta(shift, -r[0], mark0))) for r, labs in moves)
 
 
 def _check_one(weight, bounds, mismatches, searches):
@@ -438,32 +427,25 @@ def _check_one(weight, bounds, mismatches, searches):
 
     ``searches`` maps labels to ``_brute_lowers``' minimal offsets, each
     with the labels below it and its window-edge flag, for the length of one
-    sweep: the search reads the labels alone.
+    sweep: the search reads the labels alone.  Its (offset, labels below)
+    pairs must be the classifier's label moves; a root fixes the shift too.
     """
     from . import covering
 
-    diagram, labs, shift = weight.diagram, weight.labels, weight.shift
+    diagram, labs = weight.diagram, weight.labels
     found = searches.get(labs)
     if found is None:
         found = searches[labs] = _brute_lowers(diagram, bounds, labs)
-    mark0 = diagram.marks[0]
-    # the shift below, shift - beta[0] / mark0, is (num - beta[0] * the
-    # shift's denominator) / den, kept as the reduced ints a Fraction holds
-    num, den = shift.numerator * mark0, shift.denominator * mark0
-    brute = set()
-    for beta, lower, edge in found:
+    for beta, _, edge in found:
         if edge:
             detail = f"offset {list(beta)} touches the window"
             _mismatch(mismatches, "boundary", detail, weight)
-        p = num - beta[0] * shift.denominator
-        g = math.gcd(p, den)
-        brute.add((lower, p // g, den // g))
-    classified = {
-        (e.lower.labels, e.lower.shift.numerator, e.lower.shift.denominator)
-        for e in covering.cocovers(weight)
-    }
+    brute = {(beta, lower) for beta, lower, _ in found}
+    moves = covering._label_moves(diagram, labs, -1)
+    classified = {(step.root.coeffs, across) for step, across, _ in moves}
     if brute != classified:
-        detail = f"brute {_pair_keys(brute)} vs classified {_pair_keys(classified)}"
+        brute, classified = _drop_keys(weight, brute), _drop_keys(weight, classified)
+        detail = f"brute {brute} vs classified {classified}"
         _mismatch(mismatches, "cocovers", detail, weight)
     lookup = cover_root_lookup(diagram)
     for beta, _, _ in found:
@@ -513,12 +495,12 @@ def verify_covering(
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
     test, and meet/join against the brute searches.  Each distinct label
-    tuple is searched once per call: the samples are drawn first, and a
-    search is kept for the rest of the call only for a label tuple a sample
-    drew.  Only the search plans, a few integers per vertex and window, are
-    kept between calls.  A budget, in seconds from the start of the call,
-    stops the draws and the sweep at one deadline.  A level seeds its own
-    generator, so a repeated level raises ``ValueError``.
+    tuple is searched once per call, and its search is kept for the call
+    only if a sample draws it: a first pass over the seeded draws keeps only
+    their label tuples, and a second feeds the sweep.  Only the search
+    plans are kept between calls.  A budget, in seconds from the start of
+    the call, stops both once the elapsed time exceeds it.  A level seeds
+    its own generator, so a repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
     seen = set()
@@ -546,15 +528,15 @@ def verify_covering(
     diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
-    deadline = None if budget is None else start + budget
-    draws = _draws(diagram, levels, samples_per_level, seed, deadline)
-    wanted = {labs for labs, _, _ in draws}
+    # elapsed time against the budget itself: start + budget can overflow a float
+    spent = None if budget is None else lambda: time.monotonic() - start > budget
+    wanted = {labs for labs, _, _ in _draws(diagram, levels, samples_per_level, seed, spent)}
     searches: dict = {}
     mismatches: list = []
     tested = 0
     exceeded = False
-    for weight, partner in _sweep(diagram, draws):
-        if deadline is not None and time.monotonic() > deadline:
+    for weight, partner in _sweep(diagram, _draws(diagram, levels, samples_per_level, seed)):
+        if spent is not None and spent():
             exceeded = True
             break
         # a weight whose search no sample reads back gets a throwaway memo

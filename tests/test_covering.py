@@ -344,6 +344,14 @@ def test_edge_from_json_refuses_an_edge_that_is_not_a_cover():
             edge_from_json({**real, "kind": kind, "case": case})
 
 
+def test_edge_from_json_reads_the_classifier_at_call_time(monkeypatch):
+    # a classifier bound when the module loaded would still accept the edge
+    real = _a2_record((0, 2, 0), (1, 0, 1), "simple", (0, 1, 0), "a")
+    monkeypatch.setattr(covering, "cocovers", lambda weight: ())
+    with pytest.raises(ValueError, match="is not a cover"):
+        edge_from_json(real)
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_edge_from_json_refuses_a_real_edge_with_another_kind_or_case(name):
     d = D(name)
@@ -661,8 +669,9 @@ def test_queries_read_cartan_rows_only_at_bonds(name):
 def test_cocover_keys_hold_one_or_two_labels():
     # a short root's entries key label one at the two ends of a path
     # support, or at one vertex of a support with exactly one branch vertex
-    # or one multiple bond: what a walk from each label-one vertex through
-    # zero labels would rely on
+    # or one multiple bond, a vertex that is a leaf of the support or next
+    # to one: what a walk from each label-one vertex through zero labels
+    # would rely on
     ids = _type_ids(20)
     assert len(ids) == 117
     counts = {1: 0, 2: 0}
@@ -687,6 +696,9 @@ def test_cocover_keys_hold_one_or_two_labels():
                         d.cartan[v][w] * d.cartan[w][v] > 1 for v in inside for w in inside[v] if v < w
                     )
                     assert branches + bonds == 1, where
+                    (v, _), = key
+                    leaves = {u for u in step.supp if len(inside[u]) <= 1}
+                    assert v in leaves or leaves.intersection(inside[v]), where
                 counts[len(key)] += 1
     assert counts == {1: 1628, 2: 8851}
 

@@ -186,6 +186,15 @@ def test_verify_covering_budget(monkeypatch):
     assert "budget_exceeded" not in report.to_json()
 
 
+@pytest.mark.parametrize("budget", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_verify_covering_takes_a_budget_past_the_float_range(budget):
+    # the start time plus such a budget overflows a float; the elapsed time
+    # is compared with the budget itself
+    report = verify_covering("A1-1", levels=(1,), samples_per_level=3, budget=budget)
+    assert not report.budget_exceeded
+    assert report == verify_covering("A1-1", levels=(1,), samples_per_level=3)
+
+
 def test_verify_accepts_diagram_instance():
     report = verify_covering(D("A1-1"), levels=(1,), samples_per_level=5)
     assert report.type == "A1-1" and not report.mismatches
@@ -295,7 +304,7 @@ def test_mismatch_records_are_frozen(monkeypatch):
     # force every kind of mismatch and pin the record each kind writes
     import affposet.covering as covering
 
-    monkeypatch.setattr(covering, "cocovers", lambda w: [])
+    monkeypatch.setattr(covering, "_label_moves", lambda d, labs, sign: [])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: True)
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: set())
     monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)
@@ -1010,6 +1019,21 @@ def test_sweep_memory_holds_only_the_searches_samples_read():
     assert peak < 1 << 20
 
 
+def test_sweep_memory_holds_no_list_of_samples():
+    # A8-1 has 219 label tuples at levels 1-3, which its 3000 samples draw
+    # again and again; a list of the draws peaked at 0.9 MiB
+    diagram = D("A8-1")
+    verify_covering(diagram, levels=(1, 2, 3), samples_per_level=1000)  # warm the caches
+    tracemalloc.start()
+    try:
+        report = verify_covering(diagram, levels=(1, 2, 3), samples_per_level=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tested == 219 + 3000 and report.mismatches == ()
+    assert peak < 0.6 * (1 << 20)
+
+
 def _ref_fraction_repair(weight):
     # the repair as the sweep ran it on Fractions: one sum per raise of vertex 0
     diagram = weight.diagram
@@ -1052,8 +1076,8 @@ def test_sweep_stream_matches_the_reference_draws(name):
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A2-2", "A3-1"])
 def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, name):
-    real = covering.cocovers, covering.is_delta_cocover
-    monkeypatch.setattr(covering, "cocovers", lambda w: real[0](w)[1:])
+    real = covering._label_moves, covering.is_delta_cocover
+    monkeypatch.setattr(covering, "_label_moves", lambda d, labs, sign: real[0](d, labs, sign)[1:])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: not real[1](w))
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: frozenset())
     monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)

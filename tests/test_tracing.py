@@ -37,6 +37,6 @@ def test_traced_mode_wraps_and_restores():
     summary = tracer.summary()
     assert direct == 1 and tracer.counts["covering.cocovers.edges"] > 0
     assert summary["oracle.verify_covering"]["calls"] == 1
-    # the sweep's checker looks cocovers up in the covering module
-    assert summary["covering.cocovers"]["calls"] > direct
+    # the sweep's checker looks the delta test up in the covering module
+    assert summary["covering.is_delta_cocover"]["calls"] > 0
     assert covering.cocovers is original
