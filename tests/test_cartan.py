@@ -618,6 +618,15 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_parses_with_the_oldest_supported_grammar():
+    # pyproject.toml's requires-python is >=3.10
+    package = pathlib.Path(affposet.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 # Reference: the tables as they were written out by hand, family by family,
 # before each untwisted family became a bond list and the four dual twisted
 # families became transposes of their untwisted partners.
