@@ -43,6 +43,8 @@ class _Value:
     ``Weight`` and ``CoverEdge``, built in hot loops, set their fields
     through ``_set`` themselves.  A weight the library computed skips even
     ``Weight``'s checks: ``weights._weight`` sets its fields unchecked.
+    ``pickle`` and ``copy`` rebuild a value through its constructor from
+    its fields.
     """
 
     __slots__ = ("_hash",)
@@ -84,6 +86,10 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default restores slots by assignment, which __setattr__ refuses
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -176,6 +182,10 @@ class AffineDiagram(_Value):
 
     def _key(self) -> tuple:
         return (self.type_id,)
+
+    def __reduce__(self):
+        # the cached diagram, with the elimination its validation kept
+        return build_affine, (self.type_id,)
 
     @property
     def vertices(self) -> range:

@@ -12,12 +12,15 @@ the two supports cover the cycle; each S is a bit mask of vertices.  The
 prediction is then checked against the actual interval, and
 ``CellMismatchError`` is raised when they disagree instead of papering over
 the difference.  A cell finds its two cocovers among the top's label moves,
-which its walk starts from, and builds no weight or edge outside its graph.
+which its walk starts from, and builds weights only to name the nodes of a
+failed prediction.
 
 A graph keeps a record of the walk that built it, or of the document
-``graph_from_json`` read, and ``export_graph`` writes from it without
-hashing a weight.  Only a graph the library did not build is checked on
-export for mixed diagrams, a repeated node and a missing endpoint.
+``graph_from_json`` read, as plain data, and ``export_graph`` writes from
+the record alone, without building or hashing a weight.  A walk-built
+graph builds its weights and edges only when a caller reads them.  A graph
+the library did not build derives its record on export, through the checks
+for mixed diagrams, a repeated node and a missing endpoint.
 """
 
 from __future__ import annotations
@@ -73,10 +76,14 @@ class CellShape(enum.Enum):
 class PosetGraph(_Value):
     """Nodes and cover edges of a finite piece of the dominance order.
 
-    A graph the library built or read also keeps the record that
-    ``export_graph`` writes from: the node indices in ``sort_key`` order,
-    each edge's ends as node indices, and each node's shift text.  Like
-    ``_hash``, the record is no field: equality and hashing ignore it.
+    A graph the library built or read also keeps, as plain data, the record
+    that ``export_graph`` writes from: the diagram and its type text, the
+    node indices in ``sort_key`` order, each node's labels, shift and shift
+    text, and each edge's ends as node indices with its kind, root and case.
+    A graph ``interval`` or ``basic_cell`` built holds only the record; the
+    first read of ``nodes`` or ``edges`` builds both from it, each edge
+    joining the very node objects.  Like ``_hash``, the record is no field:
+    equality, hashing and repr read the nodes and edges.
     """
 
     _fields = ("nodes", "edges")
@@ -84,6 +91,33 @@ class PosetGraph(_Value):
 
     def __init__(self, nodes, edges) -> None:
         super().__init__(tuple(nodes), tuple(edges))
+
+    def __getattr__(self, name):
+        # reached only when a slot is empty: a field of a graph that holds
+        # only its record
+        if name not in PosetGraph._fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        diagram, _, _, entries, arcs = self._record
+        nodes = tuple(_weight(diagram, labs, shift) for labs, shift, _ in entries)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", tuple(
+            CoverEdge(nodes[upper], nodes[lower], kind, root, case)
+            for upper, lower, kind, root, case in arcs
+        ))
+        return getattr(self, name)
+
+    def __reduce__(self):
+        record = getattr(self, "_record", None)
+        if record is None:
+            return super().__reduce__()
+        return _recorded, (record,)
+
+
+def _recorded(record: tuple) -> PosetGraph:
+    """A graph that holds only its record."""
+    graph = object.__new__(PosetGraph)
+    _set(graph, "_record", record)
+    return graph
 
 
 class Cell(_Value):
@@ -145,29 +179,22 @@ def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
 
 
 def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
-    """The weights and edges of a walk from the top.  The level is constant
-    and the shift falls as the gap at vertex 0 rises, so (labels, -gap[0])
-    sorts like ``sort_key``."""
+    """The graph of a walk from the top, as its record.  The level is
+    constant and the shift falls as the gap at vertex 0 rises, so (labels,
+    -gap[0]) sorts like ``sort_key``."""
     order = sorted(labels, key=lambda gap: (labels[gap], -gap[0]))
     rank = {gap: r for r, gap in enumerate(order)}
     diagram = top.diagram
     mark0 = diagram.marks[0]
     shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
     texts = {g0: format_shift(shift) for g0, shift in shifts.items()}
-    nodes = [_weight(diagram, labels[gap], shifts[gap[0]]) for gap in order]
+    entries = [(labels[gap], shifts[gap[0]], texts[gap[0]]) for gap in order]
     # no two arcs join the same pair of nodes, so the ranks alone sort them
-    ranked = sorted((rank[upper], rank[lower], step, case) for upper, lower, step, case in arcs)
-    graph = PosetGraph(
-        nodes,
-        (
-            CoverEdge(nodes[upper], nodes[lower], step.kind, step.root, case)
-            for upper, lower, step, case in ranked
-        ),
+    ranked = sorted(
+        (rank[upper], rank[lower], step.kind, step.root, case) for upper, lower, step, case in arcs
     )
     # the nodes are in rank order, which is sort_key order
-    ends = [(upper, lower) for upper, lower, _, _ in ranked]
-    _set(graph, "_record", (range(len(nodes)), ends, [texts[gap[0]] for gap in order]))
-    return graph
+    return _recorded((diagram, str(diagram.type_id), range(len(order)), entries, ranked))
 
 
 def _path_ends(diagram, subset):
@@ -345,11 +372,17 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     return Cell(shape, case, _graph(lam, labels, arcs))
 
 
-def _make_record(nodes: tuple, ends: list) -> tuple:
-    """The export record of nodes and of edge ends given as node indices."""
+def _make_record(nodes: tuple, arcs: list) -> tuple:
+    """The export record of nodes and of edges whose ends are node indices."""
+    diagram = nodes[0].diagram if nodes else None
     keys = [sort_key(node) for node in nodes]
-    shifts = [format_shift(node.shift) for node in nodes]
-    return sorted(range(len(nodes)), key=keys.__getitem__), ends, shifts
+    return (
+        diagram,
+        None if diagram is None else str(diagram.type_id),
+        sorted(range(len(nodes)), key=keys.__getitem__),
+        [(node.labels, node.shift, format_shift(node.shift)) for node in nodes],
+        arcs,
+    )
 
 
 def _checked_record(graph: PosetGraph) -> tuple:
@@ -361,48 +394,44 @@ def _checked_record(graph: PosetGraph) -> tuple:
     index = {node: k for k, node in enumerate(nodes)}
     if len(index) != len(nodes):
         raise ValueError("graph repeats a node")
-    ends = [(index.get(edge.upper), index.get(edge.lower)) for edge in graph.edges]
-    if any(None in pair for pair in ends):
+    arcs = [
+        (index.get(edge.upper), index.get(edge.lower), edge.kind, edge.root, edge.case)
+        for edge in graph.edges
+    ]
+    if any(upper is None or lower is None for upper, lower, *_ in arcs):
         raise ValueError("edge endpoint missing from the node list")
-    return _make_record(nodes, ends)
+    return _make_record(nodes, arcs)
 
 
 def export_graph(graph: PosetGraph, fmt: str = "json"):
     """Render a graph as a JSON-ready dict or as DOT text."""
     if fmt not in ("json", "dot"):
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
-    order, ends, shifts = getattr(graph, "_record", None) or _checked_record(graph)
-    nodes, edges = graph.nodes, graph.edges
+    _, type_text, order, entries, arcs = getattr(graph, "_record", None) or _checked_record(graph)
     # an enum's .value is a property; _value_ is the member's own attribute
     if fmt == "dot":
-        tag = [_node_tag(node.labels, text) for node, text in zip(nodes, shifts)]
+        tag = [_node_tag(labs, text) for labs, _, text in entries]
         rank = dict(zip(order, range(len(order))))
         lines = ["digraph poset {", "  rankdir=TB;"]
         lines += (f'  "{tag[k]}";' for k in order)
-        for (upper, lower), edge in sorted(
-            zip(ends, edges), key=lambda item: (rank[item[0][0]], rank[item[0][1]])
-        ):
+        for upper, lower, kind, _, case in sorted(arcs, key=lambda a: (rank[a[0]], rank[a[1]])):
             lines.append(
-                f'  "{tag[upper]}" -> "{tag[lower]}"'
-                f' [label="{edge.case}", kind="{edge.kind._value_}"];'
+                f'  "{tag[upper]}" -> "{tag[lower]}" [label="{case}", kind="{kind._value_}"];'
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
     return {
-        "type": str(nodes[0].diagram.type_id) if nodes else None,
-        "nodes": [
-            {"labels": list(node.labels), "delta_shift": text}
-            for node, text in zip(nodes, shifts)
-        ],
+        "type": type_text,
+        "nodes": [{"labels": list(labs), "delta_shift": text} for labs, _, text in entries],
         "edges": [
             {
                 "upper": upper,
                 "lower": lower,
-                "kind": edge.kind._value_,
-                "root": list(edge.root.coeffs),
-                "case": edge.case,
+                "kind": kind._value_,
+                "root": list(root.coeffs),
+                "case": case,
             }
-            for (upper, lower), edge in zip(ends, edges)
+            for upper, lower, kind, root, case in arcs
         ],
     }
 
@@ -439,13 +468,14 @@ def graph_from_json(data) -> PosetGraph:
         return nodes[index]
 
     listed = functools.lru_cache(maxsize=None)(cocovers)  # once per upper node
-    edges, ends = [], []
+    edges, arcs = [], []
     for entry in records:
         upper, lower = _json_object(entry, "upper", "lower")
-        edges.append(_edge_from_record(node_at(upper), node_at(lower), entry, listed))
-        ends.append((upper, lower))
+        edge = _edge_from_record(node_at(upper), node_at(lower), entry, listed)
+        edges.append(edge)
+        arcs.append((upper, lower, edge.kind, edge.root, edge.case))
     if len(set(edges)) != len(edges):
         raise ValueError("graph repeats an edge")
     graph = PosetGraph(nodes, edges)
-    _set(graph, "_record", _make_record(nodes, ends))
+    _set(graph, "_record", _make_record(nodes, arcs))
     return graph

@@ -370,6 +370,15 @@ FROZEN_STDOUT_SHA256 = {
         "2246fe6f75c1bb304b4314206a5ab7fc2968888e51aecec0a29fefb94988c2e1",
     ("verify", "E8-1", "--levels", "1,2"):
         "5306095a5a646810951a0d13a159e2d4c7203e1261f791bba312fc5cd3530970",
+    # recorded at commit c9d438e, while a walk-built graph still built its
+    # weights and edges at once: a cell as DOT, and a G2-1 delta interval
+    # as JSON whose exceptional edges come from the d and e rules
+    ("cell", "A4-1", "--labels", "1,1,1,1,0", "--mu", "0,0,2,1,1",
+     "--mu2", "1,2,0,0,1", "--format", "dot"):
+        "11bc6f57f09232ee22799113f1df4934bffe44eaef6ed41e4dbb5dfe7a17d085",
+    ("interval", "G2-1", "--top", "1,1,1", "--bottom", "1,1,1",
+     "--bottom-shift=-1/1", "--format", "json"):
+        "2c730f10b25f878c1818b637971271fa1aaffe181a79544cc4529434fd1bda6d",
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -644,6 +645,45 @@ def test_the_export_record_is_not_a_field():
         with pytest.raises(AttributeError):
             graph._record = None
     assert export_graph(g, "json") == export_graph(bare, "json")
+
+
+def test_walk_built_graphs_build_weights_and_edges_only_when_read(monkeypatch):
+    lam = W("A4-1", (1, 1, 1, 1, 2))
+    lowers = {int_labels(e.lower): e.lower for e in cocovers(lam)
+              if e.kind is not CoverKind.DELTA}
+    built = collections.Counter()
+
+    def counted(kind, make):
+        def build(*args):
+            built[kind] += 1
+            return make(*args)
+        return build
+
+    # every weight and edge poset makes goes through these names
+    monkeypatch.setattr(poset, "CoverEdge", counted("edge", poset.CoverEdge))
+    monkeypatch.setattr(poset, "Weight", counted("weight", poset.Weight))
+    monkeypatch.setattr(poset, "_weight", counted("weight", poset._weight))
+    graphs = [
+        interval(W("A3-1", (2, 0, 2, 0)), W("A3-1", (0, 2, 0, 2), -1)),
+        interval(W("G2-1", (1, 1, 1)), W("G2-1", (1, 1, 1), -1)),
+        basic_cell(lam, lowers[(2, 0, 0, 2, 2)], lowers[(2, 1, 1, 2, 0)]).graph,
+    ]
+    for g in graphs:
+        for fmt in ("json", "dot"):
+            export_graph(g, fmt)
+    assert not built
+    for g in graphs:
+        before = built.copy()
+        edges = g.edges
+        # the first read builds both, and later reads build nothing
+        assert g.nodes is g.nodes and g.edges is edges
+        assert built - before == {"weight": len(g.nodes), "edge": len(edges)}
+        bare = PosetGraph(g.nodes, g.edges)
+        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+        ids = {id(node) for node in g.nodes}
+        assert all(id(e.upper) in ids and id(e.lower) in ids for e in edges)
+        for fmt in ("json", "dot"):
+            assert export_graph(g, fmt) == export_graph(bare, fmt)
 
 
 def test_graph_from_json_rejects_malformed_nodes_and_edges():

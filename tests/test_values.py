@@ -1,7 +1,9 @@
 """Value semantics of the immutable classes: equality and hashing by their
 compared fields, no assignment, keyword construction, the shared
-constructor's checks, and the constructors' own checks."""
+constructor's checks, the constructors' own checks, and pickle and copy."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,9 +20,15 @@ from affposet import (
     PosetGraph,
     RootVector,
     Weight,
+    basic_cell,
     build_affine,
+    cocovers,
+    export_graph,
+    graph_from_json,
+    interval,
+    weight_from_labels,
 )
-from affposet.cartan import _build_cached
+from affposet.cartan import _build_cached, _Value
 from affposet.covering import _Step, _support_step
 from affposet.oracle import BruteBounds, BruteCocovers, SearchWindow, VerificationReport
 
@@ -262,3 +270,59 @@ def test_constructor_checks_still_fire():
         FiniteType("H", 2)
     with pytest.raises(ValueError, match="bad finite type A0"):
         FiniteType("A", 0)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _copied_values():
+    """One value of every ``_Value`` subclass, and graphs the library built
+    or read, each named by what it is."""
+    values = {name: case[0] for name, case in CASES.items()}
+    values["_Step"] = _support_step(A3, (1, 2))
+    top = weight_from_labels(A3, (2, 0, 2, 0))
+    walked = interval(top, weight_from_labels(A3, (0, 2, 0, 2), -1))
+    values["walked graph, unread"] = walked
+    values["walked graph, read"] = interval(top, weight_from_labels(A3, (0, 2, 0, 2), -1))
+    assert values["walked graph, read"].nodes
+    values["read graph"] = graph_from_json(export_graph(walked, "json"))
+    lam = weight_from_labels(build_affine("A4-1"), (1, 1, 1, 1, 2))
+    lowers = {e.lower.labels: e.lower for e in cocovers(lam) if e.kind is not CoverKind.DELTA}
+    values["walked cell"] = basic_cell(lam, lowers[(2, 0, 0, 2, 2)], lowers[(2, 1, 1, 2, 0)])
+    return values
+
+
+def _exports(value):
+    graph = value.graph if isinstance(value, Cell) else value
+    if isinstance(graph, PosetGraph):
+        return [export_graph(graph, fmt) for fmt in ("json", "dot")]
+    return None
+
+
+@pytest.mark.parametrize("way", ["pickle", "copy", "deepcopy"])
+def test_values_survive_pickle_and_copy(way):
+    round_trip = {
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+    }[way]
+    values = _copied_values()
+    covered = {type(v).__name__ for v in values.values()}
+    assert {cls.__name__ for cls in _subclasses(_Value)} <= covered
+    for name, value in values.items():
+        exported = _exports(value)
+        back = round_trip(value)
+        assert type(back) is type(value), name
+        assert back == value, name
+        # a step's case test is a dict, so a step has no hash
+        assert name == "_Step" or hash(back) == hash(value), name
+        assert repr(back) == repr(value), name
+        assert _exports(back) == exported, name
+        # a graph the library built or read comes back with its record
+        had = getattr(value, "_record", None) is not None
+        assert had == (getattr(back, "_record", None) is not None), name
+    # the cached diagram comes back, with the elimination validation kept
+    assert round_trip(A3) is A3 and round_trip(A3)._elimination == A3._elimination
