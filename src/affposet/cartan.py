@@ -40,9 +40,9 @@ class _Value:
     ``_key``, all fields unless it says otherwise; the hash is kept once
     computed.  The constructor takes the fields by position or by name.  A
     class that checks or converts its input hands the result on to it, but
-    ``Weight`` and ``CoverEdge``, built in hot loops, set their fields
-    through ``_set`` themselves.  A weight the library computed skips even
-    ``Weight``'s checks: ``weights._weight`` sets its fields unchecked.
+    ``Weight``, built in hot loops, sets its fields through ``_set`` itself.
+    A weight the library computed skips even ``Weight``'s checks:
+    ``weights._weight`` sets its fields unchecked.
     ``pickle`` and ``copy`` rebuild a value through its constructor from
     its fields.
     """
@@ -186,6 +186,9 @@ class AffineDiagram(_Value):
     def __reduce__(self):
         # the cached diagram, with the elimination its validation kept
         return build_affine, (self.type_id,)
+
+    def __repr__(self) -> str:
+        return f"build_affine({str(self.type_id)!r})"
 
     @property
     def vertices(self) -> range:

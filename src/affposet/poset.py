@@ -15,12 +15,13 @@ the difference.  A cell finds its two cocovers among the top's label moves,
 which its walk starts from, and builds weights only to name the nodes of a
 failed prediction.
 
-A graph keeps a record of the walk that built it, or of the document
-``graph_from_json`` read, as plain data, and ``export_graph`` writes from
-the record alone, without building or hashing a weight.  A walk-built
-graph builds its weights and edges only when a caller reads them.  A graph
-the library did not build derives its record on export, through the checks
-for mixed diagrams, a repeated node and a missing endpoint.
+A graph the library returns is its record, as plain data: the diagram, the
+labels, shift and shift text of each node, and the ends, kind, root and case
+of each edge, from the walk that built it or the document ``graph_from_json``
+read.  Its weights and edges are built only when a caller reads them, and
+``export_graph`` writes from the record alone, without building or hashing a
+weight.  A graph built by hand derives its record on export, through the
+checks for mixed diagrams, a repeated node and a missing endpoint.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .weights import (
     _dominance_gap,
     _json_object,
     _json_string,
+    _level,
     _moved,
     _plus_delta,
     _weight,
-    sort_key,
     weight_from_json,
 )
 
@@ -76,35 +77,32 @@ class CellShape(enum.Enum):
 class PosetGraph(_Value):
     """Nodes and cover edges of a finite piece of the dominance order.
 
-    A graph the library built or read also keeps, as plain data, the record
-    that ``export_graph`` writes from: the diagram and its type text, the
-    node indices in ``sort_key`` order, each node's labels, shift and shift
-    text, and each edge's ends as node indices with its kind, root and case.
-    A graph ``interval`` or ``basic_cell`` built holds only the record; the
-    first read of ``nodes`` or ``edges`` builds both from it, each edge
-    joining the very node objects.  Like ``_hash``, the record is no field:
+    A graph the library returns holds only its record, plain data that
+    ``export_graph`` writes from: the diagram, each node's labels, shift and
+    shift text, and each edge's ends as node indices with its kind, root and
+    case.  ``nodes`` and ``edges`` are built from the record on first read,
+    each edge joining the very node objects.  A graph built by hand holds
+    its nodes and edges only.  Like ``_hash``, the record is no field:
     equality, hashing and repr read the nodes and edges.
     """
 
     _fields = ("nodes", "edges")
-    __slots__ = (*_fields, "_record")
 
     def __init__(self, nodes, edges) -> None:
         super().__init__(tuple(nodes), tuple(edges))
 
-    def __getattr__(self, name):
-        # reached only when a slot is empty: a field of a graph that holds
-        # only its record
-        if name not in PosetGraph._fields:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        diagram, _, _, entries, arcs = self._record
-        nodes = tuple(_weight(diagram, labs, shift) for labs, shift, _ in entries)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", tuple(
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        diagram, entries, _ = self._record
+        return tuple(_weight(diagram, labs, shift) for labs, shift, _ in entries)
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        nodes = self.nodes
+        return tuple(
             CoverEdge(nodes[upper], nodes[lower], kind, root, case)
-            for upper, lower, kind, root, case in arcs
-        ))
-        return getattr(self, name)
+            for upper, lower, kind, root, case in self._record[2]
+        )
 
     def __reduce__(self):
         record = getattr(self, "_record", None)
@@ -193,8 +191,7 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     ranked = sorted(
         (rank[upper], rank[lower], step.kind, step.root, case) for upper, lower, step, case in arcs
     )
-    # the nodes are in rank order, which is sort_key order
-    return _recorded((diagram, str(diagram.type_id), range(len(order)), entries, ranked))
+    return _recorded((diagram, entries, ranked))
 
 
 def _path_ends(diagram, subset):
@@ -373,20 +370,13 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
 
 
 def _make_record(nodes: tuple, arcs: list) -> tuple:
-    """The export record of nodes and of edges whose ends are node indices."""
-    diagram = nodes[0].diagram if nodes else None
-    keys = [sort_key(node) for node in nodes]
-    return (
-        diagram,
-        None if diagram is None else str(diagram.type_id),
-        sorted(range(len(nodes)), key=keys.__getitem__),
-        [(node.labels, node.shift, format_shift(node.shift)) for node in nodes],
-        arcs,
-    )
+    """The record of nodes and of edges whose ends are node indices."""
+    entries = [(node.labels, node.shift, format_shift(node.shift)) for node in nodes]
+    return nodes[0].diagram if nodes else None, entries, arcs
 
 
 def _checked_record(graph: PosetGraph) -> tuple:
-    """The export record of a graph built by hand, whose nodes must share
+    """The record of a graph built by hand, whose nodes must share
     one diagram and be distinct, and hold both ends of every edge."""
     nodes = graph.nodes
     if any(node.diagram != nodes[0].diagram for node in nodes):
@@ -407,10 +397,15 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
     """Render a graph as a JSON-ready dict or as DOT text."""
     if fmt not in ("json", "dot"):
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
-    _, type_text, order, entries, arcs = getattr(graph, "_record", None) or _checked_record(graph)
+    diagram, entries, arcs = getattr(graph, "_record", None) or _checked_record(graph)
     # an enum's .value is a property; _value_ is the member's own attribute
     if fmt == "dot":
         tag = [_node_tag(labs, text) for labs, _, text in entries]
+        # sort_key order, read off the entries
+        order = sorted(
+            range(len(entries)),
+            key=lambda k: (_level(diagram, entries[k][0]), *entries[k][:2]),
+        )
         rank = dict(zip(order, range(len(order))))
         lines = ["digraph poset {", "  rankdir=TB;"]
         lines += (f'  "{tag[k]}";' for k in order)
@@ -421,7 +416,7 @@ def export_graph(graph: PosetGraph, fmt: str = "json"):
         lines.append("}")
         return "\n".join(lines) + "\n"
     return {
-        "type": type_text,
+        "type": None if diagram is None else str(diagram.type_id),
         "nodes": [{"labels": list(labs), "delta_shift": text} for labs, _, text in entries],
         "edges": [
             {
@@ -447,7 +442,7 @@ def graph_from_json(data) -> PosetGraph:
     if type_text is None:
         if entries or records:
             raise ValueError("nonempty graph without a type")
-        return PosetGraph((), ())
+        return _recorded(_make_record((), []))
     build_affine(_json_string(type_text, "type"))  # the type must be valid even with no nodes
 
     def node(entry):
@@ -468,14 +463,13 @@ def graph_from_json(data) -> PosetGraph:
         return nodes[index]
 
     listed = functools.lru_cache(maxsize=None)(cocovers)  # once per upper node
-    edges, arcs = [], []
+    arcs = []
     for entry in records:
         upper, lower = _json_object(entry, "upper", "lower")
         edge = _edge_from_record(node_at(upper), node_at(lower), entry, listed)
-        edges.append(edge)
         arcs.append((upper, lower, edge.kind, edge.root, edge.case))
-    if len(set(edges)) != len(edges):
+    # a checked edge is fixed by its ends: its root is upper - lower, and
+    # cocovers lists one edge per root
+    if len({arc[:2] for arc in arcs}) != len(arcs):
         raise ValueError("graph repeats an edge")
-    graph = PosetGraph(nodes, edges)
-    _set(graph, "_record", _make_record(nodes, arcs))
-    return graph
+    return _recorded(_make_record(nodes, arcs))

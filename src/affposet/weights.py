@@ -71,7 +71,7 @@ class Weight(_Value):
     @property
     def m(self) -> int:
         """The level: the pairing with the canonical central element."""
-        return sum(map(mul, self.diagram.comarks, self.labels))
+        return _level(self.diagram, self.labels)
 
     @property
     def coeffs(self) -> tuple:
@@ -84,6 +84,11 @@ class Weight(_Value):
     def __str__(self) -> str:
         labs = ",".join(map(str, self.labels))
         return f"[{labs} @ {format_shift(self.shift)}]"
+
+
+def _level(diagram: AffineDiagram, labs) -> int:
+    """The level of the labels: their comark-weighted sum."""
+    return sum(map(mul, diagram.comarks, labs))
 
 
 def _weight(diagram: AffineDiagram, labs: tuple, shift: Fraction) -> Weight:
@@ -160,7 +165,7 @@ def _solved_gap(a: Weight, b: Weight, p: int, q: int):
     levels differ, read off the comarks on the label difference."""
     diagram = a.diagram
     diff = [x - y for x, y in zip(a.labels, b.labels)]
-    if sum(map(mul, diagram.comarks, diff)):
+    if _level(diagram, diff):
         return None
     return _scaled_coeffs(diagram, diff, p, q)
 
@@ -369,12 +374,17 @@ def _json_string(value, key: str) -> str:
     return value
 
 
+def _json_ints(value, key: str) -> tuple:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def weight_from_json(data: dict) -> Weight:
     type_text, labs, shift = _json_object(data, "type", "labels", "delta_shift")
-    if not isinstance(labs, list) or any(type(v) is not int for v in labs):
-        raise ValueError(f"labels must be a list of integers, got {labs!r}")
+    labs = _json_ints(labs, "labels")
     return Weight(
         build_affine(_json_string(type_text, "type")),
-        tuple(labs),
+        labs,
         parse_shift(_json_string(shift, "delta_shift")),
     )

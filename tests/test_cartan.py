@@ -68,6 +68,14 @@ def test_parse_type_id():
     assert repr(tid) == "AffineTypeId(family='G', rank=2, twist=1)"
 
 
+def test_diagram_repr_names_the_cached_diagram():
+    d = build_affine("A12-1")
+    assert repr(d) == "build_affine('A12-1')"
+    assert eval(repr(d), {"build_affine": build_affine}) is d
+    # a weight's repr carries the diagram's name, not its tables
+    assert len(repr(fundamental_weight(build_affine("A40-1"), 0))) < 250
+
+
 def test_finite_type_normalizes_c2():
     assert FiniteType("C", 2) == FiniteType("B", 2)
     assert str(FiniteType("C", 2)) == "B2"

@@ -651,6 +651,8 @@ def test_walk_built_graphs_build_weights_and_edges_only_when_read(monkeypatch):
     lam = W("A4-1", (1, 1, 1, 1, 2))
     lowers = {int_labels(e.lower): e.lower for e in cocovers(lam)
               if e.kind is not CoverKind.DELTA}
+    top, bottom = W("A3-1", (2, 0, 2, 0)), W("A3-1", (0, 2, 0, 2), -1)
+    read = graph_from_json(export_graph(interval(top, bottom), "json"))
     built = collections.Counter()
 
     def counted(kind, make):
@@ -664,9 +666,10 @@ def test_walk_built_graphs_build_weights_and_edges_only_when_read(monkeypatch):
     monkeypatch.setattr(poset, "Weight", counted("weight", poset.Weight))
     monkeypatch.setattr(poset, "_weight", counted("weight", poset._weight))
     graphs = [
-        interval(W("A3-1", (2, 0, 2, 0)), W("A3-1", (0, 2, 0, 2), -1)),
+        interval(top, bottom),
         interval(W("G2-1", (1, 1, 1)), W("G2-1", (1, 1, 1), -1)),
         basic_cell(lam, lowers[(2, 0, 0, 2, 2)], lowers[(2, 1, 1, 2, 0)]).graph,
+        read,
     ]
     for g in graphs:
         for fmt in ("json", "dot"):

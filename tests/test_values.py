@@ -176,6 +176,7 @@ SHARED = {
     "AffineDiagram": (AffineDiagram, (A3.type_id, 3, A3.columns, A3.marks, A3.comarks,
                                       A3.root_length_sq)),
     "CoverCandidate": (CoverCandidate, (BETA, CoverKind.SIMPLE)),
+    "CoverEdge": (CoverEdge, (TOP, LOW, CoverKind.SIMPLE, BETA, "a")),
     "Cell": (Cell, (CellShape.DIAMOND, "1a", GRAPH)),
     "_Step": (_Step, tuple(getattr(_support_step(A3, (1, 2)), f) for f in _Step._fields)),
     "BruteCocovers": (BruteCocovers, ((LOW,), (BETA,), (False,))),
