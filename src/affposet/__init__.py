@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 # module reads its ``__all__`` off it.
 _LAZY = {
     **dict.fromkeys((
-        "AffineDiagram", "AffineTypeId", "FiniteType", "build_affine",
-        "catalog_types", "classify_finite", "format_shift", "parse_type_id",
-        "special_vertices",
+        "AffineDiagram", "AffineTypeId", "FiniteType", "RankTooLargeError",
+        "build_affine", "catalog_types", "classify_finite", "format_shift",
+        "parse_type_id", "special_vertices",
     ), "cartan"),
     **dict.fromkeys((
         "CoverCandidate", "CoverKind", "RootVector", "coroot_pairing",

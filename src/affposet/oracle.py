@@ -22,12 +22,13 @@ above a minimum already found is cut.  A search past its bound on nodes
 visited or on vertices raises ``BoxTooLargeError``.
 
 A ``SearchWindow`` is read once, where it enters a public function; every
-search below takes its bound tuple.  A sweep works on integer labels: the
-search depends on the labels alone, so :func:`verify_covering` runs it once
-per label tuple within a call.  Its census streams, and its seeded draws
-run twice: the first pass keeps only the label tuples drawn, whose searches
-the sweep keeps, and the second streams each sample to its check.  Each
-sample's partner is raised from its labels plus the offsets by
+search below takes its bound tuple.  A sweep works on integer labels, and
+every check but meet and join reads the labels alone: the search, and the
+classifier's label moves and delta test.  So :func:`verify_covering` checks
+each label tuple once within a call.  Its census streams, and its seeded
+draws run twice: the first pass keeps only the label tuples drawn, whose
+checks the sweep keeps, and the second streams each sample to its check.
+Each sample's partner is raised from its labels plus the offsets by
 ``weights._raised``, the repair ``join`` uses.  That keeps the check sound:
 a repair bug shared with ``join`` still shows as a ``join`` mismatch against
 the search, and a partner that is not dominant is refused by
@@ -422,41 +423,48 @@ def _drop_keys(weight, moves) -> list:
     return sorted((labs, format_shift(_plus_delta(shift, -r[0], mark0))) for r, labs in moves)
 
 
-def _check_one(weight, bounds, mismatches, searches):
+def _check_one(weight, bounds, mismatches, memo):
     """Compare the classified cocovers of one weight with the brute search.
 
-    ``searches`` maps labels to ``_brute_lowers``' minimal offsets, each
-    with the labels below it and its window-edge flag, for the length of one
-    sweep: the search reads the labels alone.  Its (offset, labels below)
-    pairs must be the classifier's label moves; a root fixes the shift too.
+    Every check reads the labels alone, so ``memo`` maps labels to the
+    (check, detail) records they fix, for the length of one sweep: the
+    brute search and the classifier run once per label tuple.  The search's
+    (offset, labels below) pairs must be the classifier's label moves; a
+    root fixes the shift too.  A cocovers record keeps both sets, which
+    each weight writes out with its own shift.
     """
-    from . import covering
+    labs = weight.labels
+    records = memo.get(labs)
+    if records is None:
+        from . import covering
 
-    diagram, labs = weight.diagram, weight.labels
-    found = searches.get(labs)
-    if found is None:
-        found = searches[labs] = _brute_lowers(diagram, bounds, labs)
-    for beta, _, edge in found:
-        if edge:
-            detail = f"offset {list(beta)} touches the window"
-            _mismatch(mismatches, "boundary", detail, weight)
-    brute = {(beta, lower) for beta, lower, _ in found}
-    moves = covering._label_moves(diagram, labs, -1)
-    classified = {(step.root.coeffs, across) for step, across, _ in moves}
-    if brute != classified:
-        brute, classified = _drop_keys(weight, brute), _drop_keys(weight, classified)
-        detail = f"brute {brute} vs classified {classified}"
-        _mismatch(mismatches, "cocovers", detail, weight)
-    lookup = cover_root_lookup(diagram)
-    for beta, _, _ in found:
-        if beta not in lookup:
-            detail = f"{list(beta)} is not a candidate root"
-            _mismatch(mismatches, "difference", detail, weight)
-    marks = diagram.marks
-    delta_brute = any(beta == marks for beta, _, _ in found)
-    if covering.is_delta_cocover(weight) != delta_brute:
-        detail = f"classified {not delta_brute}, brute {delta_brute}"
-        _mismatch(mismatches, "delta", detail, weight)
+        diagram = weight.diagram
+        found = _brute_lowers(diagram, bounds, labs)
+        records = [
+            ("boundary", f"offset {list(beta)} touches the window")
+            for beta, _, edge in found
+            if edge
+        ]
+        brute = {(beta, lower) for beta, lower, _ in found}
+        moves = covering._label_moves(diagram, labs, -1)
+        classified = {(step.root.coeffs, across) for step, across, _ in moves}
+        if brute != classified:
+            records.append(("cocovers", (brute, classified)))
+        lookup = cover_root_lookup(diagram)
+        records += [
+            ("difference", f"{list(beta)} is not a candidate root")
+            for beta, _, _ in found
+            if beta not in lookup
+        ]
+        delta_brute = any(beta == diagram.marks for beta, _, _ in found)
+        if covering.is_delta_cocover(weight) != delta_brute:
+            records.append(("delta", f"classified {not delta_brute}, brute {delta_brute}"))
+        records = memo[labs] = tuple(records)
+    for check, detail in records:
+        if check == "cocovers":
+            brute, classified = (_drop_keys(weight, pairs) for pairs in detail)
+            detail = f"brute {brute} vs classified {classified}"
+        _mismatch(mismatches, check, detail, weight)
 
 
 def _check_pair(weight, partner, bounds, mismatches):
@@ -495,7 +503,7 @@ def verify_covering(
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
     test, and meet/join against the brute searches.  Each distinct label
-    tuple is searched once per call, and its search is kept for the call
+    tuple is checked once per call, and its records are kept for the call
     only if a sample draws it: a first pass over the seeded draws keeps only
     their label tuples, and a second feeds the sweep.  Only the search
     plans are kept between calls.  A budget, in seconds from the start of
@@ -531,7 +539,7 @@ def verify_covering(
     # elapsed time against the budget itself: start + budget can overflow a float
     spent = None if budget is None else lambda: time.monotonic() - start > budget
     wanted = {labs for labs, _, _ in _draws(diagram, levels, samples_per_level, seed, spent)}
-    searches: dict = {}
+    memo: dict = {}
     mismatches: list = []
     tested = 0
     exceeded = False
@@ -539,8 +547,8 @@ def verify_covering(
         if spent is not None and spent():
             exceeded = True
             break
-        # a weight whose search no sample reads back gets a throwaway memo
-        _check_one(weight, bounds, mismatches, searches if weight.labels in wanted else {})
+        # a weight whose checks no sample reads back gets a throwaway memo
+        _check_one(weight, bounds, mismatches, memo if weight.labels in wanted else {})
         if partner is not None:
             _check_pair(weight, partner, bounds, mismatches)
         tested += 1

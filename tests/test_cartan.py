@@ -17,6 +17,7 @@ import affposet.weights as weights
 from affposet.cartan import (
     AffineTypeId,
     FiniteType,
+    RankTooLargeError,
     build_affine,
     catalog_types,
     classify_finite,
@@ -604,6 +605,29 @@ def test_type_id_rejects_a_rank_or_twist_that_is_not_an_int():
             AffineTypeId("A", rank, twist)
     # a bool rank used to share A1-1's key, and so its cached tables
     assert str(build_affine("A1-1").type_id) == "A1-1"
+
+
+def test_type_id_refuses_a_rank_past_the_ceiling(monkeypatch):
+    # only the ids are made: no table is built at either rank
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    top = 10**6
+    assert cartan._MAX_RANK == top
+    for family, twist in (("A", 1), ("B", 1), ("A", 2), ("D", 2)):
+        assert AffineTypeId(family, top, twist).rank == top
+        with pytest.raises(RankTooLargeError, match=f"rank {top + 1} is past the largest rank"):
+            AffineTypeId(family, top + 1, twist)
+    assert str(parse_type_id(f"A{top}-1")) == f"A{top}-1"
+    with pytest.raises(RankTooLargeError):
+        parse_type_id(f"A{top + 1}-1")
+    with pytest.raises(RankTooLargeError):
+        build_affine(f"A{10**8}-1")
+    assert issubclass(RankTooLargeError, ValueError)
+    # an id that names no diagram at any rank is refused as before
+    with pytest.raises(ValueError, match="no affine diagram"):
+        AffineTypeId("E", top + 1, 1)
 
 
 def test_classify_finite_rejects_vertices_that_are_not_ints():

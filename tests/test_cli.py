@@ -225,6 +225,19 @@ def test_exit_codes():
     assert code == 2 and "error:" in err
 
 
+def test_info_refuses_a_rank_past_the_ceiling(monkeypatch):
+    import affposet.cartan as cartan
+
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    for rank in (10**6 + 1, 10**8):
+        code, out, err = cap(["info", f"A{rank}-1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: rank {rank} is past the largest rank, 1000000\n"
+
+
 def test_interval_of_one_weight_checks_it():
     for labs in ("-1,0,0", "0,0,0"):
         code, out, err = cap(["interval", "A2-1", f"--top={labs}", f"--bottom={labs}"])

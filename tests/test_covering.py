@@ -830,6 +830,49 @@ def test_delta_is_a_cocover_exactly_when_no_finite_root_is():
             assert is_delta_cocover(w) is not finite, (str(tid), w.labels)
 
 
+DELTA_SHIFTS = (Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(3))
+
+
+def _translated(weight, s):
+    return weight_from_labels(weight.diagram, labels(weight), delta_shift(weight) + s)
+
+
+def _check_delta_translates():
+    """Each seeded weight and its translates by s delta have the same delta
+    verdict, and the same cover and cocover edges moved by s delta."""
+    for name in ALL_TYPES:
+        d = D(name)
+        rng = random.Random(f"delta_translates:{name}")
+        pool = [fundamental_weight(d, j) for j in d.vertices]
+        for _ in range(6):
+            labs = [rng.randint(0, 2) for _ in d.vertices]
+            labs[rng.randrange(len(labs))] += 1  # a positive level
+            pool.append(weight_from_labels(d, labs, Fraction(rng.randint(-4, 4), 3)))
+        for lam in pool:
+            for s in DELTA_SHIFTS:
+                up, where = _translated(lam, s), (name, lam.labels, s)
+                assert covering.is_delta_cocover(up) == covering.is_delta_cocover(lam), where
+                for query in (covering.cocovers, covering.covers):
+                    assert query(up) == tuple(
+                        CoverEdge(_translated(e.upper, s), _translated(e.lower, s), e.kind,
+                                  e.root, e.case)
+                        for e in query(lam)
+                    ), where
+
+
+def test_covers_and_the_delta_test_commute_with_delta_translation():
+    # the sweep checks each label tuple once, at the first shift drawn, so
+    # only this test checks that the classifier reads no shift
+    _check_delta_translates()
+
+
+def test_delta_translation_check_fails_on_a_shift_dependent_delta_test(monkeypatch):
+    real = covering.is_delta_cocover
+    monkeypatch.setattr(covering, "is_delta_cocover", lambda w: real(w) != bool(w.shift))
+    with pytest.raises(AssertionError):
+        _check_delta_translates()
+
+
 def test_classifier_matches_the_oracle_beyond_the_catalog():
     # one seeded weight per level on every valid id of rank at most 20, each
     # with a dominant partner near it for the meet and join

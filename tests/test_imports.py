@@ -147,6 +147,32 @@ def test_no_module_imports_a_second_value_mechanism():
     assert {"_Step", "SearchWindow", "BruteBounds", "VerificationReport"} < set(classes)
 
 
+def test_oracle_reads_the_classifier_only_inside_its_check():
+    # the module docstring's rule: no module-level import of the classifier
+    # or the poset, and the classifier named in ``_check_one`` alone
+    path = pathlib.Path(affposet.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text())
+    inside = {}
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                leaf = name.rpartition(".")[2]
+                if leaf in ("covering", "poset"):
+                    inside.setdefault(leaf, set()).add(where)
+    assert inside == {"covering": {"_check_one"}}
+
+
 def test_oracle_names_resolve_through_the_package():
     facts = fresh(
         "import affposet\n"

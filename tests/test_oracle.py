@@ -976,6 +976,35 @@ def test_sweep_searches_each_label_tuple_once(monkeypatch):
         assert max(counts.values()) == 1 and set(census) <= set(counts)
 
 
+def test_sweep_reads_the_classifier_once_per_label_tuple(monkeypatch):
+    real_moves, real_delta = covering._label_moves, covering.is_delta_cocover
+    moved, tested = [], []
+
+    def counted_moves(diagram, labs, sign):
+        moved.append(labs)
+        return real_moves(diagram, labs, sign)
+
+    def counted_delta(weight):
+        tested.append(weight.labels)
+        return real_delta(weight)
+
+    monkeypatch.setattr(covering, "_label_moves", counted_moves)
+    monkeypatch.setattr(covering, "is_delta_cocover", counted_delta)
+    for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
+        census = list(oracle._census_labels(D(name)))
+        # at levels up to three every sample's labels are in the census
+        del moved[:], tested[:]
+        report = verify_covering(name, levels=(1, 2, 3), samples_per_level=30, seed=4)
+        assert report.tested == len(census) + 90 and report.mismatches == ()
+        assert moved == tested == census
+        # a level-4 sample may leave it, and is then read once
+        del moved[:], tested[:]
+        verify_covering(name, levels=(4,), samples_per_level=30, seed=4)
+        for reads in (moved, tested):
+            counts = collections.Counter(reads)
+            assert max(counts.values()) == 1 and set(census) <= set(counts)
+
+
 def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
     real, checked, memos = oracle._check_one, [], []
 
