@@ -40,9 +40,10 @@ _LAZY = {
         "edge_from_json", "edge_to_json", "is_delta_cocover",
     ), "covering"),
     **dict.fromkeys((
-        "BoxTooLargeError", "BruteBounds", "BruteCocovers", "SearchWindow",
-        "TooManySamplesError", "VerificationReport", "WindowExhaustedError",
-        "brute_bounds", "brute_cocovers", "default_window", "verify_covering",
+        "BoxTooLargeError", "BruteBounds", "BruteCocovers",
+        "CensusTooLargeError", "SearchWindow", "TooManySamplesError",
+        "VerificationReport", "WindowExhaustedError", "brute_bounds",
+        "brute_cocovers", "default_window", "verify_covering",
     ), "oracle"),
     **dict.fromkeys((
         "Cell", "CellMismatchError", "CellShape", "IncomparableError",

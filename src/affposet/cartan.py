@@ -101,7 +101,8 @@ _MAX_RANK = 10**6
 
 
 class RankTooLargeError(ValueError):
-    """A type id's rank is past the largest diagram the package builds."""
+    """A type id's rank is past the largest diagram the package builds, or
+    past the largest whose dense Cartan rows the CLI's ``info`` prints."""
 
 
 class AffineTypeId(_Value):

@@ -25,19 +25,18 @@ A ``SearchWindow`` is read once, where it enters a public function; every
 search below takes its bound tuple.  A sweep works on integer labels, and
 every check but meet and join reads the labels alone: the search, and the
 classifier's label moves and delta test.  So :func:`verify_covering` checks
-each label tuple once within a call.  Its census streams, and its seeded
-draws run twice: the first pass keeps only the label tuples drawn, whose
-checks the sweep keeps, and the second streams each sample to its check.
-Each sample's partner is raised from its labels plus the offsets by
-``weights._raised``, the repair ``join`` uses.  That keeps the check sound:
-a repair bug shared with ``join`` still shows as a ``join`` mismatch against
-the search, and a partner that is not dominant is refused by
-``_require_component``.
+each label tuple once within a call, in one pass: the census streams, then
+each seeded sample is drawn and checked in turn.  Each sample's partner
+is raised from its labels plus the offsets by ``weights._raised``, the
+repair ``join`` uses.  That keeps the check sound: a repair bug shared with
+``join`` still shows as a ``join`` mismatch against the search, and a
+partner that is not dominant is refused by ``_require_component``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import random
 import time
@@ -75,14 +74,20 @@ class TooManySamplesError(ValueError):
     """A sweep would draw more samples, each counted once per unit of its level, than it may."""
 
 
+class CensusTooLargeError(ValueError):
+    """A sweep with no budget would check more census weights than it may."""
+
+
 # Sweeps at levels 1-3 (1-2 from rank 7 on) of the catalog, E6-1, E7-1,
 # E8-1, B12-1, C12-1, D12-1 and A20-1, in their default and doubled windows,
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
 # one recursion frame per vertex, well under the interpreter's default limit of 1000
 _MAX_SEARCH_VERTICES = 512
-# a draw makes one generator call per unit of level, in each of a sweep's two passes
+# a draw makes one generator call per unit of level
 _MAX_SAMPLE_LEVELS = 100000
+# A60-1's census of 41 663 weights took 96 s; A64-1's has 50 115
+_MAX_CENSUS = 50000
 
 
 class SearchWindow(_Value):
@@ -338,11 +343,14 @@ class VerificationReport(_Value):
         }
 
 
+_CENSUS_SUM = 3  # the largest entry sum of a census tuple
+
+
 def _census_labels(diagram: AffineDiagram):
-    """All nonzero label vectors with entry sum at most three, one at a time
-    in lexicographic order: one per multiset a <= b <= c of one to three
-    vertices.  An absent b or c is n + 1, past every vertex; the larger a
-    comes first, then the larger b, then the larger c."""
+    """All nonzero label vectors with entry sum at most ``_CENSUS_SUM``,
+    one at a time in lexicographic order: one per multiset a <= b <= c of
+    one to three vertices.  An absent b or c is n + 1, past every vertex;
+    the larger a comes first, then the larger b, then the larger c."""
     end = diagram.n + 1
     for a in range(end - 1, -1, -1):
         for b in range(end, a - 1, -1):
@@ -376,16 +384,12 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
     return tuple(labs)
 
 
-def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int, deadline=None):
+def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
     """Each sample's labels, delta shift and root-vector offsets, one at a
-    time, level by level from one seeded generator per level.  No sample is
-    drawn once ``deadline()``, if a deadline is given, is true; the sweep
-    stops on the same test."""
+    time, level by level from one seeded generator per level."""
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
-            if deadline is not None and deadline():
-                return
             labs = _sample_labels(diagram, lvl, rng)
             # randrange(2k + 1) - k draws as randint(-k, k) does
             shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
@@ -423,19 +427,22 @@ def _drop_keys(weight, moves) -> list:
     return sorted((labs, format_shift(_plus_delta(shift, -r[0], mark0))) for r, labs in moves)
 
 
-def _check_one(weight, bounds, mismatches, memo):
+def _check_one(weight, bounds, mismatches, memo, drawn):
     """Compare the classified cocovers of one weight with the brute search.
 
     Every check reads the labels alone, so ``memo`` maps labels to the
     (check, detail) records they fix, for the length of one sweep: the
-    brute search and the classifier run once per label tuple.  The search's
+    brute search and the classifier run once per label tuple.  The census
+    comes first and keeps a tuple only if it has records, so a drawn weight
+    whose labels are in the census and not in the memo has none; a drawn
+    tuple outside the census is kept, records or not.  The search's
     (offset, labels below) pairs must be the classifier's label moves; a
     root fixes the shift too.  A cocovers record keeps both sets, which
     each weight writes out with its own shift.
     """
     labs = weight.labels
     records = memo.get(labs)
-    if records is None:
+    if records is None and not (drawn and sum(labs) <= _CENSUS_SUM):
         from . import covering
 
         diagram = weight.diagram
@@ -459,8 +466,10 @@ def _check_one(weight, bounds, mismatches, memo):
         delta_brute = any(beta == diagram.marks for beta, _, _ in found)
         if covering.is_delta_cocover(weight) != delta_brute:
             records.append(("delta", f"classified {not delta_brute}, brute {delta_brute}"))
-        records = memo[labs] = tuple(records)
-    for check, detail in records:
+        records = tuple(records)
+        if records or drawn:
+            memo[labs] = records
+    for check, detail in records or ():
         if check == "cocovers":
             brute, classified = (_drop_keys(weight, pairs) for pairs in detail)
             detail = f"brute {brute} vs classified {classified}"
@@ -503,12 +512,13 @@ def verify_covering(
     seeded random samples at each requested level, checking the cocover set,
     membership of the differences in the candidate set, the delta-cocover
     test, and meet/join against the brute searches.  Each distinct label
-    tuple is checked once per call, and its records are kept for the call
-    only if a sample draws it: a first pass over the seeded draws keeps only
-    their label tuples, and a second feeds the sweep.  Only the search
-    plans are kept between calls.  A budget, in seconds from the start of
-    the call, stops both once the elapsed time exceeds it.  A level seeds
-    its own generator, so a repeated level raises ``ValueError``.
+    tuple is checked once per call, in one pass: a census tuple's records
+    are kept only if there are any, and a sample outside the census is
+    checked on its first draw.  Only the search plans are kept between
+    calls.  A budget, in seconds from the start of the call, stops the
+    sweep once the elapsed time exceeds it; with no budget, a census past
+    50 000 weights raises ``CensusTooLargeError``.  A level seeds its own
+    generator, so a repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
     seen = set()
@@ -535,10 +545,16 @@ def verify_covering(
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
+    # the multisets of 1 to _CENSUS_SUM of the n + 1 vertices
+    census = math.comb(diagram.n + 1 + _CENSUS_SUM, _CENSUS_SUM) - 1
+    if budget is None and census > _MAX_CENSUS:
+        raise CensusTooLargeError(
+            f"{diagram.type_id} has {census} census weights, more than the "
+            f"{_MAX_CENSUS} a sweep checks with no budget"
+        )
     start = time.monotonic()
     # elapsed time against the budget itself: start + budget can overflow a float
     spent = None if budget is None else lambda: time.monotonic() - start > budget
-    wanted = {labs for labs, _, _ in _draws(diagram, levels, samples_per_level, seed, spent)}
     memo: dict = {}
     mismatches: list = []
     tested = 0
@@ -547,8 +563,7 @@ def verify_covering(
         if spent is not None and spent():
             exceeded = True
             break
-        # a weight whose checks no sample reads back gets a throwaway memo
-        _check_one(weight, bounds, mismatches, memo if weight.labels in wanted else {})
+        _check_one(weight, bounds, mismatches, memo, partner is not None)
         if partner is not None:
             _check_pair(weight, partner, bounds, mismatches)
         tested += 1

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import affposet
 import affposet.poset as poset
 from affposet.cli import run
@@ -195,11 +197,11 @@ def test_verify_rejects_a_bad_budget():
 
 
 def test_verify_budget_warning(monkeypatch):
-    # a clock that advances 10 us per reading stops the sweep at the same
-    # weight on any host
+    # a clock that advances 10 us per reading, once per weight, stops the
+    # sweep at the same weight, the 399th, on any host
     clock = types.SimpleNamespace(monotonic=itertools.count(0, 1e-5).__next__)
     monkeypatch.setattr("affposet.oracle.time", clock)
-    code, out, err = cap(["verify", "F4-1", "--budget", "0.01"])
+    code, out, err = cap(["verify", "F4-1", "--budget", "0.004"])
     assert code == 0
     assert "budget exhausted" in err
     assert json.loads(out)["mismatches"] == []
@@ -236,6 +238,42 @@ def test_info_refuses_a_rank_past_the_ceiling(monkeypatch):
         code, out, err = cap(["info", f"A{rank}-1"])
         assert (code, out) == (2, "")
         assert err == f"error: rank {rank} is past the largest rank, 1000000\n"
+
+
+def test_info_refuses_dense_rows_past_their_rank(monkeypatch):
+    # info prints (n + 1)^2 Cartan entries: 81 MB on A3000-1, and A10**6-1
+    # ended in a MemoryError traceback
+    import affposet.cartan as cartan
+    import affposet.cli as cli
+
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    def built(tid):
+        raise AssertionError(f"built {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    for name in ("A3001-1", "C3001-1", "A1000000-1"):
+        code, out, err = cap(["info", name])
+        assert (code, out) == (2, "")
+        rank = int(name[1:-2])
+        assert err == f"error: rank {rank} is past the largest rank info prints, 3000\n"
+    monkeypatch.setattr(cli, "build_affine", built)
+    with pytest.raises(AssertionError, match="built A3000-1"):
+        cap(["info", "A3000-1"])
+
+
+def test_verify_refuses_a_census_past_its_bound_with_no_budget(monkeypatch):
+    def censused(diagram):
+        raise AssertionError(f"the census of {diagram} ran")
+
+    monkeypatch.setattr("affposet.oracle._census_labels", censused)
+    code, out, err = cap(["verify", "A64-1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: A64-1 has 50115 census weights, "
+        "more than the 50000 a sweep checks with no budget\n"
+    )
 
 
 def test_interval_of_one_weight_checks_it():

@@ -28,6 +28,7 @@ from affposet.cartan import (
 from affposet.oracle import (
     BoxTooLargeError,
     BruteBounds,
+    CensusTooLargeError,
     SearchWindow,
     TooManySamplesError,
     WindowExhaustedError,
@@ -176,11 +177,11 @@ def test_verify_covering_smoke():
 
 
 def test_verify_covering_budget(monkeypatch):
-    # a clock that advances 10 us per reading: the 600 draws spend 6 ms of
-    # the 10 ms budget, and the sweep stops at the same weight on any host
+    # a clock that advances 10 us per reading, once per weight: the 4 ms
+    # budget stops the sweep at the same weight, the 399th, on any host
     clock = types.SimpleNamespace(monotonic=itertools.count(0, 1e-5).__next__)
     monkeypatch.setattr(oracle, "time", clock)
-    report = verify_covering("F4-1", samples_per_level=200, budget=0.01)
+    report = verify_covering("F4-1", samples_per_level=200, budget=0.004)
     assert report.budget_exceeded and report.tested < 55 + 600
     assert report.tested > 55 and report.mismatches == ()
     assert "budget_exceeded" not in report.to_json()
@@ -254,7 +255,7 @@ def test_zero_budget_sweep_draws_at_most_one_sample(monkeypatch):
 def test_verify_covering_with_a_zero_budget_stops_at_once():
     report = verify_covering("A2-1", budget=0)
     assert report.budget_exceeded and report.tested == 0
-    # the census streams: none of A80-1's 98 769 label tuples is built
+    # the census streams: none of A80-1's 95 283 label tuples is built
     # before the budget stops the sweep
     diagram = D("A80-1")
     tracemalloc.start()
@@ -265,6 +266,47 @@ def test_verify_covering_with_a_zero_budget_stops_at_once():
         tracemalloc.stop()
     assert report.budget_exceeded and report.tested == 0
     assert peak < 1 << 20
+
+
+def test_sweep_draws_each_sample_once(monkeypatch):
+    # one pass: each sample's labels are drawn once, as the sweep checks it
+    real, drawn = oracle._sample_labels, []
+
+    def counted(*args):
+        drawn.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sample_labels", counted)
+    for name in ("A4-2", "G2-1"):
+        del drawn[:]
+        report = verify_covering(name, levels=(1, 2, 4), samples_per_level=30)
+        assert report.tested == len(list(oracle._census_labels(D(name)))) + 90
+        assert drawn == [1] * 30 + [2] * 30 + [4] * 30
+
+
+def test_a_sweep_with_no_budget_refuses_a_census_past_its_bound(monkeypatch):
+    # A_n^(1) has C(n + 4, 3) - 1 census weights: A60-1's 41 663 took 96 s,
+    # A63-1's 47 904 is the largest A_n^(1) census run with no budget, and
+    # A64-1's 50 115 is refused.  The count is read off the rank, before any census or draw.
+    def censused(diagram):
+        raise AssertionError(f"the census of {diagram} ran")
+
+    def drawn(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(oracle, "_census_labels", censused)
+    monkeypatch.setattr(oracle, "_sample_labels", drawn)
+    for name in ("A60-1", "A63-1"):
+        with pytest.raises(AssertionError, match=f"the census of {name} ran"):
+            verify_covering(name)
+    message = "^A64-1 has 50115 census weights, more than the 50000 a sweep checks with no budget$"
+    with pytest.raises(CensusTooLargeError, match=message):
+        verify_covering("A64-1")
+    # a budget bounds the sweep instead
+    with pytest.raises(AssertionError, match="the census of A64-1 ran"):
+        verify_covering("A64-1", budget=5)
+    assert issubclass(CensusTooLargeError, ValueError)
+    assert affposet.CensusTooLargeError is CensusTooLargeError
 
 
 @pytest.mark.parametrize(
@@ -1006,31 +1048,44 @@ def test_sweep_reads_the_classifier_once_per_label_tuple(monkeypatch):
 
 
 def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
-    real, checked, memos = oracle._check_one, [], []
+    real, memos = oracle._check_one, []
 
-    def captured(weight, bounds, mismatches, searches):
-        checked.append(weight)
-        memos.append(searches)
-        return real(weight, bounds, mismatches, searches)
+    def captured(weight, bounds, mismatches, memo, drawn):
+        memos.append(memo)
+        return real(weight, bounds, mismatches, memo, drawn)
 
     monkeypatch.setattr(oracle, "_check_one", captured)
-    # with no samples no census search is read back, so none is kept
-    report = verify_covering("A8-1", levels=(1,), samples_per_level=0)
-    assert report.tested == len(memos) == 219
-    assert all(len(memo) <= 1 for memo in memos)
-    assert len({id(memo) for memo in memos}) == 219  # no memo outlives its weight
-    # the samples' labels are drawn first, so only the level-1 tuples the
-    # five samples drew are kept, from the census on
-    del checked[:], memos[:]
-    report = verify_covering("A8-1", levels=(1,), samples_per_level=5)
-    assert report.tested == len(memos) == 224
-    shared = memos[-1]
-    drawn = {weight.labels for weight in checked[-5:]}
-    assert all(memo is shared for memo in memos[-5:])
-    assert set(shared) == drawn and 1 < len(drawn) < 9
-    for weight, memo in zip(checked[:-5], memos[:-5]):
-        assert (memo is shared) is (weight.labels in drawn)
-        assert memo is shared or len(memo) <= 1
+
+    def sweep(name, levels, samples, seed=0):
+        del memos[:]
+        report = verify_covering(name, levels=levels, samples_per_level=samples, seed=seed)
+        assert report.tested == len(memos)
+        assert all(memo is memos[0] for memo in memos)  # one memo per call
+        return report, memos[0]
+
+    # a clean census keeps no tuple, and a sample in it reads none back
+    for samples in (0, 5):
+        report, memo = sweep("A8-1", (1,), samples)
+        assert report.tested == 219 + samples and report.mismatches == ()
+        assert memo == {}
+    # a sample outside the census, of entry sum past three, is kept on its
+    # first draw, records or not
+    diagram = D("G2-1")
+    outside = {labs for labs, _, _ in oracle._draws(diagram, (4,), 30, 7) if sum(labs) > 3}
+    report, memo = sweep("G2-1", (4,), 30, seed=7)
+    assert report.mismatches == () and len(outside) > 1
+    assert memo == dict.fromkeys(outside, ())
+    # a census tuple that fails is kept with its records: with the first
+    # label move dropped, every census tuple fails
+    real_moves = covering._label_moves
+    monkeypatch.setattr(covering, "_label_moves", lambda d, labs, s: real_moves(d, labs, s)[1:])
+    report, memo = sweep("A2-1", (1, 2, 3), 0)
+    failing = {tuple(record["labels"]) for record in report.mismatches}
+    assert failing == set(oracle._census_labels(D("A2-1"))) and report.tested == 19
+    assert set(memo) == failing and all(memo.values())
+    # and samples inside the census add nothing to it
+    report, memo = sweep("A2-1", (1, 2, 3), 10)
+    assert set(memo) == failing
 
 
 def test_sweep_memory_holds_only_the_searches_samples_read():
