@@ -102,7 +102,8 @@ _MAX_RANK = 10**6
 
 class RankTooLargeError(ValueError):
     """A type id's rank is past the largest diagram the package builds, or
-    past the largest whose dense Cartan rows the CLI's ``info`` prints."""
+    its diagram has more vertices than the largest whose dense Cartan rows
+    the CLI's ``info`` prints."""
 
 
 class AffineTypeId(_Value):
@@ -303,6 +304,16 @@ def _rank_is_valid(family: str, rank: int, twist: int) -> bool:
         return rank >= 2
     partner = _PARTNERS.get((family, twist))
     return partner is not None and _rank_is_valid(*partner(rank), 1)
+
+
+def _vertex_count(tid: AffineTypeId) -> int:
+    """The number of vertices, n + 1, of the id's diagram, read off the id
+    alone: no table is built."""
+    if tid.twist == 1:
+        return tid.rank + 1
+    if tid.family == "A" and tid.rank % 2 == 0:  # A_{2l}^(2)
+        return tid.rank // 2 + 1
+    return _PARTNERS[tid.family, tid.twist](tid.rank)[1] + 1
 
 
 def _tables(tid: AffineTypeId):

@@ -17,6 +17,7 @@ import sys
 from .cartan import (
     RankTooLargeError,
     _parse_int,
+    _vertex_count,
     build_affine,
     catalog_types,
     format_shift,
@@ -80,14 +81,16 @@ def _cmd_types(args) -> int:
 
 
 # info prints (n + 1)^2 dense Cartan entries: 81 MB in 8.0 s on A3000-1
-_MAX_INFO_RANK = 3000
+_MAX_INFO_VERTICES = 3001
 
 
 def _cmd_info(args) -> int:
     type_id = parse_type_id(args.type)
-    if type_id.rank > _MAX_INFO_RANK:
+    vertices = _vertex_count(type_id)
+    if vertices > _MAX_INFO_VERTICES:
         raise RankTooLargeError(
-            f"rank {type_id.rank} is past the largest rank info prints, {_MAX_INFO_RANK}"
+            f"{type_id} has {vertices} vertices, more than the "
+            f"{_MAX_INFO_VERTICES} whose Cartan rows info prints"
         )
     diagram = build_affine(type_id)
     _emit(
@@ -173,9 +176,9 @@ def _cmd_verify(args) -> int:
     budget = _budget_arg(args.budget)
     reports = []
     for name in names:
-        diagram = build_affine(name)
+        # the id alone: the sweep counts its census before it builds the diagram
         report = verify_covering(
-            diagram,
+            parse_type_id(name),
             levels=levels,
             samples_per_level=samples,
             seed=seed,

@@ -11,9 +11,11 @@ themselves must stay independent of it.
 is the coefficient-minimum corner, tested for dominance, and the root vector
 between them is first checked against the Cartan matrix.  A sweep's pair
 check computes that root vector, the gap, once and hands the same one to the
-bounds search and to the meet and join it checks.  The corners and the
-weights across a root vector come from ``weights``' label arithmetic, which
-never solves for coefficients.
+bounds search and to the meet and join it checks.  All three are integer
+states over the first weight a, (labels, c0) with c0 the vertex-0
+coefficient of the root vector from a, so they compare as ints and tuples;
+a weight is built only for a record.  The corners come from ``weights``'
+label arithmetic, which never solves for coefficients.
 
 The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
@@ -44,14 +46,24 @@ from fractions import Fraction
 from operator import eq, le
 
 from . import _LAZY
-from .cartan import _ZERO, AffineDiagram, _ints, _Value, build_affine, format_shift
+from .cartan import (
+    _ZERO,
+    AffineDiagram,
+    _ints,
+    _Value,
+    _vertex_count,
+    build_affine,
+    format_shift,
+    parse_type_id,
+)
 from .roots import RootVector, cover_root_lookup
 from .weights import (
     Weight,
     _add_columns,
+    _at,
+    _corner,
     _gap_join,
     _gap_meet,
-    _moved,
     _plus_delta,
     _raised,
     _require_component,
@@ -281,7 +293,8 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     ``join`` use, so it is first checked against the Cartan matrix: its
     columns must add up to the label difference, and its vertex 0
     coefficient over the mark to the shift difference, which only the true
-    gap does.
+    gap does.  The search runs on states over a (``_gap_bounds``), and the
+    two weights are built from them at the end.
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
@@ -294,34 +307,38 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     A failed gap check, a corner that is not dominant, or upper bounds with
     two minima raise ``RuntimeError``.
     """
-    return _gap_bounds(a, b, _require_component(a, b), _bounds(a.diagram, window))
+    glb, lub = _gap_bounds(a, b, _require_component(a, b), _bounds(a.diagram, window))
+    return BruteBounds(_at(a, glb), _at(a, lub))
 
 
-def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> BruteBounds:
+def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> tuple:
     """``brute_bounds`` of a and b within bounds, given the gap a - b to
-    check.  The corners and the searched least upper bound are built by
-    ``_moved``; only the search itself is this module's."""
+    check, as two states (labels, c0) over a, c0 the vertex-0 coefficient
+    of the root vector from a (``weights._at``).  The shift check and every
+    corner are integer steps; the searched bound adds the search's minimum
+    to the coefficient-maximum corner's labels and c0 alike.  Only the
+    search itself is this module's."""
     diagram = a.diagram
-    # b plus the gap's Cartan columns must give a's labels, and b's shift
-    # plus gap[0] / mark0 a's shift
-    if (
-        tuple(_add_columns(diagram, b.labels, gap)) != a.labels
-        or _plus_delta(b.shift, gap[0], diagram.marks[0]) != a.shift
-    ):
+    s, t = a.shift, b.shift
+    # b plus the gap's Cartan columns must give a's labels, and (s - t) *
+    # mark0 must be gap[0], multiplied out over both denominators
+    if tuple(_add_columns(diagram, b.labels, gap)) != a.labels or (
+        s.numerator * t.denominator - t.numerator * s.denominator
+    ) * diagram.marks[0] != gap[0] * s.denominator * t.denominator:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
-    glb = _moved(a, [-g if g > 0 else 0 for g in gap])
-    if min(glb.labels) < 0:
-        raise RuntimeError(f"the coefficient minimum {list(glb.labels)} is not dominant")
-    top = _moved(a, [-g if g < 0 else 0 for g in gap])
-    if min(top.labels) >= 0:
-        return BruteBounds(glb, top)
-    minima = _minimal_offsets(diagram, bounds, top.labels, 1)
+    glb = _corner(a, [-g if g > 0 else 0 for g in gap])
+    if min(glb[0]) < 0:
+        raise RuntimeError(f"the coefficient minimum {list(glb[0])} is not dominant")
+    top = _corner(a, [-g if g < 0 else 0 for g in gap])
+    if min(top[0]) >= 0:
+        return glb, top
+    minima = _minimal_offsets(diagram, bounds, top[0], 1)
     if not minima:
         raise WindowExhaustedError("no dominant upper bound within the window")
     if len(minima) > 1:
         listed = ", ".join(map(str, minima))
         raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
-    return BruteBounds(glb, _moved(top, minima[0]))
+    return glb, _corner(a, [m - g if g < 0 else m for g, m in zip(gap, minima[0])])
 
 
 class VerificationReport(_Value):
@@ -478,11 +495,11 @@ def _check_one(weight, bounds, mismatches, memo, drawn):
 
 def _check_pair(weight, partner, bounds, mismatches):
     """Compare the meet and join of two weights with the brute bounds, all
-    three computed from one gap."""
+    three from one gap and as states over the weight: only a record builds a weight."""
     gap = _require_component(weight, partner)
     for _ in range(5):
         try:
-            bb = _gap_bounds(weight, partner, gap, bounds)
+            glb, lub = _gap_bounds(weight, partner, gap, bounds)
             break
         except WindowExhaustedError:
             bounds = tuple(2 * b for b in bounds)
@@ -492,10 +509,10 @@ def _check_pair(weight, partner, bounds, mismatches):
     else:
         _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
         return
-    if bb.glb != _gap_meet(weight, gap):
-        _mismatch(mismatches, "meet", f"brute {_weight_key(bb.glb)}", weight, partner)
-    if bb.lub != _gap_join(weight, gap):
-        _mismatch(mismatches, "join", f"brute {_weight_key(bb.lub)}", weight, partner)
+    if glb != _gap_meet(weight, gap):
+        _mismatch(mismatches, "meet", f"brute {_weight_key(_at(weight, glb))}", weight, partner)
+    if lub != _gap_join(weight, gap):
+        _mismatch(mismatches, "join", f"brute {_weight_key(_at(weight, lub))}", weight, partner)
 
 
 def verify_covering(
@@ -517,7 +534,8 @@ def verify_covering(
     checked on its first draw.  Only the search plans are kept between
     calls.  A budget, in seconds from the start of the call, stops the
     sweep once the elapsed time exceeds it; with no budget, a census past
-    50 000 weights raises ``CensusTooLargeError``.  A level seeds its own
+    50 000 weights raises ``CensusTooLargeError``, counted from the type id
+    before the diagram is built.  A level seeds its own
     generator, so a repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
@@ -543,15 +561,17 @@ def verify_covering(
         raise TypeError(f"budget must be a number of seconds, got {budget!r}")
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
-    diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
-    bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
-    # the multisets of 1 to _CENSUS_SUM of the n + 1 vertices
-    census = math.comb(diagram.n + 1 + _CENSUS_SUM, _CENSUS_SUM) - 1
+    tid = type_id.type_id if isinstance(type_id, AffineDiagram) else parse_type_id(type_id)
+    # the multisets of 1 to _CENSUS_SUM of the n + 1 vertices, counted
+    # before the diagram is built
+    census = math.comb(_vertex_count(tid) + _CENSUS_SUM, _CENSUS_SUM) - 1
     if budget is None and census > _MAX_CENSUS:
         raise CensusTooLargeError(
-            f"{diagram.type_id} has {census} census weights, more than the "
+            f"{tid} has {census} census weights, more than the "
             f"{_MAX_CENSUS} a sweep checks with no budget"
         )
+    diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
+    bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
     # elapsed time against the budget itself: start + budget can overflow a float
     spent = None if budget is None else lambda: time.monotonic() - start > budget

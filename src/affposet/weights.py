@@ -10,7 +10,10 @@ weights.  Only this module solves for root coefficients: ``_gap`` takes two
 weights to the root vector between them.  The weight across a root vector is
 built from ``_add_columns`` (labels) and ``_plus_delta`` (shift); ``_moved``
 applies both, ``_raised`` then repairs the result up to a dominant weight,
-and ``covering``, ``poset`` and ``oracle`` call them directly.
+and ``covering``, ``poset`` and ``oracle`` call them directly.  Meet and join
+run on integer states over a base weight a, (labels, c0) with c0 the vertex-0
+coefficient of the root vector from a; two states over one base are equal
+just when their weights are, and ``_at`` builds a state's one weight.
 A weight so computed is built by ``_weight``, which skips the checks that
 ``Weight`` makes of labels and shifts from outside the library.
 
@@ -275,12 +278,22 @@ def meet(a: Weight, b: Weight) -> Weight:
     coefficients only drop, and off-diagonal Cartan entries are nonpositive,
     so every coroot value of the minimum dominates that argument's value.
     """
-    return _gap_meet(a, _require_component(a, b))
+    return _at(a, _gap_meet(a, _require_component(a, b)))
 
 
-def _gap_meet(a: Weight, gap) -> Weight:
-    """The meet of a and a - gap, for the integer root vector gap."""
-    return _moved(a, [-max(0, g) for g in gap])
+def _at(a: Weight, state) -> Weight:
+    """The weight of a state (labels, c0) over a: its shift is a's plus c0 / mark0."""
+    return _weight(a.diagram, state[0], _plus_delta(a.shift, state[1], a.diagram.marks[0]))
+
+
+def _corner(a: Weight, coeffs) -> tuple:
+    """The state over a of a plus the root vector with these integer coefficients."""
+    return tuple(_add_columns(a.diagram, a.labels, coeffs)), coeffs[0]
+
+
+def _gap_meet(a: Weight, gap) -> tuple:
+    """The meet of a and a - gap, for the integer root vector gap, as a state over a."""
+    return _corner(a, [-max(0, g) for g in gap])
 
 
 def join(a: Weight, b: Weight) -> Weight:
@@ -291,27 +304,31 @@ def join(a: Weight, b: Weight) -> Weight:
     ceil(-e / 2), so raising by exactly that amount keeps the candidate
     below every upper bound and terminates at the least one.
     """
-    return _gap_join(a, _require_component(a, b))
+    return _at(a, _gap_join(a, _require_component(a, b)))
 
 
-def _gap_join(a: Weight, gap) -> Weight:
-    """The join of a and a - gap, for the integer root vector gap: the
-    coefficient maximum, raised."""
-    return _raised(a, [max(0, -g) for g in gap])
+def _gap_join(a: Weight, gap) -> tuple:
+    """The join of a and a - gap, for the integer root vector gap, as a
+    state over a: the coefficient maximum, repaired."""
+    return _repaired(a, [max(0, -g) for g in gap])
 
 
 def _raised(weight: Weight, coeffs) -> Weight:
     """The least dominant weight at or above the weight plus the root vector
-    with these integer coefficients.
+    with these integer coefficients."""
+    return _at(weight, _repaired(weight, coeffs))
+
+
+def _repaired(weight: Weight, coeffs) -> tuple:
+    """``_raised`` as a state over the weight.
 
     The labels are repaired in place.  Raising vertex j leaves its label at
     0 or 1 and lowers only its neighbours', so a worklist of the vertices
     that went negative holds every negative label.  The raises of vertex 0
-    are counted, and the shift moves once.
+    are counted into c0.
     """
-    diagram = weight.diagram
-    columns = diagram.columns
-    labs = _add_columns(diagram, weight.labels, coeffs)
+    columns = weight.diagram.columns
+    labs = _add_columns(weight.diagram, weight.labels, coeffs)
     k0 = coeffs[0]
     todo = [j for j, e in enumerate(labs) if e < 0]
     while todo:
@@ -325,7 +342,7 @@ def _raised(weight: Weight, coeffs) -> Weight:
                 todo.append(i)
         if j == 0:
             k0 += step
-    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, k0, diagram.marks[0]))
+    return tuple(labs), k0
 
 
 def sort_key(weight: Weight) -> tuple:

@@ -810,6 +810,20 @@ def test_tables_match_the_hand_written_reference():
         assert cartan._tables(tid) == _columns(_ref_tables(tid)), str(tid)
 
 
+def test_vertex_count_is_read_off_the_type_id():
+    # the count info and the sweep's census bound read before any table is built
+    ids = [
+        AffineTypeId(family, rank, twist)
+        for family in "ABCDEFG"
+        for rank in range(1, 41)
+        for twist in (1, 2, 3)
+        if cartan._rank_is_valid(family, rank, twist)
+    ]
+    assert len(ids) == 237
+    for tid in ids:
+        assert cartan._vertex_count(tid) == build_affine(tid).n + 1, str(tid)
+
+
 def _ref_rank_is_valid(family, rank, twist):
     """The valid type ids written out family by family, independently of
     the partner map ``_tables`` reads."""

@@ -253,14 +253,36 @@ def test_info_refuses_dense_rows_past_their_rank(monkeypatch):
         raise AssertionError(f"built {tid}")
 
     monkeypatch.setattr(cartan, "_tables", no_tables)
-    for name in ("A3001-1", "C3001-1", "A1000000-1"):
+    for name, vertices in (
+        ("A3001-1", 3002), ("C3001-1", 3002), ("A1000000-1", 1000001), ("A6001-2", 3002)
+    ):
         code, out, err = cap(["info", name])
         assert (code, out) == (2, "")
-        rank = int(name[1:-2])
-        assert err == f"error: rank {rank} is past the largest rank info prints, 3000\n"
+        assert err == (
+            f"error: {name} has {vertices} vertices, more than the 3001 "
+            "whose Cartan rows info prints\n"
+        )
     monkeypatch.setattr(cli, "build_affine", built)
-    with pytest.raises(AssertionError, match="built A3000-1"):
-        cap(["info", "A3000-1"])
+    # 3001, 1502 and 3001 vertices
+    for name in ("A3000-1", "A3001-2", "D3001-2"):
+        with pytest.raises(AssertionError, match=f"built {name}"):
+            cap(["info", name])
+
+
+def test_verify_counts_its_census_before_it_builds_the_diagram(monkeypatch):
+    # A100000-1 took 2.03 s and 177 MB to build before its census was refused
+    import affposet.cartan as cartan
+
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    code, out, err = cap(["verify", "A100000-1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: A100000-1 has 166681667100003 census weights, "
+        "more than the 50000 a sweep checks with no budget\n"
+    )
 
 
 def test_verify_refuses_a_census_past_its_bound_with_no_budget(monkeypatch):

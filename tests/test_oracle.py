@@ -338,8 +338,9 @@ def _first_record_per_check(report):
 
 
 def _partner_of(a, gap):
-    # the weight a - gap: the partner whose gap with a the pair check computed
-    return weights._moved(a, [-g for g in gap])
+    # the state of a - gap over a: the partner whose gap with a the pair
+    # check computed
+    return weights._corner(a, [-g for g in gap])
 
 
 def test_mismatch_records_are_frozen(monkeypatch):
@@ -349,7 +350,7 @@ def test_mismatch_records_are_frozen(monkeypatch):
     monkeypatch.setattr(covering, "_label_moves", lambda d, labs, sign: [])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: True)
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: set())
-    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)
+    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: (a.labels, 0))
     monkeypatch.setattr(oracle, "_gap_join", _partner_of)
     report = verify_covering("A2-1", levels=(1,), samples_per_level=3, seed=2)
     assert (report.tested, len(report.mismatches)) == (22, 64)
@@ -538,15 +539,85 @@ def test_brute_bounds_checks_the_gap_against_the_cartan_matrix(monkeypatch):
 
 
 def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
-    real = oracle._moved
+    real = oracle._corner
 
     def lowered(weight, coeffs):
-        moved = real(weight, coeffs)
-        return weights._weight(moved.diagram, tuple(v - 5 for v in moved.labels), moved.shift)
+        labs, c0 = real(weight, coeffs)
+        return tuple(v - 5 for v in labs), c0
 
-    monkeypatch.setattr(oracle, "_moved", lowered)
+    monkeypatch.setattr(oracle, "_corner", lowered)
     with pytest.raises(RuntimeError, match=r"minimum \[-4, -4, -4\] is not dominant"):
         brute_bounds(W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3)))
+
+
+def _sweep_pairs(name, seeds):
+    d = D(name)
+    return [
+        (weight, partner)
+        for seed in seeds
+        for weight, partner in oracle._sweep(d, oracle._draws(d, (1, 2, 3), 20, seed))
+        if partner is not None
+    ]
+
+
+def test_pair_check_builds_no_weight_on_a_clean_pair(monkeypatch):
+    # the bounds, meet and join of a pair are compared as integer states over
+    # the weight; a weight and its shift are built only for a record
+    pairs = [pair for name in ("A3-1", "A4-1", "G2-1", "A4-2", "D4-3")
+             for pair in _sweep_pairs(name, (0, 1))]
+    built = collections.Counter()
+    for module in (weights, oracle):
+        for name in ("_weight", "_plus_delta"):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                built[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    mismatches = []
+    for weight, partner in pairs:
+        oracle._check_pair(weight, partner, default_window(weight.diagram).bounds, mismatches)
+    assert len(pairs) == 600 and mismatches == []
+    assert built == {}
+
+
+@pytest.mark.parametrize("seam", ["_gap_meet", "_gap_join"])
+def test_sweep_records_a_bound_one_delta_off(monkeypatch, seam):
+    # the same labels, one delta lower: only the shift, c0 / mark0, tells
+    # the state from the true bound
+    real = getattr(oracle, seam)
+
+    def lowered(a, gap):
+        labs, c0 = real(a, gap)
+        return labs, c0 - a.diagram.marks[0]
+
+    monkeypatch.setattr(oracle, seam, lowered)
+    check = seam[len("_gap_"):]
+    for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
+        report = verify_covering(name, levels=(1, 2, 3), samples_per_level=10, seed=4)
+        assert [m["check"] for m in report.mismatches] == [check] * 30, name
+
+
+def test_brute_bounds_searches_a_join_that_moves_the_shift(monkeypatch):
+    # pairs whose coefficient maximum is not dominant and whose searched
+    # minimum raises vertex 0: the least upper bound's shift moves from the
+    # corner's, and must still be the join's
+    real, raised = oracle._minimal_offsets, []
+
+    def spied(diagram, bounds, labs, sign):
+        found = real(diagram, bounds, labs, sign)
+        raised.append(sign == 1 and bool(found) and found[0][0] != 0)
+        return found
+
+    monkeypatch.setattr(oracle, "_minimal_offsets", spied)
+    searched = 0
+    for name in ("A2-1", "A3-1", "A4-1", "B3-1", "D4-1"):
+        for a, b in _sweep_pairs(name, range(30)):
+            raised.clear()
+            bounds = brute_bounds(a, b)
+            if any(raised):
+                assert (bounds.glb, bounds.lub) == (meet(a, b), join(a, b)), (a, b)
+                searched += 1
+    assert searched == 40
 
 
 def test_check_pair_records_a_failed_bounds_check(monkeypatch):
@@ -949,9 +1020,9 @@ def _ref_check_pair(weight, partner, window, records):
         _ref_record(records, "bounds", "window exhausted", weight, partner)
         return
     gap = weights._require_component(weight, partner)
-    if bb.glb != oracle._gap_meet(weight, gap):
+    if bb.glb != weights._at(weight, oracle._gap_meet(weight, gap)):
         _ref_record(records, "meet", f"brute {_ref_key(bb.glb)}", weight, partner)
-    if bb.lub != oracle._gap_join(weight, gap):
+    if bb.lub != weights._at(weight, oracle._gap_join(weight, gap)):
         _ref_record(records, "join", f"brute {_ref_key(bb.lub)}", weight, partner)
 
 
@@ -1164,7 +1235,7 @@ def test_sweep_matches_the_reference_sweep_on_a_wrong_classifier(monkeypatch, na
     monkeypatch.setattr(covering, "_label_moves", lambda d, labs, sign: real[0](d, labs, sign)[1:])
     monkeypatch.setattr(covering, "is_delta_cocover", lambda w: not real[1](w))
     monkeypatch.setattr(oracle, "cover_root_lookup", lambda d: frozenset())
-    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: a)
+    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: (a.labels, 0))
     monkeypatch.setattr(oracle, "_gap_join", _partner_of)
     diagram = D(name)
     window = default_window(diagram)

@@ -444,6 +444,6 @@ def test_join_matches_the_reference_on_sweep_pairs(name, levels):
             gap = weights._require_component(x, y)
             got = join(x, y)
             assert got == _ref_join(x, y), (x, y)
-            assert got == weights._gap_join(x, gap)
+            assert got == weights._at(x, weights._gap_join(x, gap))
             repaired += min(weights._add_columns(d, x.labels, [max(0, -g) for g in gap])) < 0
     assert repaired or d.n == 1
