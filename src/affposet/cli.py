@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad type, labels,
-shift, or a cell mismatch), 3 verification found mismatches.  Payloads are
+shift, a cell mismatch, or a size past a bound), 3 verification found
+mismatches, 141 (128 + SIGPIPE) the reader closed stdout early.  Payloads are
 printed to stdout as sorted, indented JSON so identical invocations produce
 identical bytes; diagnostics go to stderr.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 
@@ -26,6 +28,9 @@ from .cartan import (
 )
 
 __all__ = ["run", "main"]
+
+
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _UsageError(Exception):
@@ -264,4 +269,12 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # flush at exit cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -31,13 +31,13 @@ from .cartan import AffineDiagram, _component, _Value, classify_finite, special_
 from .roots import CoverKind, RootVector, _connected_proper_subsets, _fixed_roots, _support_root
 from .weights import (
     Weight,
+    _add_columns,
+    _at,
     _dominance_gap,
     _json_ints,
     _json_object,
     _json_string,
     _level,
-    _plus_delta,
-    _weight,
     weight_from_json,
     weight_to_json,
 )
@@ -161,14 +161,12 @@ class _Step(_Value):
 
 def _step(diagram: AffineDiagram, root: RootVector, kind: CoverKind) -> _Step:
     """The step of a cover root of the given kind: its label change is A
-    times the root, summed over the Cartan columns of its support, and its
-    case test is that of its kind on the support."""
-    coeffs, change = root.coeffs, {}
+    times the root, ``weights._add_columns`` of zero labels, and its case
+    test is that of its kind on the support."""
+    coeffs = root.coeffs
     supp = tuple(compress(diagram.vertices, coeffs))
-    for v in supp:
-        for w, x in diagram.columns[v]:
-            change[w] = change.get(w, 0) + coeffs[v] * x
-    change = tuple(sorted((w, x) for w, x in change.items() if x))
+    change = _add_columns(diagram, [0] * (diagram.n + 1), coeffs)
+    change = tuple((w, x) for w, x in enumerate(change) if x)
     return _Step((sum(coeffs), coeffs), root, kind, supp, change, _case_rules(diagram, kind, supp))
 
 
@@ -291,10 +289,9 @@ def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
 
 
 def _edges(weight: Weight, sign: int) -> tuple:
-    diagram, mark0 = weight.diagram, weight.diagram.marks[0]
     edges = []
-    for step, labs, case in _label_moves(diagram, _require_dominant_positive(weight), sign):
-        near = _weight(diagram, labs, _plus_delta(weight.shift, sign * step.root.coeffs[0], mark0))
+    for step, labs, case in _label_moves(weight.diagram, _require_dominant_positive(weight), sign):
+        near = _at(weight, (labs, sign * step.root.coeffs[0]))
         upper, lower = (weight, near) if sign < 0 else (near, weight)
         edges.append(CoverEdge(upper, lower, step.kind, step.root, case))
     return tuple(edges)

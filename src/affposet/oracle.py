@@ -64,9 +64,9 @@ from .weights import (
     _corner,
     _gap_join,
     _gap_meet,
-    _plus_delta,
     _raised,
     _require_component,
+    _shift_at,
     _weight,
     is_dominant,
 )
@@ -159,6 +159,15 @@ def _plan(diagram: AffineDiagram, bounds: tuple, sign: int) -> tuple:
     return tuple(reversed(plan))
 
 
+def _check_vertices(type_id, vertices: int) -> None:
+    """Raise ``BoxTooLargeError`` if a search through this many vertices
+    would recurse past its bound."""
+    if vertices > _MAX_SEARCH_VERTICES:
+        raise BoxTooLargeError(
+            f"{type_id} search recurses through {vertices} > {_MAX_SEARCH_VERTICES} vertices"
+        )
+
+
 def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> list:
     """The minimal nonzero offsets 0 <= gamma <= bounds with labs + sign *
     A gamma >= 0, in lexicographic order (vertex 0 most significant).
@@ -173,10 +182,7 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     there that is not cut is a new minimum.  The minima are tested in plain
     ``for`` loops, and a value of zero adds and removes no column.
     """
-    if len(bounds) > _MAX_SEARCH_VERTICES:
-        raise BoxTooLargeError(
-            f"{diagram} search recurses through {len(bounds)} > {_MAX_SEARCH_VERTICES} vertices"
-        )
+    _check_vertices(diagram, len(bounds))
     plan = _plan(diagram, bounds, sign)
     last = len(plan) - 1
     cur, gamma, minima = list(labs), [0] * len(plan), []
@@ -271,12 +277,8 @@ def brute_cocovers(weight: Weight, window: SearchWindow | None = None) -> BruteC
     diagram = weight.diagram
     bounds = _bounds(diagram, window)
     found = _brute_lowers(diagram, bounds, weight.labels)
-    mark0 = diagram.marks[0]
     return BruteCocovers(
-        tuple(
-            _weight(diagram, lower, _plus_delta(weight.shift, -beta[0], mark0))
-            for beta, lower, _ in found
-        ),
+        tuple(_at(weight, (lower, -beta[0])) for beta, lower, _ in found),
         tuple(RootVector(diagram, beta) for beta, _, _ in found),
         tuple(edge for _, _, edge in found),
     )
@@ -440,8 +442,7 @@ def _mismatch(mismatches, check, detail, weight, partner=None):
 
 def _drop_keys(weight, moves) -> list:
     """The sorted (labels, shift text) keys of the weights across (root, labels) moves down."""
-    shift, mark0 = weight.shift, weight.diagram.marks[0]
-    return sorted((labs, format_shift(_plus_delta(shift, -r[0], mark0))) for r, labs in moves)
+    return sorted((labs, format_shift(_shift_at(weight, -r[0]))) for r, labs in moves)
 
 
 def _check_one(weight, bounds, mismatches, memo, drawn):
@@ -534,9 +535,11 @@ def verify_covering(
     checked on its first draw.  Only the search plans are kept between
     calls.  A budget, in seconds from the start of the call, stops the
     sweep once the elapsed time exceeds it; with no budget, a census past
-    50 000 weights raises ``CensusTooLargeError``, counted from the type id
-    before the diagram is built.  A level seeds its own
-    generator, so a repeated level raises ``ValueError``.
+    50 000 weights raises ``CensusTooLargeError``.  A diagram of more than
+    512 vertices, which the search cannot recurse through, raises
+    ``BoxTooLargeError``, budget or not.  Both counts are read off the type
+    id before the diagram is built.  A level seeds its own generator, so a
+    repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
     seen = set()
@@ -562,14 +565,16 @@ def verify_covering(
     if budget is not None and not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     tid = type_id.type_id if isinstance(type_id, AffineDiagram) else parse_type_id(type_id)
-    # the multisets of 1 to _CENSUS_SUM of the n + 1 vertices, counted
-    # before the diagram is built
-    census = math.comb(_vertex_count(tid) + _CENSUS_SUM, _CENSUS_SUM) - 1
+    # the census, the multisets of 1 to _CENSUS_SUM of the n + 1 vertices,
+    # and the search depth are both counted before the diagram is built
+    vertices = _vertex_count(tid)
+    census = math.comb(vertices + _CENSUS_SUM, _CENSUS_SUM) - 1
     if budget is None and census > _MAX_CENSUS:
         raise CensusTooLargeError(
             f"{tid} has {census} census weights, more than the "
             f"{_MAX_CENSUS} a sweep checks with no budget"
         )
+    _check_vertices(tid, vertices)
     diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()

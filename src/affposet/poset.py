@@ -42,12 +42,12 @@ from .covering import (
 from .roots import CoverKind
 from .weights import (
     Weight,
+    _corner,
     _dominance_gap,
     _json_object,
     _json_string,
     _level,
-    _moved,
-    _plus_delta,
+    _shift_at,
     _weight,
     weight_from_json,
 )
@@ -182,16 +182,14 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
     -gap[0]) sorts like ``sort_key``."""
     order = sorted(labels, key=lambda gap: (labels[gap], -gap[0]))
     rank = {gap: r for r, gap in enumerate(order)}
-    diagram = top.diagram
-    mark0 = diagram.marks[0]
-    shifts = {g0: _plus_delta(top.shift, -g0, mark0) for g0 in {gap[0] for gap in order}}
+    shifts = {g0: _shift_at(top, -g0) for g0 in {gap[0] for gap in order}}
     texts = {g0: format_shift(shift) for g0, shift in shifts.items()}
     entries = [(labels[gap], shifts[gap[0]], texts[gap[0]]) for gap in order]
     # no two arcs join the same pair of nodes, so the ranks alone sort them
     ranked = sorted(
         (rank[upper], rank[lower], step.kind, step.root, case) for upper, lower, step, case in arcs
     )
-    return _recorded((diagram, entries, ranked))
+    return _recorded((top.diagram, entries, ranked))
 
 
 def _path_ends(diagram, subset):
@@ -334,14 +332,13 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     if mu == mu2:
         raise ValueError("the two cocovers must be distinct")
     moves = _label_moves(diagram, _require_dominant_positive(lam), -1)
-    mark0 = diagram.marks[0]
 
     def step_to(lower):
         # the finite cover step from lam down to lower, or None
         for step, labs, _ in moves:
             if labs != lower.labels or step.kind is CoverKind.DELTA or lower.diagram != diagram:
                 continue
-            if lower.shift == _plus_delta(lam.shift, -step.root.coeffs[0], mark0):
+            if lower.shift == _shift_at(lam, -step.root.coeffs[0]):
                 return step
         return None
 
@@ -358,8 +355,8 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     if nodes != labels.keys() or pairs != actual_pairs:
 
         def tags(gaps):
-            below = [_moved(lam, [-g for g in gap]) for gap in gaps]
-            return sorted(_node_tag(w.labels, format_shift(w.shift)) for w in below)
+            below = [_corner(lam, [-g for g in gap]) for gap in gaps]
+            return sorted(_node_tag(labs, format_shift(_shift_at(lam, c0))) for labs, c0 in below)
 
         raise CellMismatchError(
             f"case {case} predicts nodes {tags(nodes)} "

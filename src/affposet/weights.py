@@ -7,13 +7,13 @@ the level is the comark-weighted label sum, and the root coefficients are
 solved in O(n) integer steps along the leaf-first elimination that
 ``cartan`` keeps for each diagram, needed only where dominance compares two
 weights.  Only this module solves for root coefficients: ``_gap`` takes two
-weights to the root vector between them.  The weight across a root vector is
-built from ``_add_columns`` (labels) and ``_plus_delta`` (shift); ``_moved``
-applies both, ``_raised`` then repairs the result up to a dominant weight,
-and ``covering``, ``poset`` and ``oracle`` call them directly.  Meet and join
-run on integer states over a base weight a, (labels, c0) with c0 the vertex-0
-coefficient of the root vector from a; two states over one base are equal
-just when their weights are, and ``_at`` builds a state's one weight.
+weights to the root vector between them.  Only this module moves a weight
+across a root vector too: a move from a base weight a is an integer state,
+(labels, c0) with c0 the vertex-0 coefficient of the root vector from a.
+``_add_columns`` moves the labels, ``_corner`` gives the state, ``_shift_at``
+its shift, a's plus c0 / mark0, and ``_at`` its one weight; ``_raised``
+repairs a move up to a dominant weight.  Meet and join run on such states,
+and two states over one base are equal just when their weights are.
 A weight so computed is built by ``_weight``, which skips the checks that
 ``Weight`` makes of labels and shifts from outside the library.
 
@@ -215,14 +215,7 @@ def add_root(weight: Weight, root: RootVector) -> Weight:
     """The weight plus the root."""
     if weight.diagram != root.diagram:
         raise ComponentMismatchError("weight and root on different diagrams")
-    return _moved(weight, root.coeffs)
-
-
-def _moved(weight: Weight, coeffs) -> Weight:
-    """The weight plus the root vector with these integer coefficients."""
-    diagram = weight.diagram
-    labs = _add_columns(diagram, weight.labels, coeffs)
-    return _weight(diagram, tuple(labs), _plus_delta(weight.shift, coeffs[0], diagram.marks[0]))
+    return _at(weight, _corner(weight, root.coeffs))
 
 
 def _plus_delta(shift: Fraction, k: int, mark0: int) -> Fraction:
@@ -282,8 +275,13 @@ def meet(a: Weight, b: Weight) -> Weight:
 
 
 def _at(a: Weight, state) -> Weight:
-    """The weight of a state (labels, c0) over a: its shift is a's plus c0 / mark0."""
-    return _weight(a.diagram, state[0], _plus_delta(a.shift, state[1], a.diagram.marks[0]))
+    """The weight of a state (labels, c0) over a."""
+    return _weight(a.diagram, state[0], _shift_at(a, state[1]))
+
+
+def _shift_at(a: Weight, c0: int) -> Fraction:
+    """The shift of a state over a with vertex-0 coefficient c0: a's plus c0 / mark0."""
+    return _plus_delta(a.shift, c0, a.diagram.marks[0])
 
 
 def _corner(a: Weight, coeffs) -> tuple:

@@ -285,6 +285,18 @@ def test_verify_counts_its_census_before_it_builds_the_diagram(monkeypatch):
     )
 
 
+def test_a_budgeted_verify_refuses_more_vertices_before_the_build(monkeypatch):
+    import affposet.cartan as cartan
+
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    code, out, err = cap(["verify", "A600-1", "--budget", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: A600-1 search recurses through 601 > 512 vertices\n"
+
+
 def test_verify_refuses_a_census_past_its_bound_with_no_budget(monkeypatch):
     def censused(diagram):
         raise AssertionError(f"the census of {diagram} ran")
@@ -474,6 +486,25 @@ def test_verify_digest_survives_optimized_mode():
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == FROZEN_STDOUT_SHA256[argv]
+
+
+def test_a_closed_stdout_exits_as_sigpipe_without_a_traceback():
+    # info A300-1 prints about a megabyte, far past a pipe's buffer, so the
+    # write after the reader leaves fails
+    src = str(pathlib.Path(affposet.__file__).parents[1])
+    paths = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affposet", "info", "A300-1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert head == b'{\n  "carta'
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_repeated_invocations_are_identical():

@@ -295,3 +295,35 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(paths) > 5
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_only_weights_moves_a_shift_across_a_root():
+    # a move's shift, c0 / mark0 over the base's, is computed in weights
+    # alone: no other module names the kernel, and mark0 is read elsewhere
+    # only by the oracle's independent check of a gap
+    named, read = [], []
+    for path in sorted(pathlib.Path(affposet.__file__).parent.glob("*.py")):
+        if path.name == "weights.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                else:
+                    names = []
+                named += [where for name in names if name == "_plus_delta"]
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "marks"
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == 0
+                ):
+                    read.append(where)
+    assert named == []
+    assert read == [("oracle", "_gap_bounds")]

@@ -566,8 +566,8 @@ def test_pair_check_builds_no_weight_on_a_clean_pair(monkeypatch):
     pairs = [pair for name in ("A3-1", "A4-1", "G2-1", "A4-2", "D4-3")
              for pair in _sweep_pairs(name, (0, 1))]
     built = collections.Counter()
-    for module in (weights, oracle):
-        for name in ("_weight", "_plus_delta"):
+    for module, names in ((weights, ("_weight", "_plus_delta")), (oracle, ("_weight",))):
+        for name in names:
             def counted(*args, _real=getattr(module, name), _name=name):
                 built[_name] += 1
                 return _real(*args)
@@ -893,6 +893,23 @@ def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
         brute_bounds(W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12)))
     with pytest.raises(BoxTooLargeError, match="through 3 > 2 vertices"):
         verify_covering("A2-1", samples_per_level=0)
+
+
+def test_a_budgeted_sweep_refuses_more_vertices_before_the_build(monkeypatch):
+    # A100000-1 with a budget spent 2.7 s and 177 MB on its build before the
+    # search refused it; the count is read off the type id now
+    def no_tables(tid):
+        raise AssertionError(f"built the tables of {tid}")
+
+    monkeypatch.setattr(cartan, "_tables", no_tables)
+    message = "^A600-1 search recurses through 601 > 512 vertices$"
+    for budget in (0, 1):
+        with pytest.raises(BoxTooLargeError, match=message):
+            verify_covering("A600-1", budget=budget)
+    monkeypatch.undo()
+    # the largest diagram the search takes is still swept
+    report = verify_covering("A511-1", budget=0)
+    assert report.type == "A511-1" and report.tested == 0 and report.budget_exceeded
 
 
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import affposet.covering as covering
 import affposet.poset as poset
 import affposet.weights as weights
 from affposet.cartan import build_affine, catalog_types, parse_type_id
@@ -319,7 +318,7 @@ def test_cell_builds_only_the_weights_and_edges_it_returns(
         built[Weight] += 1
         return computed(*args)
 
-    for module in (weights, covering, poset):
+    for module in (weights, poset):
         monkeypatch.setattr(module, "_weight", counted_computed)
     cell = basic_cell(lam, mu, mu2)
     assert built == {Weight: len(cell.graph.nodes), CoverEdge: len(cell.graph.edges)}
