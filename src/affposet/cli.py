@@ -136,10 +136,11 @@ def _cmd_interval(args) -> int:
 
 def _cmd_cell(args) -> int:
     from .covering import cocovers
-    from .poset import basic_cell, export_graph
+    from .poset import _require_cell_type, basic_cell, export_graph
     from .roots import CoverKind
 
     lam = _weight_arg(args.type, args.labels, args.shift)
+    _require_cell_type(lam.diagram)
     wanted = [_labels_arg(args.mu, lam.diagram), _labels_arg(args.mu2, lam.diagram)]
     lowers = {
         edge.lower.labels: edge.lower

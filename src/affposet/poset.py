@@ -15,13 +15,13 @@ the difference.  A cell finds its two cocovers among the top's label moves,
 which its walk starts from, and builds weights only to name the nodes of a
 failed prediction.
 
-A graph the library returns is its record, as plain data: the diagram, the
-labels, shift and shift text of each node, and the ends, kind, root and case
-of each edge, from the walk that built it or the document ``graph_from_json``
-read.  Its weights and edges are built only when a caller reads them, and
-``export_graph`` writes from the record alone, without building or hashing a
-weight.  A graph built by hand derives its record on export, through the
-checks for mixed diagrams, a repeated node and a missing endpoint.
+Every graph holds its record, as plain data: the diagram, the labels, shift
+and shift text of each node, and the ends, kind, root and case of each edge,
+from the walk that built it, the document ``graph_from_json`` read, or the
+nodes and edges given to ``PosetGraph``, which refuses mixed diagrams, a
+repeated node and a missing endpoint.  A graph the library returns builds
+its weights and edges only when a caller reads them, and ``export_graph``
+writes from the record alone, without building or hashing a weight.
 """
 
 from __future__ import annotations
@@ -77,19 +77,32 @@ class CellShape(enum.Enum):
 class PosetGraph(_Value):
     """Nodes and cover edges of a finite piece of the dominance order.
 
-    A graph the library returns holds only its record, plain data that
-    ``export_graph`` writes from: the diagram, each node's labels, shift and
-    shift text, and each edge's ends as node indices with its kind, root and
-    case.  ``nodes`` and ``edges`` are built from the record on first read,
-    each edge joining the very node objects.  A graph built by hand holds
-    its nodes and edges only.  Like ``_hash``, the record is no field:
-    equality, hashing and repr read the nodes and edges.
+    Every graph holds its record, which ``export_graph`` writes from: the
+    diagram, each node's labels, shift and shift text, and each edge's ends
+    as node indices with its kind, root and case.  A graph the library
+    returns builds ``nodes`` and ``edges`` from it on first read; one built
+    by hand keeps those it was given, and is refused if they mix diagrams,
+    repeat a node or miss an edge's endpoint.  Like ``_hash``, the record
+    is no field: equality, hashing and repr read the nodes and edges.
     """
 
     _fields = ("nodes", "edges")
 
     def __init__(self, nodes, edges) -> None:
-        super().__init__(tuple(nodes), tuple(edges))
+        nodes, edges = tuple(nodes), tuple(edges)
+        if any(node.diagram != nodes[0].diagram for node in nodes):
+            raise ValueError("graph mixes diagrams")
+        index = {node: k for k, node in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise ValueError("graph repeats a node")
+        arcs = [
+            (index.get(edge.upper), index.get(edge.lower), edge.kind, edge.root, edge.case)
+            for edge in edges
+        ]
+        if any(upper is None or lower is None for upper, lower, *_ in arcs):
+            raise ValueError("edge endpoint missing from the node list")
+        super().__init__(nodes, edges)
+        _set(self, "_record", _make_record(nodes, arcs))
 
     @functools.cached_property
     def nodes(self) -> tuple:
@@ -105,10 +118,7 @@ class PosetGraph(_Value):
         )
 
     def __reduce__(self):
-        record = getattr(self, "_record", None)
-        if record is None:
-            return super().__reduce__()
-        return _recorded, (record,)
+        return _recorded, (self._record,)
 
 
 def _recorded(record: tuple) -> PosetGraph:
@@ -190,11 +200,6 @@ def _graph(top: Weight, labels: dict, arcs: list) -> PosetGraph:
         (rank[upper], rank[lower], step.kind, step.root, case) for upper, lower, step, case in arcs
     )
     return _recorded((top.diagram, entries, ranked))
-
-
-def _path_ends(diagram, subset):
-    # ends of a connected path inside the type A cycle
-    return sorted(v for v in subset if len(subset.intersection(diagram.adjacency[v])) <= 1)
 
 
 def _subset_graph(diagram, family):
@@ -281,17 +286,13 @@ def _case_shape(diagram, ka, kb):
     case tag that the supports ka and kb of the two cover roots predict.
 
     The family holds the empty set, ka, kb and their union; when the two
-    are disjoint and an end i of one path is next to an end i2 of the
-    other, the least such pair also adds {i, i2}, ka + i2 and kb + i.
+    are disjoint and i in ka is next to i2 in kb, so both end their paths,
+    the least such pair also adds {i, i2}, ka + i2 and kb + i.
     """
     a, b = sum(1 << v for v in ka), sum(1 << v for v in kb)
     family = {0, a, b, a | b}
-    ends = [] if ka & kb else [
-        (u, v)
-        for u in _path_ends(diagram, ka)
-        for v in _path_ends(diagram, kb)
-        if v in diagram.adjacency[u]
-    ]
+    # on the cycle, u in ka next to v in kb has a neighbour outside ka: u ends ka, v ends kb
+    ends = [] if ka & kb else [(u, v) for u in ka for v in diagram.adjacency[u] if v in kb]
     if ends:
         i, i2 = min(ends)
         family |= {1 << i | 1 << i2, a | 1 << i2, b | 1 << i}
@@ -312,6 +313,13 @@ def _node_tag(labels: tuple, shift: str) -> str:
     return f"{','.join(map(str, labels))}|{shift}"
 
 
+def _require_cell_type(diagram) -> None:
+    """Refuse a diagram other than A(n,1), the only one whose cells are classified."""
+    tid = diagram.type_id
+    if tid.family != "A" or tid.twist != 1:
+        raise ValueError(f"basic cells are classified for A(n,1) only, not {tid}")
+
+
 def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     """Interval between a weight and the meet of two of its cocovers.
 
@@ -326,9 +334,7 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     supports and the walk its bound.
     """
     diagram = lam.diagram
-    tid = diagram.type_id
-    if tid.family != "A" or tid.twist != 1:
-        raise ValueError(f"basic cells are classified for A(n,1) only, not {tid}")
+    _require_cell_type(diagram)
     if mu == mu2:
         raise ValueError("the two cocovers must be distinct")
     moves = _label_moves(diagram, _require_dominant_positive(lam), -1)
@@ -372,29 +378,11 @@ def _make_record(nodes: tuple, arcs: list) -> tuple:
     return nodes[0].diagram if nodes else None, entries, arcs
 
 
-def _checked_record(graph: PosetGraph) -> tuple:
-    """The record of a graph built by hand, whose nodes must share
-    one diagram and be distinct, and hold both ends of every edge."""
-    nodes = graph.nodes
-    if any(node.diagram != nodes[0].diagram for node in nodes):
-        raise ValueError("graph mixes diagrams")
-    index = {node: k for k, node in enumerate(nodes)}
-    if len(index) != len(nodes):
-        raise ValueError("graph repeats a node")
-    arcs = [
-        (index.get(edge.upper), index.get(edge.lower), edge.kind, edge.root, edge.case)
-        for edge in graph.edges
-    ]
-    if any(upper is None or lower is None for upper, lower, *_ in arcs):
-        raise ValueError("edge endpoint missing from the node list")
-    return _make_record(nodes, arcs)
-
-
 def export_graph(graph: PosetGraph, fmt: str = "json"):
     """Render a graph as a JSON-ready dict or as DOT text."""
     if fmt not in ("json", "dot"):
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'dot'")
-    diagram, entries, arcs = getattr(graph, "_record", None) or _checked_record(graph)
+    diagram, entries, arcs = graph._record
     # an enum's .value is a property; _value_ is the member's own attribute
     if fmt == "dot":
         tag = [_node_tag(labs, text) for labs, _, text in entries]

@@ -146,6 +146,19 @@ def test_cell_rejects_non_cocover():
     assert "available" in err
 
 
+def test_cell_refuses_another_type_before_it_reads_a_cocover(monkeypatch):
+    import affposet.covering as covering
+
+    def no_table(diagram):
+        raise AssertionError(f"built the cocover table of {diagram}")
+
+    monkeypatch.setattr(covering, "_cocover_table", no_table)
+    code, out, err = cap(["cell", "B3-1", "--labels", "1,1,1,1",
+                          "--mu", "0,0,0,0", "--mu2", "0,0,0,0"])
+    assert (code, out) == (2, "")
+    assert "classified for A(n,1) only" in err
+
+
 def test_verify_clean_run():
     code, out, err = cap(["verify", "A2-1", "--levels", "1,2",
                           "--samples", "40", "--seed", "7"])

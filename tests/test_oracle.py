@@ -239,7 +239,8 @@ def test_verify_covering_rejects_a_bad_budget(monkeypatch, budget):
 
 
 def test_zero_budget_sweep_draws_at_most_one_sample(monkeypatch):
-    # the draws stop at the budget too: all 600 of A80-1 took 45 ms
+    # each sample is drawn as it is checked, after the census, so a budget
+    # that stops the sweep stops the draws too
     real, drawn = oracle._sample_labels, []
 
     def counted(*args):
@@ -1177,8 +1178,9 @@ def test_sweep_keeps_only_the_searches_a_sample_may_read(monkeypatch):
 
 
 def test_sweep_memory_holds_only_the_searches_samples_read():
-    # A20-1 has 2023 census tuples at levels 1-3; 600 samples read back at
-    # most 600 of them.  Keeping every census search peaked at 2.9 MiB.
+    # A20-1 has 2023 census tuples at levels 1-3, and each of its 600
+    # samples lies in the census, so a clean sweep's memo ends empty.
+    # Keeping every census search peaked at 2.9 MiB.
     diagram = D("A20-1")
     verify_covering(diagram, levels=(1, 2, 3), samples_per_level=200)  # warm the caches
     tracemalloc.start()

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 import affposet.poset as poset
 import affposet.weights as weights
-from affposet.cartan import build_affine, catalog_types, parse_type_id
+from affposet.cartan import build_affine, catalog_types, format_shift, parse_type_id
 from affposet.covering import CoverEdge, CoverKind, cocovers, edge_from_json
 from affposet.poset import (
     Cell,
@@ -630,7 +631,7 @@ def test_cells_and_read_graphs_export_as_their_rebuilt_copies():
         copy = _rebuilt(g)
         assert copy == g
         assert getattr(g, "_record", None) is not None
-        assert getattr(copy, "_record", None) is None
+        assert copy._record == g._record
         for fmt in ("json", "dot"):
             assert export_graph(g, fmt) == export_graph(copy, fmt)
 
@@ -828,29 +829,51 @@ def test_export_graph_rejects_unknown_format():
     g = interval(W("A2-1", (0, 2, 2)), W("A2-1", (0, 2, 2)))
     with pytest.raises(ValueError):
         export_graph(g, "svg")
-    # the format is checked before the graph
-    mixed = PosetGraph((g.nodes[0], W("A1-1", (1, 0))), ())
-    with pytest.raises(ValueError, match="unknown format 'svg'"):
-        export_graph(mixed, "svg")
 
 
 def test_export_graph_rejects_a_repeated_node():
     edge = cocovers(W("A2-1", (0, 2, 0)))[0]
-    g = PosetGraph((edge.upper, edge.lower, edge.upper), (edge,))
     for fmt in ("json", "dot"):
         with pytest.raises(ValueError, match="repeats a node"):
+            g = PosetGraph((edge.upper, edge.lower, edge.upper), (edge,))
             export_graph(g, fmt)
 
 
 def test_export_graph_rejects_mixed_diagrams_and_missing_endpoints():
     edge = cocovers(W("A2-1", (0, 2, 0)))[0]
-    mixed = PosetGraph((edge.upper, edge.lower, W("A1-1", (1, 0))), (edge,))
     for fmt in ("json", "dot"):
         with pytest.raises(ValueError, match="mixes diagrams"):
+            mixed = PosetGraph((edge.upper, edge.lower, W("A1-1", (1, 0))), (edge,))
             export_graph(mixed, fmt)
     for fmt in ("json", "dot"):
         with pytest.raises(ValueError, match="endpoint missing"):
             export_graph(PosetGraph((edge.upper,), (edge,)), fmt)
+
+
+def test_a_hand_built_graph_is_checked_and_recorded_where_it_is_made():
+    edge = cocovers(W("A2-1", (0, 2, 0)))[0]
+    other = W("A1-1", (1, 0))
+    # the checks run in this order, each before any export
+    malformed = [
+        ((edge.upper, edge.upper, other), "mixes diagrams"),
+        ((edge.upper, edge.lower, other), "mixes diagrams"),
+        ((edge.upper, edge.upper), "repeats a node"),
+        ((edge.upper, edge.lower, edge.upper), "repeats a node"),
+        ((edge.upper,), "endpoint missing"),
+        ((edge.lower,), "endpoint missing"),
+    ]
+    for nodes, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            PosetGraph(nodes, (edge,))
+    g = PosetGraph([edge.lower, edge.upper], [edge])
+    assert g.nodes == (edge.lower, edge.upper) and g.edges[0] is edge
+    diagram, entries, arcs = g._record
+    assert diagram is edge.upper.diagram
+    assert entries == [(n.labels, n.shift, format_shift(n.shift)) for n in g.nodes]
+    assert arcs == [(1, 0, edge.kind, edge.root, edge.case)]
+    # a copy comes back as its record alone, its weights built on first read
+    back = pickle.loads(pickle.dumps(g))
+    assert "nodes" not in vars(back) and back._record == g._record and back == g
 
 
 def test_empty_graph_round_trip():

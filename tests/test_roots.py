@@ -1,10 +1,12 @@
 import math
 import operator
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+import affposet.roots as roots
 from affposet.cartan import build_affine, catalog_types, parse_type_id, special_vertices
 from affposet.roots import (
     CoverKind,
@@ -163,6 +165,35 @@ def test_highest_short_root_climb_is_bounded_by_the_marks():
     # height, so no constant bound on the steps can hold at every rank
     beta = highest_short_root(D("A4097-1"), range(1, 4098))
     assert beta.coeffs == (0,) + (1,) * 4097
+
+
+def _tables_like(diagram, **changed):
+    # the tables the climb reads, with some of them changed
+    tables = {name: getattr(diagram, name) for name in ("n", "columns", "marks", "_half_lengths")}
+    return types.SimpleNamespace(**{**tables, **changed})
+
+
+def test_every_runtime_invariant_raises(monkeypatch):
+    d = D("A3-1")
+    climb = roots._highest_short_root_cached.__wrapped__
+    # zero marks leave the climb no steps, so it cannot stabilize
+    with pytest.raises(AssertionError, match="did not stabilize"):
+        climb(_tables_like(d, marks=(0, 0, 0, 0)), (1, 2))
+    # on a disconnected subset the climb never leaves the seed's component
+    with pytest.raises(AssertionError, match="support other than"):
+        climb(d, (0, 2))
+    # a longer root at vertex 2 makes the climb end on a long root
+    with pytest.raises(AssertionError, match="is not short"):
+        climb(_tables_like(d, _half_lengths=(1, 1, 2, 1)), (1, 2))
+    with monkeypatch.context() as patched:
+        # a reflection that moves nothing never ends the descent
+        patched.setattr(roots, "simple_reflection", lambda beta, j: beta)
+        with pytest.raises(AssertionError, match="exceeded its budget"):
+            is_real_root(RootVector(d, (0, 1, 1, 0)))
+    fixed = roots._fixed_roots
+    monkeypatch.setattr(roots, "_fixed_roots", lambda diagram: fixed(diagram) * 2)
+    with pytest.raises(AssertionError, match="two cover candidates coincide"):
+        cover_root_set.__wrapped__(d)
 
 
 def test_highest_short_root_properties():

@@ -95,7 +95,7 @@ CASES = {
     "PosetGraph": (
         GRAPH,
         PosetGraph(nodes=[TOP, LOW], edges=[EDGE]),
-        [PosetGraph((TOP,), (EDGE,)), PosetGraph((TOP, LOW), ())],
+        [PosetGraph((LOW, TOP), (EDGE,)), PosetGraph((TOP, LOW), ())],
     ),
     "Cell": (
         Cell(CellShape.DIAMOND, "1a", GRAPH),
