@@ -29,7 +29,7 @@ every check but meet and join reads the labels alone: the search, and the
 classifier's label moves and delta test.  So :func:`verify_covering` checks
 each label tuple once within a call, in one pass: the census streams, then
 each seeded sample is drawn and checked in turn.  Each sample's partner
-is raised from its labels plus the offsets by ``weights._raised``, the
+is repaired from its labels plus the offsets by ``weights._repaired``, the
 repair ``join`` uses.  That keeps the check sound: a repair bug shared with
 ``join`` still shows as a ``join`` mismatch against the search, and a
 partner that is not dominant is refused by ``_require_component``.
@@ -64,7 +64,7 @@ from .weights import (
     _corner,
     _gap_join,
     _gap_meet,
-    _raised,
+    _repaired,
     _require_component,
     _shift_at,
     _weight,
@@ -178,9 +178,10 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     so an offset below another is always reached first.  Unassigned entries
     are zero, so once a minimum already found lies below the partial offset
     it lies below every completion, and the larger values at v are cut too.
-    At the last vertex every label is settled: the first nonzero value
-    there that is not cut is a new minimum.  The minima are tested in plain
-    ``for`` loops, and a value of zero adds and removes no column.
+    Every vertex, the last included, runs that one loop; past the last every
+    label is settled, and a nonzero offset that gets there is a new minimum.
+    The minima are tested in plain ``for`` loops.  A zero value is neither
+    tested nor adds a column: it leaves the offset as it was last tested.
     """
     _check_vertices(diagram, len(bounds))
     plan = _plan(diagram, bounds, sign)
@@ -206,18 +207,6 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
             most = (cur[u] + slack) // c
             if most < hi:
                 hi = most
-        if k == last:
-            if lo == 0 and not any(gamma):
-                lo = 1
-            if lo <= hi:
-                gamma[v] = lo
-                for m in minima:
-                    if all(map(le, m, gamma)):
-                        break
-                else:
-                    minima.append(tuple(gamma))
-                gamma[v] = 0
-            return
         if lo > hi:
             return
         if lo:
@@ -234,7 +223,10 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
                     m = None
                 if m is not None:  # below a minimum, as every larger value is
                     break
-            visit(k + 1)
+            if k < last:
+                visit(k + 1)
+            elif any(gamma):
+                minima.append(tuple(gamma))
             if d == hi:
                 break
             d += 1
@@ -423,7 +415,7 @@ def _sweep(diagram: AffineDiagram, draws):
         yield _weight(diagram, labs, _ZERO), None
     for labs, shift, offsets in draws:
         weight = _weight(diagram, labs, shift)
-        yield weight, _raised(weight, offsets)
+        yield weight, _at(weight, _repaired(weight, offsets))
 
 
 def _weight_key(weight: Weight):

@@ -11,8 +11,8 @@ weights to the root vector between them.  Only this module moves a weight
 across a root vector too: a move from a base weight a is an integer state,
 (labels, c0) with c0 the vertex-0 coefficient of the root vector from a.
 ``_add_columns`` moves the labels, ``_corner`` gives the state, ``_shift_at``
-its shift, a's plus c0 / mark0, and ``_at`` its one weight; ``_raised``
-repairs a move up to a dominant weight.  Meet and join run on such states,
+its shift, a's plus c0 / mark0, and ``_at`` its one weight; ``_repaired``
+repairs a move up to a dominant state.  Meet and join run on such states,
 and two states over one base are equal just when their weights are.
 A weight so computed is built by ``_weight``, which skips the checks that
 ``Weight`` makes of labels and shifts from outside the library.
@@ -311,14 +311,9 @@ def _gap_join(a: Weight, gap) -> tuple:
     return _repaired(a, [max(0, -g) for g in gap])
 
 
-def _raised(weight: Weight, coeffs) -> Weight:
-    """The least dominant weight at or above the weight plus the root vector
-    with these integer coefficients."""
-    return _at(weight, _repaired(weight, coeffs))
-
-
 def _repaired(weight: Weight, coeffs) -> tuple:
-    """``_raised`` as a state over the weight.
+    """The least dominant weight at or above the weight plus the root vector
+    with these integer coefficients, as a state over the weight.
 
     The labels are repaired in place.  Raising vertex j leaves its label at
     0 or 1 and lowers only its neighbours', so a worklist of the vertices

@@ -10,6 +10,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+import affposet
 from affposet.cartan import build_affine, catalog_types, parse_type_id, special_vertices
 from affposet.covering import CoverKind, cocovers, is_delta_cocover
 from affposet.oracle import WindowExhaustedError, brute_bounds, verify_covering
@@ -422,9 +425,13 @@ _CLI_COMMANDS = (
 
 
 def _run_cli(args):
+    # the package under test, not an installed copy: its source tree first
+    src = str(pathlib.Path(affposet.__file__).parents[1])
+    paths = [p for p in (src, os.environ.get("PYTHONPATH")) if p]
     return subprocess.run(
         [sys.executable, "-m", "affposet", *args],
         capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
         timeout=300,
     )
 

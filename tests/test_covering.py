@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 import pytest
 
@@ -45,7 +45,8 @@ from affposet.roots import (
 )
 from affposet.weights import (
     Weight,
-    _raised,
+    _at,
+    _repaired,
     add_root,
     delta_shift,
     dominance_leq,
@@ -654,7 +655,8 @@ def test_queries_read_cartan_rows_only_at_bonds(name):
         # the oracle reads the columns too: its searches, the repair of its
         # partners, the gap check of its bounds, and a whole sweep
         brute_cocovers(lam)
-        _raised(Weight(d, (-1,) + (2,) * d.n), (0,) * (d.n + 1))
+        start = Weight(d, (-1,) + (2,) * d.n)
+        _at(start, _repaired(start, (0,) * (d.n + 1)))
         mu, mu2 = lowers[0], lowers[-1]
         bounds = brute_bounds(mu, mu2)
         assert (bounds.glb, bounds.lub) == (meet(mu, mu2), join(mu, mu2))
@@ -891,6 +893,88 @@ def test_classifier_matches_the_oracle_beyond_the_catalog():
             assert pairs == set(zip(brute.cocovers, brute.differences)), where
             assert is_delta_cocover(w) is (d.marks in {r.coeffs for r in brute.differences}), where
             offsets = RootVector(d, [rng.randint(-2, 2) for _ in d.vertices])
-            partner = _raised(w, offsets.coeffs)
+            partner = _at(w, _repaired(w, offsets.coeffs))
             bounds = brute_bounds(w, partner)
             assert (meet(w, partner), join(w, partner)) == (bounds.glb, bounds.lub), where
+
+
+def _minimal_drop_mismatches(ids):
+    # the case-free reference: the cocover roots of labels L are the
+    # coefficientwise-minimal candidates beta with L - A beta >= 0, and the
+    # cover roots the minimal ones with L + A beta >= 0; it reads only the
+    # candidate set, the Cartan columns and the labels
+    mismatches, checked = [], 0
+    for tid in ids:
+        d = build_affine(tid)
+        moves = []
+        for cand in cover_root_set(d):
+            change = [0] * (d.n + 1)
+            for j, c in enumerate(cand.root.coeffs):
+                for i, x in d.columns[j]:
+                    change[i] += c * x
+            moves.append((cand.root.coeffs, change))
+        rng = random.Random(f"minimal_drops:{tid}")
+        pool = [(1,) * (d.n + 1)]
+        pool += [tuple(int(i == j) for i in d.vertices) for j in d.vertices]
+        pool += [
+            tuple(int(i in ones) for i in d.vertices)
+            for ones in itertools.combinations(d.vertices, 2)
+        ]
+        pool += [_sample_labels(d, level, rng) for level in range(1, 7) for _ in range(8)]
+        for labs in dict.fromkeys(pool):
+            w = weight_from_labels(d, labs)
+            checked += 1
+            for query, sign in ((cocovers, -1), (covers, 1)):
+                dominant = [
+                    beta for beta, change in moves
+                    if all(x + sign * c >= 0 for x, c in zip(labs, change))
+                ]
+                minimal = [
+                    beta for beta in dominant
+                    if not any(low != beta and all(map(le, low, beta)) for low in dominant)
+                ]
+                if [e.root.coeffs for e in query(w)] != minimal:
+                    mismatches.append((str(tid), labs, query.__name__))
+    return checked, mismatches
+
+
+def test_covers_are_the_minimal_dominant_candidate_drops():
+    ids = _type_ids(12)
+    assert len(ids) == 69
+    checked, mismatches = _minimal_drop_mismatches(ids)
+    assert checked == 4155
+    assert mismatches == []
+
+
+def _without_case(rules, case):
+    return None if rules is None else {key: tag for key, tag in rules.items() if tag != case}
+
+
+def test_the_minimal_drop_reference_catches_every_dropped_case(monkeypatch):
+    # each case test dropped in turn, from the steps and from delta's
+    # patterns, makes the reference disagree on the ids of rank at most 6
+    ids = _type_ids(6)
+    assert len(ids) == 31
+    real_rules, real_delta = covering._case_rules, covering._delta_cases
+    caches = (covering._support_step, covering._fixed_steps, covering._cocover_table)
+    counts = {}
+    try:
+        for case in "bcdefghij":
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    covering, "_case_rules",
+                    lambda diagram, kind, supp, case=case: _without_case(
+                        real_rules(diagram, kind, supp), case
+                    ),
+                )
+                patch.setattr(
+                    covering, "_delta_cases",
+                    lambda diagram, case=case: _without_case(real_delta(diagram), case),
+                )
+                for cache in caches:
+                    cache.cache_clear()
+                counts[case] = len(_minimal_drop_mismatches(ids)[1])
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert all(counts.values()), counts

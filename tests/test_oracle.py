@@ -806,7 +806,7 @@ def test_search_matches_numpy_grid(name):
             weight = weight_from_labels(diagram, labs, shift)
             offsets = RootVector(diagram, [rng.randint(-2, 2) for _ in diagram.vertices])
             moved = add_root(weight, offsets)
-            partner = weights._raised(weight, offsets.coeffs)
+            partner = weights._at(weight, weights._repaired(weight, offsets.coeffs))
             assert partner == _ref_repair(moved)
             for window in windows:
                 bc = brute_cocovers(weight, window)
@@ -815,6 +815,25 @@ def test_search_matches_numpy_grid(name):
                 bb = _outcome(brute_bounds, weight, partner, window)
                 assert bb == _outcome(_ref_bounds, weight, partner, window), (weight, window)
     _REF_GRIDS.clear()
+
+
+@pytest.mark.parametrize(
+    "name", ["A5-1", "A6-1", "A7-1", "A8-1", "B4-1", "C4-1", "D5-1"]
+)
+def test_search_matches_numpy_grid_where_minima_are_many(name):
+    # rho and 2 rho drop by many incomparable offsets, so the search's cut
+    # against the minima found does the most work here
+    diagram = D(name)
+    window = default_window(diagram)
+    try:
+        for scale in (1, 2):
+            weight = weight_from_labels(diagram, (scale,) * (diagram.n + 1))
+            bc = brute_cocovers(weight)
+            got = list(zip(bc.cocovers, (d.coeffs for d in bc.differences), bc.boundary))
+            assert len(got) >= 4, (name, scale)
+            assert got == _ref_cocovers(weight, window), (name, scale)
+    finally:
+        _REF_GRIDS.clear()
 
 
 def test_search_matches_numpy_grid_when_exhausted():
