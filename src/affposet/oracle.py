@@ -9,13 +9,15 @@ themselves must stay independent of it.
 
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
-between them is first checked against the Cartan matrix.  A sweep's pair
-check computes that root vector, the gap, once and hands the same one to the
-bounds search and to the meet and join it checks.  All three are integer
-states over the first weight a, (labels, c0) with c0 the vertex-0
-coefficient of the root vector from a, so they compare as ints and tuples;
-a weight is built only for a record.  The corners come from ``weights``'
-label arithmetic, which never solves for coefficients.
+between them is first checked against the Cartan matrix and, at vertex 0,
+against a c0 that never comes from it.  A sweep's pair check computes that
+root vector, the gap, once and hands the same one to the bounds search and
+to the meet and join it checks.  The partner, the bounds, the meet and the
+join are all integer states over the first weight a, (labels, c0) with c0
+the vertex-0 coefficient of the root vector from a, so they compare as ints
+and tuples; a weight or a shift is built only for a record.  The corners
+come from ``weights``' label arithmetic, which never solves for
+coefficients.
 
 The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
@@ -29,10 +31,12 @@ every check but meet and join reads the labels alone: the search, and the
 classifier's label moves and delta test.  So :func:`verify_covering` checks
 each label tuple once within a call, in one pass: the census streams, then
 each seeded sample is drawn and checked in turn.  Each sample's partner
-is repaired from its labels plus the offsets by ``weights._repaired``, the
-repair ``join`` uses.  That keeps the check sound: a repair bug shared with
-``join`` still shows as a ``join`` mismatch against the search, and a
-partner that is not dominant is refused by ``_require_component``.
+is the state that ``weights._repaired`` gives of its labels plus the
+offsets, the repair ``join`` uses, and its gap is solved from the labels
+and c0 by ``weights._state_gap``.  That keeps the check sound: a repair bug
+shared with ``join`` still shows as a ``join`` mismatch against the search,
+and a partner the solve refuses, one that is not dominant or a gap that is
+not integral, is a ``bounds`` record.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .weights import (
     _repaired,
     _require_component,
     _shift_at,
+    _state_gap,
     _weight,
     is_dominant,
 )
@@ -285,10 +290,11 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
 
     The root vector a - b, the gap, comes from the helper ``meet`` and
     ``join`` use, so it is first checked against the Cartan matrix: its
-    columns must add up to the label difference, and its vertex 0
-    coefficient over the mark to the shift difference, which only the true
-    gap does.  The search runs on states over a (``_gap_bounds``), and the
-    two weights are built from them at the end.
+    columns must add up to the label difference, and its vertex-0
+    coefficient must be -c0, with c0 = (t - s) * mark0 read off the two
+    shifts s and t, which only the true gap does.  The search runs on
+    states over a (``_gap_bounds``), and the two weights are built from
+    them at the end.
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
@@ -305,20 +311,25 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     return BruteBounds(_at(a, glb), _at(a, lub))
 
 
-def _gap_bounds(a: Weight, b: Weight, gap, bounds: tuple) -> tuple:
+def _gap_bounds(a: Weight, b, gap, bounds: tuple) -> tuple:
     """``brute_bounds`` of a and b within bounds, given the gap a - b to
     check, as two states (labels, c0) over a, c0 the vertex-0 coefficient
-    of the root vector from a (``weights._at``).  The shift check and every
-    corner are integer steps; the searched bound adds the search's minimum
-    to the coefficient-maximum corner's labels and c0 alike.  Only the
-    search itself is this module's."""
+    of the root vector from a (``weights._at``).  b is a state over a, whose
+    c0 the sweep's repair counted, or, from ``brute_bounds``, a weight,
+    whose c0 is (t - s) * mark0 for the shifts s of a and t of b, as the
+    integers num / den.  The gap must add b's labels up to a's through the
+    Cartan columns and have -c0 at vertex 0; c0 never comes from the gap.
+    Every corner is an integer step; the searched bound adds the search's
+    minimum to the coefficient-maximum corner's labels and c0 alike.  Only
+    the search itself is this module's."""
     diagram = a.diagram
-    s, t = a.shift, b.shift
-    # b plus the gap's Cartan columns must give a's labels, and (s - t) *
-    # mark0 must be gap[0], multiplied out over both denominators
-    if tuple(_add_columns(diagram, b.labels, gap)) != a.labels or (
-        s.numerator * t.denominator - t.numerator * s.denominator
-    ) * diagram.marks[0] != gap[0] * s.denominator * t.denominator:
+    if isinstance(b, Weight):
+        s, t = a.shift, b.shift
+        labs, den = b.labels, s.denominator * t.denominator
+        num = (t.numerator * s.denominator - s.numerator * t.denominator) * diagram.marks[0]
+    else:
+        (labs, num), den = b, 1
+    if tuple(_add_columns(diagram, labs, gap)) != a.labels or gap[0] * den != -num:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     glb = _corner(a, [-g if g > 0 else 0 for g in gap])
     if min(glb[0]) < 0:
@@ -410,12 +421,12 @@ def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
 def _sweep(diagram: AffineDiagram, draws):
     """The weights a sweep checks, each with the partner of its meet/join
     check: the census weights with none, then each drawn sample, with the
-    dominant partner near it."""
+    dominant partner near it as its state (labels, c0) over the sample."""
     for labs in _census_labels(diagram):
         yield _weight(diagram, labs, _ZERO), None
     for labs, shift, offsets in draws:
         weight = _weight(diagram, labs, shift)
-        yield weight, _at(weight, _repaired(weight, offsets))
+        yield weight, _repaired(weight, offsets)
 
 
 def _weight_key(weight: Weight):
@@ -423,10 +434,12 @@ def _weight_key(weight: Weight):
 
 
 def _mismatch(mismatches, check, detail, weight, partner=None):
+    """Append a record of one failed check; a partner is a state over the weight."""
     record = {"labels": list(weight.labels), "shift": format_shift(weight.shift)}
     if partner is not None:
-        record["partner"] = list(partner.labels)
-        record["partner_shift"] = format_shift(partner.shift)
+        labs, c0 = partner
+        record["partner"] = list(labs)
+        record["partner_shift"] = format_shift(_shift_at(weight, c0))
     record["check"] = check
     record["detail"] = detail
     mismatches.append(record)
@@ -487,9 +500,15 @@ def _check_one(weight, bounds, mismatches, memo, drawn):
 
 
 def _check_pair(weight, partner, bounds, mismatches):
-    """Compare the meet and join of two weights with the brute bounds, all
-    three from one gap and as states over the weight: only a record builds a weight."""
-    gap = _require_component(weight, partner)
+    """Compare the meet and join of a weight and a partner, a state over it,
+    with the brute bounds, all three from one gap and as states over the
+    weight.  A gap the solver cannot give, or one the bounds search refuses,
+    is a bounds record; only a record builds a weight or a shift."""
+    try:
+        gap = _state_gap(weight, partner)
+    except ValueError as exc:
+        _mismatch(mismatches, "bounds", str(exc), weight, partner)
+        return
     for _ in range(5):
         try:
             glb, lub = _gap_bounds(weight, partner, gap, bounds)

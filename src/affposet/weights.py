@@ -7,9 +7,10 @@ the level is the comark-weighted label sum, and the root coefficients are
 solved in O(n) integer steps along the leaf-first elimination that
 ``cartan`` keeps for each diagram, needed only where dominance compares two
 weights.  Only this module solves for root coefficients: ``_gap`` takes two
-weights to the root vector between them.  Only this module moves a weight
-across a root vector too: a move from a base weight a is an integer state,
-(labels, c0) with c0 the vertex-0 coefficient of the root vector from a.
+weights to the root vector between them, and ``_state_gap`` a weight and a
+state over it.  Only this module moves a weight across a root vector too: a
+move from a base weight a is an integer state, (labels, c0) with c0 the
+vertex-0 coefficient of the root vector from a.
 ``_add_columns`` moves the labels, ``_corner`` gives the state, ``_shift_at``
 its shift, a's plus c0 / mark0, and ``_at`` its one weight; ``_repaired``
 repairs a move up to a dominant state.  Meet and join run on such states,
@@ -163,11 +164,12 @@ def _shift_gap(a: Weight, b: Weight) -> tuple:
     return s.numerator * t.denominator - t.numerator * s.denominator, s.denominator * t.denominator
 
 
-def _solved_gap(a: Weight, b: Weight, p: int, q: int):
-    """The scaled coefficients of a - b, whose shift is p/q; None when the
-    levels differ, read off the comarks on the label difference."""
+def _solved_gap(a: Weight, labs, p: int, q: int):
+    """The scaled coefficients of a - b, b the weight with these labels
+    whose shift is a's less p/q; None when the levels differ, read off the
+    comarks on the label difference."""
     diagram = a.diagram
-    diff = [x - y for x, y in zip(a.labels, b.labels)]
+    diff = [x - y for x, y in zip(a.labels, labs)]
     if _level(diagram, diff):
         return None
     return _scaled_coeffs(diagram, diff, p, q)
@@ -176,7 +178,7 @@ def _solved_gap(a: Weight, b: Weight, p: int, q: int):
 def _gap(a: Weight, b: Weight):
     """The coefficients of a - b times a common denominator, and that
     denominator; None when the levels differ."""
-    return _solved_gap(a, b, *_shift_gap(a, b))
+    return _solved_gap(a, b.labels, *_shift_gap(a, b))
 
 
 def difference(a: Weight, b: Weight) -> tuple:
@@ -198,7 +200,7 @@ def _dominance_gap(lower: Weight, upper: Weight):
     k0 = p * lower.diagram.marks[0]  # -q times that coefficient
     if k0 > 0 or k0 % q:
         return None
-    gap = _solved_gap(lower, upper, p, q)
+    gap = _solved_gap(lower, upper.labels, p, q)
     if gap is not None:
         nums, den = gap
         if all(v <= 0 and v % den == 0 for v in nums):
@@ -246,11 +248,26 @@ def _add_columns(diagram: AffineDiagram, labs, coeffs) -> list:
 
 def _require_component(a: Weight, b: Weight) -> tuple:
     """The integer root vector a - b; raises unless a and b share a component
-    and are both dominant.  One pass over the scaled coefficients tests each
-    for integrality and divides it."""
-    gap = _gap(a, b)
+    and are both dominant."""
+    return _integer_gap(a, b.labels, *_shift_gap(a, b))
+
+
+def _state_gap(a: Weight, state) -> tuple:
+    """The integer root vector a - b for b the state (labels, c0) over a,
+    checked as ``_require_component`` checks it: the shift of a - b is
+    -c0 / mark0, so no shift is built."""
+    labs, c0 = state
+    return _integer_gap(a, labs, -c0, a.diagram.marks[0])
+
+
+def _integer_gap(a: Weight, labs, p: int, q: int) -> tuple:
+    """The integer root vector a - b, b the weight with these labels whose
+    shift is a's less p/q; raises unless the levels agree, every
+    coefficient is an integer and both label tuples are dominant.  One pass
+    over the scaled coefficients tests each for integrality and divides it."""
+    gap = _solved_gap(a, labs, p, q)
     if gap is None:
-        raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
+        raise ComponentMismatchError(f"levels differ: {a.m} and {_level(a.diagram, labs)}")
     nums, den = gap
     coeffs = []
     for v in nums:
@@ -259,7 +276,7 @@ def _require_component(a: Weight, b: Weight) -> tuple:
                 f"coefficient {len(coeffs)} differs by the non-integer {Fraction(v, den)}"
             )
         coeffs.append(v // den)
-    if min(a.labels) < 0 or min(b.labels) < 0:
+    if min(a.labels) < 0 or min(labs) < 0:
         raise ValueError("meet and join are defined for dominant weights")
     return tuple(coeffs)
 

@@ -1,5 +1,6 @@
 import ast
 import collections
+import io
 import itertools
 import operator
 import pathlib
@@ -25,6 +26,7 @@ from affposet.cartan import (
     format_shift,
     parse_type_id,
 )
+from affposet.cli import run
 from affposet.oracle import (
     BoxTooLargeError,
     BruteBounds,
@@ -551,7 +553,8 @@ def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
         brute_bounds(W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3)))
 
 
-def _sweep_pairs(name, seeds):
+def _sweep_states(name, seeds):
+    # each sample with its partner's state over it, as the sweep yields them
     d = D(name)
     return [
         (weight, partner)
@@ -561,11 +564,15 @@ def _sweep_pairs(name, seeds):
     ]
 
 
+def _sweep_pairs(name, seeds):
+    return [(weight, weights._at(weight, state)) for weight, state in _sweep_states(name, seeds)]
+
+
 def test_pair_check_builds_no_weight_on_a_clean_pair(monkeypatch):
     # the bounds, meet and join of a pair are compared as integer states over
     # the weight; a weight and its shift are built only for a record
     pairs = [pair for name in ("A3-1", "A4-1", "G2-1", "A4-2", "D4-3")
-             for pair in _sweep_pairs(name, (0, 1))]
+             for pair in _sweep_states(name, (0, 1))]
     built = collections.Counter()
     for module, names in ((weights, ("_weight", "_plus_delta")), (oracle, ("_weight",))):
         for name in names:
@@ -628,8 +635,9 @@ def test_check_pair_records_a_failed_bounds_check(monkeypatch):
         raise RuntimeError(detail)
 
     monkeypatch.setattr(oracle, "_gap_bounds", broken)
-    # the pair check computes the gap first, so the pair shares a component
-    a, b = W("A2-1", (0, 3, 0), Fraction(1, 2)), W("A2-1", (0, 0, 3), Fraction(-3, 2))
+    # the pair check computes the gap first, so the pair shares a component;
+    # the partner is the state of [0, 0, 3 @ -3/2] over a, c0 = -2 * mark0
+    a, b = W("A2-1", (0, 3, 0), Fraction(1, 2)), ((0, 0, 3), -2)
     mismatches = []
     oracle._check_pair(a, b, default_window(a.diagram).bounds, mismatches)
     assert mismatches == [{
@@ -661,13 +669,15 @@ def test_sweep_computes_one_gap_per_pair(monkeypatch, name):
     assert len(pairs) == 30 and len(scaled) == len(pairs)
 
 
-def _off_by_one_at_vertex_1(real):
-    # the coefficients of every nonzero difference, one too high at vertex 1
+def _off_by_one_at_vertex_1(real, numerator=False):
+    # the coefficients of every nonzero difference, one too high at vertex
+    # 1; with numerator, one unit of the scaled numerator too high, which
+    # leaves it fractional on A2-1, whose denominator is 3
     def wrong(diagram, labs, p, q):
         nums, den = real(diagram, labs, p, q)
         if any(nums):
             nums = list(nums)
-            nums[1] += den
+            nums[1] += 1 if numerator else den
         return nums, den
 
     return wrong
@@ -679,7 +689,7 @@ def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
     pairs, real = [], oracle._check_pair
 
     def spied(weight, partner, window, mismatches):
-        pairs.append((weight, partner))
+        pairs.append((weight, weights._at(weight, partner)))
         real(weight, partner, window, mismatches)
 
     monkeypatch.setattr(oracle, "_check_pair", spied)
@@ -696,6 +706,50 @@ def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
     assert got == expected
     assert all(m["detail"].endswith("does not give the label and shift differences")
                for m in records)
+
+
+def test_sweep_records_a_failed_gap_solve_as_bounds(monkeypatch):
+    # a solver fault that leaves a coefficient fractional is a record of
+    # the pair, with its partner, and the sweep runs on to its report
+    pairs, real = [], oracle._check_pair
+
+    def spied(weight, partner, window, mismatches):
+        pairs.append((weight, weights._at(weight, partner)))
+        real(weight, partner, window, mismatches)
+
+    monkeypatch.setattr(oracle, "_check_pair", spied)
+    wrong = _off_by_one_at_vertex_1(weights._scaled_coeffs, numerator=True)
+    monkeypatch.setattr(weights, "_scaled_coeffs", wrong)
+    report = verify_covering("A2-1", levels=(1, 2), samples_per_level=5, seed=0)
+    records = [m for m in report.mismatches if m["check"] == "bounds"]
+    expected = [
+        (list(a.labels), format_shift(a.shift), list(b.labels), format_shift(b.shift))
+        for a, b in pairs if a != b
+    ]
+    assert len(pairs) == 10 and expected
+    got = [(m["labels"], m["shift"], m["partner"], m["partner_shift"]) for m in records]
+    assert got == expected
+    assert all(m["detail"].startswith("coefficient 1 differs by the non-integer ")
+               for m in records)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["verify", "A2-1", "--levels", "1,2", "--samples", "5"], stdout=out, stderr=err)
+    assert code == 3 and err.getvalue() == ""
+    assert '"check": "bounds"' in out.getvalue()
+
+
+def test_clean_sweep_builds_no_partner_weight(monkeypatch):
+    # the partner stays a state over its sample through the pair check;
+    # only a record would build its weight
+    built, real = [], oracle._at
+
+    def spied(a, state):
+        built.append(state)
+        return real(a, state)
+
+    monkeypatch.setattr(oracle, "_at", spied)
+    report = verify_covering("E6-1", levels=(1, 2, 3), samples_per_level=20)
+    assert report.mismatches == () and report.tested == 119 + 60
+    assert built == []
 
 
 # A numpy grid search as the reference: every offset of the window as an
@@ -933,7 +987,7 @@ def test_a_budgeted_sweep_refuses_more_vertices_before_the_build(monkeypatch):
 
 
 def test_check_pair_stops_doubling_at_a_box_too_large(monkeypatch):
-    a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
+    a, b = W("A2-1", (0, 12, 0)), ((0, 0, 12), 0)
     bounds, doubled = (2, 2, 2), (4, 4, 4)
     real, searched = oracle._gap_bounds, []
 
@@ -992,7 +1046,7 @@ def test_brute_bounds_refuses_two_minimal_upper_bounds(monkeypatch):
         brute_bounds(a, b)
     assert str(caught.value) == message
     mismatches = []
-    oracle._check_pair(a, b, default_window(a.diagram).bounds, mismatches)
+    oracle._check_pair(a, (b.labels, 0), default_window(a.diagram).bounds, mismatches)
     assert [(m["check"], m["detail"]) for m in mismatches] == [("bounds", message)]
 
 
@@ -1262,7 +1316,10 @@ def test_sweep_stream_matches_the_reference_draws(name):
     diagram = D(name)
     for seed in (0, 9):
         draws = oracle._draws(diagram, (1, 2, 4), 25, seed)
-        stream = list(oracle._sweep(diagram, draws))
+        stream = [
+            (weight, state if state is None else weights._at(weight, state))
+            for weight, state in oracle._sweep(diagram, draws)
+        ]
         assert stream == _ref_stream(diagram, (1, 2, 4), 25, seed)
         assert sum(partner is not None for _, partner in stream) == 75
 

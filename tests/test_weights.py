@@ -433,7 +433,8 @@ def test_join_matches_the_reference_on_sweep_pairs(name, levels):
     # the sweep's pairs, and the pairs of cocovers of each sampled weight,
     # whose coefficient maximum often has negative labels to repair
     d = D(name)
-    pairs = [(a, b) for a, b in _sweep(d, _draws(d, levels, 20, 17)) if b is not None]
+    stream = _sweep(d, _draws(d, levels, 20, 17))
+    pairs = [(a, weights._at(a, b)) for a, b in stream if b is not None]
     assert len(pairs) == 20 * len(levels)
     for a, _ in pairs[:]:
         lowers = [e.lower for e in cocovers(a)]
