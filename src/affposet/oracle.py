@@ -10,20 +10,21 @@ themselves must stay independent of it.
 ``brute_bounds`` searches only above two weights: their greatest lower bound
 is the coefficient-minimum corner, tested for dominance, and the root vector
 between them is first checked against the Cartan matrix and, at vertex 0,
-against a c0 that never comes from it.  A sweep's pair check computes that
-root vector, the gap, once and hands the same one to the bounds search and
-to the meet and join it checks.  The partner, the bounds, the meet and the
-join are all integer states over the first weight a, (labels, c0) with c0
-the vertex-0 coefficient of the root vector from a, so they compare as ints
-and tuples; a weight or a shift is built only for a record.  The corners
-come from ``weights``' label arithmetic, which never solves for
-coefficients.
+against a c0 that never comes from it.  The bounds search takes the second
+weight as a state over the first weight a, (labels, c0) with c0 the vertex-0
+coefficient of the root vector from a: ``brute_bounds`` reads c0 off the two
+shifts as an exact Fraction.  A sweep's pair check computes that root
+vector, the gap, once and hands the same one to the bounds search and to the
+meet and join it checks; the partner, the bounds, the meet and the join are
+all integer states over a, so they compare as ints and tuples, and a weight
+or a shift is built only for a record.  The corners come from ``weights``'
+label arithmetic, which never solves for coefficients.
 
 The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
 raise it, so each vertex's feasible values form one interval; an offset
 above a minimum already found is cut.  A search past its bound on nodes
-visited or on vertices raises ``BoxTooLargeError``.
+visited, on minima compared or on vertices raises ``BoxTooLargeError``.
 
 A ``SearchWindow`` is read once, where it enters a public function; every
 search below takes its bound tuple.  A sweep works on integer labels, and
@@ -99,6 +100,9 @@ class CensusTooLargeError(ValueError):
 # E8-1, B12-1, C12-1, D12-1 and A20-1, in their default and doubled windows,
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
+# the same sweeps compare at most 2123 minima per search (E6-1 to C12-1 at
+# levels 1-2); rho compares 723 145 on A127-1 (1.4 s), 5 689 737 on A255-1 (20 s)
+_MAX_SEARCH_SCANS = 1 << 21
 # one recursion frame per vertex, well under the interpreter's default limit of 1000
 _MAX_SEARCH_VERTICES = 512
 # a draw makes one generator call per unit of level
@@ -185,17 +189,19 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     it lies below every completion, and the larger values at v are cut too.
     Every vertex, the last included, runs that one loop; past the last every
     label is settled, and a nonzero offset that gets there is a new minimum.
-    The minima are tested in plain ``for`` loops.  A zero value is neither
-    tested nor adds a column: it leaves the offset as it was last tested.
+    The minima are tested in plain ``for`` loops, which count the minima
+    compared against ``_MAX_SEARCH_SCANS`` as nodes count against
+    ``_MAX_SEARCH_NODES``.  A zero value is neither tested nor adds a
+    column: it leaves the offset as it was last tested.
     """
     _check_vertices(diagram, len(bounds))
     plan = _plan(diagram, bounds, sign)
     last = len(plan) - 1
     cur, gamma, minima = list(labs), [0] * len(plan), []
-    nodes = 0
+    nodes = scans = 0
 
     def visit(k):
-        nonlocal nodes
+        nonlocal nodes, scans
         nodes += 1
         if nodes > _MAX_SEARCH_NODES:
             raise BoxTooLargeError(
@@ -221,6 +227,9 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
         while True:
             gamma[v] = d
             if d:
+                scans += len(minima)
+                if scans > _MAX_SEARCH_SCANS:
+                    raise BoxTooLargeError(f"search compares more than {_MAX_SEARCH_SCANS} minima")
                 for m in minima:
                     if all(map(le, m, gamma)):
                         break
@@ -291,10 +300,10 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     The root vector a - b, the gap, comes from the helper ``meet`` and
     ``join`` use, so it is first checked against the Cartan matrix: its
     columns must add up to the label difference, and its vertex-0
-    coefficient must be -c0, with c0 = (t - s) * mark0 read off the two
-    shifts s and t, which only the true gap does.  The search runs on
-    states over a (``_gap_bounds``), and the two weights are built from
-    them at the end.
+    coefficient must be -c0, with c0 = (t - s) * mark0 an exact Fraction
+    read off the two shifts s and t, which only the true gap matches.  The
+    search runs on states over a (``_gap_bounds``), b's among them, and the
+    two weights are built from them at the end.
 
     The greatest lower bound is the coefficient-minimum corner, which lies
     below both weights and above every lower bound; the meet theorem makes
@@ -307,29 +316,22 @@ def brute_bounds(a: Weight, b: Weight, window: SearchWindow | None = None) -> Br
     A failed gap check, a corner that is not dominant, or upper bounds with
     two minima raise ``RuntimeError``.
     """
-    glb, lub = _gap_bounds(a, b, _require_component(a, b), _bounds(a.diagram, window))
+    gap = _require_component(a, b)  # solved before the window is read
+    c0 = (b.shift - a.shift) * a.diagram.marks[0]
+    glb, lub = _gap_bounds(a, (b.labels, c0), gap, _bounds(a.diagram, window))
     return BruteBounds(_at(a, glb), _at(a, lub))
 
 
 def _gap_bounds(a: Weight, b, gap, bounds: tuple) -> tuple:
-    """``brute_bounds`` of a and b within bounds, given the gap a - b to
-    check, as two states (labels, c0) over a, c0 the vertex-0 coefficient
-    of the root vector from a (``weights._at``).  b is a state over a, whose
-    c0 the sweep's repair counted, or, from ``brute_bounds``, a weight,
-    whose c0 is (t - s) * mark0 for the shifts s of a and t of b, as the
-    integers num / den.  The gap must add b's labels up to a's through the
-    Cartan columns and have -c0 at vertex 0; c0 never comes from the gap.
-    Every corner is an integer step; the searched bound adds the search's
-    minimum to the coefficient-maximum corner's labels and c0 alike.  Only
-    the search itself is this module's."""
+    """``brute_bounds`` of a and the state b = (labels, c0) over a
+    (``weights._at``) within bounds, as two states over a.  The gap a - b
+    must add b's labels up to a's through the Cartan columns and have -c0
+    at vertex 0; c0 never comes from it.  Every corner is an integer step;
+    the searched bound adds the search's minimum to the coefficient-maximum
+    corner's labels and c0 alike.  Only the search itself is this module's."""
     diagram = a.diagram
-    if isinstance(b, Weight):
-        s, t = a.shift, b.shift
-        labs, den = b.labels, s.denominator * t.denominator
-        num = (t.numerator * s.denominator - s.numerator * t.denominator) * diagram.marks[0]
-    else:
-        (labs, num), den = b, 1
-    if tuple(_add_columns(diagram, labs, gap)) != a.labels or gap[0] * den != -num:
+    labs, c0 = b
+    if tuple(_add_columns(diagram, labs, gap)) != a.labels or gap[0] != -c0:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
     glb = _corner(a, [-g if g > 0 else 0 for g in gap])
     if min(glb[0]) < 0:
@@ -586,7 +588,7 @@ def verify_covering(
             f"{_MAX_CENSUS} a sweep checks with no budget"
         )
     _check_vertices(tid, vertices)
-    diagram = type_id if isinstance(type_id, AffineDiagram) else build_affine(type_id)
+    diagram = build_affine(tid)
     bounds = _bounds(diagram, window)  # a window of the wrong rank fails at once
     start = time.monotonic()
     # elapsed time against the budget itself: start + budget can overflow a float

@@ -82,8 +82,9 @@ class PosetGraph(_Value):
     as node indices with its kind, root and case.  A graph the library
     returns builds ``nodes`` and ``edges`` from it on first read; one built
     by hand keeps those it was given, and is refused if they mix diagrams,
-    repeat a node or miss an edge's endpoint.  Like ``_hash``, the record
-    is no field: equality, hashing and repr read the nodes and edges.
+    repeat a node, miss an edge's endpoint or repeat an edge.  Like
+    ``_hash``, the record is no field: equality, hashing and repr read the
+    nodes and edges.
     """
 
     _fields = ("nodes", "edges")
@@ -373,7 +374,9 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
 
 
 def _make_record(nodes: tuple, arcs: list) -> tuple:
-    """The record of nodes and of edges whose ends are node indices."""
+    """The record of nodes and of edges whose ends are node indices, no two with the same ends."""
+    if len({arc[:2] for arc in arcs}) != len(arcs):
+        raise ValueError("graph repeats an edge")
     entries = [(node.labels, node.shift, format_shift(node.shift)) for node in nodes]
     return nodes[0].diagram if nodes else None, entries, arcs
 
@@ -453,8 +456,4 @@ def graph_from_json(data) -> PosetGraph:
         upper, lower = _json_object(entry, "upper", "lower")
         edge = _edge_from_record(node_at(upper), node_at(lower), entry, listed)
         arcs.append((upper, lower, edge.kind, edge.root, edge.case))
-    # a checked edge is fixed by its ends: its root is upper - lower, and
-    # cocovers lists one edge per root
-    if len({arc[:2] for arc in arcs}) != len(arcs):
-        raise ValueError("graph repeats an edge")
     return _recorded(_make_record(nodes, arcs))

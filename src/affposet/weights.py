@@ -6,11 +6,12 @@ uniquely.  The level and the coefficients on the simple roots are derived:
 the level is the comark-weighted label sum, and the root coefficients are
 solved in O(n) integer steps along the leaf-first elimination that
 ``cartan`` keeps for each diagram, needed only where dominance compares two
-weights.  Only this module solves for root coefficients: ``_gap`` takes two
-weights to the root vector between them, and ``_state_gap`` a weight and a
-state over it.  Only this module moves a weight across a root vector too: a
-move from a base weight a is an integer state, (labels, c0) with c0 the
-vertex-0 coefficient of the root vector from a.
+weights.  Only this module solves for root coefficients: ``difference`` and
+``_require_component`` take two weights to the root vector between them,
+and ``_state_gap`` a weight and a state over it.  Only this module moves a
+weight across a root vector too: a move from a base weight a is an integer
+state, (labels, c0) with c0 the vertex-0 coefficient of the root vector
+from a.
 ``_add_columns`` moves the labels, ``_corner`` gives the state, ``_shift_at``
 its shift, a's plus c0 / mark0, and ``_at`` its one weight; ``_repaired``
 repairs a move up to a dominant state.  Meet and join run on such states,
@@ -175,15 +176,9 @@ def _solved_gap(a: Weight, labs, p: int, q: int):
     return _scaled_coeffs(diagram, diff, p, q)
 
 
-def _gap(a: Weight, b: Weight):
-    """The coefficients of a - b times a common denominator, and that
-    denominator; None when the levels differ."""
-    return _solved_gap(a, b.labels, *_shift_gap(a, b))
-
-
 def difference(a: Weight, b: Weight) -> tuple:
     """Coefficientwise difference a - b, defined only at equal level."""
-    gap = _gap(a, b)
+    gap = _solved_gap(a, b.labels, *_shift_gap(a, b))
     if gap is None:
         raise ComponentMismatchError(f"levels differ: {a.m} and {b.m}")
     nums, den = gap

@@ -326,4 +326,4 @@ def test_only_weights_moves_a_shift_across_a_root():
                 ):
                     read.append(where)
     assert named == []
-    assert read == [("oracle", "_gap_bounds")]
+    assert read == [("oracle", "brute_bounds")]

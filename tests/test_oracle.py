@@ -401,7 +401,6 @@ def test_brute_search_is_independent_of_the_classifier():
         "_scaled_coeffs",
         "_eliminate",
         "_elimination",
-        "_gap",
         "_shift_gap",
         "_solved_gap",
         "_dominance_gap",
@@ -539,6 +538,23 @@ def test_brute_bounds_checks_the_gap_against_the_cartan_matrix(monkeypatch):
         monkeypatch.setattr(oracle, "_require_component", lambda a, b: wrong)
         with pytest.raises(RuntimeError, match="does not give the label and shift"):
             brute_bounds(a, b)
+
+
+def test_brute_bounds_reads_a_fractional_c0_off_the_shifts(monkeypatch):
+    # A4-2 has mark0 = 2, so b = a - alpha_0 lies half a delta below a
+    a, b = W("A4-2", (2, 1, 1)), W("A4-2", (0, 2, 1), Fraction(-1, 2))
+    bb = brute_bounds(a, b)
+    assert (str(bb.glb), str(bb.lub)) == ("[0,2,1 @ -1/2]", "[2,1,1 @ 0/1]")
+    quarter = W("A4-2", (0, 2, 1), Fraction(-1, 4))
+    message = "coefficient 0 differs by the non-integer 1/2"
+    with pytest.raises(ComponentMismatchError, match=message):
+        brute_bounds(a, quarter)
+    # handed the gap of (a, b), the check compares its 1 at vertex 0 with
+    # the c0 of -1/2 that the shifts give, not with the gap's own
+    gap = oracle._require_component(a, b)
+    monkeypatch.setattr(oracle, "_require_component", lambda a, b: gap)
+    with pytest.raises(RuntimeError, match=r"gap \[1, 0, 0\] does not give the label and shift"):
+        brute_bounds(a, quarter)
 
 
 def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
@@ -953,6 +969,25 @@ def test_search_visits_a_pinned_number_of_nodes(monkeypatch, search, nodes):
     monkeypatch.setattr(oracle, "_MAX_SEARCH_NODES", nodes - 1)
     with pytest.raises(BoxTooLargeError, match=f"visits more than {nodes - 1} nodes"):
         search()
+
+
+def test_search_compares_a_pinned_number_of_minima(monkeypatch):
+    # rho on A8-1 has 9 minima; a bound of one comparison fewer than the
+    # search makes stops it, whatever its node count
+    rho = W("A8-1", (1,) * 9)
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_SCANS", 339)
+    assert len(brute_cocovers(rho).cocovers) == 9
+    monkeypatch.setattr(oracle, "_MAX_SEARCH_SCANS", 338)
+    with pytest.raises(BoxTooLargeError, match="compares more than 338 minima"):
+        brute_cocovers(rho)
+
+
+@pytest.mark.slow
+def test_search_refuses_rho_on_a511_1_past_its_scan_bound():
+    # rho on A255-1 compares 5 689 737 minima, and the count grows about
+    # eightfold with each doubling of the rank; A511-1 stops at the bound
+    with pytest.raises(BoxTooLargeError, match="compares more than 2097152 minima"):
+        brute_cocovers(W("A511-1", (1,) * 512))
 
 
 def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):

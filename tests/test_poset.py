@@ -876,6 +876,20 @@ def test_a_hand_built_graph_is_checked_and_recorded_where_it_is_made():
     assert "nodes" not in vars(back) and back._record == g._record and back == g
 
 
+def test_a_repeated_edge_is_refused_where_a_graph_is_made():
+    # a hand-built graph with one edge twice was accepted, and its export
+    # then failed to read back
+    edge = cocovers(W("A2-1", (0, 2, 0)))[0]
+    with pytest.raises(ValueError, match="endpoint missing"):
+        PosetGraph((edge.upper,), (edge, edge))
+    with pytest.raises(ValueError, match="graph repeats an edge"):
+        PosetGraph((edge.upper, edge.lower), (edge, edge))
+    data = export_graph(PosetGraph((edge.upper, edge.lower), (edge,)), "json")
+    data["edges"] *= 2
+    with pytest.raises(ValueError, match="graph repeats an edge"):
+        graph_from_json(data)
+
+
 def test_empty_graph_round_trip():
     g = PosetGraph(nodes=(), edges=())
     data = export_graph(g, "json")
