@@ -2,7 +2,8 @@
 
 The searches here know nothing about the classification of covers: one
 depth-first search, ``_minimal_offsets``, walks the root-vector offsets of a
-window and returns the componentwise-minimal ones whose result is dominant.
+window and returns the componentwise-minimal ones whose result is dominant,
+each with the labels of that result.
 The covering module is imported only inside ``_check_one``, which compares
 the two as label moves, (root, labels across it) pairs; the brute searches
 themselves must stay independent of it.
@@ -23,8 +24,11 @@ label arithmetic, which never solves for coefficients.
 The search reads only the Cartan columns.  It assigns one vertex at a time
 and keeps, for each label, how far the vertices still unassigned could
 raise it, so each vertex's feasible values form one interval; an offset
-above a minimum already found is cut.  A search past its bound on nodes
-visited, on minima compared or on vertices raises ``BoxTooLargeError``.
+above a minimum already found is cut.  It runs as one loop, not one call
+per vertex, and hands back the labels at each minimum, which
+``_brute_lowers`` and ``_gap_bounds`` read rather than rebuild.  A search
+past its bound on nodes visited, on minima compared or on vertices raises
+``BoxTooLargeError``.
 
 A ``SearchWindow`` is read once, where it enters a public function; every
 search below takes its bound tuple.  A sweep works on integer labels, and
@@ -101,9 +105,10 @@ class CensusTooLargeError(ValueError):
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
 # the same sweeps compare at most 2123 minima per search (E6-1 to C12-1 at
-# levels 1-2); rho compares 723 145 on A127-1 (1.4 s), 5 689 737 on A255-1 (20 s)
+# levels 1-2); rho compares 723 145 on A127-1 (1.3 s), 5 689 737 on A255-1 (20 s)
 _MAX_SEARCH_SCANS = 1 << 21
-# one recursion frame per vertex, well under the interpreter's default limit of 1000
+# the largest diagram a search or a sweep takes; a sweep reads the count off
+# the type id before it builds the diagram
 _MAX_SEARCH_VERTICES = 512
 # a draw makes one generator call per unit of level
 _MAX_SAMPLE_LEVELS = 100000
@@ -169,8 +174,9 @@ def _plan(diagram: AffineDiagram, bounds: tuple, sign: int) -> tuple:
 
 
 def _check_vertices(type_id, vertices: int) -> None:
-    """Raise ``BoxTooLargeError`` if a search through this many vertices
-    would recurse past its bound."""
+    """Raise ``BoxTooLargeError`` if a diagram of this many vertices is
+    larger than a search or a sweep takes; a type id's count is read before
+    its diagram is built."""
     if vertices > _MAX_SEARCH_VERTICES:
         raise BoxTooLargeError(
             f"{type_id} search recurses through {vertices} > {_MAX_SEARCH_VERTICES} vertices"
@@ -179,89 +185,101 @@ def _check_vertices(type_id, vertices: int) -> None:
 
 def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> list:
     """The minimal nonzero offsets 0 <= gamma <= bounds with labs + sign *
-    A gamma >= 0, in lexicographic order (vertex 0 most significant).
+    A gamma >= 0, in lexicographic order (vertex 0 most significant), each
+    as (gamma, labs + sign * A gamma).
 
-    A depth-first search assigns gamma vertex by vertex along ``_plan``.
-    The values at v that leave every label it touches able to end up
-    nonnegative form an interval, and they are tried in increasing order,
-    so an offset below another is always reached first.  Unassigned entries
-    are zero, so once a minimum already found lies below the partial offset
-    it lies below every completion, and the larger values at v are cut too.
-    Every vertex, the last included, runs that one loop; past the last every
-    label is settled, and a nonzero offset that gets there is a new minimum.
-    The minima are tested in plain ``for`` loops, which count the minima
-    compared against ``_MAX_SEARCH_SCANS`` as nodes count against
+    A depth-first search assigns gamma vertex by vertex along ``_plan``, in
+    one loop that keeps step k's value in ``gamma`` and the top of its
+    interval in ``tops[k]``, and the labels so far in ``cur``.  The values
+    at v that leave every label it touches able to end up nonnegative form
+    an interval, and they are tried in increasing order, so an offset below
+    another is always reached first.  Unassigned entries are zero, so once a
+    minimum already found lies below the partial offset it lies below every
+    completion, and the larger values at v are cut too.  Every vertex, the
+    last included, tries its values the same way; past the last every label
+    is settled, and a nonzero offset that gets there is a new minimum, with
+    ``cur`` as its labels.  The minimality test counts the minima compared
+    against ``_MAX_SEARCH_SCANS`` as nodes count against
     ``_MAX_SEARCH_NODES``.  A zero value is neither tested nor adds a
-    column: it leaves the offset as it was last tested.
+    column: it leaves the offset as it was last tested; before the first
+    minimum there is nothing to test against.
     """
     _check_vertices(diagram, len(bounds))
     plan = _plan(diagram, bounds, sign)
     last = len(plan) - 1
-    cur, gamma, minima = list(labs), [0] * len(plan), []
+    cur, gamma, tops = list(labs), [0] * len(plan), [0] * len(plan)
+    minima, found = [], []
     nodes = scans = 0
-
-    def visit(k):
-        nonlocal nodes, scans
-        nodes += 1
-        if nodes > _MAX_SEARCH_NODES:
-            raise BoxTooLargeError(
-                f"the search of window {list(bounds)} visits more than "
-                f"{_MAX_SEARCH_NODES} nodes"
-            )
+    k, fresh = 0, True
+    while k >= 0:
         v, hi, rising, falling, column = plan[k]
-        lo = 0
-        for u, c, slack in rising:
-            least = -((cur[u] + slack) // c)
-            if least > lo:
-                lo = least
-        for u, c, slack in falling:
-            most = (cur[u] + slack) // c
-            if most < hi:
-                hi = most
-        if lo > hi:
-            return
-        if lo:
-            for u, c in column:
-                cur[u] += c * lo
-        d = lo
-        while True:
-            gamma[v] = d
-            if d:
-                scans += len(minima)
-                if scans > _MAX_SEARCH_SCANS:
-                    raise BoxTooLargeError(f"search compares more than {_MAX_SEARCH_SCANS} minima")
-                for m in minima:
-                    if all(map(le, m, gamma)):
-                        break
-                else:
-                    m = None
-                if m is not None:  # below a minimum, as every larger value is
-                    break
-            if k < last:
-                visit(k + 1)
-            elif any(gamma):
-                minima.append(tuple(gamma))
-            if d == hi:
-                break
+        if fresh:  # a new node: the interval of values at v
+            nodes += 1
+            if nodes > _MAX_SEARCH_NODES:
+                raise BoxTooLargeError(
+                    f"the search of window {list(bounds)} visits more than "
+                    f"{_MAX_SEARCH_NODES} nodes"
+                )
+            lo = 0
+            for u, c, slack in rising:
+                least = -((cur[u] + slack) // c)
+                if least > lo:
+                    lo = least
+            for u, c, slack in falling:
+                most = (cur[u] + slack) // c
+                if most < hi:
+                    hi = most
+            if lo > hi:
+                k -= 1
+                fresh = False
+                continue
+            d = lo
+            if lo:
+                for u, c in column:
+                    cur[u] += c * lo
+            tops[k] = hi
+        else:  # back from the vertices after v: its next value
+            d = gamma[v]
+            if d == tops[k]:
+                if d:
+                    for u, c in column:
+                        cur[u] -= c * d
+                    gamma[v] = 0
+                k -= 1
+                continue
             d += 1
             for u, c in column:
                 cur[u] += c
-        if d:
-            for u, c in column:
-                cur[u] -= c * d
-        gamma[v] = 0
-
-    visit(0)
-    return sorted(minima)
+        gamma[v] = d
+        if d and minima:
+            scans += len(minima)
+            if scans > _MAX_SEARCH_SCANS:
+                raise BoxTooLargeError(f"search compares more than {_MAX_SEARCH_SCANS} minima")
+            for m in minima:
+                if all(map(le, m, gamma)):
+                    break
+            else:
+                m = None
+            if m is not None:  # below a minimum, as every larger value is: v stops here
+                tops[k] = d
+                fresh = False
+                continue
+        fresh = k < last
+        if fresh:
+            k += 1
+        elif any(gamma):
+            minima.append(tuple(gamma))
+            found.append(tuple(cur))
+    return sorted(zip(minima, found))
 
 
 def _brute_lowers(diagram: AffineDiagram, bounds: tuple, labs) -> list:
     """The minimal nonzero offsets beta <= bounds with labs - A beta
     dominant, in lexicographic order, each as (beta, those labels, whether
-    beta touches the window's edge)."""
+    beta touches the window's edge); the labels are the search's own."""
     return [
-        (beta, tuple(_add_columns(diagram, labs, [-c for c in beta])), any(map(eq, beta, bounds)))
-        for beta in _minimal_offsets(diagram, bounds, labs, -1)
+        (beta, lower, any(map(eq, beta, bounds)))
+        for beta, lower in _minimal_offsets(diagram, bounds, labs, -1)
     ]
 
 
@@ -327,25 +345,31 @@ def _gap_bounds(a: Weight, b, gap, bounds: tuple) -> tuple:
     (``weights._at``) within bounds, as two states over a.  The gap a - b
     must add b's labels up to a's through the Cartan columns and have -c0
     at vertex 0; c0 never comes from it.  Every corner is an integer step;
-    the searched bound adds the search's minimum to the coefficient-maximum
-    corner's labels and c0 alike.  Only the search itself is this module's."""
+    the searched bound takes the search's labels above the
+    coefficient-maximum corner and adds the minimum's vertex-0 entry to its
+    c0.  Only the search itself is this module's."""
     diagram = a.diagram
     labs, c0 = b
     if tuple(_add_columns(diagram, labs, gap)) != a.labels or gap[0] != -c0:
         raise RuntimeError(f"gap {list(gap)} does not give the label and shift differences")
-    glb = _corner(a, [-g if g > 0 else 0 for g in gap])
+    down, up = [], []
+    for g in gap:
+        down.append(-g if g > 0 else 0)
+        up.append(-g if g < 0 else 0)
+    glb = _corner(a, down)
     if min(glb[0]) < 0:
         raise RuntimeError(f"the coefficient minimum {list(glb[0])} is not dominant")
-    top = _corner(a, [-g if g < 0 else 0 for g in gap])
+    top = _corner(a, up)
     if min(top[0]) >= 0:
         return glb, top
     minima = _minimal_offsets(diagram, bounds, top[0], 1)
     if not minima:
         raise WindowExhaustedError("no dominant upper bound within the window")
     if len(minima) > 1:
-        listed = ", ".join(map(str, minima))
+        listed = ", ".join(str(m) for m, _ in minima)
         raise RuntimeError(f"upper bounds have two incomparable minima: {listed}")
-    return glb, _corner(a, [m - g if g < 0 else m for g, m in zip(gap, minima[0])])
+    (m, above), = minima
+    return glb, (above, top[1] + m[0])
 
 
 class VerificationReport(_Value):
@@ -410,13 +434,18 @@ def _sample_labels(diagram: AffineDiagram, target_level: int, rng: random.Random
 
 def _draws(diagram: AffineDiagram, levels, samples_per_level: int, seed: int):
     """Each sample's labels, delta shift and root-vector offsets, one at a
-    time, level by level from one seeded generator per level."""
+    time, level by level from one seeded generator per level.  A shift is
+    built once per call for each (numerator, denominator) drawn."""
+    shifts = {}
     for lvl in levels:
         rng = random.Random(f"{seed}:{diagram.type_id}:{lvl}")
         for _ in range(samples_per_level):
             labs = _sample_labels(diagram, lvl, rng)
             # randrange(2k + 1) - k draws as randint(-k, k) does
-            shift = Fraction(rng.randrange(9) - 4, rng.choice((1, 1, 2, 3)))
+            key = rng.randrange(9) - 4, rng.choice((1, 1, 2, 3))
+            shift = shifts.get(key)
+            if shift is None:
+                shift = shifts[key] = Fraction(*key)
             yield labs, shift, [rng.randrange(5) - 2 for _ in diagram.vertices]
 
 
@@ -462,8 +491,10 @@ def _check_one(weight, bounds, mismatches, memo, drawn):
     whose labels are in the census and not in the memo has none; a drawn
     tuple outside the census is kept, records or not.  The search's
     (offset, labels below) pairs must be the classifier's label moves; a
-    root fixes the shift too.  A cocovers record keeps both sets, which
-    each weight writes out with its own shift.
+    root fixes the shift too.  One pass over the search's results collects
+    what every check reads of it; the records come boundary, cocovers,
+    difference, delta.  A cocovers record keeps both sets, which each
+    weight writes out with its own shift.
     """
     labs = weight.labels
     records = memo.get(labs)
@@ -471,24 +502,21 @@ def _check_one(weight, bounds, mismatches, memo, drawn):
         from . import covering
 
         diagram = weight.diagram
-        found = _brute_lowers(diagram, bounds, labs)
-        records = [
-            ("boundary", f"offset {list(beta)} touches the window")
-            for beta, _, edge in found
-            if edge
-        ]
-        brute = {(beta, lower) for beta, lower, _ in found}
+        lookup = cover_root_lookup(diagram)
+        records, brute, strays, delta_brute = [], set(), [], False
+        for beta, lower, edge in _brute_lowers(diagram, bounds, labs):
+            if edge:
+                records.append(("boundary", f"offset {list(beta)} touches the window"))
+            brute.add((beta, lower))
+            if beta not in lookup:
+                strays.append(("difference", f"{list(beta)} is not a candidate root"))
+            if beta == diagram.marks:
+                delta_brute = True
         moves = covering._label_moves(diagram, labs, -1)
         classified = {(step.root.coeffs, across) for step, across, _ in moves}
         if brute != classified:
             records.append(("cocovers", (brute, classified)))
-        lookup = cover_root_lookup(diagram)
-        records += [
-            ("difference", f"{list(beta)} is not a candidate root")
-            for beta, _, _ in found
-            if beta not in lookup
-        ]
-        delta_brute = any(beta == diagram.marks for beta, _, _ in found)
+        records += strays
         if covering.is_delta_cocover(weight) != delta_brute:
             records.append(("delta", f"classified {not delta_brute}, brute {delta_brute}"))
         records = tuple(records)
@@ -549,10 +577,10 @@ def verify_covering(
     calls.  A budget, in seconds from the start of the call, stops the
     sweep once the elapsed time exceeds it; with no budget, a census past
     50 000 weights raises ``CensusTooLargeError``.  A diagram of more than
-    512 vertices, which the search cannot recurse through, raises
-    ``BoxTooLargeError``, budget or not.  Both counts are read off the type
-    id before the diagram is built.  A level seeds its own generator, so a
-    repeated level raises ``ValueError``.
+    512 vertices, the largest a search takes, raises ``BoxTooLargeError``,
+    budget or not.  Both counts are read off the type id before the diagram
+    is built.  A level seeds its own generator, so a repeated level raises
+    ``ValueError``.
     """
     levels = _ints("levels", levels)
     seen = set()

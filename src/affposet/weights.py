@@ -329,12 +329,14 @@ def _repaired(weight: Weight, coeffs) -> tuple:
 
     The labels are repaired in place.  Raising vertex j leaves its label at
     0 or 1 and lowers only its neighbours', so a worklist of the vertices
-    that went negative holds every negative label.  The raises of vertex 0
-    are counted into c0.
+    that went negative holds every negative label; a sum with none needs
+    no list.  The raises of vertex 0 are counted into c0.
     """
     columns = weight.diagram.columns
     labs = _add_columns(weight.diagram, weight.labels, coeffs)
     k0 = coeffs[0]
+    if min(labs) >= 0:
+        return tuple(labs), k0
     todo = [j for j, e in enumerate(labs) if e < 0]
     while todo:
         j = todo.pop()

@@ -629,7 +629,7 @@ def test_brute_bounds_searches_a_join_that_moves_the_shift(monkeypatch):
 
     def spied(diagram, bounds, labs, sign):
         found = real(diagram, bounds, labs, sign)
-        raised.append(sign == 1 and bool(found) and found[0][0] != 0)
+        raised.append(sign == 1 and bool(found) and found[0][0][0] != 0)
         return found
 
     monkeypatch.setattr(oracle, "_minimal_offsets", spied)
@@ -991,7 +991,8 @@ def test_search_refuses_rho_on_a511_1_past_its_scan_bound():
 
 
 def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
-    # one recursion frame per vertex: A1100-1 used to hit RecursionError
+    # the largest diagram a search takes; when the search recursed once per
+    # vertex, A1100-1 hit RecursionError
     with pytest.raises(BoxTooLargeError, match="through 1101 > 512 vertices"):
         brute_cocovers(fundamental_weight(D("A1100-1"), 0))
     bc = brute_cocovers(fundamental_weight(D("A400-1"), 0))
@@ -1002,6 +1003,29 @@ def test_search_refuses_more_vertices_than_it_may_recurse_through(monkeypatch):
         brute_bounds(W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12)))
     with pytest.raises(BoxTooLargeError, match="through 3 > 2 vertices"):
         verify_covering("A2-1", samples_per_level=0)
+
+
+def _frames():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_search_does_not_recurse_per_vertex():
+    # the search keeps an explicit state per vertex, so a search through
+    # 401 vertices runs within 100 frames of the test's own; the recursive
+    # search took one frame per vertex and raised RecursionError here
+    a400 = D("A400-1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    try:
+        bc = brute_cocovers(fundamental_weight(a400, 0))
+        rho = brute_cocovers(W("A8-1", (1,) * 9))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [beta.coeffs for beta in bc.differences] == [a400.marks]
+    assert len(rho.cocovers) == 9
 
 
 def test_a_budgeted_sweep_refuses_more_vertices_before_the_build(monkeypatch):
@@ -1068,14 +1092,24 @@ def test_minimal_offsets_match_the_definition(name):
         labs = [rng.randint(-3, 4) for _ in diagram.vertices]
         for sign in (-1, 1):
             got = oracle._minimal_offsets(diagram, bounds, labs, sign)
-            assert got == _ref_minimal_offsets(diagram, bounds, labs, sign), (bounds, labs, sign)
+            offsets = [gamma for gamma, _ in got]
+            assert offsets == _ref_minimal_offsets(diagram, bounds, labs, sign), (bounds, labs, sign)
+            # each minimum comes with its labels, labs + sign * A gamma
+            for gamma, across in got:
+                assert across == tuple(
+                    weights._add_columns(diagram, labs, [sign * g for g in gamma])
+                ), (bounds, labs, sign, gamma)
             saw_several |= len(got) > 1
     assert saw_several
 
 
 def test_brute_bounds_refuses_two_minimal_upper_bounds(monkeypatch):
     a, b = W("A2-1", (0, 12, 0)), W("A2-1", (0, 0, 12))
-    monkeypatch.setattr(oracle, "_minimal_offsets", lambda *args: [(0, 1, 0), (1, 0, 0)])
+    # each offset with the coefficient maximum's labels (-4, 8, 8) plus its columns
+    monkeypatch.setattr(
+        oracle, "_minimal_offsets",
+        lambda *args: [((0, 1, 0), (-5, 10, 7)), ((1, 0, 0), (-2, 7, 7))],
+    )
     message = "upper bounds have two incomparable minima: (0, 1, 0), (1, 0, 0)"
     with pytest.raises(RuntimeError) as caught:
         brute_bounds(a, b)
