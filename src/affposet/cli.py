@@ -135,25 +135,19 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    from .covering import cocovers
-    from .poset import _require_cell_type, basic_cell, export_graph
-    from .roots import CoverKind
+    from .poset import _finite_steps, basic_cell, export_graph
+    from .weights import _at
 
     lam = _weight_arg(args.type, args.labels, args.shift)
-    _require_cell_type(lam.diagram)
+    steps = _finite_steps(lam)[1]
     wanted = [_labels_arg(args.mu, lam.diagram), _labels_arg(args.mu2, lam.diagram)]
-    lowers = {
-        edge.lower.labels: edge.lower
-        for edge in cocovers(lam)
-        if edge.kind is not CoverKind.DELTA
-    }
     for target in wanted:
-        if target not in lowers:
+        if target not in steps:
             raise ValueError(
                 f"{list(target)} is not a finite-root cocover of the top; "
-                f"available: {[list(a) for a in lowers]}"
+                f"available: {[list(a) for a in steps]}"
             )
-    cell = basic_cell(lam, *(lowers[target] for target in wanted))
+    cell = basic_cell(lam, *(_at(lam, (t, -steps[t].root.coeffs[0])) for t in wanted))
     if args.format == "dot":
         print(f"// shape={cell.shape.value} case={cell.case}")
         print(export_graph(cell.graph, "dot"), end="")

@@ -159,12 +159,11 @@ class _Step(_Value):
     __slots__ = _fields = ("order", "root", "kind", "supp", "change", "rules")
 
 
-def _step(diagram: AffineDiagram, root: RootVector, kind: CoverKind) -> _Step:
-    """The step of a cover root of the given kind: its label change is A
-    times the root, ``weights._add_columns`` of zero labels, and its case
-    test is that of its kind on the support."""
+def _step(diagram: AffineDiagram, supp: tuple, root: RootVector, kind: CoverKind) -> _Step:
+    """The step of a cover root of the given kind on its sorted support, kept
+    as given: its label change is A times the root, ``weights._add_columns``
+    of zero labels, and its case test is that of its kind on the support."""
     coeffs = root.coeffs
-    supp = tuple(compress(diagram.vertices, coeffs))
     change = _add_columns(diagram, [0] * (diagram.n + 1), coeffs)
     change = tuple((w, x) for w, x in enumerate(change) if x)
     return _Step((sum(coeffs), coeffs), root, kind, supp, change, _case_rules(diagram, kind, supp))
@@ -174,14 +173,17 @@ def _step(diagram: AffineDiagram, root: RootVector, kind: CoverKind) -> _Step:
 def _support_step(diagram: AffineDiagram, supp: tuple) -> _Step:
     """The step of the cover root ``roots._support_root`` gives on a sorted
     proper connected set."""
-    return _step(diagram, *_support_root(diagram, supp))
+    return _step(diagram, supp, *_support_root(diagram, supp))
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_steps(diagram: AffineDiagram) -> tuple:
     """The steps of ``roots._fixed_roots``: delta and the diagram's
     exceptional roots."""
-    return tuple(_step(diagram, root, kind) for root, kind in _fixed_roots(diagram))
+    return tuple(
+        _step(diagram, tuple(compress(diagram.vertices, root.coeffs)), root, kind)
+        for root, kind in _fixed_roots(diagram)
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -179,7 +179,8 @@ def _check_vertices(type_id, vertices: int) -> None:
     its diagram is built."""
     if vertices > _MAX_SEARCH_VERTICES:
         raise BoxTooLargeError(
-            f"{type_id} search recurses through {vertices} > {_MAX_SEARCH_VERTICES} vertices"
+            f"{type_id} has {vertices} vertices, "
+            f"more than the {_MAX_SEARCH_VERTICES} a search takes"
         )
 
 

@@ -314,11 +314,15 @@ def _node_tag(labels: tuple, shift: str) -> str:
     return f"{','.join(map(str, labels))}|{shift}"
 
 
-def _require_cell_type(diagram) -> None:
-    """Refuse a diagram other than A(n,1), the only one whose cells are classified."""
-    tid = diagram.type_id
+def _finite_steps(lam: Weight) -> tuple:
+    """The label moves below a top of A(n,1), the only type whose cells are
+    classified, and its finite cover steps keyed by the labels below them;
+    the kernel of A is spanned by delta, so no two share a key."""
+    tid = lam.diagram.type_id
     if tid.family != "A" or tid.twist != 1:
         raise ValueError(f"basic cells are classified for A(n,1) only, not {tid}")
+    moves = _label_moves(lam.diagram, _require_dominant_positive(lam), -1)
+    return moves, {labs: step for step, labs, _ in moves if step.kind is not CoverKind.DELTA}
 
 
 def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
@@ -330,30 +334,22 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     the cell is the whole interval down to the top minus delta, with shape
     ``DELTA_INTERVAL`` unless it is the diagram the support case predicts.
 
-    Each lower argument is matched to a finite move below the top by its
-    labels, diagram and shift; the two steps give the prediction its
-    supports and the walk its bound.
+    Each lower argument is one lookup by its labels in ``_finite_steps``,
+    which the ``cell`` command also reads, then a check of its diagram and
+    the step's shift; the two steps give the prediction its supports and
+    the walk its bound.
     """
-    diagram = lam.diagram
-    _require_cell_type(diagram)
+    moves, finite = _finite_steps(lam)
     if mu == mu2:
         raise ValueError("the two cocovers must be distinct")
-    moves = _label_moves(diagram, _require_dominant_positive(lam), -1)
-
-    def step_to(lower):
-        # the finite cover step from lam down to lower, or None
-        for step, labs, _ in moves:
-            if labs != lower.labels or step.kind is CoverKind.DELTA or lower.diagram != diagram:
-                continue
-            if lower.shift == _shift_at(lam, -step.root.coeffs[0]):
-                return step
-        return None
-
-    step_a, step_b = step_to(mu), step_to(mu2)
-    if step_a is None or step_b is None:
-        raise ValueError(
-            "both weights must be cocovers of the top along finite roots"
-        )
+    step_a, step_b = finite.get(mu.labels), finite.get(mu2.labels)
+    for step, lower in ((step_a, mu), (step_b, mu2)):
+        if (
+            step is None
+            or lower.diagram != lam.diagram
+            or lower.shift != _shift_at(lam, -step.root.coeffs[0])
+        ):
+            raise ValueError("both weights must be cocovers of the top along finite roots")
     nodes, pairs, shape, case = _predict(lam, frozenset(step_a.supp), frozenset(step_b.supp))
     # lam minus the meet is the larger of the two roots at each vertex
     start = tuple(map(max, step_a.root.coeffs, step_b.root.coeffs))

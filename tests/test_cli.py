@@ -4,9 +4,11 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +161,77 @@ def test_cell_refuses_another_type_before_it_reads_a_cocover(monkeypatch):
     assert "classified for A(n,1) only" in err
 
 
+def test_cell_reads_its_cocovers_without_listing_the_top_s_edges(monkeypatch):
+    import affposet.covering as covering
+
+    argv = ["cell", "A4-1", "--labels", "1,1,1,1,2", "--mu", "2,0,0,2,2",
+            "--mu2", "2,1,1,2,0"]
+
+    def listed(weight):
+        raise AssertionError(f"listed the cocover edges of {weight}")
+
+    monkeypatch.setattr(covering, "cocovers", listed)
+    code, out, err = cap(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7fb145c06fb84513ede94717937126c2d189caf923fbdd57093931e4a485b7a"
+    )
+
+
+def test_cell_command_refuses_exactly_where_basic_cell_raises():
+    # every ordered pair, repeats too, of the finite cocovers of a seeded
+    # pool of tops and of labels naming none: the top's own, which only its
+    # delta drop has, and tuples of the top's level that no move reaches.
+    # Two fixed tops hold a double pentagon and delta intervals.
+    from affposet.cartan import build_affine, format_shift
+    from affposet.covering import CoverKind, cocovers
+    from affposet.weights import weight_from_labels
+
+    rng = random.Random(51)
+    tops = [("A3-1", [1, 1, 1, 1], 0), ("A4-1", [0, 1, 1, 1, 1], Fraction(1, 2))]
+    for name, rank in (("A3-1", 3), ("A4-1", 4), ("A5-1", 5)):
+        for _ in range(6):
+            labs = [rng.choice((0, 0, 1, 2)) for _ in range(rank + 1)]
+            labs[rng.randrange(rank + 1)] += 1
+            tops.append((name, labs, Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))))
+    refused, shapes = 0, set()
+    for name, labs, shift in tops:
+        d = build_affine(name)
+        lam = weight_from_labels(d, labs, shift)
+        edges = cocovers(lam)
+        lowers = [e.lower for e in edges if e.kind is not CoverKind.DELTA]
+        level = sum(labs)
+        misses = [weight_from_labels(d, labs, shift - 1)]
+        misses += [
+            weight_from_labels(d, other, shift)
+            for other in ([level] + [0] * d.n, [0] * d.n + [level])
+            if tuple(other) not in {e.lower.labels for e in edges}
+        ]
+        for mu, mu2 in itertools.product(lowers + misses, repeat=2):
+            code, out, err = cap([
+                "cell", name, "--labels", ",".join(map(str, labs)),
+                f"--shift={format_shift(lam.shift)}",
+                "--mu", ",".join(map(str, mu.labels)),
+                "--mu2", ",".join(map(str, mu2.labels)),
+            ])
+            try:
+                cell = poset.basic_cell(lam, mu, mu2)
+            except ValueError:
+                assert (code, out) == (2, ""), (lam, mu, mu2)
+                assert err.startswith("error: ")
+                refused += 1
+                continue
+            payload = {
+                "shape": cell.shape.value,
+                "case": cell.case,
+                "graph": poset.export_graph(cell.graph, "json"),
+            }
+            assert (code, err) == (0, ""), (lam, mu, mu2)
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            shapes.add(cell.shape)
+    assert shapes == set(poset.CellShape) and refused > 50
+
+
 def test_verify_clean_run():
     code, out, err = cap(["verify", "A2-1", "--levels", "1,2",
                           "--samples", "40", "--seed", "7"])
@@ -307,7 +380,7 @@ def test_a_budgeted_verify_refuses_more_vertices_before_the_build(monkeypatch):
     monkeypatch.setattr(cartan, "_tables", no_tables)
     code, out, err = cap(["verify", "A600-1", "--budget", "1"])
     assert (code, out) == (2, "")
-    assert err == "error: A600-1 search recurses through 601 > 512 vertices\n"
+    assert err == "error: A600-1 has 601 vertices, more than the 512 a search takes\n"
 
 
 def test_verify_refuses_a_census_past_its_bound_with_no_budget(monkeypatch):

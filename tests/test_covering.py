@@ -755,6 +755,18 @@ def test_connected_supports_stream_one_size_at_a_time():
     assert peak - held < 0.1 * 2**20
 
 
+def test_a_support_step_keeps_the_tuple_it_is_built_from():
+    # the support cache's key is the sorted support, so its step shares that
+    # tuple instead of holding a copy rebuilt from the root's coefficients
+    d = D("A6-1")
+    for supp in ([2], [1, 2, 3], [0, 5, 6]):
+        supp = tuple(supp)
+        step = covering._support_step.__wrapped__(d, supp)
+        assert step.supp is supp
+    for step in covering._fixed_steps(d):
+        assert step.supp == tuple(v for v in d.vertices if step.root.coeffs[v])
+
+
 def test_delta_patterns_stay_sparse_at_rank_1000():
     # every vertex of A1000-1 is special, and each delta pattern is the one
     # label one of a fundamental weight
