@@ -139,7 +139,7 @@ def _cmd_cell(args) -> int:
     from .weights import _at
 
     lam = _weight_arg(args.type, args.labels, args.shift)
-    steps = _finite_steps(lam)[1]
+    steps = _finite_steps(lam)
     wanted = [_labels_arg(args.mu, lam.diagram), _labels_arg(args.mu2, lam.diagram)]
     for target in wanted:
         if target not in steps:

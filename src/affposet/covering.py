@@ -243,7 +243,7 @@ def _cocover_cases(diagram: AffineDiagram, labs: tuple) -> list:
 
 
 def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
-    """(step, case) for each cover of dominant labels, in no fixed order.
+    """(step, case) for each cover of dominant labels, in step ``order``.
 
     A cover's root is a simple root, delta, an exceptional root, or the
     highest short root of one of two kinds of support: a component of the
@@ -270,24 +270,31 @@ def _cover_cases(diagram: AffineDiagram, labs: tuple) -> list:
             tag = "a" if step.rules is None else step.rules.get(_pattern(labs, step.supp))
             if tag is not None:
                 found.append((step, tag))
-    return found
+    return sorted(found, key=lambda pair: pair[0].order)
+
+
+@functools.lru_cache(maxsize=1 << 10)  # bounded, so a long sweep holds flat memory
+def _cocover_steps(diagram: AffineDiagram, labs: tuple) -> tuple:
+    """``_cocover_cases`` in step ``order``, shared by a weight's delta
+    translates; an entry holds the cached steps and no labels but its key."""
+    return tuple(sorted(_cocover_cases(diagram, labs), key=lambda pair: pair[0].order))
+
+
+def _across(labs: tuple, step: _Step, sign: int) -> tuple:
+    """The labels across a step below (sign -1) or above (sign +1) them."""
+    across = list(labs)
+    for v, x in step.change:
+        across[v] += sign * x
+    return tuple(across)
 
 
 def _label_moves(diagram: AffineDiagram, labs: tuple, sign: int) -> list:
     """Cover steps below (sign -1) or above (sign +1) dominant labels of
     positive level, as (step, labels across it, case) in ``cover_root_set``
-    order; only two or more steps need a sort.  A weight and its delta
-    translates share their labels, and so their moves."""
-    found = (_cocover_cases if sign < 0 else _cover_cases)(diagram, labs)
-    if len(found) > 1:
-        found.sort(key=lambda pair: pair[0].order)
-    moves = []
-    for step, case in found:
-        across = list(labs)
-        for v, x in step.change:
-            across[v] += sign * x
-        moves.append((step, tuple(across), case))
-    return moves
+    order.  The steps below come from the memo; those above, which
+    ``covers`` asks for once per weight, are found each call."""
+    found = _cocover_steps(diagram, labs) if sign < 0 else _cover_cases(diagram, labs)
+    return [(step, _across(labs, step, sign), case) for step, case in found]
 
 
 def _edges(weight: Weight, sign: int) -> tuple:

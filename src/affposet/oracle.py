@@ -105,7 +105,8 @@ class CensusTooLargeError(ValueError):
 # visit at most 9682 nodes per search (E8-1, doubled window)
 _MAX_SEARCH_NODES = 1 << 21
 # the same sweeps compare at most 2123 minima per search (E6-1 to C12-1 at
-# levels 1-2); rho compares 723 145 on A127-1 (1.3 s), 5 689 737 on A255-1 (20 s)
+# levels 1-2); rho compares 723 145 on A127-1 (0.27 s), 5 689 737 on A255-1
+# (3.9 s on a 2-vCPU x86 host)
 _MAX_SEARCH_SCANS = 1 << 21
 # the largest diagram a search or a sweep takes; a sweep reads the count off
 # the type id before it builds the diagram
@@ -196,11 +197,12 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     an interval, and they are tried in increasing order, so an offset below
     another is always reached first.  Unassigned entries are zero, so once a
     minimum already found lies below the partial offset it lies below every
-    completion, and the larger values at v are cut too.  Every vertex, the
-    last included, tries its values the same way; past the last every label
-    is settled, and a nonzero offset that gets there is a new minimum, with
-    ``cur`` as its labels.  The minimality test counts the minima compared
-    against ``_MAX_SEARCH_SCANS`` as nodes count against
+    completion, and the larger values at v are cut too; a minimum nonzero
+    past step k, kept with its last nonzero step, is passed over.  Every
+    vertex, the last included, tries its values the same way; past the last
+    every label is settled, and a nonzero offset that gets there is a new
+    minimum, with ``cur`` as its labels.  The minimality test counts the
+    minima compared against ``_MAX_SEARCH_SCANS`` as nodes count against
     ``_MAX_SEARCH_NODES``.  A zero value is neither tested nor adds a
     column: it leaves the offset as it was last tested; before the first
     minimum there is nothing to test against.
@@ -256,8 +258,8 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
             scans += len(minima)
             if scans > _MAX_SEARCH_SCANS:
                 raise BoxTooLargeError(f"search compares more than {_MAX_SEARCH_SCANS} minima")
-            for m in minima:
-                if all(map(le, m, gamma)):
+            for j, m in minima:
+                if j <= k and all(map(le, m, gamma)):
                     break
             else:
                 m = None
@@ -269,9 +271,9 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
         if fresh:
             k += 1
         elif any(gamma):
-            minima.append(tuple(gamma))
+            minima.append((max(j for j, step in enumerate(plan) if gamma[step[0]]), tuple(gamma)))
             found.append(tuple(cur))
-    return sorted(zip(minima, found))
+    return sorted(zip((m for _, m in minima), found))
 
 
 def _brute_lowers(diagram: AffineDiagram, bounds: tuple, labs) -> list:

@@ -12,8 +12,7 @@ the two supports cover the cycle; each S is a bit mask of vertices.  The
 prediction is then checked against the actual interval, and
 ``CellMismatchError`` is raised when they disagree instead of papering over
 the difference.  A cell finds its two cocovers among the top's label moves,
-which its walk starts from, and builds weights only to name the nodes of a
-failed prediction.
+and builds weights only to name the nodes of a failed prediction.
 
 Every graph holds its record, as plain data: the diagram, the labels, shift
 and shift text of each node, and the ends, kind, root and case of each edge,
@@ -34,6 +33,8 @@ from . import _LAZY
 from .cartan import _set, _Value, build_affine, format_shift
 from .covering import (
     CoverEdge,
+    _across,
+    _cocover_steps,
     _edge_from_record,
     _label_moves,
     _require_dominant_positive,
@@ -141,34 +142,28 @@ def interval(top: Weight, bottom: Weight) -> PosetGraph:
     start = _dominance_gap(bottom, top)
     if start is None:
         raise IncomparableError(f"{bottom} does not lie below {top}")
-    labs = _require_dominant_positive(top)
-    return _graph(top, *_walk(top, start, _label_moves(top.diagram, labs, -1)))
+    return _graph(top, *_walk(top, start))
 
 
-def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
+def _walk(top: Weight, start: tuple) -> tuple:
     """The labels of each node of the interval from top - start to top, and
-    its arcs (upper, lower, step, case), on integer state, given the
-    ``_label_moves`` below the top.
+    its arcs (upper, lower, step, case), on integer state.
 
     Each node is its gap to the top, the root vector top - node, and a
-    cocover stays inside while its gap is at most start.  Nodes that differ
-    by a multiple of delta share their labels, so the moves of each label
-    tuple are found once.
+    cocover stays inside while its gap is at most start.  Each node reads
+    its steps from the memo ``covering._cocover_steps``, and a new node's
+    labels are built from the step's change.
     """
     diagram = top.diagram
     zero = (0,) * len(start)
-    labels = {zero: top.labels}
-    moves = {top.labels: top_moves}
+    labels = {zero: _require_dominant_positive(top)}
     frontier = [zero]
     arcs = []
     while frontier:
         nxt = []
         for gap in frontier:
             labs = labels[gap]
-            found = moves.get(labs)
-            if found is None:
-                found = moves[labs] = _label_moves(diagram, labs, -1)
-            for step, across, case in found:
+            for step, case in _cocover_steps(diagram, labs):
                 below = list(gap)
                 coeffs = step.root.coeffs
                 for v in step.supp:
@@ -178,7 +173,7 @@ def _walk(top: Weight, start: tuple, top_moves: list) -> tuple:
                 else:
                     below = tuple(below)
                     if below not in labels:
-                        labels[below] = across
+                        labels[below] = _across(labs, step, -1)
                         nxt.append(below)
                         if len(labels) > _MAX_NODES:
                             raise IntervalTooLargeError(f"interval exceeds {_MAX_NODES} nodes")
@@ -314,15 +309,15 @@ def _node_tag(labels: tuple, shift: str) -> str:
     return f"{','.join(map(str, labels))}|{shift}"
 
 
-def _finite_steps(lam: Weight) -> tuple:
-    """The label moves below a top of A(n,1), the only type whose cells are
-    classified, and its finite cover steps keyed by the labels below them;
-    the kernel of A is spanned by delta, so no two share a key."""
+def _finite_steps(lam: Weight) -> dict:
+    """The finite cover steps below a top of A(n,1), the only type whose
+    cells are classified, keyed by the labels below them; the kernel of A
+    is spanned by delta, so no two share a key."""
     tid = lam.diagram.type_id
     if tid.family != "A" or tid.twist != 1:
         raise ValueError(f"basic cells are classified for A(n,1) only, not {tid}")
     moves = _label_moves(lam.diagram, _require_dominant_positive(lam), -1)
-    return moves, {labs: step for step, labs, _ in moves if step.kind is not CoverKind.DELTA}
+    return {labs: step for step, labs, _ in moves if step.kind is not CoverKind.DELTA}
 
 
 def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
@@ -339,7 +334,7 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     the step's shift; the two steps give the prediction its supports and
     the walk its bound.
     """
-    moves, finite = _finite_steps(lam)
+    finite = _finite_steps(lam)
     if mu == mu2:
         raise ValueError("the two cocovers must be distinct")
     step_a, step_b = finite.get(mu.labels), finite.get(mu2.labels)
@@ -353,7 +348,7 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     nodes, pairs, shape, case = _predict(lam, frozenset(step_a.supp), frozenset(step_b.supp))
     # lam minus the meet is the larger of the two roots at each vertex
     start = tuple(map(max, step_a.root.coeffs, step_b.root.coeffs))
-    labels, arcs = _walk(lam, start, moves)
+    labels, arcs = _walk(lam, start)
     actual_pairs = {(upper, lower) for upper, lower, _, _ in arcs}
     if nodes != labels.keys() or pairs != actual_pairs:
 

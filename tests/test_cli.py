@@ -155,6 +155,8 @@ def test_cell_refuses_another_type_before_it_reads_a_cocover(monkeypatch):
         raise AssertionError(f"built the cocover table of {diagram}")
 
     monkeypatch.setattr(covering, "_cocover_table", no_table)
+    # an empty memo, so that no cocover read is answered without the table
+    covering._cocover_steps.cache_clear()
     code, out, err = cap(["cell", "B3-1", "--labels", "1,1,1,1",
                           "--mu", "0,0,0,0", "--mu2", "0,0,0,0"])
     assert (code, out) == (2, "")
@@ -176,6 +178,32 @@ def test_cell_reads_its_cocovers_without_listing_the_top_s_edges(monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f7fb145c06fb84513ede94717937126c2d189caf923fbdd57093931e4a485b7a"
     )
+
+
+def test_cell_finds_the_cocovers_of_each_label_tuple_once(monkeypatch):
+    # from an empty memo, the command and the cell it asks for find the
+    # cocovers of each label tuple the walk visits once, the top's too,
+    # though both look its finite steps up
+    import affposet.covering as covering
+
+    argv = ["cell", "A4-1", "--labels", "1,1,1,1,2", "--mu", "2,0,0,2,2",
+            "--mu2", "2,1,1,2,0"]
+    real, found = covering._cocover_cases, []
+
+    def counted(diagram, labs):
+        found.append(labs)
+        return real(diagram, labs)
+
+    monkeypatch.setattr(covering, "_cocover_cases", counted)
+    covering._cocover_steps.cache_clear()
+    try:
+        code, out, err = cap(argv)
+    finally:
+        covering._cocover_steps.cache_clear()
+    assert (code, err) == (0, "")
+    visited = {tuple(node["labels"]) for node in json.loads(out)["graph"]["nodes"]}
+    assert len(found) == len(set(found)) == len(visited) > 1
+    assert set(found) == visited and found[0] == (1, 1, 1, 1, 2)
 
 
 def test_cell_command_refuses_exactly_where_basic_cell_raises():

@@ -616,8 +616,99 @@ def test_the_query_caches_are_found():
     assert set(_QUERY_CACHES) >= {
         roots._highest_short_root_cached, roots.cover_root_set, roots.cover_root_lookup,
         covering._delta_cases, covering._support_step, covering._fixed_steps,
-        covering._cocover_table, oracle._plan,
+        covering._cocover_table, covering._cocover_steps, oracle._plan,
     }
+
+
+def _clear_query_caches():
+    for cache in _QUERY_CACHES:
+        cache.cache_clear()
+
+
+def test_the_cocover_memo_keeps_at_most_its_bound():
+    # more distinct dominant label tuples of A3-1 than the memo keeps: the
+    # least recently read ones leave, so it never holds more than its bound
+    d = D("A3-1")
+    memo = covering._cocover_steps
+    bound = memo.cache_info().maxsize
+    assert bound == 1 << 10
+    tuples = [labs for labs in itertools.product(range(7), repeat=4) if any(labs)]
+    assert len(tuples) > 2 * bound
+    memo.cache_clear()
+    try:
+        for k, labs in enumerate(tuples, 1):
+            covering._label_moves(d, labs, -1)
+            assert memo.cache_info().currsize == min(k, bound)
+        assert memo.cache_info().misses == len(tuples)
+        # the newest entries stay, the oldest are gone
+        covering._label_moves(d, tuples[-1], -1)
+        covering._label_moves(d, tuples[0], -1)
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, len(tuples) + 1)
+    finally:
+        memo.cache_clear()
+
+
+def test_a_memo_entry_holds_the_cached_steps_and_no_labels():
+    # each entry is its key plus (step, case) pairs whose steps are the very
+    # objects the step caches hold, so its size grows with its moves, not
+    # with the moves times the rank
+    kinds = set()
+    _clear_query_caches()
+    try:
+        for name in ("A3-1", "G2-1", "A2-2", "D4-3", "B5-1", "E6-2"):
+            d = D(name)
+            fixed = covering._fixed_steps(d)
+            read = 0
+            for labs in itertools.product(range(3), repeat=d.n + 1):
+                if not any(labs):
+                    continue
+                entry = covering._cocover_steps(d, labs)
+                assert covering._cocover_steps(d, labs) is entry
+                assert type(entry) is tuple
+                assert [step for step, _ in entry] == sorted(
+                    (step for step, _ in entry), key=lambda step: step.order
+                )
+                for pair in entry:
+                    step, case = pair
+                    assert type(pair) is tuple and len(pair) == 2
+                    assert type(step) is covering._Step and type(case) is str
+                    kinds.add(step.kind)
+                    if step.kind in (CoverKind.SIMPLE, CoverKind.SHORT):
+                        assert step is covering._support_step(d, step.supp), (name, labs)
+                    else:
+                        assert any(step is f for f in fixed), (name, labs)
+                    read += 1
+                moves = covering._label_moves(d, labs, -1)
+                assert [(step, case) for step, _, case in moves] == list(entry)
+            assert read, name
+    finally:
+        _clear_query_caches()
+    assert kinds == set(CoverKind)
+
+
+def test_a_classifier_change_shows_through_the_memo(monkeypatch):
+    # the memo is one of the query caches: with them cleared, a changed
+    # case test changes the interval, even after the same interval has
+    # filled the memo
+    top = weight_from_labels(D("A3-1"), (1, 1, 1, 1))
+    bottom = weight_from_labels(D("A3-1"), (1, 1, 1, 1), -1)
+    before = poset.export_graph(interval(top, bottom), "json")
+    real = covering._case_rules
+    monkeypatch.setattr(
+        covering, "_case_rules",
+        lambda diagram, kind, supp: _without_case(real(diagram, kind, supp), "b"),
+    )
+    try:
+        _clear_query_caches()
+        after = poset.export_graph(interval(top, bottom), "json")
+    finally:
+        monkeypatch.undo()
+        _clear_query_caches()
+    assert after != before
+    assert {e["case"] for e in before["edges"]} >= {"b"}
+    assert "b" not in {e["case"] for e in after["edges"]}
+    assert poset.export_graph(interval(top, bottom), "json") == before
 
 
 @pytest.mark.parametrize(
@@ -718,7 +809,10 @@ def test_a_rule_that_fixes_no_labels_is_refused(monkeypatch):
             r"A3-1: case b of \(1,1,0,0\) keys \(\(0, 2\), \(1, 2\), \(2, 1\)\)$",
         ),
     ]
-    caches = (covering._support_step, covering._fixed_steps, covering._cocover_table)
+    caches = (
+        covering._support_step, covering._fixed_steps, covering._cocover_table,
+        covering._cocover_steps,
+    )
     try:
         for rules, message in refusals:
             monkeypatch.setattr(covering, "_case_rules", lambda diagram, kind, supp: rules)
@@ -743,7 +837,10 @@ def test_connected_supports_stream_one_size_at_a_time():
     assert supports == sorted(supports, key=lambda supp: (len(supp), supp))
     assert len(supports) == 41 * 40
     assert all(type(supp) is tuple and list(supp) == sorted(supp) for supp in supports)
-    for cache in (covering._cocover_table, covering._support_step, roots._highest_short_root_cached):
+    for cache in (
+        covering._cocover_table, covering._support_step, covering._cocover_steps,
+        roots._highest_short_root_cached,
+    ):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -803,9 +900,10 @@ def test_covers_build_no_candidate_set():
     # would cover the whole cycle
     assert [(e.case, e.root.height()) for e in covers(sparse)] == [("b", 99), ("b", 100)]
     assert cover_root_set.cache_info().misses == misses
-    # the cocover table reads its supports without the candidate set; both
-    # caches start empty so the check holds whatever ran before
+    # the cocover table reads its supports without the candidate set; the
+    # caches and the memo start empty so the check holds whatever ran before
     covering._cocover_table.cache_clear()
+    covering._cocover_steps.cache_clear()
     cover_root_set.cache_clear()
     d = D("A40-1")
     edges = cocovers(weight_from_labels(d, [int(j in (0, 20)) for j in d.vertices]))
@@ -1001,7 +1099,10 @@ def test_the_minimal_drop_reference_catches_every_dropped_case(monkeypatch):
     ids = _type_ids(6)
     assert len(ids) == 31
     real_rules, real_delta = covering._case_rules, covering._delta_cases
-    caches = (covering._support_step, covering._fixed_steps, covering._cocover_table)
+    caches = (
+        covering._support_step, covering._fixed_steps, covering._cocover_table,
+        covering._cocover_steps,
+    )
     counts = {}
     try:
         for case in "bcdefghij":
