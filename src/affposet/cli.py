@@ -135,8 +135,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_cell(args) -> int:
-    from .poset import _finite_steps, basic_cell, export_graph
-    from .weights import _at
+    from .poset import _cell, _finite_steps, export_graph
 
     lam = _weight_arg(args.type, args.labels, args.shift)
     steps = _finite_steps(lam)
@@ -147,7 +146,7 @@ def _cmd_cell(args) -> int:
                 f"{list(target)} is not a finite-root cocover of the top; "
                 f"available: {[list(a) for a in steps]}"
             )
-    cell = basic_cell(lam, *(_at(lam, (t, -steps[t].root.coeffs[0])) for t in wanted))
+    cell = _cell(lam, *(steps[t] for t in wanted))
     if args.format == "dot":
         print(f"// shape={cell.shape.value} case={cell.case}")
         print(export_graph(cell.graph, "dot"), end="")

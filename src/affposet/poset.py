@@ -228,16 +228,16 @@ def _settled(diagram) -> tuple:
     return tuple(tuple(j for j in diagram.vertices if last[j] == k) for k in diagram.vertices)
 
 
-def _delta_interval(lam):
-    """Node set and edge pair set of the interval from ``lam`` - delta to ``lam``.
+def _delta_family(lam) -> list:
+    """Vertex sets S, as bit masks, of the interval from ``lam`` - delta to ``lam``.
 
     Every mark of A(n,1) is 1, so delta is the all-ones root vector and the
     interval holds exactly the dominant weights ``lam - e_S`` for subsets S
-    of the vertices, ordered by inclusion of S.  The subsets, bit masks of
-    vertices, are grown one vertex at a time, carrying their labels: taking
-    vertex k subtracts Cartan column k, which is nonzero at k and its
-    neighbours only.  A branch is cut as soon as a label that vertex k
-    settles, one no later vertex changes, is negative.
+    of the vertices, ordered by inclusion of S.  The subsets are grown one
+    vertex at a time, carrying their labels: taking vertex k subtracts
+    Cartan column k, which is nonzero at k and its neighbours only.  A
+    branch is cut as soon as a label that vertex k settles, one no later
+    vertex changes, is negative.
     """
     diagram = lam.diagram
     columns, settled = diagram.columns, _settled(diagram)
@@ -257,7 +257,7 @@ def _delta_interval(lam):
                     break
             else:
                 stack.append((k + 1, chosen, now))
-    return _subset_graph(diagram, found)
+    return found
 
 
 def _predict(lam, ka, kb):
@@ -265,26 +265,14 @@ def _predict(lam, ka, kb):
     for the cell whose two cover roots have the vertex sets ka and kb as
     supports.
 
-    When the two supports cover the cycle the meet is ``lam`` - delta, and
-    the case's diagram holds only if it is the whole delta interval.
+    The family of vertex sets S of the nodes ``lam - e_S``, as bit masks,
+    holds the empty set, ka, kb and their union; when the two are disjoint
+    and i in ka is next to i2 in kb, so both end their paths, the least such
+    pair also adds {i, i2}, ka + i2 and kb + i.  When the two supports cover
+    the cycle the meet is ``lam`` - delta, and the case's diagram holds only
+    if its family is the whole delta interval's.
     """
-    family, shape, case = _case_shape(lam.diagram, ka, kb)
-    nodes, pairs = _subset_graph(lam.diagram, family)
-    if len(ka | kb) > lam.diagram.n:
-        delta_nodes, delta_pairs = _delta_interval(lam)
-        if (delta_nodes, delta_pairs) != (nodes, pairs):
-            return delta_nodes, delta_pairs, CellShape.DELTA_INTERVAL, case
-    return nodes, pairs, shape, case
-
-
-def _case_shape(diagram, ka, kb):
-    """Vertex sets S of the nodes ``lam - e_S``, as bit masks, shape, and
-    case tag that the supports ka and kb of the two cover roots predict.
-
-    The family holds the empty set, ka, kb and their union; when the two
-    are disjoint and i in ka is next to i2 in kb, so both end their paths,
-    the least such pair also adds {i, i2}, ka + i2 and kb + i.
-    """
+    diagram = lam.diagram
     a, b = sum(1 << v for v in ka), sum(1 << v for v in kb)
     family = {0, a, b, a | b}
     # on the cycle, u in ka next to v in kb has a neighbour outside ka: u ends ka, v ends kb
@@ -300,8 +288,12 @@ def _case_shape(diagram, ka, kb):
         case = "1b"  # disjoint with no adjacent ends
     else:
         case = "2" if len(ka) == 1 or len(kb) == 1 else "3"
-    shape = {4: CellShape.DIAMOND, 5: CellShape.PENTAGON, 7: CellShape.DOUBLE_PENTAGON}
-    return family, shape[len(family)], case
+    shape = {4: CellShape.DIAMOND, 5: CellShape.PENTAGON, 7: CellShape.DOUBLE_PENTAGON}[len(family)]
+    if len(ka | kb) > diagram.n:
+        delta = set(_delta_family(lam))
+        if delta != family:
+            family, shape = delta, CellShape.DELTA_INTERVAL
+    return (*_subset_graph(diagram, family), shape, case)
 
 
 def _node_tag(labels: tuple, shift: str) -> str:
@@ -330,13 +322,10 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
     ``DELTA_INTERVAL`` unless it is the diagram the support case predicts.
 
     Each lower argument is one lookup by its labels in ``_finite_steps``,
-    which the ``cell`` command also reads, then a check of its diagram and
-    the step's shift; the two steps give the prediction its supports and
-    the walk its bound.
+    then a check of its diagram and the step's shift; ``_cell``, which the
+    ``cell`` command also calls, does the rest.
     """
     finite = _finite_steps(lam)
-    if mu == mu2:
-        raise ValueError("the two cocovers must be distinct")
     step_a, step_b = finite.get(mu.labels), finite.get(mu2.labels)
     for step, lower in ((step_a, mu), (step_b, mu2)):
         if (
@@ -345,6 +334,15 @@ def basic_cell(lam: Weight, mu: Weight, mu2: Weight) -> Cell:
             or lower.shift != _shift_at(lam, -step.root.coeffs[0])
         ):
             raise ValueError("both weights must be cocovers of the top along finite roots")
+    return _cell(lam, step_a, step_b)
+
+
+def _cell(lam: Weight, step_a, step_b) -> Cell:
+    """The cell under ``lam`` of two of its finite cover steps: the
+    prediction from their supports, checked against the walk down to the
+    meet, and refused with ``CellMismatchError`` where they differ."""
+    if step_a == step_b:
+        raise ValueError("the two cocovers must be distinct")
     nodes, pairs, shape, case = _predict(lam, frozenset(step_a.supp), frozenset(step_b.supp))
     # lam minus the meet is the larger of the two roots at each vertex
     start = tuple(map(max, step_a.root.coeffs, step_b.root.coeffs))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import itertools
@@ -146,6 +147,50 @@ def test_cell_rejects_non_cocover():
                           "--mu", "1,0,3", "--mu2", "2,2,0"])
     assert code == 2
     assert "available" in err
+
+
+@pytest.mark.parametrize(
+    "name, labels, mu, mu2, message",
+    [
+        ("B3-1", "1,1,1,1", "0,0,0,0", "0,0,0,0",
+         "basic cells are classified for A(n,1) only, not B3-1"),
+        ("A2-1", "0,2,2", "1,0,3", "2,2,0",
+         "[2, 2, 0] is not a finite-root cocover of the top; available: [[1, 3, 0], [1, 0, 3]]"),
+        ("A2-1", "0,2,2", "1,3,0", "1,3,0", "the two cocovers must be distinct"),
+        ("A2-1", "1,-1,1", "1,3,0", "1,0,3", "weight [1,-1,1 @ 0/1] is not dominant integral"),
+        ("A2-1", "0,0,0", "1,3,0", "1,0,3", "covering relations need positive level, got 0"),
+        ("A2-1", "1,1", "1,3,0", "1,0,3", "A2-1 has 3 vertices, got 2 labels"),
+    ],
+    ids=["type", "not-a-cocover", "same-cocover", "not-dominant", "level-0", "label-count"],
+)
+def test_cell_refusals_are_pinned(name, labels, mu, mu2, message):
+    argv = ["cell", name, "--labels", labels, "--mu", mu, "--mu2", mu2]
+    assert cap(argv) == (2, "", f"error: {message}\n")
+
+
+def test_cell_reads_the_top_once_and_builds_one_subset_graph(monkeypatch):
+    # a wrap-around cell: the command hands the steps it looked up to the
+    # cell, which decides the prediction on vertex-set families
+    counts = {}
+    for name in ("_finite_steps", "_subset_graph"):
+
+        def counted(*args, name=name, real=getattr(poset, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(poset, name, counted)
+    code, out, err = cap(["cell", "A2-1", "--labels", "1,1,1", "--mu", "3,0,0", "--mu2", "0,3,0"])
+    assert (code, err) == (0, "") and json.loads(out)["shape"] == "delta_interval"
+    assert counts == {"_finite_steps": 1, "_subset_graph": 1}
+    # and it names no weight below the top: cli reads nothing of weights._at
+    import affposet.cli as cli
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+    }
+    assert "_at" not in names and "_cell" in names
 
 
 def test_cell_refuses_another_type_before_it_reads_a_cocover(monkeypatch):

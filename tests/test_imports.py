@@ -327,3 +327,48 @@ def test_only_weights_moves_a_shift_across_a_root():
                     read.append(where)
     assert named == []
     assert read == [("oracle", "brute_bounds")]
+
+
+def test_every_private_name_is_read_and_every_import_is_used():
+    # a helper that a refactor leaves behind shows up here: each private
+    # module-level function, class or constant is read in the module that
+    # defines it or imported from there by another, and no module imports a
+    # name it never reads
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(affposet.__file__).parent.glob("*.py"))
+    }
+    reads, bound, taken = {}, {}, set()
+    for stem, tree in trees.items():
+        reads[stem], bound[stem] = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads[stem].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads[stem].add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound[stem] += [alias.asname or alias.name for alias in node.names]
+                if node.level:  # ``from . import`` reads the package's __init__
+                    taken.update((node.module or "__init__", alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                bound[stem] += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    unread = []
+    for stem, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, ast.Assign):
+                names = [target.id for target in top.targets if isinstance(target, ast.Name)]
+            elif isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+                names = [top.target.id]
+            else:
+                continue
+            unread += [
+                (stem, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and name not in reads[stem] and (stem, name) not in taken
+            ]
+    assert unread == []
+    assert [(stem, name) for stem in trees for name in bound[stem] if name not in reads[stem]] == []
+    assert {"poset", "covering", "weights", "cartan"} <= {home for home, _ in taken}

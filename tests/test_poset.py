@@ -425,7 +425,7 @@ def test_delta_interval_matches_mask_search():
                 shift = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
                 lam = weight_from_labels(d, labs, shift)
                 want = _as_gaps(lam, *_mask_search_delta_interval(lam))
-                assert poset._delta_interval(lam) == want, lam
+                assert poset._subset_graph(d, poset._delta_family(lam)) == want, lam
 
 
 def _as_gaps(lam, nodes, pairs):
@@ -448,7 +448,7 @@ def _ref_predict(lam, edge_a, edge_b):
     nodes, pairs, shape, case = _ref_case_shape(lam, edge_a, edge_b)
     nodes, pairs = _as_gaps(lam, nodes, pairs)
     if edge_a.root.support() | edge_b.root.support() == set(lam.diagram.vertices):
-        delta_nodes, delta_pairs = poset._delta_interval(lam)
+        delta_nodes, delta_pairs = poset._subset_graph(lam.diagram, poset._delta_family(lam))
         if (delta_nodes, delta_pairs) != (nodes, pairs):
             return delta_nodes, delta_pairs, CellShape.DELTA_INTERVAL, case
     return nodes, pairs, shape, case
