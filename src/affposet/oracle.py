@@ -35,7 +35,10 @@ search below takes its bound tuple.  A sweep works on integer labels, and
 every check but meet and join reads the labels alone: the search, and the
 classifier's label moves and delta test.  So :func:`verify_covering` checks
 each label tuple once within a call, in one pass: the census streams, then
-each seeded sample is drawn and checked in turn.  Each sample's partner
+each seeded sample is drawn and checked in turn.  The meet/join check reads
+the sample's labels and its partner state alone, so it runs once per
+distinct (labels, partner) pair within a call, and a sample that repeats a
+pair writes that pair's records with its own shift.  Each sample's partner
 is the state that ``weights._repaired`` gives of its labels plus the
 offsets, the repair ``join`` uses, and its gap is solved from the labels
 and c0 by ``weights._state_gap``.  That keeps the check sound: a repair bug
@@ -51,6 +54,7 @@ import math
 import numbers
 import random
 import time
+from collections import OrderedDict
 from fractions import Fraction
 from operator import eq, le
 
@@ -115,6 +119,9 @@ _MAX_SEARCH_VERTICES = 512
 _MAX_SAMPLE_LEVELS = 100000
 # A60-1's census of 41 663 weights took 96 s; A64-1's has 50 115
 _MAX_CENSUS = 50000
+# the (labels, partner) pairs a sweep's pair memo holds, as many as
+# ``covering._cocover_steps`` holds label tuples
+_PAIR_MEMO = 1 << 10
 
 
 class SearchWindow(_Value):
@@ -210,6 +217,7 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
     _check_vertices(diagram, len(bounds))
     plan = _plan(diagram, bounds, sign)
     last = len(plan) - 1
+    max_nodes, max_scans = _MAX_SEARCH_NODES, _MAX_SEARCH_SCANS  # read once per search
     cur, gamma, tops = list(labs), [0] * len(plan), [0] * len(plan)
     minima, found = [], []
     nodes = scans = 0
@@ -218,10 +226,9 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
         v, hi, rising, falling, column = plan[k]
         if fresh:  # a new node: the interval of values at v
             nodes += 1
-            if nodes > _MAX_SEARCH_NODES:
+            if nodes > max_nodes:
                 raise BoxTooLargeError(
-                    f"the search of window {list(bounds)} visits more than "
-                    f"{_MAX_SEARCH_NODES} nodes"
+                    f"the search of window {list(bounds)} visits more than {max_nodes} nodes"
                 )
             lo = 0
             for u, c, slack in rising:
@@ -256,8 +263,8 @@ def _minimal_offsets(diagram: AffineDiagram, bounds: tuple, labs, sign: int) -> 
         gamma[v] = d
         if d and minima:
             scans += len(minima)
-            if scans > _MAX_SEARCH_SCANS:
-                raise BoxTooLargeError(f"search compares more than {_MAX_SEARCH_SCANS} minima")
+            if scans > max_scans:
+                raise BoxTooLargeError(f"search compares more than {max_scans} minima")
             for j, m in minima:
                 if j <= k and all(map(le, m, gamma)):
                     break
@@ -532,16 +539,17 @@ def _check_one(weight, bounds, mismatches, memo, drawn):
         _mismatch(mismatches, check, detail, weight)
 
 
-def _check_pair(weight, partner, bounds, mismatches):
-    """Compare the meet and join of a weight and a partner, a state over it,
-    with the brute bounds, all three from one gap and as states over the
-    weight.  A gap the solver cannot give, or one the bounds search refuses,
-    is a bounds record; only a record builds a weight or a shift."""
+def _pair_records(weight, partner, bounds) -> tuple:
+    """The (check, detail) records of the meet/join check of a weight and a
+    partner, a state over it: the meet and join against the brute bounds,
+    all three from one gap and as states over the weight.  A gap the solver
+    cannot give, or one the bounds search refuses, is a bounds record with
+    its text; a meet or join record keeps the brute state.  Every record
+    reads the weight's labels and the partner alone, never the shift."""
     try:
         gap = _state_gap(weight, partner)
     except ValueError as exc:
-        _mismatch(mismatches, "bounds", str(exc), weight, partner)
-        return
+        return (("bounds", str(exc)),)
     for _ in range(5):
         try:
             glb, lub = _gap_bounds(weight, partner, gap, bounds)
@@ -549,15 +557,41 @@ def _check_pair(weight, partner, bounds, mismatches):
         except WindowExhaustedError:
             bounds = tuple(2 * b for b in bounds)
         except (BoxTooLargeError, RuntimeError) as exc:
-            _mismatch(mismatches, "bounds", str(exc), weight, partner)
-            return
+            return (("bounds", str(exc)),)
     else:
-        _mismatch(mismatches, "bounds", "window exhausted", weight, partner)
-        return
+        return (("bounds", "window exhausted"),)
+    records = []
     if glb != _gap_meet(weight, gap):
-        _mismatch(mismatches, "meet", f"brute {_weight_key(_at(weight, glb))}", weight, partner)
+        records.append(("meet", glb))
     if lub != _gap_join(weight, gap):
-        _mismatch(mismatches, "join", f"brute {_weight_key(_at(weight, lub))}", weight, partner)
+        records.append(("join", lub))
+    return tuple(records)
+
+
+def _check_pair(weight, partner, bounds, mismatches, memo=None):
+    """Write the records of the meet/join check of a weight and a partner,
+    a state over it, each with the weight's own shift; only a record builds
+    a weight or a shift.
+
+    ``memo``, an ``OrderedDict``, maps (labels, partner) to the records
+    ``_pair_records`` gives of that pair, for the length of one sweep, so
+    a pair drawn again is not solved or searched again.  It holds at most
+    ``_PAIR_MEMO`` pairs and drops the oldest, so a sweep's memory stays
+    flat at any sample count.  With no memo the pair is checked on its own.
+    """
+    if memo is None:
+        memo = OrderedDict()
+    key = weight.labels, partner
+    records = memo.get(key)
+    if records is None:
+        records = _pair_records(weight, partner, bounds)
+        if len(memo) >= _PAIR_MEMO:
+            memo.popitem(last=False)
+        memo[key] = records
+    for check, detail in records:
+        if check != "bounds":
+            detail = f"brute {_weight_key(_at(weight, detail))}"
+        _mismatch(mismatches, check, detail, weight, partner)
 
 
 def verify_covering(
@@ -576,14 +610,17 @@ def verify_covering(
     test, and meet/join against the brute searches.  Each distinct label
     tuple is checked once per call, in one pass: a census tuple's records
     are kept only if there are any, and a sample outside the census is
-    checked on its first draw.  Only the search plans are kept between
-    calls.  A budget, in seconds from the start of the call, stops the
-    sweep once the elapsed time exceeds it; with no budget, a census past
-    50 000 weights raises ``CensusTooLargeError``.  A diagram of more than
-    512 vertices, the largest a search takes, raises ``BoxTooLargeError``,
-    budget or not.  Both counts are read off the type id before the diagram
-    is built.  A level seeds its own generator, so a repeated level raises
-    ``ValueError``.
+    checked on its first draw.  Likewise each distinct (labels, partner)
+    pair has its meet and join checked once per call, under a memo of at
+    most 1024 pairs that drops the oldest; a sample that repeats a pair
+    writes its records with its own shift.  Only the search plans are kept
+    between calls.  A budget, in seconds from the start of the call, stops
+    the sweep once the elapsed time exceeds it; with no budget, a census
+    past 50 000 weights raises ``CensusTooLargeError``.  A diagram of more
+    than 512 vertices, the largest a search takes, raises
+    ``BoxTooLargeError``, budget or not.  Both counts are read off the type
+    id before the diagram is built.  A level seeds its own generator, so a
+    repeated level raises ``ValueError``.
     """
     levels = _ints("levels", levels)
     seen = set()
@@ -625,6 +662,7 @@ def verify_covering(
     # elapsed time against the budget itself: start + budget can overflow a float
     spent = None if budget is None else lambda: time.monotonic() - start > budget
     memo: dict = {}
+    pairs: OrderedDict = OrderedDict()
     mismatches: list = []
     tested = 0
     exceeded = False
@@ -634,7 +672,7 @@ def verify_covering(
             break
         _check_one(weight, bounds, mismatches, memo, partner is not None)
         if partner is not None:
-            _check_pair(weight, partner, bounds, mismatches)
+            _check_pair(weight, partner, bounds, mismatches, pairs)
         tested += 1
     return VerificationReport(
         type=str(diagram.type_id),

@@ -569,13 +569,13 @@ def test_brute_bounds_rejects_a_corner_that_is_not_dominant(monkeypatch):
         brute_bounds(W("A2-1", (0, 3, 0)), W("A2-1", (0, 0, 3)))
 
 
-def _sweep_states(name, seeds):
+def _sweep_states(name, seeds, levels=(1, 2, 3), samples=20):
     # each sample with its partner's state over it, as the sweep yields them
     d = D(name)
     return [
         (weight, partner)
         for seed in seeds
-        for weight, partner in oracle._sweep(d, oracle._draws(d, (1, 2, 3), 20, seed))
+        for weight, partner in oracle._sweep(d, oracle._draws(d, levels, samples, seed))
         if partner is not None
     ]
 
@@ -662,27 +662,41 @@ def test_check_pair_records_a_failed_bounds_check(monkeypatch):
     }]
 
 
+def _spy_pair_records(monkeypatch):
+    # the (labels, partner) pairs the sweep checks, in the order it checks them
+    checked, real = [], oracle._pair_records
+
+    def spied(weight, partner, bounds):
+        checked.append((weight.labels, partner))
+        return real(weight, partner, bounds)
+
+    monkeypatch.setattr(oracle, "_pair_records", spied)
+    return checked
+
+
+def _first_draws(drawn):
+    # each distinct (labels, partner) pair, in the order of its first draw
+    return list(dict.fromkeys((weight.labels, partner) for weight, partner in drawn))
+
+
 @pytest.mark.parametrize("name", ["A2-1", "G2-1", "A4-2", "D4-3", "E6-1"])
 def test_sweep_computes_one_gap_per_pair(monkeypatch, name):
     # every gap, in the pair check and anywhere else, scales its coefficients
-    # through _scaled_coeffs; the bounds, meet and join share one per pair
-    real, scaled, pairs = weights._scaled_coeffs, [], []
+    # through _scaled_coeffs; the bounds, meet and join share one per
+    # distinct pair, and a pair drawn again is not solved again
+    drawn = _sweep_states(name, (6,), (1, 2, 3), 10)
+    real, scaled = weights._scaled_coeffs, []
 
     def counted(*args):
         scaled.append(args)
         return real(*args)
 
-    check = oracle._check_pair
-
-    def spied(weight, partner, window, mismatches):
-        pairs.append((weight, partner))
-        check(weight, partner, window, mismatches)
-
     monkeypatch.setattr(weights, "_scaled_coeffs", counted)
-    monkeypatch.setattr(oracle, "_check_pair", spied)
+    checked = _spy_pair_records(monkeypatch)
     report = verify_covering(name, levels=(1, 2, 3), samples_per_level=10, seed=6)
     assert report.mismatches == ()
-    assert len(pairs) == 30 and len(scaled) == len(pairs)
+    assert len(drawn) == 30 and checked == _first_draws(drawn)
+    assert len(scaled) == len(checked)
 
 
 def _off_by_one_at_vertex_1(real, numerator=False):
@@ -701,14 +715,11 @@ def _off_by_one_at_vertex_1(real, numerator=False):
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A4-2"])
 def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
-    # meet and join read the same wrong gap, so only the Cartan check can see it
-    pairs, real = [], oracle._check_pair
-
-    def spied(weight, partner, window, mismatches):
-        pairs.append((weight, weights._at(weight, partner)))
-        real(weight, partner, window, mismatches)
-
-    monkeypatch.setattr(oracle, "_check_pair", spied)
+    # meet and join read the same wrong gap, so only the Cartan check can see
+    # it; a pair drawn again repeats its record with its own sample's shift
+    drawn = _sweep_states(name, (3,), (1, 2), 20)
+    pairs = [(weight, weights._at(weight, partner)) for weight, partner in drawn]
+    checked = _spy_pair_records(monkeypatch)
     wrong = _off_by_one_at_vertex_1(weights._scaled_coeffs)
     monkeypatch.setattr(weights, "_scaled_coeffs", wrong)
     report = verify_covering(name, levels=(1, 2), samples_per_level=20, seed=3)
@@ -717,7 +728,7 @@ def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
         (list(a.labels), format_shift(a.shift), list(b.labels), format_shift(b.shift))
         for a, b in pairs if a != b
     ]
-    assert len(pairs) == 40 and expected
+    assert len(pairs) == 40 and expected and checked == _first_draws(drawn)
     got = [(m["labels"], m["shift"], m["partner"], m["partner_shift"]) for m in records]
     assert got == expected
     assert all(m["detail"].endswith("does not give the label and shift differences")
@@ -727,13 +738,9 @@ def test_sweep_records_a_wrong_gap_as_bounds(monkeypatch, name):
 def test_sweep_records_a_failed_gap_solve_as_bounds(monkeypatch):
     # a solver fault that leaves a coefficient fractional is a record of
     # the pair, with its partner, and the sweep runs on to its report
-    pairs, real = [], oracle._check_pair
-
-    def spied(weight, partner, window, mismatches):
-        pairs.append((weight, weights._at(weight, partner)))
-        real(weight, partner, window, mismatches)
-
-    monkeypatch.setattr(oracle, "_check_pair", spied)
+    drawn = _sweep_states("A2-1", (0,), (1, 2), 5)
+    pairs = [(weight, weights._at(weight, partner)) for weight, partner in drawn]
+    checked = _spy_pair_records(monkeypatch)
     wrong = _off_by_one_at_vertex_1(weights._scaled_coeffs, numerator=True)
     monkeypatch.setattr(weights, "_scaled_coeffs", wrong)
     report = verify_covering("A2-1", levels=(1, 2), samples_per_level=5, seed=0)
@@ -742,7 +749,7 @@ def test_sweep_records_a_failed_gap_solve_as_bounds(monkeypatch):
         (list(a.labels), format_shift(a.shift), list(b.labels), format_shift(b.shift))
         for a, b in pairs if a != b
     ]
-    assert len(pairs) == 10 and expected
+    assert len(pairs) == 10 and expected and checked == _first_draws(drawn)
     got = [(m["labels"], m["shift"], m["partner"], m["partner_shift"]) for m in records]
     assert got == expected
     assert all(m["detail"].startswith("coefficient 1 differs by the non-integer ")
@@ -1247,6 +1254,56 @@ def test_sweep_searches_each_label_tuple_once(monkeypatch):
         verify_covering(name, levels=(4,), samples_per_level=30, seed=4)
         counts = collections.Counter(searched)
         assert max(counts.values()) == 1 and set(census) <= set(counts)
+
+
+def test_sweep_searches_each_pair_once(monkeypatch):
+    # the pair check reads the sample's labels and its partner state alone,
+    # so the bounds search runs once per distinct (labels, partner) pair
+    real, searched = oracle._gap_bounds, []
+
+    def counted(a, b, gap, bounds):
+        searched.append((a.labels, b))
+        return real(a, b, gap, bounds)
+
+    monkeypatch.setattr(oracle, "_gap_bounds", counted)
+    repeated = 0
+    for name in ("A2-1", "G2-1", "A4-2", "D4-3"):
+        drawn = _sweep_states(name, (0,), (1, 2, 3), 20)
+        del searched[:]
+        report = verify_covering(name, levels=(1, 2, 3), samples_per_level=20, seed=0)
+        assert report.mismatches == () and len(drawn) == 60
+        assert searched == _first_draws(drawn), name
+        repeated += len(searched) < len(drawn)
+    assert repeated
+
+
+def test_pair_memo_holds_at_most_its_bound(monkeypatch):
+    # a memo of two pairs drops the oldest and checks a dropped pair again;
+    # the records, each written with its own sample's shift, stay the same
+    monkeypatch.setattr(oracle, "_gap_meet", lambda a, gap: (a.labels, 0))
+    monkeypatch.setattr(oracle, "_gap_join", _partner_of)
+    checked = _spy_pair_records(monkeypatch)
+
+    def sweep():
+        del checked[:]
+        return verify_covering("A4-1", levels=(1, 2, 3), samples_per_level=200).to_json()
+
+    expected, distinct = sweep(), len(checked)
+    # a repeated pair's meet and join records name its own sample's shift
+    diagram = D("A4-1")
+    assert expected == _ref_verify(diagram, (1, 2, 3), 200, 0, default_window(diagram))
+    sizes, real = [], oracle._check_pair
+
+    def spied(weight, partner, bounds, mismatches, memo):
+        real(weight, partner, bounds, mismatches, memo)
+        sizes.append(len(memo))
+
+    monkeypatch.setattr(oracle, "_check_pair", spied)
+    monkeypatch.setattr(oracle, "_PAIR_MEMO", 2)
+    assert sweep() == expected
+    assert {"meet", "join"} <= {m["check"] for m in expected["mismatches"]}
+    assert len(sizes) == 600 and max(sizes) == 2
+    assert distinct < len(checked) <= 600
 
 
 def test_sweep_reads_the_classifier_once_per_label_tuple(monkeypatch):
